@@ -7,7 +7,8 @@
 #
 # Every numeric field ending in "blocks_per_sec" or "speedup" that appears
 # in both the baseline and the fresh artifact is compared; a drop beyond
-# the tolerance fails the check. Speedup fields measure host-parallel
+# the tolerance fails the check. Envelope fields (seconds, exit_status,
+# nproc) are never compared. Speedup fields measure host-parallel
 # ratios, which are meaningless on a single-CPU runner: when an artifact's
 # report says "host_limited": true, its speedup fields are skipped (noted,
 # not gated) while absolute blocks/sec gating still applies. A baseline

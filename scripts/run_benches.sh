@@ -10,10 +10,10 @@
 # second positional argument (kept for compatibility) or explicitly with
 # -o, which wins over both.
 #
-# Each artifact records the bench name, wall-clock seconds, exit status
-# and captured stdout. Benches that already emit pure JSON (e.g.
-# bench_replay_speedup) are embedded as a structured "report" field;
-# text-table benches keep their output under "log".
+# Each artifact records the bench name, wall-clock seconds, exit status,
+# the host's CPU count (nproc) and captured stdout. Benches that already
+# emit pure JSON (e.g. bench_replay_speedup) are embedded as a structured
+# "report" field; text-table benches keep their output under "log".
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,6 +60,7 @@ artifact = {
     "seconds": round(float(os.environ["BENCH_END"]) -
                      float(os.environ["BENCH_START"]), 3),
     "exit_status": int(os.environ["BENCH_RC"]),
+    "nproc": os.cpu_count(),
 }
 try:
     artifact["report"] = json.loads(text)

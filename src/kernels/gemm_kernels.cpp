@@ -98,17 +98,7 @@ class GemmKernel {
               sh_b, k * stride_b + (tx + u * TXg) * N);
           for (int jj = 0; jj < N; ++jj) fb[u * N + jj] = v[jj];
         }
-        for (i64 i = 0; i < TM; ++i) {
-          for (i64 ju = 0; ju * N < TN; ++ju) {
-            VecN xv, av;
-            for (int jj = 0; jj < N; ++jj) {
-              xv[jj] = fb[ju * N + jj];
-              av[jj] = acc[i][ju * N + jj];
-            }
-            av = t.fma(xv, fa[i], av);
-            for (int jj = 0; jj < N; ++jj) acc[i][ju * N + jj] = av[jj];
-          }
-        }
+        t.template fma_tile<N>(acc, fb, fa, TM, TN);
       }
       co_await t.sync();
 

@@ -170,18 +170,7 @@ class GeneralKernel {
                     sh_flt, flt_base + (tx + u * TX) * N);
                 for (int jj = 0; jj < N; ++jj) rflt[u * N + jj] = v[jj];
               }
-              for (i64 s = 0; s < FT; ++s) {
-                for (i64 wu = 0; wu * N < WT; ++wu) {
-                  VecN xs, av;
-                  for (int jj = 0; jj < N; ++jj) {
-                    xs[jj] = rimg[kx + wu * N + jj];
-                    av[jj] = acc[s][wu * N + jj];
-                  }
-                  av = t.fma(xs, rflt[s], av);
-                  for (int jj = 0; jj < N; ++jj)
-                    acc[s][wu * N + jj] = av[jj];
-                }
-              }
+              t.template fma_tile<N>(acc, rimg + kx, rflt, FT, WT);
             }
           }
         }

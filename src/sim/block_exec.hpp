@@ -1,12 +1,13 @@
 // BlockExecutor — runs one thread block in lockstep warps.
 //
-// Scheduling model: execution proceeds in rounds. In each round every
-// runnable lane advances to its next suspension point (memory access,
-// barrier, or completion). Within a warp, the pending accesses of lanes
-// that suspended on the same operation kind retire together as ONE warp
-// transaction through the space-specific analyzer; mixed kinds (branch
-// divergence) retire as separate subgroups, modeling hardware replay. A
-// barrier releases once every live lane of the block is blocked on sync.
+// Scheduling model: execution proceeds in barrier-delimited segments. Each
+// live lane runs to its next sync() (or completion) in one resume, recording
+// its memory events; the recorded streams then retire in lockstep rounds —
+// the k-th event of every lane in a warp that share an operation kind
+// retire together as ONE warp transaction through the space-specific
+// analyzer, and mixed kinds (branch divergence) retire as separate
+// subgroups, modeling hardware replay. A barrier releases once every live
+// lane of the block has reached it.
 #pragma once
 
 #include <functional>

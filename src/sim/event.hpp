@@ -1,9 +1,10 @@
 // Memory / synchronization events published by device threads.
 //
-// Every suspension point of a device-thread coroutine carries one Access.
-// The BlockExecutor groups the per-lane Accesses of a warp into a single
-// warp transaction and feeds it to the space-specific analyzer (bank model,
-// coalescing model, constant broadcast model).
+// Every memory operation and barrier of a device-thread coroutine records
+// one Access in the lane's recorder. The BlockExecutor groups the per-lane
+// Accesses of a warp into a single warp transaction and feeds it to the
+// space-specific analyzer (bank model, coalescing model, constant broadcast
+// model).
 #pragma once
 
 #include "src/common/types.hpp"
@@ -11,7 +12,7 @@
 
 namespace kconv::sim {
 
-/// Operation kinds a lane can suspend on.
+/// Operation kinds a lane records.
 enum class Op : u8 {
   LoadGlobal,
   StoreGlobal,

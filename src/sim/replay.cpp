@@ -362,7 +362,7 @@ void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
   }
 
   // Compute attribution, identical to run_block's per-warp aggregation
-  // (recorder event counts equal the direct path's retired suspensions).
+  // (recorder event counts equal the direct path's retired events).
   const u32 warp_size = arch_.warp_size;
   const u32 n_warps = static_cast<u32>(ceil_div(n_lanes, warp_size));
   for (u32 w = 0; w < n_warps; ++w) {

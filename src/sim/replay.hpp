@@ -6,8 +6,8 @@
 // class is *replayed*:
 //
 //   * Functional outputs come from the lane coroutines themselves, run in
-//     fast-forward: with a LaneRecorder bound, memory operations skip their
-//     suspension, so a lane executes a whole barrier-delimited segment in
+//     fast-forward: memory operations note into a LaneRecorder without
+//     suspending, so a lane executes a whole barrier-delimited segment in
 //     one resume. Arithmetic is native C++ — outputs are bit-identical to
 //     direct execution (loads/stores already apply at awaitable
 //     construction, and kernels separate conflicting cross-lane shared

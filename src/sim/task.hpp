@@ -1,11 +1,12 @@
 // Coroutine plumbing for device-thread programs.
 //
 // A device kernel body is a C++20 coroutine returning ThreadProgram. Each
-// simulated thread (lane) is one coroutine instance; it suspends at every
-// memory operation, publishing an Access into its promise. The
-// BlockExecutor resumes lanes warp-by-warp so that the k-th suspension of
-// every lane in a warp retires as one warp transaction — the lockstep
-// execution real hardware provides implicitly.
+// simulated thread (lane) is one coroutine instance. Memory operations never
+// suspend: the ThreadCtx applies them and notes each event in the lane's
+// recorder (or tape), so one resume runs the lane to its next barrier or to
+// completion. sync() is the only suspension point; the BlockExecutor then
+// regroups the recorded streams into warp transactions in lockstep round
+// order (block_exec.cpp).
 #pragma once
 
 #include <coroutine>
@@ -20,7 +21,8 @@ namespace kconv::sim {
 class ThreadProgram {
  public:
   struct promise_type {
-    /// The access this lane suspended on (valid while suspended mid-body).
+    /// The event this lane is suspended on — always the barrier, since
+    /// sync() is the only suspension point.
     Access pending{};
     /// Error escaping the body; rethrown by the executor.
     std::exception_ptr error;
@@ -68,35 +70,36 @@ class ThreadProgram {
 
 namespace detail {
 
-/// Awaitable for a load: the functional read already happened when the
-/// awaitable was built; suspension only exists so the executor can charge
-/// the warp transaction. Memory effects thus apply in lane-resume order
-/// within a round — the same contract as warp-synchronous CUDA code that
+/// Awaitable for a load: the functional read (or tape note) already
+/// happened when the awaitable was built, so it never suspends and carries
+/// only the value. Memory effects thus apply in lane-resume order within a
+/// barrier segment — the same contract as warp-synchronous CUDA code that
 /// separates conflicting accesses with __syncthreads (all kconv kernels do).
-/// That contract is also what lets replay mode set `ready`: with no
-/// conflicting cross-lane accesses between barriers, skipping the
-/// suspension entirely leaves memory state bit-identical (MODEL.md §5b).
+/// With no conflicting cross-lane accesses between barriers, running each
+/// lane to its barrier in one resume leaves memory state bit-identical to
+/// lockstep execution (MODEL.md §5b).
 template <typename V>
 struct LoadAwait {
-  Access acc;
   V value;
-  bool ready = false;
 
-  bool await_ready() const noexcept { return ready; }
-  void await_suspend(ThreadProgram::Handle h) const noexcept {
-    h.promise().pending = acc;
-  }
+  static constexpr bool await_ready() noexcept { return true; }
+  void await_suspend(ThreadProgram::Handle) const noexcept {}
   V await_resume() const noexcept { return value; }
 };
 
-/// Awaitable for a store (write already applied) or a barrier.
+/// Awaitable for a store (write already applied); never suspends.
 struct VoidAwait {
-  Access acc;
-  bool ready = false;
+  static constexpr bool await_ready() noexcept { return true; }
+  void await_suspend(ThreadProgram::Handle) const noexcept {}
+  void await_resume() const noexcept {}
+};
 
-  bool await_ready() const noexcept { return ready; }
+/// Awaitable for a barrier: always suspends, publishing the barrier as the
+/// lane's pending event.
+struct SyncAwait {
+  static constexpr bool await_ready() noexcept { return false; }
   void await_suspend(ThreadProgram::Handle h) const noexcept {
-    h.promise().pending = acc;
+    h.promise().pending = Access{Op::Sync, 0, 0, profile::Phase::Sync};
   }
   void await_resume() const noexcept {}
 };

@@ -8,10 +8,14 @@
 //   co_await t.st_global(out, i, t.fma(u[0], w, a));  // FMA is free-running
 //   co_await t.sync();                                // __syncthreads()
 //
-// Loads/stores suspend so the BlockExecutor can retire them as warp
-// transactions; arithmetic only bumps per-lane counters. Vector units
-// (Vec<T,N>) are how a kernel matches its computation data width W_CD to the
-// shared-memory bank width W_SMB, per the paper's Eq. (1).
+// Every ThreadCtx runs bound to a LaneRecorder (execution and replay) or a
+// LaneTapeBuilder (tagging): loads and stores apply their functional effect
+// and note one event there without suspending, so a lane runs from barrier
+// to barrier in one resume; only sync() suspends. The executor regroups the
+// recorded events into warp transactions afterwards (block_exec.cpp).
+// Arithmetic only bumps per-lane counters. Vector units (Vec<T,N>) are how a
+// kernel matches its computation data width W_CD to the shared-memory bank
+// width W_SMB, per the paper's Eq. (1).
 #pragma once
 
 #include <algorithm>
@@ -80,6 +84,37 @@ class ThreadCtx {
     return out;
   }
 
+  /// Register-tile FMA over a rows x cols tile:
+  ///   acc[i][c] = x[c]*w[i] + acc[i][c]   for i < rows, c < cols
+  /// — the WT x FT data-sharing loop of Algorithm 2 (lines 10-15) and the
+  /// GEMM micro-tile. Exactly equivalent to calling the vector fma<N> above
+  /// on every N-wide slice of every row: it charges the same rows*cols FMA
+  /// lane-ops (once, to the current phase), produces bit-identical values,
+  /// and in tagging mode issues the same per-slice note_axpy sequence.
+  /// `cols` must be a multiple of N; `x` must not alias `acc`.
+  template <int N, std::size_t Stride>
+  void fma_tile(float (*acc)[Stride], const float* x, const float* w,
+                i64 rows, i64 cols) {
+    KCONV_ASSERT(cols % N == 0 && cols <= static_cast<i64>(Stride));
+    charge_fma(static_cast<u64>(rows * cols));
+    if (tape_ != nullptr) [[unlikely]] {
+      for (i64 i = 0; i < rows; ++i) {
+        for (i64 c = 0; c < cols; c += N) {
+          const u32 base = tape_->note_axpy(x + c, w[i], &acc[i][c], N);
+          for (int j = 0; j < N; ++j) {
+            acc[i][c + j] = LaneTapeBuilder::tag_value(base + j);
+          }
+        }
+      }
+      return;
+    }
+    for (i64 i = 0; i < rows; ++i) {
+      const float wi = w[i];
+      float* a = acc[i];
+      for (i64 c = 0; c < cols; ++c) a[c] = x[c] * wi + a[c];
+    }
+  }
+
   /// Fused bias+ReLU epilogue: out = max(0, x + bias). Charges 2 ALU
   /// lane-ops (one add, one clamp — the same cost the standalone
   /// bias_relu kernel charges per element), and is tape-recordable so
@@ -113,11 +148,13 @@ class ThreadCtx {
   template <typename V, typename T>
   detail::LoadAwait<V> ld_global(const BufferView<T>& view, i64 idx) {
     charge_alu(1);  // address computation a real kernel spends an IADD on
-    const Access a{Op::LoadGlobal, view.addr_of(idx), sizeof(V), phase_};
+    const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
-      return {a, tape_load<V>(view.buffer(), a.addr, true, false), true};
+      return {tape_load<V>(view.buffer(), addr, true)};
     }
-    return {a, view.template read<V>(idx), record(a)};
+    const V v = view.template read<V>(idx);
+    record(Op::LoadGlobal, addr, sizeof(V));
+    return {v};
   }
   template <typename T>
   detail::LoadAwait<T> ld_global(const BufferView<T>& view, i64 idx) {
@@ -133,11 +170,11 @@ class ThreadCtx {
   detail::LoadAwait<V> ld_global_if(bool pred, const BufferView<T>& view,
                                     i64 idx) {
     if (!pred) {
-      const Access a{Op::LoadGlobal, 0, 0, phase_};
       if (tape_ != nullptr) [[unlikely]] {
-        return {a, tape_load<V>(nullptr, 0, false, false), true};
+        return {tape_load<V>(nullptr, 0, false)};
       }
-      return {a, V{}, record(a)};
+      record(Op::LoadGlobal, 0, 0);
+      return {V{}};
     }
     return ld_global<V, T>(view, idx);
   }
@@ -151,15 +188,16 @@ class ThreadCtx {
   detail::VoidAwait st_global(const BufferView<T>& view, i64 idx,
                               const V& value) {
     charge_alu(1);
-    const Access a{Op::StoreGlobal, view.addr_of(idx), sizeof(V), phase_};
+    const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       tape_store(value, [&](const float* e, u32 n) {
-        tape_->note_store_gm(view.buffer(), a.addr, e, n, true);
+        tape_->note_store_gm(view.buffer(), addr, e, n, true);
       });
-      return {a, true};
+      return {};
     }
     view.template write<V>(idx, value);
-    return {a, record(a)};
+    record(Op::StoreGlobal, addr, sizeof(V));
+    return {};
   }
 
   /// Predicated store (see ld_global_if).
@@ -167,14 +205,14 @@ class ThreadCtx {
   detail::VoidAwait st_global_if(bool pred, const BufferView<T>& view,
                                  i64 idx, const V& value) {
     if (!pred) {
-      const Access a{Op::StoreGlobal, 0, 0, phase_};
       if (tape_ != nullptr) [[unlikely]] {
         tape_store(value, [&](const float* e, u32 n) {
           tape_->note_store_gm(nullptr, 0, e, n, false);
         });
-        return {a, true};
+        return {};
       }
-      return {a, record(a)};
+      record(Op::StoreGlobal, 0, 0);
+      return {};
     }
     return st_global(view, idx, value);
   }
@@ -190,16 +228,18 @@ class ThreadCtx {
   template <typename V, typename T>
   detail::LoadAwait<V> ld_shared(const SharedView<T>& view, i64 idx) {
     charge_alu(1);
-    const Access a{Op::LoadShared, view.addr_of(idx), sizeof(V), phase_};
+    const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       if constexpr (kTapeFloatElems<V>) {
         constexpr u32 n = sizeof(V) / sizeof(float);
-        return {a, tape_tagged<V>(tape_->note_load_sm(a.addr, n)), true};
+        return {tape_tagged<V>(tape_->note_load_sm(addr, n))};
       } else {
         tape_->unsupported("non-float shared load");
       }
     }
-    return {a, view.template read<V>(idx), record(a)};
+    const V v = view.template read<V>(idx);
+    record(Op::LoadShared, addr, sizeof(V));
+    return {v};
   }
   template <typename T>
   detail::LoadAwait<T> ld_shared(const SharedView<T>& view, i64 idx) {
@@ -210,15 +250,16 @@ class ThreadCtx {
   detail::VoidAwait st_shared(const SharedView<T>& view, i64 idx,
                               const V& value) {
     charge_alu(1);
-    const Access a{Op::StoreShared, view.addr_of(idx), sizeof(V), phase_};
+    const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       tape_store(value, [&](const float* e, u32 n) {
-        tape_->note_store_sm(a.addr, e, n, true);
+        tape_->note_store_sm(addr, e, n, true);
       });
-      return {a, true};
+      return {};
     }
     view.template write<V>(idx, value);
-    return {a, record(a)};
+    record(Op::StoreShared, addr, sizeof(V));
+    return {};
   }
 
   /// Predicated shared store (see ld_global_if).
@@ -226,14 +267,14 @@ class ThreadCtx {
   detail::VoidAwait st_shared_if(bool pred, const SharedView<T>& view,
                                  i64 idx, const V& value) {
     if (!pred) {
-      const Access a{Op::StoreShared, 0, 0, phase_};
       if (tape_ != nullptr) [[unlikely]] {
         tape_store(value, [&](const float* e, u32 n) {
           tape_->note_store_sm(0, e, n, false);
         });
-        return {a, true};
+        return {};
       }
-      return {a, record(a)};
+      record(Op::StoreShared, 0, 0);
+      return {};
     }
     return st_shared(view, idx, value);
   }
@@ -242,19 +283,18 @@ class ThreadCtx {
 
   template <typename V, typename T>
   detail::LoadAwait<V> ld_const(const ConstView<T>& view, i64 idx) {
-    const Access a{Op::LoadConst, view.addr_of(idx), sizeof(V), phase_};
+    const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       if constexpr (kTapeFloatElems<V>) {
         constexpr u32 n = sizeof(V) / sizeof(float);
-        return {a,
-                tape_tagged<V>(
-                    tape_->note_load_const(view.buffer(), a.addr, n)),
-                true};
+        return {tape_tagged<V>(tape_->note_load_const(view.buffer(), addr, n))};
       } else {
         tape_->unsupported("non-float constant load");
       }
     }
-    return {a, view.template read<V>(idx), record(a)};
+    const V v = view.template read<V>(idx);
+    record(Op::LoadConst, addr, sizeof(V));
+    return {v};
   }
   template <typename T>
   detail::LoadAwait<T> ld_const(const ConstView<T>& view, i64 idx) {
@@ -264,17 +304,17 @@ class ThreadCtx {
   // --- Synchronization -----------------------------------------------------------
 
   /// __syncthreads(): suspends until every live lane of the block arrives.
-  /// Under replay the barrier is still a real suspension — it is the one
-  /// scheduling point fast-forward execution preserves — but it is recorded
-  /// like any other event so the congruence hash covers sync placement.
-  detail::VoidAwait sync() {
-    // Barriers are attributed automatically; kernels never annotate them.
-    const Access a{Op::Sync, 0, 0, profile::Phase::Sync};
+  /// The barrier is the one suspension point — the executor's segment
+  /// boundary — but it is also recorded like any other event so the
+  /// congruence hash covers sync placement.
+  detail::SyncAwait sync() {
     if (tape_ != nullptr) [[unlikely]] {
       tape_->note_sync();
+      return {};
     }
-    (void)record(a);
-    return {a, false};
+    // Barriers are attributed automatically; kernels never annotate them.
+    record_as(Op::Sync, 0, 0, profile::Phase::Sync);
+    return {};
   }
 
   // --- Executor interface ----------------------------------------------------------
@@ -283,14 +323,16 @@ class ThreadCtx {
     smem_base_ = base;
     smem_bytes_ = bytes;
   }
-  /// Replay mode (MODEL.md §5b): while a recorder is bound, memory ops are
-  /// noted instead of suspending, so a lane runs barrier-to-barrier in one
-  /// resume. nullptr (default) restores exact direct-execution behavior.
+  /// Execution and replay (MODEL.md §5, §5b): memory ops apply their
+  /// functional effect and note one event in `rec`, so a lane runs
+  /// barrier-to-barrier in one resume. A lane must have a recorder or a
+  /// tape bound before it issues its first memory op or barrier; one with
+  /// neither fails that op with kconv::Error.
   void bind_recorder(LaneRecorder* rec) { recorder_ = rec; }
   /// Tagging mode (MODEL.md §5b): while a tape builder is bound, loads
   /// return NaN-boxed value slots, fma records the dataflow, and stores
   /// record which slots leave the block — no functional memory is touched.
-  /// Like fast-forward, only sync() suspends.
+  /// As with a recorder, only sync() suspends.
   void bind_tape(LaneTapeBuilder* tape) { tape_ = tape; }
   /// Profiling mode (MODEL.md §7): while a lane profile is bound, fma/alu
   /// charges are additionally attributed to the lane's current phase. The
@@ -307,12 +349,17 @@ class ThreadCtx {
   void set_phase(profile::Phase p) { phase_ = p; }
 
  private:
-  /// Notes `a` in the bound recorder; returns whether the awaitable should
-  /// skip its suspension (true exactly in replay mode).
-  bool record(const Access& a) {
-    if (recorder_ == nullptr) return false;
-    recorder_->note(a);
-    return true;
+  /// Notes one event, stamped with the current phase, in the bound
+  /// recorder. The fields travel in registers: building an Access on the
+  /// stack and copying it onward stalls on store forwarding in this path.
+  void record(Op op, u64 addr, u32 bytes) {
+    record_as(op, addr, bytes, phase_);
+  }
+  void record_as(Op op, u64 addr, u32 bytes, profile::Phase phase) {
+    KCONV_CHECK(recorder_ != nullptr,
+                "device memory op on a ThreadCtx with neither a LaneRecorder "
+                "nor a LaneTapeBuilder bound");
+    recorder_->note(op, addr, bytes, phase);
   }
 
   /// A value of type V whose float elements are the tags of `width`
@@ -331,12 +378,11 @@ class ThreadCtx {
     }
   }
 
-  /// Tag-mode global/const load: records the entry, returns fresh tags.
+  /// Tag-mode global load: records the entry, returns fresh tags.
   template <typename V>
-  V tape_load(const DeviceBuffer* buf, u64 addr, bool pred, bool is_const) {
+  V tape_load(const DeviceBuffer* buf, u64 addr, bool pred) {
     if constexpr (kTapeFloatElems<V>) {
       constexpr u32 n = sizeof(V) / sizeof(float);
-      (void)is_const;
       return tape_tagged<V>(tape_->note_load_gm(buf, addr, n, pred));
     } else {
       tape_->unsupported("non-float global load");

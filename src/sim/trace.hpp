@@ -113,11 +113,10 @@ struct BlockTrace {
   Dim3 captured_block{};
 };
 
-/// Per-lane recorder driving fast-forward execution. While a ThreadCtx is
-/// bound to one, memory operations do not suspend; `sync()` still suspends
-/// (it is the only scheduling point fast-forward preserves). The event cap
-/// bounds runaway loops that the round limit would have caught on a
-/// suspension-per-event path. Two modes:
+/// Per-lane recorder driving fast-forward execution. A ThreadCtx bound to
+/// one notes every memory operation here instead of suspending; `sync()`
+/// still suspends (it is the only scheduling point). The event cap bounds
+/// runaway loops that never reach a barrier. Two modes:
 ///
 ///  * Replay validation (replay.hpp, `reset`): each access is folded into
 ///    the stream hash, and global/constant accesses — the ones whose cost
@@ -151,17 +150,18 @@ struct LaneRecorder {
   /// per-lane instruction count) keeps accumulating across segments.
   void begin_segment() { analyzed.clear(); }
 
-  void note(const Access& a) {
+  /// Takes the event's fields rather than an Access so the hot stream
+  /// path constructs the event once, in place in `analyzed`.
+  void note(Op op, u64 addr, u32 bytes, profile::Phase phase) {
     if (events >= max_events) [[unlikely]] overflow();
     ++events;
     if (keep_all) {
-      analyzed.push_back(a);
+      analyzed.emplace_back(op, addr, bytes, phase);
       return;
     }
-    hash = trace_hash_access(hash, a);
-    if (a.op == Op::LoadGlobal || a.op == Op::StoreGlobal ||
-        a.op == Op::LoadConst) {
-      analyzed.push_back(a);
+    hash = trace_hash_access(hash, Access{op, addr, bytes, phase});
+    if (op == Op::LoadGlobal || op == Op::StoreGlobal || op == Op::LoadConst) {
+      analyzed.emplace_back(op, addr, bytes, phase);
     }
   }
 
