@@ -234,12 +234,6 @@ int main(int argc, char** argv) {
   opt.launch.hazard_check = check;
   opt.launch.lint = check;
   opt.launch.profile = profile;
-  if (analytic && check) {
-    std::fprintf(stderr,
-                 "error: --analytic cannot be combined with --check (the "
-                 "hazard checker needs real lane execution)\n");
-    return 2;
-  }
   opt.launch.analytic = analytic;
 
   if (!telemetry_out.empty() && !serve) {
@@ -295,21 +289,13 @@ int main(int argc, char** argv) {
                  static_cast<long long>(devices));
     return 2;
   }
-  if (devices > 1 && analytic) {
-    std::fprintf(stderr,
-                 "error: --devices cannot be combined with --analytic "
-                 "(sharded launches execute blocks; analytic launches "
-                 "don't)\n");
-    return 2;
-  }
-  if (devices > 1 && sample > 0) {
-    std::fprintf(stderr,
-                 "error: --devices cannot be combined with --sample "
-                 "(sharding partitions the full grid)\n");
-    return 2;
-  }
   opt.launch.fleet.devices = static_cast<u32>(devices);
   opt.launch.fleet.strategy = shard_strategy;
+  // --analytic x --check, --devices x --analytic and --devices x --sample.
+  if (const std::string why = opt.launch.validate(); !why.empty()) {
+    std::fprintf(stderr, "error: %s\n", why.c_str());
+    return 2;
+  }
 
   // Fail fast on an unusable plan-cache directory — before the simulation
   // spends time, mirroring the --trace-out probe below.

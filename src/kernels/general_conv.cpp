@@ -386,9 +386,10 @@ std::string plan_general(const sim::Arch& arch, i64 K, i64 C, i64 F, i64 Hi,
   sim::SharedLayout smem;
   p.stride_img = round_up(p.cols_halo + n, 4);
   // One bank word of padding keeps the transposing filter stores
-  // conflict-free (the paper's Fig. 6 gray box).
+  // conflict-free (the paper's Fig. 6 gray box). The stride stays a
+  // multiple of n so every n-wide filter vector read stays aligned.
   const i64 pad = cfg.pad_filters ? arch.smem_bank_bytes / sizeof(float) : 0;
-  p.stride_flt = cfg.ftb + pad;
+  p.stride_flt = round_up(cfg.ftb + pad, n);
   p.img_off = smem.alloc<float>(cfg.csh * p.rows_halo * p.stride_img);
   p.flt_off = smem.alloc<float>(cfg.csh * K * K * p.stride_flt);
 

@@ -137,6 +137,25 @@ struct LaunchOptions {
   /// the launch layer records its span, the §5d plan-cache outcome, and
   /// one event per fleet device chunk.
   obs::TelemetryScope telemetry;
+
+  /// Empty when these options can launch, else the reason they cannot.
+  /// Covers the exclusions that hold for every grid: the hazard checker
+  /// needs real lane execution, analytic launches have no per-block
+  /// execution to shard, and sampling would break the shard/transfer
+  /// geometry. launch() throws with this reason, and also rejects an
+  /// analytic launch of a kernel without a replay_class hook.
+  std::string validate() const {
+    if (analytic && hazard_check) {
+      return "analytic launch cannot run the hazard checker";
+    }
+    if (fleet.devices > 1 && analytic) {
+      return "multi-device launch is unsupported with analytic execution";
+    }
+    if (fleet.devices > 1 && sample_max_blocks > 0) {
+      return "multi-device launch cannot combine with block sampling";
+    }
+    return {};
+  }
 };
 
 }  // namespace kconv::sim

@@ -60,26 +60,26 @@ Dim3 unflatten(const Dim3& grid, u64 flat) {
               static_cast<u32>(flat / (static_cast<u64>(grid.x) * grid.y))};
 }
 
-/// One access-pattern cache per launch chunk, scoped like the L2 shadow and
-/// constant-cache replica (docs/MODEL.md §5c): private state keeps parallel
-/// launches lock-free and deterministic. Folds its hit counters into the
-/// chunk's stats shard on destruction-free drain.
-struct ChunkPatternCache {
-  std::optional<PatternCache> cache;
-
-  ChunkPatternCache(const Arch& arch, bool enabled) {
-    if (enabled) {
-      cache.emplace(arch.smem_banks, arch.smem_bank_bytes,
-                    arch.gm_sector_bytes);
-    }
-  }
-  PatternCache* get() { return cache.has_value() ? &*cache : nullptr; }
-  void drain(KernelStats& stats) {
-    if (cache.has_value()) {
-      stats.pattern_lookups += cache->lookups();
-      stats.pattern_hits += cache->hits();
-    }
-  }
+/// One unit of the launch pipeline (docs/MODEL.md §5a): the launch-index
+/// ranges it runs, the L2 those blocks see, and the chunk's private state.
+/// Private state keeps concurrent chunks lock-free, and because every
+/// field is a pure function of the chunk plan (never of host scheduling),
+/// merging chunks in index order is deterministic.
+struct Chunk {
+  std::vector<BlockRange> runs;
+  /// The device's L2 (serial launch, fleet device); null runs the chunk
+  /// against a private shadow L2 (parallel launch).
+  L2Cache* l2 = nullptr;
+  KernelStats stats;
+  /// Access-pattern cache scoped like the L2 shadow and constant-cache
+  /// replica (docs/MODEL.md §5c); kept past the run only for the plan
+  /// store.
+  std::optional<PatternCache> pattern;
+  std::optional<analysis::BlockChecker> checker;
+  /// Kept past the run so captured classes merge into one saved plan.
+  std::unique_ptr<ReplayRunner> runner;
+  profile::PhaseProfile phases;
+  std::vector<profile::BlockTimeline> timelines;
 };
 
 }  // namespace
@@ -89,6 +89,8 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
                          const BlockClassifier& classify,
                          const ReplayOriginsFn& origins) {
   KCONV_CHECK(cfg.grid.count() >= 1, "empty grid");
+  const std::string invalid = opt.validate();
+  KCONV_CHECK(invalid.empty(), invalid);
   // Validates thread/smem/register limits up front (throws on bad configs).
   (void)compute_occupancy(dev.arch(), cfg);
 
@@ -112,29 +114,15 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   // Analytic mode is replay that never materializes: it hard-requires the
   // classifier (there is no trace to serve from otherwise).
   const bool analytic = opt.analytic;
-  if (analytic) {
-    KCONV_CHECK(static_cast<bool>(classify),
-                "analytic launch requires a kernel with a replay_class hook");
-    KCONV_CHECK(!opt.hazard_check,
-                "analytic launch cannot run the hazard checker");
-  }
+  KCONV_CHECK(!analytic || static_cast<bool>(classify),
+              "analytic launch requires a kernel with a replay_class hook");
   const bool replaying =
       (opt.replay || analytic) && static_cast<bool>(classify);
   res.analytic = analytic;
 
-  // Multi-device sharding (docs/MODEL.md §9). The shard partition is fixed
-  // before anything runs — a pure function of grid, strategy and device
-  // count — so fleet launches are exactly reproducible like the parallel
-  // path. Analytic launches have no per-block execution to shard, and
-  // sampling would break the shard/transfer geometry; both are rejected
-  // loudly (the CLI turns these into exit-2 flag errors first).
+  // Multi-device sharding (docs/MODEL.md §9); validate() already rejected
+  // the analytic and sampled combinations.
   const bool fleet_on = opt.fleet.devices > 1;
-  if (fleet_on) {
-    KCONV_CHECK(!analytic,
-                "multi-device launch is unsupported with analytic execution");
-    KCONV_CHECK(!set.sampled,
-                "multi-device launch cannot combine with block sampling");
-  }
 
   const bool profiling = opt.profile;
   res.profile.enabled = profiling;
@@ -230,19 +218,161 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     res.plan_cache_status = why;
   }
   res.plan_cache_hit = plan_hit;
-  const auto store_plan = [&](const LaunchPlan& out) {
-    plans->store(store_key, serialize_plan(out));
-    // An analytic warm launch never loaded the sidecar, so its view of the
-    // tapes is incomplete — leave the stored sidecar alone rather than
-    // shrink it to the freshly captured classes. Small grids skip the
-    // sidecar symmetrically with the load gate: no future launch of this
-    // key (same config, same grid) would ever read it.
-    if (analytic && plan_hit) return;
-    if (res.blocks_total < kTapeSidecarMinBlocks) return;
-    const std::string tapes = serialize_tapes(out);
-    if (!tapes.empty()) plans->store(plan_tape_key(store_key), tapes);
+
+  // Step 1 — plan chunks. The modes differ only in how launch indices are
+  // grouped and which L2 each group sees; every plan is a pure function of
+  // grid, thread count and shard strategy, so each is exactly reproducible.
+  //   serial:   one chunk over the device's single L2, which therefore stays
+  //             warm across blocks (and across launches when reset_l2 is
+  //             off) — the exact-legacy path;
+  //   parallel: ceil(count/threads)-sized contiguous chunks, each on a
+  //             private L2 shadow (closer to real concurrent SMXs);
+  //   fleet:    one chunk per device, running its shard's block ranges
+  //             against that device's own L2 (docs/MODEL.md §9 adds the
+  //             transfer ledger on top).
+  // Outputs and all scheduling-invariant counters are identical across
+  // modes (docs/MODEL.md §5a).
+  std::vector<FleetShard> fshards;
+  std::optional<DeviceFleet> fleet;
+  const u64 grain = static_cast<u64>(
+      ceil_div(static_cast<i64>(set.count), static_cast<i64>(threads)));
+  std::vector<Chunk> chunks(
+      fleet_on ? opt.fleet.devices
+               : static_cast<u64>(ceil_div(static_cast<i64>(set.count),
+                                           static_cast<i64>(grain))));
+  if (fleet_on) {
+    fshards = shard_grid(cfg.grid, opt.fleet, opt.fleet_hints);
+    model_transfers(opt.fleet, opt.fleet_hints, res.blocks_total, fshards);
+    fleet.emplace(arch, opt.fleet.devices);
+    for (u32 d = 0; d < opt.fleet.devices; ++d) {
+      chunks[d].runs = fshards[d].runs;
+      chunks[d].l2 = &fleet->device(d).l2();
+    }
+  } else {
+    for (u64 c = 0; c < chunks.size(); ++c) {
+      chunks[c].runs = {{c * grain, std::min(set.count, (c + 1) * grain)}};
+      if (chunks.size() == 1) chunks[c].l2 = &dev.l2();
+    }
+  }
+  // One checker per chunk, merged in index order like the stats, so the
+  // hazard report is a pure function of the chunk plan too.
+  if (opt.hazard_check) {
+    for (Chunk& c : chunks) c.checker.emplace(cfg, arch.warp_size);
+  }
+
+  // Step 2 — run each chunk through the one block loop.
+  const auto run_chunk = [&](Chunk& c) {
+    if (c.runs.empty()) return;  // a fleet device with an empty shard
+    std::optional<L2Cache> shadow;
+    L2Cache& l2 = c.l2 != nullptr
+                      ? *c.l2
+                      : shadow.emplace(arch.l2_capacity, arch.gm_sector_bytes);
+    L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
+    if (opt.pattern_cache) {
+      c.pattern.emplace(arch.smem_banks, arch.smem_bank_bytes,
+                        arch.gm_sector_bytes);
+    }
+    PatternCache* pattern = c.pattern.has_value() ? &*c.pattern : nullptr;
+    analysis::BlockChecker* chk = c.checker.has_value() ? &*c.checker : nullptr;
+    profile::PhaseProfile* psink = profiling ? &c.phases : nullptr;
+    if (replaying) {
+      // Per-chunk trace table, like the per-chunk cache replicas: each
+      // chunk captures its own class representatives. A warm plan primes
+      // every chunk's table, so no chunk executes a representative.
+      c.runner = std::make_unique<ReplayRunner>(
+          arch, body, cfg, opt.trace, opt.max_rounds_per_block, classify,
+          origins, pattern, chk, psink, analytic);
+      if (plan_hit) {
+        // A lone chunk adopts the plan by move, not copy: a post-capture
+        // store re-exports its classes from live runner state.
+        if (chunks.size() == 1) {
+          c.runner->prime(std::move(plan));
+        } else {
+          c.runner->prime(plan);
+        }
+        if (!plan.pattern_blob.empty() && pattern != nullptr) {
+          PlanReader pr(plan.pattern_blob);
+          (void)pattern->restore(pr);  // priming only; safe to skip
+        }
+      }
+    }
+    // Timeline capture is capped at the first profile_timeline_blocks of
+    // the GLOBAL launch order, so the captured set is chunk-plan-invariant;
+    // blocks that replay record no slices and are dropped (their phases
+    // still land in the phase profile).
+    profile::BlockTimeline scratch_tl;
+    for (const BlockRange& r : c.runs) {
+      for (u64 i = r.begin; i < r.end; ++i) {
+        const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
+        profile::BlockTimeline* tl = nullptr;
+        if (profiling && i < opt.profile_timeline_blocks) {
+          scratch_tl = profile::BlockTimeline{};
+          scratch_tl.block = bidx;
+          scratch_tl.seq = i;
+          tl = &scratch_tl;
+        }
+        if (c.runner != nullptr) {
+          c.runner->run(bidx, &const_cache, l2, c.stats, tl);
+        } else {
+          std::optional<profile::BlockProfiler> bp;
+          if (psink != nullptr) bp.emplace(*psink, tl);
+          run_block(arch, body, cfg, bidx, opt.trace, opt.max_rounds_per_block,
+                    &const_cache, l2, c.stats, nullptr, pattern, chk,
+                    bp ? &*bp : nullptr);
+        }
+        if (tl != nullptr && !tl->slices.empty()) {
+          c.timelines.push_back(std::move(*tl));
+        }
+      }
+    }
+    if (c.runner != nullptr) c.runner->finish(c.stats);
+    if (pattern != nullptr) {
+      c.stats.pattern_lookups += pattern->lookups();
+      c.stats.pattern_hits += pattern->hits();
+    }
+    // Only the plan store reads the tables after the run; free them now so
+    // sequential fleet devices do not all hold theirs until the merge.
+    if (!plan_enabled) c.pattern.reset();
   };
-  const auto saved_plan = [&](LaunchPlan&& loaded) {
+  const u32 workers = static_cast<u32>(std::min<u64>(
+      ThreadPool::resolve_threads(opt.num_threads), chunks.size()));
+  if (workers <= 1) {
+    for (Chunk& c : chunks) run_chunk(c);
+  } else {
+    ThreadPool pool(workers);
+    pool.parallel_for(0, chunks.size(), 1,
+                      [&](u64 b, u64 e, u32 /*chunk*/) {
+                        for (u64 c = b; c < e; ++c) run_chunk(chunks[c]);
+                      });
+  }
+
+  // Step 3 — merge once, in chunk-index order.
+  std::vector<analysis::BlockChecker*> checkers;
+  bool dirty = false;
+  for (Chunk& c : chunks) {
+    res.stats += c.stats;
+    res.profile.phases += c.phases;
+    for (profile::BlockTimeline& tl : c.timelines) {
+      res.profile.timelines.push_back(std::move(tl));
+    }
+    if (c.checker.has_value()) checkers.push_back(&*c.checker);
+    if (c.runner != nullptr) {
+      res.blocks_replayed += c.runner->blocks_replayed();
+      dirty = dirty || c.runner->captured_fresh();
+    }
+  }
+  // Channel shards interleave launch indices across devices; restore launch
+  // order so the timeline list reads like the serial one.
+  std::stable_sort(res.profile.timelines.begin(), res.profile.timelines.end(),
+                   [](const profile::BlockTimeline& a,
+                      const profile::BlockTimeline& b) {
+                     return a.seq < b.seq;
+                   });
+  if (opt.hazard_check) analysis::finalize_hazards(checkers, res.analysis);
+  if (plan_enabled && dirty) {
+    // Store-once: classes merge in chunk-index order (the first chunk to
+    // own a class wins) and exactly one store runs after every chunk
+    // finished, so concurrent chunks never race a sidecar write.
     LaunchPlan out;
     out.arch = arch_fingerprint(arch);
     out.trace_level = static_cast<u8>(opt.trace);
@@ -251,178 +381,53 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     // of a signed warm plan keeps the stored value instead of erasing it.
     out.static_signature = opt.plan_static_signature != 0
                                ? opt.plan_static_signature
-                               : loaded.static_signature;
+                               : plan.static_signature;
     // Keep every loaded class (a sampled warm launch may not even visit
     // some of them); export_plan appends only ids not already present.
-    out.classes = std::move(loaded.classes);
-    out.pattern_blob = std::move(loaded.pattern_blob);
-    return out;
-  };
+    out.classes = std::move(plan.classes);
+    out.pattern_blob = std::move(plan.pattern_blob);
+    for (const Chunk& c : chunks) {
+      if (c.runner != nullptr) c.runner->export_plan(out);
+    }
+    // One chunk's pattern tables are as good as another's (all are
+    // analyzer outputs); the first chunk that ran goes to disk for
+    // determinism.
+    for (const Chunk& c : chunks) {
+      if (c.pattern.has_value()) {
+        PlanWriter pw;
+        c.pattern->save(pw);
+        out.pattern_blob = pw.take();
+        break;
+      }
+    }
+    plans->store(store_key, serialize_plan(out));
+    // An analytic warm launch never loaded the sidecar, so its view of the
+    // tapes is incomplete — leave the stored sidecar alone rather than
+    // shrink it to the freshly captured classes. Small grids skip the
+    // sidecar symmetrically with the load gate: no future launch of this
+    // key (same config, same grid) would ever read it.
+    if (!(analytic && plan_hit) && res.blocks_total >= kTapeSidecarMinBlocks) {
+      const std::string tapes = serialize_tapes(out);
+      if (!tapes.empty()) plans->store(plan_tape_key(store_key), tapes);
+    }
+  }
 
   if (fleet_on) {
-    // Fleet path: the chunk unit is a (device, block-range, transfer-ledger)
-    // triple. Each device runs its shard's block ranges against its own L2
-    // and constant-cache replica — per-device state depends only on the
-    // shard partition, never on host scheduling, so outputs and all
-    // scheduling-invariant counters are bit-identical to devices == 1
-    // (docs/MODEL.md §5a contract, §9 for the transfer layer on top).
-    const u32 D = opt.fleet.devices;
-    std::vector<FleetShard> fshards =
-        shard_grid(cfg.grid, opt.fleet, opt.fleet_hints);
-    model_transfers(opt.fleet, opt.fleet_hints, res.blocks_total, fshards);
-    DeviceFleet fleet(arch, D);
-    std::vector<KernelStats> shards(D);
-    std::vector<u64> replayed(D, 0);
-    // Device runners outlive the pool so captured classes merge into the
-    // shared plan in device-index order — one store for the whole fleet.
-    std::vector<std::unique_ptr<ReplayRunner>> runners(replaying ? D : 0);
-    std::vector<std::string> pattern_blobs(plan_enabled ? D : 0);
-    std::vector<profile::PhaseProfile> pshards(profiling ? D : 0);
-    std::vector<std::vector<profile::BlockTimeline>> tshards(profiling ? D
-                                                                       : 0);
-    std::vector<std::unique_ptr<analysis::BlockChecker>> checkers(D);
-    if (opt.hazard_check) {
-      for (u32 d = 0; d < D; ++d) {
-        checkers[d] =
-            std::make_unique<analysis::BlockChecker>(cfg, arch.warp_size);
-      }
-    }
-    const u32 workers = static_cast<u32>(
-        std::min<u64>(ThreadPool::resolve_threads(opt.num_threads), D));
-    ThreadPool pool(workers);
-    pool.parallel_for(0, D, 1, [&](u64 db, u64 de, u32 /*chunk*/) {
-      for (u64 dvc = db; dvc < de; ++dvc) {
-        const FleetShard& fs = fshards[dvc];
-        if (fs.blocks == 0) continue;
-        Device& fdev = fleet.device(static_cast<u32>(dvc));
-        L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes,
-                            4);
-        ChunkPatternCache pattern(arch, opt.pattern_cache);
-        KernelStats& stats = shards[dvc];
-        analysis::BlockChecker* chk = checkers[dvc].get();
-        profile::PhaseProfile* psink = profiling ? &pshards[dvc] : nullptr;
-        profile::BlockTimeline scratch_tl;
-        // The timeline cap keys on the FLAT block id (== the serial launch
-        // index — fleet launches never sample), so the captured block set
-        // is device-count-invariant.
-        const auto want_timeline =
-            [&](u64 flat, Dim3 bidx) -> profile::BlockTimeline* {
-          if (!profiling || flat >= opt.profile_timeline_blocks) {
-            return nullptr;
-          }
-          scratch_tl = profile::BlockTimeline{};
-          scratch_tl.block = bidx;
-          scratch_tl.seq = flat;
-          return &scratch_tl;
-        };
-        const auto keep_timeline = [&](profile::BlockTimeline* tl) {
-          if (tl != nullptr && !tl->slices.empty()) {
-            tshards[dvc].push_back(std::move(*tl));
-          }
-        };
-        if (replaying) {
-          runners[dvc] = std::make_unique<ReplayRunner>(
-              arch, body, cfg, opt.trace, opt.max_rounds_per_block, classify,
-              origins, pattern.get(), chk, psink, analytic);
-          ReplayRunner& runner = *runners[dvc];
-          if (plan_hit) {
-            runner.prime(plan);
-            if (!plan.pattern_blob.empty() && pattern.get() != nullptr) {
-              PlanReader pr(plan.pattern_blob);
-              (void)pattern.get()->restore(pr);
-            }
-          }
-          for (const BlockRange& r : fs.runs) {
-            for (u64 flat = r.begin; flat < r.end; ++flat) {
-              const Dim3 bidx = unflatten(cfg.grid, flat);
-              profile::BlockTimeline* tl = want_timeline(flat, bidx);
-              runner.run(bidx, &const_cache, fdev.l2(), stats, tl);
-              keep_timeline(tl);
-            }
-          }
-          runner.finish(stats);
-          replayed[dvc] = runner.blocks_replayed();
-          if (plan_enabled && pattern.get() != nullptr) {
-            PlanWriter pw;
-            pattern.get()->save(pw);
-            pattern_blobs[dvc] = pw.take();
-          }
-        } else {
-          for (const BlockRange& r : fs.runs) {
-            for (u64 flat = r.begin; flat < r.end; ++flat) {
-              const Dim3 bidx = unflatten(cfg.grid, flat);
-              profile::BlockTimeline* tl = want_timeline(flat, bidx);
-              std::optional<profile::BlockProfiler> bp;
-              if (psink != nullptr) bp.emplace(*psink, tl);
-              run_block(arch, body, cfg, bidx, opt.trace,
-                        opt.max_rounds_per_block, &const_cache, fdev.l2(),
-                        stats, nullptr, pattern.get(), chk,
-                        bp ? &*bp : nullptr);
-              keep_timeline(tl);
-            }
-          }
-        }
-        pattern.drain(stats);
-      }
-    });
-    for (const KernelStats& s : shards) res.stats += s;  // device order
-    for (const u64 r : replayed) res.blocks_replayed += r;
-    if (plan_enabled) {
-      // Store-once across the fleet: classes merge in device-index order
-      // (first device to own a class wins) and exactly one store call runs
-      // after every device finished — concurrent devices never race a
-      // sidecar write.
-      bool dirty = false;
-      for (const auto& r : runners) {
-        dirty = dirty || (r != nullptr && r->captured_fresh());
-      }
-      if (dirty) {
-        LaunchPlan out = saved_plan(std::move(plan));
-        for (const auto& r : runners) {
-          if (r != nullptr) r->export_plan(out);
-        }
-        for (std::string& blob : pattern_blobs) {
-          if (!blob.empty()) {
-            out.pattern_blob = std::move(blob);
-            break;
-          }
-        }
-        store_plan(out);
-      }
-    }
-    for (profile::PhaseProfile& p : pshards) res.profile.phases += p;
-    for (std::vector<profile::BlockTimeline>& ts : tshards) {
-      for (profile::BlockTimeline& tl : ts) {
-        res.profile.timelines.push_back(std::move(tl));
-      }
-    }
-    // Channel shards interleave flat ids across devices; restore launch
-    // order so the timeline list reads like the serial one.
-    std::stable_sort(res.profile.timelines.begin(),
-                     res.profile.timelines.end(),
-                     [](const profile::BlockTimeline& a,
-                        const profile::BlockTimeline& b) {
-                       return a.seq < b.seq;
-                     });
-    if (opt.hazard_check) {
-      std::vector<analysis::BlockChecker*> ordered;
-      ordered.reserve(D);
-      for (const auto& c : checkers) ordered.push_back(c.get());
-      analysis::finalize_hazards(ordered, res.analysis);
-    }
     // Per-device compute seconds: each device executes only its shard, so
     // its time is the unscaled estimate over the shard's own blocks.
-    std::vector<double> dev_seconds(D, 0.0);
-    if (opt.trace == TraceLevel::Timing) {
-      for (u32 d = 0; d < D; ++d) {
-        if (fshards[d].blocks > 0) {
-          dev_seconds[d] =
-              estimate_time(arch, cfg, shards[d], fshards[d].blocks).seconds;
-        }
+    std::vector<KernelStats> dev_stats;
+    std::vector<double> dev_seconds(chunks.size(), 0.0);
+    for (u32 d = 0; d < chunks.size(); ++d) {
+      dev_stats.push_back(chunks[d].stats);
+      if (opt.trace == TraceLevel::Timing && fshards[d].blocks > 0) {
+        dev_seconds[d] =
+            estimate_time(arch, cfg, chunks[d].stats, fshards[d].blocks)
+                .seconds;
       }
     }
     res.fleet = analyze_fleet(arch, opt.fleet, opt.fleet_hints,
-                              res.blocks_total, fshards, shards, dev_seconds);
+                              res.blocks_total, fshards, dev_stats,
+                              dev_seconds);
     // One telemetry event per device chunk, in device order (deterministic:
     // device_reports is built by analyze_fleet in index order).
     if (tel.on()) {
@@ -432,208 +437,6 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
             d.ledger.d2h_bytes, d.ledger.d2d_bytes, d.transfer_seconds,
             d.compute_seconds, d.comm_ratio);
       }
-    }
-  } else if (threads <= 1) {
-    // Exact-legacy serial path: one shared per-SM constant cache, every
-    // block's sectors through the device's single L2 (which therefore stays
-    // warm across blocks — and across launches when reset_l2 is off).
-    L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
-    ChunkPatternCache pattern(arch, opt.pattern_cache);
-    std::optional<analysis::BlockChecker> checker;
-    if (opt.hazard_check) checker.emplace(cfg, arch.warp_size);
-    analysis::BlockChecker* chk = checker.has_value() ? &*checker : nullptr;
-    // Timeline capture is capped at the first profile_timeline_blocks of
-    // the launch order; blocks that replay record no slices and are
-    // dropped (their phases still land in res.profile.phases).
-    profile::BlockTimeline scratch_tl;
-    const auto want_timeline = [&](u64 i, Dim3 bidx) -> profile::BlockTimeline* {
-      if (!profiling || i >= opt.profile_timeline_blocks) return nullptr;
-      scratch_tl = profile::BlockTimeline{};
-      scratch_tl.block = bidx;
-      scratch_tl.seq = i;
-      return &scratch_tl;
-    };
-    const auto keep_timeline = [&](profile::BlockTimeline* tl) {
-      if (tl != nullptr && !tl->slices.empty()) {
-        res.profile.timelines.push_back(std::move(*tl));
-      }
-    };
-    if (replaying) {
-      ReplayRunner runner(arch, body, cfg, opt.trace,
-                          opt.max_rounds_per_block, classify, origins,
-                          pattern.get(), chk,
-                          profiling ? &res.profile.phases : nullptr,
-                          analytic);
-      if (plan_hit) {
-        // Moved, not copied: the serial path has exactly one runner, and a
-        // post-capture store re-exports classes from live runner state.
-        runner.prime(std::move(plan));
-        if (!plan.pattern_blob.empty() && pattern.get() != nullptr) {
-          PlanReader pr(plan.pattern_blob);
-          (void)pattern.get()->restore(pr);  // priming only; safe to skip
-        }
-      }
-      for (u64 i = 0; i < set.count; ++i) {
-        const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-        profile::BlockTimeline* tl = want_timeline(i, bidx);
-        runner.run(bidx, &const_cache, dev.l2(), res.stats, tl);
-        keep_timeline(tl);
-      }
-      runner.finish(res.stats);
-      res.blocks_replayed = runner.blocks_replayed();
-      if (plan_enabled && runner.captured_fresh()) {
-        LaunchPlan out = saved_plan(std::move(plan));
-        runner.export_plan(out);
-        if (pattern.get() != nullptr) {
-          PlanWriter pw;
-          pattern.get()->save(pw);
-          out.pattern_blob = pw.take();
-        }
-        store_plan(out);
-      }
-    } else {
-      for (u64 i = 0; i < set.count; ++i) {
-        const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-        profile::BlockTimeline* tl = want_timeline(i, bidx);
-        std::optional<profile::BlockProfiler> bp;
-        if (profiling) bp.emplace(res.profile.phases, tl);
-        run_block(arch, body, cfg, bidx, opt.trace, opt.max_rounds_per_block,
-                  &const_cache, dev.l2(), res.stats, nullptr, pattern.get(),
-                  chk, bp ? &*bp : nullptr);
-        keep_timeline(tl);
-      }
-    }
-    pattern.drain(res.stats);
-    if (chk != nullptr) analysis::finalize_hazards({chk}, res.analysis);
-  } else {
-    // Parallel path: contiguous chunks of the block list, one stats shard,
-    // L2 shadow, and constant-cache replica per chunk. Shard state depends
-    // only on the chunk partition (a pure function of count and thread
-    // count), not on host scheduling, so a given num_threads is exactly
-    // reproducible; outputs and all non-cache counters match the serial
-    // path bit for bit (docs/MODEL.md §5a).
-    const u64 grain = static_cast<u64>(
-        ceil_div(static_cast<i64>(set.count), static_cast<i64>(threads)));
-    const u64 n_chunks = static_cast<u64>(
-        ceil_div(static_cast<i64>(set.count), static_cast<i64>(grain)));
-    std::vector<KernelStats> shards(n_chunks);
-    std::vector<u64> replayed(n_chunks, 0);
-    // Chunk runners live past the pool so captured classes can be merged
-    // into the saved plan in index order (deterministic store contents).
-    std::vector<std::unique_ptr<ReplayRunner>> runners(
-        replaying ? n_chunks : 0);
-    std::vector<std::string> pattern_blobs(plan_enabled ? n_chunks : 0);
-    // Per-chunk phase shards and timeline shards, merged in index order
-    // like the stats shards; the timeline cap uses the GLOBAL launch index
-    // so the captured set is thread-count-invariant.
-    std::vector<profile::PhaseProfile> pshards(profiling ? n_chunks : 0);
-    std::vector<std::vector<profile::BlockTimeline>> tshards(
-        profiling ? n_chunks : 0);
-    // One checker per chunk, merged in index order like the stats shards, so
-    // the hazard report is a pure function of the chunk partition too.
-    std::vector<std::unique_ptr<analysis::BlockChecker>> checkers(n_chunks);
-    if (opt.hazard_check) {
-      for (u64 c = 0; c < n_chunks; ++c) {
-        checkers[c] =
-            std::make_unique<analysis::BlockChecker>(cfg, arch.warp_size);
-      }
-    }
-    ThreadPool pool(threads);
-    pool.parallel_for(0, set.count, grain, [&](u64 b, u64 e, u32 chunk) {
-      L2Cache l2_shadow(arch.l2_capacity, arch.gm_sector_bytes);
-      L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
-      ChunkPatternCache pattern(arch, opt.pattern_cache);
-      KernelStats& stats = shards[chunk];
-      analysis::BlockChecker* chk = checkers[chunk].get();
-      profile::PhaseProfile* psink = profiling ? &pshards[chunk] : nullptr;
-      profile::BlockTimeline scratch_tl;
-      const auto want_timeline = [&](u64 i,
-                                     Dim3 bidx) -> profile::BlockTimeline* {
-        if (!profiling || i >= opt.profile_timeline_blocks) return nullptr;
-        scratch_tl = profile::BlockTimeline{};
-        scratch_tl.block = bidx;
-        scratch_tl.seq = i;
-        return &scratch_tl;
-      };
-      const auto keep_timeline = [&](profile::BlockTimeline* tl) {
-        if (tl != nullptr && !tl->slices.empty()) {
-          tshards[chunk].push_back(std::move(*tl));
-        }
-      };
-      if (replaying) {
-        // Per-chunk trace table, like the per-chunk cache replicas: each
-        // chunk captures its own class representatives, so shard contents
-        // stay a pure function of the chunk partition. A warm plan primes
-        // every chunk's table, so no chunk executes a representative.
-        runners[chunk] = std::make_unique<ReplayRunner>(
-            arch, body, cfg, opt.trace, opt.max_rounds_per_block, classify,
-            origins, pattern.get(), chk, psink, analytic);
-        ReplayRunner& runner = *runners[chunk];
-        if (plan_hit) {
-          runner.prime(plan);
-          if (!plan.pattern_blob.empty() && pattern.get() != nullptr) {
-            PlanReader pr(plan.pattern_blob);
-            (void)pattern.get()->restore(pr);
-          }
-        }
-        for (u64 i = b; i < e; ++i) {
-          const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-          profile::BlockTimeline* tl = want_timeline(i, bidx);
-          runner.run(bidx, &const_cache, l2_shadow, stats, tl);
-          keep_timeline(tl);
-        }
-        runner.finish(stats);
-        replayed[chunk] = runner.blocks_replayed();
-        if (plan_enabled && pattern.get() != nullptr) {
-          PlanWriter pw;
-          pattern.get()->save(pw);
-          pattern_blobs[chunk] = pw.take();
-        }
-      } else {
-        for (u64 i = b; i < e; ++i) {
-          const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-          profile::BlockTimeline* tl = want_timeline(i, bidx);
-          std::optional<profile::BlockProfiler> bp;
-          if (psink != nullptr) bp.emplace(*psink, tl);
-          run_block(arch, body, cfg, bidx, opt.trace,
-                    opt.max_rounds_per_block, &const_cache, l2_shadow, stats,
-                    nullptr, pattern.get(), chk, bp ? &*bp : nullptr);
-          keep_timeline(tl);
-        }
-      }
-      pattern.drain(stats);
-    });
-    for (const KernelStats& s : shards) res.stats += s;  // index order
-    for (const u64 r : replayed) res.blocks_replayed += r;
-    if (plan_enabled) {
-      bool dirty = false;
-      for (const auto& r : runners) {
-        dirty = dirty || (r != nullptr && r->captured_fresh());
-      }
-      if (dirty) {
-        LaunchPlan out = saved_plan(std::move(plan));
-        for (const auto& r : runners) {
-          if (r != nullptr) r->export_plan(out);  // index order, first wins
-        }
-        // One chunk's pattern tables are as good as another's (all are
-        // analyzer outputs); chunk 0's go to disk for determinism.
-        if (!pattern_blobs.empty() && !pattern_blobs[0].empty()) {
-          out.pattern_blob = std::move(pattern_blobs[0]);
-        }
-        store_plan(out);
-      }
-    }
-    for (profile::PhaseProfile& p : pshards) res.profile.phases += p;
-    for (std::vector<profile::BlockTimeline>& ts : tshards) {
-      for (profile::BlockTimeline& tl : ts) {
-        res.profile.timelines.push_back(std::move(tl));
-      }
-    }
-    if (opt.hazard_check) {
-      std::vector<analysis::BlockChecker*> ordered;
-      ordered.reserve(n_chunks);
-      for (const auto& c : checkers) ordered.push_back(c.get());
-      analysis::finalize_hazards(ordered, res.analysis);
     }
   }
   res.blocks_executed = res.stats.blocks_executed;

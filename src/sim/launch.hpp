@@ -9,10 +9,12 @@
 // const`. Launches run every block by default (functional output complete);
 // benchmark callers set LaunchOptions::sample_max_blocks to execute a
 // deterministic, evenly spaced subset and scale the timing estimate.
-// LaunchOptions::num_threads > 1 simulates the block list on multiple host
-// threads (contiguous chunks, per-chunk stats shards and L2/constant-cache
-// replicas, merged in index order): outputs and all non-cache counters are
-// bit-identical to the serial path; see docs/MODEL.md §5a.
+// Every launch runs as a chunk plan: one chunk on the device's L2 (serial,
+// the default), contiguous chunks on private L2 shadows
+// (LaunchOptions::num_threads > 1), or one chunk per device
+// (LaunchOptions::fleet). Each chunk keeps private stats, caches and replay
+// state, merged once in chunk-index order, so outputs and all non-cache
+// counters are bit-identical to the serial path; see docs/MODEL.md §5a.
 #pragma once
 
 #include <concepts>

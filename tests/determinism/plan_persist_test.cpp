@@ -88,6 +88,7 @@ struct RunParams {
   bool profile = false;
   u32 num_threads = 1;
   u64 sample = 0;
+  u32 devices = 1;
   sim::TraceLevel trace = sim::TraceLevel::Functional;
   /// Overrides the runner's auto-computed xray signature (0 = let the
   /// runner stamp its own; tests use distinct values to fake a kernel
@@ -103,6 +104,7 @@ sim::LaunchOptions options(const RunParams& p) {
   opt.profile = p.profile;
   opt.num_threads = p.num_threads;
   opt.sample_max_blocks = p.sample;
+  opt.fleet.devices = p.devices;
   opt.trace = p.trace;
   opt.plan_static_signature = p.signature;
   return opt;
@@ -450,24 +452,41 @@ TEST(PlanPersist, ConcurrentWarmLaunchesShareOneStore) {
 }
 
 TEST(PlanPersist, SampledPlanUnionsWithFullLaunch) {
-  sim::PlanCache plans(fresh_dir("sampled"));
-  // A sampled cold launch stores a partial plan (classes of the sampled
-  // blocks only; sampling is deliberately absent from the store key).
-  const auto sampled = run_general({.plans = &plans, .sample = 2});
-  EXPECT_TRUE(sampled.launch.sampled);
-  EXPECT_EQ(sampled.launch.plan_cache_status, "miss");
+  // The full launch runs as one chunk (serial), three parallel chunks, and
+  // one chunk per fleet device: each re-store merges the chunks' fresh
+  // captures into one plan.
+  struct Mode {
+    const char* name;
+    u32 num_threads;
+    u32 devices;
+  };
+  for (const Mode m : {Mode{"serial", 1, 1}, Mode{"threads3", 3, 1},
+                       Mode{"fleet2", 1, 2}}) {
+    SCOPED_TRACE(m.name);
+    sim::PlanCache plans(fresh_dir(std::string("sampled-") + m.name));
+    // A sampled cold launch stores a partial plan (classes of the sampled
+    // blocks only; sampling is deliberately absent from the store key).
+    const auto sampled = run_general({.plans = &plans, .sample = 2});
+    EXPECT_TRUE(sampled.launch.sampled);
+    EXPECT_EQ(sampled.launch.plan_cache_status, "miss");
 
-  // The full launch starts from the partial plan, captures what is
-  // missing, and re-stores the union...
-  const auto full = run_general({.plans = &plans});
-  EXPECT_TRUE(full.launch.plan_cache_hit);
+    // The full launch starts from the partial plan, captures what is
+    // missing, and re-stores the union...
+    const RunParams full_run{.plans = &plans,
+                             .num_threads = m.num_threads,
+                             .devices = m.devices};
+    const auto full = run_general(full_run);
+    EXPECT_TRUE(full.launch.plan_cache_hit);
+    EXPECT_LT(full.launch.blocks_replayed, full.launch.blocks_total);
 
-  // ...so the next full launch replays everything.
-  const auto warm = run_general({.plans = &plans});
-  EXPECT_TRUE(warm.launch.plan_cache_hit);
-  EXPECT_EQ(warm.launch.blocks_replayed, warm.launch.blocks_total);
-  expect_bytes_equal(warm.output.flat(), full.output.flat());
-  expect_invariant_stats(warm.launch.stats, full.launch.stats);
+    // ...so the next full launch replays everything.
+    const auto warm = run_general(full_run);
+    EXPECT_TRUE(warm.launch.plan_cache_hit);
+    EXPECT_EQ(warm.launch.blocks_replayed, warm.launch.blocks_total);
+    ASSERT_TRUE(full.output_valid && warm.output_valid);
+    expect_bytes_equal(warm.output.flat(), full.output.flat());
+    expect_invariant_stats(warm.launch.stats, full.launch.stats);
+  }
 }
 
 TEST(PlanPersist, WarmAutotuneReturnsTheStoredRankingBitExact) {

@@ -79,7 +79,12 @@ INSTANTIATE_TEST_SUITE_P(
         ablate(GShape{5, 2, 16, 20, 20, small_cfg(8, 4, 16, 4, 8, 1)}, true,
                false, 0),
         ablate(GShape{3, 4, 8, 18, 20, small_cfg(16, 4, 8, 8, 4, 2)}, false,
-               false, 1)));
+               false, 1),
+        // 16-byte vectors (n = 4), with and without the filter padding.
+        ablate(GShape{3, 4, 8, 18, 20, small_cfg(16, 4, 8, 8, 4, 2)}, true,
+               true, 4),
+        ablate(GShape{3, 4, 8, 18, 20, small_cfg(16, 4, 8, 8, 4, 2)}, false,
+               true, 4)));
 
 TEST(GeneralConv, Table1ConfigsRunOnPaperLikeShapes) {
   Rng rng(5);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace kconv::sim {
 namespace {
 
@@ -144,6 +146,66 @@ TEST(Launch, DeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.gm_sectors, b.stats.gm_sectors);
   EXPECT_EQ(a.stats.fma_lane_ops, b.stats.fma_lane_ops);
   EXPECT_DOUBLE_EQ(a.timing.total_cycles, b.timing.total_cycles);
+}
+
+
+/// validate() names a reason for `opt`, and launch() refuses the options
+/// with that same reason before running any block.
+void expect_rejected(const LaunchOptions& opt) {
+  const std::string why = opt.validate();
+  ASSERT_FALSE(why.empty());
+  Device dev(kepler_k40m());
+  auto arr = dev.alloc<float>(8);
+  MarkKernel k;
+  k.data = arr.view();
+  LaunchConfig cfg;
+  cfg.grid = {8, 1, 1};
+  cfg.block = {32, 1, 1};
+  try {
+    (void)launch(dev, k, cfg, opt);
+    ADD_FAILURE() << "launch accepted options validate() rejects: " << why;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LaunchValidate, DefaultAndSingleModeOptionsAreValid) {
+  EXPECT_EQ(LaunchOptions{}.validate(), "");
+  LaunchOptions opt;
+  opt.analytic = true;
+  opt.sample_max_blocks = 4;
+  EXPECT_EQ(opt.validate(), "");
+  opt = LaunchOptions{};
+  opt.fleet.devices = 2;
+  opt.hazard_check = true;
+  opt.replay = true;
+  EXPECT_EQ(opt.validate(), "");
+}
+
+TEST(LaunchValidate, RejectsAnalyticWithHazardCheck) {
+  LaunchOptions opt;
+  opt.analytic = true;
+  opt.hazard_check = true;
+  expect_rejected(opt);
+}
+
+TEST(LaunchValidate, RejectsFleetWithAnalytic) {
+  LaunchOptions opt;
+  opt.fleet.devices = 2;
+  opt.analytic = true;
+  expect_rejected(opt);
+}
+
+TEST(LaunchValidate, RejectsFleetWithSampling) {
+  LaunchOptions opt;
+  opt.fleet.devices = 3;
+  opt.sample_max_blocks = 2;
+  expect_rejected(opt);
+  // A sample count covering the whole grid is rejected too: the exclusion
+  // does not depend on the grid.
+  opt.sample_max_blocks = 100;
+  expect_rejected(opt);
 }
 
 }  // namespace
