@@ -373,6 +373,8 @@ int main(int argc, char** argv) {
                        serve::make_network_input(net, static_cast<u64>(r)));
       const auto replies = driver.drain();
       const auto stats = driver.stats();
+      const u64 plan_stores = plans != nullptr ? plans->stores() : 0;
+      const u64 plan_evictions = plans != nullptr ? plans->evictions() : 0;
       double sim_total = 0.0;
       bool all_ok = true;
       for (const auto& rep : replies) {
@@ -421,25 +423,13 @@ int main(int argc, char** argv) {
         std::fwrite(trace.data(), 1, trace.size(), tf);
         std::fclose(tf);
 
-        tel.dir = sink->dir();
-        tel.events = sink->events_written();
-        tel.snapshots = sink->snapshots_written();
-        tel.metric_groups = sink->metrics_copy().groups().size();
-        tel.requests = stats.processed;
-        tel.batches = stats.batches;
-        tel.cold = stats.cold;
-        tel.warm = stats.warm;
-        tel.analytic = stats.analytic;
-        tel.conv_launches = stats.conv_launches;
-        tel.taxonomy = stats.plan_taxonomy;
-        tel.plan_stores = plans != nullptr ? plans->stores() : 0;
-        tel.plan_evictions = plans != nullptr ? plans->evictions() : 0;
-        tel.fleet_device_chunks = stats.fleet_device_chunks;
-        tel.comm_bound_devices = stats.comm_bound_devices;
-        tel.max_queue_depth = stats.max_queue_depth;
-        tel.max_inflight_batches = stats.max_inflight_batches;
-        tel.arena_peak_bytes = stats.arena_peak_bytes;
-        tel.latency_s = stats.latency;
+        tel = {.dir = sink->dir(),
+               .events = sink->events_written(),
+               .snapshots = sink->snapshots_written(),
+               .metric_groups = sink->metrics_copy().groups().size(),
+               .plan_stores = plan_stores,
+               .plan_evictions = plan_evictions,
+               .stats = stats};
       }
       if (json) {
         std::printf(
@@ -458,9 +448,8 @@ int main(int argc, char** argv) {
         // launch count (asserted in CI's serving smoke).
         std::printf(
             "\"plan_cache\": %s, ",
-            obs::taxonomy_to_json(stats.plan_taxonomy,
-                                  plans != nullptr ? plans->stores() : 0,
-                                  plans != nullptr ? plans->evictions() : 0)
+            obs::taxonomy_to_json(stats.plan_taxonomy, plan_stores,
+                                  plan_evictions)
                 .c_str());
         if (devices > 1) {
           std::printf(
@@ -511,10 +500,8 @@ int main(int argc, char** argv) {
                         stats.plan_taxonomy.disabled),
                     static_cast<unsigned long long>(
                         stats.plan_taxonomy.unplanned),
-                    static_cast<unsigned long long>(
-                        plans != nullptr ? plans->stores() : 0),
-                    static_cast<unsigned long long>(
-                        plans != nullptr ? plans->evictions() : 0));
+                    static_cast<unsigned long long>(plan_stores),
+                    static_cast<unsigned long long>(plan_evictions));
         if (devices > 1) {
           std::printf("fleet: %lld devices (shard=%s), staged %llu B h2d, "
                       "%llu B d2h, %llu B d2d (%.6f s modeled transfers)\n",

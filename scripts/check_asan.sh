@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Builds the determinism suite under Address+UndefinedBehaviorSanitizer and
-# runs it.
+# Builds three test suites under Address+UndefinedBehaviorSanitizer and
+# runs them.
 #
-# The trace-replay engine is the heaviest pointer machinery in the repo
-# (recorded tapes, rebased origin pointers, batched interpreter scratch);
-# the determinism-labeled tests drive every replay path (capture,
-# fast-forward validation, tape interpretation, chunked parallel
-# launches), so a clean ASan run here covers the engine's addressing.
+#   - the determinism label: the trace-replay engine, the heaviest pointer
+#     machinery in the repo (recorded tapes, rebased origin pointers,
+#     batched interpreter scratch), driven through capture, fast-forward
+#     validation, tape interpretation and chunked parallel launches;
+#   - kconv_serve_test: the layer-graph runner's tensor arena and the
+#     serving driver's per-request roll-ups;
+#   - kconv_obs_test: the telemetry sink, metrics registry and report.
 # UBSan rides along for free (the two compose, unlike TSan).
 #
 #   scripts/check_asan.sh [build-dir]            # default: build-asan
@@ -17,5 +19,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DKCONV_SANITIZE="${KCONV_SANITIZE:-address,undefined}"
-cmake --build "$BUILD_DIR" --target kconv_determinism_test -j "$(nproc)"
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target kconv_determinism_test \
+  kconv_serve_test kconv_obs_test
 ctest --test-dir "$BUILD_DIR" -L determinism --output-on-failure
+"$BUILD_DIR/tests/kconv_serve_test"
+"$BUILD_DIR/tests/kconv_obs_test"

@@ -228,12 +228,12 @@ GeneralAutotuneResult autotune_general(sim::Device& dev, i64 k, i64 c, i64 f,
 
   sim::LaunchOptions opt;
   opt.sample_max_blocks = sample_blocks;
-  // Probe launches replay repeated block classes (exact counters on the
-  // serial inner launches, so scores and rankings are unchanged — only
-  // faster). See docs/MODEL.md §5b.
-  opt.replay = true;
-  // Probe launches share the plan store too: an interrupted sweep's traces
-  // are reused candidate-by-candidate on the next cold run.
+  // Probe launches replay repeated block classes only into a plan store: an
+  // interrupted sweep's traces are reused candidate-by-candidate on the next
+  // cold run. Without one, a probe's few sampled blocks never repay the
+  // capture. Replay keeps counters exact, so scores and rankings are the
+  // same either way (docs/MODEL.md §5b); `analytic` implies replay.
+  opt.replay = plans != nullptr;
   opt.plan_cache = plans;
   opt.analytic = analytic;
 
@@ -351,7 +351,7 @@ SpecialAutotuneResult autotune_special(sim::Device& dev, i64 k, i64 f, i64 n,
 
   sim::LaunchOptions opt;
   opt.sample_max_blocks = sample_blocks;
-  opt.replay = true;
+  opt.replay = plans != nullptr;  // as in autotune_general
   opt.plan_cache = plans;
   opt.analytic = analytic;
 

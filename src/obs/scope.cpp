@@ -1,5 +1,6 @@
 #include "src/obs/scope.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 
@@ -60,6 +61,33 @@ PlanCacheTaxonomy& PlanCacheTaxonomy::operator+=(const PlanCacheTaxonomy& o) {
   disabled += o.disabled;
   unplanned += o.unplanned;
   return *this;
+}
+
+RunTotals& RunTotals::operator+=(const RunTotals& o) {
+  conv_launches += o.conv_launches;
+  plan_taxonomy += o.plan_taxonomy;
+  fused_pairs += o.fused_pairs;
+  fusion_gm_bytes_eliminated += o.fusion_gm_bytes_eliminated;
+  fleet_h2d_bytes += o.fleet_h2d_bytes;
+  fleet_d2h_bytes += o.fleet_d2h_bytes;
+  fleet_d2d_bytes += o.fleet_d2d_bytes;
+  fleet_transfer_seconds += o.fleet_transfer_seconds;
+  fleet_device_chunks += o.fleet_device_chunks;
+  comm_bound_devices += o.comm_bound_devices;
+  arena_slot_reuses += o.arena_slot_reuses;
+  arena_peak_bytes = std::max(arena_peak_bytes, o.arena_peak_bytes);
+  return *this;
+}
+
+void RunTotals::add_to(Metrics& m) const {
+  m.count("conv_launches", conv_launches);
+  m.count("fused_pairs", fused_pairs);
+  m.count("plan_hit", plan_taxonomy.hit);
+  m.count("plan_miss", plan_taxonomy.miss_total());
+  m.count("arena_slot_reuses", arena_slot_reuses);
+  m.count("fleet_device_chunks", fleet_device_chunks);
+  m.count("comm_bound_devices", comm_bound_devices);
+  m.gauge_max("arena_peak_bytes", static_cast<double>(arena_peak_bytes));
 }
 
 namespace {
@@ -184,9 +212,8 @@ void TelemetrySink::fleet_device_event(u64 trace, u64 span, u32 device,
                                        u64 blocks, u64 h2d_bytes,
                                        u64 d2h_bytes, u64 d2d_bytes,
                                        double transfer_s, double compute_s,
-                                       double comm_ratio) {
+                                       double comm_ratio, bool comm_bound) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool comm_bound = transfer_s > compute_s;
   write_line(strf(
       "{\"ev\":\"fleet_device\",\"trace\":%llu,\"span\":%llu,\"device\":%u,"
       "\"blocks\":%llu,\"h2d_bytes\":%llu,\"d2h_bytes\":%llu,"

@@ -56,6 +56,43 @@ struct PlanCacheTaxonomy {
   }
   u64 miss_total() const { return total() - hit; }
   PlanCacheTaxonomy& operator+=(const PlanCacheTaxonomy& o);
+  bool operator==(const PlanCacheTaxonomy&) const = default;
+};
+
+/// The launch totals one graph run reports and every serving layer above it
+/// rolls up: run_graph folds each conv launch into one, the serving driver
+/// folds requests, and the telemetry report prints the result (docs/MODEL.md
+/// §11). Scheduling-invariant: pure functions of the launch sequence,
+/// identical across thread counts and with telemetry on or off.
+struct RunTotals {
+  u64 conv_launches = 0;
+  /// §5d plan-cache outcome of every conv launch; total() == conv_launches.
+  PlanCacheTaxonomy plan_taxonomy;
+
+  /// Fusion roofline accounting: GM bytes the fused epilogue never moved —
+  /// the standalone bias_relu pass's write + read round-trip of each fused
+  /// intermediate (8 bytes per activation element).
+  u64 fused_pairs = 0;
+  double fusion_gm_bytes_eliminated = 0.0;
+
+  /// Fleet aggregates (LaunchOptions::fleet.devices > 1): modeled staging
+  /// and halo traffic of every sharded conv launch (docs/MODEL.md §9).
+  u64 fleet_h2d_bytes = 0, fleet_d2h_bytes = 0, fleet_d2d_bytes = 0;
+  double fleet_transfer_seconds = 0.0;
+  u64 fleet_device_chunks = 0;  ///< per-device chunk reports seen
+  u64 comm_bound_devices = 0;   ///< chunks the §9 comm-bound rule flags
+
+  u64 arena_slot_reuses = 0;  ///< node outputs placed into a recycled slot
+  u64 arena_peak_bytes = 0;   ///< activation bytes live at once; max-merged
+
+  /// Sums every field, except arena_peak_bytes, which takes the max.
+  RunTotals& operator+=(const RunTotals& o);
+  bool operator==(const RunTotals&) const = default;
+
+  /// Adds the registry's per-request counters (conv_launches, fused_pairs,
+  /// plan_hit, plan_miss, arena_slot_reuses, fleet_device_chunks,
+  /// comm_bound_devices) and the arena_peak_bytes gauge.
+  void add_to(Metrics& m) const;
 };
 
 /// One completed (or still-open, end_us < 0) span.
@@ -105,12 +142,13 @@ class TelemetrySink {
   void plan_cache_event(u64 trace, u64 span, const std::string& status,
                         u64 blocks_replayed);
   /// Per-device fleet chunk: ledger byte totals, priced transfer vs modeled
-  /// compute seconds, and the communication-bound flag. Also extends the
-  /// device's transfer + compute lanes for the unified trace.
+  /// compute seconds, and the caller's communication-bound verdict
+  /// (sim::comm_bound). Also extends the device's transfer + compute lanes
+  /// for the unified trace.
   void fleet_device_event(u64 trace, u64 span, u32 device, u64 blocks,
                           u64 h2d_bytes, u64 d2h_bytes, u64 d2d_bytes,
                           double transfer_s, double compute_s,
-                          double comm_ratio);
+                          double comm_ratio, bool comm_bound);
   /// Arena slot assignment for one graph node output; reused = true when the
   /// liveness planner recycled a previously occupied slot.
   void arena_event(u64 trace, u64 span, const std::string& node, i64 slot,

@@ -1,17 +1,35 @@
 #include "src/obs/telemetry_report.hpp"
 
+#include <algorithm>
+
 #include "src/common/strutil.hpp"
 
 namespace kconv::obs {
 
+ServeStats& ServeStats::operator+=(const ServeStats& o) {
+  RunTotals::operator+=(o);
+  processed += o.processed;
+  batches += o.batches;
+  cold += o.cold;
+  warm += o.warm;
+  analytic += o.analytic;
+  max_queue_depth = std::max(max_queue_depth, o.max_queue_depth);
+  max_inflight_batches =
+      std::max(max_inflight_batches, o.max_inflight_batches);
+  latency.merge(o.latency);
+  sim_latency.merge(o.sim_latency);
+  return *this;
+}
+
 std::vector<HealthVerdict> health_verdicts(const ServingTelemetry& t) {
+  const ServeStats& s = t.stats;
   std::vector<HealthVerdict> out;
 
   {
     HealthVerdict v;
     v.name = "warm-path";
     const double r = t.warm_path_ratio();
-    if (t.requests == 0) {
+    if (s.processed == 0) {
       v.verdict = "idle";
       v.detail = "no requests observed";
     } else if (r >= 0.5) {
@@ -35,24 +53,24 @@ std::vector<HealthVerdict> health_verdicts(const ServingTelemetry& t) {
   {
     HealthVerdict v;
     v.name = "communication";
-    if (t.fleet_device_chunks == 0) {
+    if (s.fleet_device_chunks == 0) {
       v.verdict = "single-device";
       v.detail = "no fleet device chunks observed";
-    } else if (t.comm_bound_devices == 0) {
+    } else if (s.comm_bound_devices == 0) {
       v.verdict = "compute-bound";
       v.detail = strf(
           "all %llu device chunks spent more modeled time computing than "
           "moving bytes: traffic stays inside the Demmel-Dinh "
           "communication lower bound regime (PAPERS.md)",
-          (unsigned long long)t.fleet_device_chunks);
+          (unsigned long long)s.fleet_device_chunks);
     } else {
       v.verdict = "communication-bound";
       v.detail = strf(
           "%llu of %llu device chunks were communication-bound (modeled "
           "transfer > compute): per Demmel-Dinh (PAPERS.md), shrink halo "
           "traffic or coarsen the shard before adding devices",
-          (unsigned long long)t.comm_bound_devices,
-          (unsigned long long)t.fleet_device_chunks);
+          (unsigned long long)s.comm_bound_devices,
+          (unsigned long long)s.fleet_device_chunks);
     }
     out.push_back(std::move(v));
   }
@@ -105,6 +123,7 @@ std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores,
 }
 
 std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
+  const ServeStats& s = t.stats;
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   std::string out = "{\n";
   auto line = [&](const std::string& body, bool last = false) {
@@ -114,28 +133,28 @@ std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
   line(strf("\"events\": %llu", (unsigned long long)t.events));
   line(strf("\"snapshots\": %llu", (unsigned long long)t.snapshots));
   line(strf("\"metric_groups\": %llu", (unsigned long long)t.metric_groups));
-  line(strf("\"requests\": %llu", (unsigned long long)t.requests));
-  line(strf("\"batches\": %llu", (unsigned long long)t.batches));
-  line(strf("\"cold\": %llu", (unsigned long long)t.cold));
-  line(strf("\"warm\": %llu", (unsigned long long)t.warm));
-  line(strf("\"analytic\": %llu", (unsigned long long)t.analytic));
-  line(strf("\"conv_launches\": %llu", (unsigned long long)t.conv_launches));
+  line(strf("\"requests\": %llu", (unsigned long long)s.processed));
+  line(strf("\"batches\": %llu", (unsigned long long)s.batches));
+  line(strf("\"cold\": %llu", (unsigned long long)s.cold));
+  line(strf("\"warm\": %llu", (unsigned long long)s.warm));
+  line(strf("\"analytic\": %llu", (unsigned long long)s.analytic));
+  line(strf("\"conv_launches\": %llu", (unsigned long long)s.conv_launches));
   line(strf("\"plan_cache\": %s",
-            taxonomy_to_json(t.taxonomy, t.plan_stores, t.plan_evictions)
+            taxonomy_to_json(s.plan_taxonomy, t.plan_stores, t.plan_evictions)
                 .c_str()));
   line(strf("\"warm_path_ratio\": %.6f", t.warm_path_ratio()));
   line(strf("\"eviction_churn\": %.6f", t.eviction_churn()));
   line(strf("\"fleet_device_chunks\": %llu",
-            (unsigned long long)t.fleet_device_chunks));
+            (unsigned long long)s.fleet_device_chunks));
   line(strf("\"comm_bound_devices\": %llu",
-            (unsigned long long)t.comm_bound_devices));
+            (unsigned long long)s.comm_bound_devices));
   line(strf("\"max_queue_depth\": %llu",
-            (unsigned long long)t.max_queue_depth));
+            (unsigned long long)s.max_queue_depth));
   line(strf("\"max_inflight_batches\": %llu",
-            (unsigned long long)t.max_inflight_batches));
+            (unsigned long long)s.max_inflight_batches));
   line(strf("\"arena_peak_bytes\": %llu",
-            (unsigned long long)t.arena_peak_bytes));
-  line(strf("\"latency_s\": %s", t.latency_s.to_json().c_str()));
+            (unsigned long long)s.arena_peak_bytes));
+  line(strf("\"latency_s\": %s", s.latency.to_json().c_str()));
   // Health verdicts, machine-checkable.
   out += pad + "  \"health\": [\n";
   const std::vector<HealthVerdict> verdicts = health_verdicts(t);
@@ -157,6 +176,7 @@ std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
 }
 
 std::string format_telemetry(const ServingTelemetry& t) {
+  const ServeStats& s = t.stats;
   std::string out;
   out += strf("kconv-scope telemetry -> %s\n", t.dir.c_str());
   out += strf("  events=%llu snapshots=%llu metric-groups=%llu\n",
@@ -164,27 +184,27 @@ std::string format_telemetry(const ServingTelemetry& t) {
               (unsigned long long)t.metric_groups);
   out += strf("  requests=%llu (cold=%llu warm=%llu analytic=%llu) "
               "launches=%llu\n",
-              (unsigned long long)t.requests, (unsigned long long)t.cold,
-              (unsigned long long)t.warm, (unsigned long long)t.analytic,
-              (unsigned long long)t.conv_launches);
+              (unsigned long long)s.processed, (unsigned long long)s.cold,
+              (unsigned long long)s.warm, (unsigned long long)s.analytic,
+              (unsigned long long)s.conv_launches);
   out += strf("  plan-cache: hit=%llu miss=%llu stale=%llu corrupt=%llu "
               "disabled=%llu unplanned=%llu stores=%llu evictions=%llu\n",
-              (unsigned long long)t.taxonomy.hit,
-              (unsigned long long)t.taxonomy.miss,
-              (unsigned long long)t.taxonomy.stale_total(),
-              (unsigned long long)(t.taxonomy.corrupt +
-                                   t.taxonomy.corrupt_payload),
-              (unsigned long long)t.taxonomy.disabled,
-              (unsigned long long)t.taxonomy.unplanned,
+              (unsigned long long)s.plan_taxonomy.hit,
+              (unsigned long long)s.plan_taxonomy.miss,
+              (unsigned long long)s.plan_taxonomy.stale_total(),
+              (unsigned long long)(s.plan_taxonomy.corrupt +
+                                   s.plan_taxonomy.corrupt_payload),
+              (unsigned long long)s.plan_taxonomy.disabled,
+              (unsigned long long)s.plan_taxonomy.unplanned,
               (unsigned long long)t.plan_stores,
               (unsigned long long)t.plan_evictions);
-  if (t.latency_s.count() > 0) {
+  if (s.latency.count() > 0) {
     out += strf("  latency ms: p50=%.3f p95=%.3f p99=%.3f (n=%llu%s)\n",
-                t.latency_s.percentile(0.50) * 1e3,
-                t.latency_s.percentile(0.95) * 1e3,
-                t.latency_s.percentile(0.99) * 1e3,
-                (unsigned long long)t.latency_s.count(),
-                t.latency_s.exact() ? ", exact" : ", bucketed");
+                s.latency.percentile(0.50) * 1e3,
+                s.latency.percentile(0.95) * 1e3,
+                s.latency.percentile(0.99) * 1e3,
+                (unsigned long long)s.latency.count(),
+                s.latency.exact() ? ", exact" : ", bucketed");
   }
   out += "  health:\n";
   for (const HealthVerdict& v : health_verdicts(t)) {

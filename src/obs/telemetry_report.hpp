@@ -10,42 +10,45 @@
 
 namespace kconv::obs {
 
-/// Aggregated view of one serving run, assembled by the CLI from ServeStats
-/// and the sink. Plain data so tests can build and round-trip it without a
-/// serving driver.
+/// The serving driver's running roll-up (serve::ServeStats): the run totals
+/// of every request plus the driver's own request, batch and latency facts.
+/// All scheduling-invariant except the latency histogram, whose *samples*
+/// are wall-clock host times but whose structure (count, merge order) is
+/// index-ordered and therefore deterministic.
+struct ServeStats : RunTotals {
+  u64 processed = 0;
+  u64 batches = 0;  ///< same-(network, shape) groups executed
+  u64 cold = 0, warm = 0, analytic = 0;
+  u64 max_queue_depth = 0;       ///< high-water queued requests
+  u64 max_inflight_batches = 0;  ///< high-water batches per drain
+  Histogram latency;             ///< host seconds per request
+  Histogram sim_latency;         ///< simulated seconds per request
+
+  using RunTotals::operator+=;
+  /// Sums the counts and merges the histograms; high-water marks take the
+  /// max. One drain's delta merges into the driver's stats this way.
+  ServeStats& operator+=(const ServeStats& o);
+};
+
+/// Aggregated view of one serving run: the driver's stats plus the sink and
+/// plan-store facts. Plain data so tests can build and round-trip it without
+/// a serving driver.
 struct ServingTelemetry {
   std::string dir;
   u64 events = 0;
   u64 snapshots = 0;
   u64 metric_groups = 0;
-
-  u64 requests = 0;
-  u64 batches = 0;
-  u64 cold = 0;
-  u64 warm = 0;
-  u64 analytic = 0;
-
-  u64 conv_launches = 0;
-  PlanCacheTaxonomy taxonomy;
   u64 plan_stores = 0;
   u64 plan_evictions = 0;
-
-  u64 fleet_device_chunks = 0;   ///< per-device chunk observations
-  u64 comm_bound_devices = 0;    ///< chunks with transfer time > compute time
-
-  u64 max_queue_depth = 0;
-  u64 max_inflight_batches = 0;
-  u64 arena_peak_bytes = 0;
-
-  Histogram latency_s;  ///< host seconds per request
+  ServeStats stats;
 
   /// Fraction of requests that avoided the cold capture path (replay or
   /// analytic fast path).
   double warm_path_ratio() const {
-    return requests == 0
+    return stats.processed == 0
                ? 0.0
-               : static_cast<double>(requests - cold) /
-                     static_cast<double>(requests);
+               : static_cast<double>(stats.processed - stats.cold) /
+                     static_cast<double>(stats.processed);
   }
   /// Evictions per store: sustained churn near 1 means the byte budget
   /// cannot hold the working set.

@@ -252,6 +252,36 @@ std::string validate_arena_plan(const Graph& g, const ArenaPlan& p) {
 // ---------------------------------------------------------------------------
 // Execution.
 
+namespace {
+
+/// One conv launch's share of the run totals: the only place run_graph grows
+/// them. `out_elems` is the conv output's element count.
+obs::RunTotals conv_totals(const sim::LaunchResult& l, bool fused,
+                           i64 out_elems) {
+  obs::RunTotals t;
+  t.conv_launches = 1;
+  t.plan_taxonomy.add(l.plan_cache_status);
+  if (fused) {
+    t.fused_pairs = 1;
+    // The unfused sequence writes the conv output to GM and the bias_relu
+    // pass reads it back: 8 bytes per element eliminated.
+    t.fusion_gm_bytes_eliminated = 8.0 * static_cast<double>(out_elems);
+  }
+  t.fleet_h2d_bytes = l.fleet.h2d_bytes;
+  t.fleet_d2h_bytes = l.fleet.d2h_bytes;
+  t.fleet_d2d_bytes = l.fleet.d2d_bytes;
+  t.fleet_transfer_seconds = l.fleet.transfer_seconds;
+  t.fleet_device_chunks = l.fleet.device_reports.size();
+  for (const sim::FleetDeviceReport& d : l.fleet.device_reports) {
+    if (sim::comm_bound(d.transfer_seconds, d.compute_seconds)) {
+      ++t.comm_bound_devices;
+    }
+  }
+  return t;
+}
+
+}  // namespace
+
 GraphRun run_graph(sim::Device& dev, const Graph& g,
                    const tensor::Tensor& input, const GraphRunOptions& opt) {
   const auto& nodes = g.nodes();
@@ -371,7 +401,14 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
     valid[static_cast<std::size_t>(id)] = ok;
   };
 
-  u32 conv_launches = 0, conv_hits = 0, conv_analytic = 0;
+  // Every executed node records its launch and simulated seconds here.
+  const auto record = [&](const Node& n, bool fused, double seconds,
+                          sim::LaunchResult&& launch) {
+    run.total_seconds += seconds;
+    run.nodes.push_back(NodeRun{n.kind, n.name, fused, std::move(launch)});
+  };
+
+  u32 conv_hits = 0, conv_analytic = 0;
   for (i32 i = 0; i < static_cast<i32>(nodes.size()); ++i) {
     const Node& n = nodes[static_cast<std::size_t>(i)];
     if (absorbed[static_cast<std::size_t>(i)]) continue;  // ran fused
@@ -389,6 +426,8 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
       if (tel.on()) lo.telemetry = tel.child(node_span);
       return lo;
     };
+    const bool in_ok =
+        n.kind == OpKind::Input || valid[static_cast<std::size_t>(n.input)];
     switch (n.kind) {
       case OpKind::Input:
         place(i, input, true);
@@ -400,71 +439,27 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
         if (j >= 0) {
           copt.fuse_bias_relu = nodes[static_cast<std::size_t>(j)].bias;
         }
-        const bool in_ok = valid[static_cast<std::size_t>(n.input)];
         auto res = core::conv2d(dev, input_of(i), n.filters, copt);
-        run.total_seconds += res.total_seconds;
-        if (res.launch.fleet.enabled) {
-          run.fleet_h2d_bytes += res.launch.fleet.h2d_bytes;
-          run.fleet_d2h_bytes += res.launch.fleet.d2h_bytes;
-          run.fleet_d2d_bytes += res.launch.fleet.d2d_bytes;
-          run.fleet_transfer_seconds += res.launch.fleet.transfer_seconds;
-        }
-        ++conv_launches;
+        run += conv_totals(res.launch, j >= 0,
+                           shp[static_cast<std::size_t>(i)].elems());
         if (res.launch.plan_cache_hit) ++conv_hits;
         if (res.launch.analytic) ++conv_analytic;
-        run.plan_taxonomy.add(res.launch.plan_cache_status);
-        for (const sim::FleetDeviceReport& d :
-             res.launch.fleet.device_reports) {
-          ++run.fleet_device_chunks;
-          if (d.transfer_seconds > d.compute_seconds) {
-            ++run.comm_bound_devices;
-          }
-        }
-        NodeRun nr;
-        nr.kind = OpKind::Conv;
-        nr.name = n.name;
-        nr.fused = j >= 0;
-        nr.launch = res.launch;
-        run.nodes.push_back(std::move(nr));
-        if (j >= 0) {
-          ++run.fused_pairs;
-          // The unfused sequence writes the conv output to GM and the
-          // bias_relu pass reads it back: 8 bytes per element eliminated.
-          run.fusion_gm_bytes_eliminated +=
-              8.0 * static_cast<double>(shp[static_cast<std::size_t>(i)]
-                                            .elems());
-          place(j, std::move(res.output), res.output_valid && in_ok);
-        } else {
-          place(i, std::move(res.output), res.output_valid && in_ok);
-        }
+        record(n, j >= 0, res.total_seconds, std::move(res.launch));
+        place(j >= 0 ? j : i, std::move(res.output),
+              res.output_valid && in_ok);
         break;
       }
-      case OpKind::BiasRelu: {
-        const bool in_ok = valid[static_cast<std::size_t>(n.input)];
-        auto res = kernels::bias_relu(dev, input_of(i), n.bias, scoped(aux));
-        run.total_seconds += res.launch.timing.seconds;
-        NodeRun nr;
-        nr.kind = n.kind;
-        nr.name = n.name;
-        nr.launch = res.launch;
-        run.nodes.push_back(std::move(nr));
-        place(i, std::move(res.output), res.output_valid && in_ok);
-        break;
-      }
+      case OpKind::BiasRelu:
       case OpKind::MaxPool: {
-        const bool in_ok = valid[static_cast<std::size_t>(n.input)];
-        auto res = kernels::max_pool_2x2(dev, input_of(i), scoped(aux));
-        run.total_seconds += res.launch.timing.seconds;
-        NodeRun nr;
-        nr.kind = n.kind;
-        nr.name = n.name;
-        nr.launch = res.launch;
-        run.nodes.push_back(std::move(nr));
+        auto res =
+            n.kind == OpKind::BiasRelu
+                ? kernels::bias_relu(dev, input_of(i), n.bias, scoped(aux))
+                : kernels::max_pool_2x2(dev, input_of(i), scoped(aux));
+        record(n, false, res.launch.timing.seconds, std::move(res.launch));
         place(i, std::move(res.output), res.output_valid && in_ok);
         break;
       }
       case OpKind::Dense: {
-        const bool in_ok = valid[static_cast<std::size_t>(n.input)];
         const tensor::Tensor& x = input_of(i);
         tensor::Matrix xin(n.weights.cols, 1);
         for (i64 f = 0; f < n.weights.cols; ++f) {
@@ -473,12 +468,7 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
         }
         auto fc = kernels::gemm(dev, n.weights, xin,
                                 kernels::gemm_magma_mod(), scoped(aux));
-        run.total_seconds += fc.launch.timing.seconds;
-        NodeRun nr;
-        nr.kind = n.kind;
-        nr.name = n.name;
-        nr.launch = fc.launch;
-        run.nodes.push_back(std::move(nr));
+        record(n, false, fc.launch.timing.seconds, std::move(fc.launch));
         tensor::Tensor logits(1, n.weights.rows, 1, 1);
         for (i64 r = 0; r < n.weights.rows; ++r) {
           logits.at(0, r, 0, 0) = fc.c.data[static_cast<std::size_t>(r)];
@@ -490,10 +480,9 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
     if (node_span != 0) tel.sink->end_span(node_span);
   }
 
-  run.conv_launches = conv_launches;
-  run.warm = conv_launches > 0 && conv_hits == conv_launches;
-  run.analytic = analytic_mode && conv_launches > 0 &&
-                 conv_analytic == conv_launches;
+  run.warm = run.conv_launches > 0 && conv_hits == run.conv_launches;
+  run.analytic = analytic_mode && run.conv_launches > 0 &&
+                 conv_analytic == run.conv_launches;
   run.output_valid = valid[static_cast<std::size_t>(out_id)];
   if (run.output_valid || analytic_mode) {
     run.output = std::move(

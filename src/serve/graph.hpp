@@ -121,7 +121,9 @@ struct NodeRun {
   sim::LaunchResult launch;
 };
 
-struct GraphRun {
+/// One graph pass: its output, per-launch records, and the run totals
+/// (docs/MODEL.md §11) that the serving driver rolls up per request.
+struct GraphRun : obs::RunTotals {
   /// Output of the sink node ((1, out, 1, 1) for a dense head). Invalid
   /// under analytic/sampled launches, which produce timings but no data.
   tensor::Tensor output;
@@ -132,35 +134,11 @@ struct GraphRun {
   bool analytic = false;
   std::vector<NodeRun> nodes;  ///< one per executed launch
 
-  /// Fusion roofline accounting: GM bytes the fused epilogue never moved —
-  /// the standalone bias_relu pass's write + read round-trip of each fused
-  /// intermediate (8 bytes per activation element).
-  u64 fused_pairs = 0;
-  double fusion_gm_bytes_eliminated = 0.0;
-
-  /// Fleet aggregates (LaunchOptions::fleet.devices > 1): modeled staging
-  /// and halo traffic summed over every sharded conv launch in the graph
-  /// (docs/MODEL.md §9). Zero on single-device runs.
-  u64 fleet_h2d_bytes = 0;
-  u64 fleet_d2h_bytes = 0;
-  u64 fleet_d2d_bytes = 0;
-  double fleet_transfer_seconds = 0.0;
-
-  /// Arena accounting (bytes are activation payloads, host-side view).
+  /// Arena accounting (bytes are activation payloads, host-side view);
+  /// arena_peak_bytes and arena_slot_reuses are run totals.
   i32 arena_slots = 0;
   i32 arena_tensors = 0;  ///< intermediates that would otherwise stay live
-  u64 arena_peak_bytes = 0;
   u64 naive_peak_bytes = 0;
-
-  /// kconv-scope roll-ups (docs/MODEL.md §11). Scheduling-invariant: pure
-  /// functions of the launch sequence, identical across thread counts and
-  /// with telemetry on or off.
-  u32 conv_launches = 0;
-  /// §5d plan-cache outcome of every conv launch; total() == conv_launches.
-  obs::PlanCacheTaxonomy plan_taxonomy;
-  u64 fleet_device_chunks = 0;  ///< per-device chunk reports seen
-  u64 comm_bound_devices = 0;   ///< chunks with transfer time > compute time
-  u64 arena_slot_reuses = 0;    ///< node outputs placed into a recycled slot
 };
 
 /// Runs the graph on `input` ((1, C, H, W) matching the Input node).

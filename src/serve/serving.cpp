@@ -88,9 +88,7 @@ std::vector<ServeReply> ServingDriver::drain() {
 
   obs::TelemetrySink* const sink = opt_.telemetry;
   std::vector<ServeReply> replies(work.size());
-  std::vector<u64> fused(work.size(), 0);
-  std::vector<double> gm_eliminated(work.size(), 0.0);
-  std::vector<GraphRun> fleet_runs(work.size());
+  std::vector<obs::RunTotals> totals(work.size());
   ServeStats delta;
   delta.max_inflight_batches = batches.size();
   for (const Batch& batch : batches) {
@@ -134,19 +132,7 @@ std::vector<ServeReply> ServingDriver::drain() {
             reply.host_seconds =
                 std::chrono::duration<double>(t1 - t0).count();
             reply.output = std::move(r.output);
-            fused[batch.members[m]] = r.fused_pairs;
-            gm_eliminated[batch.members[m]] = r.fusion_gm_bytes_eliminated;
-            GraphRun& fr = fleet_runs[batch.members[m]];
-            fr.fleet_h2d_bytes = r.fleet_h2d_bytes;
-            fr.fleet_d2h_bytes = r.fleet_d2h_bytes;
-            fr.fleet_d2d_bytes = r.fleet_d2d_bytes;
-            fr.fleet_transfer_seconds = r.fleet_transfer_seconds;
-            fr.conv_launches = r.conv_launches;
-            fr.plan_taxonomy = r.plan_taxonomy;
-            fr.fleet_device_chunks = r.fleet_device_chunks;
-            fr.comm_bound_devices = r.comm_bound_devices;
-            fr.arena_slot_reuses = r.arena_slot_reuses;
-            fr.arena_peak_bytes = r.arena_peak_bytes;
+            totals[batch.members[m]] = r;  // its RunTotals part
             if (sink != nullptr) {
               sink->end_span(exec_span);
               sink->end_span(p.request_span);
@@ -170,19 +156,7 @@ std::vector<ServeReply> ServingDriver::drain() {
       ++delta.cold;
       mode = "cold";
     }
-    delta.fused_pairs += fused[i];
-    delta.fusion_gm_bytes_eliminated += gm_eliminated[i];
-    delta.fleet_h2d_bytes += fleet_runs[i].fleet_h2d_bytes;
-    delta.fleet_d2h_bytes += fleet_runs[i].fleet_d2h_bytes;
-    delta.fleet_d2d_bytes += fleet_runs[i].fleet_d2d_bytes;
-    delta.fleet_transfer_seconds += fleet_runs[i].fleet_transfer_seconds;
-    delta.conv_launches += fleet_runs[i].conv_launches;
-    delta.plan_taxonomy += fleet_runs[i].plan_taxonomy;
-    delta.fleet_device_chunks += fleet_runs[i].fleet_device_chunks;
-    delta.comm_bound_devices += fleet_runs[i].comm_bound_devices;
-    delta.arena_slot_reuses += fleet_runs[i].arena_slot_reuses;
-    delta.arena_peak_bytes =
-        std::max(delta.arena_peak_bytes, fleet_runs[i].arena_peak_bytes);
+    delta += totals[i];
     delta.latency.add(replies[i].host_seconds);
     delta.sim_latency.add(replies[i].sim_seconds);
     if (sink != nullptr) {
@@ -195,17 +169,9 @@ std::vector<ServeReply> ServingDriver::drain() {
       key.mode = mode;
       obs::Metrics m;
       m.count("requests");
-      m.count("conv_launches", fleet_runs[i].conv_launches);
-      m.count("fused_pairs", fused[i]);
-      m.count("plan_hit", fleet_runs[i].plan_taxonomy.hit);
-      m.count("plan_miss", fleet_runs[i].plan_taxonomy.miss_total());
-      m.count("arena_slot_reuses", fleet_runs[i].arena_slot_reuses);
-      m.count("fleet_device_chunks", fleet_runs[i].fleet_device_chunks);
-      m.count("comm_bound_devices", fleet_runs[i].comm_bound_devices);
+      totals[i].add_to(m);
       m.gauge_max("queue_depth", static_cast<double>(work.size()));
       m.gauge_max("inflight_batches", static_cast<double>(batches.size()));
-      m.gauge_max("arena_peak_bytes",
-                  static_cast<double>(fleet_runs[i].arena_peak_bytes));
       m.hist("latency_s").add(replies[i].host_seconds);
       m.hist("sim_s").add(replies[i].sim_seconds);
       sink->merge_metrics(key, m);
@@ -218,28 +184,7 @@ std::vector<ServeReply> ServingDriver::drain() {
             });
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.processed += delta.processed;
-    stats_.batches += delta.batches;
-    stats_.cold += delta.cold;
-    stats_.warm += delta.warm;
-    stats_.analytic += delta.analytic;
-    stats_.fused_pairs += delta.fused_pairs;
-    stats_.fusion_gm_bytes_eliminated += delta.fusion_gm_bytes_eliminated;
-    stats_.fleet_h2d_bytes += delta.fleet_h2d_bytes;
-    stats_.fleet_d2h_bytes += delta.fleet_d2h_bytes;
-    stats_.fleet_d2d_bytes += delta.fleet_d2d_bytes;
-    stats_.fleet_transfer_seconds += delta.fleet_transfer_seconds;
-    stats_.conv_launches += delta.conv_launches;
-    stats_.plan_taxonomy += delta.plan_taxonomy;
-    stats_.fleet_device_chunks += delta.fleet_device_chunks;
-    stats_.comm_bound_devices += delta.comm_bound_devices;
-    stats_.arena_slot_reuses += delta.arena_slot_reuses;
-    stats_.arena_peak_bytes =
-        std::max(stats_.arena_peak_bytes, delta.arena_peak_bytes);
-    stats_.max_inflight_batches =
-        std::max(stats_.max_inflight_batches, delta.max_inflight_batches);
-    stats_.latency.merge(delta.latency);
-    stats_.sim_latency.merge(delta.sim_latency);
+    stats_ += delta;
   }
   return replies;
 }

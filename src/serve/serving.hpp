@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/scope.hpp"
+#include "src/obs/telemetry_report.hpp"
 #include "src/serve/networks.hpp"
 #include "src/sim/plan_cache.hpp"
 
@@ -59,34 +59,9 @@ struct ServeReply {
   tensor::Tensor output;
 };
 
-struct ServeStats {
-  u64 processed = 0;
-  u64 batches = 0;  ///< same-(network, shape) groups executed
-  u64 cold = 0, warm = 0, analytic = 0;
-  u64 fused_pairs = 0;
-  double fusion_gm_bytes_eliminated = 0.0;
-  /// Fleet traffic aggregates when ServeOptions::launch.fleet requests
-  /// multi-device sharding: modeled staging/halo bytes summed over every
-  /// sharded conv launch of every request (docs/MODEL.md §9).
-  u64 fleet_h2d_bytes = 0, fleet_d2h_bytes = 0, fleet_d2d_bytes = 0;
-  double fleet_transfer_seconds = 0.0;
-
-  /// kconv-scope roll-ups (docs/MODEL.md §11). All scheduling-invariant
-  /// except the latency histogram, whose *samples* are wall-clock host
-  /// times but whose structure (count, merge order) is index-ordered and
-  /// therefore deterministic.
-  u64 conv_launches = 0;
-  /// §5d plan-cache outcome per conv launch; total() == conv_launches.
-  obs::PlanCacheTaxonomy plan_taxonomy;
-  u64 fleet_device_chunks = 0;
-  u64 comm_bound_devices = 0;  ///< chunks with transfer time > compute time
-  u64 arena_slot_reuses = 0;
-  u64 arena_peak_bytes = 0;      ///< max over requests
-  u64 max_queue_depth = 0;       ///< high-water queued requests
-  u64 max_inflight_batches = 0;  ///< high-water batches per drain
-  obs::Histogram latency;        ///< host seconds per request
-  obs::Histogram sim_latency;    ///< simulated seconds per request
-};
+/// The driver's roll-up: run totals of every request plus its own request,
+/// batch and latency facts (docs/MODEL.md §11).
+using ServeStats = obs::ServeStats;
 
 class ServingDriver {
  public:

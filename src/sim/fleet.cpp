@@ -171,9 +171,7 @@ namespace {
 std::string bound_verdict(double ratio, double transfer_s, double compute_s) {
   // Transfers dominating execution is the louder diagnosis: the shard is
   // limited by the interconnect no matter how tight its byte ratio is.
-  if (transfer_s > compute_s && compute_s > 0.0) {
-    return "communication-bound";
-  }
+  if (comm_bound(transfer_s, compute_s)) return "communication-bound";
   if (ratio <= 1.15) return "optimal";
   return strf("within-%.0fx", std::ceil(ratio));
 }

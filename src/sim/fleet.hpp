@@ -75,6 +75,13 @@ class DeviceFleet {
 // ---------------------------------------------------------------------------
 // FleetAnalyzer: communication-lower-bound attribution (docs/MODEL.md §9).
 
+/// The §9 communication-bound rule: modeled transfer time exceeds modeled
+/// compute time. A Functional trace carries no compute time, so it never
+/// counts as communication-bound.
+inline bool comm_bound(double transfer_s, double compute_s) {
+  return transfer_s > compute_s && compute_s > 0.0;
+}
+
 /// Per-device roll-up reported to the user.
 struct FleetDeviceReport {
   u32 device = 0;

@@ -435,7 +435,8 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
         tel.sink->fleet_device_event(
             tel.trace, tel_span, d.device, d.blocks, d.ledger.h2d_bytes,
             d.ledger.d2h_bytes, d.ledger.d2d_bytes, d.transfer_seconds,
-            d.compute_seconds, d.comm_ratio);
+            d.compute_seconds, d.comm_ratio,
+            comm_bound(d.transfer_seconds, d.compute_seconds));
       }
     }
   }

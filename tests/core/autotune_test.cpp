@@ -140,6 +140,56 @@ TEST(AutotuneGeneral, PrunedRankingPersistsWithItsOwnKey) {
   EXPECT_EQ(unpruned.pruned, 0);
 }
 
+TEST(Autotune, NoStoreRankingEqualsAColdSweepIntoAStore) {
+  // Probes replay block classes only into a plan store. Replay keeps the
+  // counters exact, so a store-less sweep ranks the same configurations in
+  // the same order with bit-identical scores.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "kconv_tune_nostore").string();
+  std::filesystem::remove_all(dir);
+  sim::PlanCache plans(dir);
+  sim::Device dev(sim::kepler_k40m());
+  GeneralSpace gspace;
+  gspace.block_w = {16};
+  gspace.block_h = {4};
+  gspace.ftb = {8, 16};
+  gspace.wt = {8, 16};
+  gspace.ft = {4, 8};
+  gspace.csh = {1, 2};
+  const auto g0 = autotune_general(dev, 3, 4, 16, 32, gspace, 2);
+  const auto g1 = autotune_general(dev, 3, 4, 16, 32, gspace, 2, 0, &plans);
+  EXPECT_FALSE(g1.from_plan_cache);
+  ASSERT_EQ(g0.ranking.size(), g1.ranking.size());
+  for (std::size_t i = 0; i < g0.ranking.size(); ++i) {
+    const auto& a = g0.ranking[i].config;
+    const auto& b = g1.ranking[i].config;
+    EXPECT_EQ(a.block_w, b.block_w) << i;
+    EXPECT_EQ(a.block_h, b.block_h) << i;
+    EXPECT_EQ(a.ftb, b.ftb) << i;
+    EXPECT_EQ(a.wt, b.wt) << i;
+    EXPECT_EQ(a.ft, b.ft) << i;
+    EXPECT_EQ(a.csh, b.csh) << i;
+    EXPECT_EQ(a.vec_width, b.vec_width) << i;
+    EXPECT_EQ(g0.ranking[i].gflops, g1.ranking[i].gflops) << i;
+  }
+
+  SpecialSpace sspace;
+  sspace.block_w = {32, 64, 128};
+  sspace.block_h = {2, 4, 8};
+  const auto s0 = autotune_special(dev, 3, 8, 128, sspace, 4);
+  const auto s1 = autotune_special(dev, 3, 8, 128, sspace, 4, 0, &plans);
+  EXPECT_FALSE(s1.from_plan_cache);
+  ASSERT_EQ(s0.ranking.size(), s1.ranking.size());
+  for (std::size_t i = 0; i < s0.ranking.size(); ++i) {
+    EXPECT_EQ(s0.ranking[i].config.block_w, s1.ranking[i].config.block_w);
+    EXPECT_EQ(s0.ranking[i].config.block_h, s1.ranking[i].config.block_h);
+    EXPECT_EQ(s0.ranking[i].config.vec_width,
+              s1.ranking[i].config.vec_width);
+    EXPECT_EQ(s0.ranking[i].gflops, s1.ranking[i].gflops) << i;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(AutotuneSpecial, SweepsTileSizes) {
   sim::Device dev(sim::kepler_k40m());
   SpecialSpace space;

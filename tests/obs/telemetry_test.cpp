@@ -289,17 +289,17 @@ TEST(Telemetry, ReportBlockRoundTripsWithHealthVerdicts) {
   t.events = 10;
   t.snapshots = 1;
   t.metric_groups = 2;
-  t.requests = 4;
-  t.batches = 1;
-  t.cold = 1;
-  t.warm = 3;
-  t.conv_launches = 8;
-  t.taxonomy.hit = 6;
-  t.taxonomy.miss = 2;
+  t.stats.processed = 4;
+  t.stats.batches = 1;
+  t.stats.cold = 1;
+  t.stats.warm = 3;
+  t.stats.conv_launches = 8;
+  t.stats.plan_taxonomy.hit = 6;
+  t.stats.plan_taxonomy.miss = 2;
   t.plan_stores = 2;
-  t.max_queue_depth = 4;
-  t.max_inflight_batches = 1;
-  t.latency_s.add(1e-3);
+  t.stats.max_queue_depth = 4;
+  t.stats.max_inflight_batches = 1;
+  t.stats.latency.add(1e-3);
   EXPECT_EQ(t.warm_path_ratio(), 0.75);
   EXPECT_EQ(t.eviction_churn(), 0.0);
 
@@ -324,7 +324,7 @@ TEST(Telemetry, ReportBlockRoundTripsWithHealthVerdicts) {
 
   // The standalone taxonomy line is valid JSON too and agrees field-wise.
   const auto tax =
-      testsupport::JsonReader(taxonomy_to_json(t.taxonomy, 2, 0)).parse();
+      testsupport::JsonReader(taxonomy_to_json(t.stats.plan_taxonomy, 2, 0)).parse();
   EXPECT_EQ(tax->object.at("launches")->number, 8.0);
   EXPECT_EQ(tax->object.at("miss")->number, 2.0);
 }

@@ -320,6 +320,38 @@ TEST(RunGraph, ArenaPeakStaysBelowKeepEverything) {
   EXPECT_EQ(run.arena_slots, 2);
 }
 
+TEST(RunGraph, CommBoundChunksNeedModeledComputeTime) {
+  // The §9 rule: a device chunk is communication-bound when its transfer
+  // time exceeds its compute time and the compute time is positive. A
+  // Functional trace models no compute time, so no chunk counts; with
+  // timing, 3 of lenet's 4 batch-shard chunks stage longer than they run.
+  const Network net = make_network("lenet");
+  const tensor::Tensor in = make_network_input(net);
+  for (const sim::TraceLevel level :
+       {sim::TraceLevel::Functional, sim::TraceLevel::Timing}) {
+    GraphRunOptions opt;
+    opt.launch.trace = level;
+    opt.launch.fleet.devices = 2;
+    opt.launch.fleet.strategy = sim::ShardStrategy::Batch;
+    sim::Device dev(sim::kepler_k40m());
+    const GraphRun run = run_graph(dev, net.graph, in, opt);
+    ASSERT_TRUE(run.output_valid);
+    EXPECT_EQ(run.fleet_device_chunks, 4u);
+    u64 verdicts = 0;
+    for (const NodeRun& nr : run.nodes) {
+      if (nr.launch.fleet.interdevice_verdict == "communication-bound") {
+        ++verdicts;
+      }
+    }
+    if (level == sim::TraceLevel::Functional) {
+      EXPECT_EQ(run.comm_bound_devices, 0u);
+      EXPECT_EQ(verdicts, 0u);
+    } else {
+      EXPECT_EQ(run.comm_bound_devices, 3u);
+    }
+  }
+}
+
 // --- conv-level fused epilogue ----------------------------------------------
 
 TEST(FusedEpilogue, SpecialConvMatchesSeparatePassBitExact) {

@@ -4,14 +4,18 @@
 // any worker-thread count and any fuse setting; same-(network, shape) work
 // coalesces into batches; and a shared PlanCache moves traffic from cold to
 // warm to analytic with the outputs (when they exist) unchanged.
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/serve/serving.hpp"
+#include "src/sim/sim.hpp"
 
 namespace kconv::serve {
 namespace {
@@ -178,6 +182,144 @@ TEST(Serving, StatsAccumulateAcrossDrains) {
   EXPECT_EQ(s.batches, 2u);
   EXPECT_GT(s.fused_pairs, 0u);
   EXPECT_GT(s.fusion_gm_bytes_eliminated, 0.0);
+}
+
+// --- roll-up agreement -------------------------------------------------------
+
+/// A plan-store directory private to the running test: ctest runs tests in
+/// parallel processes.
+std::string test_dir(const std::string& what) {
+  return fresh_dir(
+      what + "_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+}
+
+/// One drain that mixes fused convs, a 2-device batch fleet and a plan store
+/// going cold then warm. `lenet` and `lenet_copy` are separate Network
+/// objects and so separate batches: request 0 captures every lenet plan
+/// alone, then the copy's three requests replay them at any worker count.
+struct MixedDrain {
+  Network lenet = make_network("lenet");
+  Network lenet_copy = make_network("lenet");
+  Network wide = make_network("lenet-wide");
+
+  /// (network, input seed) in queue order.
+  std::vector<std::pair<const Network*, u64>> requests() const {
+    return {{&lenet, 0}, {&wide, 1}, {&lenet_copy, 2}, {&lenet_copy, 3},
+            {&lenet_copy, 4}};
+  }
+
+  static sim::LaunchOptions launch() {
+    sim::LaunchOptions lo;
+    lo.fleet.devices = 2;
+    lo.fleet.strategy = sim::ShardStrategy::Batch;
+    return lo;
+  }
+
+  /// Serves the requests in one drain over a fresh plan store.
+  ServeStats serve(u32 threads, obs::TelemetrySink* sink) const {
+    const std::string dir = test_dir("rollup_plans");
+    ServeStats stats;
+    {
+      sim::PlanCache plans(dir);
+      ServeOptions opt;
+      opt.threads = threads;
+      opt.plan_cache = &plans;
+      opt.launch = launch();
+      opt.telemetry = sink;
+      ServingDriver driver(opt);
+      for (const auto& [net, seed] : requests()) {
+        driver.enqueue(*net, make_network_input(*net, seed));
+      }
+      (void)driver.drain();
+      stats = driver.stats();
+    }
+    fs::remove_all(dir);
+    return stats;
+  }
+
+  /// The same requests through run_graph directly over a fresh plan store,
+  /// folded with +=.
+  obs::RunTotals direct() const {
+    const std::string dir = test_dir("rollup_direct");
+    obs::RunTotals sum;
+    {
+      sim::PlanCache plans(dir);
+      GraphRunOptions g;
+      g.launch = launch();
+      g.launch.plan_cache = &plans;
+      g.launch.replay = true;
+      for (const auto& [net, seed] : requests()) {
+        sim::Device dev(sim::kepler_k40m());
+        sum += run_graph(dev, net->graph, make_network_input(*net, seed), g);
+      }
+    }
+    fs::remove_all(dir);
+    return sum;
+  }
+};
+
+const obs::RunTotals& totals(const ServeStats& s) { return s; }
+
+TEST(ServingRollup, StatsEqualTheFoldOfEachRequestsGraphTotals) {
+  const MixedDrain mix;
+  const ServeStats s = mix.serve(1, nullptr);
+  // The drain really mixes what it claims to.
+  EXPECT_EQ(s.cold, 2u);
+  EXPECT_EQ(s.warm, 3u);
+  EXPECT_GT(s.plan_taxonomy.miss, 0u);
+  EXPECT_GT(s.plan_taxonomy.hit, 0u);
+  EXPECT_GT(s.fused_pairs, 0u);
+  EXPECT_GT(s.fleet_device_chunks, 0u);
+  EXPECT_GT(s.fleet_d2h_bytes, 0u);
+  EXPECT_GT(s.arena_slot_reuses, 0u);
+  EXPECT_EQ(totals(s), mix.direct());
+}
+
+TEST(ServingRollup, StatsAreFieldEqualAcrossThreadCounts) {
+  const MixedDrain mix;
+  const ServeStats a = mix.serve(1, nullptr);
+  const ServeStats b = mix.serve(3, nullptr);
+  EXPECT_EQ(totals(a), totals(b));
+  EXPECT_EQ(a.processed, b.processed);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.cold, b.cold);
+  EXPECT_EQ(a.warm, b.warm);
+  EXPECT_EQ(a.analytic, b.analytic);
+  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+  EXPECT_EQ(a.max_inflight_batches, b.max_inflight_batches);
+  EXPECT_EQ(a.latency.count(), b.latency.count());
+  EXPECT_EQ(a.sim_latency.to_json(), b.sim_latency.to_json());
+}
+
+TEST(ServingRollup, RegistryCountersSumToTheirStatsFields) {
+  const MixedDrain mix;
+  const std::string dir = test_dir("rollup_sink");
+  obs::TelemetrySink sink(dir);
+  const ServeStats s = mix.serve(3, &sink);
+  EXPECT_EQ(totals(s), totals(mix.serve(3, nullptr)));
+
+  std::map<std::string, u64> sums;
+  double arena_gauge = 0.0;
+  const obs::MetricsRegistry reg = sink.metrics_copy();
+  EXPECT_EQ(reg.groups().size(), 3u);  // lenet cold/warm, lenet-wide cold
+  for (const auto& [key, m] : reg.groups()) {
+    for (const auto& [name, v] : m.counters) sums[name] += v;
+    arena_gauge = std::max(arena_gauge, m.gauges.at("arena_peak_bytes"));
+  }
+  const std::map<std::string, u64> want{
+      {"requests", s.processed},
+      {"conv_launches", s.conv_launches},
+      {"fused_pairs", s.fused_pairs},
+      {"plan_hit", s.plan_taxonomy.hit},
+      {"plan_miss", s.plan_taxonomy.miss_total()},
+      {"arena_slot_reuses", s.arena_slot_reuses},
+      {"fleet_device_chunks", s.fleet_device_chunks},
+      {"comm_bound_devices", s.comm_bound_devices},
+  };
+  EXPECT_EQ(sums, want);
+  EXPECT_EQ(arena_gauge, static_cast<double>(s.arena_peak_bytes));
+  fs::remove_all(dir);
 }
 
 TEST(Serving, EmptyDrainIsANoOp) {
