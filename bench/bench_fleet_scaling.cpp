@@ -52,25 +52,6 @@ FleetRun run_conv(i64 c, i64 n, i64 f, i64 k, u32 devices,
   return r;
 }
 
-bool invariant_stats_equal(const sim::KernelStats& a,
-                           const sim::KernelStats& b) {
-  return a.fma_lane_ops == b.fma_lane_ops &&
-         a.fma_warp_instrs == b.fma_warp_instrs &&
-         a.alu_lane_ops == b.alu_lane_ops &&
-         a.alu_warp_instrs == b.alu_warp_instrs &&
-         a.smem_instrs == b.smem_instrs &&
-         a.smem_request_cycles == b.smem_request_cycles &&
-         a.smem_bytes == b.smem_bytes && a.gm_instrs == b.gm_instrs &&
-         a.gm_sectors == b.gm_sectors &&
-         a.gm_bytes_useful == b.gm_bytes_useful &&
-         a.const_instrs == b.const_instrs &&
-         a.const_requests == b.const_requests && a.barriers == b.barriers &&
-         a.gm_phases == b.gm_phases && a.gm_dep_phases == b.gm_dep_phases &&
-         a.divergent_retires == b.divergent_retires &&
-         a.max_warp_instrs == b.max_warp_instrs &&
-         a.blocks_executed == b.blocks_executed;
-}
-
 void scaling_section() {
   // General-case shape with several filter groups (so channel sharding
   // has an axis to cut) and enough arithmetic that batch scaling is
@@ -103,9 +84,10 @@ void scaling_section() {
     for (const sim::ShardStrategy s : strategies) {
       const FleetRun r = run_conv(c, n, f, k, d, s);
       const sim::FleetResult& fl = r.res.launch.fleet;
-      counters_exact = counters_exact &&
-                       invariant_stats_equal(base.res.launch.stats,
-                                             r.res.launch.stats);
+      counters_exact = bench::counters_match(base.res.launch.stats,
+                                             r.res.launch.stats,
+                                             StatsLevel::Schedule) &&
+                       counters_exact;
       if (s == sim::ShardStrategy::Batch) {
         monotone_batch =
             monotone_batch && r.model_seconds <= prev_batch_seconds;
@@ -134,7 +116,7 @@ void scaling_section() {
   std::printf("  \"monotone_batch_scaling\": %s,\n",
               monotone_batch ? "true" : "false");
   std::printf("  \"counters_exact\": %s\n },\n",
-              counters_exact ? "true" : "false");
+              bench::verdict(counters_exact));
 }
 
 void crossover_section() {
@@ -183,5 +165,5 @@ int main() {
   scaling_section();
   crossover_section();
   std::printf("}\n");
-  return 0;
+  return bench::exit_status();
 }

@@ -103,33 +103,6 @@ Timed run_shape(const Shape& s, Mode mode) {
   return best;
 }
 
-bool invariant_stats_equal(const sim::KernelStats& a,
-                           const sim::KernelStats& b) {
-  return a.fma_lane_ops == b.fma_lane_ops &&
-         a.fma_warp_instrs == b.fma_warp_instrs &&
-         a.alu_lane_ops == b.alu_lane_ops &&
-         a.alu_warp_instrs == b.alu_warp_instrs &&
-         a.smem_instrs == b.smem_instrs &&
-         a.smem_request_cycles == b.smem_request_cycles &&
-         a.smem_bytes == b.smem_bytes && a.gm_instrs == b.gm_instrs &&
-         a.gm_sectors == b.gm_sectors &&
-         a.gm_bytes_useful == b.gm_bytes_useful &&
-         a.const_instrs == b.const_instrs &&
-         a.const_requests == b.const_requests && a.barriers == b.barriers &&
-         a.gm_phases == b.gm_phases && a.gm_dep_phases == b.gm_dep_phases &&
-         a.divergent_retires == b.divergent_retires &&
-         a.max_warp_instrs == b.max_warp_instrs &&
-         a.blocks_executed == b.blocks_executed;
-}
-
-bool outputs_identical(const kernels::KernelRun& a,
-                       const kernels::KernelRun& b) {
-  const auto fa = a.output.flat();
-  const auto fb = b.output.flat();
-  return a.output_valid && b.output_valid && fa.size() == fb.size() &&
-         std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(float)) == 0;
-}
-
 void emit_mode(const char* name, const Timed& t, bool hit_expected,
                bool first) {
   std::printf(
@@ -151,14 +124,16 @@ void report(const Shape& s, bool first) {
   const Timed ana = run_shape(s, Mode::AnalyticWarm);
   std::filesystem::remove_all(store_dir(s));
 
-  const bool outputs_ok = outputs_identical(full.run, replay.run) &&
-                          outputs_identical(full.run, cold.run) &&
-                          outputs_identical(full.run, warm.run);
-  const bool stats_ok =
-      invariant_stats_equal(full.run.launch.stats, replay.run.launch.stats) &&
-      invariant_stats_equal(full.run.launch.stats, cold.run.launch.stats) &&
-      invariant_stats_equal(full.run.launch.stats, warm.run.launch.stats) &&
-      invariant_stats_equal(full.run.launch.stats, ana.run.launch.stats);
+  const bool outputs_ok = bench::outputs_identical(full.run, replay.run) &&
+                          bench::outputs_identical(full.run, cold.run) &&
+                          bench::outputs_identical(full.run, warm.run);
+  bool stats_ok = true;
+  for (const Timed* t : {&replay, &cold, &warm, &ana}) {
+    stats_ok = bench::counters_match(full.run.launch.stats,
+                                     t->run.launch.stats,
+                                     StatsLevel::Schedule) &&
+               stats_ok;
+  }
 
   std::printf("%s    {\"name\": \"%s\", \"kernel\": \"%s\", \"c\": %lld, "
               "\"n\": %lld, \"f\": %lld, \"k\": %lld,\n"
@@ -178,8 +153,8 @@ void report(const Shape& s, bool first) {
       "     \"outputs_identical\": %s, \"invariant_stats_equal\": %s,\n"
       "     \"analytic_outputs_skipped\": %s}",
       replay.seconds / warm.seconds, full.seconds / ana.seconds,
-      outputs_ok ? "true" : "false", stats_ok ? "true" : "false",
-      ana.run.output_valid ? "false" : "true");
+      bench::verdict(outputs_ok), bench::verdict(stats_ok),
+      bench::verdict(!ana.run.output_valid));
 }
 
 }  // namespace
@@ -207,5 +182,5 @@ int main() {
     first = false;
   }
   std::printf("\n]}\n");
-  return 0;
+  return bench::exit_status();
 }

@@ -52,33 +52,6 @@ Timed run_shape(const Shape& s, bool replay) {
   return t;
 }
 
-bool invariant_stats_equal(const sim::KernelStats& a,
-                           const sim::KernelStats& b) {
-  return a.fma_lane_ops == b.fma_lane_ops &&
-         a.fma_warp_instrs == b.fma_warp_instrs &&
-         a.alu_lane_ops == b.alu_lane_ops &&
-         a.alu_warp_instrs == b.alu_warp_instrs &&
-         a.smem_instrs == b.smem_instrs &&
-         a.smem_request_cycles == b.smem_request_cycles &&
-         a.smem_bytes == b.smem_bytes && a.gm_instrs == b.gm_instrs &&
-         a.gm_sectors == b.gm_sectors &&
-         a.gm_bytes_useful == b.gm_bytes_useful &&
-         a.const_instrs == b.const_instrs &&
-         a.const_requests == b.const_requests && a.barriers == b.barriers &&
-         a.gm_phases == b.gm_phases && a.gm_dep_phases == b.gm_dep_phases &&
-         a.divergent_retires == b.divergent_retires &&
-         a.max_warp_instrs == b.max_warp_instrs &&
-         a.blocks_executed == b.blocks_executed;
-}
-
-bool outputs_identical(const kernels::KernelRun& a,
-                       const kernels::KernelRun& b) {
-  const auto fa = a.output.flat();
-  const auto fb = b.output.flat();
-  return a.output_valid && b.output_valid && fa.size() == fb.size() &&
-         std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(float)) == 0;
-}
-
 void report(const Shape& s, bool first) {
   const Timed off = run_shape(s, false);
   const Timed on = run_shape(s, true);
@@ -97,10 +70,9 @@ void report(const Shape& s, bool first) {
       static_cast<unsigned long long>(on.run.launch.blocks_replayed),
       off.seconds, off.blocks / off.seconds, on.seconds,
       on.blocks / on.seconds, off.seconds / on.seconds,
-      outputs_identical(off.run, on.run) ? "true" : "false",
-      invariant_stats_equal(off.run.launch.stats, on.run.launch.stats)
-          ? "true"
-          : "false");
+      bench::verdict(bench::outputs_identical(off.run, on.run)),
+      bench::verdict(bench::counters_match(
+          off.run.launch.stats, on.run.launch.stats, StatsLevel::Schedule)));
 }
 
 }  // namespace
@@ -123,5 +95,5 @@ int main() {
     first = false;
   }
   std::printf("\n]}\n");
-  return 0;
+  return bench::exit_status();
 }

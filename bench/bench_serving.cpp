@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "src/serve/serving.hpp"
 
 using namespace kconv;
@@ -169,8 +170,8 @@ void report(const char* name, bool first) {
       warm_vs_cold, replay_vs_cold, analytic_vs_cold,
       static_cast<unsigned long long>(cold.stats.fused_pairs / kRequests),
       cold.stats.fusion_gm_bytes_eliminated / kRequests,
-      identical ? "true" : "false", warm_vs_cold >= 3.0 ? "true" : "false",
-      ana.replies.empty() || ana.replies[0].ok ? "false" : "true");
+      bench::verdict(identical), warm_vs_cold >= 3.0 ? "true" : "false",
+      bench::verdict(!ana.replies.empty() && !ana.replies[0].ok));
 }
 
 }  // namespace
@@ -183,5 +184,5 @@ int main() {
   report("lenet-wide", false);
   report("vgg-tiny", false);
   std::printf("\n]}\n");
-  return 0;
+  return bench::exit_status();
 }

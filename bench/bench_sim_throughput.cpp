@@ -12,7 +12,6 @@
 // cycles / replay factor, constant-cache line misses) between the two runs,
 // and folds the verdicts into the JSON.
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -79,37 +78,6 @@ Timed run_shape(const Shape& s, const Mode& m, bool pattern_cache) {
   return t;
 }
 
-/// Every counter the timing model consumes must be equal with the cache on
-/// or off — only the pattern_{lookups,hits} instrumentation may differ.
-bool counters_equal(const sim::KernelStats& a, const sim::KernelStats& b) {
-  return a.fma_lane_ops == b.fma_lane_ops &&
-         a.fma_warp_instrs == b.fma_warp_instrs &&
-         a.alu_lane_ops == b.alu_lane_ops &&
-         a.alu_warp_instrs == b.alu_warp_instrs &&
-         a.smem_instrs == b.smem_instrs &&
-         a.smem_request_cycles == b.smem_request_cycles &&
-         a.smem_bytes == b.smem_bytes && a.gm_instrs == b.gm_instrs &&
-         a.gm_sectors == b.gm_sectors &&
-         a.gm_sectors_dram == b.gm_sectors_dram &&
-         a.gm_bytes_useful == b.gm_bytes_useful &&
-         a.const_instrs == b.const_instrs &&
-         a.const_requests == b.const_requests &&
-         a.const_line_misses == b.const_line_misses &&
-         a.barriers == b.barriers && a.gm_phases == b.gm_phases &&
-         a.gm_dep_phases == b.gm_dep_phases &&
-         a.divergent_retires == b.divergent_retires &&
-         a.max_warp_instrs == b.max_warp_instrs &&
-         a.blocks_executed == b.blocks_executed;
-}
-
-bool outputs_identical(const kernels::KernelRun& a,
-                       const kernels::KernelRun& b) {
-  const auto fa = a.output.flat();
-  const auto fb = b.output.flat();
-  return a.output_valid && b.output_valid && fa.size() == fb.size() &&
-         std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(float)) == 0;
-}
-
 void report_mode(const Shape& s, const Mode& m, bool first) {
   const Timed off = run_shape(s, m, false);
   const Timed on = run_shape(s, m, true);
@@ -134,9 +102,9 @@ void report_mode(const Shape& s, const Mode& m, bool first) {
       static_cast<unsigned long long>(stats.pattern_lookups),
       static_cast<unsigned long long>(stats.pattern_hits),
       stats.pattern_hit_rate(),
-      outputs_identical(off.run, on.run) ? "true" : "false",
-      counters_equal(off.run.launch.stats, on.run.launch.stats) ? "true"
-                                                                : "false");
+      bench::verdict(bench::outputs_identical(off.run, on.run)),
+      bench::verdict(bench::counters_match(
+          off.run.launch.stats, on.run.launch.stats, StatsLevel::Exact)));
 }
 
 void report_shape(const Shape& s, bool first) {
@@ -182,5 +150,5 @@ int main() {
     first = false;
   }
   std::printf("\n]}\n");
-  return 0;
+  return bench::exit_status();
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "src/common/rng.hpp"
@@ -47,5 +48,42 @@ inline void header(const std::string& title) {
 inline void footnote(const std::string& text) {
   std::printf("--- %s\n", text.c_str());
 }
+
+/// Byte-identical functional outputs (both runs materialized them).
+inline bool outputs_identical(const kernels::KernelRun& a,
+                              const kernels::KernelRun& b) {
+  const auto fa = a.output.flat();
+  const auto fb = b.output.flat();
+  return a.output_valid && b.output_valid && fa.size() == fb.size() &&
+         std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(float)) == 0;
+}
+
+/// True when `level` finds no counter mismatch between two launches
+/// (sim::stats_mismatches); each mismatch is reported on stderr.
+inline bool counters_match(const sim::KernelStats& a,
+                           const sim::KernelStats& b, StatsLevel level) {
+  const std::vector<std::string> mismatches =
+      sim::stats_mismatches(a, b, level);
+  for (const std::string& m : mismatches) {
+    std::fprintf(stderr, "counter mismatch: %s\n", m.c_str());
+  }
+  return mismatches.empty();
+}
+
+/// Identity verdicts (outputs identical, counters equal) fail the run:
+/// print each one through verdict() and return exit_status() from main,
+/// so scripts/check_bench_regression.sh rejects the artifact. Performance
+/// verdicts are informational and are printed directly instead.
+inline bool& identity_failed() {
+  static bool failed = false;
+  return failed;
+}
+
+inline const char* verdict(bool ok) {
+  if (!ok) identity_failed() = true;
+  return ok ? "true" : "false";
+}
+
+inline int exit_status() { return identity_failed() ? 1 : 0; }
 
 }  // namespace kconv::bench

@@ -653,38 +653,11 @@ u64 memoized_signature(const sim::Arch& arch, const std::string& key,
 CrossCheck cross_validate(const StaticReport& rep,
                           const sim::KernelStats& dyn, bool analytic) {
   CrossCheck cc;
-  const sim::KernelStats& s = rep.predicted;
-  const auto cmp = [&](const char* name, u64 a, u64 b) {
-    if (a != b) {
-      cc.ok = false;
-      cc.mismatches.push_back(
-          strf("%s: static=%llu dynamic=%llu", name,
-               static_cast<unsigned long long>(a),
-               static_cast<unsigned long long>(b)));
-    }
-  };
-  cmp("smem_instrs", s.smem_instrs, dyn.smem_instrs);
-  cmp("smem_request_cycles", s.smem_request_cycles, dyn.smem_request_cycles);
-  cmp("smem_bytes", s.smem_bytes, dyn.smem_bytes);
-  cmp("smem_lane_bytes", s.smem_lane_bytes, dyn.smem_lane_bytes);
-  cmp("smem_store_instrs", s.smem_store_instrs, dyn.smem_store_instrs);
-  cmp("smem_store_request_cycles", s.smem_store_request_cycles,
-      dyn.smem_store_request_cycles);
-  cmp("gm_instrs", s.gm_instrs, dyn.gm_instrs);
-  if (!analytic) cmp("gm_sectors", s.gm_sectors, dyn.gm_sectors);
-  cmp("gm_bytes_useful", s.gm_bytes_useful, dyn.gm_bytes_useful);
-  cmp("const_instrs", s.const_instrs, dyn.const_instrs);
-  cmp("const_requests", s.const_requests, dyn.const_requests);
-  cmp("barriers", s.barriers, dyn.barriers);
-  cmp("gm_phases", s.gm_phases, dyn.gm_phases);
-  cmp("gm_dep_phases", s.gm_dep_phases, dyn.gm_dep_phases);
-  cmp("divergent_retires", s.divergent_retires, dyn.divergent_retires);
-  cmp("fma_lane_ops", s.fma_lane_ops, dyn.fma_lane_ops);
-  cmp("fma_warp_instrs", s.fma_warp_instrs, dyn.fma_warp_instrs);
-  cmp("alu_lane_ops", s.alu_lane_ops, dyn.alu_lane_ops);
-  cmp("alu_warp_instrs", s.alu_warp_instrs, dyn.alu_warp_instrs);
-  cmp("max_warp_instrs", s.max_warp_instrs, dyn.max_warp_instrs);
-  cmp("blocks_executed", s.blocks_executed, dyn.blocks_executed);
+  cc.mismatches = sim::stats_mismatches(
+      rep.predicted, dyn,
+      analytic ? StatsLevel::Analytic : StatsLevel::Schedule, "static",
+      "dynamic");
+  cc.ok = cc.mismatches.empty();
   return cc;
 }
 

@@ -201,17 +201,10 @@ u64 memoized_signature(const sim::Arch& arch, const std::string& key,
                        const std::function<KernelModel()>& make);
 
 /// Static-vs-dynamic counter comparison (the cross-validation contract,
-/// docs/MODEL.md §10). Exact fields — bit-equal on any full-grid launch
-/// (serial, parallel, replay):
-///   smem_instrs, smem_request_cycles, smem_bytes, smem_lane_bytes,
-///   smem_store_instrs, smem_store_request_cycles, gm_instrs, gm_sectors,
-///   gm_bytes_useful, const_instrs, const_requests, barriers, gm_phases,
-///   gm_dep_phases, divergent_retires, fma/alu lane ops + warp instrs,
-///   max_warp_instrs, blocks_executed.
-/// Under `analytic` launches the address-dependent gm_sectors is served
-/// scaled-from-representative by the dynamic side and is skipped here.
-/// Never compared (cache-state / instrumentation): gm_sectors_dram,
-/// const_line_misses, pattern_lookups, pattern_hits.
+/// docs/MODEL.md §10): sim::stats_mismatches at StatsLevel::Schedule — the
+/// counter table in MODEL.md §1 says which counters that compares — or at
+/// StatsLevel::Analytic under `analytic` launches, whose dynamic
+/// gm_sectors is served from the class representative.
 struct CrossCheck {
   bool ok = true;
   std::vector<std::string> mismatches;  // "field: static=X dynamic=Y"

@@ -285,18 +285,9 @@ KernelRun run_implicit(sim::Device& dev, const tensor::Tensor& input,
       static_cast<long long>(cfg.bn), static_cast<long long>(cfg.bk),
       static_cast<long long>(cfg.tm), static_cast<long long>(cfg.tn),
       cfg.prefetch ? 1 : 0);
-  if (lopt.plan_key.empty()) lopt.plan_key = canonical_key;
-  // Warm-plan pre-validation (docs/MODEL.md §10): stamp the launch with the
-  // kernel's xray signature so a stored plan captured under a different
-  // access pattern is rejected ("stale-static-signature"), not replayed.
-  // Memoized: the block-0 symbolic walk runs once per config per process.
-  if (lopt.plan_cache != nullptr && lopt.plan_static_signature == 0) {
-    lopt.plan_static_signature = xray::memoized_signature(
-        dev.arch(), canonical_key, [&] {
-          return implicit_gemm_xray(dev.arch(), K, C, F, input.h(),
-                                    input.w(), cfg);
-        });
-  }
+  stamp_plan(dev.arch(), canonical_key, lopt, [&] {
+    return implicit_gemm_xray(dev.arch(), K, C, F, input.h(), input.w(), cfg);
+  });
 
   KernelRun run;
   run.launch = sim::launch(dev, k, lc, lopt);

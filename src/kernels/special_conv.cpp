@@ -75,17 +75,9 @@ KernelRun run_special(sim::Device& dev, const tensor::Tensor& input,
       static_cast<long long>(W), static_cast<long long>(H));
   // Appended (not always present) so unfused keys match pre-fusion stores.
   if (k.fused) canonical_key += "|fused=br";
-  if (lopt.plan_key.empty()) lopt.plan_key = canonical_key;
-  // Warm-plan pre-validation (docs/MODEL.md §10): stamp the launch with the
-  // kernel's xray signature so a stored plan captured under a different
-  // access pattern is rejected ("stale-static-signature"), not replayed.
-  // Memoized: the block-0 symbolic walk runs once per config per process.
-  if (lopt.plan_cache != nullptr && lopt.plan_static_signature == 0) {
-    lopt.plan_static_signature = xray::memoized_signature(
-        dev.arch(), canonical_key, [&] {
-          return special_conv_xray(dev.arch(), K, F, Hi, Wi, cfg, k.fused);
-        });
-  }
+  stamp_plan(dev.arch(), canonical_key, lopt, [&] {
+    return special_conv_xray(dev.arch(), K, F, Hi, Wi, cfg, k.fused);
+  });
 
   if (lopt.fleet.devices > 1) {
     // Shard geometry for the fleet layer (docs/MODEL.md §9). The grid is

@@ -13,6 +13,7 @@
 // kconv_profile itself never links kconv_sim.
 #pragma once
 
+#include "src/common/counters.hpp"
 #include "src/common/types.hpp"
 
 namespace kconv::profile {
@@ -75,28 +76,7 @@ struct PhaseStats {
   u64 pattern_lookups = 0;
   u64 pattern_hits = 0;
 
-  PhaseStats& operator+=(const PhaseStats& o) {
-    fma_lane_ops += o.fma_lane_ops;
-    alu_lane_ops += o.alu_lane_ops;
-    smem_instrs += o.smem_instrs;
-    smem_request_cycles += o.smem_request_cycles;
-    smem_bytes += o.smem_bytes;
-    smem_lane_bytes += o.smem_lane_bytes;
-    smem_store_instrs += o.smem_store_instrs;
-    smem_store_request_cycles += o.smem_store_request_cycles;
-    smem_store_lane_bytes += o.smem_store_lane_bytes;
-    gm_instrs += o.gm_instrs;
-    gm_sectors += o.gm_sectors;
-    gm_sectors_dram += o.gm_sectors_dram;
-    gm_bytes_useful += o.gm_bytes_useful;
-    const_instrs += o.const_instrs;
-    const_requests += o.const_requests;
-    const_line_misses += o.const_line_misses;
-    barriers += o.barriers;
-    pattern_lookups += o.pattern_lookups;
-    pattern_hits += o.pattern_hits;
-    return *this;
-  }
+  PhaseStats& operator+=(const PhaseStats& o);
 
   bool empty() const {
     return fma_lane_ops == 0 && alu_lane_ops == 0 && smem_instrs == 0 &&
@@ -104,6 +84,49 @@ struct PhaseStats {
            pattern_lookups == 0;
   }
 };
+
+/// Every PhaseStats counter with its replay class, in declaration (= plan
+/// byte) order. Classes match the same-named KernelStats counters;
+/// smem_store_lane_bytes is invariant like the other smem_* counters.
+inline constexpr auto kPhaseCounters = [] {
+  using S = PhaseStats;
+  using enum CounterClass;
+  return CounterTable<S, 19>{{
+      {"fma_lane_ops", &S::fma_lane_ops, Compute},
+      {"alu_lane_ops", &S::alu_lane_ops, Compute},
+      {"smem_instrs", &S::smem_instrs, Invariant},
+      {"smem_request_cycles", &S::smem_request_cycles, Invariant},
+      {"smem_bytes", &S::smem_bytes, Invariant},
+      {"smem_lane_bytes", &S::smem_lane_bytes, Invariant},
+      {"smem_store_instrs", &S::smem_store_instrs, Invariant},
+      {"smem_store_request_cycles", &S::smem_store_request_cycles, Invariant},
+      {"smem_store_lane_bytes", &S::smem_store_lane_bytes, Invariant},
+      {"gm_instrs", &S::gm_instrs, Invariant},
+      {"gm_sectors", &S::gm_sectors, AddrDep},
+      {"gm_sectors_dram", &S::gm_sectors_dram, Warmth},
+      {"gm_bytes_useful", &S::gm_bytes_useful, Invariant},
+      {"const_instrs", &S::const_instrs, Invariant},
+      {"const_requests", &S::const_requests, Invariant},
+      {"const_line_misses", &S::const_line_misses, Warmth},
+      {"barriers", &S::barriers, Invariant},
+      {"pattern_lookups", &S::pattern_lookups, Instrument},
+      {"pattern_hits", &S::pattern_hits, Instrument},
+  }};
+}();
+static_assert(covers_every_field(kPhaseCounters),
+              "kPhaseCounters must list every PhaseStats field once");
+
+inline PhaseStats& PhaseStats::operator+=(const PhaseStats& o) {
+  add_counters(kPhaseCounters, *this, o);
+  return *this;
+}
+
+/// stats_mismatches for one phase's counters (same levels as KernelStats).
+inline std::vector<std::string> stats_mismatches(const PhaseStats& a,
+                                                 const PhaseStats& b,
+                                                 StatsLevel level) {
+  return counter_mismatches(kPhaseCounters, a, b, level, "a", "b");
+}
 
 /// One launch/chunk/block's full per-phase breakdown.
 struct PhaseProfile {
@@ -117,11 +140,11 @@ struct PhaseProfile {
     return *this;
   }
 
-  /// Sum of one counter over all phases (the roll-up the sum-invariant
-  /// tests compare against launch totals).
-  u64 total(u64 PhaseStats::* field) const {
-    u64 s = 0;
-    for (u32 i = 0; i < kNumPhases; ++i) s += p[i].*field;
+  /// All seven phases summed (the roll-up the sum-invariant tests compare
+  /// against launch totals).
+  PhaseStats total() const {
+    PhaseStats s;
+    for (const PhaseStats& ps : p) s += ps;
     return s;
   }
 };
@@ -134,50 +157,5 @@ struct LaneProfile {
   u64 fma[kNumPhases] = {};
   u64 alu[kNumPhases] = {};
 };
-
-/// Splits a captured representative's per-phase profile the same way
-/// replay splits its KernelStats (trace.hpp): `compute` keeps the
-/// arithmetic recounted from replayed lanes, `invariant` keeps everything
-/// except the address-dependent counters (GM sectors, DRAM misses,
-/// constant-line misses) and the pattern-cache counters, all recharged
-/// live per replayed block.
-inline void split_replay_profile(const PhaseProfile& local,
-                                 PhaseProfile& invariant,
-                                 PhaseProfile& compute) {
-  for (u32 i = 0; i < kNumPhases; ++i) {
-    const PhaseStats& l = local.p[i];
-    PhaseStats& c = compute.p[i];
-    c = PhaseStats{};
-    c.fma_lane_ops = l.fma_lane_ops;
-    c.alu_lane_ops = l.alu_lane_ops;
-    PhaseStats& v = invariant.p[i];
-    v = l;
-    v.fma_lane_ops = 0;
-    v.alu_lane_ops = 0;
-    v.gm_sectors = 0;
-    v.gm_sectors_dram = 0;
-    v.const_line_misses = 0;
-    v.pattern_lookups = 0;
-    v.pattern_hits = 0;
-  }
-}
-
-/// The third slice of the representative's profile: exactly the
-/// address-dependent counters split_replay_profile zeroes out of
-/// `invariant` (minus the pattern counters, which analytic blocks never
-/// generate — they probe no cache). Analytic launches charge
-/// invariant + compute + addr_dep per served block, so the per-phase sum
-/// invariant holds against the analytic launch totals too.
-inline void split_addr_dep_profile(const PhaseProfile& local,
-                                   PhaseProfile& addr_dep) {
-  for (u32 i = 0; i < kNumPhases; ++i) {
-    const PhaseStats& l = local.p[i];
-    PhaseStats& a = addr_dep.p[i];
-    a = PhaseStats{};
-    a.gm_sectors = l.gm_sectors;
-    a.gm_sectors_dram = l.gm_sectors_dram;
-    a.const_line_misses = l.const_line_misses;
-  }
-}
 
 }  // namespace kconv::profile

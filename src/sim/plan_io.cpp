@@ -37,118 +37,35 @@ bool load_vec(PlanReader& r, std::vector<T>& v) {
   return n == 0 || r.raw(v.data(), n * sizeof(T));
 }
 
-void save_stats(PlanWriter& w, const KernelStats& s) {
-  w.put_u64(s.fma_lane_ops);
-  w.put_u64(s.fma_warp_instrs);
-  w.put_u64(s.alu_lane_ops);
-  w.put_u64(s.alu_warp_instrs);
-  w.put_u64(s.smem_instrs);
-  w.put_u64(s.smem_request_cycles);
-  w.put_u64(s.smem_bytes);
-  w.put_u64(s.smem_lane_bytes);
-  w.put_u64(s.smem_store_instrs);
-  w.put_u64(s.smem_store_request_cycles);
-  w.put_u64(s.gm_instrs);
-  w.put_u64(s.gm_sectors);
-  w.put_u64(s.gm_sectors_dram);
-  w.put_u64(s.gm_bytes_useful);
-  w.put_u64(s.const_instrs);
-  w.put_u64(s.const_requests);
-  w.put_u64(s.const_line_misses);
-  w.put_u64(s.barriers);
-  w.put_u64(s.gm_phases);
-  w.put_u64(s.gm_dep_phases);
-  w.put_u64(s.divergent_retires);
-  w.put_u64(s.pattern_lookups);
-  w.put_u64(s.pattern_hits);
-  w.put_u64(s.max_warp_instrs);
-  w.put_u64(s.blocks_executed);
+template <typename S, std::size_t N>
+void save_counters(PlanWriter& w, const CounterTable<S, N>& table,
+                   const S& s) {
+  for (const Counter<S>& c : table) w.put_u64(s.*c.member);
 }
 
-void load_stats(PlanReader& r, KernelStats& s) {
-  s.fma_lane_ops = r.get_u64();
-  s.fma_warp_instrs = r.get_u64();
-  s.alu_lane_ops = r.get_u64();
-  s.alu_warp_instrs = r.get_u64();
-  s.smem_instrs = r.get_u64();
-  s.smem_request_cycles = r.get_u64();
-  s.smem_bytes = r.get_u64();
-  s.smem_lane_bytes = r.get_u64();
-  s.smem_store_instrs = r.get_u64();
-  s.smem_store_request_cycles = r.get_u64();
-  s.gm_instrs = r.get_u64();
-  s.gm_sectors = r.get_u64();
-  s.gm_sectors_dram = r.get_u64();
-  s.gm_bytes_useful = r.get_u64();
-  s.const_instrs = r.get_u64();
-  s.const_requests = r.get_u64();
-  s.const_line_misses = r.get_u64();
-  s.barriers = r.get_u64();
-  s.gm_phases = r.get_u64();
-  s.gm_dep_phases = r.get_u64();
-  s.divergent_retires = r.get_u64();
-  s.pattern_lookups = r.get_u64();
-  s.pattern_hits = r.get_u64();
-  s.max_warp_instrs = r.get_u64();
-  s.blocks_executed = r.get_u64();
+template <typename S, std::size_t N>
+void load_counters(PlanReader& r, const CounterTable<S, N>& table, S& s) {
+  for (const Counter<S>& c : table) s.*c.member = r.get_u64();
 }
 
 void save_phases(PlanWriter& w, const profile::PhaseProfile& pp) {
-  for (u32 i = 0; i < profile::kNumPhases; ++i) {
-    const profile::PhaseStats& p = pp.p[i];
-    w.put_u64(p.fma_lane_ops);
-    w.put_u64(p.alu_lane_ops);
-    w.put_u64(p.smem_instrs);
-    w.put_u64(p.smem_request_cycles);
-    w.put_u64(p.smem_bytes);
-    w.put_u64(p.smem_lane_bytes);
-    w.put_u64(p.smem_store_instrs);
-    w.put_u64(p.smem_store_request_cycles);
-    w.put_u64(p.smem_store_lane_bytes);
-    w.put_u64(p.gm_instrs);
-    w.put_u64(p.gm_sectors);
-    w.put_u64(p.gm_sectors_dram);
-    w.put_u64(p.gm_bytes_useful);
-    w.put_u64(p.const_instrs);
-    w.put_u64(p.const_requests);
-    w.put_u64(p.const_line_misses);
-    w.put_u64(p.barriers);
-    w.put_u64(p.pattern_lookups);
-    w.put_u64(p.pattern_hits);
+  for (const profile::PhaseStats& p : pp.p) {
+    save_counters(w, profile::kPhaseCounters, p);
   }
 }
 
 void load_phases(PlanReader& r, profile::PhaseProfile& pp) {
-  for (u32 i = 0; i < profile::kNumPhases; ++i) {
-    profile::PhaseStats& p = pp.p[i];
-    p.fma_lane_ops = r.get_u64();
-    p.alu_lane_ops = r.get_u64();
-    p.smem_instrs = r.get_u64();
-    p.smem_request_cycles = r.get_u64();
-    p.smem_bytes = r.get_u64();
-    p.smem_lane_bytes = r.get_u64();
-    p.smem_store_instrs = r.get_u64();
-    p.smem_store_request_cycles = r.get_u64();
-    p.smem_store_lane_bytes = r.get_u64();
-    p.gm_instrs = r.get_u64();
-    p.gm_sectors = r.get_u64();
-    p.gm_sectors_dram = r.get_u64();
-    p.gm_bytes_useful = r.get_u64();
-    p.const_instrs = r.get_u64();
-    p.const_requests = r.get_u64();
-    p.const_line_misses = r.get_u64();
-    p.barriers = r.get_u64();
-    p.pattern_lookups = r.get_u64();
-    p.pattern_hits = r.get_u64();
+  for (profile::PhaseStats& p : pp.p) {
+    load_counters(r, profile::kPhaseCounters, p);
   }
 }
 
 void save_trace(PlanWriter& w, const BlockTrace& t) {
   save_stats(w, t.invariant);
   save_stats(w, t.compute);
-  w.put_u64(t.addr_dep.gm_sectors);
-  w.put_u64(t.addr_dep.gm_sectors_dram);
-  w.put_u64(t.addr_dep.const_line_misses);
+  for (const Counter<KernelStats>& c : kKernelCounters) {
+    if (address_dependent(c.cls)) w.put_u64(t.addr_dep.*c.member);
+  }
   w.put_u64(t.txs.size());
   for (const ReplayTx& tx : t.txs) {
     w.put_u8(static_cast<u8>(tx.op));
@@ -169,9 +86,9 @@ void save_trace(PlanWriter& w, const BlockTrace& t) {
 bool load_trace(PlanReader& r, u64 n_lanes, BlockTrace& t) {
   load_stats(r, t.invariant);
   load_stats(r, t.compute);
-  t.addr_dep.gm_sectors = r.get_u64();
-  t.addr_dep.gm_sectors_dram = r.get_u64();
-  t.addr_dep.const_line_misses = r.get_u64();
+  for (const Counter<KernelStats>& c : kKernelCounters) {
+    if (address_dependent(c.cls)) t.addr_dep.*c.member = r.get_u64();
+  }
   const u64 n_txs = r.get_u64();
   if (!r.ok() || !fits(r, n_txs, 9)) return false;
   t.txs.resize(n_txs);
@@ -398,6 +315,14 @@ bool load_tape(PlanReader& r, u64 n_lanes, u32 shared_bytes, FuncTape& tape) {
 }
 
 }  // namespace
+
+void save_stats(PlanWriter& w, const KernelStats& s) {
+  save_counters(w, kKernelCounters, s);
+}
+
+void load_stats(PlanReader& r, KernelStats& s) {
+  load_counters(r, kKernelCounters, s);
+}
 
 std::string arch_fingerprint(const Arch& arch) {
   // Exactly the parameters that shape what a capture records: warp/bank/

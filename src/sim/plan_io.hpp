@@ -78,6 +78,11 @@ std::string plan_store_key(std::string_view kernel_key, const Arch& arch,
 /// tape bytes.
 std::string plan_tape_key(const std::string& store_key);
 
+/// One KernelStats in plan byte order: every counter as a little-endian
+/// u64, in kKernelCounters (= declaration) order.
+void save_stats(PlanWriter& w, const KernelStats& s);
+void load_stats(PlanReader& r, KernelStats& s);
+
 /// Serializes everything but the tapes: identity, per-class traces, the
 /// pattern blob. This is the payload stored under the base key.
 std::string serialize_plan(const LaunchPlan& plan);

@@ -77,9 +77,10 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
   }
 
   // First block of its class: direct execution with trace capture. The
-  // block-local stat delta, minus everything replay recomputes per block,
-  // becomes the class's invariant contribution; the compute attribution is
-  // kept separately for the tape path (which has no lanes to recount).
+  // block-local stat delta splits by counter class (trace.hpp): the
+  // invariant part serves every replayed block, the compute part the tape
+  // path (which has no lanes to recount), the addr_dep part analytic
+  // launches.
   ClassState cs;
   KernelStats local;
   // The representative's phase profile is collected block-locally so it
@@ -93,30 +94,14 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
   cs.raced = checker_ != nullptr && checker_->current_block_raced();
   if (psink_ != nullptr) {
     *psink_ += local_phases;
-    profile::split_replay_profile(local_phases, cs.trace.phase_invariant,
-                                  cs.trace.phase_compute);
-    profile::split_addr_dep_profile(local_phases, cs.trace.phase_addr_dep);
+    for (u32 i = 0; i < profile::kNumPhases; ++i) {
+      split_by_class(profile::kPhaseCounters, local_phases.p[i],
+                     cs.trace.phase_invariant.p[i], cs.trace.phase_compute.p[i],
+                     cs.trace.phase_addr_dep.p[i]);
+    }
   }
-  cs.trace.addr_dep.gm_sectors = local.gm_sectors;
-  cs.trace.addr_dep.gm_sectors_dram = local.gm_sectors_dram;
-  cs.trace.addr_dep.const_line_misses = local.const_line_misses;
-  cs.trace.invariant = local;
-  KernelStats& cmp = cs.trace.compute;
-  cmp.fma_lane_ops = local.fma_lane_ops;
-  cmp.fma_warp_instrs = local.fma_warp_instrs;
-  cmp.alu_lane_ops = local.alu_lane_ops;
-  cmp.alu_warp_instrs = local.alu_warp_instrs;
-  cmp.max_warp_instrs = local.max_warp_instrs;
-  KernelStats& inv = cs.trace.invariant;
-  inv.fma_lane_ops = 0;
-  inv.fma_warp_instrs = 0;
-  inv.alu_lane_ops = 0;
-  inv.alu_warp_instrs = 0;
-  inv.gm_sectors = 0;
-  inv.gm_sectors_dram = 0;
-  inv.const_line_misses = 0;
-  inv.max_warp_instrs = 0;
-  inv.blocks_executed = 0;
+  split_by_class(kKernelCounters, local, cs.trace.invariant,
+                 cs.trace.compute, cs.trace.addr_dep);
   stats += local;
   // The dataflow tape only serves functional launches (timing launches
   // need the per-block transaction walk anyway) of relocatable kernels —
@@ -133,9 +118,7 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
 void ReplayRunner::serve_analytic(const ClassState& cs, KernelStats& stats) {
   stats += cs.trace.invariant;
   stats += cs.trace.compute;
-  stats.gm_sectors += cs.trace.addr_dep.gm_sectors;
-  stats.gm_sectors_dram += cs.trace.addr_dep.gm_sectors_dram;
-  stats.const_line_misses += cs.trace.addr_dep.const_line_misses;
+  stats += cs.trace.addr_dep;
   ++stats.blocks_executed;
   if (psink_ != nullptr) {
     *psink_ += cs.trace.phase_invariant;

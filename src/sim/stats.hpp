@@ -5,6 +5,7 @@
 // (GM sectors, SM request cycles and conflicts, CM broadcasts, FMA work).
 #pragma once
 
+#include "src/common/counters.hpp"
 #include "src/common/types.hpp"
 
 namespace kconv::sim {
@@ -86,35 +87,7 @@ struct KernelStats {
   /// Thread blocks whose statistics are accumulated here.
   u64 blocks_executed = 0;
 
-  KernelStats& operator+=(const KernelStats& o) {
-    fma_lane_ops += o.fma_lane_ops;
-    fma_warp_instrs += o.fma_warp_instrs;
-    alu_lane_ops += o.alu_lane_ops;
-    alu_warp_instrs += o.alu_warp_instrs;
-    smem_instrs += o.smem_instrs;
-    smem_request_cycles += o.smem_request_cycles;
-    smem_bytes += o.smem_bytes;
-    smem_lane_bytes += o.smem_lane_bytes;
-    smem_store_instrs += o.smem_store_instrs;
-    smem_store_request_cycles += o.smem_store_request_cycles;
-    gm_instrs += o.gm_instrs;
-    gm_sectors += o.gm_sectors;
-    gm_sectors_dram += o.gm_sectors_dram;
-    gm_bytes_useful += o.gm_bytes_useful;
-    const_instrs += o.const_instrs;
-    const_requests += o.const_requests;
-    const_line_misses += o.const_line_misses;
-    barriers += o.barriers;
-    gm_phases += o.gm_phases;
-    gm_dep_phases += o.gm_dep_phases;
-    divergent_retires += o.divergent_retires;
-    pattern_lookups += o.pattern_lookups;
-    pattern_hits += o.pattern_hits;
-    max_warp_instrs = max_warp_instrs > o.max_warp_instrs ? max_warp_instrs
-                                                          : o.max_warp_instrs;
-    blocks_executed += o.blocks_executed;
-    return *this;
-  }
+  KernelStats& operator+=(const KernelStats& o);
 
   /// Total floating-point operations (FMA counts as 2).
   double flops() const { return 2.0 * static_cast<double>(fma_lane_ops); }
@@ -149,5 +122,59 @@ struct KernelStats {
                      static_cast<double>(gm_bytes_useful);
   }
 };
+
+/// Every KernelStats counter with its replay class, in declaration order
+/// (which is also the plan-file byte order, docs/MODEL.md §5d).
+inline constexpr auto kKernelCounters = [] {
+  using S = KernelStats;
+  using enum CounterClass;
+  return CounterTable<S, 25>{{
+      {"fma_lane_ops", &S::fma_lane_ops, Compute},
+      {"fma_warp_instrs", &S::fma_warp_instrs, Compute},
+      {"alu_lane_ops", &S::alu_lane_ops, Compute},
+      {"alu_warp_instrs", &S::alu_warp_instrs, Compute},
+      {"smem_instrs", &S::smem_instrs, Invariant},
+      {"smem_request_cycles", &S::smem_request_cycles, Invariant},
+      {"smem_bytes", &S::smem_bytes, Invariant},
+      {"smem_lane_bytes", &S::smem_lane_bytes, Invariant},
+      {"smem_store_instrs", &S::smem_store_instrs, Invariant},
+      {"smem_store_request_cycles", &S::smem_store_request_cycles, Invariant},
+      {"gm_instrs", &S::gm_instrs, Invariant},
+      {"gm_sectors", &S::gm_sectors, AddrDep},
+      {"gm_sectors_dram", &S::gm_sectors_dram, Warmth},
+      {"gm_bytes_useful", &S::gm_bytes_useful, Invariant},
+      {"const_instrs", &S::const_instrs, Invariant},
+      {"const_requests", &S::const_requests, Invariant},
+      {"const_line_misses", &S::const_line_misses, Warmth},
+      {"barriers", &S::barriers, Invariant},
+      {"gm_phases", &S::gm_phases, Invariant},
+      {"gm_dep_phases", &S::gm_dep_phases, Invariant},
+      {"divergent_retires", &S::divergent_retires, Invariant},
+      {"pattern_lookups", &S::pattern_lookups, Instrument},
+      {"pattern_hits", &S::pattern_hits, Instrument},
+      {"max_warp_instrs", &S::max_warp_instrs, Compute, /*max=*/true},
+      {"blocks_executed", &S::blocks_executed, Blocks},
+  }};
+}();
+static_assert(covers_every_field(kKernelCounters),
+              "kKernelCounters must list every KernelStats field once");
+
+inline KernelStats& KernelStats::operator+=(const KernelStats& o) {
+  add_counters(kKernelCounters, *this, o);
+  return *this;
+}
+
+/// The counters `level` compares that differ between two launches, as
+/// "field: a=X b=Y" lines — the house invariant's one predicate
+/// (docs/MODEL.md §1): Exact between runs with one schedule, Schedule
+/// across thread counts, fleets and replay, Analytic against analytic
+/// launches.
+inline std::vector<std::string> stats_mismatches(const KernelStats& a,
+                                                 const KernelStats& b,
+                                                 StatsLevel level,
+                                                 const char* a_name = "a",
+                                                 const char* b_name = "b") {
+  return counter_mismatches(kKernelCounters, a, b, level, a_name, b_name);
+}
 
 }  // namespace kconv::sim

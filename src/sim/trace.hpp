@@ -68,45 +68,30 @@ struct ReplayTx {
 
 /// Everything recorded from the first executed block of a class.
 struct BlockTrace {
-  /// Per-block stat delta for every translation-invariant counter: shared
-  /// memory (bank conflicts), constant broadcasts, instruction/byte counts,
-  /// barriers, phase structure, divergence. The address-dependent counters
-  /// (gm_sectors, gm_sectors_dram, const_line_misses) and the compute
-  /// attribution (fma/alu/max_warp_instrs, recomputed from the replayed
-  /// lanes) are zero here.
+  /// The captured block's counters split by replay class (split_by_class,
+  /// docs/MODEL.md §1). `invariant` holds the translation-invariant ones
+  /// (shared memory, constant broadcasts, instruction/byte counts,
+  /// barriers, phase structure, divergence), added for every replayed
+  /// block. `compute` holds the fma/alu/max_warp_instrs attribution —
+  /// class-invariant, since congruent blocks execute identical control
+  /// flow: fast-forward replay recounts it from the replayed lanes, the
+  /// coroutine-free tape path adds it from here. `addr_dep` holds the
+  /// address-dependent and cache-warmth counters: replay recomputes them
+  /// against each block's own addresses, and only analytic launches (§5d)
+  /// charge these captured values per served block.
   KernelStats invariant;
-  /// The captured block's compute attribution (fma/alu lane-ops, warp
-  /// instructions, max_warp_instrs) — class-invariant, since congruent
-  /// blocks execute identical control flow. Fast-forward replay recomputes
-  /// these from the replayed lanes; the coroutine-free tape path adds this
-  /// delta instead.
   KernelStats compute;
-  /// The captured block's own address-dependent counters. Replay never
-  /// reads these (it recomputes them against each block's addresses);
-  /// analytic launches (docs/MODEL.md §5d) charge them per served block as
-  /// the class's approximation, keeping phase sums and launch totals
-  /// consistent without a transaction walk.
-  struct AddrDep {
-    u64 gm_sectors = 0;
-    u64 gm_sectors_dram = 0;
-    u64 const_line_misses = 0;
-  };
-  AddrDep addr_dep;
+  KernelStats addr_dep;
   /// Global/constant transactions in retire order (= cache probe order).
   std::vector<ReplayTx> txs;
   std::vector<u32> tx_lanes;
   /// Per-lane congruence certificate: event-stream hash + retired events.
   std::vector<u64> lane_hash;
   std::vector<u32> lane_events;
-  /// Per-phase split of `invariant` / `compute` (kconv-prof, MODEL.md §7).
-  /// Populated only on profiling launches; replayed blocks charge
-  /// `phase_invariant` wholesale and recompute the rest live, mirroring
-  /// the KernelStats split above.
+  /// The same split per phase (kconv-prof, MODEL.md §7), populated only
+  /// on profiling launches and charged exactly like the KernelStats above.
   profile::PhaseProfile phase_invariant;
   profile::PhaseProfile phase_compute;
-  /// Per-phase slice of `addr_dep` (the representative's address-dependent
-  /// profile), charged wholesale by analytic launches so the per-phase sum
-  /// invariant holds there too.
   profile::PhaseProfile phase_addr_dep;
   /// Block the trace was captured from (for diagnostics, and the block a
   /// warm-loaded plan re-resolves its origin anchors against).

@@ -26,41 +26,10 @@
 #include "src/kernels/general_conv.hpp"
 #include "src/kernels/special_conv.hpp"
 #include "src/sim/device.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv {
 namespace {
-
-/// Counters that must match the serial path bit for bit regardless of
-/// thread count. Excludes gm_sectors_dram and const_line_misses (cache
-/// warmth — see docs/MODEL.md §5a) which the full comparison covers.
-void expect_scheduling_invariant_stats(const sim::KernelStats& a,
-                                       const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
-
-void expect_all_stats_equal(const sim::KernelStats& a,
-                            const sim::KernelStats& b) {
-  expect_scheduling_invariant_stats(a, b);
-  EXPECT_EQ(a.gm_sectors_dram, b.gm_sectors_dram);
-  EXPECT_EQ(a.const_line_misses, b.const_line_misses);
-}
 
 void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
   ASSERT_EQ(a.size(), b.size());
@@ -120,7 +89,8 @@ TEST(ParallelDeterminism, SpecialConvMatchesSerial) {
     const auto par = run_special(t);
     ASSERT_TRUE(par.output_valid);
     expect_bytes_equal(serial.output.flat(), par.output.flat());
-    expect_scheduling_invariant_stats(serial.launch.stats, par.launch.stats);
+    EXPECT_TRUE(test::stats_match(serial.launch.stats, par.launch.stats,
+                                  StatsLevel::Schedule));
   }
 }
 
@@ -131,7 +101,8 @@ TEST(ParallelDeterminism, GeneralConvMatchesSerial) {
     const auto par = run_general(t);
     ASSERT_TRUE(par.output_valid);
     expect_bytes_equal(serial.output.flat(), par.output.flat());
-    expect_scheduling_invariant_stats(serial.launch.stats, par.launch.stats);
+    EXPECT_TRUE(test::stats_match(serial.launch.stats, par.launch.stats,
+                                  StatsLevel::Schedule));
   }
 }
 
@@ -145,7 +116,8 @@ TEST(ParallelDeterminism, GemmMatchesSerial) {
     EXPECT_EQ(std::memcmp(serial.c.data.data(), par.c.data.data(),
                           serial.c.data.size() * sizeof(float)),
               0);
-    expect_scheduling_invariant_stats(serial.launch.stats, par.launch.stats);
+    EXPECT_TRUE(test::stats_match(serial.launch.stats, par.launch.stats,
+                                  StatsLevel::Schedule));
   }
 }
 
@@ -156,7 +128,8 @@ TEST(ParallelDeterminism, FixedThreadCountIsExactlyReproducible) {
     const auto r1 = run_general(t);
     const auto r2 = run_general(t);
     expect_bytes_equal(r1.output.flat(), r2.output.flat());
-    expect_all_stats_equal(r1.launch.stats, r2.launch.stats);
+    EXPECT_TRUE(test::stats_match(r1.launch.stats, r2.launch.stats,
+                                  StatsLevel::Exact));
   }
 }
 
@@ -166,7 +139,8 @@ TEST(ParallelDeterminism, ThreadsZeroMeansHardwareConcurrency) {
   const auto par = run_special(0);
   ASSERT_TRUE(par.output_valid);
   expect_bytes_equal(serial.output.flat(), par.output.flat());
-  expect_scheduling_invariant_stats(serial.launch.stats, par.launch.stats);
+  EXPECT_TRUE(test::stats_match(serial.launch.stats, par.launch.stats,
+                                StatsLevel::Schedule));
 }
 
 TEST(ParallelDeterminism, SampledLaunchMatchesSerial) {
@@ -189,7 +163,8 @@ TEST(ParallelDeterminism, SampledLaunchMatchesSerial) {
   for (const u32 t : {2u, 4u}) {
     const auto par = run_at(t);
     EXPECT_TRUE(par.launch.sampled);
-    expect_scheduling_invariant_stats(serial.launch.stats, par.launch.stats);
+    EXPECT_TRUE(test::stats_match(serial.launch.stats, par.launch.stats,
+                                  StatsLevel::Schedule));
   }
 }
 
@@ -210,7 +185,8 @@ TEST(ParallelDeterminism, ConvApiForwardsThreadCount) {
   const auto par = run_at(4);
   ASSERT_TRUE(par.output_valid);
   expect_bytes_equal(serial.output.flat(), par.output.flat());
-  expect_scheduling_invariant_stats(serial.launch.stats, par.launch.stats);
+  EXPECT_TRUE(test::stats_match(serial.launch.stats, par.launch.stats,
+                                StatsLevel::Schedule));
 }
 
 TEST(ParallelDeterminism, SpecialAutotuneRankingThreadCountInvariant) {

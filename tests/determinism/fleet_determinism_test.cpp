@@ -22,31 +22,10 @@
 #include "src/common/rng.hpp"
 #include "src/core/conv_api.hpp"
 #include "src/sim/device.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv {
 namespace {
-
-void expect_scheduling_invariant_stats(const sim::KernelStats& a,
-                                       const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
 
 void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
   ASSERT_EQ(a.size(), b.size());
@@ -113,8 +92,8 @@ TEST(FleetDeterminism, GeneralConvMatchesSingleDeviceEverywhere) {
           EXPECT_TRUE(r.launch.fleet.enabled);
           EXPECT_EQ(r.launch.fleet.devices, d);
           expect_bytes_equal(base.output.flat(), r.output.flat());
-          expect_scheduling_invariant_stats(base.launch.stats,
-                                            r.launch.stats);
+          EXPECT_TRUE(test::stats_match(base.launch.stats, r.launch.stats,
+                                        StatsLevel::Schedule));
         }
       }
     }
@@ -136,8 +115,8 @@ TEST(FleetDeterminism, SpecialConvMatchesSingleDeviceEverywhere) {
           const auto r = run_special({d, s, threads, replay});
           ASSERT_TRUE(r.output_valid);
           expect_bytes_equal(base.output.flat(), r.output.flat());
-          expect_scheduling_invariant_stats(base.launch.stats,
-                                            r.launch.stats);
+          EXPECT_TRUE(test::stats_match(base.launch.stats, r.launch.stats,
+                                        StatsLevel::Schedule));
         }
       }
     }
@@ -160,8 +139,10 @@ TEST(FleetDeterminism, SpatialHaloCarriesRealBytesAndStaysExact) {
   EXPECT_EQ(four.launch.fleet.d2d_bytes, 3u * 640u);
   expect_bytes_equal(base.output.flat(), two.output.flat());
   expect_bytes_equal(base.output.flat(), four.output.flat());
-  expect_scheduling_invariant_stats(base.launch.stats, two.launch.stats);
-  expect_scheduling_invariant_stats(base.launch.stats, four.launch.stats);
+  EXPECT_TRUE(test::stats_match(base.launch.stats, two.launch.stats,
+                                StatsLevel::Schedule));
+  EXPECT_TRUE(test::stats_match(base.launch.stats, four.launch.stats,
+                                StatsLevel::Schedule));
 
   // More devices -> more cuts -> more exchange traffic, never less.
   EXPECT_GT(four.launch.fleet.d2d_bytes, two.launch.fleet.d2d_bytes);
@@ -172,12 +153,10 @@ TEST(FleetDeterminism, FixedPartitionIsExactlyReproducible) {
   const auto a = run_general(mode);
   const auto b = run_general(mode);
   expect_bytes_equal(a.output.flat(), b.output.flat());
-  expect_scheduling_invariant_stats(a.launch.stats, b.launch.stats);
   // Cache-warmth counters and modeled ledgers included: the partition is
   // a pure function of (grid, devices, strategy).
-  EXPECT_EQ(a.launch.stats.gm_sectors_dram, b.launch.stats.gm_sectors_dram);
-  EXPECT_EQ(a.launch.stats.const_line_misses,
-            b.launch.stats.const_line_misses);
+  EXPECT_TRUE(
+      test::stats_match(a.launch.stats, b.launch.stats, StatsLevel::Exact));
   EXPECT_EQ(a.launch.fleet.h2d_bytes, b.launch.fleet.h2d_bytes);
   EXPECT_EQ(a.launch.fleet.d2h_bytes, b.launch.fleet.d2h_bytes);
   EXPECT_EQ(a.launch.fleet.d2d_bytes, b.launch.fleet.d2d_bytes);

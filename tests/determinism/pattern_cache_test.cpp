@@ -27,6 +27,7 @@
 #include "src/sim/device.hpp"
 #include "src/sim/launch.hpp"
 #include "src/sim/pattern_cache.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv {
 namespace {
@@ -201,30 +202,6 @@ kernels::KernelRun run_general(bool pattern_cache, u32 num_threads,
   return kernels::general_conv(dev, img, flt, cfg, opt);
 }
 
-void expect_all_counters_equal(const sim::KernelStats& a,
-                               const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_sectors_dram, b.gm_sectors_dram);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.const_line_misses, b.const_line_misses);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
-
 TEST(PatternCacheLaunch, CacheOnOffIdenticalAcrossLaunchModes) {
   struct ModeCase {
     const char* name;
@@ -247,7 +224,8 @@ TEST(PatternCacheLaunch, CacheOnOffIdenticalAcrossLaunchModes) {
     ASSERT_EQ(fa.size(), fb.size());
     EXPECT_EQ(std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(float)),
               0);
-    expect_all_counters_equal(off.launch.stats, on.launch.stats);
+    EXPECT_TRUE(test::stats_match(off.launch.stats, on.launch.stats,
+                                  StatsLevel::Exact));
     EXPECT_EQ(off.launch.stats.pattern_lookups, 0u);
     EXPECT_GT(on.launch.stats.pattern_lookups, 0u);
     EXPECT_GT(on.launch.stats.pattern_hits, 0u);

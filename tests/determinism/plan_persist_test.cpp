@@ -34,6 +34,7 @@
 #include "src/sim/device.hpp"
 #include "src/sim/launch.hpp"
 #include "src/sim/plan_cache.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv {
 namespace {
@@ -53,27 +54,7 @@ std::string fresh_dir(const std::string& name) {
 /// cache — by design), as is blocks_replayed.
 void expect_invariant_stats(const sim::KernelStats& a,
                             const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.smem_lane_bytes, b.smem_lane_bytes);
-  EXPECT_EQ(a.smem_store_instrs, b.smem_store_instrs);
-  EXPECT_EQ(a.smem_store_request_cycles, b.smem_store_request_cycles);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
+  EXPECT_TRUE(test::stats_match(a, b, StatsLevel::Schedule));
 }
 
 void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
@@ -282,19 +263,8 @@ TEST(PlanPersist, AnalyticPhaseSumsStillMatchLaunchTotals) {
 
   EXPECT_TRUE(ana.launch.plan_cache_hit);
   ASSERT_TRUE(ana.launch.profile.enabled);
-  const sim::KernelStats& s = ana.launch.stats;
-  u64 fma = 0, smem_cycles = 0, gm_sectors = 0, barriers = 0;
-  for (u32 i = 0; i < profile::kNumPhases; ++i) {
-    const profile::PhaseStats& p = ana.launch.profile.phases.p[i];
-    fma += p.fma_lane_ops;
-    smem_cycles += p.smem_request_cycles;
-    gm_sectors += p.gm_sectors;
-    barriers += p.barriers;
-  }
-  EXPECT_EQ(fma, s.fma_lane_ops);
-  EXPECT_EQ(smem_cycles, s.smem_request_cycles);
-  EXPECT_EQ(gm_sectors, s.gm_sectors);
-  EXPECT_EQ(barriers, s.barriers);
+  EXPECT_TRUE(
+      test::sums_match(ana.launch.profile.phases.total(), ana.launch.stats));
 }
 
 TEST(PlanPersist, DamagedStoreFallsBackAndHeals) {

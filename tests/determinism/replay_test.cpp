@@ -27,34 +27,10 @@
 #include "src/kernels/special_conv.hpp"
 #include "src/sim/device.hpp"
 #include "src/sim/launch.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv {
 namespace {
-
-/// Counters that must match the direct path bit for bit under replay.
-/// Excludes gm_sectors_dram and const_line_misses, which depend on cache
-/// warmth and are only compared on serial timing launches (see below).
-void expect_scheduling_invariant_stats(const sim::KernelStats& a,
-                                       const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
 
 void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
   ASSERT_EQ(a.size(), b.size());
@@ -153,8 +129,8 @@ void check_replay_matches_direct(Runner run) {
     const auto replayed = run({.replay = true, .num_threads = t});
     ASSERT_TRUE(replayed.output_valid);
     expect_bytes_equal(direct.output.flat(), replayed.output.flat());
-    expect_scheduling_invariant_stats(direct.launch.stats,
-                                      replayed.launch.stats);
+    EXPECT_TRUE(test::stats_match(direct.launch.stats, replayed.launch.stats,
+                                  StatsLevel::Schedule));
     EXPECT_GT(replayed.launch.blocks_replayed, 0u);
     EXPECT_LT(replayed.launch.blocks_replayed,
               replayed.launch.blocks_executed);
@@ -185,12 +161,8 @@ TEST(TraceReplay, SerialTimingLaunchMatchesCacheCountersExactly) {
       run_general({.replay = false, .trace = sim::TraceLevel::Timing});
   const auto replayed =
       run_general({.replay = true, .trace = sim::TraceLevel::Timing});
-  expect_scheduling_invariant_stats(direct.launch.stats,
-                                    replayed.launch.stats);
-  EXPECT_EQ(direct.launch.stats.gm_sectors_dram,
-            replayed.launch.stats.gm_sectors_dram);
-  EXPECT_EQ(direct.launch.stats.const_line_misses,
-            replayed.launch.stats.const_line_misses);
+  EXPECT_TRUE(test::stats_match(direct.launch.stats, replayed.launch.stats,
+                                StatsLevel::Exact));
   expect_bytes_equal(direct.output.flat(), replayed.output.flat());
   EXPECT_GT(replayed.launch.blocks_replayed, 0u);
 }

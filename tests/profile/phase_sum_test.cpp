@@ -11,6 +11,7 @@
 #include "src/kernels/general_conv.hpp"
 #include "src/kernels/special_conv.hpp"
 #include "src/tensor/tensor.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv::profile {
 namespace {
@@ -26,57 +27,6 @@ constexpr ModeCase kModes[] = {
     {"parallel", 3, false},
     {"replay", 1, true},
 };
-
-/// Every PhaseStats field with a KernelStats counterpart must sum exactly
-/// to it (smem_store_lane_bytes is profile-only and has none).
-void expect_sums_to_launch_totals(const PhaseProfile& phases,
-                                  const sim::KernelStats& s) {
-  EXPECT_EQ(phases.total(&PhaseStats::fma_lane_ops), s.fma_lane_ops);
-  EXPECT_EQ(phases.total(&PhaseStats::alu_lane_ops), s.alu_lane_ops);
-  EXPECT_EQ(phases.total(&PhaseStats::smem_instrs), s.smem_instrs);
-  EXPECT_EQ(phases.total(&PhaseStats::smem_request_cycles),
-            s.smem_request_cycles);
-  EXPECT_EQ(phases.total(&PhaseStats::smem_bytes), s.smem_bytes);
-  EXPECT_EQ(phases.total(&PhaseStats::smem_lane_bytes), s.smem_lane_bytes);
-  EXPECT_EQ(phases.total(&PhaseStats::smem_store_instrs), s.smem_store_instrs);
-  EXPECT_EQ(phases.total(&PhaseStats::smem_store_request_cycles),
-            s.smem_store_request_cycles);
-  EXPECT_EQ(phases.total(&PhaseStats::gm_instrs), s.gm_instrs);
-  EXPECT_EQ(phases.total(&PhaseStats::gm_sectors), s.gm_sectors);
-  EXPECT_EQ(phases.total(&PhaseStats::gm_sectors_dram), s.gm_sectors_dram);
-  EXPECT_EQ(phases.total(&PhaseStats::gm_bytes_useful), s.gm_bytes_useful);
-  EXPECT_EQ(phases.total(&PhaseStats::const_instrs), s.const_instrs);
-  EXPECT_EQ(phases.total(&PhaseStats::const_requests), s.const_requests);
-  EXPECT_EQ(phases.total(&PhaseStats::const_line_misses), s.const_line_misses);
-  EXPECT_EQ(phases.total(&PhaseStats::barriers), s.barriers);
-  EXPECT_EQ(phases.total(&PhaseStats::pattern_lookups), s.pattern_lookups);
-  EXPECT_EQ(phases.total(&PhaseStats::pattern_hits), s.pattern_hits);
-}
-
-/// Cross-mode / cross-thread-count comparison. Mirrors the determinism
-/// suite's contract: the cache-warmth counters (gm_sectors_dram,
-/// const_line_misses) and the pattern-cache counters depend on the chunk
-/// partition (one L2 shadow / pattern cache per chunk) and on how much
-/// work replay fast-forwards, so they are excluded here — the sum tests
-/// above already pin them against each run's own launch totals.
-void expect_same_deterministic_phase_stats(const PhaseStats& a,
-                                           const PhaseStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.smem_lane_bytes, b.smem_lane_bytes);
-  EXPECT_EQ(a.smem_store_instrs, b.smem_store_instrs);
-  EXPECT_EQ(a.smem_store_request_cycles, b.smem_store_request_cycles);
-  EXPECT_EQ(a.smem_store_lane_bytes, b.smem_store_lane_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-}
 
 kernels::KernelRun run_special(const ModeCase& m, u64 timeline_blocks = 8) {
   Rng rng(7);
@@ -112,7 +62,8 @@ TEST(PhaseSum, SpecialConvPhaseDeltasSumToLaunchTotals) {
     SCOPED_TRACE(m.name);
     const auto run = run_special(m);
     ASSERT_TRUE(run.launch.profile.enabled);
-    expect_sums_to_launch_totals(run.launch.profile.phases, run.launch.stats);
+    EXPECT_TRUE(test::sums_match(run.launch.profile.phases.total(),
+                                 run.launch.stats));
     // The annotated kernel leaves nothing in the default bucket: every
     // access and op lands in a named phase.
     EXPECT_TRUE(run.launch.profile.phases.at(Phase::Other).empty());
@@ -133,7 +84,8 @@ TEST(PhaseSum, GeneralConvPhaseDeltasSumToLaunchTotals) {
     SCOPED_TRACE(m.name);
     const auto run = run_general(m);
     ASSERT_TRUE(run.launch.profile.enabled);
-    expect_sums_to_launch_totals(run.launch.profile.phases, run.launch.stats);
+    EXPECT_TRUE(test::sums_match(run.launch.profile.phases.total(),
+                                 run.launch.stats));
     EXPECT_TRUE(run.launch.profile.phases.at(Phase::Other).empty());
     // The general kernel prefetches (double buffering on by default), so
     // the prefetch phase carries real GM traffic.
@@ -152,8 +104,9 @@ TEST(PhaseSum, PhaseRollupIdenticalAcrossLaunchModes) {
     const auto other = run_special(kModes[i]);
     for (u32 p = 0; p < kNumPhases; ++p) {
       SCOPED_TRACE(phase_name(static_cast<Phase>(p)));
-      expect_same_deterministic_phase_stats(serial.launch.profile.phases.p[p],
-                              other.launch.profile.phases.p[p]);
+      EXPECT_TRUE(test::stats_match(serial.launch.profile.phases.p[p],
+                                    other.launch.profile.phases.p[p],
+                                    StatsLevel::Schedule));
     }
   }
 }
@@ -164,8 +117,9 @@ TEST(PhaseSum, PhaseRollupThreadCountInvariant) {
     SCOPED_TRACE(threads);
     const auto many = run_special({"tN", threads, false});
     for (u32 p = 0; p < kNumPhases; ++p) {
-      expect_same_deterministic_phase_stats(one.launch.profile.phases.p[p],
-                              many.launch.profile.phases.p[p]);
+      EXPECT_TRUE(test::stats_match(one.launch.profile.phases.p[p],
+                                    many.launch.profile.phases.p[p],
+                                    StatsLevel::Schedule));
     }
     // Timeline selection is by GLOBAL launch index, so the recorded set
     // doesn't depend on how blocks were sharded across host threads.
@@ -198,16 +152,7 @@ TEST(PhaseSum, TimelineSlicesSumToLaunchTotalsWhenAllBlocksRecorded) {
   PhaseStats sum;
   for (const auto& tl : run.launch.profile.timelines)
     for (const PhaseSlice& sl : tl.slices) sum += sl.stats;
-  const sim::KernelStats& s = run.launch.stats;
-  EXPECT_EQ(sum.fma_lane_ops, s.fma_lane_ops);
-  EXPECT_EQ(sum.smem_instrs, s.smem_instrs);
-  EXPECT_EQ(sum.smem_request_cycles, s.smem_request_cycles);
-  EXPECT_EQ(sum.smem_store_instrs, s.smem_store_instrs);
-  EXPECT_EQ(sum.gm_instrs, s.gm_instrs);
-  EXPECT_EQ(sum.gm_sectors, s.gm_sectors);
-  EXPECT_EQ(sum.gm_bytes_useful, s.gm_bytes_useful);
-  EXPECT_EQ(sum.const_instrs, s.const_instrs);
-  EXPECT_EQ(sum.barriers, s.barriers);
+  EXPECT_TRUE(test::sums_match(sum, run.launch.stats));
 }
 
 TEST(PhaseSum, ReplayedBlocksRecordNoTimeline) {

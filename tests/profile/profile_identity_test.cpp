@@ -8,34 +8,10 @@
 #include "src/kernels/implicit_gemm_conv.hpp"
 #include "src/kernels/special_conv.hpp"
 #include "src/tensor/tensor.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv::profile {
 namespace {
-
-void expect_same_stats(const sim::KernelStats& a, const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.smem_lane_bytes, b.smem_lane_bytes);
-  EXPECT_EQ(a.smem_store_instrs, b.smem_store_instrs);
-  EXPECT_EQ(a.smem_store_request_cycles, b.smem_store_request_cycles);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_sectors_dram, b.gm_sectors_dram);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.const_line_misses, b.const_line_misses);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
 
 void expect_same_output(const tensor::Tensor& a, const tensor::Tensor& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -77,7 +53,8 @@ TEST(ProfileIdentity, SpecialConvBitIdenticalWithProfilingOn) {
     on.profile = true;
     const auto profiled = kernels::special_conv(dev, img, flt, {}, on);
 
-    expect_same_stats(base.launch.stats, profiled.launch.stats);
+    EXPECT_TRUE(test::stats_match(base.launch.stats, profiled.launch.stats,
+                                  StatsLevel::Exact));
     EXPECT_DOUBLE_EQ(base.launch.timing.total_cycles,
                      profiled.launch.timing.total_cycles);
     ASSERT_TRUE(base.output_valid);
@@ -111,7 +88,8 @@ TEST(ProfileIdentity, GeneralConvBitIdenticalWithProfilingOn) {
     on.profile = true;
     const auto profiled = kernels::general_conv(dev, img, flt, {}, on);
 
-    expect_same_stats(base.launch.stats, profiled.launch.stats);
+    EXPECT_TRUE(test::stats_match(base.launch.stats, profiled.launch.stats,
+                                  StatsLevel::Exact));
     ASSERT_TRUE(base.output_valid);
     ASSERT_TRUE(profiled.output_valid);
     expect_same_output(base.output, profiled.output);
@@ -138,7 +116,8 @@ TEST(ProfileIdentity, ImplicitGemmBitIdenticalWithProfilingOn) {
     on.profile = true;
     const auto profiled = kernels::implicit_gemm_conv(dev, img, flt, {}, on);
 
-    expect_same_stats(base.launch.stats, profiled.launch.stats);
+    EXPECT_TRUE(test::stats_match(base.launch.stats, profiled.launch.stats,
+                                  StatsLevel::Exact));
     ASSERT_TRUE(base.output_valid);
     ASSERT_TRUE(profiled.output_valid);
     expect_same_output(base.output, profiled.output);
