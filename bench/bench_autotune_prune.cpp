@@ -32,9 +32,8 @@ struct Shape {
 struct Sweep {
   i64 evaluated = 0;
   i64 pruned = 0;
-  double gflops = 0.0;
   double seconds = 0.0;
-  kernels::GeneralConvConfig config;
+  core::ScoredGeneralConfig best;
 };
 
 Sweep run_sweep(const Shape& s, bool static_prune) {
@@ -50,22 +49,14 @@ Sweep run_sweep(const Shape& s, bool static_prune) {
           .count();
   out.evaluated = res.evaluated;
   out.pruned = res.pruned;
-  out.gflops = res.best.gflops;
-  out.config = res.best.config;
+  out.best = res.best;
   return out;
-}
-
-bool same_config(const kernels::GeneralConvConfig& a,
-                 const kernels::GeneralConvConfig& b) {
-  return a.block_w == b.block_w && a.block_h == b.block_h && a.ftb == b.ftb &&
-         a.wt == b.wt && a.ft == b.ft && a.csh == b.csh;
 }
 
 void report(const Shape& s, bool first) {
   const Sweep full = run_sweep(s, false);
   const Sweep pruned = run_sweep(s, true);
-  const bool agree =
-      same_config(full.config, pruned.config) && full.gflops == pruned.gflops;
+  const bool agree = full.best == pruned.best;
   std::printf(
       "%s    {\"name\": \"%s\", \"c\": %lld, \"f\": %lld, \"k\": %lld, "
       "\"n\": %lld,\n"
@@ -80,7 +71,7 @@ void report(const Shape& s, bool first) {
       static_cast<long long>(s.n), static_cast<long long>(full.evaluated),
       static_cast<long long>(pruned.evaluated),
       static_cast<long long>(pruned.pruned), full.seconds, pruned.seconds,
-      pruned.gflops,
+      pruned.best.gflops,
       static_cast<double>(full.evaluated) /
           static_cast<double>(pruned.evaluated),
       agree ? 1.0 : 0.0);

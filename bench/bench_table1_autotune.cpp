@@ -46,10 +46,7 @@ int main() {
     // a small GF gap is the expected outcome.
     const auto paper = kernels::table1_config(k);
     for (std::size_t i = 0; i < res.ranking.size(); ++i) {
-      const auto& c = res.ranking[i].config;
-      if (c.block_w == paper.block_w && c.block_h == paper.block_h &&
-          c.ftb == paper.ftb && c.wt == paper.wt && c.ft == paper.ft &&
-          c.csh == paper.csh) {
+      if (res.ranking[i].config == paper) {
         std::printf("  paper's config ranks #%zu of %lld in the model "
                     "(%.1f GF, %.1f%% off model-best)\n",
                     i + 1, static_cast<long long>(res.evaluated),

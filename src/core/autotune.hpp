@@ -6,7 +6,8 @@
 // legal configuration on a sampled proxy problem, and reporting the
 // fastest. Illegal combinations (divisibility, register/shared-memory
 // capacity) are skipped, mirroring what a real DSE over launchable kernels
-// does. The special-case {W, H} sweep works the same way.
+// does. The special-case {W, H} sweep runs through the same sweep; only the
+// candidate space and the kernel calls differ.
 #pragma once
 
 #include <vector>
@@ -28,15 +29,21 @@ struct GeneralSpace {
   std::vector<i64> csh = {1, 2};
 };
 
-struct ScoredGeneralConfig {
-  kernels::GeneralConvConfig config;
+/// One scored candidate of either kernel's sweep.
+template <typename Config>
+struct ScoredConfig {
+  Config config;
   double gflops = 0.0;
+
+  bool operator==(const ScoredConfig&) const = default;
 };
 
-struct GeneralAutotuneResult {
-  ScoredGeneralConfig best;
+/// The outcome of one design-space sweep, for either kernel.
+template <typename Config>
+struct AutotuneResult {
+  ScoredConfig<Config> best;
   /// Every evaluated configuration, best first.
-  std::vector<ScoredGeneralConfig> ranking;
+  std::vector<ScoredConfig<Config>> ranking;
   i64 evaluated = 0;
   i64 skipped = 0;  // illegal configurations rejected by the kernel
   /// Legal configurations the kconv-xray pre-pass (static_prune) ranked
@@ -44,9 +51,17 @@ struct GeneralAutotuneResult {
   i64 pruned = 0;
   /// The full ranking was served from a persisted plan store; no candidate
   /// was simulated. Scores are bit-identical to the cold sweep that wrote
-  /// the entry (same arch, proxy, space, sampling and probe mode).
+  /// the entry (same arch, proxy, space, sampling and probe mode). A stored
+  /// ranking is served only when it is a sorted, finite-scored ranking of
+  /// distinct legal members of the requested space whose counts add up to
+  /// the space size; anything else is re-swept and overwritten.
   bool from_plan_cache = false;
 };
+
+using ScoredGeneralConfig = ScoredConfig<kernels::GeneralConvConfig>;
+using GeneralAutotuneResult = AutotuneResult<kernels::GeneralConvConfig>;
+using ScoredSpecialConfig = ScoredConfig<kernels::SpecialConvConfig>;
+using SpecialAutotuneResult = AutotuneResult<kernels::SpecialConvConfig>;
 
 /// Sweeps the general-case kernel on a proxy problem with the given K.
 /// `c`/`f`/`n` define the proxy (modest sizes keep the sweep fast; the
@@ -89,24 +104,9 @@ struct SpecialSpace {
   std::vector<i64> block_h = {2, 4, 8, 16};
 };
 
-struct ScoredSpecialConfig {
-  kernels::SpecialConvConfig config;
-  double gflops = 0.0;
-};
-
-struct SpecialAutotuneResult {
-  ScoredSpecialConfig best;
-  std::vector<ScoredSpecialConfig> ranking;
-  i64 evaluated = 0;
-  i64 skipped = 0;
-  /// Legal configurations the kconv-xray pre-pass ranked out (§10).
-  i64 pruned = 0;
-  bool from_plan_cache = false;
-};
-
-/// Sweeps the special-case kernel's {W, H} (paper: best is 256 x 8).
-/// Parallel evaluation, persistence, analytic-probe and static_prune
-/// semantics match `autotune_general`.
+/// Sweeps the special-case kernel's {W, H} (paper: best is 256 x 8) through
+/// the same sweep as `autotune_general`: parallel evaluation, persistence,
+/// analytic probes and static_prune behave identically.
 SpecialAutotuneResult autotune_special(sim::Device& dev, i64 k, i64 f, i64 n,
                                        const SpecialSpace& space = {},
                                        u64 sample_blocks = 4,

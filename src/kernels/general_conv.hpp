@@ -44,6 +44,8 @@ struct GeneralConvConfig {
   bool pad_filters = true;
   /// Double-buffer GM loads through registers (ablation A1).
   bool prefetch = true;
+
+  bool operator==(const GeneralConvConfig&) const = default;
 };
 
 /// The paper's Table 1: best configuration per filter size on Kepler K40m.

@@ -35,6 +35,8 @@ struct SpecialConvConfig {
   /// Computation data width in floats per thread unit; 0 = match the
   /// architecture's bank width (the paper's Eq. 1), 1 = unmatched ablation.
   i64 vec_width = 0;
+
+  bool operator==(const SpecialConvConfig&) const = default;
 };
 
 /// Maximum filter size the register window supports (paper evaluates up to

@@ -25,35 +25,6 @@ namespace {
 /// replay fast-forwards every block with identical outputs and counters.
 constexpr u64 kTapeSidecarMinBlocks = 16;
 
-/// The set of blocks a launch executes: either the whole grid or a
-/// deterministic, evenly spaced sample. Ids are computed on the fly — a
-/// full-grid launch never materializes the (possibly multi-million-entry)
-/// id list.
-struct BlockSet {
-  u64 count = 0;
-  bool sampled = false;
-  double stride = 1.0;
-
-  static BlockSet pick(u64 blocks_total, u64 sample_max_blocks) {
-    BlockSet set;
-    if (sample_max_blocks > 0 && sample_max_blocks < blocks_total) {
-      set.sampled = true;
-      set.count = sample_max_blocks;
-      // Deterministic even spacing, offset to avoid always hitting border
-      // blocks (block 0 often touches image edges and is atypical).
-      set.stride = static_cast<double>(blocks_total) / sample_max_blocks;
-    } else {
-      set.count = blocks_total;
-    }
-    return set;
-  }
-
-  u64 flat_id(u64 i) const {
-    if (!sampled) return i;
-    return static_cast<u64>((static_cast<double>(i) + 0.5) * stride);
-  }
-};
-
 Dim3 unflatten(const Dim3& grid, u64 flat) {
   return Dim3{static_cast<u32>(flat % grid.x),
               static_cast<u32>((flat / grid.x) % grid.y),
