@@ -340,10 +340,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     serve::Network net;
+    std::string why;
     try {
       net = serve::make_network(network);
+      // Refuse shard axes a conv layer's kernel does not declare before
+      // any request runs, like the validate() conflicts above.
+      why = serve::shard_error(arch, net.graph, opt.launch.fleet);
     } catch (const Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
+      why = e.what();
+    }
+    if (!why.empty()) {
+      std::fprintf(stderr, "error: %s\n", why.c_str());
       return 2;
     }
     // Fail fast on an unusable telemetry directory, mirroring the
@@ -632,6 +639,14 @@ int main(int argc, char** argv) {
   flt.fill_random(rng);
 
   try {
+    // Shard axes the kernel does not declare are a usage error (exit 2),
+    // like the validate() conflicts above.
+    if (const std::string why =
+            core::conv2d_shard_error(arch, c, f, k, n, n, opt);
+        !why.empty()) {
+      std::fprintf(stderr, "error: %s\n", why.c_str());
+      return 2;
+    }
     sim::Device dev(arch);
     const auto res = core::conv2d(dev, img, flt, opt);
 

@@ -219,30 +219,4 @@ std::string format_static(const StaticReport& rep);
 /// same embedding convention as analysis::to_json.
 std::string to_json(const StaticReport& rep, int indent = 0);
 
-/// Models the Device allocator so describers can place buffers at the exact
-/// flat addresses a real run would see (GM sector splits depend on base
-/// alignment). Mirrors sim::Device: monotonic bump from 0x1000 with
-/// 256-byte-aligned successors; constant space is a separate instance.
-class AddressSpace {
- public:
-  u64 alloc_bytes(u64 bytes) {
-    const u64 base = next_;
-    next_ = static_cast<u64>(round_up(static_cast<i64>(base + bytes), 256));
-    return base;
-  }
-  u64 alloc_floats(i64 count) {
-    return alloc_bytes(static_cast<u64>(count) * sizeof(float));
-  }
-  /// A DevicePlanes<float> allocation: returns the base address and writes
-  /// the row pitch (elements) — pitch rows padded to 16B, plus the 16-float
-  /// over-read slack.
-  u64 alloc_planes(i64 planes, i64 h, i64 w, i64& pitch_out) {
-    pitch_out = round_up(w, 4);
-    return alloc_floats(planes * h * pitch_out + 16);
-  }
-
- private:
-  u64 next_ = 0x1000;
-};
-
 }  // namespace kconv::xray

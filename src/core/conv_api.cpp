@@ -34,42 +34,113 @@ double conv_flops(i64 c, i64 f, i64 k, i64 ho, i64 wo) {
 
 namespace {
 
-/// A general-case launch plan for arbitrary C and F: a tiling satisfying
-/// the kernel's divisibility rules, plus the filter-count padding needed
-/// when F doesn't divide into any legal FTB (extra filters are zeros and
-/// their output planes are dropped — the standard trick for ragged F).
-struct GeneralPlan {
-  kernels::GeneralConvConfig cfg;
+/// conv2d's algorithm and kernel configuration for one problem, resolved
+/// once for the launch, the shard-axis check and the xray model.
+struct Resolved {
+  Algo algo = Algo::Auto;
+  i64 hi = 0, wi = 0;  ///< the kernel's input extents, after `same` padding
+  kernels::SpecialConvConfig special;
+  /// A general-case tiling satisfying the kernel's divisibility rules for
+  /// arbitrary C and F, plus the filter-count padding needed when F doesn't
+  /// divide into any legal FTB (extra filters are zeros and their output
+  /// planes are dropped — the standard trick for ragged F).
+  kernels::GeneralConvConfig general;
   i64 f_padded = 0;
+  kernels::ImplicitGemmConfig implicit;
 };
 
-GeneralPlan plan_general(i64 k, i64 c, i64 f) {
-  GeneralPlan plan;
-  plan.cfg = (k == 3 || k == 5 || k == 7) ? kernels::table1_config(k)
-                                          : kernels::table1_config(3);
-  kernels::GeneralConvConfig& cfg = plan.cfg;
-  // FTB never shrinks below 4 so FT stays a multiple of the matched width.
-  while (cfg.ftb > 4 && f % cfg.ftb != 0) cfg.ftb /= 2;
-  if (cfg.ft > cfg.ftb) cfg.ft = cfg.ftb;
-  while (cfg.csh > 1 && c % cfg.csh != 0) cfg.csh /= 2;
+Resolved resolve(i64 c, i64 f, i64 k, i64 hi, i64 wi, const ConvOptions& opt) {
+  Resolved r;
+  if (opt.padding == Padding::Same) {
+    KCONV_CHECK(k % 2 == 1, "`same` padding requires an odd filter size");
+    hi += k - 1;
+    wi += k - 1;
+  }
+  r.hi = hi;
+  r.wi = wi;
+  r.algo = opt.algo;
+  if (r.algo == Algo::Auto) r.algo = c == 1 ? Algo::Special : Algo::General;
+  KCONV_CHECK(opt.fuse_bias_relu.empty() || r.algo == Algo::Special ||
+                  r.algo == Algo::General,
+              strf("fuse_bias_relu is not supported by the '%s' algorithm",
+                   algo_name(r.algo)));
 
-  // Shrinking FTB shrinks the thread block; make sure the cooperative
-  // staging still fits the kernel's per-thread register caps (worst case
-  // n = 1, i.e. the unmatched variant). Smaller WT buys more threads.
-  const auto staging_fits = [&] {
-    const i64 threads =
-        (cfg.ftb / cfg.ft) * (cfg.block_w * cfg.block_h / cfg.wt);
-    if (threads < 1 || threads > 1024) return false;
-    const i64 img_units = ceil_div(
-        cfg.csh * (cfg.block_h + k - 1) * (cfg.block_w + k - 1), threads);
-    const i64 flt_scalars = ceil_div(cfg.csh * k * k * cfg.ftb, threads);
-    return img_units <= 16 && flt_scalars <= 64;
-  };
-  while (!staging_fits() && cfg.wt > 4) cfg.wt /= 2;
-  while (!staging_fits() && cfg.csh > 1) cfg.csh /= 2;
+  if (r.algo == Algo::Special) {
+    KCONV_CHECK(c == 1,
+                "special case requires exactly one input channel (C = 1)");
+    kernels::SpecialConvConfig& cfg = r.special;
+    cfg.vec_width = opt.vec_width;
+    // Shrink the default tile for images narrower than 256 outputs.
+    const i64 wo = tensor::conv_out_extent(wi, k, 0);
+    while (cfg.block_w > 16 && cfg.block_w > wo * 2) cfg.block_w /= 2;
+  } else if (r.algo == Algo::General) {
+    kernels::GeneralConvConfig& cfg = r.general;
+    cfg = (k == 3 || k == 5 || k == 7) ? kernels::table1_config(k)
+                                       : kernels::table1_config(3);
+    cfg.vec_width = opt.vec_width;
+    // FTB never shrinks below 4 so FT stays a multiple of the matched width.
+    while (cfg.ftb > 4 && f % cfg.ftb != 0) cfg.ftb /= 2;
+    if (cfg.ft > cfg.ftb) cfg.ft = cfg.ftb;
+    while (cfg.csh > 1 && c % cfg.csh != 0) cfg.csh /= 2;
 
-  plan.f_padded = round_up(f, cfg.ftb);
-  return plan;
+    // Shrinking FTB shrinks the thread block; make sure the cooperative
+    // staging still fits the kernel's per-thread register caps (worst case
+    // n = 1, i.e. the unmatched variant). Smaller WT buys more threads.
+    const auto staging_fits = [&] {
+      const i64 threads =
+          (cfg.ftb / cfg.ft) * (cfg.block_w * cfg.block_h / cfg.wt);
+      if (threads < 1 || threads > 1024) return false;
+      const i64 img_units = ceil_div(
+          cfg.csh * (cfg.block_h + k - 1) * (cfg.block_w + k - 1), threads);
+      const i64 flt_scalars = ceil_div(cfg.csh * k * k * cfg.ftb, threads);
+      return img_units <= 16 && flt_scalars <= 64;
+    };
+    while (!staging_fits() && cfg.wt > 4) cfg.wt /= 2;
+    while (!staging_fits() && cfg.csh > 1) cfg.csh /= 2;
+    r.f_padded = round_up(f, cfg.ftb);
+  } else if (r.algo == Algo::ImplicitGemm) {
+    r.implicit = kernels::implicit_gemm_auto_config(f, c, k);
+    if (opt.vec_width != 0) r.implicit.vec_width = opt.vec_width;
+  }
+  return r;
+}
+
+/// Why conv2d refuses to shard the launch `r` as `opt.launch.fleet` asks,
+/// read off the kernel plan's fleet hints: algorithms without a plan, or
+/// whose plan declares no shard axes, take no multi-device launch (it would
+/// silently skip the transfer model), and a channel or spatial strategy
+/// needs that axis. "" when the launch may proceed; an illegal plan is
+/// left to the launch, which reports the plan's own error.
+std::string shard_error(const sim::Arch& arch, const Resolved& r, i64 c,
+                        i64 f, i64 k, const ConvOptions& opt) {
+  const sim::FleetOptions& fleet = opt.launch.fleet;
+  if (fleet.devices <= 1) return "";
+  const bool fused = !opt.fuse_bias_relu.empty();
+  kernels::ConvPlan plan;
+  if (r.algo == Algo::Special) {
+    plan = kernels::plan_special(arch, k, f, r.hi, r.wi, r.special, fused);
+  } else if (r.algo == Algo::General) {
+    plan = kernels::plan_general(arch, k, c, r.f_padded, r.hi, r.wi,
+                                 r.general, fused);
+  } else if (r.algo == Algo::ImplicitGemm) {
+    plan = kernels::plan_implicit_gemm(arch, k, c, f, r.hi, r.wi, r.implicit);
+  }
+  if (!plan.error.empty()) return "";
+  if (!plan.fleet.provided) {
+    return strf("multi-device sharding is not supported by the '%s' "
+                "algorithm",
+                algo_name(r.algo));
+  }
+  const i32 axis = fleet.strategy == sim::ShardStrategy::Channel
+                       ? plan.fleet.channel_axis
+                   : fleet.strategy == sim::ShardStrategy::Spatial
+                       ? plan.fleet.spatial_axis
+                       : 0;
+  if (axis < 0) {
+    return strf("the '%s' kernel declares no %s shard axis",
+                algo_name(r.algo), sim::shard_name(fleet.strategy));
+  }
+  return "";
 }
 
 /// Zero-pads an (F, C, K, K) bank to `f_padded` filters.
@@ -219,68 +290,51 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
                    static_cast<long long>(filters.c())));
   KCONV_CHECK(filters.h() == filters.w(), "non-square filters unsupported");
   const i64 k = filters.h();
+  const Resolved r =
+      resolve(input.c(), filters.n(), k, input.h(), input.w(), opt);
+  const std::string why =
+      shard_error(dev.arch(), r, input.c(), filters.n(), k, opt);
+  KCONV_CHECK(why.empty(), why);
 
   tensor::Tensor padded;
   const tensor::Tensor* in = &input;
   if (opt.padding == Padding::Same) {
-    KCONV_CHECK(k % 2 == 1, "`same` padding requires an odd filter size");
     padded = tensor::pad_image(input, (k - 1) / 2);
     in = &padded;
   }
-
-  Algo algo = opt.algo;
-  if (algo == Algo::Auto) {
-    algo = input.c() == 1 ? Algo::Special : Algo::General;
-  }
-  KCONV_CHECK(opt.fuse_bias_relu.empty() || algo == Algo::Special ||
-                  algo == Algo::General,
-              strf("fuse_bias_relu is not supported by the '%s' algorithm",
-                   algo_name(algo)));
-  // Only the paper kernels declare shard-axis hints; sharding the other
-  // algorithms would silently skip the transfer model, so reject instead.
-  KCONV_CHECK(opt.launch.fleet.devices <= 1 || algo == Algo::Special ||
-                  algo == Algo::General,
-              strf("multi-device sharding is not supported by the '%s' "
-                   "algorithm",
-                   algo_name(algo)));
-
-  const i64 ho = tensor::conv_out_extent(in->h(), k, 0);
-  const i64 wo = tensor::conv_out_extent(in->w(), k, 0);
+  const i64 ho = tensor::conv_out_extent(r.hi, k, 0);
+  const i64 wo = tensor::conv_out_extent(r.wi, k, 0);
   const double flops = conv_flops(input.c(), filters.n(), k, ho, wo);
 
   ConvResult res;
-  res.algo_used = algo;
-  switch (algo) {
-    case Algo::Special: {
-      kernels::SpecialConvConfig cfg;
-      cfg.vec_width = opt.vec_width;
-      // Shrink the default tile for images narrower than 256 outputs.
-      while (cfg.block_w > 16 && cfg.block_w > wo * 2) cfg.block_w /= 2;
-      auto run = kernels::special_conv(dev, *in, filters, cfg, opt.launch,
-                                       opt.fuse_bias_relu);
-      res.output = std::move(run.output);
-      res.output_valid = run.output_valid;
-      res.launch = run.launch;
-      res.total_seconds = run.launch.timing.seconds;
+  res.algo_used = r.algo;
+  // A single-kernel algorithm's result: its output, launch and time.
+  const auto take = [&res](kernels::KernelRun run) {
+    res.output = std::move(run.output);
+    res.output_valid = run.output_valid;
+    res.total_seconds = run.launch.timing.seconds;
+    res.launch = std::move(run.launch);
+  };
+  switch (r.algo) {
+    case Algo::Special:
+      take(kernels::special_conv(dev, *in, filters, r.special, opt.launch,
+                                 opt.fuse_bias_relu));
       break;
-    }
     case Algo::General: {
-      auto plan = plan_general(k, input.c(), filters.n());
-      plan.cfg.vec_width = opt.vec_width;
       kernels::KernelRun run;
-      if (plan.f_padded != filters.n()) {
+      if (r.f_padded != filters.n()) {
         const tensor::Tensor padded_bank =
-            pad_filter_bank(filters, plan.f_padded);
+            pad_filter_bank(filters, r.f_padded);
         // Zero-pad the fused bias alongside the zero filters: the padding
         // planes come out as max(0, 0 + 0) = 0 and are trimmed anyway.
         std::vector<float> padded_bias;
         std::span<const float> bias = opt.fuse_bias_relu;
         if (!bias.empty()) {
           padded_bias.assign(bias.begin(), bias.end());
-          padded_bias.resize(static_cast<std::size_t>(plan.f_padded), 0.0f);
+          padded_bias.resize(static_cast<std::size_t>(r.f_padded), 0.0f);
           bias = padded_bias;
         }
-        run = kernels::general_conv(dev, *in, padded_bank, plan.cfg,
+        run = kernels::general_conv(dev, *in, padded_bank, r.general,
                                     opt.launch, bias);
         if (run.output_valid) {
           // Drop the zero-filter planes.
@@ -293,26 +347,16 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
           run.output = std::move(trimmed);
         }
       } else {
-        run = kernels::general_conv(dev, *in, filters, plan.cfg, opt.launch,
-                                    opt.fuse_bias_relu);
+        run = kernels::general_conv(dev, *in, filters, r.general,
+                                    opt.launch, opt.fuse_bias_relu);
       }
-      res.output = std::move(run.output);
-      res.output_valid = run.output_valid;
-      res.launch = run.launch;
-      res.total_seconds = run.launch.timing.seconds;
+      take(std::move(run));
       break;
     }
-    case Algo::ImplicitGemm: {
-      auto cfg = kernels::implicit_gemm_auto_config(filters.n(), input.c(), k);
-      if (opt.vec_width != 0) cfg.vec_width = opt.vec_width;
-      auto run =
-          kernels::implicit_gemm_conv(dev, *in, filters, cfg, opt.launch);
-      res.output = std::move(run.output);
-      res.output_valid = run.output_valid;
-      res.launch = run.launch;
-      res.total_seconds = run.launch.timing.seconds;
+    case Algo::ImplicitGemm:
+      take(kernels::implicit_gemm_conv(dev, *in, filters, r.implicit,
+                                       opt.launch));
       break;
-    }
     case Algo::Im2colGemm: {
       auto run = kernels::im2col_gemm_conv(dev, *in, filters,
                                            kernels::gemm_cublas_like(),
@@ -323,14 +367,9 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
       res.total_seconds = run.seconds();
       break;
     }
-    case Algo::NaiveDirect: {
-      auto run = kernels::naive_conv(dev, *in, filters, {}, opt.launch);
-      res.output = std::move(run.output);
-      res.output_valid = run.output_valid;
-      res.launch = run.launch;
-      res.total_seconds = run.launch.timing.seconds;
+    case Algo::NaiveDirect:
+      take(kernels::naive_conv(dev, *in, filters, {}, opt.launch));
       break;
-    }
     case Algo::Winograd: {
       auto run = kernels::winograd_conv(dev, *in, filters,
                                         kernels::GemmConfig{.bm = 0},
@@ -361,53 +400,33 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
   return res;
 }
 
+std::string conv2d_shard_error(const sim::Arch& arch, i64 c, i64 f, i64 k,
+                               i64 hi, i64 wi, const ConvOptions& opt) {
+  return shard_error(arch, resolve(c, f, k, hi, wi, opt), c, f, k, opt);
+}
+
 xray::KernelModel conv2d_xray_model(const sim::Arch& arch, i64 c, i64 f,
                                     i64 k, i64 hi, i64 wi,
                                     const ConvOptions& opt) {
   KCONV_CHECK(c >= 1 && f >= 1 && k >= 1 && hi >= k && wi >= k,
               "conv2d_xray_model: degenerate problem shape");
-  if (opt.padding == Padding::Same) {
-    KCONV_CHECK(k % 2 == 1, "`same` padding requires an odd filter size");
-    hi += k - 1;
-    wi += k - 1;
-  }
-  Algo algo = opt.algo;
-  if (algo == Algo::Auto) algo = c == 1 ? Algo::Special : Algo::General;
+  const Resolved r = resolve(c, f, k, hi, wi, opt);
   const bool fused = !opt.fuse_bias_relu.empty();
-  KCONV_CHECK(!fused || algo == Algo::Special || algo == Algo::General,
-              strf("fuse_bias_relu is not supported by the '%s' algorithm",
-                   algo_name(algo)));
-  const i64 wo = tensor::conv_out_extent(wi, k, 0);
-
-  if (algo == Algo::Special) {
-    KCONV_CHECK(c == 1, "the special-case kernel requires C == 1");
-    kernels::SpecialConvConfig cfg;
-    cfg.vec_width = opt.vec_width;
-    while (cfg.block_w > 16 && cfg.block_w > wo * 2) cfg.block_w /= 2;
-    const std::string err =
-        kernels::special_conv_check(arch, k, f, hi, wi, cfg);
-    KCONV_CHECK(err.empty(), err);
-    return kernels::special_conv_xray(arch, k, f, hi, wi, cfg, fused);
+  switch (r.algo) {
+    case Algo::Special:
+      return kernels::special_conv_xray(arch, k, f, r.hi, r.wi, r.special,
+                                        fused);
+    case Algo::General:
+      return kernels::general_conv_xray(arch, k, c, r.f_padded, r.hi, r.wi,
+                                        r.general, fused);
+    case Algo::ImplicitGemm:
+      return kernels::implicit_gemm_xray(arch, k, c, f, r.hi, r.wi,
+                                         r.implicit);
+    default:
+      KCONV_CHECK(false, strf("the '%s' algorithm has no kconv-xray describer",
+                              algo_name(r.algo)));
+      __builtin_unreachable();
   }
-  if (algo == Algo::General) {
-    auto plan = plan_general(k, c, f);
-    plan.cfg.vec_width = opt.vec_width;
-    const std::string err = kernels::general_conv_check(arch, k, c,
-                                                        plan.f_padded, hi, wi,
-                                                        plan.cfg);
-    KCONV_CHECK(err.empty(), err);
-    return kernels::general_conv_xray(arch, k, c, plan.f_padded, hi, wi,
-                                      plan.cfg, fused);
-  }
-  KCONV_CHECK(algo == Algo::ImplicitGemm,
-              strf("the '%s' algorithm has no kconv-xray describer",
-                   algo_name(algo)));
-  auto cfg = kernels::implicit_gemm_auto_config(f, c, k);
-  if (opt.vec_width != 0) cfg.vec_width = opt.vec_width;
-  const std::string err =
-      kernels::implicit_gemm_check(arch, k, c, f, hi, wi, cfg);
-  KCONV_CHECK(err.empty(), err);
-  return kernels::implicit_gemm_xray(arch, k, c, f, hi, wi, cfg);
 }
 
 }  // namespace kconv::core

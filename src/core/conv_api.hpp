@@ -81,6 +81,13 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
 /// Useful flops of a valid convolution (2 per MAC).
 double conv_flops(i64 c, i64 f, i64 k, i64 ho, i64 wo);
 
+/// Why conv2d would refuse to shard a (1, C, Hi, Wi) x (F, C, K, K) launch
+/// as `opt.launch.fleet` asks, or "" when it would not: the shard axes come
+/// from the chosen kernel's plan (docs/MODEL.md §9). conv2d throws this
+/// reason before allocating anything; kconv_cli exits 2 with it.
+std::string conv2d_shard_error(const sim::Arch& arch, i64 c, i64 f, i64 k,
+                               i64 hi, i64 wi, const ConvOptions& opt = {});
+
 /// The kconv-xray model (docs/MODEL.md §10) of the exact kernel launch
 /// conv2d would make for a (1, C, Hi, Wi) input and (F, C, K, K) filters:
 /// same algorithm resolution, same `same`-padding staging, same tiling

@@ -1,6 +1,7 @@
-// Device-side implementation of the paper's Algorithm 1, shared between the
-// fp32 special-case kernel (special_conv.cpp) and the short-data-type
-// extension kernels (short_dtype_conv.cpp).
+// Device-side implementation of the paper's Algorithm 1 and its one host
+// runner, shared between the fp32 special-case kernel (special_conv.cpp)
+// and the short-data-type extension kernels (short_dtype_conv.cpp). Both
+// launch a plan from plan_special.
 //
 // Template parameters: T = storage element (float, f16, i8q), N = elements
 // per thread unit (the computation data width the paper matches against the
@@ -16,8 +17,9 @@
 
 #include <algorithm>
 #include <concepts>
+#include <memory>
 
-#include "src/kernels/device_tensor.hpp"
+#include "src/kernels/special_conv.hpp"
 #include "src/sim/sim.hpp"
 
 namespace kconv::kernels::detail {
@@ -26,19 +28,17 @@ namespace kconv::kernels::detail {
 inline constexpr i64 kSpecialKernelMaxK = 7;
 inline constexpr i64 kSpecialKernelMaxWinCols = 24;
 
+/// Algorithm 1 over its plan (`fused`: the write-back applies
+/// max(0, acc + bias[f])); n == N.
 template <typename T, int N>
-class SpecialKernelT {
+class SpecialKernelT : public SpecialPlan {
  public:
+  explicit SpecialKernelT(const SpecialPlan& p) : SpecialPlan(p) {}
+
   PlanesViewT<T> in;           // (1, Hi, Wi)
   PlanesViewT<T> out;          // (F, Ho, Wo)
   sim::ConstView<float> filt;  // F*K*K, filter-major
   sim::ConstView<float> bias;  // F scalars; read only when fused
-  i64 K = 0, F = 0, Ho = 0, Wo = 0;
-  i64 W = 0, H = 0;   // tile extents
-  i64 sh_stride = 0;  // elements of T per SM row slot
-  i64 n_tail = 0;     // threads loading the right halo piece
-  u32 sh_off = 0;
-  bool fused = false;  // write-back applies max(0, acc + bias[f])
 
   /// Block equivalence class for trace replay (docs/MODEL.md §5b). Lane
   /// predicates here are per-thread constants (main_ok / tail_ok /
@@ -48,14 +48,13 @@ class SpecialKernelT {
   /// tail loads of the second-to-last column can clip at the image edge
   /// too, so "last block" alone would not determine the masks.
   u64 replay_class(sim::Dim3 b) const {
-    const i64 nthreads = W / N;
     const auto active = [](i64 base, i64 bound, i64 cap) {
       // Lanes with base + lane*N < bound, lane in [0, cap).
       if (bound <= base) return i64{0};
       return std::min(cap, ceil_div(bound - base, i64{N}));
     };
-    const i64 main_n = active(b.x * W, in.w, nthreads);
-    const i64 tail_n = active(b.x * W + W, in.w, n_tail);
+    const i64 main_n = active(b.x * W, Wi, nthreads);
+    const i64 tail_n = active(b.x * W + W, Wi, n_tail);
     const i64 write_n = active(b.x * W, Wo, nthreads);
     const i64 rows = std::min<i64>(H, Ho - static_cast<i64>(b.y) * H);
     return static_cast<u64>(main_n) | (static_cast<u64>(tail_n) << 16) |
@@ -84,7 +83,6 @@ class SpecialKernelT {
     const i64 tid = t.thread_idx.x;
     const i64 bx = t.block_idx.x;
     const i64 by = t.block_idx.y;
-    const i64 Wi = in.w;
     const i64 row0 = by * H;
     const i64 col0 = bx * W + tid * N;  // leftmost output col of this thread
     const i64 rows = std::min<i64>(H, Ho - row0);
@@ -98,7 +96,6 @@ class SpecialKernelT {
     // Register window: K rows x (K+N-1) pixels (padded to whole N-units) —
     // the vertical data-sharing store of §3.1. Converted to fp32 once, on
     // load, so the compute loop is dtype-agnostic.
-    const i64 wcols = round_up(K + N - 1, N);
     float win[kSpecialKernelMaxK][kSpecialKernelMaxWinCols] = {};
 
     // Algorithm 1, line 1: stage the first K input rows in shared memory.
@@ -132,7 +129,7 @@ class SpecialKernelT {
     {
       sim::ProfilePhase phase(t, profile::Phase::SmemStage);
       for (i64 r = 0; r + 1 < K; ++r) {
-        for (i64 i = 0; i < wcols; i += N) {
+        for (i64 i = 0; i < rows_wcols; i += N) {
           VecN v = co_await t.template ld_shared<VecN>(
               sh, r * sh_stride + tid * N + i);
           for (int j = 0; j < N; ++j) win[r][i + j] = static_cast<float>(v[j]);
@@ -148,7 +145,7 @@ class SpecialKernelT {
       const i64 slot = (rr + K - 1) % K;
       {
         sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-        for (i64 i = 0; i < wcols; i += N) {
+        for (i64 i = 0; i < rows_wcols; i += N) {
           VecN v = co_await t.template ld_shared<VecN>(
               sh, slot * sh_stride + tid * N + i);
           for (int j = 0; j < N; ++j)
@@ -220,10 +217,50 @@ class SpecialKernelT {
 
       // Slide the register window down one row.
       for (i64 r = 0; r + 1 < K; ++r) {
-        for (i64 i = 0; i < wcols; ++i) win[r][i] = win[r + 1][i];
+        for (i64 i = 0; i < rows_wcols; ++i) win[r][i] = win[r + 1][i];
       }
     }
   }
 };
+
+/// The one Algorithm 1 runner behind special_conv (T = float) and
+/// short_dtype_conv: uploads, holds `plan` in the kernel and launches
+/// through launch_plan. `bias` is the fused epilogue's F floats (empty
+/// unless plan.fused); `make_model` is the xray describer, if any.
+template <typename T>
+KernelRun run_special(sim::Device& dev, const SpecialPlan& plan,
+                      const tensor::Tensor& input,
+                      const tensor::Tensor& filters,
+                      const sim::LaunchOptions& opt,
+                      std::span<const float> bias,
+                      const std::function<xray::KernelModel()>& make_model) {
+  const auto run = [&]<int N>() {
+    DevicePlanesT<T> d_in(dev, 1, plan.Hi, plan.Wi);
+    d_in.upload(input);
+    DevicePlanesT<T> d_out(dev, plan.F, plan.Ho, plan.Wo);
+    const auto flat = flatten_filters(filters);
+    auto d_filt = dev.alloc_const<float>(flat);
+    SpecialKernelT<T, N> k(plan);
+    k.in = d_in.view();
+    k.out = d_out.view();
+    k.filt =
+        sim::ConstView<float>(d_filt.get(), 0, static_cast<i64>(flat.size()));
+    // The fused bias rides in constant memory next to the filters: f is
+    // warp-uniform in the write-back, so each read is a broadcast.
+    std::unique_ptr<sim::ConstBuffer> d_bias;
+    if (plan.fused) {
+      d_bias = dev.alloc_const<float>(bias);
+      k.bias = sim::ConstView<float>(d_bias.get(), 0,
+                                     static_cast<i64>(bias.size()));
+    }
+    return launch_plan(dev, k, opt, d_out, make_model);
+  };
+  switch (plan.n) {
+    case 1: return run.template operator()<1>();
+    case 2: return run.template operator()<2>();
+    case 4: return run.template operator()<4>();
+    default: return run.template operator()<8>();
+  }
+}
 
 }  // namespace kconv::kernels::detail

@@ -19,6 +19,14 @@
 
 namespace kconv::kernels {
 
+/// The pitched-image rule, for `elem`-byte storage: rows padded to a
+/// 16-byte-aligned pitch (in elements), plus 64 bytes of slack so edge
+/// threads may over-read within their last vector unit.
+inline i64 plane_pitch(i64 w, i64 elem) { return round_up(w, 16 / elem); }
+inline i64 plane_elems(i64 planes, i64 h, i64 w, i64 elem) {
+  return planes * h * plane_pitch(w, elem) + 64 / elem;
+}
+
 /// Non-owning device-side view: index math only, captured by kernels.
 template <typename T>
 struct PlanesViewT {
@@ -45,11 +53,9 @@ class DevicePlanesT {
   DevicePlanesT(sim::Device& dev, i64 planes, i64 h, i64 w) {
     KCONV_CHECK(planes >= 1 && h >= 1 && w >= 1,
                 "empty device plane allocation");
-    const i64 align_elems = static_cast<i64>(16 / sizeof(T));
-    const i64 pitch = round_up(w, align_elems);
-    // Slack: edge threads may over-read within their last vector unit.
-    arr_ = dev.alloc<T>(planes * h * pitch + 4 * align_elems);
-    view_ = PlanesViewT<T>{arr_.view(), planes, h, w, pitch};
+    const i64 elem = static_cast<i64>(sizeof(T));
+    arr_ = dev.alloc<T>(plane_elems(planes, h, w, elem));
+    view_ = PlanesViewT<T>{arr_.view(), planes, h, w, plane_pitch(w, elem)};
   }
 
   const PlanesViewT<T>& view() const { return view_; }

@@ -5,7 +5,6 @@
 
 #include "src/kernels/device_tensor.hpp"
 #include "src/sim/sim.hpp"
-#include "src/tensor/conv_ref.hpp"
 
 namespace kconv::kernels {
 
@@ -15,21 +14,17 @@ namespace {
 constexpr i64 kMaxImgUnits = 16;
 constexpr i64 kMaxFltScalars = 64;
 
+/// Algorithm 2 over its plan (`fused`: the write-back applies
+/// max(0, acc + bias[f])); n == N.
 template <int N>
-class GeneralKernel {
+class GeneralKernel : public GeneralPlan {
  public:
+  explicit GeneralKernel(const GeneralPlan& p) : GeneralPlan(p) {}
+
   PlanesView in;   // (C, Hi, Wi)
   PlanesView out;  // (F, Ho, Wo)
   sim::BufferView<float> filt;  // F*C*K*K, filter-major (f, c, ky, kx)
-  i64 K = 0, C = 0, F = 0, Ho = 0, Wo = 0;
-  i64 W = 0, H = 0, FTB = 0, WT = 0, FT = 0, CSH = 0;
-  i64 TX = 0, TY = 0, nbx = 0;
-  i64 rows_halo = 0, cols_halo = 0;
-  i64 stride_img = 0, stride_flt = 0;
-  u32 img_off = 0, flt_off = 0;
-  bool prefetch = true;
   sim::BufferView<float> bias;  // F scalars; read only when fused
-  bool fused = false;           // write-back applies max(0, acc + bias[f])
 
   /// Block equivalence class for trace replay (docs/MODEL.md §5b). Control
   /// flow and every predicate depend only on whether the spatial tile sits
@@ -68,24 +63,17 @@ class GeneralKernel {
     const i64 tx = t.thread_idx.x;
     const i64 ty = t.thread_idx.y;
     const i64 tid = tx + TX * ty;
-    const i64 nthreads = TX * TY;
     const i64 fblk = t.block_idx.x;            // filter group
     const i64 sx = t.block_idx.y % nbx;        // spatial block column
     const i64 sy = t.block_idx.y / nbx;        // spatial block row
     const i64 KK = K * K;
-    const i64 Hi = in.h, Wi = in.w;
 
     auto sh_img = t.shared<float>(img_off, CSH * rows_halo * stride_img);
     auto sh_flt = t.shared<float>(flt_off, CSH * KK * stride_flt);
 
-    // Work splits for the cooperative staging loops.
-    const i64 units_per_row = ceil_div(cols_halo, N);
-    const i64 total_img_units = CSH * rows_halo * units_per_row;
-    const i64 total_flt = CSH * KK * FTB;
-    // Padded trip counts: every lane runs the same number of iterations
-    // (inactive iterations are predicated off) so warps never drift.
-    const i64 img_iters = ceil_div(total_img_units, nthreads);
-    const i64 flt_iters = ceil_div(total_flt, nthreads);
+    // The staging loops run the plan's padded trip counts: every lane runs
+    // the same number of iterations (inactive iterations are predicated
+    // off) so warps never drift.
 
     // This thread's outputs: WT contiguous pixels of one tile row.
     const i64 orow_local = (ty * WT) / W;
@@ -306,82 +294,78 @@ class GeneralKernel {
   }
 };
 
-/// Everything general_conv derives from (arch, shapes, cfg) before it can
-/// launch: thread-block geometry, staging splits, shared-memory strides and
-/// the LaunchConfig. Computed once, shared by the legality probe and the
-/// runner so they can never disagree.
-struct GeneralLaunchPlan {
-  i64 n = 0;  // vector width (W_SMB / W_CD when matched)
-  i64 Ho = 0, Wo = 0;
-  i64 TX = 0, TY = 0, nbx = 0;
-  i64 rows_halo = 0, cols_halo = 0;
-  i64 stride_img = 0, stride_flt = 0;
-  i64 img_iters = 0, flt_scalars = 0;
-  u32 img_off = 0, flt_off = 0;
-  sim::LaunchConfig lc;
-};
+}  // namespace
 
-/// Fills `p` for the given problem; returns "" when legal, otherwise the
-/// first violated constraint (the message general_conv throws with).
-std::string plan_general(const sim::Arch& arch, i64 K, i64 C, i64 F, i64 Hi,
-                         i64 Wi, const GeneralConvConfig& cfg,
-                         GeneralLaunchPlan& p) {
+GeneralPlan plan_general(const sim::Arch& arch, i64 K, i64 C, i64 F, i64 Hi,
+                         i64 Wi, const GeneralConvConfig& cfg, bool fused) {
+  GeneralPlan p;
+  const auto fail = [&p](std::string why) {
+    p.error = std::move(why);
+    return p;
+  };
   if (K < 1 || K > kGeneralMaxK) {
-    return strf("filter size %lld outside supported range [1, %lld]",
-                static_cast<long long>(K),
-                static_cast<long long>(kGeneralMaxK));
+    return fail(strf("filter size %lld outside supported range [1, %lld]",
+                     static_cast<long long>(K),
+                     static_cast<long long>(kGeneralMaxK)));
   }
-  i64 n = cfg.vec_width;
-  if (n == 0) n = arch.smem_bank_bytes / sizeof(float);
-  if (n != 1 && n != 2 && n != 4) {
-    return strf("unsupported vector width %lld", static_cast<long long>(n));
-  }
+  if (!p.init(arch, K, C, F, Hi, Wi, fused, cfg.vec_width, 4, 4)) return p;
+  const i64 n = p.n;
   if (cfg.ftb < 1 || F % cfg.ftb != 0) {
-    return strf("F=%lld must be a multiple of FTB=%lld",
-                static_cast<long long>(F), static_cast<long long>(cfg.ftb));
+    return fail(strf("F=%lld must be a multiple of FTB=%lld",
+                     static_cast<long long>(F),
+                     static_cast<long long>(cfg.ftb)));
   }
   if (cfg.csh < 1 || C % cfg.csh != 0) {
-    return strf("C=%lld must be a multiple of CSH=%lld",
-                static_cast<long long>(C), static_cast<long long>(cfg.csh));
+    return fail(strf("C=%lld must be a multiple of CSH=%lld",
+                     static_cast<long long>(C),
+                     static_cast<long long>(cfg.csh)));
   }
   if (cfg.ft < 1 || cfg.ftb % cfg.ft != 0) {
-    return "FTB must be a multiple of FT";
+    return fail("FTB must be a multiple of FT");
   }
   if (cfg.wt < 1 || cfg.wt > kGeneralMaxWT || cfg.ft > kGeneralMaxFT) {
-    return "WT/FT exceed the kernel's register capacity";
+    return fail("WT/FT exceed the kernel's register capacity");
   }
   if (cfg.block_w % cfg.wt != 0) {
-    return "block_w must be a multiple of WT (threads tile whole rows)";
+    return fail("block_w must be a multiple of WT (threads tile whole rows)");
   }
   if ((cfg.block_w * cfg.block_h) % cfg.wt != 0) {
-    return "block area must be a multiple of WT";
+    return fail("block area must be a multiple of WT");
   }
   if (cfg.wt % n != 0 || cfg.ft % n != 0 || cfg.ftb % n != 0 ||
       cfg.block_w % n != 0) {
-    return "WT, FT, FTB and block_w must be multiples of the vector width";
+    return fail(
+        "WT, FT, FTB and block_w must be multiples of the vector width");
   }
-  if (cfg.block_w % 4 != 0) return "block_w must be a multiple of 4";
+  if (cfg.block_w % 4 != 0) return fail("block_w must be a multiple of 4");
 
-  p.n = n;
-  p.Ho = tensor::conv_out_extent(Hi, K, 0);
-  p.Wo = tensor::conv_out_extent(Wi, K, 0);
-  if (p.Ho < 1 || p.Wo < 1) return "image smaller than the filter";
+  p.W = cfg.block_w;
+  p.H = cfg.block_h;
+  p.FTB = cfg.ftb;
+  p.WT = cfg.wt;
+  p.FT = cfg.ft;
+  p.CSH = cfg.csh;
+  p.prefetch = cfg.prefetch;
   p.TX = cfg.ftb / cfg.ft;
   p.TY = cfg.block_w * cfg.block_h / cfg.wt;
+  p.nthreads = p.TX * p.TY;
   p.nbx = ceil_div(p.Wo, cfg.block_w);
   p.rows_halo = cfg.block_h + K - 1;
   p.cols_halo = cfg.block_w + K - 1;
-
-  const i64 nthreads = p.TX * p.TY;
-  p.img_iters =
-      ceil_div(cfg.csh * p.rows_halo * ceil_div(p.cols_halo, n), nthreads);
-  p.flt_scalars = ceil_div(cfg.csh * K * K * cfg.ftb, nthreads);
-  if (p.img_iters > kMaxImgUnits || p.flt_scalars > kMaxFltScalars) {
-    return strf("staging work per thread too large (%lld image units, "
-                "%lld filter values); use more threads or smaller CSH",
-                static_cast<long long>(p.img_iters),
-                static_cast<long long>(p.flt_scalars));
+  p.units_per_row = ceil_div(p.cols_halo, n);
+  p.total_img_units = cfg.csh * p.rows_halo * p.units_per_row;
+  p.total_flt = cfg.csh * K * K * cfg.ftb;
+  p.img_iters = ceil_div(p.total_img_units, p.nthreads);
+  p.flt_iters = ceil_div(p.total_flt, p.nthreads);
+  if (p.img_iters > kMaxImgUnits || p.flt_iters > kMaxFltScalars) {
+    return fail(strf("staging work per thread too large (%lld image units, "
+                     "%lld filter values); use more threads or smaller CSH",
+                     static_cast<long long>(p.img_iters),
+                     static_cast<long long>(p.flt_iters)));
   }
+  // Filters, then the bias only when fused, so unfused launches keep their
+  // exact historic address layout (and thus timing/plan bytes).
+  p.place(sizeof(float), /*const_filters=*/false);
 
   sim::SharedLayout smem;
   p.stride_img = round_up(p.cols_halo + n, 4);
@@ -392,144 +376,77 @@ std::string plan_general(const sim::Arch& arch, i64 K, i64 C, i64 F, i64 Hi,
   p.stride_flt = round_up(cfg.ftb + pad, n);
   p.img_off = smem.alloc<float>(cfg.csh * p.rows_halo * p.stride_img);
   p.flt_off = smem.alloc<float>(cfg.csh * K * K * p.stride_flt);
-
+  const i64 nby = ceil_div(p.Ho, cfg.block_h);
   p.lc.grid = sim::Dim3{static_cast<u32>(F / cfg.ftb),
-                        static_cast<u32>(p.nbx * ceil_div(p.Ho, cfg.block_h)),
-                        1};
+                        static_cast<u32>(p.nbx * nby), 1};
   p.lc.block = sim::Dim3{static_cast<u32>(p.TX), static_cast<u32>(p.TY), 1};
   p.lc.shared_bytes = smem.size();
   p.lc.regs_per_thread = static_cast<u32>(std::min<i64>(
       cfg.ft * cfg.wt + (cfg.wt + K - 1) + cfg.ft + p.img_iters * n +
-          p.flt_scalars + 24,
+          p.flt_iters + 24,
       arch.max_regs_per_thread));
-  return sim::launch_feasibility_error(arch, p.lc);
-}
-
-template <int N>
-KernelRun run_general(sim::Device& dev, const tensor::Tensor& input,
-                      const tensor::Tensor& filters,
-                      const GeneralConvConfig& cfg,
-                      const GeneralLaunchPlan& p,
-                      const sim::LaunchOptions& opt,
-                      std::span<const float> fuse_bias_relu) {
-  const i64 K = filters.h();
-  const i64 C = input.c();
-  const i64 F = filters.n();
-  const i64 Hi = input.h(), Wi = input.w();
-
-  GeneralKernel<N> k;
-  k.K = K;
-  k.C = C;
-  k.F = F;
-  k.Ho = p.Ho;
-  k.Wo = p.Wo;
-  k.W = cfg.block_w;
-  k.H = cfg.block_h;
-  k.FTB = cfg.ftb;
-  k.WT = cfg.wt;
-  k.FT = cfg.ft;
-  k.CSH = cfg.csh;
-  k.TX = p.TX;
-  k.TY = p.TY;
-  k.nbx = p.nbx;
-  k.rows_halo = p.rows_halo;
-  k.cols_halo = p.cols_halo;
-  k.prefetch = cfg.prefetch;
-  k.stride_img = p.stride_img;
-  k.stride_flt = p.stride_flt;
-  k.img_off = p.img_off;
-  k.flt_off = p.flt_off;
-
-  DevicePlanes d_in(dev, C, Hi, Wi);
-  d_in.upload(input);
-  DevicePlanes d_out(dev, F, p.Ho, p.Wo);
-  const auto flat = flatten_filters(filters);
-  auto d_filt = dev.alloc<float>(std::span<const float>(flat));
-  k.in = d_in.view();
-  k.out = d_out.view();
-  k.filt = d_filt.view();
-
-  // Allocated only when fused so unfused launches keep their exact historic
-  // address layout (and thus timing/plan bytes).
-  std::optional<decltype(dev.alloc<float>(fuse_bias_relu))> d_bias;
-  if (!fuse_bias_relu.empty()) {
-    d_bias.emplace(dev.alloc<float>(fuse_bias_relu));
-    k.bias = d_bias->view();
-    k.fused = true;
-  }
 
   // Every parameter that shapes the access pattern is folded into the plan
   // key; the "v1" tag invalidates stored plans if the kernel body changes.
-  sim::LaunchOptions lopt = opt;
-  std::string canonical_key = strf(
+  p.key = strf(
       "general_conv|v1|n=%d|k=%lld|c=%lld|f=%lld|hi=%lld|wi=%lld|bw=%lld|"
       "bh=%lld|ftb=%lld|wt=%lld|ft=%lld|csh=%lld|pad=%d|pf=%d",
-      N, static_cast<long long>(K), static_cast<long long>(C),
-      static_cast<long long>(F), static_cast<long long>(Hi),
-      static_cast<long long>(Wi), static_cast<long long>(cfg.block_w),
+      static_cast<int>(n), static_cast<long long>(K),
+      static_cast<long long>(C), static_cast<long long>(F),
+      static_cast<long long>(Hi), static_cast<long long>(Wi),
+      static_cast<long long>(cfg.block_w),
       static_cast<long long>(cfg.block_h), static_cast<long long>(cfg.ftb),
       static_cast<long long>(cfg.wt), static_cast<long long>(cfg.ft),
       static_cast<long long>(cfg.csh), cfg.pad_filters ? 1 : 0,
       cfg.prefetch ? 1 : 0);
   // Appended (not always present) so unfused keys match pre-fusion stores.
-  if (k.fused) canonical_key += "|fused=br";
-  stamp_plan(dev.arch(), canonical_key, lopt, [&] {
-    return general_conv_xray(dev.arch(), K, C, F, Hi, Wi, cfg, k.fused);
-  });
+  if (fused) p.key += "|fused=br";
 
-  if (lopt.fleet.devices > 1) {
-    // Shard geometry for the fleet layer (docs/MODEL.md §9): grid.x walks
-    // filter groups (channel axis), grid.y folds nbx column tiles under
-    // each output-row group (spatial axis, minor = nbx).
-    sim::FleetHints& fh = lopt.fleet_hints;
-    fh.provided = true;
-    fh.channel_axis = 0;
-    fh.spatial_axis = 1;
-    fh.spatial_minor = static_cast<u32>(p.nbx);
-    const u64 fs = sizeof(float);
-    fh.input_bytes = fs * static_cast<u64>(C * Hi * Wi);
-    fh.filter_bytes = fs * static_cast<u64>(C * K * K * F);
-    fh.output_bytes = fs * static_cast<u64>(F * p.Ho * p.Wo);
-    fh.halo_bytes_per_cut = fs * static_cast<u64>(C * (K - 1) * Wi);
-  }
+  // Shard geometry for the fleet layer (docs/MODEL.md §9): grid.x walks
+  // filter groups (channel axis), grid.y folds nbx column tiles under each
+  // output-row group (spatial axis, minor = nbx).
+  const u64 fs = sizeof(float);
+  p.fleet.provided = true;
+  p.fleet.channel_axis = 0;
+  p.fleet.spatial_axis = 1;
+  p.fleet.spatial_minor = static_cast<u32>(p.nbx);
+  p.fleet.input_bytes = fs * static_cast<u64>(C * Hi * Wi);
+  p.fleet.filter_bytes = fs * static_cast<u64>(C * K * K * F);
+  p.fleet.output_bytes = fs * static_cast<u64>(F * p.Ho * p.Wo);
+  p.fleet.halo_bytes_per_cut = fs * static_cast<u64>(C * (K - 1) * Wi);
 
-  KernelRun run;
-  run.launch = sim::launch(dev, k, p.lc, lopt);
-  if (opt.profile) {
-    // Paper §4 bounds: each filter group re-reads the image once (the ~1/K
-    // GM reduction leaves grid.x passes, halo excluded from the bound) and
-    // each spatial block reads its filter group once; the compute phase
-    // needs (WT+K-1)/(K*FT*WT) image + 1/WT filter SM loads per FMA.
-    profile::RooflineHints& h = run.launch.profile.hints;
-    h.kind = profile::RooflineHints::Kind::General;
-    h.k = static_cast<u32>(K);
-    h.wt = static_cast<u32>(cfg.wt);
-    h.ft = static_cast<u32>(cfg.ft);
-    const double fs = static_cast<double>(sizeof(float));
-    h.gm_load_bound_bytes =
-        fs * static_cast<double>(C * Hi * Wi) * static_cast<double>(p.lc.grid.x) +
-        fs * static_cast<double>(C * K * K * F) *
-            static_cast<double>(ceil_div(p.Ho, cfg.block_h) * p.nbx);
-    h.smem_load_elems_per_fma_bound =
-        static_cast<double>(cfg.wt + K - 1) /
-            static_cast<double>(K * cfg.ft * cfg.wt) +
-        1.0 / static_cast<double>(cfg.wt);
-    if (k.fused) {
-      // The fused epilogue adds one bias read per (spatial block, filter):
-      // FTB scalars per block across grid.y blocks.
-      h.gm_load_bound_bytes +=
-          fs * static_cast<double>(F) *
-          static_cast<double>(ceil_div(p.Ho, cfg.block_h) * p.nbx);
-    }
+  // Paper §4 bounds: each filter group re-reads the image once (the ~1/K
+  // GM reduction leaves grid.x passes, halo excluded from the bound), each
+  // spatial block reads its filter group once — and, fused, its FTB bias
+  // scalars — and each output is written once; the compute phase needs
+  // (WT+K-1)/(K*FT*WT) image + 1/WT filter SM loads per FMA.
+  const double fd = static_cast<double>(fs);
+  p.hints.kind = profile::RooflineHints::Kind::General;
+  p.hints.k = static_cast<u32>(K);
+  p.hints.wt = static_cast<u32>(cfg.wt);
+  p.hints.ft = static_cast<u32>(cfg.ft);
+  p.hints.gm_load_bound_bytes =
+      fd * static_cast<double>(C * Hi * Wi) * static_cast<double>(p.lc.grid.x) +
+      fd * static_cast<double>(C * K * K * F) *
+          static_cast<double>(nby * p.nbx);
+  if (fused) {
+    p.hints.gm_load_bound_bytes +=
+        fd * static_cast<double>(F) * static_cast<double>(nby * p.nbx);
   }
-  if (!run.launch.sampled && !run.launch.analytic) {
-    run.output = d_out.download();
-    run.output_valid = true;
-  }
-  return run;
+  p.hints.smem_load_elems_per_fma_bound =
+      static_cast<double>(cfg.wt + K - 1) /
+          static_cast<double>(K * cfg.ft * cfg.wt) +
+      1.0 / static_cast<double>(cfg.wt);
+  p.out_bytes = fd * static_cast<double>(F) * static_cast<double>(p.Ho) *
+                static_cast<double>(p.Wo);
+  p.error = sim::launch_feasibility_error(arch, p.lc);
+  return p;
 }
 
-}  // namespace
+std::string general_conv_check(const sim::Arch& arch, i64 k, i64 c, i64 f,
+                               i64 hi, i64 wi, const GeneralConvConfig& cfg) {
+  return plan_general(arch, k, c, f, hi, wi, cfg).error;
+}
 
 GeneralConvConfig table1_config(i64 k) {
   GeneralConvConfig c;
@@ -553,89 +470,14 @@ GeneralConvConfig table1_config(i64 k) {
   return c;
 }
 
-std::string general_conv_check(const sim::Arch& arch, i64 k, i64 c, i64 f,
-                               i64 hi, i64 wi, const GeneralConvConfig& cfg) {
-  GeneralLaunchPlan plan;
-  return plan_general(arch, k, c, f, hi, wi, cfg, plan);
-}
+namespace {
 
-xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
-                                    i64 f, i64 hi, i64 wi,
-                                    const GeneralConvConfig& cfg, bool fused) {
-  GeneralLaunchPlan plan;
-  const std::string err = plan_general(arch, k, c, f, hi, wi, cfg, plan);
-  KCONV_CHECK(err.empty(), err);
-
-  // Every parameter below replicates run_general<N> line for line: the same
-  // DevicePlanes pitches, the same GM allocation order (image, output,
-  // filters, then bias when fused), the same SharedLayout offsets.
-  struct P {
-    i64 K, C, F, Hi, Wi, Ho, Wo, W, H, FTB, WT, FT, CSH, TX, TY, nbx, N;
-    i64 rows_halo, cols_halo, stride_img, stride_flt;
-    i64 nthreads, units_per_row, total_img_units, total_flt;
-    i64 img_iters, flt_iters;
-    i64 in_pitch, out_pitch;
-    u64 in_base, out_base, filt_base, bias_base;
-    u64 sh_img, sh_flt;
-    bool prefetch, fused;
-  } p{};
-  p.K = k;
-  p.C = c;
-  p.F = f;
-  p.Hi = hi;
-  p.Wi = wi;
-  p.Ho = plan.Ho;
-  p.Wo = plan.Wo;
-  p.W = cfg.block_w;
-  p.H = cfg.block_h;
-  p.FTB = cfg.ftb;
-  p.WT = cfg.wt;
-  p.FT = cfg.ft;
-  p.CSH = cfg.csh;
-  p.TX = plan.TX;
-  p.TY = plan.TY;
-  p.nbx = plan.nbx;
-  p.N = plan.n;
-  p.rows_halo = plan.rows_halo;
-  p.cols_halo = plan.cols_halo;
-  p.stride_img = plan.stride_img;
-  p.stride_flt = plan.stride_flt;
-  p.nthreads = plan.TX * plan.TY;
-  p.units_per_row = ceil_div(plan.cols_halo, plan.n);
-  p.total_img_units = cfg.csh * plan.rows_halo * p.units_per_row;
-  p.total_flt = cfg.csh * k * k * cfg.ftb;
-  p.img_iters = plan.img_iters;
-  p.flt_iters = plan.flt_scalars;
-  p.prefetch = cfg.prefetch;
-  p.fused = fused;
-
-  xray::AddressSpace gm;
-  p.in_base = gm.alloc_planes(c, hi, wi, p.in_pitch);
-  p.out_base = gm.alloc_planes(f, p.Ho, p.Wo, p.out_pitch);
-  p.filt_base = gm.alloc_floats(f * c * k * k);
-  p.bias_base = fused ? gm.alloc_floats(f) : 0;
-  p.sh_img = plan.img_off;
-  p.sh_flt = plan.flt_off;
-
+/// Algorithm 2's xray describer over its plan.
+xray::KernelModel general_model(const GeneralPlan& p) {
   xray::KernelModel m;
   m.kernel = "general_conv";
-  m.cfg = plan.lc;
-  // Paper §4 bound: each filter group re-reads the image once (grid.x
-  // passes), each spatial block reads its filter group once, each output is
-  // written once — the same terms as the roofline hints plus the store side.
-  const double fs = static_cast<double>(sizeof(float));
-  const double nby = static_cast<double>(ceil_div(p.Ho, p.H));
-  m.min_gm_bytes =
-      fs * static_cast<double>(c * hi * wi) *
-          static_cast<double>(plan.lc.grid.x) +
-      fs * static_cast<double>(c * k * k * f) * nby *
-          static_cast<double>(p.nbx) +
-      fs * static_cast<double>(f) * static_cast<double>(p.Ho) *
-          static_cast<double>(p.Wo);
-  if (fused) {
-    m.min_gm_bytes +=
-        fs * static_cast<double>(f) * nby * static_cast<double>(p.nbx);
-  }
+  m.cfg = p.lc;
+  m.min_gm_bytes = p.min_gm_bytes();
 
   enum Site : u32 {
     kGmImgStage, kSmImgStage, kGmFltStage, kSmFltStage,
@@ -657,37 +499,24 @@ xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
       {"sm-flt-publish", sim::Op::StoreShared, "§4.2 Fig. 6", false},
       {"gm-writeback", sim::Op::StoreGlobal, "§4 Alg. 2 line 20", false},
   };
-  if (fused) {
+  if (p.fused) {
     m.sites.push_back({"gm-bias", sim::Op::LoadGlobal,
                        "§4 Alg. 2 line 20 (fused epilogue)", false});
   }
 
   m.emit = [p](sim::Dim3 b, xray::ModelSink& sink) {
     constexpr u32 kNone = ~0u;
-    const u32 vb = static_cast<u32>(p.N * sizeof(float));
+    const u32 vb = static_cast<u32>(p.n * sizeof(float));
     const u32 sb = static_cast<u32>(sizeof(float));
     const i64 fblk = b.x;
     const i64 sx = static_cast<i64>(b.y) % p.nbx;
     const i64 sy = static_cast<i64>(b.y) / p.nbx;
     const i64 KK = p.K * p.K;
-    const auto in_addr = [&p](i64 ci, i64 y, i64 x) {
-      return p.in_base + static_cast<u64>(
-                             (((ci * p.Hi + y) * p.in_pitch) + x) *
-                             static_cast<i64>(sizeof(float)));
-    };
-    const auto out_addr = [&p](i64 pf, i64 y, i64 x) {
-      return p.out_base + static_cast<u64>(
-                              (((pf * p.Ho + y) * p.out_pitch) + x) *
-                              static_cast<i64>(sizeof(float)));
-    };
-    const auto filt_addr = [&p](i64 idx) {
-      return p.filt_base + static_cast<u64>(idx) * sizeof(float);
-    };
     const auto sm_img = [&p](i64 idx) {
-      return p.sh_img + static_cast<u64>(idx) * sizeof(float);
+      return p.img_off + static_cast<u64>(idx) * sizeof(float);
     };
     const auto sm_flt = [&p](i64 idx) {
-      return p.sh_flt + static_cast<u64>(idx) * sizeof(float);
+      return p.flt_off + static_cast<u64>(idx) * sizeof(float);
     };
     std::vector<xray::LaneAccess> lanes(static_cast<size_t>(p.nthreads));
     const auto each = [&](auto&& fill) {
@@ -709,14 +538,15 @@ xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
           ry = rem / p.units_per_row;
           cu = rem % p.units_per_row;
           any = u < p.total_img_units;
-          ok = any && sy * p.H + ry < p.Hi && sx * p.W + cu * p.N < p.Wi;
+          ok = any && sy * p.H + ry < p.Hi && sx * p.W + cu * p.n < p.Wi;
         };
         if (gm_site != kNone) {
           each([&](i64 tx, i64 ty) -> xray::LaneAccess {
             i64 ci, ry, cu;
             bool ok, any;
             idx(tx, ty, ci, ry, cu, ok, any);
-            return {ok ? in_addr(cbase + ci, sy * p.H + ry, sx * p.W + cu * p.N)
+            return {ok ? p.in_addr(cbase + ci, sy * p.H + ry,
+                                   sx * p.W + cu * p.n)
                        : 0,
                     vb, ok, any};
           });
@@ -727,7 +557,7 @@ xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
             i64 ci, ry, cu;
             bool ok, any;
             idx(tx, ty, ci, ry, cu, ok, any);
-            return {sm_img((ci * p.rows_halo + ry) * p.stride_img + cu * p.N),
+            return {sm_img((ci * p.rows_halo + ry) * p.stride_img + cu * p.n),
                     vb, ok, any};
           });
           sink.site(sm_site, lanes);
@@ -751,7 +581,7 @@ xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
             i64 ff, ci, kk;
             bool ok;
             idx(tx, ty, ff, ci, kk, ok);
-            return {ok ? filt_addr(((fblk * p.FTB + ff) * p.C + cbase + ci) *
+            return {ok ? p.filt_addr(((fblk * p.FTB + ff) * p.C + cbase + ci) *
                                    KK + kk)
                        : 0,
                     sb, ok, ok};
@@ -783,21 +613,21 @@ xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
       // consecutive threads broadcast image rows and stride filter units.
       for (i64 i = 0; i < p.CSH; ++i) {
         for (i64 j = 0; j < p.K; ++j) {
-          for (i64 u = 0; u * p.N < p.WT + p.K - 1; ++u) {
+          for (i64 u = 0; u * p.n < p.WT + p.K - 1; ++u) {
             each([&](i64, i64 ty) -> xray::LaneAccess {
               const i64 orow_local = (ty * p.WT) / p.W;
               const i64 ocol_local = (ty * p.WT) % p.W;
               return {sm_img((i * p.rows_halo + orow_local + j) *
-                                 p.stride_img + ocol_local + u * p.N),
+                                 p.stride_img + ocol_local + u * p.n),
                       vb, true, true};
             });
             sink.site(kSmImgRow, lanes);
           }
           for (i64 kx = 0; kx < p.K; ++kx) {
-            for (i64 u = 0; u < p.FT / p.N; ++u) {
+            for (i64 u = 0; u < p.FT / p.n; ++u) {
               each([&](i64 tx, i64) -> xray::LaneAccess {
                 return {sm_flt((i * KK + j * p.K + kx) * p.stride_flt +
-                               (tx + u * p.TX) * p.N),
+                               (tx + u * p.TX) * p.n),
                         vb, true, true};
               });
               sink.site(kSmFltCompute, lanes);
@@ -830,28 +660,37 @@ xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
     // planes, uncoalesced by design.
     for (i64 s = 0; s < p.FT; ++s) {
       const auto gf_of = [&](i64 tx) {
-        return fblk * p.FTB + (tx + (s / p.N) * p.TX) * p.N + s % p.N;
+        return fblk * p.FTB + (tx + (s / p.n) * p.TX) * p.n + s % p.n;
       };
       if (p.fused) {
         each([&](i64 tx, i64) -> xray::LaneAccess {
-          return {p.bias_base + static_cast<u64>(gf_of(tx)) * sizeof(float),
-                  sb, true, true};
+          return {p.bias_addr(gf_of(tx)), sb, true, true};
         });
         sink.site(kGmBias, lanes);
       }
-      for (i64 wu = 0; wu * p.N < p.WT; ++wu) {
-        if (p.fused) sink.alu(static_cast<u64>(2 * p.N));
+      for (i64 wu = 0; wu * p.n < p.WT; ++wu) {
+        if (p.fused) sink.alu(static_cast<u64>(2 * p.n));
         each([&](i64 tx, i64 ty) -> xray::LaneAccess {
           const i64 orow = sy * p.H + (ty * p.WT) / p.W;
-          const i64 ocol = sx * p.W + (ty * p.WT) % p.W + wu * p.N;
+          const i64 ocol = sx * p.W + (ty * p.WT) % p.W + wu * p.n;
           const bool ok = orow < p.Ho && ocol < p.Wo;
-          return {ok ? out_addr(gf_of(tx), orow, ocol) : 0, vb, ok, true};
+          return {ok ? p.out_addr(gf_of(tx), orow, ocol) : 0, vb, ok, true};
         });
         sink.site(kGmWriteback, lanes);
       }
     }
   };
   return m;
+}
+
+}  // namespace
+
+xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
+                                    i64 f, i64 hi, i64 wi,
+                                    const GeneralConvConfig& cfg, bool fused) {
+  const GeneralPlan plan = plan_general(arch, k, c, f, hi, wi, cfg, fused);
+  KCONV_CHECK(plan.error.empty(), plan.error);
+  return general_model(plan);
 }
 
 KernelRun general_conv(sim::Device& dev, const tensor::Tensor& input,
@@ -868,22 +707,32 @@ KernelRun general_conv(sim::Device& dev, const tensor::Tensor& input,
                    fuse_bias_relu.size(),
                    static_cast<long long>(filters.n())));
 
-  GeneralLaunchPlan plan;
-  const std::string err =
-      plan_general(dev.arch(), filters.h(), input.c(), filters.n(),
-                   input.h(), input.w(), cfg, plan);
-  KCONV_CHECK(err.empty(), err);
-
+  const GeneralPlan plan =
+      plan_general(dev.arch(), filters.h(), input.c(), filters.n(), input.h(),
+                   input.w(), cfg, !fuse_bias_relu.empty());
+  KCONV_CHECK(plan.error.empty(), plan.error);
+  const auto run = [&]<int N>() {
+    DevicePlanes d_in(dev, plan.C, plan.Hi, plan.Wi);
+    d_in.upload(input);
+    DevicePlanes d_out(dev, plan.F, plan.Ho, plan.Wo);
+    const auto flat = flatten_filters(filters);
+    auto d_filt = dev.alloc<float>(std::span<const float>(flat));
+    GeneralKernel<N> k(plan);
+    k.in = d_in.view();
+    k.out = d_out.view();
+    k.filt = d_filt.view();
+    std::optional<sim::DeviceArray<float>> d_bias;
+    if (plan.fused) {
+      d_bias.emplace(dev.alloc<float>(fuse_bias_relu));
+      k.bias = d_bias->view();
+    }
+    return launch_plan(dev, k, opt, d_out,
+                       [&plan] { return general_model(plan); });
+  };
   switch (plan.n) {
-    case 1:
-      return run_general<1>(dev, input, filters, cfg, plan, opt,
-                            fuse_bias_relu);
-    case 2:
-      return run_general<2>(dev, input, filters, cfg, plan, opt,
-                            fuse_bias_relu);
-    default:
-      return run_general<4>(dev, input, filters, cfg, plan, opt,
-                            fuse_bias_relu);
+    case 1: return run.template operator()<1>();
+    case 2: return run.template operator()<2>();
+    default: return run.template operator()<4>();
   }
 }
 

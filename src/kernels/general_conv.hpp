@@ -18,6 +18,11 @@
 //  - All SM accesses move n-wide units (n = W_SMB / W_CD, float2 on
 //    Kepler); TX contiguous threads read identical image addresses
 //    (broadcast) and contiguous filter units (conflict-free).
+//
+// `plan_general` derives all of that once — vector width, thread-block
+// geometry, staging splits, SM strides and offsets, LaunchConfig, plan key,
+// fleet hints and the §4 bounds. `general_conv_check`, `general_conv` and
+// `general_conv_xray` all consume that one plan.
 #pragma once
 
 #include <span>
@@ -56,20 +61,39 @@ inline constexpr i64 kGeneralMaxK = 7;
 inline constexpr i64 kGeneralMaxWT = 16;
 inline constexpr i64 kGeneralMaxFT = 8;
 
-/// Cheap legality probe for a candidate configuration on a (K, C, F, Hi, Wi)
-/// problem: empty string when `general_conv` with the same parameters would
-/// launch, otherwise the reason it would be rejected (divisibility,
-/// register/staging capacity, shared-memory or occupancy limits). Runs no
-/// simulation and allocates nothing — autotuner sweeps use it to skip
-/// illegal points without exceptions as control flow.
+/// Algorithm 2's launch plan (see ConvPlan): filters and the fused bias in
+/// GM after the image and output planes.
+struct GeneralPlan : ConvPlan {
+  i64 W = 0, H = 0, FTB = 0, WT = 0, FT = 0, CSH = 0;  ///< Table 1 tiling
+  bool prefetch = true;
+  i64 TX = 0, TY = 0, nthreads = 0;  ///< block = TX x TY threads
+  i64 nbx = 0;                       ///< column tiles (grid.y folds them)
+  i64 rows_halo = 0, cols_halo = 0;  ///< staged image block with halo
+  /// Cooperative staging splits and their padded per-thread trip counts.
+  i64 units_per_row = 0, total_img_units = 0, total_flt = 0;
+  i64 img_iters = 0, flt_iters = 0;
+  i64 stride_img = 0, stride_flt = 0;  ///< SM row strides (floats)
+  u32 img_off = 0, flt_off = 0;
+};
+
+/// Plans a (K, C, F, Hi, Wi) problem; `fused` mirrors a non-empty
+/// `fuse_bias_relu`.
+GeneralPlan plan_general(const sim::Arch& arch, i64 k, i64 c, i64 f, i64 hi,
+                         i64 wi, const GeneralConvConfig& cfg,
+                         bool fused = false);
+
+/// Cheap legality probe: the plan's error — empty when `general_conv` with
+/// the same parameters would launch, otherwise the reason it would be
+/// rejected (divisibility, register/staging capacity, shared-memory or
+/// occupancy limits). Runs no simulation and allocates nothing — autotuner
+/// sweeps use it to skip illegal points without exceptions as control flow.
 std::string general_conv_check(const sim::Arch& arch, i64 k, i64 c, i64 f,
                                i64 hi, i64 wi, const GeneralConvConfig& cfg);
 
 /// The kernel's access-site descriptor for kconv-xray (docs/MODEL.md §10):
-/// replays Algorithm 2's instruction stream symbolically — same allocation
-/// order, same address expressions, same predicates as `general_conv` —
-/// without a Device. Callers must pass a configuration `general_conv_check`
-/// accepts. `fused` mirrors a non-empty `fuse_bias_relu`.
+/// Algorithm 2's instruction stream walked symbolically over the kernel's
+/// own plan — its layout, tiling and predicates — without a Device. Throws
+/// the plan's error for configurations `general_conv_check` rejects.
 xray::KernelModel general_conv_xray(const sim::Arch& arch, i64 k, i64 c,
                                     i64 f, i64 hi, i64 wi,
                                     const GeneralConvConfig& cfg,

@@ -4,7 +4,6 @@
 
 #include "src/kernels/device_tensor.hpp"
 #include "src/sim/sim.hpp"
-#include "src/tensor/conv_ref.hpp"
 
 namespace kconv::kernels {
 
@@ -13,18 +12,16 @@ namespace {
 constexpr i64 kMaxMicro = 8;
 constexpr i64 kMaxStage = 16;
 
+/// The tiled GEMM over its plan; n == N.
 template <int N>
-class ImplicitGemmKernel {
+class ImplicitGemmKernel : public ImplicitGemmPlan {
  public:
+  explicit ImplicitGemmKernel(const ImplicitGemmPlan& p)
+      : ImplicitGemmPlan(p) {}
+
   PlanesView in;                 // (C, Hi, Wi)
   PlanesView out;                // (F, Ho, Wo)
   sim::BufferView<float> filt;   // F*C*K*K filter-major
-  i64 K = 0, C = 0, F = 0, Ho = 0, Wo = 0;
-  i64 BM = 0, BN = 0, BK = 0, TM = 0, TN = 0;
-  i64 TXg = 0, TYg = 0;
-  i64 stride_a = 0, stride_b = 0;
-  u32 a_off = 0, b_off = 0;
-  bool prefetch = true;
 
   /// Block equivalence class for trace replay (docs/MODEL.md §5b). The
   /// only block-dependent predicates are the partial-tile guards
@@ -33,7 +30,6 @@ class ImplicitGemmKernel {
   /// masks are constants of the class. The im2col div/mod addressing is
   /// non-affine in p0, but replay re-analyzes addresses per block anyway.
   u64 replay_class(sim::Dim3 b) const {
-    const i64 Np = Ho * Wo;
     const bool partial_n = (static_cast<i64>(b.x) + 1) * BN > Np;
     const bool partial_m = (static_cast<i64>(b.y) + 1) * BM > F;
     return (partial_n ? 1u : 0u) | (partial_m ? 2u : 0u);
@@ -44,12 +40,9 @@ class ImplicitGemmKernel {
     const i64 tx = t.thread_idx.x;
     const i64 ty = t.thread_idx.y;
     const i64 tid = tx + TXg * ty;
-    const i64 nthreads = TXg * TYg;
     const i64 m0 = t.block_idx.y * BM;  // filter block
     const i64 p0 = t.block_idx.x * BN;  // output-pixel block
     const i64 KK = K * K;
-    const i64 Kdim = C * KK;
-    const i64 Np = Ho * Wo;
 
     auto sh_a = t.shared<float>(a_off, BK * stride_a);
     auto sh_b = t.shared<float>(b_off, BK * stride_b);
@@ -57,12 +50,6 @@ class ImplicitGemmKernel {
     float acc[kMaxMicro][kMaxMicro] = {};
     float fa[kMaxMicro], fb[kMaxMicro];
     float pf_a[kMaxStage] = {}, pf_b[kMaxStage] = {};
-
-    const i64 a_elems = BM * BK;
-    const i64 b_elems = BK * BN;
-    const i64 a_iters = ceil_div(a_elems, nthreads);
-    const i64 b_iters = ceil_div(b_elems, nthreads);
-    const i64 steps = ceil_div(Kdim, BK);
 
     // Stages row `kb` of the implicit B matrix for pixel column p: the
     // im2col decode the explicit pipeline pays memory for, paid here in
@@ -220,221 +207,107 @@ class ImplicitGemmKernel {
   }
 };
 
-template <int N>
-KernelRun run_implicit(sim::Device& dev, const tensor::Tensor& input,
-                       const tensor::Tensor& filters,
-                       const ImplicitGemmConfig& cfg,
-                       const sim::LaunchOptions& opt) {
-  const i64 K = filters.h();
-  const i64 C = input.c();
-  const i64 F = filters.n();
-  const i64 Ho = tensor::conv_out_extent(input.h(), K, 0);
-  const i64 Wo = tensor::conv_out_extent(input.w(), K, 0);
-
-  ImplicitGemmKernel<N> k;
-  k.K = K;
-  k.C = C;
-  k.F = F;
-  k.Ho = Ho;
-  k.Wo = Wo;
-  k.BM = cfg.bm;
-  k.BN = cfg.bn;
-  k.BK = cfg.bk;
-  k.TM = cfg.tm;
-  k.TN = cfg.tn;
-  k.TXg = cfg.bn / cfg.tn;
-  k.TYg = cfg.bm / cfg.tm;
-  k.prefetch = cfg.prefetch;
-
-  const i64 nthreads = k.TXg * k.TYg;
-  KCONV_CHECK(ceil_div(cfg.bm * cfg.bk, nthreads) <= kMaxStage &&
-                  ceil_div(cfg.bk * cfg.bn, nthreads) <= kMaxStage,
-              "tile staging work exceeds per-thread register capacity");
-
-  DevicePlanes d_in(dev, C, input.h(), input.w());
-  d_in.upload(input);
-  DevicePlanes d_out(dev, F, Ho, Wo);
-  const auto flat = flatten_filters(filters);
-  auto d_filt = dev.alloc<float>(std::span<const float>(flat));
-  k.in = d_in.view();
-  k.out = d_out.view();
-  k.filt = d_filt.view();
-
-  sim::SharedLayout smem;
-  const i64 pad = dev.arch().smem_bank_bytes / sizeof(float);
-  k.stride_a = cfg.bm + pad;
-  k.stride_b = cfg.bn;
-  k.a_off = smem.alloc<float>(cfg.bk * k.stride_a);
-  k.b_off = smem.alloc<float>(cfg.bk * k.stride_b);
-
-  sim::LaunchConfig lc;
-  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Ho * Wo, cfg.bn)),
-                      static_cast<u32>(ceil_div(F, cfg.bm)), 1};
-  lc.block = sim::Dim3{static_cast<u32>(k.TXg), static_cast<u32>(k.TYg), 1};
-  lc.shared_bytes = smem.size();
-  lc.regs_per_thread = static_cast<u32>(std::min<i64>(
-      cfg.tm * cfg.tn + cfg.tm + cfg.tn + 2 * kMaxStage + 24, dev.arch().max_regs_per_thread));
-
-  sim::LaunchOptions lopt = opt;
-  const std::string canonical_key = strf(
-      "implicit_gemm|v1|n=%d|k=%lld|c=%lld|f=%lld|hi=%lld|wi=%lld|bm=%lld|"
-      "bn=%lld|bk=%lld|tm=%lld|tn=%lld|pf=%d",
-      N, static_cast<long long>(K), static_cast<long long>(C),
-      static_cast<long long>(F), static_cast<long long>(input.h()),
-      static_cast<long long>(input.w()), static_cast<long long>(cfg.bm),
-      static_cast<long long>(cfg.bn), static_cast<long long>(cfg.bk),
-      static_cast<long long>(cfg.tm), static_cast<long long>(cfg.tn),
-      cfg.prefetch ? 1 : 0);
-  stamp_plan(dev.arch(), canonical_key, lopt, [&] {
-    return implicit_gemm_xray(dev.arch(), K, C, F, input.h(), input.w(), cfg);
-  });
-
-  KernelRun run;
-  run.launch = sim::launch(dev, k, lc, lopt);
-  if (opt.profile) {
-    // GEMM tiling traffic: the A (filter) panel is re-read once per
-    // pixel-block column and the implicit B panel once per filter-block
-    // row; predicated-off lanes load nothing, so the bound is exact.
-    profile::RooflineHints& h = run.launch.profile.hints;
-    h.kind = profile::RooflineHints::Kind::ImplicitGemm;
-    h.k = static_cast<u32>(K);
-    const i64 Kdim = C * K * K;
-    const i64 Np = Ho * Wo;
-    h.gm_load_bound_bytes =
-        static_cast<double>(sizeof(float)) *
-        (static_cast<double>(F * Kdim) * static_cast<double>(lc.grid.x) +
-         static_cast<double>(Kdim * Np) * static_cast<double>(lc.grid.y));
-  }
-  if (!run.launch.sampled && !run.launch.analytic) {
-    run.output = d_out.download();
-    run.output_valid = true;
-  }
-  return run;
-}
-
 }  // namespace
 
-std::string implicit_gemm_check(const sim::Arch& arch, i64 k, i64 c, i64 f,
-                                i64 hi, i64 wi,
-                                const ImplicitGemmConfig& cfg) {
-  i64 n = cfg.vec_width;
-  if (n == 0) n = arch.smem_bank_bytes / sizeof(float);
-  if (n != 1 && n != 2 && n != 4) {
-    return strf("unsupported vector width %lld", static_cast<long long>(n));
-  }
+ImplicitGemmPlan plan_implicit_gemm(const sim::Arch& arch, i64 k, i64 c,
+                                    i64 f, i64 hi, i64 wi,
+                                    const ImplicitGemmConfig& cfg) {
+  ImplicitGemmPlan p;
+  const auto fail = [&p](std::string why) {
+    p.error = std::move(why);
+    return p;
+  };
+  if (!p.init(arch, k, c, f, hi, wi, false, cfg.vec_width, 4, 4)) return p;
+  const i64 n = p.n;
   if (cfg.tm < 1 || cfg.tm > kMaxMicro || cfg.tn < 1 || cfg.tn > kMaxMicro) {
-    return "micro-tile exceeds register capacity";
+    return fail("micro-tile exceeds register capacity");
+  }
+  if (cfg.bm < 1 || cfg.bn < 1 || cfg.bk < 1) {
+    return fail("tile extents must be positive");
   }
   if (cfg.bm % cfg.tm != 0 || cfg.bn % cfg.tn != 0) {
-    return "tile extents must be multiples of the micro-tile";
+    return fail("tile extents must be multiples of the micro-tile");
   }
   if (cfg.tm % n != 0 || cfg.tn % n != 0) {
-    return "micro-tile must be a multiple of the vector width";
+    return fail("micro-tile must be a multiple of the vector width");
   }
-  const i64 Ho = tensor::conv_out_extent(hi, k, 0);
-  const i64 Wo = tensor::conv_out_extent(wi, k, 0);
-  if (Ho < 1 || Wo < 1) return "image smaller than the filter";
-  const i64 nthreads = (cfg.bn / cfg.tn) * (cfg.bm / cfg.tm);
-  if (ceil_div(cfg.bm * cfg.bk, nthreads) > kMaxStage ||
-      ceil_div(cfg.bk * cfg.bn, nthreads) > kMaxStage) {
-    return "tile staging work exceeds per-thread register capacity";
-  }
-  (void)c;
-
-  sim::SharedLayout smem;
-  const i64 pad = arch.smem_bank_bytes / sizeof(float);
-  (void)smem.alloc<float>(cfg.bk * (cfg.bm + pad));
-  (void)smem.alloc<float>(cfg.bk * cfg.bn);
-  sim::LaunchConfig lc;
-  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Ho * Wo, cfg.bn)),
-                      static_cast<u32>(ceil_div(f, cfg.bm)), 1};
-  lc.block = sim::Dim3{static_cast<u32>(cfg.bn / cfg.tn),
-                       static_cast<u32>(cfg.bm / cfg.tm), 1};
-  lc.shared_bytes = smem.size();
-  lc.regs_per_thread = static_cast<u32>(std::min<i64>(
-      cfg.tm * cfg.tn + cfg.tm + cfg.tn + 2 * kMaxStage + 24,
-      arch.max_regs_per_thread));
-  return sim::launch_feasibility_error(arch, lc);
-}
-
-xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
-                                     i64 f, i64 hi, i64 wi,
-                                     const ImplicitGemmConfig& cfg) {
-  const std::string err = implicit_gemm_check(arch, k, c, f, hi, wi, cfg);
-  KCONV_CHECK(err.empty(), err);
-  i64 n = cfg.vec_width;
-  if (n == 0) n = arch.smem_bank_bytes / sizeof(float);
-
-  // Every parameter below replicates run_implicit<N> line for line: the
-  // same DevicePlanes pitches, the same GM allocation order (image, output,
-  // filters), the same SharedLayout offsets and padded A-panel stride.
-  struct P {
-    i64 K, C, F, Hi, Wi, Ho, Wo, BM, BN, BK, TM, TN, TXg, TYg, N;
-    i64 stride_a, stride_b;
-    i64 nthreads, a_elems, b_elems, a_iters, b_iters, steps, Kdim, Np;
-    i64 in_pitch, out_pitch;
-    u64 in_base, out_base, filt_base;
-    u64 sh_a, sh_b;
-    bool prefetch;
-  } p{};
-  p.K = k;
-  p.C = c;
-  p.F = f;
-  p.Hi = hi;
-  p.Wi = wi;
-  p.Ho = tensor::conv_out_extent(hi, k, 0);
-  p.Wo = tensor::conv_out_extent(wi, k, 0);
   p.BM = cfg.bm;
   p.BN = cfg.bn;
   p.BK = cfg.bk;
   p.TM = cfg.tm;
   p.TN = cfg.tn;
+  p.prefetch = cfg.prefetch;
   p.TXg = cfg.bn / cfg.tn;
   p.TYg = cfg.bm / cfg.tm;
-  p.N = n;
   p.nthreads = p.TXg * p.TYg;
+  p.Kdim = c * k * k;
+  p.Np = p.Ho * p.Wo;
   p.a_elems = cfg.bm * cfg.bk;
   p.b_elems = cfg.bk * cfg.bn;
   p.a_iters = ceil_div(p.a_elems, p.nthreads);
   p.b_iters = ceil_div(p.b_elems, p.nthreads);
-  p.Kdim = c * k * k;
-  p.Np = p.Ho * p.Wo;
   p.steps = ceil_div(p.Kdim, cfg.bk);
-  p.prefetch = cfg.prefetch;
-
-  xray::AddressSpace gm;
-  p.in_base = gm.alloc_planes(c, hi, wi, p.in_pitch);
-  p.out_base = gm.alloc_planes(f, p.Ho, p.Wo, p.out_pitch);
-  p.filt_base = gm.alloc_floats(f * c * k * k);
+  if (p.a_iters > kMaxStage || p.b_iters > kMaxStage) {
+    return fail("tile staging work exceeds per-thread register capacity");
+  }
+  p.place(sizeof(float), /*const_filters=*/false);
 
   sim::SharedLayout smem;
-  const i64 pad = arch.smem_bank_bytes / sizeof(float);
-  p.stride_a = cfg.bm + pad;
+  p.stride_a = cfg.bm + arch.smem_bank_bytes / sizeof(float);
   p.stride_b = cfg.bn;
-  p.sh_a = smem.alloc<float>(cfg.bk * p.stride_a);
-  p.sh_b = smem.alloc<float>(cfg.bk * p.stride_b);
-
-  xray::KernelModel m;
-  m.kernel = "implicit_gemm";
-  m.cfg.grid = sim::Dim3{static_cast<u32>(ceil_div(p.Np, cfg.bn)),
-                         static_cast<u32>(ceil_div(f, cfg.bm)), 1};
-  m.cfg.block = sim::Dim3{static_cast<u32>(p.TXg), static_cast<u32>(p.TYg),
-                          1};
-  m.cfg.shared_bytes = smem.size();
-  m.cfg.regs_per_thread = static_cast<u32>(std::min<i64>(
+  p.a_off = smem.alloc<float>(cfg.bk * p.stride_a);
+  p.b_off = smem.alloc<float>(cfg.bk * p.stride_b);
+  p.lc.grid = sim::Dim3{static_cast<u32>(ceil_div(p.Np, cfg.bn)),
+                        static_cast<u32>(ceil_div(f, cfg.bm)), 1};
+  p.lc.block =
+      sim::Dim3{static_cast<u32>(p.TXg), static_cast<u32>(p.TYg), 1};
+  p.lc.shared_bytes = smem.size();
+  p.lc.regs_per_thread = static_cast<u32>(std::min<i64>(
       cfg.tm * cfg.tn + cfg.tm + cfg.tn + 2 * kMaxStage + 24,
       arch.max_regs_per_thread));
+
+  p.key = strf(
+      "implicit_gemm|v1|n=%d|k=%lld|c=%lld|f=%lld|hi=%lld|wi=%lld|bm=%lld|"
+      "bn=%lld|bk=%lld|tm=%lld|tn=%lld|pf=%d",
+      static_cast<int>(n), static_cast<long long>(k),
+      static_cast<long long>(c), static_cast<long long>(f),
+      static_cast<long long>(hi), static_cast<long long>(wi),
+      static_cast<long long>(cfg.bm), static_cast<long long>(cfg.bn),
+      static_cast<long long>(cfg.bk), static_cast<long long>(cfg.tm),
+      static_cast<long long>(cfg.tn), cfg.prefetch ? 1 : 0);
+
   // The baseline's own tiling bound (not the paper's §3/§4 conv bound): the
-  // A panel once per pixel-block column, the implicit B panel once per
-  // filter-block row, each output written once. Its gap to the §3/§4 bound
-  // is exactly the K*K re-read Fig. 7 measures.
+  // A (filter) panel is re-read once per pixel-block column and the
+  // implicit B panel once per filter-block row; predicated-off lanes load
+  // nothing, so the bound is exact. Its gap to the §3/§4 bound is exactly
+  // the K*K re-read Fig. 7 measures. The fleet hints stay unprovided: the
+  // baseline declares no shard axes.
   const double fs = static_cast<double>(sizeof(float));
-  m.min_gm_bytes =
-      fs * static_cast<double>(f * p.Kdim) *
-          static_cast<double>(m.cfg.grid.x) +
-      fs * static_cast<double>(p.Kdim * p.Np) *
-          static_cast<double>(m.cfg.grid.y) +
-      fs * static_cast<double>(f) * static_cast<double>(p.Np);
+  p.hints.kind = profile::RooflineHints::Kind::ImplicitGemm;
+  p.hints.k = static_cast<u32>(k);
+  p.hints.gm_load_bound_bytes =
+      fs * (static_cast<double>(f * p.Kdim) * static_cast<double>(p.lc.grid.x) +
+            static_cast<double>(p.Kdim * p.Np) *
+                static_cast<double>(p.lc.grid.y));
+  p.out_bytes = fs * static_cast<double>(f) * static_cast<double>(p.Np);
+  p.error = sim::launch_feasibility_error(arch, p.lc);
+  return p;
+}
+
+std::string implicit_gemm_check(const sim::Arch& arch, i64 k, i64 c, i64 f,
+                                i64 hi, i64 wi,
+                                const ImplicitGemmConfig& cfg) {
+  return plan_implicit_gemm(arch, k, c, f, hi, wi, cfg).error;
+}
+
+namespace {
+
+/// The baseline's xray describer over its plan.
+xray::KernelModel implicit_gemm_model(const ImplicitGemmPlan& p) {
+  xray::KernelModel m;
+  m.kernel = "implicit_gemm";
+  m.cfg = p.lc;
+  m.min_gm_bytes = p.min_gm_bytes();
 
   enum Site : u32 {
     kGmAStage, kSmAStage, kGmBStage, kSmBStage,
@@ -466,29 +339,16 @@ xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
 
   m.emit = [p](sim::Dim3 b, xray::ModelSink& sink) {
     constexpr u32 kNone = ~0u;
-    const u32 vb = static_cast<u32>(p.N * sizeof(float));
+    const u32 vb = static_cast<u32>(p.n * sizeof(float));
     const u32 sb = static_cast<u32>(sizeof(float));
     const i64 m0 = static_cast<i64>(b.y) * p.BM;
     const i64 p0 = static_cast<i64>(b.x) * p.BN;
     const i64 KK = p.K * p.K;
-    const auto in_addr = [&p](i64 ci, i64 y, i64 x) {
-      return p.in_base + static_cast<u64>(
-                             (((ci * p.Hi + y) * p.in_pitch) + x) *
-                             static_cast<i64>(sizeof(float)));
-    };
-    const auto out_addr = [&p](i64 pf, i64 y, i64 x) {
-      return p.out_base + static_cast<u64>(
-                              (((pf * p.Ho + y) * p.out_pitch) + x) *
-                              static_cast<i64>(sizeof(float)));
-    };
-    const auto filt_addr = [&p](i64 idx) {
-      return p.filt_base + static_cast<u64>(idx) * sizeof(float);
-    };
     const auto sm_a = [&p](i64 idx) {
-      return p.sh_a + static_cast<u64>(idx) * sizeof(float);
+      return p.a_off + static_cast<u64>(idx) * sizeof(float);
     };
     const auto sm_b = [&p](i64 idx) {
-      return p.sh_b + static_cast<u64>(idx) * sizeof(float);
+      return p.b_off + static_cast<u64>(idx) * sizeof(float);
     };
     std::vector<xray::LaneAccess> lanes(static_cast<size_t>(p.nthreads));
     const auto each = [&](auto&& fill) {
@@ -509,7 +369,7 @@ xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
             const i64 mm = (e / p.BK) % p.BM;
             const i64 kk = kbase + e % p.BK;
             const bool ok = e < p.a_elems && m0 + mm < p.F && kk < p.Kdim;
-            return {ok ? filt_addr((m0 + mm) * p.Kdim + kk) : 0, sb, ok, ok};
+            return {ok ? p.filt_addr((m0 + mm) * p.Kdim + kk) : 0, sb, ok, ok};
           });
           sink.site(gm_site, lanes);
         }
@@ -537,7 +397,7 @@ xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
             const bool ok = e < p.b_elems && r < p.Kdim && p0 + col < p.Np;
             const i64 ci = r / KK, dy = (r % KK) / p.K, dx = r % p.K;
             const i64 y = (p0 + col) / p.Wo, x = (p0 + col) % p.Wo;
-            return {ok ? in_addr(ci, y + dy, x + dx) : 0, sb, ok, ok};
+            return {ok ? p.in_addr(ci, y + dy, x + dx) : 0, sb, ok, ok};
           });
           sink.site(gm_site, lanes);
         }
@@ -570,18 +430,18 @@ xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
       // The micro-tiled GEMM inner loop: A fragments broadcast across the
       // warp's X extent, B fragments stride conflict-free.
       for (i64 kk = 0; kk < p.BK; ++kk) {
-        for (i64 u = 0; u * p.N < p.TM; ++u) {
+        for (i64 u = 0; u * p.n < p.TM; ++u) {
           each([&](i64 t) -> xray::LaneAccess {
             const i64 ty = t / p.TXg;
-            return {sm_a(kk * p.stride_a + (ty + u * p.TYg) * p.N), vb, true,
+            return {sm_a(kk * p.stride_a + (ty + u * p.TYg) * p.n), vb, true,
                     true};
           });
           sink.site(kSmACompute, lanes);
         }
-        for (i64 u = 0; u * p.N < p.TN; ++u) {
+        for (i64 u = 0; u * p.n < p.TN; ++u) {
           each([&](i64 t) -> xray::LaneAccess {
             const i64 tx = t % p.TXg;
-            return {sm_b(kk * p.stride_b + (tx + u * p.TXg) * p.N), vb, true,
+            return {sm_b(kk * p.stride_b + (tx + u * p.TXg) * p.n), vb, true,
                     true};
           });
           sink.site(kSmBCompute, lanes);
@@ -609,16 +469,26 @@ xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
         sink.alu(2);
         each([&](i64 t) -> xray::LaneAccess {
           const i64 tx = t % p.TXg, ty = t / p.TXg;
-          const i64 ff = m0 + (ty + (i / p.N) * p.TYg) * p.N + i % p.N;
-          const i64 pp = p0 + (tx + (j / p.N) * p.TXg) * p.N + j % p.N;
+          const i64 ff = m0 + (ty + (i / p.n) * p.TYg) * p.n + i % p.n;
+          const i64 pp = p0 + (tx + (j / p.n) * p.TXg) * p.n + j % p.n;
           const bool ok = ff < p.F && pp < p.Np;
-          return {ok ? out_addr(ff, pp / p.Wo, pp % p.Wo) : 0, sb, ok, true};
+          return {ok ? p.out_addr(ff, pp / p.Wo, pp % p.Wo) : 0, sb, ok, true};
         });
         sink.site(kGmWriteback, lanes);
       }
     }
   };
   return m;
+}
+
+}  // namespace
+
+xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
+                                     i64 f, i64 hi, i64 wi,
+                                     const ImplicitGemmConfig& cfg) {
+  const ImplicitGemmPlan plan = plan_implicit_gemm(arch, k, c, f, hi, wi, cfg);
+  KCONV_CHECK(plan.error.empty(), plan.error);
+  return implicit_gemm_model(plan);
 }
 
 ImplicitGemmConfig implicit_gemm_auto_config(i64 f, i64 c, i64 k) {
@@ -646,21 +516,27 @@ KernelRun implicit_gemm_conv(sim::Device& dev, const tensor::Tensor& input,
   KCONV_CHECK(filters.c() == input.c(), "channel mismatch");
   KCONV_CHECK(filters.h() == filters.w(), "non-square filters unsupported");
 
-  i64 n = cfg.vec_width;
-  if (n == 0) n = dev.arch().smem_bank_bytes / sizeof(float);
-  KCONV_CHECK(n == 1 || n == 2 || n == 4, "unsupported vector width");
-  KCONV_CHECK(cfg.tm >= 1 && cfg.tm <= kMaxMicro && cfg.tn >= 1 &&
-                  cfg.tn <= kMaxMicro,
-              "micro-tile exceeds register capacity");
-  KCONV_CHECK(cfg.bm % cfg.tm == 0 && cfg.bn % cfg.tn == 0,
-              "tile extents must be multiples of the micro-tile");
-  KCONV_CHECK(cfg.tm % n == 0 && cfg.tn % n == 0,
-              "micro-tile must be a multiple of the vector width");
-
-  switch (n) {
-    case 1: return run_implicit<1>(dev, input, filters, cfg, opt);
-    case 2: return run_implicit<2>(dev, input, filters, cfg, opt);
-    default: return run_implicit<4>(dev, input, filters, cfg, opt);
+  const ImplicitGemmPlan plan =
+      plan_implicit_gemm(dev.arch(), filters.h(), input.c(), filters.n(),
+                         input.h(), input.w(), cfg);
+  KCONV_CHECK(plan.error.empty(), plan.error);
+  const auto run = [&]<int N>() {
+    DevicePlanes d_in(dev, plan.C, plan.Hi, plan.Wi);
+    d_in.upload(input);
+    DevicePlanes d_out(dev, plan.F, plan.Ho, plan.Wo);
+    const auto flat = flatten_filters(filters);
+    auto d_filt = dev.alloc<float>(std::span<const float>(flat));
+    ImplicitGemmKernel<N> k(plan);
+    k.in = d_in.view();
+    k.out = d_out.view();
+    k.filt = d_filt.view();
+    return launch_plan(dev, k, opt, d_out,
+                       [&plan] { return implicit_gemm_model(plan); });
+  };
+  switch (plan.n) {
+    case 1: return run.template operator()<1>();
+    case 2: return run.template operator()<2>();
+    default: return run.template operator()<4>();
   }
 }
 

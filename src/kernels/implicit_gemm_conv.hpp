@@ -11,6 +11,12 @@
 // avoid — and what the paper's kernels eliminate — is re-reading every
 // input pixel up to K*K times from global memory (softened by L2) and
 // spending index arithmetic on the im2col address decode.
+//
+// `plan_implicit_gemm` derives the tiling, SM panel layout, LaunchConfig,
+// plan key and the tiling's GM bound once; `implicit_gemm_check`,
+// `implicit_gemm_conv` and `implicit_gemm_xray` all consume that one plan.
+// The plan declares no fleet shard axes, so conv2d refuses multi-device
+// launches of this kernel.
 #pragma once
 
 #include "src/analysis/static/xray.hpp"
@@ -37,21 +43,37 @@ struct ImplicitGemmConfig {
 /// of pre-compiled SASS tiles and pads every problem into them.
 ImplicitGemmConfig implicit_gemm_auto_config(i64 f, i64 c, i64 k);
 
-/// Cheap legality probe for a candidate configuration on a (K, C, F, Hi,
-/// Wi) problem: empty string when `implicit_gemm_conv` with the same
-/// parameters would launch, otherwise the reason it would be rejected
-/// (micro-tile capacity, divisibility, staging-register capacity,
-/// shared-memory or occupancy limits). Runs no simulation and allocates
-/// nothing.
+/// The tiled GEMM's launch plan (see ConvPlan): filters in GM after the
+/// image and output planes. M = F, N' = Np = Ho*Wo, GEMM depth Kdim = C*K*K.
+struct ImplicitGemmPlan : ConvPlan {
+  i64 BM = 0, BN = 0, BK = 0, TM = 0, TN = 0;  ///< tile and micro-tile
+  bool prefetch = true;
+  i64 TXg = 0, TYg = 0, nthreads = 0;  ///< block = TXg x TYg threads
+  i64 Kdim = 0, Np = 0, steps = 0;     ///< steps = ceil(Kdim / BK)
+  /// Panel staging splits and their padded per-thread trip counts.
+  i64 a_elems = 0, b_elems = 0, a_iters = 0, b_iters = 0;
+  i64 stride_a = 0, stride_b = 0;  ///< SM panel strides (A padded)
+  u32 a_off = 0, b_off = 0;
+};
+
+/// Plans a (K, C, F, Hi, Wi) problem.
+ImplicitGemmPlan plan_implicit_gemm(const sim::Arch& arch, i64 k, i64 c,
+                                    i64 f, i64 hi, i64 wi,
+                                    const ImplicitGemmConfig& cfg);
+
+/// Cheap legality probe: the plan's error — empty when
+/// `implicit_gemm_conv` with the same parameters would launch, otherwise
+/// the reason it would be rejected (micro-tile capacity, divisibility,
+/// staging-register capacity, shared-memory or occupancy limits). Runs no
+/// simulation and allocates nothing.
 std::string implicit_gemm_check(const sim::Arch& arch, i64 k, i64 c, i64 f,
                                 i64 hi, i64 wi,
                                 const ImplicitGemmConfig& cfg);
 
 /// The kernel's access-site descriptor for kconv-xray (docs/MODEL.md §10):
-/// replays the tiled-GEMM instruction stream symbolically — same allocation
-/// order, same address expressions (including the im2col decode), same
-/// predicates as `implicit_gemm_conv` — without a Device. Callers must pass
-/// a configuration `implicit_gemm_check` accepts.
+/// the tiled-GEMM instruction stream (including the im2col decode) walked
+/// symbolically over the kernel's own plan, without a Device. Throws the
+/// plan's error for configurations `implicit_gemm_check` rejects.
 xray::KernelModel implicit_gemm_xray(const sim::Arch& arch, i64 k, i64 c,
                                      i64 f, i64 hi, i64 wi,
                                      const ImplicitGemmConfig& cfg);

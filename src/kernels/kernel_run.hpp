@@ -1,5 +1,5 @@
-// Common result type and plan-store stamp shared by the host-side kernel
-// runners.
+// Common result type, plan core and launch tail shared by the host-side
+// kernel runners.
 //
 // Kernel classes may additionally declare the trace-replay hook
 //
@@ -14,9 +14,13 @@
 // variants) and ImplicitGemmConv declare it.
 #pragma once
 
+#include <algorithm>
+#include <functional>
 #include <string>
 
 #include "src/analysis/static/xray.hpp"
+#include "src/common/strutil.hpp"
+#include "src/kernels/device_tensor.hpp"
 #include "src/sim/launch.hpp"
 #include "src/tensor/tensor.hpp"
 
@@ -31,21 +35,115 @@ struct KernelRun {
   bool output_valid = false;
 };
 
-/// Stamps a runner's launch options for the plan store. `plan_key`
-/// defaults to the kernel's canonical key. When a store is attached and the
-/// caller set no signature, the launch carries the kernel's xray signature
-/// (docs/MODEL.md §10), so a stored plan captured under a different access
-/// pattern is rejected ("stale-static-signature"), not replayed. The
-/// signature is memoized: `make_model` and its block-0 symbolic walk run
-/// once per config per process.
-template <typename MakeModel>
-void stamp_plan(const sim::Arch& arch, const std::string& canonical_key,
-                sim::LaunchOptions& lopt, const MakeModel& make_model) {
-  if (lopt.plan_key.empty()) lopt.plan_key = canonical_key;
-  if (lopt.plan_cache != nullptr && lopt.plan_static_signature == 0) {
-    lopt.plan_static_signature =
-        xray::memoized_signature(arch, canonical_key, make_model);
+/// What every conv kernel derives from (arch, problem, config) before it
+/// can launch. Each kernel family's plan function (plan_special,
+/// plan_general, plan_implicit_gemm) extends it with its tiling and is the
+/// one place that derivation lives: the legality probe returns `error`,
+/// the runner's kernel object holds the plan, and the xray describer's
+/// emit walk captures it (docs/MODEL.md §10). A non-empty `error` names
+/// the first violated constraint; the rest of the plan is then unspecified.
+struct ConvPlan {
+  std::string error;
+  /// Input (C, Hi, Wi), filters (F, C, K, K), valid output (F, Ho, Wo).
+  i64 K = 0, C = 0, F = 0, Hi = 0, Wi = 0, Ho = 0, Wo = 0;
+  bool fused = false;  ///< bias + ReLU folded into the write-back
+  i64 n = 0;           ///< vector width (W_SMB / W_CD when matched, Eq. 1)
+  sim::LaunchConfig lc;  ///< geometry, shared bytes, register estimate
+  /// Canonical plan-store key: folds in every access-shaping parameter.
+  std::string key;
+  /// Shard axes and staging footprints (docs/MODEL.md §9); `provided`
+  /// stays false for kernels that cannot be sharded.
+  sim::FleetHints fleet;
+  /// Paper case and the GM load bound of §3/§4 (roofline attribution).
+  profile::RooflineHints hints;
+  double out_bytes = 0.0;  ///< output written once
+  /// Address layout on a fresh Device: plane pitches (elements) and the
+  /// bases of image, output, filters and fused bias.
+  i64 in_pitch = 0, out_pitch = 0;
+  u64 in_base = 0, out_base = 0, filt_base = 0, bias_base = 0;
+
+  /// Records the problem and Eq. 1's vector width — `vec_width`, or
+  /// W_SMB / elem (at least 1) when 0. False, with `error` set, for a
+  /// width other than 1, 2, 4 (or 8 when `max_width` allows) or an image
+  /// smaller than the filter.
+  bool init(const sim::Arch& arch, i64 k, i64 c, i64 f, i64 hi,
+                   i64 wi, bool with_bias, i64 vec_width, i64 elem,
+                   i64 max_width) {
+    K = k;
+    C = c;
+    F = f;
+    Hi = hi;
+    Wi = wi;
+    Ho = hi - k + 1;  // valid convolution
+    Wo = wi - k + 1;
+    fused = with_bias;
+    n = vec_width != 0 ? vec_width
+                       : std::max<i64>(1, arch.smem_bank_bytes / elem);
+    if (n < 1 || n > max_width || (n & (n - 1)) != 0) {
+      error = strf("unsupported vector width %lld", static_cast<long long>(n));
+    } else if (Ho < 1 || Wo < 1) {
+      error = "image smaller than the filter";
+    }
+    return error.empty();
   }
+
+  /// fp32 byte addresses under that layout, for the describers' walks.
+  u64 in_addr(i64 c, i64 y, i64 x) const {
+    return in_base + static_cast<u64>(((c * Hi + y) * in_pitch + x) * 4);
+  }
+  u64 out_addr(i64 f, i64 y, i64 x) const {
+    return out_base + static_cast<u64>(((f * Ho + y) * out_pitch + x) * 4);
+  }
+  u64 filt_addr(i64 i) const { return filt_base + static_cast<u64>(i * 4); }
+  u64 bias_addr(i64 f) const { return bias_base + static_cast<u64>(f * 4); }
+
+  /// The communication lower bound: every load bound term plus the output.
+  double min_gm_bytes() const { return hints.gm_load_bound_bytes + out_bytes; }
+
+  /// Lays the buffers out in the runner's allocation order: image and
+  /// output planes of `elem`-byte storage in GM, then fp32 filters and
+  /// (when fused) bias — in GM, or in constant space when `const_filters`.
+  void place(i64 elem, bool const_filters) {
+    sim::AddressBump gm, cm;
+    in_pitch = plane_pitch(Wi, elem);
+    in_base = gm.alloc(static_cast<u64>(plane_elems(C, Hi, Wi, elem) * elem));
+    out_pitch = plane_pitch(Wo, elem);
+    out_base = gm.alloc(static_cast<u64>(plane_elems(F, Ho, Wo, elem) * elem));
+    sim::AddressBump& fm = const_filters ? cm : gm;
+    filt_base = fm.alloc(static_cast<u64>(F * C * K * K) * sizeof(float));
+    if (fused) bias_base = fm.alloc(static_cast<u64>(F) * sizeof(float));
+  }
+};
+
+/// The conv runners' shared tail. `kernel` holds its plan. The launch
+/// carries the plan key unless the caller set one; with a store attached
+/// and no caller signature it also carries the xray signature of
+/// `make_model` (docs/MODEL.md §10), so a stored plan captured under a
+/// different access pattern is rejected ("stale-static-signature"). The
+/// signature is memoized: the model's block-0 walk runs once per key per
+/// process. Then: the plan's fleet hints for multi-device launches, the
+/// launch, its roofline hints when profiling, and the output download
+/// when every block ran.
+template <typename Kernel, typename T>
+KernelRun launch_plan(sim::Device& dev, const Kernel& kernel,
+                      sim::LaunchOptions lopt, const DevicePlanesT<T>& out,
+                      const std::function<xray::KernelModel()>& make_model) {
+  const ConvPlan& plan = kernel;
+  if (lopt.plan_key.empty()) lopt.plan_key = plan.key;
+  if (make_model && lopt.plan_cache != nullptr &&
+      lopt.plan_static_signature == 0) {
+    lopt.plan_static_signature =
+        xray::memoized_signature(dev.arch(), plan.key, make_model);
+  }
+  if (lopt.fleet.devices > 1) lopt.fleet_hints = plan.fleet;
+  KernelRun run;
+  run.launch = sim::launch(dev, kernel, plan.lc, lopt);
+  if (lopt.profile) run.launch.profile.hints = plan.hints;
+  if (!run.launch.sampled && !run.launch.analytic) {
+    run.output = out.download();
+    run.output_valid = true;
+  }
+  return run;
 }
 
 }  // namespace kconv::kernels

@@ -1,97 +1,9 @@
 #include "src/kernels/short_dtype_conv.hpp"
 
-#include <algorithm>
-
 #include "src/kernels/detail/special_kernel.hpp"
 #include "src/kernels/special_conv.hpp"
-#include "src/tensor/conv_ref.hpp"
 
 namespace kconv::kernels {
-
-namespace {
-
-template <typename T, int N>
-KernelRun run_typed(sim::Device& dev, const tensor::Tensor& input,
-                    const tensor::Tensor& filters,
-                    const ShortDtypeConvConfig& cfg,
-                    const sim::LaunchOptions& opt) {
-  const i64 K = filters.h();
-  const i64 F = filters.n();
-  const i64 Hi = input.h(), Wi = input.w();
-  const i64 Ho = tensor::conv_out_extent(Hi, K, 0);
-  const i64 Wo = tensor::conv_out_extent(Wi, K, 0);
-  const i64 W = cfg.block_w, H = cfg.block_h;
-
-  DevicePlanesT<T> d_in(dev, 1, Hi, Wi);
-  d_in.upload(input);
-  DevicePlanesT<T> d_out(dev, F, Ho, Wo);
-
-  const auto flat = flatten_filters(filters);
-  auto d_filt = dev.alloc_const<float>(flat);
-
-  detail::SpecialKernelT<T, N> k;
-  k.in = d_in.view();
-  k.out = d_out.view();
-  k.filt =
-      sim::ConstView<float>(d_filt.get(), 0, static_cast<i64>(flat.size()));
-  k.K = K;
-  k.F = F;
-  k.Ho = Ho;
-  k.Wo = Wo;
-  k.W = W;
-  k.H = H;
-  k.n_tail = ceil_div(K - 1, N);
-
-  sim::SharedLayout smem;
-  k.sh_stride = round_up(W + K + N, 16);
-  k.sh_off = smem.alloc<T>(K * k.sh_stride);
-
-  sim::LaunchConfig lc;
-  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Wo, W)),
-                      static_cast<u32>(ceil_div(Ho, H)), 1};
-  lc.block = sim::Dim3{static_cast<u32>(W / N), 1, 1};
-  lc.shared_bytes = smem.size();
-  lc.regs_per_thread = static_cast<u32>(
-      std::min<i64>(K * (K + N - 1) + 3 * N + 12, dev.arch().max_regs_per_thread));
-
-  sim::LaunchOptions lopt = opt;
-  if (lopt.plan_key.empty()) {
-    lopt.plan_key = strf(
-        "short_dtype|v1|dt=%d|n=%d|k=%lld|f=%lld|hi=%lld|wi=%lld|bw=%lld|"
-        "bh=%lld",
-        static_cast<int>(cfg.dtype), N, static_cast<long long>(K),
-        static_cast<long long>(F), static_cast<long long>(Hi),
-        static_cast<long long>(Wi), static_cast<long long>(W),
-        static_cast<long long>(H));
-  }
-
-  KernelRun run;
-  run.launch = sim::launch(dev, k, lc, lopt);
-  if (!run.launch.sampled && !run.launch.analytic) {
-    run.output = d_out.download();
-    run.output_valid = true;
-  }
-  return run;
-}
-
-template <typename T>
-KernelRun dispatch_width(sim::Device& dev, const tensor::Tensor& input,
-                         const tensor::Tensor& filters,
-                         const ShortDtypeConvConfig& cfg, i64 n,
-                         const sim::LaunchOptions& opt) {
-  switch (n) {
-    case 1: return run_typed<T, 1>(dev, input, filters, cfg, opt);
-    case 2: return run_typed<T, 2>(dev, input, filters, cfg, opt);
-    case 4: return run_typed<T, 4>(dev, input, filters, cfg, opt);
-    case 8: return run_typed<T, 8>(dev, input, filters, cfg, opt);
-    default:
-      KCONV_CHECK(false, strf("unsupported vector width %lld",
-                              static_cast<long long>(n)));
-      __builtin_unreachable();
-  }
-}
-
-}  // namespace
 
 KernelRun short_dtype_conv(sim::Device& dev, const tensor::Tensor& input,
                            const tensor::Tensor& filters,
@@ -101,26 +13,19 @@ KernelRun short_dtype_conv(sim::Device& dev, const tensor::Tensor& input,
   KCONV_CHECK(input.c() == 1 && filters.c() == 1,
               "short-dtype conv implements the special case (C = 1)");
   KCONV_CHECK(filters.h() == filters.w(), "non-square filters unsupported");
-  const i64 K = filters.h();
-  KCONV_CHECK(K >= 1 && K <= kSpecialMaxK, "filter size out of range");
-  KCONV_CHECK(cfg.block_w >= 4 && cfg.block_w % 4 == 0 && cfg.block_h >= 1,
-              "invalid tile configuration");
-
-  const std::size_t elem = dtype_size(cfg.dtype);
-  i64 n = cfg.vec_width;
-  if (n == 0) {
-    n = std::max<i64>(1, static_cast<i64>(dev.arch().smem_bank_bytes / elem));
-  }
-  KCONV_CHECK(cfg.block_w % n == 0,
-              "block_w must be a multiple of the vector width");
+  const SpecialPlan plan = plan_special(
+      dev.arch(), filters.h(), filters.n(), input.h(), input.w(),
+      {cfg.block_w, cfg.block_h, cfg.vec_width}, false, cfg.dtype);
+  KCONV_CHECK(plan.error.empty(), plan.error);
 
   switch (cfg.dtype) {
     case DType::F32:
-      return dispatch_width<float>(dev, input, filters, cfg, n, opt);
+      return detail::run_special<float>(dev, plan, input, filters, opt, {},
+                                        {});
     case DType::F16:
-      return dispatch_width<f16>(dev, input, filters, cfg, n, opt);
+      return detail::run_special<f16>(dev, plan, input, filters, opt, {}, {});
     case DType::I8:
-      return dispatch_width<i8q>(dev, input, filters, cfg, n, opt);
+      return detail::run_special<i8q>(dev, plan, input, filters, opt, {}, {});
   }
   KCONV_ASSERT(false);
   __builtin_unreachable();

@@ -15,8 +15,14 @@
 //     row read from GM serves the convolutions of K output rows.
 // Every in-tile pixel is read from GM exactly once — the communication
 // lower bound; only inter-tile halo columns/rows are re-read.
+//
+// `plan_special` derives all of that once — vector width, tile geometry,
+// the SM row-slot layout, LaunchConfig, plan key, fleet hints and the §3
+// bound. `special_conv_check`, `special_conv`, `special_conv_xray` and the
+// short-dtype runner all consume that one plan.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "src/analysis/static/xray.hpp"
@@ -43,20 +49,41 @@ struct SpecialConvConfig {
 /// 5x5 in the special case; 7 keeps the general-case sizes available too).
 inline constexpr i64 kSpecialMaxK = 7;
 
-/// Cheap legality probe for a candidate configuration on an (K, F, Hi, Wi)
-/// single-channel problem: empty string when `special_conv` with the same
-/// parameters would launch, otherwise the reason it would be rejected
-/// (filter size, tile shape, constant-memory capacity, occupancy). Runs no
-/// simulation and allocates nothing — autotuner sweeps use it to skip
-/// illegal points without exceptions as control flow.
+/// Algorithm 1's launch plan (see ConvPlan): C = 1, filters (and the fused
+/// bias) in constant space.
+struct SpecialPlan : ConvPlan {
+  i64 W = 0, H = 0;     ///< tile extents
+  i64 nthreads = 0;     ///< threads per block, W / n
+  i64 n_tail = 0;       ///< threads loading the right halo piece
+  i64 rows_wcols = 0;   ///< register-window columns, whole n-units
+  i64 sh_stride = 0;    ///< storage elements per SM row slot
+  u32 sh_off = 0;
+};
+
+/// Plans a (K, F, Hi, Wi) single-channel problem. `fused` mirrors a
+/// non-empty `fuse_bias_relu` (its F floats share constant memory with the
+/// filters). `short_dtype` plans the short-storage variant
+/// (short_dtype_conv.hpp): its element size sets Eq. 1's width, the image
+/// and output layout and the bounds, width 8 becomes legal, and the plan
+/// key is the "short_dtype" one.
+SpecialPlan plan_special(const sim::Arch& arch, i64 k, i64 f, i64 hi, i64 wi,
+                         const SpecialConvConfig& cfg, bool fused = false,
+                         std::optional<DType> short_dtype = std::nullopt);
+
+/// Cheap legality probe: the plan's error — empty when `special_conv` with
+/// the same parameters (`fused` for a non-empty bias) would launch,
+/// otherwise the reason it would be rejected (filter size, tile shape,
+/// constant-memory capacity, occupancy). Runs no simulation and allocates
+/// nothing — autotuner sweeps use it to skip illegal points without
+/// exceptions as control flow.
 std::string special_conv_check(const sim::Arch& arch, i64 k, i64 f, i64 hi,
-                               i64 wi, const SpecialConvConfig& cfg);
+                               i64 wi, const SpecialConvConfig& cfg,
+                               bool fused = false);
 
 /// The kernel's access-site descriptor for kconv-xray (docs/MODEL.md §10):
-/// replays Algorithm 1's instruction stream symbolically — same allocation
-/// order, same address expressions, same predicates as `special_conv` —
-/// without a Device. Callers must pass a configuration `special_conv_check`
-/// accepts. `fused` mirrors a non-empty `fuse_bias_relu`.
+/// Algorithm 1's instruction stream walked symbolically over the kernel's
+/// own plan — its layout, tiling and predicates — without a Device. Throws
+/// the plan's error for configurations `special_conv_check` rejects.
 xray::KernelModel special_conv_xray(const sim::Arch& arch, i64 k, i64 f,
                                     i64 hi, i64 wi,
                                     const SpecialConvConfig& cfg,

@@ -282,8 +282,28 @@ obs::RunTotals conv_totals(const sim::LaunchResult& l, bool fused,
 
 }  // namespace
 
+std::string shard_error(const sim::Arch& arch, const Graph& g,
+                        const sim::FleetOptions& fleet) {
+  if (fleet.devices <= 1) return "";
+  const std::vector<Shape> shp = g.shapes();
+  core::ConvOptions copt;
+  copt.launch.fleet = fleet;
+  for (const Node& n : g.nodes()) {
+    if (n.kind != OpKind::Conv) continue;
+    const Shape& in = shp[static_cast<std::size_t>(n.input)];
+    const std::string why = core::conv2d_shard_error(
+        arch, in.c, n.filters.n(), n.filters.h(), in.h, in.w, copt);
+    if (!why.empty()) {
+      return strf("conv layer '%s': %s", n.name.c_str(), why.c_str());
+    }
+  }
+  return "";
+}
+
 GraphRun run_graph(sim::Device& dev, const Graph& g,
                    const tensor::Tensor& input, const GraphRunOptions& opt) {
+  const std::string why = shard_error(dev.arch(), g, opt.launch.fleet);
+  KCONV_CHECK(why.empty(), why);
   const auto& nodes = g.nodes();
   const std::vector<Shape> shp = g.shapes();
   const i32 in_id = g.input_node();

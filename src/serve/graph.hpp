@@ -141,6 +141,13 @@ struct GraphRun : obs::RunTotals {
   u64 naive_peak_bytes = 0;
 };
 
+/// Why run_graph would refuse to shard `g` across `fleet`, or "" when it
+/// would not: the first conv layer whose kernel declares no axis for the
+/// strategy (core::conv2d_shard_error), by name. run_graph throws it before
+/// the first launch; kconv_cli --serve exits 2 with it before any request.
+std::string shard_error(const sim::Arch& arch, const Graph& g,
+                        const sim::FleetOptions& fleet);
+
 /// Runs the graph on `input` ((1, C, H, W) matching the Input node).
 /// Byte-identity contract: for the same graph and input, the output is
 /// bit-for-bit identical with fusion on or off, and across serial,

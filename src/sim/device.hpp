@@ -2,7 +2,7 @@
 //
 // A Device is the root object user code creates; everything else (buffers,
 // constant banks, launches) hangs off it. Addresses are handed out
-// monotonically so that no two allocations ever alias.
+// monotonically (AddressBump) so that no two allocations ever alias.
 #pragma once
 
 #include <memory>
@@ -13,6 +13,22 @@
 #include "src/sim/memory.hpp"
 
 namespace kconv::sim {
+
+/// The device address policy: a monotonic bump from 0x1000 (page 0 stays
+/// unmapped to catch null-ish bugs) with 256-byte-aligned successors, like
+/// cudaMalloc. Global and constant space each run one. Kernel plans run
+/// their own instances to place buffers where a fresh Device would.
+class AddressBump {
+ public:
+  u64 alloc(u64 bytes) {
+    const u64 base = next_;
+    next_ = static_cast<u64>(round_up(static_cast<i64>(base + bytes), 256));
+    return base;
+  }
+
+ private:
+  u64 next_ = 0x1000;
+};
 
 class Device {
  public:
@@ -26,9 +42,7 @@ class Device {
   /// Allocates `bytes` of simulated global memory (256-byte aligned base,
   /// like cudaMalloc).
   std::unique_ptr<DeviceBuffer> alloc_bytes(std::size_t bytes) {
-    const u64 base = next_gm_;
-    next_gm_ = round_up(static_cast<i64>(base + bytes), 256);
-    return std::make_unique<DeviceBuffer>(base, bytes);
+    return std::make_unique<DeviceBuffer>(gm_.alloc(bytes), bytes);
   }
 
   /// Allocates a typed global array of `count` elements.
@@ -53,10 +67,9 @@ class Device {
   /// general-case filters to global memory).
   template <typename T>
   std::unique_ptr<ConstBuffer> alloc_const(std::span<const T> src) {
-    const u64 base = next_const_;
-    next_const_ = round_up(static_cast<i64>(base + src.size_bytes()), 256);
-    auto buf = std::make_unique<ConstBuffer>(base, src.size_bytes(),
-                                             arch_.const_capacity);
+    auto buf = std::make_unique<ConstBuffer>(
+        const_.alloc(src.size_bytes()), src.size_bytes(),
+        arch_.const_capacity);
     buf->upload(src);
     return buf;
   }
@@ -64,8 +77,8 @@ class Device {
  private:
   Arch arch_;
   L2Cache l2_;
-  u64 next_gm_ = 0x1000;     // leave page 0 unmapped to catch null-ish bugs
-  u64 next_const_ = 0x1000;  // constant space is separate from global space
+  AddressBump gm_;
+  AddressBump const_;  // constant space is separate from global space
 };
 
 }  // namespace kconv::sim

@@ -162,5 +162,61 @@ TEST(ConvApi, WinogradRejectsNon3x3ThroughApi) {
   EXPECT_THROW(conv2d(dev, img, flt, opt), Error);
 }
 
+TEST(ConvApi, RefusesShardAxesTheKernelDoesNotDeclare) {
+  // The axes come from the kernel plan's fleet hints: the special kernel
+  // loops filters inside the block (no channel axis), the baselines declare
+  // no axes at all. conv2d throws the conv2d_shard_error reason up front.
+  const sim::Arch arch = sim::kepler_k40m();
+  using S = sim::ShardStrategy;
+  struct Case {
+    Algo algo;
+    i64 c;
+    S strategy;
+    std::string why;
+  };
+  const Case cases[] = {
+      {Algo::Special, 1, S::Channel,
+       "the 'special' kernel declares no channel shard axis"},
+      {Algo::Auto, 1, S::Channel,
+       "the 'special' kernel declares no channel shard axis"},
+      {Algo::ImplicitGemm, 16, S::Batch,
+       "multi-device sharding is not supported by the 'implicit-gemm' "
+       "algorithm"},
+      {Algo::Im2colGemm, 16, S::Spatial,
+       "multi-device sharding is not supported by the 'im2col-gemm' "
+       "algorithm"},
+      {Algo::Special, 1, S::Spatial, ""},
+      {Algo::Special, 1, S::Batch, ""},
+      {Algo::General, 16, S::Channel, ""},
+      {Algo::General, 16, S::Spatial, ""},
+  };
+  for (const Case& t : cases) {
+    ConvOptions opt;
+    opt.algo = t.algo;
+    opt.launch.fleet.devices = 2;
+    opt.launch.fleet.strategy = t.strategy;
+    const std::string what =
+        strf("%s/%s", algo_name(t.algo), sim::shard_name(t.strategy));
+    EXPECT_EQ(conv2d_shard_error(arch, t.c, 32, 3, 20, 20, opt), t.why)
+        << what;
+    sim::Device dev(arch);
+    const auto img = image(t.c, 20, 20, 1);
+    const auto flt = filters(32, t.c, 3, 2);
+    if (t.why.empty()) {
+      EXPECT_TRUE(conv2d(dev, img, flt, opt).output_valid) << what;
+      continue;
+    }
+    try {
+      conv2d(dev, img, flt, opt);
+      ADD_FAILURE() << what << ": sharded launch was not refused";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("kconv error: " + t.why, 0), 0u)
+          << e.what();
+    }
+    opt.launch.fleet.devices = 1;  // one device never needs an axis
+    EXPECT_EQ(conv2d_shard_error(arch, t.c, 32, 3, 20, 20, opt), "") << what;
+  }
+}
+
 }  // namespace
 }  // namespace kconv::core

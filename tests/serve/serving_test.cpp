@@ -322,6 +322,37 @@ TEST(ServingRollup, RegistryCountersSumToTheirStatsFields) {
   fs::remove_all(dir);
 }
 
+TEST(Serving, RefusesAChannelShardBeforeTheFirstLaunch) {
+  // Every network opens with a single-channel conv on the special kernel,
+  // which declares no channel axis: the graph is refused up front, naming
+  // that layer, while batch and spatial sharding stay accepted.
+  const sim::Arch arch = sim::kepler_k40m();
+  for (const std::string& name : network_names()) {
+    const Network net = make_network(name);
+    GraphRunOptions g;
+    g.launch.fleet.devices = 2;
+    g.launch.fleet.strategy = sim::ShardStrategy::Channel;
+    const std::string why = shard_error(arch, net.graph, g.launch.fleet);
+    EXPECT_EQ(why,
+              "conv layer 'conv_1': the 'special' kernel declares no "
+              "channel shard axis")
+        << name;
+    sim::Device dev(arch);
+    try {
+      run_graph(dev, net.graph, make_network_input(net, 0), g);
+      ADD_FAILURE() << name << ": channel-sharded graph was not refused";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("kconv error: " + why, 0), 0u)
+          << e.what();
+    }
+    for (const auto s : {sim::ShardStrategy::Batch,
+                         sim::ShardStrategy::Spatial}) {
+      g.launch.fleet.strategy = s;
+      EXPECT_EQ(shard_error(arch, net.graph, g.launch.fleet), "") << name;
+    }
+  }
+}
+
 TEST(Serving, EmptyDrainIsANoOp) {
   ServingDriver driver({});
   EXPECT_TRUE(driver.drain().empty());
