@@ -9,6 +9,7 @@
 #include "src/sim/banks.hpp"
 #include "src/sim/coalescing.hpp"
 #include "src/sim/constmem.hpp"
+#include "src/sim/pattern_cache.hpp"
 
 namespace kconv::xray {
 
@@ -69,7 +70,9 @@ bool is_gmem(sim::Op op) {
 /// Mirrors the executor's retire loop (block_exec.cpp) over the modeled
 /// stream: per instruction, per warp, the lanes' accesses feed the same
 /// analyzers under the same counting rules, so the predicted counters are
-/// bit-equal to an executed launch by construction.
+/// bit-equal to an executed launch by construction. Shared and global
+/// groups retire through the executor's own pattern memo (docs/MODEL.md
+/// §5c), whose answers are the analyzers' own, bit for bit.
 class CounterSink final : public ModelSink {
  public:
   CounterSink(const sim::Arch& arch, const KernelModel& model,
@@ -80,10 +83,11 @@ class CounterSink final : public ModelSink {
         dual_banks_(dual_banks),
         site_stats_(site_stats),
         stats_(stats),
+        pattern_(arch.smem_banks, arch.smem_bank_bytes, arch.gm_sector_bytes),
         n_lanes_(static_cast<u32>(model.cfg.block.count())),
         n_warps_(static_cast<u32>(
             ceil_div(static_cast<i64>(n_lanes_), arch.warp_size))) {
-    acc_.reserve(arch.warp_size);
+    acc_.resize(arch.warp_size);
     gcost_.sectors.reserve(2 * arch.warp_size);
     lane_alu_.resize(n_lanes_);
   }
@@ -136,26 +140,21 @@ class CounterSink final : public ModelSink {
     // ThreadCtx charges one address-computation ALU op on the taken path of
     // every global/shared load and store (never for constant loads, never
     // for predicated-off lanes) — mirror it here so alu counters stay exact.
-    if (op != sim::Op::LoadConst) {
-      for (u32 t = 0; t < n_lanes_; ++t) {
-        if (lanes[t].pred) ++lane_alu_[t];
-      }
-    }
+    const bool addr_alu = op != sim::Op::LoadConst;
     SiteStats& ss = site_stats_[site];
     for (u32 w = 0; w < n_warps_; ++w) {
       const u32 lo = w * arch_.warp_size;
-      const u32 hi = std::min(lo + arch_.warp_size, n_lanes_);
-      acc_.clear();
-      for (u32 t = lo; t < hi; ++t) {
-        if (lanes[t].pred) {
-          acc_.push_back(
-              {op, lanes[t].addr, lanes[t].bytes, profile::Phase::Other});
-        } else {
-          // A predicated-off lane keeps its slot as an empty access.
-          acc_.push_back({op, 0, 0, profile::Phase::Other});
-        }
+      const u32 n = std::min(lo + arch_.warp_size, n_lanes_) - lo;
+      u64 live = 0;
+      for (u32 i = 0; i < n; ++i) {
+        const LaneAccess& l = lanes[lo + i];
+        // A predicated-off lane keeps its slot as an empty access.
+        acc_[i] = {op, l.pred ? l.addr : 0, l.pred ? l.bytes : 0u,
+                   profile::Phase::Other};
+        live += acc_[i].bytes > 0 ? 1 : 0;
+        if (addr_alu && l.pred) ++lane_alu_[lo + i];
       }
-      retire(op, ss);
+      retire(op, std::span<const sim::Access>(acc_.data(), n), live, ss);
     }
   }
 
@@ -172,18 +171,12 @@ class CounterSink final : public ModelSink {
   void alu(u64 lane_ops) override { alu_per_lane_ += lane_ops; }
 
  private:
-  u64 live_count() const {
-    u64 live = 0;
-    for (const sim::Access& a : acc_) live += a.bytes > 0 ? 1 : 0;
-    return live;
-  }
-
-  void retire(sim::Op op, SiteStats& ss) {
+  void retire(sim::Op op, std::span<const sim::Access> group, u64 live,
+              SiteStats& ss) {
     switch (op) {
       case sim::Op::LoadShared:
       case sim::Op::StoreShared: {
-        const sim::SmemCost c = sim::analyze_smem(acc_, arch_.smem_banks,
-                                                  arch_.smem_bank_bytes);
+        const sim::SmemCost c = pattern_.smem(group);
         if (c.lane_bytes == 0) break;  // every lane predicated off
         ++stats_.smem_instrs;
         stats_.smem_request_cycles += c.request_cycles;
@@ -195,7 +188,7 @@ class CounterSink final : public ModelSink {
           seg_sm_store_ = true;
         }
         ++ss.instrs;
-        ss.live_lanes += live_count();
+        ss.live_lanes += live;
         ss.lane_bytes += c.lane_bytes;
         ss.unique_bytes += c.unique_bytes;
         ss.request_cycles += c.request_cycles;
@@ -203,35 +196,35 @@ class CounterSink final : public ModelSink {
             std::max(ss.max_conflict_degree, c.request_cycles);
         if (dual_banks_) {
           ss.request_cycles_4b +=
-              sim::analyze_smem(acc_, arch_.smem_banks, 4).request_cycles;
+              sim::analyze_smem(group, arch_.smem_banks, 4).request_cycles;
           ss.request_cycles_8b +=
-              sim::analyze_smem(acc_, arch_.smem_banks, 8).request_cycles;
+              sim::analyze_smem(group, arch_.smem_banks, 8).request_cycles;
         }
         break;
       }
       case sim::Op::LoadGlobal:
       case sim::Op::StoreGlobal: {
-        sim::analyze_gmem(acc_, arch_.gm_sector_bytes, gcost_);
+        pattern_.gmem(group, gcost_);
         if (gcost_.lane_bytes == 0) break;
         ++stats_.gm_instrs;
         stats_.gm_sectors += gcost_.sectors.size();
         stats_.gm_bytes_useful += gcost_.lane_bytes;
         if (op == sim::Op::LoadGlobal) seg_gm_load_ = true;
         ++ss.instrs;
-        ss.live_lanes += live_count();
+        ss.live_lanes += live;
         ss.lane_bytes += gcost_.lane_bytes;
         ss.sectors += gcost_.sectors.size();
         break;
       }
       case sim::Op::LoadConst: {
         const sim::ConstCost c =
-            sim::analyze_const(acc_, arch_.const_line_bytes);
+            sim::analyze_const(group, arch_.const_line_bytes);
         ++stats_.const_instrs;
         stats_.const_requests += c.requests;
         ++ss.instrs;
-        ss.live_lanes += live_count();
+        ss.live_lanes += live;
         ss.const_requests += c.requests;
-        for (const sim::Access& a : acc_) ss.lane_bytes += a.bytes;
+        for (const sim::Access& a : group) ss.lane_bytes += a.bytes;
         break;
       }
       default:
@@ -244,6 +237,7 @@ class CounterSink final : public ModelSink {
   const bool dual_banks_;
   std::vector<SiteStats>& site_stats_;
   sim::KernelStats& stats_;
+  sim::PatternCache pattern_;
   const u32 n_lanes_;
   const u32 n_warps_;
   std::vector<sim::Access> acc_;

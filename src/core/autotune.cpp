@@ -1,8 +1,10 @@
 #include "src/core/autotune.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "src/analysis/static/xray.hpp"
 #include "src/common/rng.hpp"
@@ -167,9 +169,7 @@ struct Proxy {
   i64 c, f, k, n;
 };
 
-/// Per-candidate outcome slot. Exactly one worker writes each slot (the
-/// sweep runs with grain 1), so no synchronization is needed beyond the
-/// pool's own join.
+/// Per-candidate outcome slot.
 struct Outcome {
   bool evaluated = false;
   double gflops = 0.0;
@@ -203,61 +203,76 @@ AutotuneResult<Config> tune(const sim::Arch& arch, const std::string& key,
 
   sim::LaunchOptions opt;
   opt.sample_max_blocks = sample_blocks;
-  // Probe launches replay repeated block classes only into a plan store: an
-  // interrupted sweep's traces are reused candidate-by-candidate on the next
-  // cold run. Without one, a probe's few sampled blocks never repay the
-  // capture. Replay keeps counters exact, so scores and rankings are the
-  // same either way (docs/MODEL.md §5b); `analytic` implies replay.
-  opt.replay = plans != nullptr;
-  opt.plan_cache = plans;
+  // Probe plans are stored only where a warm plan pays (docs/MODEL.md §5d).
+  // A stored probe plan serves any later sweep that probes the same config
+  // on the same shape and sampling: the rerun of an interrupted sweep, the
+  // pruned or unpruned twin of a finished one, or a sweep over an
+  // overlapping space. A warm analytic probe runs ~15x faster than a cold
+  // one, so analytic probes replay into the store. A warm plain probe
+  // saves about what its capture cost, so plain probes run with no replay
+  // and no store: a plain sweep stores only its ranking. Replay keeps
+  // counters exact, so scores are the same either way (§5b).
   opt.analytic = analytic;
+  opt.plan_cache = analytic ? plans : nullptr;
+  opt.replay = opt.plan_cache != nullptr;
+
+  // One pool for the pre-pass and the sweep. Every per-candidate step
+  // runs with grain 1 and writes only its own slot, so no synchronization
+  // is needed beyond the pool's own join.
+  const u64 count = candidates.size();
+  const u32 threads = static_cast<u32>(std::min<u64>(
+      ThreadPool::resolve_threads(num_threads), std::max<u64>(count, 1)));
+  std::optional<ThreadPool> pool;
+  if (threads > 1 && count > 1) pool.emplace(threads);
+  const auto for_each_candidate = [&](const auto& step) {
+    const auto body = [&](u64 b, u64 e, u32 /*chunk*/) {
+      for (u64 i = b; i < e; ++i) step(i);
+    };
+    if (pool.has_value()) {
+      pool->parallel_for(0, count, 1, body);
+    } else {
+      body(0, count, 0);
+    }
+  };
 
   // kconv-xray pre-pass (docs/MODEL.md §10): rank every legal candidate on
   // its statically predicted counters and keep the top half. Dominated
   // configurations are never simulated.
-  const u64 count = candidates.size();
   std::vector<char> keep(count, 1);
   if (static_prune) {
+    const auto t0 = std::chrono::steady_clock::now();
     std::vector<double> score(count, std::numeric_limits<double>::quiet_NaN());
-    for (u64 i = 0; i < count; ++i) {
-      if (!check(candidates[i]).empty()) continue;
+    for_each_candidate([&](u64 i) {
+      if (!check(candidates[i]).empty()) return;
       score[i] = static_score(arch, model(candidates[i]), sample_blocks);
-    }
+    });
     keep = prune_keep(score);
     for (u64 i = 0; i < count; ++i) {
       if (score[i] == score[i] && keep[i] == 0) ++res.pruned;
     }
+    res.prepass_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
   }
 
-  // Candidates are probed on `num_threads` host threads. Illegal ones are
-  // skipped without ever constructing a kernel; a defensive catch keeps a
-  // candidate that still throws in the skipped bucket rather than
-  // poisoning the sweep.
+  // Illegal candidates are skipped without ever constructing a kernel; a
+  // defensive catch keeps a candidate that still throws in the skipped
+  // bucket rather than poisoning the sweep.
   std::vector<Outcome> out(count);
-  const auto body = [&](u64 b, u64 e, u32 /*chunk*/) {
-    for (u64 i = b; i < e; ++i) {
-      if (keep[i] == 0 || !check(candidates[i]).empty()) continue;
-      try {
-        // A fresh device per candidate: scores never depend on what the
-        // sweep ran before (allocator addresses, L2 warmth), so the ranking
-        // is identical for any thread count.
-        sim::Device cand_dev(arch);
-        out[i].gflops = run(cand_dev, img, flt, candidates[i], opt, {})
-                            .launch.timing.gflops;
-        out[i].evaluated = true;
-      } catch (const Error&) {
-        // Pre-validation should have caught this; count it as skipped.
-      }
+  for_each_candidate([&](u64 i) {
+    if (keep[i] == 0 || !check(candidates[i]).empty()) return;
+    try {
+      // A fresh device per candidate: scores never depend on what the
+      // sweep ran before (allocator addresses, L2 warmth), so the ranking
+      // is identical for any thread count.
+      sim::Device cand_dev(arch);
+      out[i].gflops = run(cand_dev, img, flt, candidates[i], opt, {})
+                          .launch.timing.gflops;
+      out[i].evaluated = true;
+    } catch (const Error&) {
+      // Pre-validation should have caught this; count it as skipped.
     }
-  };
-  const u32 threads = static_cast<u32>(std::min<u64>(
-      ThreadPool::resolve_threads(num_threads), std::max<u64>(count, 1)));
-  if (threads <= 1 || count <= 1) {
-    body(0, count, 0);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(0, count, 1, body);
-  }
+  });
 
   for (u64 i = 0; i < count; ++i) {
     if (out[i].evaluated) res.ranking.push_back({candidates[i], out[i].gflops});

@@ -49,6 +49,10 @@ struct AutotuneResult {
   /// Legal configurations the kconv-xray pre-pass (static_prune) ranked
   /// out before simulation (docs/MODEL.md §10). 0 when pruning was off.
   i64 pruned = 0;
+  /// Host wall seconds the kconv-xray pre-pass took (steady_clock). 0 when
+  /// pruning was off or the ranking came from the store. Neither persisted
+  /// with the ranking nor printed by the CLI.
+  double prepass_seconds = 0.0;
   /// The full ranking was served from a persisted plan store; no candidate
   /// was simulated. Scores are bit-identical to the cold sweep that wrote
   /// the entry (same arch, proxy, space, sampling and probe mode). A stored
@@ -76,21 +80,24 @@ using SpecialAutotuneResult = AutotuneResult<kernels::SpecialConvConfig>;
 /// With `plans` set, the finished ranking is persisted keyed by (arch,
 /// problem, space, sampling, probe mode); a warm call returns the stored
 /// ranking without simulating a single candidate (from_plan_cache = true).
-/// Candidate probe launches also share the store, so even a cold sweep
-/// after an interrupted one reuses captured traces. `analytic` runs the
-/// probes in analytic replay mode (docs/MODEL.md §5d): scores keep the
-/// exact compute/smem counters and per-class approximate GM counters —
-/// rankings on these proxies are unchanged, only cheaper. Analytic and
-/// non-analytic sweeps are keyed separately.
+/// `analytic` runs the probes in analytic replay mode (docs/MODEL.md §5d):
+/// scores keep the exact compute/smem counters and per-class approximate
+/// GM counters — rankings on these proxies are unchanged, only cheaper.
+/// Analytic probes also persist their plans in the store, so any later
+/// sweep probing the same candidates reuses them (an interrupted sweep's
+/// rerun, the pruned or unpruned twin, an overlapping space); plain probes
+/// store nothing, so a plain sweep writes exactly one entry, its ranking.
+/// Analytic and non-analytic sweeps are keyed separately.
 ///
 /// `static_prune` (docs/MODEL.md §10) runs the kconv-xray symbolic pass
 /// over every legal candidate first — no Device, no block execution —
 /// scores each on the analytic time estimate of its predicted counters
-/// (same sampled block ids the probe launch would run), and simulates only
-/// the top half. Dominated configurations land in `pruned` instead of the
-/// ranking; the winner is unchanged on the shipping spaces (asserted by
-/// tests and the bench baseline), because the static counters are the
-/// exact inputs the simulator's own timing model consumes.
+/// (same sampled block ids the probe launch would run) on the sweep's host
+/// threads, and simulates only the top half. Dominated configurations land
+/// in `pruned` instead of the ranking; the winner is unchanged on the
+/// shipping spaces (asserted by tests and the bench baseline), because the
+/// static counters are the exact inputs the simulator's own timing model
+/// consumes.
 GeneralAutotuneResult autotune_general(sim::Device& dev, i64 k, i64 c, i64 f,
                                        i64 n, const GeneralSpace& space = {},
                                        u64 sample_blocks = 2,

@@ -7,6 +7,27 @@ namespace kconv::sim {
 ConstCost analyze_const(std::span<const Access> lanes, u32 line_bytes) {
   KCONV_ASSERT(line_bytes > 0);
   ConstCost cost;
+  // A broadcast (every active lane on one address) is one request on one
+  // line; answer it without the per-lane walk below.
+  const Access* first = nullptr;
+  bool broadcast = true;
+  for (const Access& a : lanes) {
+    if (a.bytes == 0) continue;
+    if (first == nullptr) {
+      first = &a;
+    } else if (a.addr != first->addr) {
+      broadcast = false;
+      break;
+    }
+  }
+  if (broadcast) {
+    if (first != nullptr) {
+      cost.lines_touched = 1;
+      cost.line_addrs[0] = (first->addr / line_bytes) * line_bytes;
+    }
+    cost.requests = 1;
+    return cost;
+  }
   u64 addrs[32];
   u32 n_addrs = 0;
   for (const Access& a : lanes) {

@@ -4,6 +4,8 @@
 // kernels disjoint, and the report must flag the seeded defects.
 #include "src/analysis/static/xray.hpp"
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.hpp"
@@ -403,22 +405,27 @@ TEST(XrayRaces, MissingSyncIsADefiniteRace) {
 /// Mirrors one kconv-check CI invocation through the public API: runs
 /// core::conv2d exactly as kconv_cli would, derives the model through
 /// core::conv2d_xray_model (which must replicate conv2d's algorithm and
-/// tiling resolution), and requires bit-equal counters.
+/// tiling resolution), and requires bit-equal counters. `pattern_cache`
+/// is the launch's memo switch; a given `signature` pins the model's
+/// static_signature.
 void check_cli_shape(core::Algo algo, i64 c, i64 f, i64 k, i64 n,
                      bool replay = false, u32 threads = 1, i64 vec = 0,
-                     bool same = false) {
+                     bool same = false, bool pattern_cache = true,
+                     std::optional<u64> signature = std::nullopt) {
   SCOPED_TRACE(strf("algo=%s c=%lld f=%lld k=%lld n=%lld replay=%d "
-                    "threads=%u vec=%lld same=%d",
+                    "threads=%u vec=%lld same=%d pattern_cache=%d",
                     core::algo_name(algo), static_cast<long long>(c),
                     static_cast<long long>(f), static_cast<long long>(k),
                     static_cast<long long>(n), replay ? 1 : 0, threads,
-                    static_cast<long long>(vec), same ? 1 : 0));
+                    static_cast<long long>(vec), same ? 1 : 0,
+                    pattern_cache ? 1 : 0));
   core::ConvOptions opt;
   opt.algo = algo;
   opt.vec_width = vec;
   opt.padding = same ? core::Padding::Same : core::Padding::Valid;
   opt.launch.replay = replay;
   opt.launch.num_threads = threads;
+  opt.launch.pattern_cache = pattern_cache;
 
   Rng rng(3);
   tensor::Tensor img = tensor::Tensor::image(c, n, n);
@@ -438,6 +445,7 @@ void check_cli_shape(core::Algo algo, i64 c, i64 f, i64 k, i64 n,
       cross_validate(analyze(arch, model), res.launch.stats, false);
   EXPECT_TRUE(cc.ok);
   for (const std::string& m : cc.mismatches) ADD_FAILURE() << m;
+  if (signature) EXPECT_EQ(static_signature(arch, model), *signature);
 }
 
 TEST(XrayCliShapes, SpecialCiShapesCrossValidate) {
@@ -459,6 +467,30 @@ TEST(XrayCliShapes, GeneralCiShapesCrossValidate) {
 TEST(XrayCliShapes, ImplicitGemmCiShapeCrossValidates) {
   // ci.yml kconv-check: --algo implicit-gemm --c 16 --f 32 --k 3.
   check_cli_shape(core::Algo::ImplicitGemm, 16, 32, 3, 64);
+}
+
+TEST(XrayCliShapes, PatternMemoChangesNoPrediction) {
+  // xray retires shared and global groups through the executor's pattern
+  // memo (docs/MODEL.md §5c). Over the CI shapes its predictions must
+  // still equal a launch that never consults the memo, and its signatures
+  // must equal the ones computed by the direct analyzers (pinned below),
+  // so plan keys and stale-plan checks do not move.
+  struct CiShape {
+    core::Algo algo;
+    i64 c, k;
+    u64 signature;
+  };
+  const CiShape shapes[] = {
+      {core::Algo::Special, 1, 3, 0x301e430d8aa9a4b1ull},
+      {core::Algo::Special, 1, 5, 0x3a41bb5ac8ffa92cull},
+      {core::Algo::General, 16, 3, 0x8c4a6c395492692eull},
+      {core::Algo::General, 16, 5, 0xb8c5d8bba102dd82ull},
+      {core::Algo::ImplicitGemm, 16, 3, 0xca382651e708a2b7ull},
+  };
+  for (const CiShape& s : shapes) {
+    check_cli_shape(s.algo, s.c, 32, s.k, 64, false, 1, 0, false,
+                    /*pattern_cache=*/false, s.signature);
+  }
 }
 
 TEST(XrayCliShapes, AutoResolutionCrossValidates) {

@@ -139,9 +139,9 @@ TEST(AutotuneGeneral, PrunedRankingPersistsWithItsOwnKey) {
 }
 
 TEST(Autotune, NoStoreRankingEqualsAColdSweepIntoAStore) {
-  // Probes replay block classes only into a plan store. Replay keeps the
-  // counters exact, so a store-less sweep ranks the same configurations in
-  // the same order with bit-identical scores.
+  // A plain sweep's probes never touch the store: a store-less sweep ranks
+  // the same configurations in the same order with bit-identical scores,
+  // and each sweep into the store writes exactly one entry, its ranking.
   const std::string dir =
       (std::filesystem::temp_directory_path() / "kconv_tune_nostore").string();
   std::filesystem::remove_all(dir);
@@ -158,6 +158,7 @@ TEST(Autotune, NoStoreRankingEqualsAColdSweepIntoAStore) {
   const auto g1 = autotune_general(dev, 3, 4, 16, 32, gspace, 2, 0, &plans);
   EXPECT_FALSE(g1.from_plan_cache);
   EXPECT_EQ(g0.ranking, g1.ranking);
+  EXPECT_EQ(plans.stores(), 1u);
 
   SpecialSpace sspace;
   sspace.block_w = {32, 64, 128};
@@ -166,6 +167,7 @@ TEST(Autotune, NoStoreRankingEqualsAColdSweepIntoAStore) {
   const auto s1 = autotune_special(dev, 3, 8, 128, sspace, 4, 0, &plans);
   EXPECT_FALSE(s1.from_plan_cache);
   EXPECT_EQ(s0.ranking, s1.ranking);
+  EXPECT_EQ(plans.stores(), 2u);
   std::filesystem::remove_all(dir);
 }
 
@@ -247,9 +249,10 @@ struct GeneralKernel {
       "w=16|h=4|ftb=16|wt=8|ft=4|csh=1";
   static AutotuneResult<Config> tune(const Space& s,
                                      sim::PlanCache* plans = nullptr,
-                                     bool prune = false) {
+                                     bool prune = false,
+                                     bool analytic = false) {
     sim::Device dev(sim::kepler_k40m());
-    return autotune_general(dev, 3, 4, 16, 32, s, 2, 0, plans, false, prune);
+    return autotune_general(dev, 3, 4, 16, 32, s, 2, 0, plans, analytic, prune);
   }
   static std::string key(const char* dims) {
     return "autotune_general|v2|" + sim::arch_fingerprint(sim::kepler_k40m()) +
@@ -308,9 +311,10 @@ struct SpecialKernel {
   static constexpr const char* kSingleDims = "w=32|h=4";
   static AutotuneResult<Config> tune(const Space& s,
                                      sim::PlanCache* plans = nullptr,
-                                     bool prune = false) {
+                                     bool prune = false,
+                                     bool analytic = false) {
     sim::Device dev(sim::kepler_k40m());
-    return autotune_special(dev, 3, 8, 128, s, 4, 0, plans, false, prune);
+    return autotune_special(dev, 3, 8, 128, s, 4, 0, plans, analytic, prune);
   }
   static std::string key(const char* dims) {
     return "autotune_special|v2|" + sim::arch_fingerprint(sim::kepler_k40m()) +
@@ -420,6 +424,9 @@ TYPED_TEST(AutotuneSweep, PrunedRankingPersistsWithItsOwnKey) {
   EXPECT_EQ(warm.ranking, cold.ranking);
   EXPECT_EQ(warm.pruned, cold.pruned);
   EXPECT_GT(warm.pruned, 0);
+  // Only the sweep that ran the pre-pass reports its cost.
+  EXPECT_GT(cold.prepass_seconds, 0.0);
+  EXPECT_EQ(warm.prepass_seconds, 0.0);
 
   std::string payload;
   ASSERT_TRUE(plans.load(
@@ -431,8 +438,49 @@ TYPED_TEST(AutotuneSweep, PrunedRankingPersistsWithItsOwnKey) {
   const auto unpruned = TypeParam::tune(TypeParam::mixed(), &plans);
   EXPECT_FALSE(unpruned.from_plan_cache);
   EXPECT_EQ(unpruned.pruned, 0);
+  EXPECT_EQ(unpruned.prepass_seconds, 0.0);
   const auto pruned_again = TypeParam::tune(TypeParam::mixed(), &plans, true);
   EXPECT_TRUE(pruned_again.from_plan_cache);
+}
+
+/// Plan blobs in a store directory (rankings, plans and tape sidecars).
+std::size_t kplan_files(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    n += e.path().extension() == ".kplan" ? 1 : 0;
+  }
+  return n;
+}
+
+TYPED_TEST(AutotuneSweep, ProbePlansAreStoredOnlyForAnalyticSweeps) {
+  // A plain probe stores no plan, so a plain cold sweep into an empty
+  // store writes one entry: its ranking.
+  const std::string plain_dir = fresh_store();
+  sim::PlanCache plain(plain_dir);
+  const auto cold = TypeParam::tune(TypeParam::mixed(), &plain);
+  EXPECT_FALSE(cold.from_plan_cache);
+  EXPECT_EQ(plain.stores(), 1u);
+  EXPECT_EQ(kplan_files(plain_dir), 1u);
+  EXPECT_EQ(cold.ranking, TypeParam::tune(TypeParam::mixed()).ranking);
+
+  // Analytic probes keep their per-candidate plans next to the ranking,
+  // and the warm rerun serves the ranking.
+  const std::string analytic_dir = plain_dir + "_analytic";
+  std::filesystem::remove_all(analytic_dir);
+  sim::PlanCache analytic(analytic_dir);
+  const auto acold =
+      TypeParam::tune(TypeParam::mixed(), &analytic, false, true);
+  EXPECT_FALSE(acold.from_plan_cache);
+  EXPECT_GT(analytic.stores(), 1u);
+  EXPECT_GT(kplan_files(analytic_dir), 1u);
+  EXPECT_EQ(acold.ranking,
+            TypeParam::tune(TypeParam::mixed(), nullptr, false, true).ranking);
+  const auto awarm =
+      TypeParam::tune(TypeParam::mixed(), &analytic, false, true);
+  EXPECT_TRUE(awarm.from_plan_cache);
+  EXPECT_EQ(awarm.ranking, acold.ranking);
+  std::filesystem::remove_all(plain_dir);
+  std::filesystem::remove_all(analytic_dir);
 }
 
 TYPED_TEST(AutotuneSweep, StoredPayloadLayout) {
