@@ -130,7 +130,7 @@ int main() {
     xin.data[static_cast<std::size_t>(i)] =
         p2.output.flat()[static_cast<std::size_t>(i)];
   }
-  auto fc = kernels::gemm(dev, wfc, xin, kernels::gemm_magma_mod());
+  auto fc = kernels::gemm(dev, wfc, xin, kernels::gemm_fitted(wfc.rows, 1));
   total_ms += fc.launch.timing.seconds * 1e3;
   const tensor::Matrix fc_ref = tensor::gemm_reference(wfc, xin);
   bool fc_ok = true;

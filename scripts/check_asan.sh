@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Builds three test suites under Address+UndefinedBehaviorSanitizer and
+# Builds four test suites under Address+UndefinedBehaviorSanitizer and
 # runs them.
 #
 #   - the determinism label: the trace-replay engine, the heaviest pointer
@@ -8,7 +8,9 @@
 #     validation, tape interpretation and chunked parallel launches;
 #   - kconv_serve_test: the layer-graph runner's tensor arena and the
 #     serving driver's per-request roll-ups;
-#   - kconv_obs_test: the telemetry sink, metrics registry and report.
+#   - kconv_obs_test: the telemetry sink, metrics registry and report;
+#   - kconv_sim_test: the executor, including the chunk-owned LaneSet whose
+#     recycled coroutine frames are poisoned while on the free list.
 # UBSan rides along for free (the two compose, unlike TSan).
 #
 #   scripts/check_asan.sh [build-dir]            # default: build-asan
@@ -20,7 +22,8 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DKCONV_SANITIZE="${KCONV_SANITIZE:-address,undefined}"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target kconv_determinism_test \
-  kconv_serve_test kconv_obs_test
+  kconv_serve_test kconv_obs_test kconv_sim_test
 ctest --test-dir "$BUILD_DIR" -L determinism --output-on-failure
 "$BUILD_DIR/tests/kconv_serve_test"
 "$BUILD_DIR/tests/kconv_obs_test"
+"$BUILD_DIR/tests/kconv_sim_test"

@@ -1,6 +1,7 @@
 #include "src/kernels/gemm_kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/sim/sim.hpp"
 
@@ -231,6 +232,26 @@ GemmConfig gemm_magma_fermi() {
 GemmConfig gemm_magma_mod() {
   GemmConfig c = gemm_magma_fermi();
   c.vec_width = 0;  // the paper's fix: float2 fragments
+  return c;
+}
+
+GemmConfig gemm_fitted(i64 m, i64 n) {
+  KCONV_CHECK(m >= 1 && n >= 1, "empty GEMM output");
+  GemmConfig c = gemm_magma_mod();
+  const auto fit = [](i64 extent, i64 tile) {
+    return std::min(tile, std::max<i64>(2, std::bit_ceil(
+                                               static_cast<u64>(extent))));
+  };
+  const i64 bm = fit(m, c.bm);
+  const i64 bn = fit(n, c.bn);
+  if (bm == c.bm && bn == c.bn) return c;
+  c.bm = bm;
+  c.bn = bn;
+  c.tm = 2;
+  c.tn = 2;
+  // Per-tile staging is bm*bk / threads = 4*bk/bn elements of A and
+  // 4*bk/bm of B per thread, each capped at kMaxStage.
+  c.bk = std::min(c.bk, kMaxStage * std::min(bm, bn) / 4);
   return c;
 }
 

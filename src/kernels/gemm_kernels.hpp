@@ -37,6 +37,17 @@ GemmConfig gemm_cublas_like();
 GemmConfig gemm_magma_fermi();
 GemmConfig gemm_magma_mod();
 
+/// gemm_magma_mod() with its tile fitted to an m x n output (a dense
+/// layer's M x 1). Each extent under the 64-wide tile shrinks to its next
+/// power of two, at least 2; any shrink drops the micro-tile to 2 x 2 (one
+/// float2 fragment a side, so W_CD = W_SMB still holds on 8-byte banks)
+/// and bk to what the per-thread staging registers hold. The block count
+/// is magma's, and C is bit-identical: each output is still summed by one
+/// thread over k in order. For 10 x 1 this is one block of 8 threads
+/// (bm=16, bn=2, bk=8) instead of magma's 256 over a 99.8%-padding tile.
+/// The dense node of serve::run_graph takes its config from here.
+GemmConfig gemm_fitted(i64 m, i64 n);
+
 struct GemmRun {
   sim::LaunchResult launch;
   tensor::Matrix c;

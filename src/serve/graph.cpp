@@ -487,7 +487,8 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
               x.flat()[static_cast<std::size_t>(f)];
         }
         auto fc = kernels::gemm(dev, n.weights, xin,
-                                kernels::gemm_magma_mod(), scoped(aux));
+                                kernels::gemm_fitted(n.weights.rows, 1),
+                                scoped(aux));
         record(n, false, fc.launch.timing.seconds, std::move(fc.launch));
         tensor::Tensor logits(1, n.weights.rows, 1, 1);
         for (i64 r = 0; r < n.weights.rows; ++r) {

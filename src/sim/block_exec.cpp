@@ -18,16 +18,10 @@ namespace kconv::sim {
 
 namespace {
 
-struct Lane {
-  ThreadProgram prog;
-  ThreadCtx ctx;
-  bool done = false;
-  u64 hash = kTraceHashInit;  // event-stream hash (capture mode only)
-};
-
 /// Charges one retired warp transaction to the stats. `gmem_scratch` is the
-/// per-block sector buffer: reused across every transaction of the block so
-/// the hot loop performs no allocations once its capacity is warm.
+/// chunk's sector buffer (LaneSet::Scratch): reused across every
+/// transaction so the hot loop performs no allocations once its capacity
+/// is warm.
 void retire_group(const Arch& arch, TraceLevel trace, L2Cache* const_cache,
                   L2Cache& gm_l2, Op op, std::span<const Access> accesses,
                   KernelStats& stats, bool& segment_had_gm_load,
@@ -130,73 +124,160 @@ void record_tx(BlockTrace* capture, Op op, const std::vector<u32>& lanes) {
 
 }  // namespace
 
-void run_block(const Arch& arch, const KernelBody& body,
-               const LaunchConfig& cfg, Dim3 block_idx, TraceLevel trace,
+LaneSet::LaneSet(const Arch& arch, const KernelBody& body,
+                 const LaunchConfig& cfg)
+    : arch_(arch),
+      body_(body),
+      cfg_(cfg),
+      lanes_(cfg.block.count()),
+      recorders_(cfg.block.count()),
+      smem_(cfg.shared_bytes) {
+  KCONV_ASSERT(!lanes_.empty());
+  const u32 warp_size = arch.warp_size;
+  scratch.group.reserve(warp_size);
+  scratch.sub.reserve(warp_size);
+  scratch.group_lanes.reserve(warp_size);
+  scratch.sub_lanes.reserve(warp_size);
+  scratch.gmem.sectors.reserve(2 * warp_size);
+}
+
+template <typename Bind>
+void LaneSet::start(Dim3 block_idx, bool profile, Bind&& bind) {
+  // The previous block's frames go back on the free list before this
+  // block's are made from it.
+  for (Lane& lane : lanes_) lane.prog = ThreadProgram{};
+  std::fill(smem_.begin(), smem_.end(), std::byte{0});
+  if (profile) profiles_.assign(lanes_.size(), profile::LaneProfile{});
+  done_count_ = 0;
+  FramePool::Scope scope(frames_);
+  for (u32 t = 0; t < size(); ++t) {
+    Lane& lane = lanes_[t];
+    lane.done = false;
+    lane.hash = kTraceHashInit;
+    lane.ctx = ThreadCtx{};
+    lane.ctx.grid_dim = cfg_.grid;
+    lane.ctx.block_dim = cfg_.block;
+    lane.ctx.block_idx = block_idx;
+    lane.ctx.thread_idx = Dim3{t % cfg_.block.x,
+                               (t / cfg_.block.x) % cfg_.block.y,
+                               t / (cfg_.block.x * cfg_.block.y)};
+    lane.ctx.bind_smem(smem_.data(), cfg_.shared_bytes);
+    bind(t, lane.ctx);
+    if (profile) lane.ctx.bind_profile(&profiles_[t]);
+    lane.prog = body_(lane.ctx);
+    KCONV_CHECK(lane.prog.valid(), "kernel body returned an empty program");
+  }
+}
+
+void LaneSet::start_stream(Dim3 block_idx, u32 event_cap, bool profile) {
+  start(block_idx, profile, [&](u32 t, ThreadCtx& ctx) {
+    recorders_[t].reset_stream(event_cap);
+    ctx.bind_recorder(&recorders_[t]);
+  });
+}
+
+void LaneSet::start_replay(Dim3 block_idx, std::span<const u32> lane_events,
+                           bool profile) {
+  KCONV_ASSERT(lane_events.size() == lanes_.size());
+  start(block_idx, profile, [&](u32 t, ThreadCtx& ctx) {
+    recorders_[t].reset(lane_events[t]);
+    ctx.bind_recorder(&recorders_[t]);
+  });
+}
+
+void LaneSet::start_tape(Dim3 block_idx, std::span<LaneTapeBuilder> builders) {
+  KCONV_ASSERT(builders.size() == lanes_.size());
+  start(block_idx, false,
+        [&](u32 t, ThreadCtx& ctx) { ctx.bind_tape(&builders[t]); });
+}
+
+bool LaneSet::resume(u32 t) {
+  Lane& lane = lanes_[t];
+  lane.prog.resume();
+  if (!lane.prog.done()) return false;
+  if (lane.prog.promise().error) {
+    std::rethrow_exception(lane.prog.promise().error);
+  }
+  lane.done = true;
+  ++done_count_;
+  return true;
+}
+
+void LaneSet::run_to_end() {
+  // Each pass is one barrier segment, so pass boundaries ARE the barrier
+  // semantics; per-lane order within a segment is free (task.hpp contract).
+  while (!all_done()) {
+    for (u32 t = 0; t < size(); ++t) {
+      if (lanes_[t].done || resume(t)) continue;
+      KCONV_ASSERT(lanes_[t].prog.promise().pending.op == Op::Sync);
+    }
+  }
+}
+
+void LaneSet::charge_compute(KernelStats& stats) const {
+  const u32 warp_size = arch_.warp_size;
+  for (u32 lo = 0; lo < size(); lo += warp_size) {
+    const u32 hi = std::min(lo + warp_size, size());
+    u64 max_fma = 0, max_alu = 0, max_events = 0;
+    for (u32 t = lo; t < hi; ++t) {
+      const ThreadCtx& ctx = lanes_[t].ctx;
+      stats.fma_lane_ops += ctx.fma_ops();
+      stats.alu_lane_ops += ctx.alu_ops();
+      max_fma = std::max(max_fma, ctx.fma_ops());
+      max_alu = std::max(max_alu, ctx.alu_ops());
+      max_events = std::max(max_events, static_cast<u64>(recorders_[t].events));
+    }
+    stats.fma_warp_instrs += max_fma;
+    stats.alu_warp_instrs += max_alu;
+    stats.max_warp_instrs =
+        std::max(stats.max_warp_instrs, max_events + max_fma + max_alu);
+  }
+}
+
+void LaneSet::charge_phase_compute(profile::PhaseProfile& sink) const {
+  for (const profile::LaneProfile& lp : profiles_) {
+    for (u32 i = 0; i < profile::kNumPhases; ++i) {
+      sink.p[i].fma_lane_ops += lp.fma[i];
+      sink.p[i].alu_lane_ops += lp.alu[i];
+    }
+  }
+}
+
+void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
                u64 max_rounds, L2Cache* const_cache, L2Cache& gm_l2,
                KernelStats& stats, BlockTrace* capture,
                PatternCache* pattern, analysis::BlockChecker* checker,
                profile::BlockProfiler* prof) {
-  const u32 n_lanes = static_cast<u32>(cfg.block.count());
+  const Arch& arch = lanes.arch();
+  const u32 n_lanes = lanes.size();
   const u32 warp_size = arch.warp_size;
-  KCONV_ASSERT(n_lanes > 0);
   if (checker != nullptr) checker->begin_block(block_idx);
-
-  std::vector<std::byte> smem(cfg.shared_bytes);
 
   // A lane retires at most one event per scheduling round, so capping each
   // recorder at max_rounds preserves the round limit's runaway guarantee —
   // including for loops that never suspend in fast-forward.
   const u32 event_cap = static_cast<u32>(
       std::min<u64>(max_rounds, std::numeric_limits<u32>::max()));
+  lanes.start_stream(block_idx, event_cap, prof != nullptr);
 
-  // Lanes must not relocate once their coroutines capture ctx by reference.
-  std::vector<Lane> lanes(n_lanes);
-  std::vector<LaneRecorder> recs(n_lanes);
-  // Per-lane per-phase arithmetic, drained into the profiler at each
-  // barrier (prev_profiles holds the last drained snapshot).
-  std::vector<profile::LaneProfile> lane_profiles;
-  std::vector<profile::LaneProfile> prev_profiles;
-  if (prof != nullptr) {
-    lane_profiles.resize(n_lanes);
-    prev_profiles.resize(n_lanes);
-  }
-  for (u32 t = 0; t < n_lanes; ++t) {
-    Lane& lane = lanes[t];
-    lane.ctx.grid_dim = cfg.grid;
-    lane.ctx.block_dim = cfg.block;
-    lane.ctx.block_idx = block_idx;
-    lane.ctx.thread_idx = Dim3{t % cfg.block.x,
-                               (t / cfg.block.x) % cfg.block.y,
-                               t / (cfg.block.x * cfg.block.y)};
-    lane.ctx.bind_smem(smem.data(), cfg.shared_bytes);
-    recs[t].reset_stream(event_cap);
-    lane.ctx.bind_recorder(&recs[t]);
-    if (prof != nullptr) lane.ctx.bind_profile(&lane_profiles[t]);
-    lane.prog = body(lane.ctx);
-    KCONV_CHECK(lane.prog.valid(), "kernel body returned an empty program");
-  }
-
+  LaneSet::Scratch& sc = lanes.scratch;
+  // Per-lane per-phase arithmetic is drained into the profiler at each
+  // barrier; prev_profiles holds the last drained snapshot.
+  if (prof != nullptr) sc.prev_profiles.assign(n_lanes, profile::LaneProfile{});
   const u32 n_warps = static_cast<u32>(ceil_div(n_lanes, warp_size));
   bool segment_had_gm_load = false;
   bool segment_had_sm_store = false;
   u64 rounds = 0;
-  u32 done_count = 0;
-
-  // Scratch reused across retires.
-  std::vector<Access> group_acc;
-  std::vector<Access> sub_acc;
-  std::vector<u32> group_lanes;
-  std::vector<u32> sub_lanes;
-  std::vector<u32> seg_len(n_lanes, 0);
+  std::vector<Access>& group_acc = sc.group;
+  std::vector<Access>& sub_acc = sc.sub;
+  std::vector<u32>& group_lanes = sc.group_lanes;
+  std::vector<u32>& sub_lanes = sc.sub_lanes;
+  std::vector<u32>& seg_len = sc.seg_len;
   // Index of each lane's first event of the current segment within its full
   // retired stream, so the hazard checker can report stable op indices.
-  std::vector<u32> seg_base(n_lanes, 0);
-  GmemCost gmem_scratch;
-  group_acc.reserve(warp_size);
-  sub_acc.reserve(warp_size);
-  group_lanes.reserve(warp_size);
-  sub_lanes.reserve(warp_size);
-  gmem_scratch.sectors.reserve(2 * warp_size);
+  std::vector<u32>& seg_base = sc.seg_base;
+  seg_len.assign(n_lanes, 0);
+  seg_base.assign(n_lanes, 0);
 
   // Execute the block one barrier-delimited segment at a time: every live
   // lane fast-forwards to its next sync (or completion) in a single resume,
@@ -206,30 +287,24 @@ void run_block(const Arch& arch, const KernelBody& body,
   // have ordered them (round-major, then warp, then operation kind). This
   // keeps coroutine switches off the per-event cost while preserving the
   // retire order that the stateful cache models observe.
-  while (done_count < n_lanes) {
+  while (!lanes.all_done()) {
     u32 seg_rounds = 0;
     for (u32 t = 0; t < n_lanes; ++t) {
-      Lane& lane = lanes[t];
-      if (lane.done) {
+      if (lanes.done(t)) {
         seg_len[t] = 0;
         continue;
       }
-      recs[t].begin_segment();
-      lane.prog.resume();
-      if (lane.prog.done()) {
-        if (lane.prog.promise().error) {
-          std::rethrow_exception(lane.prog.promise().error);
-        }
-        lane.done = true;
-        ++done_count;
-      }
-      const u32 len = static_cast<u32>(recs[t].analyzed.size());
+      LaneRecorder& rec = lanes.recorder(t);
+      rec.begin_segment();
+      lanes.resume(t);
+      const u32 len = static_cast<u32>(rec.analyzed.size());
       seg_len[t] = len;
-      seg_base[t] = recs[t].events - len;
+      seg_base[t] = rec.events - len;
       seg_rounds = std::max(seg_rounds, len);
       if (capture != nullptr) {
-        for (const Access& a : recs[t].analyzed) {
-          lane.hash = trace_hash_access(lane.hash, a);
+        u64& hash = lanes.hash(t);
+        for (const Access& a : rec.analyzed) {
+          hash = trace_hash_access(hash, a);
         }
       }
     }
@@ -251,7 +326,7 @@ void run_block(const Arch& arch, const KernelBody& body,
         u32 op_mask = 0;
         for (u32 t = lo; t < hi; ++t) {
           if (r >= seg_len[t]) continue;
-          const Access& a = recs[t].analyzed[r];
+          const Access& a = lanes.recorder(t).analyzed[r];
           if (a.op == Op::Sync) continue;
           op_mask |= 1u << static_cast<u32>(a.op);
           group_acc.push_back(a);
@@ -273,7 +348,7 @@ void run_block(const Arch& arch, const KernelBody& body,
           const Op op = static_cast<Op>(std::countr_zero(op_mask));
           retire_group(arch, trace, const_cache, gm_l2, op, group_acc, stats,
                        segment_had_gm_load, segment_had_sm_store,
-                       gmem_scratch, pattern, prof);
+                       sc.gmem, pattern, prof);
           record_tx(capture, op, group_lanes);
         } else {
           // Divergent warp: split by operation kind in the canonical
@@ -291,7 +366,7 @@ void run_block(const Arch& arch, const KernelBody& body,
             }
             retire_group(arch, trace, const_cache, gm_l2, op, sub_acc, stats,
                          segment_had_gm_load, segment_had_sm_store,
-                         gmem_scratch, pattern, prof);
+                         sc.gmem, pattern, prof);
             record_tx(capture, op, sub_lanes);
           }
           stats.divergent_retires +=
@@ -306,11 +381,13 @@ void run_block(const Arch& arch, const KernelBody& body,
       u64 dfma[profile::kNumPhases] = {};
       u64 dalu[profile::kNumPhases] = {};
       for (u32 t = 0; t < n_lanes; ++t) {
+        const profile::LaneProfile& lp = lanes.lane_profile(t);
+        profile::LaneProfile& prev = sc.prev_profiles[t];
         for (u32 i = 0; i < profile::kNumPhases; ++i) {
-          dfma[i] += lane_profiles[t].fma[i] - prev_profiles[t].fma[i];
-          dalu[i] += lane_profiles[t].alu[i] - prev_profiles[t].alu[i];
+          dfma[i] += lp.fma[i] - prev.fma[i];
+          dalu[i] += lp.alu[i] - prev.alu[i];
         }
-        prev_profiles[t] = lane_profiles[t];
+        prev = lp;
       }
       for (u32 i = 0; i < profile::kNumPhases; ++i) {
         prof->compute(static_cast<profile::Phase>(i), dfma[i], dalu[i]);
@@ -321,7 +398,7 @@ void run_block(const Arch& arch, const KernelBody& body,
     // point in fast-forward), so reaching here with live lanes means the
     // barrier releases.
     if (checker != nullptr) checker->on_barrier();
-    if (done_count < n_lanes) {
+    if (!lanes.all_done()) {
       ++stats.barriers;
       if (prof != nullptr) prof->barrier();
       if (segment_had_gm_load) ++stats.gm_phases;
@@ -335,24 +412,7 @@ void run_block(const Arch& arch, const KernelBody& body,
   if (segment_had_gm_load) ++stats.gm_phases;
   if (segment_had_gm_load && segment_had_sm_store) ++stats.gm_dep_phases;
 
-  // Attribute arithmetic at warp granularity: a warp instruction covers up
-  // to 32 lane-ops, and a warp is as slow as its busiest lane.
-  for (u32 w = 0; w < n_warps; ++w) {
-    const u32 lo = w * warp_size;
-    const u32 hi = std::min(lo + warp_size, n_lanes);
-    u64 max_fma = 0, max_alu = 0, max_events = 0;
-    for (u32 t = lo; t < hi; ++t) {
-      stats.fma_lane_ops += lanes[t].ctx.fma_ops();
-      stats.alu_lane_ops += lanes[t].ctx.alu_ops();
-      max_fma = std::max(max_fma, lanes[t].ctx.fma_ops());
-      max_alu = std::max(max_alu, lanes[t].ctx.alu_ops());
-      max_events = std::max(max_events, static_cast<u64>(recs[t].events));
-    }
-    stats.fma_warp_instrs += max_fma;
-    stats.alu_warp_instrs += max_alu;
-    stats.max_warp_instrs =
-        std::max(stats.max_warp_instrs, max_events + max_fma + max_alu);
-  }
+  lanes.charge_compute(stats);
   ++stats.blocks_executed;
   if (checker != nullptr) checker->end_block();
 
@@ -361,8 +421,8 @@ void run_block(const Arch& arch, const KernelBody& body,
     capture->lane_hash.resize(n_lanes);
     capture->lane_events.resize(n_lanes);
     for (u32 t = 0; t < n_lanes; ++t) {
-      capture->lane_hash[t] = lanes[t].hash;
-      capture->lane_events[t] = recs[t].events;
+      capture->lane_hash[t] = lanes.hash(t);
+      capture->lane_events[t] = lanes.recorder(t).events;
     }
   }
 }

@@ -8,11 +8,19 @@
 // analyzer, and mixed kinds (branch divergence) retire as separate
 // subgroups, modeling hardware replay. A barrier releases once every live
 // lane of the block has reached it.
+//
+// A launch chunk runs all of its blocks through one LaneSet, which keeps
+// the lanes, recorders, shared memory, retire scratch and coroutine frames
+// from block to block (docs/MODEL.md §5).
 #pragma once
 
 #include <functional>
+#include <span>
+#include <vector>
 
+#include "src/profile/phase.hpp"
 #include "src/sim/arch.hpp"
+#include "src/sim/coalescing.hpp"
 #include "src/sim/config.hpp"
 #include "src/sim/l2cache.hpp"
 #include "src/sim/stats.hpp"
@@ -35,7 +43,104 @@ class PatternCache;
 /// Type-erased kernel body: builds one lane's coroutine from its context.
 using KernelBody = std::function<ThreadProgram(ThreadCtx&)>;
 
-/// Executes the block at `block_idx` and accumulates its statistics.
+/// The lane state of one launch chunk (docs/MODEL.md §5): one lane per
+/// block thread with its coroutine and ThreadCtx, one LaneRecorder per lane
+/// whose stream capacity is kept from block to block, the block's shared
+/// memory, the retire scratch, and a FramePool for the lane coroutines.
+/// run_chunk builds one per chunk; run_block and ReplayRunner run every
+/// block of the chunk through it, so after its first block a chunk makes
+/// no per-block lane, recorder, frame or scratch allocations. Every
+/// start_*() rebuilds every lane (fresh ThreadCtx, new coroutine, reset
+/// recorder) and zeroes shared memory, so a block sees exactly the state a
+/// freshly allocated one would. Not shared between threads; nothing in it
+/// outlives the chunk.
+class LaneSet {
+ public:
+  LaneSet(const Arch& arch, const KernelBody& body, const LaunchConfig& cfg);
+  LaneSet(const LaneSet&) = delete;
+  LaneSet& operator=(const LaneSet&) = delete;
+
+  const Arch& arch() const { return arch_; }
+  u32 size() const { return static_cast<u32>(lanes_.size()); }
+
+  /// Direct execution: each recorder keeps its lane's whole segment
+  /// stream, capped at `event_cap` events.
+  void start_stream(Dim3 block_idx, u32 event_cap, bool profile);
+  /// Replay: recorder t hashes every event, keeps the global/constant ones
+  /// and is capped at `lane_events[t]`, the captured lane's event count.
+  void start_replay(Dim3 block_idx, std::span<const u32> lane_events,
+                    bool profile);
+  /// Tagging: lane t notes into `builders[t]` instead of a recorder.
+  void start_tape(Dim3 block_idx, std::span<LaneTapeBuilder> builders);
+
+  /// Resumes lane t to its next barrier or to its end; true when it ended
+  /// in this resume. Rethrows an exception escaping the kernel body.
+  bool resume(u32 t);
+  bool done(u32 t) const { return lanes_[t].done; }
+  bool all_done() const { return done_count_ == size(); }
+  /// Fast-forward: resumes every live lane, one barrier segment per pass,
+  /// until every lane has ended.
+  void run_to_end();
+
+  LaneRecorder& recorder(u32 t) { return recorders_[t]; }
+  const LaneRecorder& recorder(u32 t) const { return recorders_[t]; }
+  /// Lane t's per-phase arithmetic (bound only on profiling starts).
+  const profile::LaneProfile& lane_profile(u32 t) const {
+    return profiles_[t];
+  }
+  /// Lane t's event-stream hash; run_block folds into it when capturing.
+  u64& hash(u32 t) { return lanes_[t].hash; }
+
+  /// Charges the block's arithmetic at warp granularity: a warp
+  /// instruction covers up to warp_size lane-ops, and a warp is as slow as
+  /// its busiest lane (recorder event counts are the retired events).
+  void charge_compute(KernelStats& stats) const;
+  /// Adds every lane's per-phase arithmetic to `sink`.
+  void charge_phase_compute(profile::PhaseProfile& sink) const;
+
+  /// Retire scratch reused by every block of the chunk.
+  struct Scratch {
+    std::vector<Access> group;
+    std::vector<Access> sub;
+    std::vector<u32> group_lanes;
+    std::vector<u32> sub_lanes;
+    /// Per lane: run_block's segment length, replay's transaction cursor.
+    std::vector<u32> seg_len;
+    /// Per lane: index of the segment's first event in the lane's stream.
+    std::vector<u32> seg_base;
+    /// Per lane: the lane profile as last drained into the profiler.
+    std::vector<profile::LaneProfile> prev_profiles;
+    GmemCost gmem;
+  };
+  Scratch scratch;
+
+ private:
+  struct Lane {
+    ThreadProgram prog;
+    ThreadCtx ctx;
+    bool done = false;
+    u64 hash = kTraceHashInit;  // event-stream hash (capture mode only)
+  };
+
+  template <typename Bind>
+  void start(Dim3 block_idx, bool profile, Bind&& bind);
+
+  const Arch& arch_;
+  const KernelBody& body_;
+  const LaunchConfig& cfg_;
+  // Declared before the lanes so the lanes' frames return to it before it
+  // frees them.
+  FramePool frames_;
+  // Sized once: lanes must not relocate while coroutines hold their ctx.
+  std::vector<Lane> lanes_;
+  std::vector<LaneRecorder> recorders_;
+  std::vector<profile::LaneProfile> profiles_;
+  std::vector<std::byte> smem_;
+  u32 done_count_ = 0;
+};
+
+/// Executes the block at `block_idx` on `lanes` and accumulates its
+/// statistics.
 ///
 /// `const_cache` models the per-SM constant cache (pass nullptr to treat
 /// every constant line as resident); `gm_l2` is the L2 the block's global
@@ -63,8 +168,7 @@ using KernelBody = std::function<ThreadProgram(ThreadCtx&)>;
 /// on its accesses, lane arithmetic is drained per phase at every barrier,
 /// and barrier releases land on the sync phase. Purely observational like
 /// the checker — the base counters are charged identically either way.
-void run_block(const Arch& arch, const KernelBody& body,
-               const LaunchConfig& cfg, Dim3 block_idx, TraceLevel trace,
+void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
                u64 max_rounds, L2Cache* const_cache, L2Cache& gm_l2,
                KernelStats& stats, BlockTrace* capture = nullptr,
                PatternCache* pattern = nullptr,

@@ -246,13 +246,16 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     PatternCache* pattern = c.pattern.has_value() ? &*c.pattern : nullptr;
     analysis::BlockChecker* chk = c.checker.has_value() ? &*c.checker : nullptr;
     profile::PhaseProfile* psink = profiling ? &c.phases : nullptr;
+    // Every block of the chunk runs on one LaneSet (docs/MODEL.md §5); it
+    // dies with the chunk, so nothing it holds outlives the launch.
+    LaneSet lanes(arch, body, cfg);
     if (replaying) {
       // Per-chunk trace table, like the per-chunk cache replicas: each
       // chunk captures its own class representatives. A warm plan primes
       // every chunk's table, so no chunk executes a representative.
       c.runner = std::make_unique<ReplayRunner>(
-          arch, body, cfg, opt.trace, opt.max_rounds_per_block, classify,
-          origins, pattern, chk, psink, analytic);
+          arch, cfg, opt.trace, opt.max_rounds_per_block, classify, origins,
+          pattern, chk, psink, analytic);
       if (plan_hit) {
         // A lone chunk adopts the plan by move, not copy: a post-capture
         // store re-exports its classes from live runner state.
@@ -283,11 +286,11 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
           tl = &scratch_tl;
         }
         if (c.runner != nullptr) {
-          c.runner->run(bidx, &const_cache, l2, c.stats, tl);
+          c.runner->run(lanes, bidx, &const_cache, l2, c.stats, tl);
         } else {
           std::optional<profile::BlockProfiler> bp;
           if (psink != nullptr) bp.emplace(*psink, tl);
-          run_block(arch, body, cfg, bidx, opt.trace, opt.max_rounds_per_block,
+          run_block(lanes, bidx, opt.trace, opt.max_rounds_per_block,
                     &const_cache, l2, c.stats, nullptr, pattern, chk,
                     bp ? &*bp : nullptr);
         }

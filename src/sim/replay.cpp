@@ -11,19 +11,19 @@
 
 #include "src/analysis/hazard.hpp"
 #include "src/common/strutil.hpp"
+#include "src/sim/coalescing.hpp"
 #include "src/sim/constmem.hpp"
 
 namespace kconv::sim {
 
-ReplayRunner::ReplayRunner(const Arch& arch, const KernelBody& body,
-                           const LaunchConfig& cfg, TraceLevel trace,
-                           u64 max_rounds, const BlockClassifier& classify,
+ReplayRunner::ReplayRunner(const Arch& arch, const LaunchConfig& cfg,
+                           TraceLevel trace, u64 max_rounds,
+                           const BlockClassifier& classify,
                            const ReplayOriginsFn& origins,
                            PatternCache* pattern,
                            analysis::BlockChecker* checker,
                            profile::PhaseProfile* psink, bool analytic)
     : arch_(arch),
-      body_(body),
       cfg_(cfg),
       trace_level_(trace),
       max_rounds_(max_rounds),
@@ -35,11 +35,11 @@ ReplayRunner::ReplayRunner(const Arch& arch, const KernelBody& body,
       analytic_(analytic) {
   KCONV_CHECK(!(analytic_ && checker_ != nullptr),
               "analytic mode cannot run the hazard checker");
-  gmem_scratch_.sectors.reserve(2 * arch.warp_size);
 }
 
-void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
-                       KernelStats& stats, profile::BlockTimeline* tl) {
+void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
+                       L2Cache& gm_l2, KernelStats& stats,
+                       profile::BlockTimeline* tl) {
   const u64 cls = classify_(block_idx);
   const auto it = classes_.find(cls);
   if (it != classes_.end()) {
@@ -49,8 +49,8 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
       // fully under the checker (counted as executed, not replayed).
       std::optional<profile::BlockProfiler> bp;
       if (psink_ != nullptr) bp.emplace(*psink_, tl);
-      run_block(arch_, body_, cfg_, block_idx, trace_level_, max_rounds_,
-                const_cache, gm_l2, stats, nullptr, pattern_, checker_,
+      run_block(lanes, block_idx, trace_level_, max_rounds_, const_cache,
+                gm_l2, stats, nullptr, pattern_, checker_,
                 bp ? &*bp : nullptr);
       return;
     }
@@ -62,13 +62,13 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
     if (cs.tape_ready && cs.validated) {
       enqueue_tape(block_idx, cs, stats);
     } else {
-      replay(block_idx, cs.trace, const_cache, gm_l2, stats);
-      if (checker_ != nullptr) harvest_gm_stores(block_idx);
+      replay(lanes, block_idx, cs.trace, const_cache, gm_l2, stats);
+      if (checker_ != nullptr) harvest_gm_stores(lanes, block_idx);
       if (cs.tape_ready) {
         // The first fast-forward block of the class doubles as the tape's
         // relocation proof: its recorded access streams must match the
         // rebased tape exactly before later blocks skip the coroutines.
-        validate_tape(block_idx, cs);
+        validate_tape(lanes, block_idx, cs);
         cs.validated = true;
       }
     }
@@ -88,9 +88,8 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
   profile::PhaseProfile local_phases;
   std::optional<profile::BlockProfiler> bp;
   if (psink_ != nullptr) bp.emplace(local_phases, tl);
-  run_block(arch_, body_, cfg_, block_idx, trace_level_, max_rounds_,
-            const_cache, gm_l2, local, &cs.trace, pattern_, checker_,
-            bp ? &*bp : nullptr);
+  run_block(lanes, block_idx, trace_level_, max_rounds_, const_cache, gm_l2,
+            local, &cs.trace, pattern_, checker_, bp ? &*bp : nullptr);
   cs.raced = checker_ != nullptr && checker_->current_block_raced();
   if (psink_ != nullptr) {
     *psink_ += local_phases;
@@ -109,7 +108,7 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
   // access streams the tape tier skips.
   if (trace_level_ == TraceLevel::Functional && origins_fn_ &&
       checker_ == nullptr) {
-    capture_tape(block_idx, cs);
+    capture_tape(lanes, block_idx, cs);
   }
   classes_.emplace(cls, std::move(cs));
   captured_fresh_ = true;
@@ -208,67 +207,25 @@ void ReplayRunner::export_plan(LaunchPlan& plan) const {
   }
 }
 
-void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
-                          L2Cache* const_cache, L2Cache& gm_l2,
-                          KernelStats& stats) {
+void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
+                          const BlockTrace& trace, L2Cache* const_cache,
+                          L2Cache& gm_l2, KernelStats& stats) {
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
   KCONV_ASSERT(trace.lane_events.size() == n_lanes);
 
-  // Fresh zeroed shared memory, exactly like a direct run_block.
-  smem_.assign(cfg_.shared_bytes, std::byte{0});
-  recorders_.resize(n_lanes);
-  lanes_.clear();
-  lanes_.resize(n_lanes);  // capacity reused; fresh ctx/prog per block
-  if (psink_ != nullptr) {
-    lane_profiles_.assign(n_lanes, profile::LaneProfile{});
-  }
-  for (u32 t = 0; t < n_lanes; ++t) {
-    recorders_[t].reset(trace.lane_events[t]);
-    ReplayLane& lane = lanes_[t];
-    lane.ctx.grid_dim = cfg_.grid;
-    lane.ctx.block_dim = cfg_.block;
-    lane.ctx.block_idx = block_idx;
-    lane.ctx.thread_idx = Dim3{t % cfg_.block.x,
-                               (t / cfg_.block.x) % cfg_.block.y,
-                               t / (cfg_.block.x * cfg_.block.y)};
-    lane.ctx.bind_smem(smem_.data(), cfg_.shared_bytes);
-    lane.ctx.bind_recorder(&recorders_[t]);
-    if (psink_ != nullptr) lane.ctx.bind_profile(&lane_profiles_[t]);
-    lane.prog = body_(lane.ctx);
-    KCONV_CHECK(lane.prog.valid(), "kernel body returned an empty program");
-  }
-
-  // Fast-forward: one pass resumes every live lane to its next barrier (or
-  // to completion) — the lane's memory ops record instead of suspending.
-  // Each pass is one barrier segment, so pass boundaries ARE the barrier
-  // semantics; per-lane order within a segment is free (task.hpp contract).
-  // Runaway loops are caught by the recorder's event cap.
-  u32 done_count = 0;
-  while (done_count < n_lanes) {
-    for (u32 t = 0; t < n_lanes; ++t) {
-      ReplayLane& lane = lanes_[t];
-      if (lane.done) continue;
-      lane.prog.resume();
-      if (lane.prog.done()) {
-        if (lane.prog.promise().error) {
-          std::rethrow_exception(lane.prog.promise().error);
-        }
-        lane.done = true;
-        ++done_count;
-      } else {
-        KCONV_ASSERT(lane.prog.promise().pending.op == Op::Sync);
-      }
-    }
-  }
+  // Fast-forward: the lanes' memory ops record instead of suspending, and
+  // runaway loops are caught by the recorder's event cap.
+  lanes.start_replay(block_idx, trace.lane_events, psink_ != nullptr);
+  lanes.run_to_end();
 
   // Congruence check: the replayed block must have issued the same event
   // stream (ops, widths, shared offsets, sync placement) as the captured
   // one. A mismatch means the kernel's replay_class is wrong — fail loudly
   // rather than charge wrong counters.
   for (u32 t = 0; t < n_lanes; ++t) {
+    const LaneRecorder& rec = lanes.recorder(t);
     KCONV_CHECK(
-        recorders_[t].events == trace.lane_events[t] &&
-            recorders_[t].hash == trace.lane_hash[t],
+        rec.events == trace.lane_events[t] && rec.hash == trace.lane_hash[t],
         strf("replay congruence violation in lane %u: block (%u,%u,%u) is "
              "not congruent with captured block (%u,%u,%u) — the kernel's "
              "replay_class declares non-equivalent blocks equivalent",
@@ -288,21 +245,25 @@ void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
     // regrouping this block's own addresses, and re-run the
     // address-dependent analyzers. Probe order matches direct execution,
     // so on a serial launch even the cache counters are bit-identical.
-    cursors_.assign(n_lanes, 0);
+    LaneSet::Scratch& sc = lanes.scratch;
+    std::vector<u32>& cursors = sc.seg_len;
+    std::vector<Access>& group = sc.group;
+    GmemCost& gmem = sc.gmem;
+    cursors.assign(n_lanes, 0);
     for (const ReplayTx& tx : trace.txs) {
-      group_.clear();
+      group.clear();
       for (u32 i = 0; i < tx.lane_count; ++i) {
         const u32 t = trace.tx_lanes[tx.lane_begin + i];
-        LaneRecorder& rec = recorders_[t];
-        KCONV_ASSERT(cursors_[t] < rec.analyzed.size());
-        const Access& a = rec.analyzed[cursors_[t]++];
+        const LaneRecorder& rec = lanes.recorder(t);
+        KCONV_ASSERT(cursors[t] < rec.analyzed.size());
+        const Access& a = rec.analyzed[cursors[t]++];
         KCONV_ASSERT(a.op == tx.op);
-        group_.push_back(a);
+        group.push_back(a);
       }
       profile::PhaseStats* ps =
-          psink_ != nullptr ? &psink_->at(group_[0].phase) : nullptr;
+          psink_ != nullptr ? &psink_->at(group[0].phase) : nullptr;
       if (tx.op == Op::LoadConst) {
-        const ConstCost c = analyze_const(group_, arch_.const_line_bytes);
+        const ConstCost c = analyze_const(group, arch_.const_line_bytes);
         if (const_cache != nullptr) {
           for (u32 i = 0; i < c.lines_touched; ++i) {
             if (!const_cache->access(c.line_addrs[i])) {
@@ -317,20 +278,20 @@ void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
         const u64 plk = pattern_ != nullptr ? pattern_->lookups() : 0;
         const u64 pht = pattern_ != nullptr ? pattern_->hits() : 0;
         if (pattern_ != nullptr) {
-          pattern_->gmem(group_, gmem_scratch_);
+          pattern_->gmem(group, gmem);
         } else {
-          analyze_gmem(group_, arch_.gm_sector_bytes, gmem_scratch_);
+          analyze_gmem(group, arch_.gm_sector_bytes, gmem);
         }
-        stats.gm_sectors += gmem_scratch_.sectors.size();
+        stats.gm_sectors += gmem.sectors.size();
         u64 dram = 0;
-        for (const u64 sector : gmem_scratch_.sectors) {
+        for (const u64 sector : gmem.sectors) {
           if (!gm_l2.access(sector)) {
             ++stats.gm_sectors_dram;
             ++dram;
           }
         }
         if (ps != nullptr) {
-          ps->gm_sectors += gmem_scratch_.sectors.size();
+          ps->gm_sectors += gmem.sectors.size();
           ps->gm_sectors_dram += dram;
           if (pattern_ != nullptr) {
             ps->pattern_lookups += pattern_->lookups() - plk;
@@ -340,51 +301,26 @@ void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
       }
     }
     for (u32 t = 0; t < n_lanes; ++t) {
-      KCONV_ASSERT(cursors_[t] == recorders_[t].analyzed.size());
+      KCONV_ASSERT(cursors[t] == lanes.recorder(t).analyzed.size());
     }
   }
 
-  // Compute attribution, identical to run_block's per-warp aggregation
-  // (recorder event counts equal the direct path's retired events).
-  const u32 warp_size = arch_.warp_size;
-  const u32 n_warps = static_cast<u32>(ceil_div(n_lanes, warp_size));
-  for (u32 w = 0; w < n_warps; ++w) {
-    const u32 lo = w * warp_size;
-    const u32 hi = std::min(lo + warp_size, n_lanes);
-    u64 max_fma = 0, max_alu = 0, max_events = 0;
-    for (u32 t = lo; t < hi; ++t) {
-      stats.fma_lane_ops += lanes_[t].ctx.fma_ops();
-      stats.alu_lane_ops += lanes_[t].ctx.alu_ops();
-      max_fma = std::max(max_fma, lanes_[t].ctx.fma_ops());
-      max_alu = std::max(max_alu, lanes_[t].ctx.alu_ops());
-      max_events = std::max(max_events, static_cast<u64>(recorders_[t].events));
-    }
-    stats.fma_warp_instrs += max_fma;
-    stats.alu_warp_instrs += max_alu;
-    stats.max_warp_instrs =
-        std::max(stats.max_warp_instrs, max_events + max_fma + max_alu);
-  }
-  if (psink_ != nullptr) {
-    // Per-phase arithmetic, recounted from the replayed lanes themselves
-    // (congruence makes it equal the representative's compute profile, but
-    // counting live keeps the observational guarantee trivially exact).
-    for (const profile::LaneProfile& lp : lane_profiles_) {
-      for (u32 i = 0; i < profile::kNumPhases; ++i) {
-        psink_->p[i].fma_lane_ops += lp.fma[i];
-        psink_->p[i].alu_lane_ops += lp.alu[i];
-      }
-    }
-  }
+  // Compute attribution, recounted from the replayed lanes (recorder event
+  // counts equal the direct path's retired events). Per-phase arithmetic is
+  // recounted too: congruence makes it equal the representative's compute
+  // profile, but counting live keeps the observational guarantee exact.
+  lanes.charge_compute(stats);
+  if (psink_ != nullptr) lanes.charge_phase_compute(*psink_);
   ++stats.blocks_executed;
 }
 
-void ReplayRunner::harvest_gm_stores(Dim3 block_idx) {
+void ReplayRunner::harvest_gm_stores(const LaneSet& lanes, Dim3 block_idx) {
   // The fast-forward recorders keep every global/constant access of the
   // replayed block; feed the stores (lane-major — interval order does not
   // matter, the overlap scan sorts globally) to the cross-block map.
   checker_->gm_begin(block_idx);
-  for (const LaneRecorder& rec : recorders_) {
-    for (const Access& a : rec.analyzed) {
+  for (u32 t = 0; t < lanes.size(); ++t) {
+    for (const Access& a : lanes.recorder(t).analyzed) {
       if (a.op == Op::StoreGlobal && a.bytes != 0) {
         checker_->gm_note(a.addr, a.bytes);
       }
@@ -393,7 +329,8 @@ void ReplayRunner::harvest_gm_stores(Dim3 block_idx) {
   checker_->gm_end();
 }
 
-void ReplayRunner::capture_tape(Dim3 block_idx, ClassState& cs) {
+void ReplayRunner::capture_tape(LaneSet& lanes, Dim3 block_idx,
+                                ClassState& cs) {
   origins_fn_(block_idx, cs.origins);
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
   cs.tape.lanes.assign(n_lanes, LaneTape{});
@@ -403,40 +340,11 @@ void ReplayRunner::capture_tape(Dim3 block_idx, ClassState& cs) {
   // replay(), but with a tape builder bound instead of a recorder — loads
   // return NaN-boxed slots, fma records the dataflow, no functional memory
   // is touched (the capture run already produced the block's outputs).
-  smem_.assign(cfg_.shared_bytes, std::byte{0});
-  lanes_.clear();
-  lanes_.resize(n_lanes);
   for (u32 t = 0; t < n_lanes; ++t) {
     builders_[t].reset(&cs.tape.lanes[t], &cs.origins);
-    ReplayLane& lane = lanes_[t];
-    lane.ctx.grid_dim = cfg_.grid;
-    lane.ctx.block_dim = cfg_.block;
-    lane.ctx.block_idx = block_idx;
-    lane.ctx.thread_idx = Dim3{t % cfg_.block.x,
-                               (t / cfg_.block.x) % cfg_.block.y,
-                               t / (cfg_.block.x * cfg_.block.y)};
-    lane.ctx.bind_smem(smem_.data(), cfg_.shared_bytes);
-    lane.ctx.bind_tape(&builders_[t]);
-    lane.prog = body_(lane.ctx);
-    KCONV_CHECK(lane.prog.valid(), "kernel body returned an empty program");
   }
-  u32 done_count = 0;
-  while (done_count < n_lanes) {
-    for (u32 t = 0; t < n_lanes; ++t) {
-      ReplayLane& lane = lanes_[t];
-      if (lane.done) continue;
-      lane.prog.resume();
-      if (lane.prog.done()) {
-        if (lane.prog.promise().error) {
-          std::rethrow_exception(lane.prog.promise().error);
-        }
-        lane.done = true;
-        ++done_count;
-      } else {
-        KCONV_ASSERT(lane.prog.promise().pending.op == Op::Sync);
-      }
-    }
-  }
+  lanes.start_tape(block_idx, builders_);
+  lanes.run_to_end();
 
   // Shrink each lane's register file to its peak liveness — the builder's
   // SSA-style allocation would otherwise make the interpreter DRAM-bound.
@@ -503,11 +411,12 @@ ReplayOrigins ReplayRunner::resolve_origins(Dim3 block_idx,
   return o;
 }
 
-void ReplayRunner::validate_tape(Dim3 block_idx, const ClassState& cs) {
+void ReplayRunner::validate_tape(const LaneSet& lanes, Dim3 block_idx,
+                                 const ClassState& cs) {
   const ReplayOrigins o = resolve_origins(block_idx, cs);
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
   for (u32 t = 0; t < n_lanes; ++t) {
-    const LaneRecorder& rec = recorders_[t];
+    const LaneRecorder& rec = lanes.recorder(t);
     std::size_t j = 0;
     for (const TapeEntry& e : cs.tape.lanes[t].entries) {
       Op op;

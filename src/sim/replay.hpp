@@ -40,7 +40,6 @@
 
 #include "src/profile/collector.hpp"
 #include "src/sim/block_exec.hpp"
-#include "src/sim/coalescing.hpp"
 #include "src/sim/pattern_cache.hpp"
 #include "src/sim/plan_io.hpp"
 #include "src/sim/trace.hpp"
@@ -82,23 +81,25 @@ class ReplayRunner {
   /// straight from the class trace: invariant + compute + the captured
   /// addr_dep counters, no coroutines, no functional memory. Class
   /// representatives still execute (and capture) normally on a cold class.
-  ReplayRunner(const Arch& arch, const KernelBody& body,
-               const LaunchConfig& cfg, TraceLevel trace, u64 max_rounds,
+  ReplayRunner(const Arch& arch, const LaunchConfig& cfg, TraceLevel trace,
+               u64 max_rounds,
                const BlockClassifier& classify, const ReplayOriginsFn& origins,
                PatternCache* pattern = nullptr,
                analysis::BlockChecker* checker = nullptr,
                profile::PhaseProfile* psink = nullptr, bool analytic = false);
 
-  /// Executes or replays `block_idx`, accumulating into `stats` exactly
-  /// what the direct path would have (serially, including cache counters).
+  /// Executes or replays `block_idx` on `lanes`, the chunk's LaneSet,
+  /// accumulating into `stats` exactly what the direct path would have
+  /// (serially, including cache counters).
   /// Tape-served blocks may be deferred for batched interpretation — call
   /// finish() after the last block to flush them.
   ///
   /// `tl` (optional, profiling only) receives the block's phase timeline
   /// when the block actually executes (class representative or tainted
   /// re-execution); replayed blocks record none and leave it empty.
-  void run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
-           KernelStats& stats, profile::BlockTimeline* tl = nullptr);
+  void run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
+           L2Cache& gm_l2, KernelStats& stats,
+           profile::BlockTimeline* tl = nullptr);
 
   /// Flushes tape blocks still queued for batched interpretation. Their
   /// outputs and stats land only after this runs.
@@ -161,19 +162,20 @@ class ReplayRunner {
   /// origin base pointers differ).
   static constexpr u32 kTapeBatch = 32;
 
-  void replay(Dim3 block_idx, const BlockTrace& trace, L2Cache* const_cache,
-              L2Cache& gm_l2, KernelStats& stats);
+  void replay(LaneSet& lanes, Dim3 block_idx, const BlockTrace& trace,
+              L2Cache* const_cache, L2Cache& gm_l2, KernelStats& stats);
   /// Analytic serving: charges the class's invariant + compute + addr_dep
   /// deltas (and the matching phase slices) without touching memory.
   void serve_analytic(const ClassState& cs, KernelStats& stats);
   /// Feeds the global stores of the block just replayed (still in the
   /// recorders) to the checker's cross-block overlap map.
-  void harvest_gm_stores(Dim3 block_idx);
+  void harvest_gm_stores(const LaneSet& lanes, Dim3 block_idx);
   /// Re-runs the captured block in tagging mode, filling cs.tape.
-  void capture_tape(Dim3 block_idx, ClassState& cs);
+  void capture_tape(LaneSet& lanes, Dim3 block_idx, ClassState& cs);
   /// Checks the fast-forward recorders of the block just replayed against
   /// the rebased tape, event by event (call directly after replay()).
-  void validate_tape(Dim3 block_idx, const ClassState& cs);
+  void validate_tape(const LaneSet& lanes, Dim3 block_idx,
+                     const ClassState& cs);
   /// Validates this block's origins against the tape's per-origin spans
   /// and queues its rebased base pointers (flushing a full batch).
   void enqueue_tape(Dim3 block_idx, ClassState& cs, KernelStats& stats);
@@ -186,7 +188,6 @@ class ReplayRunner {
   ReplayOrigins resolve_origins(Dim3 block_idx, const ClassState& cs) const;
 
   const Arch& arch_;
-  const KernelBody& body_;
   const LaunchConfig& cfg_;
   TraceLevel trace_level_;
   u64 max_rounds_;
@@ -201,20 +202,7 @@ class ReplayRunner {
   u64 blocks_replayed_ = 0;
   bool captured_fresh_ = false;
 
-  // Per-block scratch, allocated once and reused.
-  struct ReplayLane {
-    ThreadProgram prog;
-    ThreadCtx ctx;
-    bool done = false;
-  };
-  std::vector<ReplayLane> lanes_;
-  std::vector<LaneRecorder> recorders_;
-  std::vector<profile::LaneProfile> lane_profiles_;
   std::vector<LaneTapeBuilder> builders_;
-  std::vector<std::byte> smem_;
-  std::vector<u32> cursors_;
-  std::vector<Access> group_;
-  GmemCost gmem_scratch_;
   // Tape-interpreter scratch: value slots and shared memory, both laid out
   // with the batch as the innermost dimension, plus per-lane walk state.
   std::vector<float> regs_;

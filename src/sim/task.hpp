@@ -10,12 +10,120 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <utility>
+#include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "src/sim/event.hpp"
 
 namespace kconv::sim {
+
+/// Free list of lane coroutine frames. One LaneSet (block_exec.hpp) owns
+/// one, so it lives exactly as long as a launch chunk: when a block's lanes
+/// are rebuilt their frames go back on the list and the next block's come
+/// off it, so a chunk allocates one frame per lane instead of one per lane
+/// per block. Frames are drawn from a pool only inside a Scope on the
+/// creating thread; all others come from the global heap. Each frame
+/// carries a header naming its pool, so it returns to the list it came
+/// from. Under ASan a frame on the list is poisoned, so touching a dead
+/// lane's frame still reports as a use-after-free.
+class FramePool {
+ public:
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+  ~FramePool() {
+    for (Bucket& b : free_) {
+      for (void* base : b.frames) {
+        ASAN_UNPOISON_MEMORY_REGION(base, kHeader + b.bytes);
+        ::operator delete(base);
+      }
+    }
+  }
+
+  /// Routes this thread's coroutine frame allocations to `pool` while
+  /// alive.
+  class Scope {
+   public:
+    explicit Scope(FramePool& pool) : prev_(std::exchange(current_, &pool)) {}
+    ~Scope() { current_ = prev_; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    FramePool* prev_;
+  };
+
+  static void* allocate(std::size_t bytes) {
+    FramePool* const pool = current_;
+    void* base = pool != nullptr ? pool->take(bytes) : nullptr;
+    if (base == nullptr) base = ::operator new(kHeader + bytes);
+    ::new (base) Header{pool, bytes};
+    return static_cast<std::byte*>(base) + kHeader;
+  }
+
+  static void deallocate(void* frame) noexcept {
+    void* const base = static_cast<std::byte*>(frame) - kHeader;
+    const Header h = *std::launder(static_cast<Header*>(base));
+    if (h.pool == nullptr) {
+      ::operator delete(base);
+    } else {
+      h.pool->give(base, h.bytes);
+    }
+  }
+
+ private:
+  struct Header {
+    FramePool* pool;
+    std::size_t bytes;
+  };
+  /// Keeps the frame behind the header at the default new alignment.
+  static constexpr std::size_t kHeader = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+  static_assert(sizeof(Header) <= kHeader);
+
+  /// Frames of one size; a kernel body can create coroutines of a few
+  /// types (e.g. an edge and an interior path), each with its own size.
+  struct Bucket {
+    std::size_t bytes;
+    std::vector<void*> frames;
+  };
+
+  void* take(std::size_t bytes) {
+    for (Bucket& b : free_) {
+      if (b.bytes != bytes || b.frames.empty()) continue;
+      void* const base = b.frames.back();
+      b.frames.pop_back();
+      ASAN_UNPOISON_MEMORY_REGION(base, kHeader + bytes);
+      return base;
+    }
+    return nullptr;
+  }
+
+  void give(void* base, std::size_t bytes) noexcept {
+    Bucket* bucket = nullptr;
+    for (Bucket& b : free_) {
+      if (b.bytes == bytes) bucket = &b;
+    }
+    // A full heap while recycling is fatal like any other allocation
+    // failure inside a noexcept destructor path.
+    if (bucket == nullptr) bucket = &free_.emplace_back(Bucket{bytes, {}});
+    bucket->frames.push_back(base);
+    ASAN_POISON_MEMORY_REGION(base, kHeader + bytes);
+  }
+
+  std::vector<Bucket> free_;
+  static inline thread_local FramePool* current_ = nullptr;
+};
 
 /// Handle to one lane's coroutine. Move-only RAII owner.
 class ThreadProgram {
@@ -35,6 +143,13 @@ class ThreadProgram {
     std::suspend_always final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() noexcept { error = std::current_exception(); }
+
+    static void* operator new(std::size_t bytes) {
+      return FramePool::allocate(bytes);
+    }
+    static void operator delete(void* frame) noexcept {
+      FramePool::deallocate(frame);
+    }
   };
 
   using Handle = std::coroutine_handle<promise_type>;

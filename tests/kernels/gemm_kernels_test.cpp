@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
+#include <utility>
+
 #include "src/common/rng.hpp"
 #include "src/sim/sim.hpp"
 #include "src/tensor/gemm_ref.hpp"
@@ -80,6 +84,57 @@ TEST(Gemm, BadMicroTileThrows) {
   cfg.tm = 3;  // not a multiple of the matched width 2
   EXPECT_THROW(
       gemm(dev, random_matrix(8, 8, 1), random_matrix(8, 8, 2), cfg), Error);
+}
+
+// --- The dense layer's fitted tile -------------------------------------------
+
+TEST(GemmFitted, DenseShapesMatchMagmaBitForBitInOneSmallerBlock) {
+  const GemmConfig fit = gemm_fitted(10, 1);
+  EXPECT_EQ(fit.bm, 16);
+  EXPECT_EQ(fit.bn, 2);
+  EXPECT_EQ(fit.bk, 8);
+  EXPECT_EQ(fit.tm, 2);
+  EXPECT_EQ(fit.tn, 2);
+  EXPECT_EQ(fit.vec_width, gemm_magma_mod().vec_width);
+  // The classifier heads of lenet, vgg-tiny and lenet-wide.
+  for (const i64 k : {256, 576, 864}) {
+    SCOPED_TRACE(k);
+    const auto w = random_matrix(10, k, 20 + static_cast<u64>(k));
+    const auto x = random_matrix(k, 1, 21 + static_cast<u64>(k));
+    sim::Device d_magma(sim::kepler_k40m());
+    sim::Device d_fit(sim::kepler_k40m());
+    const auto magma = gemm(d_magma, w, x, gemm_magma_mod());
+    const auto fitted = gemm(d_fit, w, x, fit);
+    ASSERT_TRUE(magma.output_valid && fitted.output_valid);
+    ASSERT_EQ(fitted.c.data.size(), magma.c.data.size());
+    EXPECT_EQ(std::memcmp(fitted.c.data.data(), magma.c.data.data(),
+                          magma.c.data.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(fitted.launch.blocks_total, magma.launch.blocks_total);
+    EXPECT_LE(fitted.launch.timing.seconds, magma.launch.timing.seconds);
+  }
+}
+
+TEST(GemmFitted, FullTilesKeepMagma) {
+  const GemmConfig magma = gemm_magma_mod();
+  for (const auto& [m, n] : {std::pair<i64, i64>{64, 64}, {500, 300}}) {
+    const GemmConfig fit = gemm_fitted(m, n);
+    EXPECT_EQ(fit.bm, magma.bm);
+    EXPECT_EQ(fit.bn, magma.bn);
+    EXPECT_EQ(fit.bk, magma.bk);
+    EXPECT_EQ(fit.tm, magma.tm);
+    EXPECT_EQ(fit.tn, magma.tn);
+  }
+}
+
+TEST(GemmFitted, RaggedShapesMatchReference) {
+  // Tall-and-narrow (bm stays 64) and tiny (both extents shrink).
+  for (const auto& [m, k, n] :
+       {std::tuple<i64, i64, i64>{70, 33, 1}, {3, 9, 5}, {10, 40, 2}}) {
+    SCOPED_TRACE(m);
+    expect_matches_reference(random_matrix(m, k, 30), random_matrix(k, n, 31),
+                             gemm_fitted(m, n));
+  }
 }
 
 // --- Fig. 2's ordering, as model predictions ---------------------------------

@@ -85,7 +85,8 @@ tensor::Tensor run_hand_sequenced(const Network& net,
               in.flat()[static_cast<std::size_t>(f)];
         }
         auto fc = kernels::gemm(dev, n.weights, xin,
-                                kernels::gemm_magma_mod(), launch);
+                                kernels::gemm_fitted(n.weights.rows, 1),
+                                launch);
         EXPECT_TRUE(fc.output_valid);
         tensor::Tensor logits(1, n.weights.rows, 1, 1);
         for (i64 r = 0; r < n.weights.rows; ++r) {
