@@ -7,12 +7,20 @@
 // rankings are thread-count-invariant (see tests/determinism), so every
 // row computes the same result — only the wall clock should move.
 //
+// A single wall-clock reading per thread count swings by tens of percent
+// on a shared host, so each section runs one untimed warm-up and then
+// times every thread count kRepeats times, round-robin across the counts
+// so host drift hits every count alike. `seconds` is the median (with
+// `seconds_min` and `nrepeat` beside it); `blocks_per_sec` and `speedup`
+// derive from the medians.
+//
 // Emits one pure-JSON document (embedded as the artifact's "report" by
 // scripts/run_benches.sh). On a single-CPU host the thread pool can only
 // overlap scheduling, not compute, so the speedup columns are noise, not
 // signal: the report carries "host_limited": true and the regression gate
 // (scripts/check_bench_regression.sh) skips speedup-ratio gating — but
 // NOT absolute blocks/sec gating — when it sees that flag.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -25,10 +33,7 @@
 namespace kconv::bench {
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+constexpr int kRepeats = 5;
 
 std::vector<u32> thread_counts() {
   const u32 hw = std::thread::hardware_concurrency();
@@ -37,51 +42,85 @@ std::vector<u32> thread_counts() {
   return counts;
 }
 
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+};
+
+/// Times run(threads) for every count in `counts`: one untimed warm-up at
+/// the first count, then kRepeats round-robin passes over all counts.
+template <typename Run>
+std::vector<Timing> time_round_robin(const std::vector<u32>& counts,
+                                     Run&& run) {
+  run(counts.front());
+  std::vector<std::vector<double>> samples(counts.size());
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      run(counts[i]);
+      samples[i].push_back(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+    }
+  }
+  std::vector<Timing> out;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    out.push_back({s[s.size() / 2], s.front()});
+  }
+  return out;
+}
+
 void launch_scaling() {
   const tensor::Tensor img = make_image(16, 128, 128);
   const tensor::Tensor flt = make_filters(64, 16, 3);
   const kernels::GeneralConvConfig cfg = kernels::table1_config(3);
+  const std::vector<u32> counts = thread_counts();
 
-  std::printf(" \"launch_scaling\": [\n");
-  double base = 0.0;
-  bool first = true;
-  for (const u32 t : thread_counts()) {
+  u64 blocks = 0;
+  const auto times = time_round_robin(counts, [&](u32 t) {
     sim::Device dev(sim::kepler_k40m());
     sim::LaunchOptions opt;
     opt.num_threads = t;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto run = kernels::general_conv(dev, img, flt, cfg, opt);
-    const double secs = seconds_since(t0);
-    const double blocks = static_cast<double>(run.launch.blocks_executed);
-    if (t == 1) base = secs;
+    blocks = kernels::general_conv(dev, img, flt, cfg, opt)
+                 .launch.blocks_executed;
+  });
+
+  std::printf(" \"launch_scaling\": [\n");
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const u32 t = counts[i];
+    const double secs = times[i].median;
     std::printf("%s  {\"name\": \"launch_threads_%u\", \"threads\": %u,"
-                " \"seconds\": %.6f, \"blocks\": %.0f,\n"
+                " \"seconds\": %.6f, \"seconds_min\": %.6f,"
+                " \"nrepeat\": %d, \"blocks\": %llu,\n"
                 "   \"blocks_per_sec\": %.1f, \"speedup\": %.3f}",
-                first ? "" : ",\n", t, t, secs, blocks, blocks / secs,
-                base / secs);
-    first = false;
+                i == 0 ? "" : ",\n", t, t, secs, times[i].min, kRepeats,
+                static_cast<unsigned long long>(blocks),
+                static_cast<double>(blocks) / secs, times[0].median / secs);
   }
   std::printf("\n ],\n");
 }
 
 void autotune_scaling() {
-  std::printf(" \"autotune_scaling\": [\n");
-  double base = 0.0;
-  bool first = true;
-  for (const u32 t : thread_counts()) {
+  const std::vector<u32> counts = thread_counts();
+  core::GeneralAutotuneResult res;
+  const auto times = time_round_robin(counts, [&](u32 t) {
     sim::Device dev(sim::kepler_k40m());
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto res = core::autotune_general(dev, 5, 8, 64, 64, {}, 2, t);
-    const double secs = seconds_since(t0);
-    if (t == 1) base = secs;
+    res = core::autotune_general(dev, 5, 8, 64, 64, {}, 2, t);
+  });
+
+  std::printf(" \"autotune_scaling\": [\n");
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const u32 t = counts[i];
+    const double secs = times[i].median;
     std::printf("%s  {\"name\": \"autotune_threads_%u\", \"threads\": %u,"
-                " \"seconds\": %.6f,\n"
+                " \"seconds\": %.6f, \"seconds_min\": %.6f,"
+                " \"nrepeat\": %d,\n"
                 "   \"evaluated\": %lld, \"skipped\": %lld,"
                 " \"speedup\": %.3f}",
-                first ? "" : ",\n", t, t, secs,
+                i == 0 ? "" : ",\n", t, t, secs, times[i].min, kRepeats,
                 static_cast<long long>(res.evaluated),
-                static_cast<long long>(res.skipped), base / secs);
-    first = false;
+                static_cast<long long>(res.skipped), times[0].median / secs);
   }
   std::printf("\n ]\n");
 }

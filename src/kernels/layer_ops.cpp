@@ -54,6 +54,21 @@ class BiasReluKernel {
   }
 };
 
+/// Widest block either op launches: rows wider than this take
+/// ceil(width / kRowBlockLanes) blocks.
+constexpr i64 kRowBlockLanes = 128;
+
+/// Lanes per block over rows `row_width` pixels wide: the row rounded up to
+/// whole warps, capped at kRowBlockLanes. Only warps with no live lane are
+/// dropped, so every launched warp issues exactly what it would in a
+/// full-width block, and the grid — ceil(row_width / kRowBlockLanes) blocks
+/// per row — is unchanged.
+sim::Dim3 row_block(const sim::Arch& arch, i64 row_width) {
+  return sim::Dim3{static_cast<u32>(std::min(
+                       kRowBlockLanes, round_up(row_width, arch.warp_size))),
+                   1, 1};
+}
+
 /// Reinterprets an (N, C, H, W) batch as the layout-identical
 /// (1, N*C, H, W) image (NCHW planes are contiguous).
 tensor::Tensor fold_batch(const tensor::Tensor& t) {
@@ -93,8 +108,8 @@ KernelRun max_pool_2x2(sim::Device& dev, const tensor::Tensor& input,
   k.out = d_out.view();
 
   sim::LaunchConfig lc;
-  lc.block = sim::Dim3{128, 1, 1};
-  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Wo, 128)),
+  lc.block = row_block(dev.arch(), Wo);
+  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Wo, kRowBlockLanes)),
                       static_cast<u32>(C * Ho), 1};
   lc.regs_per_thread = 16;
 
@@ -142,8 +157,8 @@ KernelRun bias_relu(sim::Device& dev, const tensor::Tensor& input,
   k.bias = d_bias.view();
 
   sim::LaunchConfig lc;
-  lc.block = sim::Dim3{128, 1, 1};
-  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(W, 128)),
+  lc.block = row_block(dev.arch(), W);
+  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(W, kRowBlockLanes)),
                       static_cast<u32>(C * H), 1};
   lc.regs_per_thread = 12;
 

@@ -59,8 +59,10 @@ Network make_lenet_wide(u64 seed) {
   x = g.add_max_pool(x, "pool_2");            // 12 -> 6
   // An extra pool keeps the FC layer small. dense/pool/bias have no replay
   // hooks and always execute, so their host cost is the floor under every
-  // warm serving mode (docs/MODEL.md §8): about 20-30 ms of a warm
-  // ~190 ms run_graph here, the rest being the two conv launches.
+  // warm serving mode (docs/MODEL.md §8). Pool blocks are only as wide as
+  // their 16-, 6- and 3-pixel rows (one warp each), which holds the floor
+  // to about 12 ms of a warm ~170 ms run_graph on a shared 4-CPU host;
+  // the rest is the two conv launches.
   x = g.add_max_pool(x, "pool_3");            // 6 -> 3
   g.add_dense(x, random_dense(rng, 10, 96 * 3 * 3), "fc");
   return net;

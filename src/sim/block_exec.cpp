@@ -203,15 +203,21 @@ bool LaneSet::resume(u32 t) {
   return true;
 }
 
+void LaneSet::run_segment() {
+  // Ended lanes are cleared too: the segment's streams are exactly the
+  // events this pass records. Per-lane order within a segment is free
+  // (task.hpp contract).
+  for (u32 t = 0; t < size(); ++t) {
+    recorders_[t].begin_segment();
+    if (lanes_[t].done || resume(t)) continue;
+    KCONV_ASSERT(lanes_[t].prog.promise().pending.op == Op::Sync);
+  }
+}
+
 void LaneSet::run_to_end() {
   // Each pass is one barrier segment, so pass boundaries ARE the barrier
-  // semantics; per-lane order within a segment is free (task.hpp contract).
-  while (!all_done()) {
-    for (u32 t = 0; t < size(); ++t) {
-      if (lanes_[t].done || resume(t)) continue;
-      KCONV_ASSERT(lanes_[t].prog.promise().pending.op == Op::Sync);
-    }
-  }
+  // semantics.
+  while (!all_done()) run_segment();
 }
 
 void LaneSet::charge_compute(KernelStats& stats) const {
@@ -288,15 +294,10 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
   // keeps coroutine switches off the per-event cost while preserving the
   // retire order that the stateful cache models observe.
   while (!lanes.all_done()) {
+    lanes.run_segment();
     u32 seg_rounds = 0;
     for (u32 t = 0; t < n_lanes; ++t) {
-      if (lanes.done(t)) {
-        seg_len[t] = 0;
-        continue;
-      }
-      LaneRecorder& rec = lanes.recorder(t);
-      rec.begin_segment();
-      lanes.resume(t);
+      const LaneRecorder& rec = lanes.recorder(t);
       const u32 len = static_cast<u32>(rec.analyzed.size());
       seg_len[t] = len;
       seg_base[t] = rec.events - len;

@@ -78,8 +78,11 @@ class LaneSet {
   bool resume(u32 t);
   bool done(u32 t) const { return lanes_[t].done; }
   bool all_done() const { return done_count_ == size(); }
-  /// Fast-forward: resumes every live lane, one barrier segment per pass,
-  /// until every lane has ended.
+  /// One barrier segment: clears every recorder, ended lanes included, then
+  /// resumes each live lane to its next barrier or to its end, so the
+  /// recorders hold exactly this segment's events.
+  void run_segment();
+  /// Fast-forward: run_segment() until every lane has ended.
   void run_to_end();
 
   LaneRecorder& recorder(u32 t) { return recorders_[t]; }

@@ -108,7 +108,8 @@ bool load_trace(PlanReader& r, u64 n_lanes, BlockTrace& t) {
     if (l >= n_lanes) return false;
   }
   for (const ReplayTx& tx : t.txs) {
-    if (static_cast<u64>(tx.lane_begin) + tx.lane_count > t.tx_lanes.size()) {
+    if (tx.lane_count == 0 ||
+        static_cast<u64>(tx.lane_begin) + tx.lane_count > t.tx_lanes.size()) {
       return false;
     }
   }

@@ -62,15 +62,11 @@ void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
     if (cs.tape_ready && cs.validated) {
       enqueue_tape(block_idx, cs, stats);
     } else {
-      replay(lanes, block_idx, cs.trace, const_cache, gm_l2, stats);
-      if (checker_ != nullptr) harvest_gm_stores(lanes, block_idx);
-      if (cs.tape_ready) {
-        // The first fast-forward block of the class doubles as the tape's
-        // relocation proof: its recorded access streams must match the
-        // rebased tape exactly before later blocks skip the coroutines.
-        validate_tape(lanes, block_idx, cs);
-        cs.validated = true;
-      }
+      // The first fast-forward block of a tape class doubles as the tape's
+      // relocation proof: replay() checks its access streams against the
+      // rebased tape before later blocks skip the coroutines.
+      replay(lanes, block_idx, cs, const_cache, gm_l2, stats);
+      if (cs.tape_ready) cs.validated = true;
     }
     ++blocks_replayed_;
     return;
@@ -207,16 +203,64 @@ void ReplayRunner::export_plan(LaunchPlan& plan) const {
   }
 }
 
+namespace {
+
+/// The error every replay-side congruence failure raises, whichever check
+/// (segment walk, event cap, end-of-block hash) notices it first.
+std::string congruence_error(u32 lane, Dim3 block_idx,
+                             const BlockTrace& trace) {
+  return strf("replay congruence violation in lane %u: block (%u,%u,%u) is "
+              "not congruent with captured block (%u,%u,%u) — the kernel's "
+              "replay_class declares non-equivalent blocks equivalent",
+              lane, block_idx.x, block_idx.y, block_idx.z,
+              trace.captured_block.x, trace.captured_block.y,
+              trace.captured_block.z);
+}
+
+}  // namespace
+
 void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
-                          const BlockTrace& trace, L2Cache* const_cache,
+                          const ClassState& cs, L2Cache* const_cache,
                           L2Cache& gm_l2, KernelStats& stats) {
+  const BlockTrace& trace = cs.trace;
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
   KCONV_ASSERT(trace.lane_events.size() == n_lanes);
+  const bool walk = trace_level_ == TraceLevel::Timing;
+  // An unvalidated tape is checked against this block's accesses as they
+  // stream past (the first fast-forward block of the class is the tape's
+  // relocation proof).
+  const bool check_tape = cs.tape_ready && !cs.validated;
+  ReplayOrigins tape_origins;
+  if (check_tape) tape_origins = resolve_origins(block_idx, cs);
 
-  // Fast-forward: the lanes' memory ops record instead of suspending, and
-  // runaway loops are caught by the recorder's event cap.
+  LaneSet::Scratch& sc = lanes.scratch;
+  std::vector<u32>& cursors = sc.seg_len;
+  cursors.assign(n_lanes, 0);
+  if (check_tape) tape_cursors_.assign(n_lanes, 0);
+  std::size_t next_tx = 0;
+  if (checker_ != nullptr) checker_->gm_begin(block_idx);
+
+  // Fast-forward one barrier segment at a time: the lanes' memory ops
+  // record instead of suspending (runaway loops are caught by the
+  // recorder's event cap), and each segment's global/constant accesses are
+  // consumed — walked, harvested, tape-checked — before the next segment
+  // runs, so a recorder never holds more than one segment.
   lanes.start_replay(block_idx, trace.lane_events, psink_ != nullptr);
-  lanes.run_to_end();
+  while (!lanes.all_done()) {
+    lanes.run_segment();
+    if (walk) {
+      next_tx = walk_segment(lanes, block_idx, trace, next_tx, const_cache,
+                             gm_l2, stats);
+    }
+    if (checker_ != nullptr) harvest_gm_stores(lanes);
+    if (check_tape) validate_tape_segment(lanes, block_idx, cs, tape_origins);
+  }
+  if (walk && next_tx < trace.txs.size()) {
+    const u32 t = trace.tx_lanes[trace.txs[next_tx].lane_begin];
+    KCONV_CHECK(false, congruence_error(t, block_idx, trace));
+  }
+  if (check_tape) finish_tape_validation(block_idx, cs);
+  if (checker_ != nullptr) checker_->gm_end();
 
   // Congruence check: the replayed block must have issued the same event
   // stream (ops, widths, shared offsets, sync placement) as the captured
@@ -226,84 +270,14 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
     const LaneRecorder& rec = lanes.recorder(t);
     KCONV_CHECK(
         rec.events == trace.lane_events[t] && rec.hash == trace.lane_hash[t],
-        strf("replay congruence violation in lane %u: block (%u,%u,%u) is "
-             "not congruent with captured block (%u,%u,%u) — the kernel's "
-             "replay_class declares non-equivalent blocks equivalent",
-             t, block_idx.x, block_idx.y, block_idx.z,
-             trace.captured_block.x, trace.captured_block.y,
-             trace.captured_block.z));
+        congruence_error(t, block_idx, trace));
   }
 
   stats += trace.invariant;
   // Translation-invariant phase slices come from the representative; the
-  // address-dependent and compute slices are recharged live below, mirroring
-  // the KernelStats split (trace.hpp).
+  // address-dependent and compute slices are recharged live, mirroring the
+  // KernelStats split (trace.hpp).
   if (psink_ != nullptr) *psink_ += trace.phase_invariant;
-
-  if (trace_level_ == TraceLevel::Timing) {
-    // Walk the recorded global/constant transactions in retire order,
-    // regrouping this block's own addresses, and re-run the
-    // address-dependent analyzers. Probe order matches direct execution,
-    // so on a serial launch even the cache counters are bit-identical.
-    LaneSet::Scratch& sc = lanes.scratch;
-    std::vector<u32>& cursors = sc.seg_len;
-    std::vector<Access>& group = sc.group;
-    GmemCost& gmem = sc.gmem;
-    cursors.assign(n_lanes, 0);
-    for (const ReplayTx& tx : trace.txs) {
-      group.clear();
-      for (u32 i = 0; i < tx.lane_count; ++i) {
-        const u32 t = trace.tx_lanes[tx.lane_begin + i];
-        const LaneRecorder& rec = lanes.recorder(t);
-        KCONV_ASSERT(cursors[t] < rec.analyzed.size());
-        const Access& a = rec.analyzed[cursors[t]++];
-        KCONV_ASSERT(a.op == tx.op);
-        group.push_back(a);
-      }
-      profile::PhaseStats* ps =
-          psink_ != nullptr ? &psink_->at(group[0].phase) : nullptr;
-      if (tx.op == Op::LoadConst) {
-        const ConstCost c = analyze_const(group, arch_.const_line_bytes);
-        if (const_cache != nullptr) {
-          for (u32 i = 0; i < c.lines_touched; ++i) {
-            if (!const_cache->access(c.line_addrs[i])) {
-              ++stats.const_line_misses;
-              if (ps != nullptr) ++ps->const_line_misses;
-            }
-          }
-        }
-      } else {
-        // Rebased addresses, same signatures: the pattern cache primed by
-        // the captured block serves nearly every replayed transaction.
-        const u64 plk = pattern_ != nullptr ? pattern_->lookups() : 0;
-        const u64 pht = pattern_ != nullptr ? pattern_->hits() : 0;
-        if (pattern_ != nullptr) {
-          pattern_->gmem(group, gmem);
-        } else {
-          analyze_gmem(group, arch_.gm_sector_bytes, gmem);
-        }
-        stats.gm_sectors += gmem.sectors.size();
-        u64 dram = 0;
-        for (const u64 sector : gmem.sectors) {
-          if (!gm_l2.access(sector)) {
-            ++stats.gm_sectors_dram;
-            ++dram;
-          }
-        }
-        if (ps != nullptr) {
-          ps->gm_sectors += gmem.sectors.size();
-          ps->gm_sectors_dram += dram;
-          if (pattern_ != nullptr) {
-            ps->pattern_lookups += pattern_->lookups() - plk;
-            ps->pattern_hits += pattern_->hits() - pht;
-          }
-        }
-      }
-    }
-    for (u32 t = 0; t < n_lanes; ++t) {
-      KCONV_ASSERT(cursors[t] == lanes.recorder(t).analyzed.size());
-    }
-  }
 
   // Compute attribution, recounted from the replayed lanes (recorder event
   // counts equal the direct path's retired events). Per-phase arithmetic is
@@ -314,11 +288,91 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
   ++stats.blocks_executed;
 }
 
-void ReplayRunner::harvest_gm_stores(const LaneSet& lanes, Dim3 block_idx) {
-  // The fast-forward recorders keep every global/constant access of the
-  // replayed block; feed the stores (lane-major — interval order does not
-  // matter, the overlap scan sorts globally) to the cross-block map.
-  checker_->gm_begin(block_idx);
+std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
+                                       const BlockTrace& trace,
+                                       std::size_t next_tx,
+                                       L2Cache* const_cache, L2Cache& gm_l2,
+                                       KernelStats& stats) {
+  // Every global/constant event retires in a transaction of its own
+  // segment, so this segment's transactions are the prefix of the
+  // remaining ones whose lanes still hold unconsumed events. Regroup this
+  // block's own addresses in that retire order and re-run the
+  // address-dependent analyzers: probe order matches direct execution, so
+  // on a serial launch even the cache counters are bit-identical.
+  LaneSet::Scratch& sc = lanes.scratch;
+  std::vector<u32>& cursors = sc.seg_len;
+  std::vector<Access>& group = sc.group;
+  GmemCost& gmem = sc.gmem;
+  for (; next_tx < trace.txs.size(); ++next_tx) {
+    const ReplayTx& tx = trace.txs[next_tx];
+    const u32* tx_lanes = trace.tx_lanes.data() + tx.lane_begin;
+    // A congruent block's transaction either has an event waiting in every
+    // one of its lanes or in none (it belongs to a later segment).
+    if (cursors[tx_lanes[0]] == lanes.recorder(tx_lanes[0]).analyzed.size()) {
+      break;
+    }
+    group.clear();
+    for (u32 i = 0; i < tx.lane_count; ++i) {
+      const u32 t = tx_lanes[i];
+      const LaneRecorder& rec = lanes.recorder(t);
+      KCONV_CHECK(cursors[t] < rec.analyzed.size() &&
+                      rec.analyzed[cursors[t]].op == tx.op,
+                  congruence_error(t, block_idx, trace));
+      group.push_back(rec.analyzed[cursors[t]++]);
+    }
+    profile::PhaseStats* ps =
+        psink_ != nullptr ? &psink_->at(group[0].phase) : nullptr;
+    if (tx.op == Op::LoadConst) {
+      const ConstCost c = analyze_const(group, arch_.const_line_bytes);
+      if (const_cache != nullptr) {
+        for (u32 i = 0; i < c.lines_touched; ++i) {
+          if (!const_cache->access(c.line_addrs[i])) {
+            ++stats.const_line_misses;
+            if (ps != nullptr) ++ps->const_line_misses;
+          }
+        }
+      }
+    } else {
+      // Rebased addresses, same signatures: the pattern cache primed by
+      // the captured block serves nearly every replayed transaction.
+      const u64 plk = pattern_ != nullptr ? pattern_->lookups() : 0;
+      const u64 pht = pattern_ != nullptr ? pattern_->hits() : 0;
+      if (pattern_ != nullptr) {
+        pattern_->gmem(group, gmem);
+      } else {
+        analyze_gmem(group, arch_.gm_sector_bytes, gmem);
+      }
+      stats.gm_sectors += gmem.sectors.size();
+      u64 dram = 0;
+      for (const u64 sector : gmem.sectors) {
+        if (!gm_l2.access(sector)) {
+          ++stats.gm_sectors_dram;
+          ++dram;
+        }
+      }
+      if (ps != nullptr) {
+        ps->gm_sectors += gmem.sectors.size();
+        ps->gm_sectors_dram += dram;
+        if (pattern_ != nullptr) {
+          ps->pattern_lookups += pattern_->lookups() - plk;
+          ps->pattern_hits += pattern_->hits() - pht;
+        }
+      }
+    }
+  }
+  // The segment's events must all be spoken for before the recorders are
+  // cleared for the next one.
+  for (u32 t = 0; t < lanes.size(); ++t) {
+    KCONV_CHECK(cursors[t] == lanes.recorder(t).analyzed.size(),
+                congruence_error(t, block_idx, trace));
+    cursors[t] = 0;
+  }
+  return next_tx;
+}
+
+void ReplayRunner::harvest_gm_stores(const LaneSet& lanes) {
+  // Lane-major within the segment — interval order does not matter, the
+  // overlap scan sorts globally.
   for (u32 t = 0; t < lanes.size(); ++t) {
     for (const Access& a : lanes.recorder(t).analyzed) {
       if (a.op == Op::StoreGlobal && a.bytes != 0) {
@@ -326,7 +380,6 @@ void ReplayRunner::harvest_gm_stores(const LaneSet& lanes, Dim3 block_idx) {
       }
     }
   }
-  checker_->gm_end();
 }
 
 void ReplayRunner::capture_tape(LaneSet& lanes, Dim3 block_idx,
@@ -411,32 +464,41 @@ ReplayOrigins ReplayRunner::resolve_origins(Dim3 block_idx,
   return o;
 }
 
-void ReplayRunner::validate_tape(const LaneSet& lanes, Dim3 block_idx,
-                                 const ClassState& cs) {
-  const ReplayOrigins o = resolve_origins(block_idx, cs);
-  const u32 n_lanes = static_cast<u32>(cfg_.block.count());
-  for (u32 t = 0; t < n_lanes; ++t) {
-    const LaneRecorder& rec = lanes.recorder(t);
-    std::size_t j = 0;
-    for (const TapeEntry& e : cs.tape.lanes[t].entries) {
-      Op op;
-      switch (e.op) {
-        case TapeOp::LoadGm: op = Op::LoadGlobal; break;
-        case TapeOp::StoreGm: op = Op::StoreGlobal; break;
-        case TapeOp::LoadConst: op = Op::LoadConst; break;
-        default: continue;
-      }
-      const bool ok = j < rec.analyzed.size();
+namespace {
+
+/// The recorder op a tape entry's access must match, or nullopt for
+/// entries that issue no global/constant access.
+std::optional<Op> tape_access_op(TapeOp op) {
+  switch (op) {
+    case TapeOp::LoadGm: return Op::LoadGlobal;
+    case TapeOp::StoreGm: return Op::StoreGlobal;
+    case TapeOp::LoadConst: return Op::LoadConst;
+    default: return std::nullopt;
+  }
+}
+
+}  // namespace
+
+void ReplayRunner::validate_tape_segment(const LaneSet& lanes,
+                                         Dim3 block_idx, const ClassState& cs,
+                                         const ReplayOrigins& o) {
+  for (u32 t = 0; t < lanes.size(); ++t) {
+    const std::vector<TapeEntry>& entries = cs.tape.lanes[t].entries;
+    u32& j = tape_cursors_[t];
+    for (const Access& a : lanes.recorder(t).analyzed) {
+      while (j < entries.size() && !tape_access_op(entries[j].op)) ++j;
       KCONV_CHECK(
-          ok, strf("tape validation failed in lane %u of block (%u,%u,%u): "
-                   "fewer accesses than the tape records",
-                   t, block_idx.x, block_idx.y, block_idx.z));
-      const Access& a = rec.analyzed[j++];
+          j < entries.size(),
+          strf("tape validation failed in lane %u of block (%u,%u,%u): more "
+               "accesses than the tape records",
+               t, block_idx.x, block_idx.y, block_idx.z));
+      const TapeEntry& e = entries[j++];
       const bool masked = (e.flags & kTapeMasked) != 0;
       const u64 want_addr = masked ? 0 : o.entries[e.a].addr + e.rel;
       const u32 want_bytes = masked ? 0 : 4u * e.width;
       KCONV_CHECK(
-          a.op == op && a.addr == want_addr && a.bytes == want_bytes,
+          a.op == *tape_access_op(e.op) && a.addr == want_addr &&
+              a.bytes == want_bytes,
           strf("tape validation failed in lane %u of block (%u,%u,%u): the "
                "replay_origins declaration does not relocate this block's "
                "accesses (got addr=%llu bytes=%u, tape expects addr=%llu "
@@ -445,11 +507,20 @@ void ReplayRunner::validate_tape(const LaneSet& lanes, Dim3 block_idx,
                static_cast<unsigned long long>(a.addr), a.bytes,
                static_cast<unsigned long long>(want_addr), want_bytes));
     }
-    KCONV_CHECK(
-        j == rec.analyzed.size(),
-        strf("tape validation failed in lane %u of block (%u,%u,%u): more "
-             "accesses than the tape records",
-             t, block_idx.x, block_idx.y, block_idx.z));
+  }
+}
+
+void ReplayRunner::finish_tape_validation(Dim3 block_idx,
+                                          const ClassState& cs) {
+  for (u32 t = 0; t < cs.tape.lanes.size(); ++t) {
+    const std::vector<TapeEntry>& entries = cs.tape.lanes[t].entries;
+    for (u32 j = tape_cursors_[t]; j < entries.size(); ++j) {
+      KCONV_CHECK(
+          !tape_access_op(entries[j].op),
+          strf("tape validation failed in lane %u of block (%u,%u,%u): "
+               "fewer accesses than the tape records",
+               t, block_idx.x, block_idx.y, block_idx.z));
+    }
   }
 }
 

@@ -18,7 +18,10 @@
 //     addresses: the recorded transactions are regrouped from the replayed
 //     lanes' access streams in the captured retire order and re-analyzed
 //     through coalescing + L2 (and the constant cache), so cache behavior
-//     matches direct execution exactly.
+//     matches direct execution exactly. Like direct execution, replay runs
+//     one barrier segment at a time and consumes each segment's accesses
+//     before the next runs, so a lane's recorder holds one segment's
+//     global/constant accesses, never a whole block's.
 //
 // Kernels that additionally declare replay_origins (trace.hpp) get the
 // coroutine-free tier on functional launches: the captured block is re-run
@@ -30,8 +33,10 @@
 // the per-buffer origin deltas. Stats for tape blocks are the class's
 // invariant + compute deltas (both class-invariant by congruence).
 //
-// Congruence is verified, not assumed: each lane's event-stream hash and
-// event count must match the trace, otherwise kconv::Error reports the
+// Congruence is verified, not assumed: each segment's accesses must fill
+// exactly that segment's recorded transactions, and each lane's
+// event-stream hash and event count must match the trace, otherwise
+// kconv::Error reports a "replay congruence violation" naming the
 // misdeclared replay_class. See docs/MODEL.md §5b.
 #pragma once
 
@@ -162,20 +167,33 @@ class ReplayRunner {
   /// origin base pointers differ).
   static constexpr u32 kTapeBatch = 32;
 
-  void replay(LaneSet& lanes, Dim3 block_idx, const BlockTrace& trace,
+  /// Fast-forwards `block_idx` against its class trace one barrier segment
+  /// at a time, consuming each segment's global/constant accesses before
+  /// the next runs: the Timing transaction walk, the hazard checker's
+  /// GM-store harvest and, for an unvalidated tape, its relocation check.
+  void replay(LaneSet& lanes, Dim3 block_idx, const ClassState& cs,
               L2Cache* const_cache, L2Cache& gm_l2, KernelStats& stats);
+  /// Walks the segment's transactions (a prefix of trace.txs from
+  /// `next_tx`) through the address-dependent analyzers; returns the index
+  /// of the first transaction of a later segment.
+  std::size_t walk_segment(LaneSet& lanes, Dim3 block_idx,
+                           const BlockTrace& trace, std::size_t next_tx,
+                           L2Cache* const_cache, L2Cache& gm_l2,
+                           KernelStats& stats);
   /// Analytic serving: charges the class's invariant + compute + addr_dep
   /// deltas (and the matching phase slices) without touching memory.
   void serve_analytic(const ClassState& cs, KernelStats& stats);
-  /// Feeds the global stores of the block just replayed (still in the
-  /// recorders) to the checker's cross-block overlap map.
-  void harvest_gm_stores(const LaneSet& lanes, Dim3 block_idx);
+  /// Feeds the segment's global stores (still in the recorders) to the
+  /// checker's cross-block overlap map.
+  void harvest_gm_stores(const LaneSet& lanes);
   /// Re-runs the captured block in tagging mode, filling cs.tape.
   void capture_tape(LaneSet& lanes, Dim3 block_idx, ClassState& cs);
-  /// Checks the fast-forward recorders of the block just replayed against
-  /// the rebased tape, event by event (call directly after replay()).
-  void validate_tape(const LaneSet& lanes, Dim3 block_idx,
-                     const ClassState& cs);
+  /// Checks the segment's recorded accesses against the tape rebased on
+  /// `o`, event by event, advancing each lane's tape cursor.
+  void validate_tape_segment(const LaneSet& lanes, Dim3 block_idx,
+                             const ClassState& cs, const ReplayOrigins& o);
+  /// After the last segment: no lane's tape may hold unmatched accesses.
+  void finish_tape_validation(Dim3 block_idx, const ClassState& cs);
   /// Validates this block's origins against the tape's per-origin spans
   /// and queues its rebased base pointers (flushing a full batch).
   void enqueue_tape(Dim3 block_idx, ClassState& cs, KernelStats& stats);
@@ -204,7 +222,8 @@ class ReplayRunner {
 
   std::vector<LaneTapeBuilder> builders_;
   // Tape-interpreter scratch: value slots and shared memory, both laid out
-  // with the batch as the innermost dimension, plus per-lane walk state.
+  // with the batch as the innermost dimension, plus per-lane tape cursors
+  // (also the relocation check's).
   std::vector<float> regs_;
   std::vector<float> smem_batch_;
   std::vector<u32> tape_cursors_;

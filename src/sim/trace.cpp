@@ -29,8 +29,9 @@ void LaneRecorder::overflow() const {
                      max_events));
   }
   KCONV_CHECK(false,
-              "replayed lane exceeded its recorded event count — "
-              "replay_class declared two non-congruent blocks equivalent");
+              "replay congruence violation: a replayed lane exceeded its "
+              "recorded event count — replay_class declared two "
+              "non-congruent blocks equivalent");
 }
 
 u32 LaneTapeBuilder::alloc(u32 n) {

@@ -104,8 +104,9 @@ struct BlockTrace {
 /// runaway loops that never reach a barrier. Two modes:
 ///
 ///  * Replay validation (replay.hpp, `reset`): each access is folded into
-///    the stream hash, and global/constant accesses — the ones whose cost
-///    must be re-analyzed per block — are kept for the transaction walk.
+///    the stream hash, and the current segment's global/constant accesses
+///    — the ones whose cost must be re-analyzed per block — are kept for
+///    the transaction walk, which consumes them before the next segment.
 ///  * Stream retirement (block_exec.cpp, `reset_stream`): every event of
 ///    the current barrier-delimited segment is kept verbatim so the
 ///    executor can regroup warp transactions in lockstep round order after
@@ -132,7 +133,8 @@ struct LaneRecorder {
   }
 
   /// Drops the previous segment's events; `events` (the cap and the
-  /// per-lane instruction count) keeps accumulating across segments.
+  /// per-lane instruction count) and `hash` keep accumulating across
+  /// segments.
   void begin_segment() { analyzed.clear(); }
 
   /// Takes the event's fields rather than an Access so the hot stream

@@ -17,6 +17,8 @@
 //     counters.
 #include <cstring>
 #include <span>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -202,6 +204,74 @@ TEST(TraceReplay, MisdeclaredClassifierFailsLoudly) {
   sim::LaunchOptions opt;
   opt.replay = true;
   EXPECT_THROW(sim::launch(dev, k, cfg, opt), Error);
+}
+
+/// Three barrier segments of load-then-store per lane, every block lumped
+/// into one class. Blocks other than 0 have lane 0 issue one extra global
+/// load in segment `odd_seg` (1 = the middle, 2 = the last), so the
+/// streamed replay meets the mismatch mid-block or at its very end; with
+/// `skip` set that lane drops the segment's load instead.
+class ExtraLoadKernel {
+ public:
+  sim::BufferView<float> data;
+  int odd_seg = 1;
+  bool skip = false;
+  u64 replay_class(sim::Dim3) const { return 0; }
+
+  sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
+    const i64 i = static_cast<i64>(t.block_idx.x) * t.block_dim.x +
+                  t.thread_idx.x;
+    for (int seg = 0; seg < 3; ++seg) {
+      const bool odd =
+          seg == odd_seg && t.block_idx.x > 0 && t.thread_idx.x == 0;
+      float v = 0.0f;
+      if (!(odd && skip)) v = co_await t.ld_global(data, i);
+      if (odd && !skip) v += co_await t.ld_global(data, i);
+      co_await t.st_global(data, i, v + 1.0f);
+      if (seg < 2) co_await t.sync();
+    }
+  }
+};
+
+TEST(TraceReplay, StreamedWalkReportsMisdeclaredSegments) {
+  for (const auto [odd_seg, skip] :
+       {std::pair{1, false}, std::pair{2, false}, std::pair{1, true}}) {
+    for (const sim::TraceLevel trace :
+         {sim::TraceLevel::Timing, sim::TraceLevel::Functional}) {
+      for (const u32 threads : {1u, 3u}) {
+        for (const bool hazard : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "odd_seg=" << odd_seg << " skip=" << skip
+                       << " timing="
+                       << (trace == sim::TraceLevel::Timing)
+                       << " threads=" << threads << " hazard=" << hazard);
+          sim::Device dev(sim::kepler_k40m());
+          auto arr = dev.alloc<float>(9 * 32);
+          arr.zero();
+          ExtraLoadKernel k;
+          k.data = arr.view();
+          k.odd_seg = odd_seg;
+          k.skip = skip;
+          sim::LaunchConfig cfg;
+          cfg.grid = {9, 1, 1};
+          cfg.block = {32, 1, 1};
+          sim::LaunchOptions opt;
+          opt.replay = true;
+          opt.trace = trace;
+          opt.num_threads = threads;
+          opt.hazard_check = hazard;
+          try {
+            sim::launch(dev, k, cfg, opt);
+            ADD_FAILURE() << "misdeclared replay_class was not detected";
+          } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("replay congruence violation"),
+                      std::string::npos)
+                << e.what();
+          }
+        }
+      }
+    }
+  }
 }
 
 /// Same kernel shape, no replay_class hook: replay must never engage.

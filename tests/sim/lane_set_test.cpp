@@ -4,8 +4,14 @@
 // blocks, on direct execution and on fast-forward replay alike.
 #include "src/sim/block_exec.hpp"
 
+#include <cstring>
+#include <optional>
+
 #include <gtest/gtest.h>
 
+#include "src/common/rng.hpp"
+#include "src/kernels/detail/special_kernel.hpp"
+#include "src/kernels/device_tensor.hpp"
 #include "src/sim/launch.hpp"
 
 namespace kconv::sim {
@@ -116,6 +122,129 @@ INSTANTIATE_TEST_SUITE_P(DirectAndReplay, LaneSetReuse,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Replay" : "Direct";
                          });
+
+// --- Fast-forward replay streams one barrier segment at a time -----------
+//
+// Algorithm 1 with K = 5 and 8 output rows per block: every row is two
+// barrier segments and its compute segment issues F * K * K broadcast
+// constant loads per lane, so a block's replay crosses 17 barriers.
+
+constexpr i64 kSegK = 5;
+constexpr i64 kSegF = 8;
+
+struct SegmentRun {
+  KernelStats stats;
+  std::vector<float> out;
+  u64 replayed = 0;
+  /// Per lane: the recorder's stream capacity after the last block.
+  std::vector<std::size_t> capacity;
+};
+
+enum class SegMode { Direct, Cold, Warm };
+
+/// Runs every block of the launch through one LaneSet with serial caches,
+/// the way a one-chunk launch does: Direct executes every block, Cold
+/// captures and replays, Warm primes the runner from `plan` first. Cold
+/// exports its classes into `plan`.
+SegmentRun run_segments(SegMode mode, LaunchPlan& plan) {
+  const Arch arch = kepler_k40m();
+  kernels::SpecialConvConfig cfg;
+  cfg.block_w = 64;
+  cfg.block_h = 8;
+  // Three tiles across, two down: 6 congruent blocks in one class.
+  const i64 ho = 2 * cfg.block_h, wo = 3 * cfg.block_w;
+  const kernels::SpecialPlan sp = kernels::plan_special(
+      arch, kSegK, kSegF, ho + kSegK - 1, wo + kSegK - 1, cfg);
+  EXPECT_TRUE(sp.error.empty()) << sp.error;
+  EXPECT_EQ(sp.n, 2);
+
+  Rng rng(29);
+  tensor::Tensor img = tensor::Tensor::image(1, sp.Hi, sp.Wi);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(kSegF, 1, kSegK);
+  flt.fill_random(rng);
+
+  Device dev(arch);
+  kernels::DevicePlanes d_in(dev, 1, sp.Hi, sp.Wi);
+  d_in.upload(img);
+  kernels::DevicePlanes d_out(dev, kSegF, sp.Ho, sp.Wo);
+  const std::vector<float> flat = kernels::flatten_filters(flt);
+  auto d_filt = dev.alloc_const<float>(flat);
+  kernels::detail::SpecialKernelT<float, 2> k(sp);
+  k.in = d_in.view();
+  k.out = d_out.view();
+  k.filt = ConstView<float>(d_filt.get(), 0, static_cast<i64>(flat.size()));
+
+  const KernelBody body = [&k](ThreadCtx& t) { return k(t); };
+  const BlockClassifier classify = [&k](Dim3 b) { return k.replay_class(b); };
+  const ReplayOriginsFn no_origins;
+  const u64 max_rounds = LaunchOptions{}.max_rounds_per_block;
+  LaneSet lanes(arch, body, sp.lc);
+  L2Cache l2(arch.l2_capacity, arch.gm_sector_bytes);
+  L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
+
+  SegmentRun r;
+  std::optional<ReplayRunner> runner;
+  if (mode != SegMode::Direct) {
+    runner.emplace(arch, sp.lc, TraceLevel::Timing, max_rounds, classify,
+                   no_origins);
+    if (mode == SegMode::Warm) runner->prime(plan);
+  }
+  for (u32 by = 0; by < sp.lc.grid.y; ++by) {
+    for (u32 bx = 0; bx < sp.lc.grid.x; ++bx) {
+      const Dim3 b{bx, by, 0};
+      if (runner) {
+        runner->run(lanes, b, &const_cache, l2, r.stats);
+      } else {
+        run_block(lanes, b, TraceLevel::Timing, max_rounds, &const_cache, l2,
+                  r.stats);
+      }
+    }
+  }
+  if (runner) {
+    runner->finish(r.stats);
+    r.replayed = runner->blocks_replayed();
+    if (mode == SegMode::Cold) runner->export_plan(plan);
+  }
+  for (u32 t = 0; t < lanes.size(); ++t) {
+    r.capacity.push_back(lanes.recorder(t).analyzed.capacity());
+  }
+  const tensor::Tensor out = d_out.download();
+  r.out.assign(out.flat().begin(), out.flat().end());
+  return r;
+}
+
+TEST(SegmentReplay, ConstHeavyReplayIsExactAndHoldsOneSegment) {
+  LaunchPlan plan;
+  const SegmentRun direct = run_segments(SegMode::Direct, plan);
+  const SegmentRun cold = run_segments(SegMode::Cold, plan);
+  ASSERT_EQ(plan.classes.size(), 1u);
+  const SegmentRun warm = run_segments(SegMode::Warm, plan);
+  EXPECT_EQ(cold.replayed, 5u);
+  EXPECT_EQ(warm.replayed, 6u);
+
+  const BlockTrace& trace = plan.classes[0].trace;
+  EXPECT_GE(trace.invariant.barriers, 2u * 8u);
+  // Each lane's whole-block global/constant event count: one slot in the
+  // trace per transaction the lane took part in.
+  std::vector<std::size_t> block_events(direct.capacity.size(), 0);
+  for (const u32 t : trace.tx_lanes) ++block_events[t];
+
+  for (const SegmentRun* r : {&cold, &warm}) {
+    const auto diff = stats_mismatches(direct.stats, r->stats,
+                                       StatsLevel::Exact, "direct", "replay");
+    EXPECT_TRUE(diff.empty()) << diff.front();
+    ASSERT_EQ(r->out.size(), direct.out.size());
+    EXPECT_EQ(std::memcmp(r->out.data(), direct.out.data(),
+                          direct.out.size() * sizeof(float)),
+              0);
+    // A recorder that held a whole block's stream would have grown to at
+    // least the block's event count; one segment is about an eighth of it.
+    for (std::size_t t = 0; t < r->capacity.size(); ++t) {
+      EXPECT_LT(4 * r->capacity[t], block_events[t]) << "lane " << t;
+    }
+  }
+}
 
 TEST(FramePool, RecyclesFramesOnlyInsideItsScope) {
   FramePool pool;

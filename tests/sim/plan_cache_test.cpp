@@ -392,5 +392,25 @@ TEST(PlanPayload, CorruptPayloadBytesAreRejectedNotMisparsed) {
   EXPECT_EQ(why, "corrupt-payload");
 }
 
+TEST(PlanPayload, TransactionWithoutLanesIsRejected) {
+  // Replay's segment walk reads each transaction's first lane, so a
+  // structurally valid plan must name at least one.
+  LaunchPlan plan;
+  plan.cfg.grid = {2, 1, 1};
+  plan.cfg.block = {2, 1, 1};
+  PlanClass pc;
+  pc.trace.txs = {{Op::LoadGlobal, 0, 2}, {Op::LoadConst, 2, 0}};
+  pc.trace.tx_lanes = {0, 1};
+  pc.trace.lane_hash = {1, 2};
+  pc.trace.lane_events = {1, 1};
+  plan.classes.push_back(pc);
+  LaunchPlan out;
+  std::string why;
+  EXPECT_FALSE(deserialize_plan(serialize_plan(plan), out, &why));
+  EXPECT_EQ(why, "corrupt-payload");
+  plan.classes[0].trace.txs.pop_back();
+  EXPECT_TRUE(deserialize_plan(serialize_plan(plan), out, &why)) << why;
+}
+
 }  // namespace
 }  // namespace kconv::sim
