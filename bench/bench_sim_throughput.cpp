@@ -11,6 +11,15 @@
 // memory-transaction counter (gmem sectors and DRAM sectors, smem request
 // cycles / replay factor, constant-cache line misses) between the two runs,
 // and folds the verdicts into the JSON.
+//
+// A single wall-clock reading swings by tens of percent on a shared host,
+// so each shape runs one untimed warm-up of every mode (cache off and on),
+// then kRepeats timed runs round-robin across the modes so host drift hits
+// every mode alike. `*_seconds` is the median (with `*_seconds_min` and
+// `nrepeat` beside it); `*_blocks_per_sec` and `speedup` derive from the
+// medians.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <optional>
@@ -23,6 +32,8 @@
 using namespace kconv;
 
 namespace {
+
+constexpr int kRepeats = 3;
 
 struct Shape {
   const char* name;
@@ -78,17 +89,32 @@ Timed run_shape(const Shape& s, const Mode& m, bool pattern_cache) {
   return t;
 }
 
-void report_mode(const Shape& s, const Mode& m, bool first) {
-  const Timed off = run_shape(s, m, false);
-  const Timed on = run_shape(s, m, true);
-  const sim::KernelStats& stats = on.run.launch.stats;
+/// One mode's timed runs at one cache setting: the sorted wall times and
+/// the last run, whose outputs and counters the report compares.
+struct Series {
+  std::vector<double> seconds;
+  Timed last;
+
+  void add(Timed t) {
+    seconds.push_back(t.seconds);
+    last = std::move(t);
+  }
+  double median() const { return seconds[seconds.size() / 2]; }
+  double min() const { return seconds.front(); }
+};
+
+void report_mode(const Mode& m, Series& off, Series& on, bool first) {
+  std::sort(off.seconds.begin(), off.seconds.end());
+  std::sort(on.seconds.begin(), on.seconds.end());
+  const sim::KernelStats& stats = on.last.run.launch.stats;
+  const auto blocks = static_cast<double>(off.last.blocks);
   std::printf(
       "%s      {\"mode\": \"%s\", \"num_threads\": %u, \"replay\": %s, "
       "\"plan_warm\": %s,\n"
-      "       \"blocks\": %llu,\n"
-      "       \"cache_off_seconds\": %.3f, "
+      "       \"blocks\": %llu, \"nrepeat\": %d,\n"
+      "       \"cache_off_seconds\": %.3f, \"cache_off_seconds_min\": %.3f, "
       "\"cache_off_blocks_per_sec\": %.1f,\n"
-      "       \"cache_on_seconds\": %.3f, "
+      "       \"cache_on_seconds\": %.3f, \"cache_on_seconds_min\": %.3f, "
       "\"cache_on_blocks_per_sec\": %.1f,\n"
       "       \"speedup\": %.2f,\n"
       "       \"pattern_lookups\": %llu, \"pattern_hits\": %llu, "
@@ -96,15 +122,16 @@ void report_mode(const Shape& s, const Mode& m, bool first) {
       "       \"outputs_identical\": %s, \"counters_equal\": %s}",
       first ? "" : ",\n", m.name, m.num_threads, m.replay ? "true" : "false",
       m.plan_warm ? "true" : "false",
-      static_cast<unsigned long long>(off.blocks), off.seconds,
-      off.blocks / off.seconds, on.seconds, on.blocks / on.seconds,
-      off.seconds / on.seconds,
+      static_cast<unsigned long long>(off.last.blocks), kRepeats,
+      off.median(), off.min(), blocks / off.median(), on.median(), on.min(),
+      blocks / on.median(), off.median() / on.median(),
       static_cast<unsigned long long>(stats.pattern_lookups),
       static_cast<unsigned long long>(stats.pattern_hits),
       stats.pattern_hit_rate(),
-      bench::verdict(bench::outputs_identical(off.run, on.run)),
-      bench::verdict(bench::counters_match(
-          off.run.launch.stats, on.run.launch.stats, StatsLevel::Exact)));
+      bench::verdict(bench::outputs_identical(off.last.run, on.last.run)),
+      bench::verdict(bench::counters_match(off.last.run.launch.stats,
+                                           on.last.run.launch.stats,
+                                           StatsLevel::Exact)));
 }
 
 void report_shape(const Shape& s, bool first) {
@@ -115,15 +142,26 @@ void report_shape(const Shape& s, bool first) {
       {"replay_plan_warm", 1, true, true},
       {"replay_parallel_plan_warm", 2, true, true},
   };
+  constexpr std::size_t kModes = std::size(modes);
+  // [mode][pattern cache off, on]
+  std::array<std::array<Series, 2>, kModes> series;
+  for (const Mode& m : modes) {
+    for (const bool cache : {false, true}) (void)run_shape(s, m, cache);
+  }
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (std::size_t i = 0; i < kModes; ++i) {
+      for (const bool cache : {false, true}) {
+        series[i][cache ? 1 : 0].add(run_shape(s, modes[i], cache));
+      }
+    }
+  }
   std::printf("%s    {\"name\": \"%s\", \"c\": %lld, \"n\": %lld, "
               "\"f\": %lld, \"k\": %lld,\n     \"modes\": [\n",
               first ? "" : ",\n", s.name, static_cast<long long>(s.c),
               static_cast<long long>(s.n), static_cast<long long>(s.f),
               static_cast<long long>(s.k));
-  bool mode_first = true;
-  for (const Mode& m : modes) {
-    report_mode(s, m, mode_first);
-    mode_first = false;
+  for (std::size_t i = 0; i < kModes; ++i) {
+    report_mode(modes[i], series[i][0], series[i][1], i == 0);
   }
   std::printf("\n    ]}");
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "src/analysis/hazard.hpp"
@@ -111,7 +112,7 @@ void retire_group(const Arch& arch, TraceLevel trace, L2Cache* const_cache,
 /// Notes one retired address-dependent transaction in the capture trace so
 /// replay can regroup that block's own accesses in the same retire order
 /// (= the L2 / constant-cache probe order).
-void record_tx(BlockTrace* capture, Op op, const std::vector<u32>& lanes) {
+void record_tx(BlockTrace* capture, Op op, std::span<const u32> lanes) {
   if (capture == nullptr) return;
   if (op != Op::LoadGlobal && op != Op::StoreGlobal && op != Op::LoadConst) {
     return;
@@ -120,6 +121,15 @@ void record_tx(BlockTrace* capture, Op op, const std::vector<u32>& lanes) {
                           static_cast<u32>(lanes.size())});
   capture->tx_lanes.insert(capture->tx_lanes.end(), lanes.begin(),
                            lanes.end());
+}
+
+/// True when every event of the row is the same operation and not a
+/// barrier: the row retires in place as one warp transaction.
+bool uniform_row(std::span<const Access> row) {
+  const Op op = row[0].op;
+  bool same = op != Op::Sync;
+  for (const Access& a : row) same &= a.op == op;
+  return same;
 }
 
 }  // namespace
@@ -131,14 +141,26 @@ LaneSet::LaneSet(const Arch& arch, const KernelBody& body,
       cfg_(cfg),
       lanes_(cfg.block.count()),
       recorders_(cfg.block.count()),
-      smem_(cfg.shared_bytes) {
+      smem_(cfg.shared_bytes),
+      seg_len_(cfg.block.count(), 0) {
   KCONV_ASSERT(!lanes_.empty());
   const u32 warp_size = arch.warp_size;
+  const u32 n = size();
+  for (u32 lo = 0; lo < n; lo += warp_size) {
+    warps_.emplace_back(std::min(warp_size, n - lo), pages_);
+  }
+  for (u32 t = 0; t < n; ++t) {
+    recorders_[t].bind(&warps_[t / warp_size], t % warp_size);
+  }
+  full_rounds_.assign(warps_.size(), 0);
+  rounds_.assign(warps_.size(), 0);
   scratch.group.reserve(warp_size);
   scratch.sub.reserve(warp_size);
   scratch.group_lanes.reserve(warp_size);
   scratch.sub_lanes.reserve(warp_size);
   scratch.gmem.sectors.reserve(2 * warp_size);
+  scratch.lane_ids.resize(n);
+  std::iota(scratch.lane_ids.begin(), scratch.lane_ids.end(), 0u);
 }
 
 template <typename Bind>
@@ -180,7 +202,7 @@ void LaneSet::start_replay(Dim3 block_idx, std::span<const u32> lane_events,
                            bool profile) {
   KCONV_ASSERT(lane_events.size() == lanes_.size());
   start(block_idx, profile, [&](u32 t, ThreadCtx& ctx) {
-    recorders_[t].reset(lane_events[t]);
+    recorders_[t].reset_replay(lane_events[t]);
     ctx.bind_recorder(&recorders_[t]);
   });
 }
@@ -212,6 +234,21 @@ void LaneSet::run_segment() {
     if (lanes_[t].done || resume(t)) continue;
     KCONV_ASSERT(lanes_[t].prog.promise().pending.op == Op::Sync);
   }
+  const u32 warp_size = arch_.warp_size;
+  for (u32 w = 0; w < warps(); ++w) {
+    const u32 lo = w * warp_size;
+    const u32 hi = lo + warps_[w].width();
+    u32 lo_len = std::numeric_limits<u32>::max();
+    u32 hi_len = 0;
+    for (u32 t = lo; t < hi; ++t) {
+      const u32 len = recorders_[t].kept();
+      seg_len_[t] = len;
+      lo_len = std::min(lo_len, len);
+      hi_len = std::max(hi_len, len);
+    }
+    full_rounds_[w] = lo_len;
+    rounds_[w] = hi_len;
+  }
 }
 
 void LaneSet::run_to_end() {
@@ -231,7 +268,8 @@ void LaneSet::charge_compute(KernelStats& stats) const {
       stats.alu_lane_ops += ctx.alu_ops();
       max_fma = std::max(max_fma, ctx.fma_ops());
       max_alu = std::max(max_alu, ctx.alu_ops());
-      max_events = std::max(max_events, static_cast<u64>(recorders_[t].events));
+      max_events =
+          std::max(max_events, static_cast<u64>(recorders_[t].events()));
     }
     stats.fma_warp_instrs += max_fma;
     stats.alu_warp_instrs += max_alu;
@@ -270,7 +308,7 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
   // Per-lane per-phase arithmetic is drained into the profiler at each
   // barrier; prev_profiles holds the last drained snapshot.
   if (prof != nullptr) sc.prev_profiles.assign(n_lanes, profile::LaneProfile{});
-  const u32 n_warps = static_cast<u32>(ceil_div(n_lanes, warp_size));
+  const u32 n_warps = lanes.warps();
   bool segment_had_gm_load = false;
   bool segment_had_sm_store = false;
   u64 rounds = 0;
@@ -278,35 +316,33 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
   std::vector<Access>& sub_acc = sc.sub;
   std::vector<u32>& group_lanes = sc.group_lanes;
   std::vector<u32>& sub_lanes = sc.sub_lanes;
-  std::vector<u32>& seg_len = sc.seg_len;
   // Index of each lane's first event of the current segment within its full
   // retired stream, so the hazard checker can report stable op indices.
   std::vector<u32>& seg_base = sc.seg_base;
-  seg_len.assign(n_lanes, 0);
   seg_base.assign(n_lanes, 0);
 
   // Execute the block one barrier-delimited segment at a time: every live
   // lane fast-forwards to its next sync (or completion) in a single resume,
-  // recording its events, and the recorded streams are then walked in
-  // lockstep round order — the k-th event of each lane in a warp retires as
-  // one warp transaction, exactly as a suspension-per-event scheduler would
-  // have ordered them (round-major, then warp, then operation kind). This
-  // keeps coroutine switches off the per-event cost while preserving the
-  // retire order that the stateful cache models observe.
+  // writing its events into its warp's log, and the logs are then walked in
+  // lockstep round order — row r of a warp, the r-th event of each of its
+  // lanes, retires as one warp transaction, exactly as a suspension-per-
+  // event scheduler would have ordered them (round-major, then warp, then
+  // operation kind). This keeps coroutine switches off the per-event cost
+  // while preserving the retire order that the stateful cache models
+  // observe.
   while (!lanes.all_done()) {
     lanes.run_segment();
     u32 seg_rounds = 0;
-    for (u32 t = 0; t < n_lanes; ++t) {
-      const LaneRecorder& rec = lanes.recorder(t);
-      const u32 len = static_cast<u32>(rec.analyzed.size());
-      seg_len[t] = len;
-      seg_base[t] = rec.events - len;
-      seg_rounds = std::max(seg_rounds, len);
-      if (capture != nullptr) {
-        u64& hash = lanes.hash(t);
-        for (const Access& a : rec.analyzed) {
-          hash = trace_hash_access(hash, a);
-        }
+    for (u32 w = 0; w < n_warps; ++w) {
+      seg_rounds = std::max(seg_rounds, lanes.rounds(w));
+    }
+    for (u32 t = 0; checker != nullptr && t < n_lanes; ++t) {
+      seg_base[t] = lanes.recorder(t).events() - lanes.seg_len(t);
+    }
+    for (u32 t = 0; capture != nullptr && t < n_lanes; ++t) {
+      u64& hash = lanes.hash(t);
+      for (u32 k = 0; k < lanes.seg_len(t); ++k) {
+        hash = trace_hash_access(hash, lanes.event(t, k));
       }
     }
     rounds += seg_rounds;
@@ -317,28 +353,46 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
 
     for (u32 r = 0; r < seg_rounds; ++r) {
       for (u32 w = 0; w < n_warps; ++w) {
+        if (r >= lanes.rounds(w)) continue;
         const u32 lo = w * warp_size;
-        const u32 hi = std::min(lo + warp_size, n_lanes);
+        const std::span<const Access> row = lanes.row(w, r);
 
-        // One scan collects this warp's round-r accesses; lockstep warps
-        // (the overwhelmingly common case) retire them as a single group.
+        // Lockstep warps (the overwhelmingly common case): every lane holds
+        // a round-r event of one kind, and the row retires in place.
+        if (r < lanes.full_rounds(w) && uniform_row(row)) {
+          const Op op = row[0].op;
+          if (checker != nullptr) {
+            // Retire order within the group (lane order) is irrelevant to
+            // the detector: intra-warp same-round pairs are unordered by
+            // definition, and it checks both directions of each pair.
+            for (u32 i = 0; i < row.size(); ++i) {
+              checker->on_access(lo + i, r, seg_base[lo + i] + r, row[i]);
+            }
+          }
+          retire_group(arch, trace, const_cache, gm_l2, op, row, stats,
+                       segment_had_gm_load, segment_had_sm_store, sc.gmem,
+                       pattern, prof);
+          record_tx(capture, op,
+                    std::span(sc.lane_ids).subspan(lo, row.size()));
+          continue;
+        }
+
+        // Ragged or divergent row: gather the lanes that hold a round-r
+        // memory event.
         group_acc.clear();
         group_lanes.clear();
         u32 op_mask = 0;
-        for (u32 t = lo; t < hi; ++t) {
-          if (r >= seg_len[t]) continue;
-          const Access& a = lanes.recorder(t).analyzed[r];
+        for (u32 i = 0; i < row.size(); ++i) {
+          if (r >= lanes.seg_len(lo + i)) continue;
+          const Access& a = row[i];
           if (a.op == Op::Sync) continue;
           op_mask |= 1u << static_cast<u32>(a.op);
           group_acc.push_back(a);
-          group_lanes.push_back(t);
+          group_lanes.push_back(lo + i);
         }
         if (group_acc.empty()) continue;
 
         if (checker != nullptr) {
-          // Retire order within the group (lane order) is irrelevant to the
-          // detector: intra-warp same-round pairs are unordered by
-          // definition, and it checks both directions of each pair.
           for (std::size_t i = 0; i < group_acc.size(); ++i) {
             const u32 t = group_lanes[i];
             checker->on_access(t, r, seg_base[t] + r, group_acc[i]);
@@ -423,7 +477,7 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
     capture->lane_events.resize(n_lanes);
     for (u32 t = 0; t < n_lanes; ++t) {
       capture->lane_hash[t] = lanes.hash(t);
-      capture->lane_events[t] = lanes.recorder(t).events;
+      capture->lane_events[t] = lanes.recorder(t).events();
     }
   }
 }

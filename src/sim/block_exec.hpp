@@ -1,13 +1,16 @@
 // BlockExecutor — runs one thread block in lockstep warps.
 //
 // Scheduling model: execution proceeds in barrier-delimited segments. Each
-// live lane runs to its next sync() (or completion) in one resume, recording
-// its memory events; the recorded streams then retire in lockstep rounds —
-// the k-th event of every lane in a warp that share an operation kind
-// retire together as ONE warp transaction through the space-specific
-// analyzer, and mixed kinds (branch divergence) retire as separate
-// subgroups, modeling hardware replay. A barrier releases once every live
-// lane of the block has reached it.
+// live lane runs to its next sync() (or completion) in one resume, writing
+// its memory events into its warp's round-major log (trace.hpp WarpEvents);
+// the logs then retire in lockstep rounds. Row k of a warp holds the k-th
+// event of each of its lanes: when every lane holds one and all share an
+// operation kind, the row retires in place as ONE warp transaction through
+// the space-specific analyzer. Ragged rows (lanes that ended the segment
+// early) are gathered from the lanes that hold an event, and mixed kinds
+// (branch divergence) retire as separate subgroups, modeling hardware
+// replay. A barrier releases once every live lane of the block has reached
+// it.
 //
 // A launch chunk runs all of its blocks through one LaneSet, which keeps
 // the lanes, recorders, shared memory, retire scratch and coroutine frames
@@ -45,15 +48,16 @@ using KernelBody = std::function<ThreadProgram(ThreadCtx&)>;
 
 /// The lane state of one launch chunk (docs/MODEL.md §5): one lane per
 /// block thread with its coroutine and ThreadCtx, one LaneRecorder per lane
-/// whose stream capacity is kept from block to block, the block's shared
-/// memory, the retire scratch, and a FramePool for the lane coroutines.
-/// run_chunk builds one per chunk; run_block and ReplayRunner run every
-/// block of the chunk through it, so after its first block a chunk makes
-/// no per-block lane, recorder, frame or scratch allocations. Every
-/// start_*() rebuilds every lane (fresh ThreadCtx, new coroutine, reset
-/// recorder) and zeroes shared memory, so a block sees exactly the state a
-/// freshly allocated one would. Not shared between threads; nothing in it
-/// outlives the chunk.
+/// writing its column of its warp's WarpEvents log (row k = the k-th event
+/// of every lane of the warp), the block's shared memory, the retire
+/// scratch, and a FramePool for the lane coroutines. run_chunk builds one
+/// per chunk; run_block and ReplayRunner run every block of the chunk
+/// through it, so the logs' storage blocks, frames and scratch carry over
+/// and after its first block a chunk makes no per-block lane, log, frame or
+/// scratch allocations. Every start_*() rebuilds every lane (fresh
+/// ThreadCtx, new coroutine, reset recorder) and zeroes shared memory, so a
+/// block sees exactly the state a freshly allocated one would. Not shared
+/// between threads; nothing in it outlives the chunk.
 class LaneSet {
  public:
   LaneSet(const Arch& arch, const KernelBody& body, const LaunchConfig& cfg);
@@ -62,6 +66,7 @@ class LaneSet {
 
   const Arch& arch() const { return arch_; }
   u32 size() const { return static_cast<u32>(lanes_.size()); }
+  u32 warps() const { return static_cast<u32>(warps_.size()); }
 
   /// Direct execution: each recorder keeps its lane's whole segment
   /// stream, capped at `event_cap` events.
@@ -79,14 +84,30 @@ class LaneSet {
   bool done(u32 t) const { return lanes_[t].done; }
   bool all_done() const { return done_count_ == size(); }
   /// One barrier segment: clears every recorder, ended lanes included, then
-  /// resumes each live lane to its next barrier or to its end, so the
-  /// recorders hold exactly this segment's events.
+  /// resumes each live lane to its next barrier or to its end, so the logs
+  /// hold exactly this segment's events.
   void run_segment();
   /// Fast-forward: run_segment() until every lane has ended.
   void run_to_end();
 
+  // --- The last segment's events (valid until the next run_segment) ------
+
+  /// Events lane t kept this segment.
+  u32 seg_len(u32 t) const { return seg_len_[t]; }
+  /// Rounds every lane of warp w holds an event for (its shortest lane).
+  u32 full_rounds(u32 w) const { return full_rounds_[w]; }
+  /// Rounds some lane of warp w holds an event for (its longest lane).
+  u32 rounds(u32 w) const { return rounds_[w]; }
+  /// Row k of warp w: lane lo + i's k-th event at index i, valid for the
+  /// lanes with seg_len > k.
+  std::span<const Access> row(u32 w, u32 k) const { return warps_[w].row(k); }
+  /// Lane t's k-th event, k < seg_len(t).
+  const Access& event(u32 t, u32 k) const { return recorders_[t].event(k); }
+
   LaneRecorder& recorder(u32 t) { return recorders_[t]; }
   const LaneRecorder& recorder(u32 t) const { return recorders_[t]; }
+  /// Warp w's event log.
+  const WarpEvents& warp_events(u32 w) const { return warps_[w]; }
   /// Lane t's per-phase arithmetic (bound only on profiling starts).
   const profile::LaneProfile& lane_profile(u32 t) const {
     return profiles_[t];
@@ -107,8 +128,10 @@ class LaneSet {
     std::vector<Access> sub;
     std::vector<u32> group_lanes;
     std::vector<u32> sub_lanes;
-    /// Per lane: run_block's segment length, replay's transaction cursor.
-    std::vector<u32> seg_len;
+    /// 0 .. size() - 1: the lane ids of an in-place retired row.
+    std::vector<u32> lane_ids;
+    /// Per lane: replay's transaction cursor into the segment's events.
+    std::vector<u32> cursor;
     /// Per lane: index of the segment's first event in the lane's stream.
     std::vector<u32> seg_base;
     /// Per lane: the lane profile as last drained into the profiler.
@@ -131,14 +154,21 @@ class LaneSet {
   const Arch& arch_;
   const KernelBody& body_;
   const LaunchConfig& cfg_;
+  // Holds the frames and the warp logs; declared first so it dies last.
+  PageArena pages_;
   // Declared before the lanes so the lanes' frames return to it before it
-  // frees them.
-  FramePool frames_;
-  // Sized once: lanes must not relocate while coroutines hold their ctx.
+  // dies.
+  FramePool frames_{pages_};
+  // Sized once: lanes must not relocate while coroutines hold their ctx,
+  // nor logs while recorders point into them.
   std::vector<Lane> lanes_;
+  std::vector<WarpEvents> warps_;
   std::vector<LaneRecorder> recorders_;
   std::vector<profile::LaneProfile> profiles_;
   std::vector<std::byte> smem_;
+  std::vector<u32> seg_len_;
+  std::vector<u32> full_rounds_;
+  std::vector<u32> rounds_;
   u32 done_count_ = 0;
 };
 

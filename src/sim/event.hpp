@@ -40,14 +40,24 @@ constexpr const char* op_name(Op op) {
 /// block-local byte offset for shared space. `bytes` is the full width of
 /// the lane's access unit (e.g. 8 for a float2 — vector accesses are the
 /// paper's mechanism for matching W_CD to W_SMB).
+///
+/// 16 bytes on purpose: the executor writes one per lane per memory op and
+/// retires them a warp row at a time (docs/MODEL.md §5). The constructor
+/// keeps the `Access{op, addr, bytes[, phase]}` spelling.
 struct Access {
-  Op op = Op::Sync;
   u64 addr = 0;
   u32 bytes = 0;
+  Op op = Op::Sync;
   /// Kernel phase the issuing lane was in (kconv-prof, docs/MODEL.md §7).
   /// Always stamped by ThreadCtx — Phase::Other unless the kernel opened a
   /// ProfilePhase scope — so execution never branches on profiling state.
   profile::Phase phase = profile::Phase::Other;
+
+  constexpr Access() = default;
+  constexpr Access(Op op_, u64 addr_, u32 bytes_,
+                   profile::Phase phase_ = profile::Phase::Other)
+      : addr(addr_), bytes(bytes_), op(op_), phase(phase_) {}
 };
+static_assert(sizeof(Access) == 16);
 
 }  // namespace kconv::sim

@@ -38,9 +38,12 @@ Dim3 unflatten(const Dim3& grid, u64 flat) {
 /// merging chunks in index order is deterministic.
 struct Chunk {
   std::vector<BlockRange> runs;
-  /// The device's L2 (serial launch, fleet device); null runs the chunk
-  /// against a private shadow L2 (parallel launch).
+  /// The L2 the chunk's blocks probe: the device's (serial launch, fleet
+  /// device) or the chunk's own `shadow` (parallel launch).
   L2Cache* l2 = nullptr;
+  /// Made by the launching thread with the chunk plan, so the worker's
+  /// malloc arena never holds the shadow's tag array (docs/MODEL.md §5).
+  std::optional<L2Cache> shadow;
   KernelStats stats;
   /// Access-pattern cache scoped like the L2 shadow and constant-cache
   /// replica (docs/MODEL.md §5c); kept past the run only for the plan
@@ -222,7 +225,10 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   } else {
     for (u64 c = 0; c < chunks.size(); ++c) {
       chunks[c].runs = {{c * grain, std::min(set.count, (c + 1) * grain)}};
-      if (chunks.size() == 1) chunks[c].l2 = &dev.l2();
+      chunks[c].l2 = chunks.size() == 1
+                         ? &dev.l2()
+                         : &chunks[c].shadow.emplace(arch.l2_capacity,
+                                                     arch.gm_sector_bytes);
     }
   }
   // One checker per chunk, merged in index order like the stats, so the
@@ -234,10 +240,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   // Step 2 — run each chunk through the one block loop.
   const auto run_chunk = [&](Chunk& c) {
     if (c.runs.empty()) return;  // a fleet device with an empty shard
-    std::optional<L2Cache> shadow;
-    L2Cache& l2 = c.l2 != nullptr
-                      ? *c.l2
-                      : shadow.emplace(arch.l2_capacity, arch.gm_sector_bytes);
+    L2Cache& l2 = *c.l2;
     L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
     if (opt.pattern_cache) {
       c.pattern.emplace(arch.smem_banks, arch.smem_bank_bytes,

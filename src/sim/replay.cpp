@@ -234,7 +234,7 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
   if (check_tape) tape_origins = resolve_origins(block_idx, cs);
 
   LaneSet::Scratch& sc = lanes.scratch;
-  std::vector<u32>& cursors = sc.seg_len;
+  std::vector<u32>& cursors = sc.cursor;
   cursors.assign(n_lanes, 0);
   if (check_tape) tape_cursors_.assign(n_lanes, 0);
   std::size_t next_tx = 0;
@@ -244,7 +244,7 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
   // record instead of suspending (runaway loops are caught by the
   // recorder's event cap), and each segment's global/constant accesses are
   // consumed — walked, harvested, tape-checked — before the next segment
-  // runs, so a recorder never holds more than one segment.
+  // runs, so the warp logs never hold more than one segment.
   lanes.start_replay(block_idx, trace.lane_events, psink_ != nullptr);
   while (!lanes.all_done()) {
     lanes.run_segment();
@@ -269,7 +269,7 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
   for (u32 t = 0; t < n_lanes; ++t) {
     const LaneRecorder& rec = lanes.recorder(t);
     KCONV_CHECK(
-        rec.events == trace.lane_events[t] && rec.hash == trace.lane_hash[t],
+        rec.events() == trace.lane_events[t] && rec.hash == trace.lane_hash[t],
         congruence_error(t, block_idx, trace));
   }
 
@@ -300,7 +300,7 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
   // address-dependent analyzers: probe order matches direct execution, so
   // on a serial launch even the cache counters are bit-identical.
   LaneSet::Scratch& sc = lanes.scratch;
-  std::vector<u32>& cursors = sc.seg_len;
+  std::vector<u32>& cursors = sc.cursor;
   std::vector<Access>& group = sc.group;
   GmemCost& gmem = sc.gmem;
   for (; next_tx < trace.txs.size(); ++next_tx) {
@@ -308,17 +308,14 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
     const u32* tx_lanes = trace.tx_lanes.data() + tx.lane_begin;
     // A congruent block's transaction either has an event waiting in every
     // one of its lanes or in none (it belongs to a later segment).
-    if (cursors[tx_lanes[0]] == lanes.recorder(tx_lanes[0]).analyzed.size()) {
-      break;
-    }
+    if (cursors[tx_lanes[0]] == lanes.seg_len(tx_lanes[0])) break;
     group.clear();
     for (u32 i = 0; i < tx.lane_count; ++i) {
       const u32 t = tx_lanes[i];
-      const LaneRecorder& rec = lanes.recorder(t);
-      KCONV_CHECK(cursors[t] < rec.analyzed.size() &&
-                      rec.analyzed[cursors[t]].op == tx.op,
+      KCONV_CHECK(cursors[t] < lanes.seg_len(t) &&
+                      lanes.event(t, cursors[t]).op == tx.op,
                   congruence_error(t, block_idx, trace));
-      group.push_back(rec.analyzed[cursors[t]++]);
+      group.push_back(lanes.event(t, cursors[t]++));
     }
     profile::PhaseStats* ps =
         psink_ != nullptr ? &psink_->at(group[0].phase) : nullptr;
@@ -363,7 +360,7 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
   // The segment's events must all be spoken for before the recorders are
   // cleared for the next one.
   for (u32 t = 0; t < lanes.size(); ++t) {
-    KCONV_CHECK(cursors[t] == lanes.recorder(t).analyzed.size(),
+    KCONV_CHECK(cursors[t] == lanes.seg_len(t),
                 congruence_error(t, block_idx, trace));
     cursors[t] = 0;
   }
@@ -374,7 +371,8 @@ void ReplayRunner::harvest_gm_stores(const LaneSet& lanes) {
   // Lane-major within the segment — interval order does not matter, the
   // overlap scan sorts globally.
   for (u32 t = 0; t < lanes.size(); ++t) {
-    for (const Access& a : lanes.recorder(t).analyzed) {
+    for (u32 k = 0; k < lanes.seg_len(t); ++k) {
+      const Access& a = lanes.event(t, k);
       if (a.op == Op::StoreGlobal && a.bytes != 0) {
         checker_->gm_note(a.addr, a.bytes);
       }
@@ -485,7 +483,8 @@ void ReplayRunner::validate_tape_segment(const LaneSet& lanes,
   for (u32 t = 0; t < lanes.size(); ++t) {
     const std::vector<TapeEntry>& entries = cs.tape.lanes[t].entries;
     u32& j = tape_cursors_[t];
-    for (const Access& a : lanes.recorder(t).analyzed) {
+    for (u32 k = 0; k < lanes.seg_len(t); ++k) {
+      const Access& a = lanes.event(t, k);
       while (j < entries.size() && !tape_access_op(entries[j].op)) ++j;
       KCONV_CHECK(
           j < entries.size(),

@@ -10,9 +10,10 @@
 //
 // Every ThreadCtx runs bound to a LaneRecorder (execution and replay) or a
 // LaneTapeBuilder (tagging): loads and stores apply their functional effect
-// and note one event there without suspending, so a lane runs from barrier
-// to barrier in one resume; only sync() suspends. The executor regroups the
-// recorded events into warp transactions afterwards (block_exec.cpp).
+// and note one event there without suspending — a cursor write into the
+// lane's column of its warp's event log — so a lane runs from barrier to
+// barrier in one resume; only sync() suspends. The executor retires the
+// log's rows as warp transactions afterwards (block_exec.cpp).
 // Arithmetic only bumps per-lane counters. Vector units (Vec<T,N>) are how a
 // kernel matches its computation data width W_CD to the shared-memory bank
 // width W_SMB, per the paper's Eq. (1).
@@ -352,13 +353,12 @@ class ThreadCtx {
   /// Notes one event, stamped with the current phase, in the bound
   /// recorder. The fields travel in registers: building an Access on the
   /// stack and copying it onward stalls on store forwarding in this path.
+  /// No null check: an unbound lane's recorder is LaneRecorder::unbound,
+  /// whose first note fails.
   void record(Op op, u64 addr, u32 bytes) {
     record_as(op, addr, bytes, phase_);
   }
   void record_as(Op op, u64 addr, u32 bytes, profile::Phase phase) {
-    KCONV_CHECK(recorder_ != nullptr,
-                "device memory op on a ThreadCtx with neither a LaneRecorder "
-                "nor a LaneTapeBuilder bound");
     recorder_->note(op, addr, bytes, phase);
   }
 
@@ -422,7 +422,8 @@ class ThreadCtx {
   u32 smem_bytes_ = 0;
   u64 fma_ops_ = 0;
   u64 alu_ops_ = 0;
-  LaneRecorder* recorder_ = nullptr;
+  // Unbound lanes note into a recorder that fails their first op.
+  LaneRecorder* recorder_ = &LaneRecorder::unbound;
   LaneTapeBuilder* tape_ = nullptr;
   profile::LaneProfile* profile_ = nullptr;
   profile::Phase phase_ = profile::Phase::Other;

@@ -21,12 +21,37 @@ i32 tape_rel(i64 v, const LaneTapeBuilder& b) {
 
 }  // namespace
 
+Access* WarpEvents::block(u32 b) {
+  while (blocks_.size() <= b) {
+    blocks_.push_back(static_cast<Access*>(
+        pages_->take(sizeof(Access) * kRows * width_)));
+  }
+  return blocks_[b];
+}
+
+void LaneRecorder::refill() {
+  const u32 kept = this->kept();
+  // Stream mode folds the cap into the limit: reaching it with the cap's
+  // rows kept is the runaway guard. An unbound recorder has a cap of 0.
+  const u32 room = replay_ ? WarpEvents::kRows : max_events_ - events_ - kept;
+  if (room == 0) overflow();
+  // Otherwise the cursor is at the end of its storage block (or has none
+  // yet this segment): continue in the next one.
+  base_ = log_->block(kept / WarpEvents::kRows) + lane_;
+  seg_rows_ = kept;
+  cur_ = base_;
+  lim_ = base_ + std::min(room, WarpEvents::kRows) * stride_;
+}
+
 void LaneRecorder::overflow() const {
-  if (keep_all) {
+  KCONV_CHECK(log_ != nullptr,
+              "device memory op on a ThreadCtx with neither a LaneRecorder "
+              "nor a LaneTapeBuilder bound");
+  if (!replay_) {
     KCONV_CHECK(false,
                 strf("device program exceeded %u retired events per lane "
                      "(runaway loop?)",
-                     max_events));
+                     max_events_));
   }
   KCONV_CHECK(false,
               "replay congruence violation: a replayed lane exceeded its "

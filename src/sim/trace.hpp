@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstring>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "src/sim/dim.hpp"
 #include "src/sim/event.hpp"
 #include "src/sim/memory.hpp"
+#include "src/sim/page_arena.hpp"
 #include "src/sim/stats.hpp"
 
 namespace kconv::sim {
@@ -98,64 +100,151 @@ struct BlockTrace {
   Dim3 captured_block{};
 };
 
+/// Round-major event storage for one warp of a LaneSet (docs/MODEL.md §5):
+/// row k holds the k-th recorded event of every lane of the warp, in lane
+/// order, so a lockstep round is one contiguous span the executor retires
+/// in place. Rows live in storage blocks of kRows rows each — the growth
+/// step — taken from a PageArena on first use: never moved, never touched
+/// before a lane writes them, and kept from block to block of a chunk.
+class WarpEvents {
+ public:
+  static constexpr u32 kRows = 32;
+
+  WarpEvents(u32 width, PageArena& pages) : width_(width), pages_(&pages) {}
+
+  /// Lanes in the warp (the last warp of a block may be partial).
+  u32 width() const { return width_; }
+  /// Rows allocated so far; only grows.
+  u32 capacity() const { return static_cast<u32>(blocks_.size()) * kRows; }
+  /// Row k; valid for lanes that recorded at least k + 1 events.
+  std::span<const Access> row(u32 k) const {
+    return {blocks_[k / kRows] + (k % kRows) * width_, width_};
+  }
+  const Access& at(u32 lane, u32 k) const { return row(k)[lane]; }
+  /// First slot of storage block b, allocated on first use.
+  Access* block(u32 b);
+
+ private:
+  u32 width_;
+  PageArena* pages_;
+  std::vector<Access*> blocks_;
+};
+
 /// Per-lane recorder driving fast-forward execution. A ThreadCtx bound to
 /// one notes every memory operation here instead of suspending; `sync()`
-/// still suspends (it is the only scheduling point). The event cap bounds
-/// runaway loops that never reach a barrier. Two modes:
+/// still suspends (it is the only scheduling point). The recorder writes
+/// its lane's column of a WarpEvents log: `note` is a cursor write — the
+/// event goes to the cursor, which then steps one row (the warp's width).
+/// When the cursor reaches its limit, `refill` moves it to the next
+/// storage block, or fails: the limit also folds in the event cap, which
+/// bounds runaway loops that never reach a barrier. Two modes:
 ///
-///  * Replay validation (replay.hpp, `reset`): each access is folded into
-///    the stream hash, and the current segment's global/constant accesses
-///    — the ones whose cost must be re-analyzed per block — are kept for
-///    the transaction walk, which consumes them before the next segment.
 ///  * Stream retirement (block_exec.cpp, `reset_stream`): every event of
-///    the current barrier-delimited segment is kept verbatim so the
-///    executor can regroup warp transactions in lockstep round order after
-///    the segment ran; hashing (needed only when capturing) is done by the
-///    walk, not per note.
-struct LaneRecorder {
-  std::vector<Access> analyzed;
+///    the current barrier-delimited segment is kept so the executor can
+///    retire warp transactions in lockstep round order after the segment
+///    ran; hashing (needed only when capturing) is done by the executor,
+///    not per note.
+///  * Replay validation (replay.hpp, `reset_replay`): each event is counted
+///    against the captured lane's event count and folded into the stream
+///    hash, and only the segment's global/constant events — the ones whose
+///    cost must be re-analyzed per block — are kept, for the transaction
+///    walk that consumes them before the next segment.
+///
+/// A default-constructed recorder is bound to no log: its first note fails
+/// (ThreadCtx points unbound lanes at one, so an unbound lane costs no
+/// extra branch per op).
+class LaneRecorder {
+ public:
+  /// The recorder an unbound ThreadCtx points at. Notes into it fail
+  /// before they write anything, so it is safe to share between threads.
+  static LaneRecorder unbound;
+
+  /// Event-stream hash (replay mode).
   u64 hash = kTraceHashInit;
-  u32 events = 0;
-  u32 max_events = 0;
-  bool keep_all = false;
 
-  void reset(u32 cap) {
-    analyzed.clear();
-    hash = kTraceHashInit;
-    events = 0;
-    max_events = cap;
-    keep_all = false;
+  /// Binds the recorder to `lane` of `log`.
+  void bind(WarpEvents* log, u32 lane) {
+    log_ = log;
+    lane_ = lane;
+    stride_ = log->width();
   }
 
-  void reset_stream(u32 cap) {
-    reset(cap);
-    keep_all = true;
-  }
+  void reset_stream(u32 cap) { reset(cap, false); }
+  void reset_replay(u32 cap) { reset(cap, true); }
 
-  /// Drops the previous segment's events; `events` (the cap and the
+  /// Drops the previous segment's events; the event count (the cap and the
   /// per-lane instruction count) and `hash` keep accumulating across
   /// segments.
-  void begin_segment() { analyzed.clear(); }
-
-  /// Takes the event's fields rather than an Access so the hot stream
-  /// path constructs the event once, in place in `analyzed`.
-  void note(Op op, u64 addr, u32 bytes, profile::Phase phase) {
-    if (events >= max_events) [[unlikely]] overflow();
-    ++events;
-    if (keep_all) {
-      analyzed.emplace_back(op, addr, bytes, phase);
-      return;
-    }
-    hash = trace_hash_access(hash, Access{op, addr, bytes, phase});
-    if (op == Op::LoadGlobal || op == Op::StoreGlobal || op == Op::LoadConst) {
-      analyzed.emplace_back(op, addr, bytes, phase);
-    }
+  void begin_segment() {
+    events_ = events();
+    clear_segment();
   }
 
-  /// Out of line so the hot note() stays small; the message distinguishes
-  /// the direct-path runaway guard from a replay congruence violation.
+  /// Takes the event's fields rather than an Access so the event is built
+  /// once, in place in the log.
+  void note(Op op, u64 addr, u32 bytes, profile::Phase phase) {
+    if (replay_) [[unlikely]] {
+      if (!replay_note(op, addr, bytes, phase)) return;
+    }
+    if (cur_ == lim_) [[unlikely]] refill();
+    *cur_ = Access{op, addr, bytes, phase};
+    cur_ += stride_;
+  }
+
+  /// Events this segment kept (all of them in stream mode, the
+  /// global/constant ones in replay mode).
+  u32 kept() const {
+    return seg_rows_ + static_cast<u32>(cur_ - base_) / stride_;
+  }
+  /// The segment's k-th kept event.
+  const Access& event(u32 k) const { return log_->at(lane_, k); }
+  /// Events retired since the last reset, this segment's included.
+  u32 events() const { return replay_ ? events_ : events_ + kept(); }
+
+ private:
+  void reset(u32 cap, bool replay) {
+    hash = kTraceHashInit;
+    events_ = 0;
+    max_events_ = cap;
+    replay_ = replay;
+    clear_segment();
+  }
+  void clear_segment() {
+    cur_ = lim_ = base_ = nullptr;
+    seg_rows_ = 0;
+  }
+
+  /// Replay mode: counts and hashes every event; true when it is kept.
+  bool replay_note(Op op, u64 addr, u32 bytes, profile::Phase phase) {
+    if (events_ == max_events_) [[unlikely]] overflow();
+    ++events_;
+    hash = trace_hash_access(hash, Access{op, addr, bytes, phase});
+    return op == Op::LoadGlobal || op == Op::StoreGlobal || op == Op::LoadConst;
+  }
+
+  /// Out of line so the hot note() stays small: moves the cursor to the
+  /// next storage block, or fails on the event cap or a missing log.
+  void refill();
+  /// The message distinguishes an unbound lane, the direct-path runaway
+  /// guard and a replay congruence violation.
   [[noreturn]] void overflow() const;
+
+  Access* cur_ = nullptr;
+  Access* lim_ = nullptr;
+  // The lane's slot in the first row of the current storage block.
+  Access* base_ = nullptr;
+  u32 stride_ = 1;
+  // Rows kept this segment before the current storage block.
+  u32 seg_rows_ = 0;
+  // Stream mode: events of earlier segments; replay mode: every event.
+  u32 events_ = 0;
+  u32 max_events_ = 0;
+  bool replay_ = false;
+  WarpEvents* log_ = nullptr;
+  u32 lane_ = 0;
 };
+
+inline LaneRecorder LaneRecorder::unbound;
 
 // --- Functional dataflow tape --------------------------------------------
 //

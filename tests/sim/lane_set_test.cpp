@@ -136,7 +136,8 @@ struct SegmentRun {
   KernelStats stats;
   std::vector<float> out;
   u64 replayed = 0;
-  /// Per lane: the recorder's stream capacity after the last block.
+  /// Per lane: the events of the lane its warp's log has room for after
+  /// the last block (the log's rows).
   std::vector<std::size_t> capacity;
 };
 
@@ -207,7 +208,8 @@ SegmentRun run_segments(SegMode mode, LaunchPlan& plan) {
     if (mode == SegMode::Cold) runner->export_plan(plan);
   }
   for (u32 t = 0; t < lanes.size(); ++t) {
-    r.capacity.push_back(lanes.recorder(t).analyzed.capacity());
+    r.capacity.push_back(
+        lanes.warp_events(t / arch.warp_size).capacity());
   }
   const tensor::Tensor out = d_out.download();
   r.out.assign(out.flat().begin(), out.flat().end());
@@ -238,8 +240,9 @@ TEST(SegmentReplay, ConstHeavyReplayIsExactAndHoldsOneSegment) {
     EXPECT_EQ(std::memcmp(r->out.data(), direct.out.data(),
                           direct.out.size() * sizeof(float)),
               0);
-    // A recorder that held a whole block's stream would have grown to at
-    // least the block's event count; one segment is about an eighth of it.
+    // A warp log that held a whole block's stream would have grown to at
+    // least the block's event count of each of its lanes; one segment is
+    // about an eighth of it.
     for (std::size_t t = 0; t < r->capacity.size(); ++t) {
       EXPECT_LT(4 * r->capacity[t], block_events[t]) << "lane " << t;
     }
@@ -247,7 +250,8 @@ TEST(SegmentReplay, ConstHeavyReplayIsExactAndHoldsOneSegment) {
 }
 
 TEST(FramePool, RecyclesFramesOnlyInsideItsScope) {
-  FramePool pool;
+  PageArena pages;
+  FramePool pool(pages);
   void* first = nullptr;
   {
     FramePool::Scope scope(pool);

@@ -180,9 +180,9 @@ struct Event {
 };
 
 void expect_segment(const LaneRecorder& rec, const std::vector<Event>& want) {
-  ASSERT_EQ(rec.analyzed.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const Access& a = rec.analyzed[i];
+  ASSERT_EQ(rec.kept(), want.size());
+  for (u32 i = 0; i < want.size(); ++i) {
+    const Access& a = rec.event(i);
     EXPECT_EQ(a.op, want[i].op) << "event " << i;
     EXPECT_EQ(a.addr, want[i].addr) << "event " << i;
     EXPECT_EQ(a.bytes, want[i].bytes) << "event " << i;
@@ -205,7 +205,10 @@ TEST(LaneContract, RecorderBoundLaneRunsBarrierToBarrierInOneResume) {
   t.block_dim = {1, 1, 1};
   t.grid_dim = {1, 1, 1};
   t.bind_smem(smem.data(), 32);
+  PageArena pages;
+  WarpEvents log(1, pages);
   LaneRecorder rec;
+  rec.bind(&log, 0);
   rec.reset_stream(100);
   t.bind_recorder(&rec);
   ThreadProgram prog = k(t);
@@ -237,7 +240,7 @@ TEST(LaneContract, RecorderBoundLaneRunsBarrierToBarrierInOneResume) {
       EXPECT_TRUE(prog.done());
     }
   }
-  EXPECT_EQ(rec.events, 9u);
+  EXPECT_EQ(rec.events(), 9u);
   EXPECT_EQ(gm.download()[0], 8.0f);  // gm[1] + (predicated-off 0) + cm[3]
 }
 
