@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Aggregates pc_sample.so output by function and by source line.
 
-    python3 scripts/pc_sample/aggregate.py PREFIX.PID [--top 25] [--inline]
+    python3 scripts/pc_sample/aggregate.py PREFIX.PID [--top 25]
 
 PREFIX.PID names one sampled process: its PREFIX.PID.pcs (one hex PC per
 line) and PREFIX.PID.maps (its /proc/self/maps at exit). Each PC is mapped
 to the ELF file and address it came from and resolved with
-`addr2line -f -C`; samples are then counted per function and per
+`addr2line -f -C -i`; samples are then counted per function and per
 file:line, largest first, with their share of all samples.
 
-`addr2line -f` names the innermost function at a PC, which after inlining
-is whichever helper the PC landed in (a recorder's note, an analyzer
-loop), not the kernel coroutine that paid for it. With --inline each PC is
-resolved with `addr2line -i` instead and samples are also counted by
-outermost non-inlined function and by full inline chain (outermost first).
+The innermost function at a PC is, after inlining, whichever helper the
+PC landed in (a recorder's note, an analyzer loop), not the kernel
+coroutine that paid for it, so samples are also counted by outermost
+non-inlined function and by full inline chain (outermost first).
 """
 import argparse
 import collections
@@ -40,12 +39,12 @@ def is_pie_or_shared(path):
     return len(header) == 18 and header[16] == 3
 
 
-def resolve(path, addrs, inline):
-    """Maps each address to its frames, innermost first: (function, line)
-    pairs, one unless `inline` asks for the whole inline chain."""
-    flags = ["-a", "-f", "-C"] + (["-i"] if inline else [])
+def resolve(path, addrs):
+    """Maps each address to its inline chain, innermost first: one
+    (function, line) pair per frame."""
     out = subprocess.run(
-        ["addr2line"] + flags + ["-e", path] + [hex(a) for a in addrs],
+        ["addr2line", "-a", "-f", "-C", "-i", "-e", path]
+        + [hex(a) for a in addrs],
         capture_output=True, text=True, check=True).stdout.splitlines()
     # -a prints each address before its frames, which is what delimits one
     # address's variable-length inline chain from the next.
@@ -65,8 +64,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="PREFIX.PID of the .pcs/.maps pair")
     ap.add_argument("--top", type=int, default=25)
-    ap.add_argument("--inline", action="store_true",
-                    help="also count by outermost function and inline chain")
     args = ap.parse_args()
 
     maps = load_maps(args.base + ".maps")
@@ -91,24 +88,21 @@ def main():
     for path, addrs in per_module.items():
         uniq = sorted(set(addrs))
         module = path.rsplit("/", 1)[-1]
-        chains = resolve(path, uniq, args.inline)
+        chains = resolve(path, uniq)
         for a, n in collections.Counter(addrs).items():
             frames = chains[a]  # innermost first
             func, line = frames[0]
             by_func[f"{func}  [{module}]"] += n
             by_line[line.split(" (")[0]] += n
-            if args.inline:
-                by_outer[f"{frames[-1][0]}  [{module}]"] += n
-                chain = " > ".join(f for f, _ in reversed(frames))
-                by_chain[f"{chain}  [{module}]"] += n
+            by_outer[f"{frames[-1][0]}  [{module}]"] += n
+            chain = " > ".join(f for f, _ in reversed(frames))
+            by_chain[f"{chain}  [{module}]"] += n
 
     total = len(pcs)
     print(f"{total} samples ({unmapped} outside file mappings)")
-    tables = [("by function", by_func), ("by line", by_line)]
-    if args.inline:
-        tables += [("by outermost function", by_outer),
-                   ("by inline chain", by_chain)]
-    for title, counter in tables:
+    for title, counter in [("by function", by_func), ("by line", by_line),
+                           ("by outermost function", by_outer),
+                           ("by inline chain", by_chain)]:
         print(f"\n-- {title} --")
         for key, n in counter.most_common(args.top):
             print(f"{100.0 * n / total:6.2f}%  {n:7d}  {key}")

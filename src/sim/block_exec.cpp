@@ -147,7 +147,7 @@ LaneSet::LaneSet(const Arch& arch, const KernelBody& body,
   const u32 warp_size = arch.warp_size;
   const u32 n = size();
   for (u32 lo = 0; lo < n; lo += warp_size) {
-    warps_.emplace_back(std::min(warp_size, n - lo), pages_);
+    warps_.emplace_back(std::min(warp_size, n - lo));
   }
   for (u32 t = 0; t < n; ++t) {
     recorders_[t].bind(&warps_[t / warp_size], t % warp_size);

@@ -154,11 +154,9 @@ class LaneSet {
   const Arch& arch_;
   const KernelBody& body_;
   const LaunchConfig& cfg_;
-  // Holds the frames and the warp logs; declared first so it dies last.
-  PageArena pages_;
   // Declared before the lanes so the lanes' frames return to it before it
-  // dies.
-  FramePool frames_{pages_};
+  // frees them.
+  FramePool frames_;
   // Sized once: lanes must not relocate while coroutines hold their ctx,
   // nor logs while recorders point into them.
   std::vector<Lane> lanes_;

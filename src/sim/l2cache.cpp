@@ -15,37 +15,41 @@ L2Cache::L2Cache(u32 capacity_bytes, u32 sector_bytes, u32 ways)
   // access() indexes sets by masking, which is only a modulo when the set
   // count is a power of two — assert it rather than silently aliasing.
   KCONV_ASSERT(std::has_single_bit(sets_));
-  lines_.assign(sets_ * ways_, Way{});
+  set_epoch_.assign(sets_, 0);
+  lines_ = std::make_unique_for_overwrite<Way[]>(sets_ * ways_);
 }
 
 bool L2Cache::access(u64 addr) {
   const u64 sector = addr / sector_bytes_;
   const u64 set = sector & (sets_ - 1);
   Way* row = &lines_[set * ways_];
+  if (set_epoch_[set] != epoch_) {
+    set_epoch_[set] = epoch_;
+    for (u32 w = 0; w < ways_; ++w) row[w] = Way{0, 0};
+  }
   ++tick_;
 
+  // Ticks start at 1, so a valid way never has lru 0. Victim: the last
+  // invalid way, else the least recently used one.
   Way* victim = &row[0];
   for (u32 w = 0; w < ways_; ++w) {
-    if (row[w].valid && row[w].tag == sector) {
+    if (row[w].lru != 0 && row[w].tag == sector) {
       row[w].lru = tick_;
       ++hits_;
       return true;
     }
-    if (!row[w].valid) {
+    if (row[w].lru == 0) {
       victim = &row[w];
-    } else if (victim->valid && row[w].lru < victim->lru) {
+    } else if (victim->lru != 0 && row[w].lru < victim->lru) {
       victim = &row[w];
     }
   }
-  victim->valid = true;
   victim->tag = sector;
   victim->lru = tick_;
   ++misses_;
   return false;
 }
 
-void L2Cache::invalidate() {
-  for (auto& w : lines_) w.valid = false;
-}
+void L2Cache::invalidate() { ++epoch_; }
 
 }  // namespace kconv::sim

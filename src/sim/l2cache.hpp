@@ -7,6 +7,7 @@
 // paper's kernels honest instead of charging the baselines full DRAM cost.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -14,6 +15,12 @@
 namespace kconv::sim {
 
 /// Set-associative, LRU, write-allocate cache over fixed-size sectors.
+///
+/// The tag array is never filled up front: a set's ways are cleared the
+/// first time the set is touched after construction or `invalidate()`
+/// (each set remembers the epoch it was last cleared in), so making a
+/// cache — a parallel launch makes one shadow per chunk — costs an
+/// allocation, and only the pages of touched sets are ever written.
 class L2Cache {
  public:
   /// `capacity_bytes` and `sector_bytes` come from the Arch; `ways` is the
@@ -32,10 +39,10 @@ class L2Cache {
   void reset_counters() { hits_ = misses_ = 0; }
 
  private:
+  /// Left uninitialized until its set is first touched in an epoch.
   struct Way {
-    u64 tag = 0;
-    u64 lru = 0;  // larger = more recently used
-    bool valid = false;
+    u64 tag;
+    u64 lru;  // larger = more recently used; 0 = invalid
   };
 
   u32 sector_bytes_;
@@ -44,7 +51,9 @@ class L2Cache {
   u64 tick_ = 0;
   u64 hits_ = 0;
   u64 misses_ = 0;
-  std::vector<Way> lines_;  // sets_ * ways_, row-major by set
+  u64 epoch_ = 1;
+  std::vector<u64> set_epoch_;    // per set: epoch its ways were cleared in
+  std::unique_ptr<Way[]> lines_;  // sets_ * ways_, row-major by set
 };
 
 }  // namespace kconv::sim

@@ -42,7 +42,8 @@ struct Chunk {
   /// device) or the chunk's own `shadow` (parallel launch).
   L2Cache* l2 = nullptr;
   /// Made by the launching thread with the chunk plan, so the worker's
-  /// malloc arena never holds the shadow's tag array (docs/MODEL.md §5).
+  /// malloc arena never holds the shadow's tag array; making one only
+  /// allocates it (the worker clears each set on first touch).
   std::optional<L2Cache> shadow;
   KernelStats stats;
   /// Access-pattern cache scoped like the L2 shadow and constant-cache

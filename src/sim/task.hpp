@@ -25,31 +25,28 @@
 #endif
 
 #include "src/sim/event.hpp"
-#include "src/sim/page_arena.hpp"
 
 namespace kconv::sim {
 
 /// Free list of lane coroutine frames. One LaneSet (block_exec.hpp) owns
 /// one, so it lives exactly as long as a launch chunk: when a block's lanes
 /// are rebuilt their frames go back on the list and the next block's come
-/// off it, so a chunk makes one frame per lane instead of one per lane per
-/// block. Frames are drawn from a pool only inside a Scope on the creating
-/// thread; a pool's new frames come from its PageArena, which must outlive
-/// the pool, and all other frames from the global heap. Each frame carries
-/// a header naming its pool, so it returns to the list it came from. Under
-/// ASan a frame on the list is poisoned, so touching a dead lane's frame
-/// still reports as a use-after-free.
+/// off it, so a chunk allocates one frame per lane instead of one per lane
+/// per block. Frames are drawn from a pool only inside a Scope on the
+/// creating thread; all others come from the global heap. Each frame
+/// carries a header naming its pool, so it returns to the list it came
+/// from. Under ASan a frame on the list is poisoned, so touching a dead
+/// lane's frame still reports as a use-after-free.
 class FramePool {
  public:
-  explicit FramePool(PageArena& pages) : pages_(&pages) {}
+  FramePool() = default;
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
   ~FramePool() {
-    // The arena releases the frames; only their poisoning must not
-    // outlive them.
     for (Bucket& b : free_) {
       for (void* base : b.frames) {
         ASAN_UNPOISON_MEMORY_REGION(base, kHeader + b.bytes);
+        ::operator delete(base);
       }
     }
   }
@@ -69,8 +66,8 @@ class FramePool {
 
   static void* allocate(std::size_t bytes) {
     FramePool* const pool = current_;
-    void* const base = pool != nullptr ? pool->take(bytes)
-                                       : ::operator new(kHeader + bytes);
+    void* base = pool != nullptr ? pool->take(bytes) : nullptr;
+    if (base == nullptr) base = ::operator new(kHeader + bytes);
     ::new (base) Header{pool, bytes};
     return static_cast<std::byte*>(base) + kHeader;
   }
@@ -109,7 +106,7 @@ class FramePool {
       ASAN_UNPOISON_MEMORY_REGION(base, kHeader + bytes);
       return base;
     }
-    return pages_->take(kHeader + bytes);
+    return nullptr;
   }
 
   void give(void* base, std::size_t bytes) noexcept {
@@ -124,7 +121,6 @@ class FramePool {
     ASAN_POISON_MEMORY_REGION(base, kHeader + bytes);
   }
 
-  PageArena* pages_;
   std::vector<Bucket> free_;
   static inline thread_local FramePool* current_ = nullptr;
 };

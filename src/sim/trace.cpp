@@ -23,10 +23,10 @@ i32 tape_rel(i64 v, const LaneTapeBuilder& b) {
 
 Access* WarpEvents::block(u32 b) {
   while (blocks_.size() <= b) {
-    blocks_.push_back(static_cast<Access*>(
-        pages_->take(sizeof(Access) * kRows * width_)));
+    blocks_.emplace_back(static_cast<Access*>(
+        ::operator new(sizeof(Access) * kRows * width_)));
   }
-  return blocks_[b];
+  return blocks_[b].get();
 }
 
 void LaneRecorder::refill() {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstring>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -22,7 +23,6 @@
 #include "src/sim/dim.hpp"
 #include "src/sim/event.hpp"
 #include "src/sim/memory.hpp"
-#include "src/sim/page_arena.hpp"
 #include "src/sim/stats.hpp"
 
 namespace kconv::sim {
@@ -104,13 +104,13 @@ struct BlockTrace {
 /// row k holds the k-th recorded event of every lane of the warp, in lane
 /// order, so a lockstep round is one contiguous span the executor retires
 /// in place. Rows live in storage blocks of kRows rows each — the growth
-/// step — taken from a PageArena on first use: never moved, never touched
-/// before a lane writes them, and kept from block to block of a chunk.
+/// step — allocated on first use: never moved, never touched before a lane
+/// writes them, and kept from block to block of a chunk.
 class WarpEvents {
  public:
   static constexpr u32 kRows = 32;
 
-  WarpEvents(u32 width, PageArena& pages) : width_(width), pages_(&pages) {}
+  explicit WarpEvents(u32 width) : width_(width) {}
 
   /// Lanes in the warp (the last warp of a block may be partial).
   u32 width() const { return width_; }
@@ -118,16 +118,20 @@ class WarpEvents {
   u32 capacity() const { return static_cast<u32>(blocks_.size()) * kRows; }
   /// Row k; valid for lanes that recorded at least k + 1 events.
   std::span<const Access> row(u32 k) const {
-    return {blocks_[k / kRows] + (k % kRows) * width_, width_};
+    return {blocks_[k / kRows].get() + (k % kRows) * width_, width_};
   }
   const Access& at(u32 lane, u32 k) const { return row(k)[lane]; }
   /// First slot of storage block b, allocated on first use.
   Access* block(u32 b);
 
  private:
+  /// Frees a storage block without destroying rows never written.
+  struct FreeRows {
+    void operator()(Access* rows) const { ::operator delete(rows); }
+  };
+
   u32 width_;
-  PageArena* pages_;
-  std::vector<Access*> blocks_;
+  std::vector<std::unique_ptr<Access, FreeRows>> blocks_;
 };
 
 /// Per-lane recorder driving fast-forward execution. A ThreadCtx bound to

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 namespace kconv::sim {
 namespace {
 
@@ -67,6 +70,70 @@ TEST(L2, StreamLargerThanCapacityThrashes) {
   }
   // A streaming working set 8x the capacity should hit (almost) never.
   EXPECT_LT(static_cast<double>(l2.hits()) / (l2.hits() + l2.misses()), 0.05);
+}
+
+// The cache as first written: every way value-initialized up front, an
+// explicit valid bit, invalidate() clearing every way.
+class EagerL2 {
+ public:
+  EagerL2(u64 sets, u32 ways, u32 sector_bytes)
+      : sector_bytes_(sector_bytes), ways_(ways), sets_(sets),
+        lines_(sets * ways) {}
+  bool access(u64 addr) {
+    const u64 sector = addr / sector_bytes_;
+    Way* row = &lines_[(sector & (sets_ - 1)) * ways_];
+    ++tick_;
+    Way* victim = &row[0];
+    for (u32 w = 0; w < ways_; ++w) {
+      if (row[w].valid && row[w].tag == sector) {
+        row[w].lru = tick_;
+        return true;
+      }
+      if (!row[w].valid) {
+        victim = &row[w];
+      } else if (victim->valid && row[w].lru < victim->lru) {
+        victim = &row[w];
+      }
+    }
+    *victim = {sector, tick_, true};
+    return false;
+  }
+  void invalidate() {
+    for (Way& w : lines_) w.valid = false;
+  }
+
+ private:
+  struct Way {
+    u64 tag = 0;
+    u64 lru = 0;
+    bool valid = false;
+  };
+  u32 sector_bytes_, ways_;
+  u64 sets_, tick_ = 0;
+  std::vector<Way> lines_;
+};
+
+TEST(L2, LazySetClearingMatchesAnEagerCache) {
+  // 8 sets x 4 ways. Addresses span 3x the capacity so sets fill, evict
+  // and run partly invalid after an invalidate().
+  L2Cache l2(8 * 4 * 32, 32, 4);
+  EagerL2 ref(8, 4, 32);
+  std::mt19937_64 rng(7);
+  u64 hits = 0;
+  for (int i = 0; i < 20000; ++i) {
+    if (rng() % 500 == 0) {
+      l2.invalidate();
+      ref.invalidate();
+      continue;
+    }
+    const u64 addr = rng() % (3 * 8 * 4 * 32);
+    const bool hit = ref.access(addr);
+    ASSERT_EQ(l2.access(addr), hit) << "access " << i;
+    hits += hit;
+  }
+  EXPECT_EQ(l2.hits(), hits);
+  EXPECT_GT(hits, 1000u);
+  EXPECT_GT(l2.misses(), 1000u);
 }
 
 TEST(L2, RejectsSillyGeometry) {

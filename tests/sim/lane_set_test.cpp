@@ -250,8 +250,7 @@ TEST(SegmentReplay, ConstHeavyReplayIsExactAndHoldsOneSegment) {
 }
 
 TEST(FramePool, RecyclesFramesOnlyInsideItsScope) {
-  PageArena pages;
-  FramePool pool(pages);
+  FramePool pool;
   void* first = nullptr;
   {
     FramePool::Scope scope(pool);

@@ -205,8 +205,7 @@ TEST(LaneContract, RecorderBoundLaneRunsBarrierToBarrierInOneResume) {
   t.block_dim = {1, 1, 1};
   t.grid_dim = {1, 1, 1};
   t.bind_smem(smem.data(), 32);
-  PageArena pages;
-  WarpEvents log(1, pages);
+  WarpEvents log(1);
   LaneRecorder rec;
   rec.bind(&log, 0);
   rec.reset_stream(100);

@@ -269,7 +269,6 @@ void reference_block(const Arch& arch, const KernelBody& body,
   const u32 warp_size = arch.warp_size;
   std::vector<std::byte> smem(cfg.shared_bytes);
   std::vector<ThreadCtx> ctxs(n);
-  PageArena pages;
   std::vector<std::unique_ptr<WarpEvents>> logs;
   std::vector<LaneRecorder> recs(n);
   std::vector<ThreadProgram> progs(n);
@@ -283,7 +282,7 @@ void reference_block(const Arch& arch, const KernelBody& body,
     c.thread_idx = Dim3{t % cfg.block.x, (t / cfg.block.x) % cfg.block.y,
                         t / (cfg.block.x * cfg.block.y)};
     c.bind_smem(smem.data(), cfg.shared_bytes);
-    logs.push_back(std::make_unique<WarpEvents>(1, pages));
+    logs.push_back(std::make_unique<WarpEvents>(1));
     recs[t].bind(logs.back().get(), 0);
     recs[t].reset_stream(1u << 20);
     c.bind_recorder(&recs[t]);
@@ -499,8 +498,7 @@ INSTANTIATE_TEST_SUITE_P(Lanes, InPlaceRetire, ::testing::Values(64u, 80u),
 /// Notes `n` events on lane 1 of a three-lane log, split over two
 /// segments, under a stream cap of `cap`; returns the error, or "".
 std::string stream_notes(u32 cap, u32 n) {
-  PageArena pages;
-  WarpEvents log(3, pages);
+  WarpEvents log(3);
   LaneRecorder rec;
   rec.bind(&log, 1);
   rec.reset_stream(cap);
@@ -532,8 +530,7 @@ TEST(EventCap, StreamCapAdmitsExactlyCapEventsAcrossGrowthSteps) {
         << err;
   }
   // One segment longer than the cap, past a growth step.
-  PageArena pages;
-  WarpEvents log(2, pages);
+  WarpEvents log(2);
   LaneRecorder rec;
   rec.bind(&log, 0);
   rec.reset_stream(2 * step);
@@ -579,8 +576,7 @@ TEST(EventCap, RunBlockStopsARunawayLaneAtTheCap) {
 
 TEST(EventCap, ReplayOverflowIsACongruenceViolation) {
   for (const u32 cap : {3u, WarpEvents::kRows, WarpEvents::kRows + 1}) {
-    PageArena pages;
-    WarpEvents log(4, pages);
+      WarpEvents log(4);
     LaneRecorder rec;
     rec.bind(&log, 3);
     rec.reset_replay(cap);
