@@ -6,8 +6,16 @@
 // wall-clock speedup as JSON. Replay must be invisible except for speed:
 // the bench also checks byte-identical outputs and equality of every
 // scheduling-invariant counter, and folds the verdicts into the JSON.
+//
+// A single wall-clock reading swings by tens of percent on a shared host,
+// so each shape runs one untimed warm-up of both modes, then kRepeats timed
+// runs round-robin across the modes so host drift hits both alike.
+// `*_seconds` is the median (with `*_seconds_min` and `nrepeat` beside
+// it); `*_blocks_per_sec` and `speedup` derive from the medians.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/kernels/general_conv.hpp"
@@ -16,6 +24,8 @@
 using namespace kconv;
 
 namespace {
+
+constexpr int kRepeats = 3;
 
 struct Shape {
   const char* name;
@@ -52,27 +62,52 @@ Timed run_shape(const Shape& s, bool replay) {
   return t;
 }
 
+/// One mode's timed runs: the sorted wall times and the last run, whose
+/// outputs and counters the report compares.
+struct Series {
+  std::vector<double> seconds;
+  Timed last;
+
+  void add(Timed t) {
+    seconds.push_back(t.seconds);
+    last = std::move(t);
+  }
+  double median() const { return seconds[seconds.size() / 2]; }
+  double min() const { return seconds.front(); }
+};
+
 void report(const Shape& s, bool first) {
-  const Timed off = run_shape(s, false);
-  const Timed on = run_shape(s, true);
+  (void)run_shape(s, false);
+  (void)run_shape(s, true);
+  Series off, on;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    off.add(run_shape(s, false));
+    on.add(run_shape(s, true));
+  }
+  std::sort(off.seconds.begin(), off.seconds.end());
+  std::sort(on.seconds.begin(), on.seconds.end());
+  const auto blocks = static_cast<double>(off.last.blocks);
   std::printf(
       "%s    {\"name\": \"%s\", \"kernel\": \"%s\",\n"
       "     \"c\": %lld, \"n\": %lld, \"f\": %lld, \"k\": %lld,\n"
-      "     \"blocks\": %llu, \"blocks_replayed\": %llu,\n"
-      "     \"direct_seconds\": %.3f, \"direct_blocks_per_sec\": %.1f,\n"
-      "     \"replay_seconds\": %.3f, \"replay_blocks_per_sec\": %.1f,\n"
+      "     \"blocks\": %llu, \"blocks_replayed\": %llu, \"nrepeat\": %d,\n"
+      "     \"direct_seconds\": %.3f, \"direct_seconds_min\": %.3f, "
+      "\"direct_blocks_per_sec\": %.1f,\n"
+      "     \"replay_seconds\": %.3f, \"replay_seconds_min\": %.3f, "
+      "\"replay_blocks_per_sec\": %.1f,\n"
       "     \"speedup\": %.2f,\n"
       "     \"outputs_identical\": %s, \"invariant_stats_equal\": %s}",
       first ? "" : ",\n", s.name, s.kernel, static_cast<long long>(s.c),
       static_cast<long long>(s.n), static_cast<long long>(s.f),
       static_cast<long long>(s.k),
-      static_cast<unsigned long long>(off.blocks),
-      static_cast<unsigned long long>(on.run.launch.blocks_replayed),
-      off.seconds, off.blocks / off.seconds, on.seconds,
-      on.blocks / on.seconds, off.seconds / on.seconds,
-      bench::verdict(bench::outputs_identical(off.run, on.run)),
-      bench::verdict(bench::counters_match(
-          off.run.launch.stats, on.run.launch.stats, StatsLevel::Schedule)));
+      static_cast<unsigned long long>(off.last.blocks),
+      static_cast<unsigned long long>(on.last.run.launch.blocks_replayed),
+      kRepeats, off.median(), off.min(), blocks / off.median(), on.median(),
+      on.min(), blocks / on.median(), off.median() / on.median(),
+      bench::verdict(bench::outputs_identical(off.last.run, on.last.run)),
+      bench::verdict(bench::counters_match(off.last.run.launch.stats,
+                                           on.last.run.launch.stats,
+                                           StatsLevel::Schedule)));
 }
 
 }  // namespace

@@ -79,7 +79,9 @@ void print_usage(std::FILE* to, const char* argv0) {
       "  --shard S     fleet shard strategy: batch (default; flat block\n"
       "                slabs), channel (filter-group axis), or spatial\n"
       "                (output-row slabs with halo exchange)\n"
-      "  --replay      trace-replay repeated block classes (MODEL.md \u00a75b)\n"
+      "  --replay      trace-replay repeated block classes (MODEL.md \u00a75b);\n"
+      "                ignored under --check and --profile, which execute\n"
+      "                every block\n"
       "  --no-pattern-cache\n"
       "                disable warp access-pattern memoization (MODEL.md\n"
       "                \u00a75c; results are bit-identical either way)\n"
@@ -89,7 +91,8 @@ void print_usage(std::FILE* to, const char* argv0) {
       "                replays every block from the store (MODEL.md \u00a75d)\n"
       "  --analytic    serve counters straight from class traces: no lane\n"
       "                coroutines, no output tensors; invariant/compute\n"
-      "                counters exact, gm/const-miss counters approximate\n"
+      "                counters exact, gm/const-miss counters approximate;\n"
+      "                exits 2 with --check or --profile\n"
       "  --autotune    sweep the kernel's tiling parameters for the given\n"
       "                K/C/F/N instead of running one convolution; with\n"
       "                --plan-cache a warm call reuses the stored ranking\n"
@@ -106,10 +109,10 @@ void print_usage(std::FILE* to, const char* argv0) {
       "                (exit 3 on any mismatch)\n"
       "  --serve       run the layer-graph serving driver instead of one\n"
       "                convolution: queues --requests requests against\n"
-      "                --network (lenet | vgg-tiny) and reports batching,\n"
-      "                cold/warm/analytic counts, and fusion savings\n"
-      "                (MODEL.md §8); honors --threads, --plan-cache,\n"
-      "                --analytic, and --json\n"
+      "                --network (lenet | lenet-wide | vgg-tiny) and reports\n"
+      "                batching, cold/warm/analytic counts, and fusion\n"
+      "                savings (MODEL.md §8); honors --threads,\n"
+      "                --plan-cache, --analytic, and --json\n"
       "  --network NAME\n"
       "                network served by --serve (lenet | lenet-wide |\n"
       "                vgg-tiny)\n"
@@ -291,7 +294,8 @@ int main(int argc, char** argv) {
   }
   opt.launch.fleet.devices = static_cast<u32>(devices);
   opt.launch.fleet.strategy = shard_strategy;
-  // --analytic x --check, --devices x --analytic and --devices x --sample.
+  // --analytic x --check, --analytic x --profile, --devices x --analytic
+  // and --devices x --sample.
   if (const std::string why = opt.launch.validate(); !why.empty()) {
     std::fprintf(stderr, "error: %s\n", why.c_str());
     return 2;

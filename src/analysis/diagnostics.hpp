@@ -108,8 +108,8 @@ struct LintFinding {
 struct AnalysisReport {
   bool hazard_checked = false;
   bool linted = false;
-  /// Blocks that ran under the full shadow-state check (replay-congruent
-  /// blocks are covered by their class representative and not recounted).
+  /// Blocks that ran under the shadow-state check: every executed block
+  /// (a checked launch never replays).
   u64 blocks_checked = 0;
   /// Accesses involved in >= 1 shared-memory race. Exact even when the
   /// recorded list below is capped.

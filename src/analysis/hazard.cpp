@@ -59,9 +59,9 @@ void GmemWriteMap::append(GmemWriteMap&& o) {
 void GmemWriteMap::detect(std::vector<HazardRecord>& out, u64& overlaps_total,
                           std::size_t cap) {
   if (sealed_.empty()) return;
-  // Global order is independent of which chunk (or launch path) produced
-  // each interval, so the verdict is deterministic across serial, parallel
-  // and replay launches.
+  // Global order is independent of which chunk produced each interval, so
+  // the verdict is deterministic across serial, parallel and fleet
+  // launches.
   std::sort(sealed_.begin(), sealed_.end(),
             [](const Interval& a, const Interval& b) {
               if (a.addr != b.addr) return a.addr < b.addr;
@@ -113,19 +113,14 @@ void BlockChecker::begin_block(sim::Dim3 block) {
   // alias a fresh block — the whole shadow resets in O(1).
   ++epoch_;
   cur_block_ = block;
-  block_race_accesses_ = 0;
   block_records_ = 0;
-  gm_begin(block);
-}
-
-void BlockChecker::gm_begin(sim::Dim3 block) {
   gm_.begin_block(flat_id(block), block);
 }
 
 void BlockChecker::on_barrier() { ++epoch_; }
 
 void BlockChecker::end_block() {
-  gm_end();
+  gm_.seal_block();
   ++blocks_checked_;
 }
 
@@ -230,10 +225,7 @@ void BlockChecker::on_access(u32 lane, u32 round, u64 op_index,
       s.reader_warps |= 1u << warp;
     }
   }
-  if (raced) {
-    ++races_total_;
-    ++block_race_accesses_;
-  }
+  if (raced) ++races_total_;
 }
 
 void finalize_hazards(std::vector<BlockChecker*> checkers,

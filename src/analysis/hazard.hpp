@@ -69,18 +69,6 @@ class BlockChecker {
   void on_barrier();
   void end_block();
 
-  /// Did the block between the last begin_block/end_block pair race? Replay
-  /// uses this to taint a class whose representative raced.
-  bool current_block_raced() const { return block_race_accesses_ > 0; }
-
-  // --- GM-only path (replay-congruent blocks) -----------------------------
-  // Congruent blocks share their representative's shared-memory access
-  // pattern (the congruence hash covers SM offsets and sync placement), so
-  // only their global writes — which do shift per block — need re-checking.
-  void gm_begin(sim::Dim3 block);
-  void gm_note(u64 addr, u32 bytes) { gm_.note(addr, bytes); }
-  void gm_end() { gm_.seal_block(); }
-
   u64 blocks_checked() const { return blocks_checked_; }
   u64 races_total() const { return races_total_; }
   const std::vector<HazardRecord>& records() const { return records_; }
@@ -114,7 +102,6 @@ class BlockChecker {
   u64 epoch_ = 0;
   u64 blocks_checked_ = 0;
   u64 races_total_ = 0;
-  u32 block_race_accesses_ = 0;
   std::vector<HazardRecord> records_;
 
   /// Caps keep pathological kernels from flooding memory with findings;

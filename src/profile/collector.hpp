@@ -64,9 +64,7 @@ struct LaunchProfile {
 
 /// Per-block charging interface handed to run_block(). All methods add
 /// into the chunk sink; the timeline (optional) additionally records the
-/// charge on its tail slice. Replay-side bulk charges (`add`) bypass the
-/// timeline: a replayed block re-uses its representative's profile and
-/// has no retirement sequence of its own.
+/// charge on its tail slice.
 class BlockProfiler {
  public:
   explicit BlockProfiler(PhaseProfile& sink, BlockTimeline* timeline = nullptr)
@@ -134,10 +132,6 @@ class BlockProfiler {
   void barrier() {
     charge(Phase::Sync, [](PhaseStats& s) { ++s.barriers; });
   }
-
-  /// Bulk charge into the sink only — used by replay for the stored
-  /// invariant/compute profiles of the class representative.
-  void add(const PhaseProfile& p) { *sink_ += p; }
 
  private:
   template <class F>

@@ -85,8 +85,7 @@ struct PhaseStats {
   }
 };
 
-/// Every PhaseStats counter with its replay class, in declaration (= plan
-/// byte) order. Classes match the same-named KernelStats counters;
+/// Every PhaseStats counter with its replay class, in declaration order. Classes match the same-named KernelStats counters;
 /// smem_store_lane_bytes is invariant like the other smem_* counters.
 inline constexpr auto kPhaseCounters = [] {
   using S = PhaseStats;

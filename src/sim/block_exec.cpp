@@ -198,10 +198,9 @@ void LaneSet::start_stream(Dim3 block_idx, u32 event_cap, bool profile) {
   });
 }
 
-void LaneSet::start_replay(Dim3 block_idx, std::span<const u32> lane_events,
-                           bool profile) {
+void LaneSet::start_replay(Dim3 block_idx, std::span<const u32> lane_events) {
   KCONV_ASSERT(lane_events.size() == lanes_.size());
-  start(block_idx, profile, [&](u32 t, ThreadCtx& ctx) {
+  start(block_idx, false, [&](u32 t, ThreadCtx& ctx) {
     recorders_[t].reset_replay(lane_events[t]);
     ctx.bind_recorder(&recorders_[t]);
   });
@@ -275,15 +274,6 @@ void LaneSet::charge_compute(KernelStats& stats) const {
     stats.alu_warp_instrs += max_alu;
     stats.max_warp_instrs =
         std::max(stats.max_warp_instrs, max_events + max_fma + max_alu);
-  }
-}
-
-void LaneSet::charge_phase_compute(profile::PhaseProfile& sink) const {
-  for (const profile::LaneProfile& lp : profiles_) {
-    for (u32 i = 0; i < profile::kNumPhases; ++i) {
-      sink.p[i].fma_lane_ops += lp.fma[i];
-      sink.p[i].alu_lane_ops += lp.alu[i];
-    }
   }
 }
 

@@ -73,8 +73,7 @@ class LaneSet {
   void start_stream(Dim3 block_idx, u32 event_cap, bool profile);
   /// Replay: recorder t hashes every event, keeps the global/constant ones
   /// and is capped at `lane_events[t]`, the captured lane's event count.
-  void start_replay(Dim3 block_idx, std::span<const u32> lane_events,
-                    bool profile);
+  void start_replay(Dim3 block_idx, std::span<const u32> lane_events);
   /// Tagging: lane t notes into `builders[t]` instead of a recorder.
   void start_tape(Dim3 block_idx, std::span<LaneTapeBuilder> builders);
 
@@ -119,8 +118,6 @@ class LaneSet {
   /// instruction covers up to warp_size lane-ops, and a warp is as slow as
   /// its busiest lane (recorder event counts are the retired events).
   void charge_compute(KernelStats& stats) const;
-  /// Adds every lane's per-phase arithmetic to `sink`.
-  void charge_phase_compute(profile::PhaseProfile& sink) const;
 
   /// Retire scratch reused by every block of the chunk.
   struct Scratch {

@@ -54,6 +54,8 @@ struct LaunchOptions {
   /// re-analyzing only their address-dependent costs. Takes effect only for
   /// kernels that declare a replay_class hook; outputs stay bit-identical
   /// and serial-launch counters exact. Off by default (exact legacy path).
+  /// Ignored under hazard_check and profile: a diagnostic launch executes
+  /// every block.
   bool replay = false;
   /// Memoize warp access-pattern analysis (docs/MODEL.md §5c): each launch
   /// chunk keys warp transactions by a translation-invariant signature and
@@ -65,7 +67,9 @@ struct LaunchOptions {
   /// execution: shared-memory races within a block (same barrier epoch,
   /// different warps — or unordered intra-warp pairs) and cross-block
   /// global-memory write overlaps land in LaunchResult::analysis.
-  /// Simulation outputs and all existing counters are unchanged.
+  /// Simulation outputs and all existing counters are unchanged. A checked
+  /// launch executes every block: replay and the plan store stay off.
+  /// Incompatible with `analytic`.
   bool hazard_check = false;
   /// Run the memory-efficiency lints (docs/MODEL.md §6) over the launch's
   /// aggregate statistics. Requires a Timing trace (the lints read the
@@ -76,11 +80,12 @@ struct LaunchOptions {
   /// LaunchResult::profile. Purely observational — outputs and every
   /// pre-existing counter are bit-identical with this on or off, in all
   /// launch modes (enforced by tests/profile/profile_identity_test.cpp).
+  /// A profiled launch executes every block: replay and the plan store
+  /// stay off. Incompatible with `analytic`.
   bool profile = false;
   /// With `profile` on, record an ordered phase timeline (for the Perfetto
   /// exporter) for the first this-many executed blocks of the launch, by
-  /// launch iteration index. Replayed blocks carry no timeline of their
-  /// own; only class representatives and fully-executed blocks do.
+  /// launch iteration index.
   u64 profile_timeline_blocks = 8;
   /// Safety valve against runaway device programs (resume rounds per block).
   u64 max_rounds_per_block = 50'000'000;
@@ -90,7 +95,7 @@ struct LaunchOptions {
   /// saved to this store, so a repeated launch replays every block with
   /// zero representative execution. Stale or corrupt stores fall back to
   /// capture (LaunchResult::plan_cache_status says why) — never silently
-  /// wrong. Ignored under hazard_check (a checking run must execute).
+  /// wrong. Ignored, like `replay`, under hazard_check and profile.
   PlanCache* plan_cache = nullptr;
   /// Caller-provided kernel+shape identity for the plan store. The launch
   /// layer qualifies it with arch, grid/block geometry and trace level;
@@ -114,6 +119,7 @@ struct LaunchOptions {
   /// the address-dependent counters (gm_sectors, gm_sectors_dram,
   /// const_line_misses) are the representative's values scaled by block
   /// count — approximate. Requires a replay_class kernel; implies replay.
+  /// Incompatible with hazard_check and profile.
   bool analytic = false;
   /// Multi-device sharding (docs/MODEL.md §9): fleet.devices > 1 splits the
   /// grid across N simulated devices by fleet.strategy, each shard running
@@ -140,13 +146,16 @@ struct LaunchOptions {
 
   /// Empty when these options can launch, else the reason they cannot.
   /// Covers the exclusions that hold for every grid: the hazard checker
-  /// needs real lane execution, analytic launches have no per-block
-  /// execution to shard, and sampling would break the shard/transfer
-  /// geometry. launch() throws with this reason, and also rejects an
-  /// analytic launch of a kernel without a replay_class hook.
+  /// and the phase profiler need real lane execution, analytic launches
+  /// have no per-block execution to shard, and sampling would break the
+  /// shard/transfer geometry. launch() throws with this reason, and also
+  /// rejects an analytic launch of a kernel without a replay_class hook.
   std::string validate() const {
     if (analytic && hazard_check) {
       return "analytic launch cannot run the hazard checker";
+    }
+    if (analytic && profile) {
+      return "analytic launch cannot run the phase profiler";
     }
     if (fleet.devices > 1 && analytic) {
       return "multi-device launch is unsupported with analytic execution";

@@ -86,13 +86,18 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
 
   // Replay engages only when both the caller opted in AND the kernel
   // declared a classifier; otherwise every block is unique (legacy path).
-  // Analytic mode is replay that never materializes: it hard-requires the
-  // classifier (there is no trace to serve from otherwise).
+  // A diagnostic launch (hazard check or phase profile) executes every
+  // block: both report exactly what full execution reports, so replaying
+  // under them would only trade host time on a diagnostic run. Analytic
+  // mode is replay that never materializes: it hard-requires the
+  // classifier (there is no trace to serve from otherwise), and validate()
+  // already rejected it with either diagnostic.
   const bool analytic = opt.analytic;
   KCONV_CHECK(!analytic || static_cast<bool>(classify),
               "analytic launch requires a kernel with a replay_class hook");
-  const bool replaying =
-      (opt.replay || analytic) && static_cast<bool>(classify);
+  const bool diagnostic = opt.hazard_check || opt.profile;
+  const bool replaying = (opt.replay || analytic) && !diagnostic &&
+                         static_cast<bool>(classify);
   res.analytic = analytic;
 
   // Multi-device sharding (docs/MODEL.md §9); validate() already rejected
@@ -125,8 +130,8 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   // that falls back to capture. Saving is skipped when nothing fresh was
   // captured this launch.
   PlanCache* const plans = opt.plan_cache;
-  const bool plan_enabled = plans != nullptr && !opt.plan_key.empty() &&
-                            replaying && !opt.hazard_check;
+  const bool plan_enabled =
+      plans != nullptr && !opt.plan_key.empty() && replaying;
   LaunchPlan plan;
   bool plan_hit = false;
   std::string store_key;
@@ -150,8 +155,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
                           opt.trace == TraceLevel::Functional &&
                           res.blocks_total >= kTapeSidecarMinBlocks;
   if (plan_enabled) {
-    store_key = plan_store_key(opt.plan_key, arch, cfg, opt.trace,
-                               opt.profile);
+    store_key = plan_store_key(opt.plan_key, arch, cfg, opt.trace);
     std::string blob;
     std::string_view payload;
     std::string why;
@@ -259,7 +263,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
       // every chunk's table, so no chunk executes a representative.
       c.runner = std::make_unique<ReplayRunner>(
           arch, cfg, opt.trace, opt.max_rounds_per_block, classify, origins,
-          pattern, chk, psink, analytic);
+          pattern, analytic);
       if (plan_hit) {
         // A lone chunk adopts the plan by move, not copy: a post-capture
         // store re-exports its classes from live runner state.
@@ -275,13 +279,15 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
       }
     }
     // Timeline capture is capped at the first profile_timeline_blocks of
-    // the GLOBAL launch order, so the captured set is chunk-plan-invariant;
-    // blocks that replay record no slices and are dropped (their phases
-    // still land in the phase profile).
+    // the GLOBAL launch order, so the captured set is chunk-plan-invariant.
     profile::BlockTimeline scratch_tl;
     for (const BlockRange& r : c.runs) {
       for (u64 i = r.begin; i < r.end; ++i) {
         const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
+        if (c.runner != nullptr) {
+          c.runner->run(lanes, bidx, &const_cache, l2, c.stats);
+          continue;
+        }
         profile::BlockTimeline* tl = nullptr;
         if (profiling && i < opt.profile_timeline_blocks) {
           scratch_tl = profile::BlockTimeline{};
@@ -289,15 +295,11 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
           scratch_tl.seq = i;
           tl = &scratch_tl;
         }
-        if (c.runner != nullptr) {
-          c.runner->run(lanes, bidx, &const_cache, l2, c.stats, tl);
-        } else {
-          std::optional<profile::BlockProfiler> bp;
-          if (psink != nullptr) bp.emplace(*psink, tl);
-          run_block(lanes, bidx, opt.trace, opt.max_rounds_per_block,
-                    &const_cache, l2, c.stats, nullptr, pattern, chk,
-                    bp ? &*bp : nullptr);
-        }
+        std::optional<profile::BlockProfiler> bp;
+        if (psink != nullptr) bp.emplace(*psink, tl);
+        run_block(lanes, bidx, opt.trace, opt.max_rounds_per_block,
+                  &const_cache, l2, c.stats, nullptr, pattern, chk,
+                  bp ? &*bp : nullptr);
         if (tl != nullptr && !tl->slices.empty()) {
           c.timelines.push_back(std::move(*tl));
         }

@@ -93,8 +93,9 @@ struct LaunchResult {
   u64 blocks_total = 0;
   u64 blocks_executed = 0;
   /// Blocks served by trace replay instead of per-event scheduling (always
-  /// counted in blocks_executed too; 0 unless LaunchOptions::replay is set
-  /// and the kernel declares a replay_class hook).
+  /// counted in blocks_executed too; 0 unless LaunchOptions::replay is set,
+  /// neither hazard_check nor profile is, and the kernel declares a
+  /// replay_class hook).
   u64 blocks_replayed = 0;
   bool sampled = false;
   /// Analytic launch (LaunchOptions::analytic): counters were served from
@@ -110,8 +111,8 @@ struct LaunchResult {
   /// "stale-arch", "stale-config", "stale-trace-level",
   /// "stale-static-signature" (the stored plan's kconv-xray signature
   /// disagrees with the launching kernel's, docs/MODEL.md §10), or
-  /// "disabled" (non-replay launch, empty key, or hazard_check). Empty
-  /// when no plan_cache was configured.
+  /// "disabled" (non-replay launch, empty key, hazard_check or profile).
+  /// Empty when no plan_cache was configured.
   std::string plan_cache_status;
   /// kconv-check results (docs/MODEL.md §6). Populated only when
   /// LaunchOptions::hazard_check and/or ::lint are set; analysis.clean()

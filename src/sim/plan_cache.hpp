@@ -34,7 +34,9 @@ namespace kconv::sim {
 /// v2: tape op set grew (TapeOp::BiasRelu, the fused conv epilogue).
 /// v3: plan header records the capturing kernel's static access signature
 ///     (kconv-xray, docs/MODEL.md §10) for warm-side pre-validation.
-inline constexpr u32 kPlanFormatVersion = 3;
+/// v4: class traces drop the per-phase splits (diagnostic launches never
+///     replay, so no plan serves a phase profile).
+inline constexpr u32 kPlanFormatVersion = 4;
 
 /// Little-endian byte-buffer writer for plan payloads.
 class PlanWriter {

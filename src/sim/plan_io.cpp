@@ -37,29 +37,6 @@ bool load_vec(PlanReader& r, std::vector<T>& v) {
   return n == 0 || r.raw(v.data(), n * sizeof(T));
 }
 
-template <typename S, std::size_t N>
-void save_counters(PlanWriter& w, const CounterTable<S, N>& table,
-                   const S& s) {
-  for (const Counter<S>& c : table) w.put_u64(s.*c.member);
-}
-
-template <typename S, std::size_t N>
-void load_counters(PlanReader& r, const CounterTable<S, N>& table, S& s) {
-  for (const Counter<S>& c : table) s.*c.member = r.get_u64();
-}
-
-void save_phases(PlanWriter& w, const profile::PhaseProfile& pp) {
-  for (const profile::PhaseStats& p : pp.p) {
-    save_counters(w, profile::kPhaseCounters, p);
-  }
-}
-
-void load_phases(PlanReader& r, profile::PhaseProfile& pp) {
-  for (profile::PhaseStats& p : pp.p) {
-    load_counters(r, profile::kPhaseCounters, p);
-  }
-}
-
 void save_trace(PlanWriter& w, const BlockTrace& t) {
   save_stats(w, t.invariant);
   save_stats(w, t.compute);
@@ -75,9 +52,6 @@ void save_trace(PlanWriter& w, const BlockTrace& t) {
   save_vec(w, t.tx_lanes);
   save_vec(w, t.lane_hash);
   save_vec(w, t.lane_events);
-  save_phases(w, t.phase_invariant);
-  save_phases(w, t.phase_compute);
-  save_phases(w, t.phase_addr_dep);
   w.put_u32(t.captured_block.x);
   w.put_u32(t.captured_block.y);
   w.put_u32(t.captured_block.z);
@@ -119,9 +93,6 @@ bool load_trace(PlanReader& r, u64 n_lanes, BlockTrace& t) {
   if (!load_vec(r, t.lane_events) || t.lane_events.size() != n_lanes) {
     return false;
   }
-  load_phases(r, t.phase_invariant);
-  load_phases(r, t.phase_compute);
-  load_phases(r, t.phase_addr_dep);
   t.captured_block.x = r.get_u32();
   t.captured_block.y = r.get_u32();
   t.captured_block.z = r.get_u32();
@@ -318,11 +289,13 @@ bool load_tape(PlanReader& r, u64 n_lanes, u32 shared_bytes, FuncTape& tape) {
 }  // namespace
 
 void save_stats(PlanWriter& w, const KernelStats& s) {
-  save_counters(w, kKernelCounters, s);
+  for (const Counter<KernelStats>& c : kKernelCounters) w.put_u64(s.*c.member);
 }
 
 void load_stats(PlanReader& r, KernelStats& s) {
-  load_counters(r, kKernelCounters, s);
+  for (const Counter<KernelStats>& c : kKernelCounters) {
+    s.*c.member = r.get_u64();
+  }
 }
 
 std::string arch_fingerprint(const Arch& arch) {
@@ -336,19 +309,13 @@ std::string arch_fingerprint(const Arch& arch) {
 }
 
 std::string plan_store_key(std::string_view kernel_key, const Arch& arch,
-                           const LaunchConfig& cfg, TraceLevel level,
-                           bool profiled) {
-  // Profiled and unprofiled captures are separate entries: only a capture
-  // that ran with a phase collector carries the per-phase splits a warm
-  // profiled launch must replay (the phase-sum invariant would otherwise
-  // break on a plan captured without profiling).
-  return strf("%.*s|%s|grid=%ux%ux%u|block=%ux%ux%u|smem=%u|regs=%u|%s|%s",
+                           const LaunchConfig& cfg, TraceLevel level) {
+  return strf("%.*s|%s|grid=%ux%ux%u|block=%ux%ux%u|smem=%u|regs=%u|%s",
               static_cast<int>(kernel_key.size()), kernel_key.data(),
               arch_fingerprint(arch).c_str(), cfg.grid.x, cfg.grid.y,
               cfg.grid.z, cfg.block.x, cfg.block.y, cfg.block.z,
               cfg.shared_bytes, cfg.regs_per_thread,
-              level == TraceLevel::Timing ? "timing" : "functional",
-              profiled ? "prof" : "noprof");
+              level == TraceLevel::Timing ? "timing" : "functional");
 }
 
 std::string plan_tape_key(const std::string& store_key) {

@@ -65,11 +65,10 @@ struct LaunchPlan {
 std::string arch_fingerprint(const Arch& arch);
 
 /// The full store key: the caller's kernel/shape key qualified by arch,
-/// launch geometry, trace level and profiling mode — everything that
-/// changes what a capture would record.
+/// launch geometry and trace level — everything that changes what a
+/// capture would record.
 std::string plan_store_key(std::string_view kernel_key, const Arch& arch,
-                           const LaunchConfig& cfg, TraceLevel level,
-                           bool profiled);
+                           const LaunchConfig& cfg, TraceLevel level);
 
 /// The key the plan's tape sidecar is stored under. Tapes are by far the
 /// heaviest part of a plan and only functional warm launches execute them,

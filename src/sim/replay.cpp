@@ -9,7 +9,6 @@
 #include <immintrin.h>
 #endif
 
-#include "src/analysis/hazard.hpp"
 #include "src/common/strutil.hpp"
 #include "src/sim/coalescing.hpp"
 #include "src/sim/constmem.hpp"
@@ -20,9 +19,7 @@ ReplayRunner::ReplayRunner(const Arch& arch, const LaunchConfig& cfg,
                            TraceLevel trace, u64 max_rounds,
                            const BlockClassifier& classify,
                            const ReplayOriginsFn& origins,
-                           PatternCache* pattern,
-                           analysis::BlockChecker* checker,
-                           profile::PhaseProfile* psink, bool analytic)
+                           PatternCache* pattern, bool analytic)
     : arch_(arch),
       cfg_(cfg),
       trace_level_(trace),
@@ -30,30 +27,14 @@ ReplayRunner::ReplayRunner(const Arch& arch, const LaunchConfig& cfg,
       classify_(classify),
       origins_fn_(origins),
       pattern_(pattern),
-      checker_(checker),
-      psink_(psink),
-      analytic_(analytic) {
-  KCONV_CHECK(!(analytic_ && checker_ != nullptr),
-              "analytic mode cannot run the hazard checker");
-}
+      analytic_(analytic) {}
 
 void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
-                       L2Cache& gm_l2, KernelStats& stats,
-                       profile::BlockTimeline* tl) {
+                       L2Cache& gm_l2, KernelStats& stats) {
   const u64 cls = classify_(block_idx);
   const auto it = classes_.find(cls);
   if (it != classes_.end()) {
     ClassState& cs = it->second;
-    if (cs.raced) {
-      // Tainted class: the representative raced, so this block re-executes
-      // fully under the checker (counted as executed, not replayed).
-      std::optional<profile::BlockProfiler> bp;
-      if (psink_ != nullptr) bp.emplace(*psink_, tl);
-      run_block(lanes, block_idx, trace_level_, max_rounds_, const_cache,
-                gm_l2, stats, nullptr, pattern_, checker_,
-                bp ? &*bp : nullptr);
-      return;
-    }
     if (analytic_) {
       serve_analytic(cs, stats);
       ++blocks_replayed_;
@@ -79,31 +60,14 @@ void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
   // launches.
   ClassState cs;
   KernelStats local;
-  // The representative's phase profile is collected block-locally so it
-  // can be split into the trace like the KernelStats delta below.
-  profile::PhaseProfile local_phases;
-  std::optional<profile::BlockProfiler> bp;
-  if (psink_ != nullptr) bp.emplace(local_phases, tl);
   run_block(lanes, block_idx, trace_level_, max_rounds_, const_cache, gm_l2,
-            local, &cs.trace, pattern_, checker_, bp ? &*bp : nullptr);
-  cs.raced = checker_ != nullptr && checker_->current_block_raced();
-  if (psink_ != nullptr) {
-    *psink_ += local_phases;
-    for (u32 i = 0; i < profile::kNumPhases; ++i) {
-      split_by_class(profile::kPhaseCounters, local_phases.p[i],
-                     cs.trace.phase_invariant.p[i], cs.trace.phase_compute.p[i],
-                     cs.trace.phase_addr_dep.p[i]);
-    }
-  }
+            local, &cs.trace, pattern_);
   split_by_class(kKernelCounters, local, cs.trace.invariant,
                  cs.trace.compute, cs.trace.addr_dep);
   stats += local;
   // The dataflow tape only serves functional launches (timing launches
-  // need the per-block transaction walk anyway) of relocatable kernels —
-  // and never under the hazard checker, whose GM overlap scan needs the
-  // access streams the tape tier skips.
-  if (trace_level_ == TraceLevel::Functional && origins_fn_ &&
-      checker_ == nullptr) {
+  // need the per-block transaction walk anyway) of relocatable kernels.
+  if (trace_level_ == TraceLevel::Functional && origins_fn_) {
     capture_tape(lanes, block_idx, cs);
   }
   classes_.emplace(cls, std::move(cs));
@@ -115,11 +79,6 @@ void ReplayRunner::serve_analytic(const ClassState& cs, KernelStats& stats) {
   stats += cs.trace.compute;
   stats += cs.trace.addr_dep;
   ++stats.blocks_executed;
-  if (psink_ != nullptr) {
-    *psink_ += cs.trace.phase_invariant;
-    *psink_ += cs.trace.phase_compute;
-    *psink_ += cs.trace.phase_addr_dep;
-  }
 }
 
 void ReplayRunner::prime(const LaunchPlan& plan) {
@@ -140,12 +99,12 @@ void ReplayRunner::prime(LaunchPlan&& plan) {
     ClassState cs;
     cs.trace = std::move(pc.trace);
     // Adopt the tape only on launch modes that would have captured one
-    // (functional, relocatable kernel, no checker); otherwise the class
+    // (functional, relocatable kernel, not analytic); otherwise the class
     // replays through fast-forward exactly like a post-capture class.
     // Origins are re-resolved against this process's buffers — the tape's
     // offsets are anchor-relative, so only the anchors are process-local.
     if (pc.has_tape && trace_level_ == TraceLevel::Functional &&
-        origins_fn_ && checker_ == nullptr && !analytic_) {
+        origins_fn_ && !analytic_) {
       cs.tape = std::move(pc.tape);
       origins_fn_(cs.trace.captured_block, cs.origins);
       bool origins_ok = true;
@@ -178,7 +137,6 @@ void ReplayRunner::export_plan(LaunchPlan& plan) const {
   std::vector<const std::pair<const u64, ClassState>*> fresh;
   fresh.reserve(classes_.size());
   for (const auto& entry : classes_) {
-    if (entry.second.raced) continue;
     bool present = false;
     for (const PlanClass& pc : plan.classes) {
       if (pc.id == entry.first) {
@@ -238,21 +196,19 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
   cursors.assign(n_lanes, 0);
   if (check_tape) tape_cursors_.assign(n_lanes, 0);
   std::size_t next_tx = 0;
-  if (checker_ != nullptr) checker_->gm_begin(block_idx);
 
   // Fast-forward one barrier segment at a time: the lanes' memory ops
   // record instead of suspending (runaway loops are caught by the
   // recorder's event cap), and each segment's global/constant accesses are
-  // consumed — walked, harvested, tape-checked — before the next segment
-  // runs, so the warp logs never hold more than one segment.
-  lanes.start_replay(block_idx, trace.lane_events, psink_ != nullptr);
+  // consumed — walked, tape-checked — before the next segment runs, so
+  // the warp logs never hold more than one segment.
+  lanes.start_replay(block_idx, trace.lane_events);
   while (!lanes.all_done()) {
     lanes.run_segment();
     if (walk) {
       next_tx = walk_segment(lanes, block_idx, trace, next_tx, const_cache,
                              gm_l2, stats);
     }
-    if (checker_ != nullptr) harvest_gm_stores(lanes);
     if (check_tape) validate_tape_segment(lanes, block_idx, cs, tape_origins);
   }
   if (walk && next_tx < trace.txs.size()) {
@@ -260,7 +216,6 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
     KCONV_CHECK(false, congruence_error(t, block_idx, trace));
   }
   if (check_tape) finish_tape_validation(block_idx, cs);
-  if (checker_ != nullptr) checker_->gm_end();
 
   // Congruence check: the replayed block must have issued the same event
   // stream (ops, widths, shared offsets, sync placement) as the captured
@@ -274,17 +229,9 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
   }
 
   stats += trace.invariant;
-  // Translation-invariant phase slices come from the representative; the
-  // address-dependent and compute slices are recharged live, mirroring the
-  // KernelStats split (trace.hpp).
-  if (psink_ != nullptr) *psink_ += trace.phase_invariant;
-
   // Compute attribution, recounted from the replayed lanes (recorder event
-  // counts equal the direct path's retired events). Per-phase arithmetic is
-  // recounted too: congruence makes it equal the representative's compute
-  // profile, but counting live keeps the observational guarantee exact.
+  // counts equal the direct path's retired events).
   lanes.charge_compute(stats);
-  if (psink_ != nullptr) lanes.charge_phase_compute(*psink_);
   ++stats.blocks_executed;
 }
 
@@ -317,43 +264,26 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
                   congruence_error(t, block_idx, trace));
       group.push_back(lanes.event(t, cursors[t]++));
     }
-    profile::PhaseStats* ps =
-        psink_ != nullptr ? &psink_->at(group[0].phase) : nullptr;
     if (tx.op == Op::LoadConst) {
       const ConstCost c = analyze_const(group, arch_.const_line_bytes);
       if (const_cache != nullptr) {
         for (u32 i = 0; i < c.lines_touched; ++i) {
           if (!const_cache->access(c.line_addrs[i])) {
             ++stats.const_line_misses;
-            if (ps != nullptr) ++ps->const_line_misses;
           }
         }
       }
     } else {
       // Rebased addresses, same signatures: the pattern cache primed by
       // the captured block serves nearly every replayed transaction.
-      const u64 plk = pattern_ != nullptr ? pattern_->lookups() : 0;
-      const u64 pht = pattern_ != nullptr ? pattern_->hits() : 0;
       if (pattern_ != nullptr) {
         pattern_->gmem(group, gmem);
       } else {
         analyze_gmem(group, arch_.gm_sector_bytes, gmem);
       }
       stats.gm_sectors += gmem.sectors.size();
-      u64 dram = 0;
       for (const u64 sector : gmem.sectors) {
-        if (!gm_l2.access(sector)) {
-          ++stats.gm_sectors_dram;
-          ++dram;
-        }
-      }
-      if (ps != nullptr) {
-        ps->gm_sectors += gmem.sectors.size();
-        ps->gm_sectors_dram += dram;
-        if (pattern_ != nullptr) {
-          ps->pattern_lookups += pattern_->lookups() - plk;
-          ps->pattern_hits += pattern_->hits() - pht;
-        }
+        if (!gm_l2.access(sector)) ++stats.gm_sectors_dram;
       }
     }
   }
@@ -365,19 +295,6 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
     cursors[t] = 0;
   }
   return next_tx;
-}
-
-void ReplayRunner::harvest_gm_stores(const LaneSet& lanes) {
-  // Lane-major within the segment — interval order does not matter, the
-  // overlap scan sorts globally.
-  for (u32 t = 0; t < lanes.size(); ++t) {
-    for (u32 k = 0; k < lanes.seg_len(t); ++k) {
-      const Access& a = lanes.event(t, k);
-      if (a.op == Op::StoreGlobal && a.bytes != 0) {
-        checker_->gm_note(a.addr, a.bytes);
-      }
-    }
-  }
 }
 
 void ReplayRunner::capture_tape(LaneSet& lanes, Dim3 block_idx,
@@ -572,12 +489,6 @@ void ReplayRunner::flush_tape(ClassState& cs, KernelStats& stats) {
   for (u32 b = 0; b < batch; ++b) {
     stats += cs.trace.invariant;
     stats += cs.trace.compute;
-    if (psink_ != nullptr) {
-      // Tape blocks run no coroutines, so both phase slices come from the
-      // representative — exactly matching the KernelStats treatment above.
-      *psink_ += cs.trace.phase_invariant;
-      *psink_ += cs.trace.phase_compute;
-    }
     ++stats.blocks_executed;
   }
   cs.pending.clear();

@@ -43,7 +43,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/profile/collector.hpp"
 #include "src/sim/block_exec.hpp"
 #include "src/sim/pattern_cache.hpp"
 #include "src/sim/plan_io.hpp"
@@ -66,45 +65,24 @@ class ReplayRunner {
  public:
   /// `pattern` (optional) memoizes the chunk's warp access-pattern analysis
   /// for both captured and replayed blocks (docs/MODEL.md §5c).
-  ///
-  /// `checker` (optional) enables hazard checking (docs/MODEL.md §6): each
-  /// class representative runs under the full shadow-state detector; if it
-  /// raced, the whole class is tainted and every later block of it falls
-  /// back to full execution with checking (a racy trace has no trustworthy
-  /// event order to replay, and each block must report its own hazards).
-  /// Congruent blocks of clean classes replay as usual — congruence hashes
-  /// cover their shared-memory pattern — with only their global writes
-  /// harvested for the cross-block overlap scan. The coroutine-free tape
-  /// tier is disabled while checking (it records no access streams).
-  /// `psink` (optional) enables kconv-prof phase accounting (docs/MODEL.md
-  /// §7): class representatives charge phases directly and store their
-  /// per-phase split in the trace; replayed blocks add the stored
-  /// invariant profile and recompute the address-dependent and compute
-  /// parts live, so per-phase sums match the launch totals exactly in
-  /// every mode.
   /// `analytic` (docs/MODEL.md §5d) serves every block of a known class
   /// straight from the class trace: invariant + compute + the captured
   /// addr_dep counters, no coroutines, no functional memory. Class
   /// representatives still execute (and capture) normally on a cold class.
+  /// Diagnostic launches (hazard check, phase profile) never build a
+  /// runner: they execute every block (docs/MODEL.md §6, §7).
   ReplayRunner(const Arch& arch, const LaunchConfig& cfg, TraceLevel trace,
                u64 max_rounds,
                const BlockClassifier& classify, const ReplayOriginsFn& origins,
-               PatternCache* pattern = nullptr,
-               analysis::BlockChecker* checker = nullptr,
-               profile::PhaseProfile* psink = nullptr, bool analytic = false);
+               PatternCache* pattern = nullptr, bool analytic = false);
 
   /// Executes or replays `block_idx` on `lanes`, the chunk's LaneSet,
   /// accumulating into `stats` exactly what the direct path would have
   /// (serially, including cache counters).
   /// Tape-served blocks may be deferred for batched interpretation — call
   /// finish() after the last block to flush them.
-  ///
-  /// `tl` (optional, profiling only) receives the block's phase timeline
-  /// when the block actually executes (class representative or tainted
-  /// re-execution); replayed blocks record none and leave it empty.
   void run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
-           L2Cache& gm_l2, KernelStats& stats,
-           profile::BlockTimeline* tl = nullptr);
+           L2Cache& gm_l2, KernelStats& stats);
 
   /// Flushes tape blocks still queued for batched interpretation. Their
   /// outputs and stats land only after this runs.
@@ -130,8 +108,7 @@ class ReplayRunner {
   void prime(LaunchPlan&& plan);
 
   /// Appends this runner's captured classes (skipping ids already in
-  /// `plan`, raced classes, and nothing else) sorted by id, so merged
-  /// multi-chunk exports are deterministic.
+  /// `plan`) sorted by id, so merged multi-chunk exports are deterministic.
   void export_plan(LaunchPlan& plan) const;
 
   /// True when any class was captured by execution in this run — the
@@ -148,9 +125,6 @@ class ReplayRunner {
     ReplayOrigins origins;  // anchors declared for the captured block
     bool tape_ready = false;
     bool validated = false;
-    /// The class representative raced under the hazard checker: every
-    /// later block of the class executes fully instead of replaying.
-    bool raced = false;
     /// Blocks queued for batched tape interpretation: per-origin base
     /// pointers, already rebased and prologue-validated at enqueue time.
     struct PendingBlock {
@@ -169,8 +143,8 @@ class ReplayRunner {
 
   /// Fast-forwards `block_idx` against its class trace one barrier segment
   /// at a time, consuming each segment's global/constant accesses before
-  /// the next runs: the Timing transaction walk, the hazard checker's
-  /// GM-store harvest and, for an unvalidated tape, its relocation check.
+  /// the next runs: the Timing transaction walk and, for an unvalidated
+  /// tape, its relocation check.
   void replay(LaneSet& lanes, Dim3 block_idx, const ClassState& cs,
               L2Cache* const_cache, L2Cache& gm_l2, KernelStats& stats);
   /// Walks the segment's transactions (a prefix of trace.txs from
@@ -181,11 +155,8 @@ class ReplayRunner {
                            L2Cache* const_cache, L2Cache& gm_l2,
                            KernelStats& stats);
   /// Analytic serving: charges the class's invariant + compute + addr_dep
-  /// deltas (and the matching phase slices) without touching memory.
+  /// deltas without touching memory.
   void serve_analytic(const ClassState& cs, KernelStats& stats);
-  /// Feeds the segment's global stores (still in the recorders) to the
-  /// checker's cross-block overlap map.
-  void harvest_gm_stores(const LaneSet& lanes);
   /// Re-runs the captured block in tagging mode, filling cs.tape.
   void capture_tape(LaneSet& lanes, Dim3 block_idx, ClassState& cs);
   /// Checks the segment's recorded accesses against the tape rebased on
@@ -212,8 +183,6 @@ class ReplayRunner {
   const BlockClassifier& classify_;
   const ReplayOriginsFn& origins_fn_;
   PatternCache* pattern_;
-  analysis::BlockChecker* checker_;
-  profile::PhaseProfile* psink_;
 
   bool analytic_ = false;
   std::unordered_map<u64, ClassState> classes_;

@@ -46,9 +46,8 @@ inline constexpr u64 trace_hash_fold(u64 h, u64 v) {
 /// Folds one lane event. Global/constant addresses are excluded — they are
 /// the part that legitimately shifts between blocks of a class — while
 /// shared-memory offsets (block-local, must match exactly) are included.
-/// The profiling phase participates too: a replayed block inherits its
-/// representative's per-phase profile, which is only sound if the phase
-/// placement matches event for event.
+/// The profiling phase participates too, so congruent blocks also agree
+/// on phase placement event for event.
 inline constexpr u64 trace_hash_access(u64 h, const Access& a) {
   h = trace_hash_fold(h, (static_cast<u64>(a.op) << 40) |
                              (static_cast<u64>(a.phase) << 32) | a.bytes);
@@ -90,11 +89,6 @@ struct BlockTrace {
   /// Per-lane congruence certificate: event-stream hash + retired events.
   std::vector<u64> lane_hash;
   std::vector<u32> lane_events;
-  /// The same split per phase (kconv-prof, MODEL.md §7), populated only
-  /// on profiling launches and charged exactly like the KernelStats above.
-  profile::PhaseProfile phase_invariant;
-  profile::PhaseProfile phase_compute;
-  profile::PhaseProfile phase_addr_dep;
   /// Block the trace was captured from (for diagnostics, and the block a
   /// warm-loaded plan re-resolves its origin anchors against).
   Dim3 captured_block{};

@@ -8,7 +8,7 @@
 //     functional tape fidelity;
 //   - analytic mode serves the invariant and compute counters exactly from
 //     the (fresh or persisted) traces without materializing outputs, and
-//     its per-phase profile sums still equal the launch totals;
+//     refuses to profile (a profiled launch executes every block);
 //   - a damaged or foreign store falls back to capture — loudly classified,
 //     never silently wrong — and heals the store for the next launch;
 //   - one store directory serves concurrent warm launches;
@@ -253,27 +253,56 @@ TEST(PlanPersist, AnalyticColdWorksWithoutAStore) {
   expect_invariant_stats(ana.launch.stats, full.launch.stats);
 }
 
-TEST(PlanPersist, AnalyticPhaseSumsStillMatchLaunchTotals) {
+TEST(PlanPersist, AnalyticProfiledLaunchIsRejected) {
+  // Plans carry no phase profile and a profiled launch executes every
+  // block, so an analytic one is refused with validate()'s reason before
+  // it runs or touches the store.
   sim::PlanCache plans(fresh_dir("ana_phase"));
-  // Profiled plans are keyed separately (only a profiled capture carries
-  // the per-phase splits), so the cold capture profiles too.
-  (void)run_general({.plans = &plans, .profile = true});
-  const auto ana =
-      run_general({.plans = &plans, .analytic = true, .profile = true});
+  const std::string why = options({.analytic = true, .profile = true})
+                              .validate();
+  ASSERT_FALSE(why.empty());
+  try {
+    (void)run_general({.plans = &plans, .analytic = true, .profile = true});
+    ADD_FAILURE() << "analytic x profile launched";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(fs::is_empty(plans.dir()));
+}
 
-  EXPECT_TRUE(ana.launch.plan_cache_hit);
-  ASSERT_TRUE(ana.launch.profile.enabled);
-  EXPECT_TRUE(
-      test::sums_match(ana.launch.profile.phases.total(), ana.launch.stats));
+/// The key a stored blob's envelope names (magic, format version, key;
+/// empty when the header does not parse). Tape sidecars are stored under
+/// the plan's key plus "|tapes".
+std::string envelope_key(const fs::path& p) {
+  std::FILE* f = std::fopen(p.string().c_str(), "rb");
+  if (f == nullptr) return {};
+  char head[1024] = {};
+  const std::size_t n = std::fread(head, 1, sizeof(head), f);
+  std::fclose(f);
+  sim::PlanReader r(std::string_view(head, n));
+  char magic[8];
+  (void)r.raw(magic, sizeof(magic));
+  (void)r.get_u32();
+  std::string key = r.get_str();
+  return r.ok() ? key : std::string{};
+}
+
+bool is_tape_sidecar(const fs::path& p) {
+  return envelope_key(p).ends_with("|tapes");
 }
 
 TEST(PlanPersist, DamagedStoreFallsBackAndHeals) {
   sim::PlanCache plans(fresh_dir("damaged"));
   const auto cold = run_general({.plans = &plans});
 
-  // Flip one byte in the single stored blob.
+  // Flip one byte in the plan blob. The store also holds its tape sidecar,
+  // so pick the plan by the key in its envelope, not by directory order.
   fs::path blob;
-  for (const auto& e : fs::directory_iterator(plans.dir())) blob = e.path();
+  for (const auto& e : fs::directory_iterator(plans.dir())) {
+    const std::string key = envelope_key(e.path());
+    if (!key.empty() && !key.ends_with("|tapes")) blob = e.path();
+  }
   ASSERT_FALSE(blob.empty());
   {
     std::FILE* f = std::fopen(blob.string().c_str(), "rb+");
@@ -295,17 +324,6 @@ TEST(PlanPersist, DamagedStoreFallsBackAndHeals) {
   const auto healed = run_general({.plans = &plans});
   EXPECT_TRUE(healed.launch.plan_cache_hit);
   expect_bytes_equal(healed.output.flat(), cold.output.flat());
-}
-
-/// The tape sidecar blob carries its key ("...|tapes") inside the envelope
-/// header; sniffing the first bytes tells it apart from the base plan.
-bool is_tape_sidecar(const fs::path& p) {
-  std::FILE* f = std::fopen(p.string().c_str(), "rb");
-  if (f == nullptr) return false;
-  char head[512] = {};
-  const std::size_t n = std::fread(head, 1, sizeof(head), f);
-  std::fclose(f);
-  return std::string_view(head, n).find("|tapes") != std::string_view::npos;
 }
 
 TEST(PlanPersist, DamagedTapeSidecarStillServesWarmByFastForward) {

@@ -234,40 +234,36 @@ class ExtraLoadKernel {
 };
 
 TEST(TraceReplay, StreamedWalkReportsMisdeclaredSegments) {
-  for (const auto [odd_seg, skip] :
+  for (const auto& [odd_seg, skip] :
        {std::pair{1, false}, std::pair{2, false}, std::pair{1, true}}) {
     for (const sim::TraceLevel trace :
          {sim::TraceLevel::Timing, sim::TraceLevel::Functional}) {
       for (const u32 threads : {1u, 3u}) {
-        for (const bool hazard : {false, true}) {
-          SCOPED_TRACE(testing::Message()
-                       << "odd_seg=" << odd_seg << " skip=" << skip
-                       << " timing="
-                       << (trace == sim::TraceLevel::Timing)
-                       << " threads=" << threads << " hazard=" << hazard);
-          sim::Device dev(sim::kepler_k40m());
-          auto arr = dev.alloc<float>(9 * 32);
-          arr.zero();
-          ExtraLoadKernel k;
-          k.data = arr.view();
-          k.odd_seg = odd_seg;
-          k.skip = skip;
-          sim::LaunchConfig cfg;
-          cfg.grid = {9, 1, 1};
-          cfg.block = {32, 1, 1};
-          sim::LaunchOptions opt;
-          opt.replay = true;
-          opt.trace = trace;
-          opt.num_threads = threads;
-          opt.hazard_check = hazard;
-          try {
-            sim::launch(dev, k, cfg, opt);
-            ADD_FAILURE() << "misdeclared replay_class was not detected";
-          } catch (const Error& e) {
-            EXPECT_NE(std::string(e.what()).find("replay congruence violation"),
-                      std::string::npos)
-                << e.what();
-          }
+        SCOPED_TRACE(testing::Message()
+                     << "odd_seg=" << odd_seg << " skip=" << skip
+                     << " timing=" << (trace == sim::TraceLevel::Timing)
+                     << " threads=" << threads);
+        sim::Device dev(sim::kepler_k40m());
+        auto arr = dev.alloc<float>(9 * 32);
+        arr.zero();
+        ExtraLoadKernel k;
+        k.data = arr.view();
+        k.odd_seg = odd_seg;
+        k.skip = skip;
+        sim::LaunchConfig cfg;
+        cfg.grid = {9, 1, 1};
+        cfg.block = {32, 1, 1};
+        sim::LaunchOptions opt;
+        opt.replay = true;
+        opt.trace = trace;
+        opt.num_threads = threads;
+        try {
+          sim::launch(dev, k, cfg, opt);
+          ADD_FAILURE() << "misdeclared replay_class was not detected";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("replay congruence violation"),
+                    std::string::npos)
+              << e.what();
         }
       }
     }

@@ -2,7 +2,8 @@
 // per-phase counter over the seven phases equals the matching launch-total
 // KernelStats field, exactly, in every launch mode — and the per-phase
 // roll-up itself is identical across serial, parallel (any thread count),
-// and trace-replay launches.
+// and replay-requesting launches (which execute every block when
+// profiled).
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -155,24 +156,16 @@ TEST(PhaseSum, TimelineSlicesSumToLaunchTotalsWhenAllBlocksRecorded) {
   EXPECT_TRUE(test::sums_match(sum, run.launch.stats));
 }
 
-TEST(PhaseSum, ReplayedBlocksRecordNoTimeline) {
-  const auto run = run_special(kModes[2]);  // replay mode
-  ASSERT_GT(run.launch.blocks_replayed, 0u);
-  // Replayed blocks reuse their representative's profile and have no
-  // retirement sequence: only live-executed blocks among the first 8 may
-  // carry a timeline.
-  EXPECT_LE(run.launch.profile.timelines.size(), 8u);
-  u64 prev_seq = 0;
-  bool first = true;
-  for (const auto& tl : run.launch.profile.timelines) {
-    EXPECT_LT(tl.seq, 8u);
-    if (!first) {
-      EXPECT_GT(tl.seq, prev_seq);
-    }
-    prev_seq = tl.seq;
-    first = false;
-    EXPECT_FALSE(tl.slices.empty());
-  }
+TEST(PhaseSum, ProfiledReplayLaunchRecordsTheSerialTimelines) {
+  // A profiled launch executes every block, so asking for replay changes
+  // nothing it records: the same blocks carry the same slices.
+  const auto serial = run_special(kModes[0]);
+  const auto replay = run_special(kModes[2]);  // replay requested
+  EXPECT_EQ(replay.launch.blocks_replayed, 0u);
+  ASSERT_FALSE(serial.launch.profile.timelines.empty());
+  EXPECT_TRUE(test::timelines_match(serial.launch.profile.timelines,
+                                    replay.launch.profile.timelines,
+                                    StatsLevel::Exact));
 }
 
 }  // namespace

@@ -190,6 +190,13 @@ TEST(LaunchValidate, RejectsAnalyticWithHazardCheck) {
   expect_rejected(opt);
 }
 
+TEST(LaunchValidate, RejectsAnalyticWithProfile) {
+  LaunchOptions opt;
+  opt.analytic = true;
+  opt.profile = true;
+  expect_rejected(opt);
+}
+
 TEST(LaunchValidate, RejectsFleetWithAnalytic) {
   LaunchOptions opt;
   opt.fleet.devices = 2;

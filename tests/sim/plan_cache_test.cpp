@@ -238,29 +238,22 @@ TEST(PlanStoreKey, FoldsEveryLaunchDimension) {
   cfg.block = Dim3{32, 2, 1};
   cfg.shared_bytes = 512;
   const std::string base =
-      plan_store_key("kern", arch, cfg, TraceLevel::Functional, false);
-  EXPECT_EQ(base,
-            plan_store_key("kern", arch, cfg, TraceLevel::Functional, false));
+      plan_store_key("kern", arch, cfg, TraceLevel::Functional);
+  EXPECT_EQ(base, plan_store_key("kern", arch, cfg, TraceLevel::Functional));
 
   LaunchConfig g = cfg;
   g.grid.y = 3;
-  EXPECT_NE(base,
-            plan_store_key("kern", arch, g, TraceLevel::Functional, false));
+  EXPECT_NE(base, plan_store_key("kern", arch, g, TraceLevel::Functional));
   LaunchConfig b = cfg;
   b.block.x = 64;
-  EXPECT_NE(base,
-            plan_store_key("kern", arch, b, TraceLevel::Functional, false));
+  EXPECT_NE(base, plan_store_key("kern", arch, b, TraceLevel::Functional));
   LaunchConfig s = cfg;
   s.shared_bytes = 1024;
-  EXPECT_NE(base,
-            plan_store_key("kern", arch, s, TraceLevel::Functional, false));
-  EXPECT_NE(base,
-            plan_store_key("kern2", arch, cfg, TraceLevel::Functional, false));
-  EXPECT_NE(base, plan_store_key("kern", arch, cfg, TraceLevel::Timing, false));
-  EXPECT_NE(base,
-            plan_store_key("kern", arch, cfg, TraceLevel::Functional, true));
+  EXPECT_NE(base, plan_store_key("kern", arch, s, TraceLevel::Functional));
+  EXPECT_NE(base, plan_store_key("kern2", arch, cfg, TraceLevel::Functional));
+  EXPECT_NE(base, plan_store_key("kern", arch, cfg, TraceLevel::Timing));
   EXPECT_NE(base, plan_store_key("kern", kepler_k40m_4byte_banks(), cfg,
-                                 TraceLevel::Functional, false));
+                                 TraceLevel::Functional));
 }
 
 // --- byte budget + LRU eviction ---------------------------------------------

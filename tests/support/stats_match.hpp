@@ -3,10 +3,12 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/strutil.hpp"
+#include "src/profile/collector.hpp"
 #include "src/profile/phase.hpp"
 #include "src/sim/stats.hpp"
 
@@ -46,6 +48,36 @@ inline ::testing::AssertionResult sums_match(const profile::PhaseStats& sum,
   }
   if (bad.empty()) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << bad;
+}
+
+/// EXPECT_TRUE(timelines_match(a, b, level)): the same blocks, in the same
+/// order, with the same phase slices whose counters match at `level`.
+inline ::testing::AssertionResult timelines_match(
+    const std::vector<profile::BlockTimeline>& a,
+    const std::vector<profile::BlockTimeline>& b, StatsLevel level) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "timelines: a=" << a.size() << " b=" << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].block != b[i].block || a[i].seq != b[i].seq ||
+        a[i].slices.size() != b[i].slices.size()) {
+      return ::testing::AssertionFailure()
+             << "timeline " << i << ": block, seq or slice count differs";
+    }
+    for (std::size_t k = 0; k < a[i].slices.size(); ++k) {
+      const profile::PhaseSlice& x = a[i].slices[k];
+      const profile::PhaseSlice& y = b[i].slices[k];
+      const auto mismatches = stats_mismatches(x.stats, y.stats, level);
+      if (x.phase != y.phase || !mismatches.empty()) {
+        return ::testing::AssertionFailure()
+               << "timeline " << i << " slice " << k << ": "
+               << (x.phase != y.phase ? "phase differs"
+                                      : join(mismatches, "\n"));
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace kconv::test
