@@ -86,9 +86,9 @@ void print_usage(std::FILE* to, const char* argv0) {
       "                disable warp access-pattern memoization (MODEL.md\n"
       "                \u00a75c; results are bit-identical either way)\n"
       "  --plan-cache DIR\n"
-      "                persist launch plans (traces, tapes, pattern tables,\n"
-      "                autotune rankings) under DIR; a repeated launch\n"
-      "                replays every block from the store (MODEL.md \u00a75d)\n"
+      "                persist launch plans (traces, tapes, autotune\n"
+      "                rankings) under DIR; a repeated launch replays\n"
+      "                every block from the store (MODEL.md \u00a75d)\n"
       "  --analytic    serve counters straight from class traces: no lane\n"
       "                coroutines, no output tensors; invariant/compute\n"
       "                counters exact, gm/const-miss counters approximate;\n"

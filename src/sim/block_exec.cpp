@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "src/analysis/hazard.hpp"
@@ -111,16 +110,18 @@ void retire_group(const Arch& arch, TraceLevel trace, L2Cache* const_cache,
 
 /// Notes one retired address-dependent transaction in the capture trace so
 /// replay can regroup that block's own accesses in the same retire order
-/// (= the L2 / constant-cache probe order).
-void record_tx(BlockTrace* capture, Op op, std::span<const u32> lanes) {
+/// (= the L2 / constant-cache probe order): bit i of `mask` is lane lo + i.
+void record_tx(BlockTrace* capture, Op op, u32 lo, u32 mask) {
   if (capture == nullptr) return;
   if (op != Op::LoadGlobal && op != Op::StoreGlobal && op != Op::LoadConst) {
     return;
   }
-  capture->txs.push_back({op, static_cast<u32>(capture->tx_lanes.size()),
-                          static_cast<u32>(lanes.size())});
-  capture->tx_lanes.insert(capture->tx_lanes.end(), lanes.begin(),
-                           lanes.end());
+  capture->txs.push_back({op, lo, mask});
+}
+
+/// Lanes 0 .. n - 1 of a warp.
+u32 full_mask(std::size_t n) {
+  return n == 32 ? ~0u : (1u << n) - 1;
 }
 
 /// True when every event of the row is the same operation and not a
@@ -145,6 +146,11 @@ LaneSet::LaneSet(const Arch& arch, const KernelBody& body,
       seg_len_(cfg.block.count(), 0) {
   KCONV_ASSERT(!lanes_.empty());
   const u32 warp_size = arch.warp_size;
+  // Retire groups and replay transactions name their lanes by a u32 mask
+  // over the warp.
+  KCONV_CHECK(warp_size >= 1 && warp_size <= 32,
+              strf("warp_size %u is outside the simulator's 1..32 lanes",
+                   warp_size));
   const u32 n = size();
   for (u32 lo = 0; lo < n; lo += warp_size) {
     warps_.emplace_back(std::min(warp_size, n - lo));
@@ -156,11 +162,7 @@ LaneSet::LaneSet(const Arch& arch, const KernelBody& body,
   rounds_.assign(warps_.size(), 0);
   scratch.group.reserve(warp_size);
   scratch.sub.reserve(warp_size);
-  scratch.group_lanes.reserve(warp_size);
-  scratch.sub_lanes.reserve(warp_size);
   scratch.gmem.sectors.reserve(2 * warp_size);
-  scratch.lane_ids.resize(n);
-  std::iota(scratch.lane_ids.begin(), scratch.lane_ids.end(), 0u);
 }
 
 template <typename Bind>
@@ -304,8 +306,6 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
   u64 rounds = 0;
   std::vector<Access>& group_acc = sc.group;
   std::vector<Access>& sub_acc = sc.sub;
-  std::vector<u32>& group_lanes = sc.group_lanes;
-  std::vector<u32>& sub_lanes = sc.sub_lanes;
   // Index of each lane's first event of the current segment within its full
   // retired stream, so the hazard checker can report stable op indices.
   std::vector<u32>& seg_base = sc.seg_base;
@@ -362,15 +362,15 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
           retire_group(arch, trace, const_cache, gm_l2, op, row, stats,
                        segment_had_gm_load, segment_had_sm_store, sc.gmem,
                        pattern, prof);
-          record_tx(capture, op,
-                    std::span(sc.lane_ids).subspan(lo, row.size()));
+          record_tx(capture, op, lo, full_mask(row.size()));
           continue;
         }
 
         // Ragged or divergent row: gather the lanes that hold a round-r
-        // memory event.
+        // memory event; bit i of group_mask is lane lo + i, and the group's
+        // k-th access belongs to its k-th set bit.
         group_acc.clear();
-        group_lanes.clear();
+        u32 group_mask = 0;
         u32 op_mask = 0;
         for (u32 i = 0; i < row.size(); ++i) {
           if (r >= lanes.seg_len(lo + i)) continue;
@@ -378,14 +378,15 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
           if (a.op == Op::Sync) continue;
           op_mask |= 1u << static_cast<u32>(a.op);
           group_acc.push_back(a);
-          group_lanes.push_back(lo + i);
+          group_mask |= 1u << i;
         }
         if (group_acc.empty()) continue;
 
         if (checker != nullptr) {
-          for (std::size_t i = 0; i < group_acc.size(); ++i) {
-            const u32 t = group_lanes[i];
-            checker->on_access(t, r, seg_base[t] + r, group_acc[i]);
+          u32 k = 0;
+          for (u32 m = group_mask; m != 0; m &= m - 1) {
+            const u32 t = lo + std::countr_zero(m);
+            checker->on_access(t, r, seg_base[t] + r, group_acc[k++]);
           }
         }
 
@@ -394,7 +395,7 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
           retire_group(arch, trace, const_cache, gm_l2, op, group_acc, stats,
                        segment_had_gm_load, segment_had_sm_store,
                        sc.gmem, pattern, prof);
-          record_tx(capture, op, group_lanes);
+          record_tx(capture, op, lo, group_mask);
         } else {
           // Divergent warp: split by operation kind in the canonical
           // retire order, preserving lane order within each group.
@@ -402,17 +403,18 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
                               Op::StoreShared, Op::LoadConst}) {
             if ((op_mask >> static_cast<u32>(op) & 1u) == 0) continue;
             sub_acc.clear();
-            sub_lanes.clear();
-            for (u32 i = 0; i < group_acc.size(); ++i) {
-              if (group_acc[i].op == op) {
-                sub_acc.push_back(group_acc[i]);
-                sub_lanes.push_back(group_lanes[i]);
+            u32 sub_mask = 0;
+            u32 k = 0;
+            for (u32 m = group_mask; m != 0; m &= m - 1, ++k) {
+              if (group_acc[k].op == op) {
+                sub_acc.push_back(group_acc[k]);
+                sub_mask |= m & -m;
               }
             }
             retire_group(arch, trace, const_cache, gm_l2, op, sub_acc, stats,
                          segment_had_gm_load, segment_had_sm_store,
                          sc.gmem, pattern, prof);
-            record_tx(capture, op, sub_lanes);
+            record_tx(capture, op, lo, sub_mask);
           }
           stats.divergent_retires +=
               static_cast<u64>(std::popcount(op_mask)) - 1;

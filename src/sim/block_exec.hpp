@@ -123,10 +123,6 @@ class LaneSet {
   struct Scratch {
     std::vector<Access> group;
     std::vector<Access> sub;
-    std::vector<u32> group_lanes;
-    std::vector<u32> sub_lanes;
-    /// 0 .. size() - 1: the lane ids of an in-place retired row.
-    std::vector<u32> lane_ids;
     /// Per lane: replay's transaction cursor into the segment's events.
     std::vector<u32> cursor;
     /// Per lane: index of the segment's first event in the lane's stream.

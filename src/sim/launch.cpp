@@ -46,10 +46,6 @@ struct Chunk {
   /// allocates it (the worker clears each set on first touch).
   std::optional<L2Cache> shadow;
   KernelStats stats;
-  /// Access-pattern cache scoped like the L2 shadow and constant-cache
-  /// replica (docs/MODEL.md §5c); kept past the run only for the plan
-  /// store.
-  std::optional<PatternCache> pattern;
   std::optional<analysis::BlockChecker> checker;
   /// Kept past the run so captured classes merge into one saved plan.
   std::unique_ptr<ReplayRunner> runner;
@@ -247,11 +243,14 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     if (c.runs.empty()) return;  // a fleet device with an empty shard
     L2Cache& l2 = *c.l2;
     L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
+    // Access-pattern cache scoped like the L2 shadow and constant-cache
+    // replica (docs/MODEL.md §5c); it dies with the chunk.
+    std::optional<PatternCache> pattern_cache;
     if (opt.pattern_cache) {
-      c.pattern.emplace(arch.smem_banks, arch.smem_bank_bytes,
-                        arch.gm_sector_bytes);
+      pattern_cache.emplace(arch.smem_banks, arch.smem_bank_bytes,
+                            arch.gm_sector_bytes);
     }
-    PatternCache* pattern = c.pattern.has_value() ? &*c.pattern : nullptr;
+    PatternCache* pattern = pattern_cache ? &*pattern_cache : nullptr;
     analysis::BlockChecker* chk = c.checker.has_value() ? &*c.checker : nullptr;
     profile::PhaseProfile* psink = profiling ? &c.phases : nullptr;
     // Every block of the chunk runs on one LaneSet (docs/MODEL.md §5); it
@@ -263,7 +262,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
       // every chunk's table, so no chunk executes a representative.
       c.runner = std::make_unique<ReplayRunner>(
           arch, cfg, opt.trace, opt.max_rounds_per_block, classify, origins,
-          pattern, analytic);
+          analytic);
       if (plan_hit) {
         // A lone chunk adopts the plan by move, not copy: a post-capture
         // store re-exports its classes from live runner state.
@@ -271,10 +270,6 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
           c.runner->prime(std::move(plan));
         } else {
           c.runner->prime(plan);
-        }
-        if (!plan.pattern_blob.empty() && pattern != nullptr) {
-          PlanReader pr(plan.pattern_blob);
-          (void)pattern->restore(pr);  // priming only; safe to skip
         }
       }
     }
@@ -285,7 +280,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
       for (u64 i = r.begin; i < r.end; ++i) {
         const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
         if (c.runner != nullptr) {
-          c.runner->run(lanes, bidx, &const_cache, l2, c.stats);
+          c.runner->run(lanes, bidx, &const_cache, l2, c.stats, pattern);
           continue;
         }
         profile::BlockTimeline* tl = nullptr;
@@ -310,9 +305,6 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
       c.stats.pattern_lookups += pattern->lookups();
       c.stats.pattern_hits += pattern->hits();
     }
-    // Only the plan store reads the tables after the run; free them now so
-    // sequential fleet devices do not all hold theirs until the merge.
-    if (!plan_enabled) c.pattern.reset();
   };
   const u32 workers = static_cast<u32>(std::min<u64>(
       ThreadPool::resolve_threads(opt.num_threads), chunks.size()));
@@ -365,20 +357,8 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     // Keep every loaded class (a sampled warm launch may not even visit
     // some of them); export_plan appends only ids not already present.
     out.classes = std::move(plan.classes);
-    out.pattern_blob = std::move(plan.pattern_blob);
     for (const Chunk& c : chunks) {
       if (c.runner != nullptr) c.runner->export_plan(out);
-    }
-    // One chunk's pattern tables are as good as another's (all are
-    // analyzer outputs); the first chunk that ran goes to disk for
-    // determinism.
-    for (const Chunk& c : chunks) {
-      if (c.pattern.has_value()) {
-        PlanWriter pw;
-        c.pattern->save(pw);
-        out.pattern_blob = pw.take();
-        break;
-      }
     }
     plans->store(store_key, serialize_plan(out));
     // An analytic warm launch never loaded the sidecar, so its view of the

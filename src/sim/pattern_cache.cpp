@@ -47,101 +47,6 @@ bool PatternCache::build_sig(std::span<const Access> lanes, u32 period,
   return true;
 }
 
-u64 PatternCache::sig_hash(const PatternSig& sig) {
-  // Must stay in lockstep with build_sig's fused fold: restore() re-inserts
-  // saved signatures under exactly the hash a live lookup would derive.
-  u64 h = ((static_cast<u64>(sig.n) << 32) | sig.phase) *
-          0x9E3779B97F4A7C15ull;
-  for (std::size_t i = 0; i < sig.n; ++i) {
-    h ^= mix_lane(static_cast<u64>(sig.delta[i]) ^
-                      (static_cast<u64>(sig.bytes[i]) << 48),
-                  i);
-  }
-  h *= 0x2545F4914F6CDD1Dull;
-  h ^= h >> 32;
-  return h;
-}
-
-namespace {
-
-void save_sig(PlanWriter& w, const PatternSig& sig) {
-  w.put_u32(sig.n);
-  w.put_u32(sig.phase);
-  for (u32 i = 0; i < sig.n; ++i) w.put_i64(sig.delta[i]);
-  for (u32 i = 0; i < sig.n; ++i) w.put_u32(sig.bytes[i]);
-}
-
-bool restore_sig(PlanReader& r, PatternSig& sig) {
-  sig.n = r.get_u32();
-  sig.phase = r.get_u32();
-  if (!r.ok() || sig.n == 0 || sig.n > PatternSig::kMaxLanes) return false;
-  for (u32 i = 0; i < sig.n; ++i) sig.delta[i] = r.get_i64();
-  for (u32 i = 0; i < sig.n; ++i) sig.bytes[i] = r.get_u32();
-  return r.ok();
-}
-
-}  // namespace
-
-void PatternCache::save(PlanWriter& w) const {
-  w.put_u32(banks_);
-  w.put_u32(bank_bytes_);
-  w.put_u32(sector_bytes_);
-  w.put_u64(smem_tab_.sigs.size());
-  for (std::size_t i = 0; i < smem_tab_.sigs.size(); ++i) {
-    save_sig(w, smem_tab_.sigs[i]);
-    const SmemCost& c = smem_tab_.values[i];
-    w.put_u32(c.request_cycles);
-    w.put_u64(c.unique_bytes);
-    w.put_u64(c.lane_bytes);
-  }
-  w.put_u64(gmem_tab_.sigs.size());
-  for (std::size_t i = 0; i < gmem_tab_.sigs.size(); ++i) {
-    save_sig(w, gmem_tab_.sigs[i]);
-    const GmemPattern& p = gmem_tab_.values[i];
-    w.put_u64(p.lane_bytes);
-    w.put_u64(p.rel_sectors.size());
-    for (const u64 s : p.rel_sectors) w.put_u64(s);
-  }
-}
-
-bool PatternCache::restore(PlanReader& r) {
-  if (r.get_u32() != banks_ || r.get_u32() != bank_bytes_ ||
-      r.get_u32() != sector_bytes_ || !r.ok()) {
-    return false;
-  }
-  const u64 n_smem = r.get_u64();
-  if (!r.ok() || n_smem > Table<SmemCost>::kMaxEntries) return false;
-  for (u64 i = 0; i < n_smem; ++i) {
-    PatternSig sig;
-    if (!restore_sig(r, sig)) return false;
-    SmemCost c;
-    c.request_cycles = r.get_u32();
-    c.unique_bytes = r.get_u64();
-    c.lane_bytes = r.get_u64();
-    if (!r.ok()) return false;
-    bool hit = false;
-    SmemCost* slot = smem_tab_.find_or_insert(sig, sig_hash(sig), hit);
-    if (slot != nullptr && !hit) *slot = c;
-  }
-  const u64 n_gmem = r.get_u64();
-  if (!r.ok() || n_gmem > Table<GmemPattern>::kMaxEntries) return false;
-  for (u64 i = 0; i < n_gmem; ++i) {
-    PatternSig sig;
-    if (!restore_sig(r, sig)) return false;
-    GmemPattern p;
-    p.lane_bytes = r.get_u64();
-    const u64 n_sec = r.get_u64();
-    if (!r.ok() || n_sec > 64) return false;
-    p.rel_sectors.resize(n_sec);
-    for (u64 s = 0; s < n_sec; ++s) p.rel_sectors[s] = r.get_u64();
-    if (!r.ok()) return false;
-    bool hit = false;
-    GmemPattern* slot = gmem_tab_.find_or_insert(sig, sig_hash(sig), hit);
-    if (slot != nullptr && !hit) *slot = std::move(p);
-  }
-  return r.ok();
-}
-
 SmemCost PatternCache::smem(std::span<const Access> lanes) {
   PatternSig sig;
   u64 base = 0, hash = 0;

@@ -23,7 +23,8 @@
 // bit-identical with the cache on or off, through the serial, parallel and
 // trace-replay launch paths alike. One cache lives per launch chunk (like
 // the L2 shadow and constant-cache replica), so parallel launches stay
-// deterministic without locks.
+// deterministic without locks. It dies with the chunk: the tables are never
+// persisted, and a warm plan-store launch (§5d) rebuilds its own.
 #pragma once
 
 #include <cstring>
@@ -32,7 +33,6 @@
 
 #include "src/sim/banks.hpp"
 #include "src/sim/coalescing.hpp"
-#include "src/sim/plan_cache.hpp"
 
 namespace kconv::sim {
 
@@ -75,18 +75,6 @@ class PatternCache {
   std::size_t entries() const {
     return smem_tab_.sigs.size() + gmem_tab_.sigs.size();
   }
-
-  /// Serializes the memoized tables (not the hit counters) for the plan
-  /// cache (docs/MODEL.md §5d). Geometry is embedded so a blob can only
-  /// prime a cache with matching bank/sector parameters.
-  void save(PlanWriter& w) const;
-
-  /// Primes this cache from a saved blob. Returns false (cache unchanged
-  /// beyond already-inserted entries) on malformed bytes or a geometry
-  /// mismatch — priming is an optimization, so the caller just skips it.
-  /// Memoized values are the analyzers' own outputs either way, so a primed
-  /// cache stays bit-identical to a cold one.
-  bool restore(PlanReader& r);
 
  private:
   /// Cached gmem layout: sector byte addresses relative to the base lane's
@@ -155,10 +143,6 @@ class PatternCache {
   /// can have). `base` receives the first active lane's address.
   static bool build_sig(std::span<const Access> lanes, u32 period,
                         PatternSig& sig, u64& base, u64& hash);
-
-  /// Hash of an already-built signature (same value build_sig derives while
-  /// filling it) — the restore path's re-insertion key.
-  static u64 sig_hash(const PatternSig& sig);
 
   u32 banks_;
   u32 bank_bytes_;

@@ -16,7 +16,7 @@
 //     sharing one cache dir) leave either the old blob or a complete new
 //     one, never a torn file.
 //
-// What the payload *means* (serialized traces, tapes, pattern tables) is
+// What the payload *means* (serialized traces and tapes) is
 // plan_io.hpp's business; what a hit is worth is the launch layer's.
 #pragma once
 
@@ -36,7 +36,10 @@ namespace kconv::sim {
 ///     (kconv-xray, docs/MODEL.md §10) for warm-side pre-validation.
 /// v4: class traces drop the per-phase splits (diagnostic launches never
 ///     replay, so no plan serves a phase profile).
-inline constexpr u32 kPlanFormatVersion = 4;
+/// v5: a trace transaction names its lanes by warp (first lane + lane
+///     mask) instead of a lane-id list, and plans no longer carry the
+///     pattern-cache tables (a warm launch rebuilds them).
+inline constexpr u32 kPlanFormatVersion = 5;
 
 /// Little-endian byte-buffer writer for plan payloads.
 class PlanWriter {

@@ -1,5 +1,6 @@
 #include "src/sim/plan_io.hpp"
 
+#include <bit>
 #include <cstring>
 #include <type_traits>
 
@@ -16,9 +17,9 @@ bool fits(const PlanReader& r, u64 n, u64 elem_bytes) {
   return n <= r.remaining() / (elem_bytes == 0 ? 1 : elem_bytes);
 }
 
-// The bulk vectors (tape entries, transaction lane lists, congruence
-// hashes) dominate a plan payload; element-wise put/get loops were the
-// serialization bottleneck, so they move as single memcpys. The byte
+// The bulk vectors (tape entries, congruence hashes) dominate a plan
+// payload; element-wise put/get loops were the serialization bottleneck,
+// so they move as single memcpys. The byte
 // layout equals the element-wise little-endian stream for these types
 // (packed fields, natural alignment), asserted where it matters.
 template <typename T>
@@ -46,10 +47,9 @@ void save_trace(PlanWriter& w, const BlockTrace& t) {
   w.put_u64(t.txs.size());
   for (const ReplayTx& tx : t.txs) {
     w.put_u8(static_cast<u8>(tx.op));
-    w.put_u32(tx.lane_begin);
-    w.put_u32(tx.lane_count);
+    w.put_u32(tx.lo);
+    w.put_u32(tx.mask);
   }
-  save_vec(w, t.tx_lanes);
   save_vec(w, t.lane_hash);
   save_vec(w, t.lane_events);
   w.put_u32(t.captured_block.x);
@@ -74,16 +74,12 @@ bool load_trace(PlanReader& r, u64 n_lanes, BlockTrace& t) {
       return false;
     }
     tx.op = static_cast<Op>(op);
-    tx.lane_begin = r.get_u32();
-    tx.lane_count = r.get_u32();
-  }
-  if (!load_vec(r, t.tx_lanes)) return false;
-  for (const u32 l : t.tx_lanes) {
-    if (l >= n_lanes) return false;
-  }
-  for (const ReplayTx& tx : t.txs) {
-    if (tx.lane_count == 0 ||
-        static_cast<u64>(tx.lane_begin) + tx.lane_count > t.tx_lanes.size()) {
+    tx.lo = r.get_u32();
+    tx.mask = r.get_u32();
+    // Replay's segment walk reads the lanes the mask names: at least one,
+    // none past the block's last lane.
+    if (tx.mask == 0 ||
+        static_cast<u64>(tx.lo) + std::bit_width(tx.mask) > n_lanes) {
       return false;
     }
   }
@@ -340,7 +336,6 @@ std::string serialize_plan(const LaunchPlan& plan) {
     w.put_u64(pc.id);
     save_trace(w, pc.trace);
   }
-  w.put_str(plan.pattern_blob);
   return w.take();
 }
 
@@ -376,7 +371,6 @@ bool deserialize_plan(std::string_view payload, LaunchPlan& out,
     pc.id = r.get_u64();
     if (!load_trace(r, n_lanes, pc.trace)) return fail("corrupt-payload");
   }
-  out.pattern_blob = r.get_str();
   if (!r.at_end()) return fail("corrupt-payload");
   return true;
 }

@@ -3,10 +3,12 @@
 // A LaunchPlan is everything a warm launch needs to replay *every* block of
 // a repeated kernel invocation with zero representative execution: the
 // per-class capture traces (stats splits, congruence hashes, transaction
-// schedules), the functional dataflow tapes where captured, and the chunk's
-// memoized access-pattern tables. The plan also records the identity it was
-// captured under — arch fingerprint, launch config, trace level — and
-// plan_matches() rejects any divergence before a single byte is trusted.
+// schedules as warp lane masks) and the functional dataflow tapes where
+// captured. The chunk-local access-pattern tables (§5c) are never part of
+// it: a warm launch rebuilds them as it goes. The plan also records the
+// identity it was captured under — arch fingerprint, launch config, trace
+// level — and plan_matches() rejects any divergence before a single byte
+// is trusted.
 //
 // Addresses are deliberately absent from the payload: traces store only
 // translation-invariant data (shared offsets, event hashes, lane schedules)
@@ -55,9 +57,6 @@ struct LaunchPlan {
   /// the plan key's version tag missed.
   u64 static_signature = 0;
   std::vector<PlanClass> classes;
-  /// Serialized PatternCache tables (empty when the capture ran with the
-  /// pattern cache disabled).
-  std::string pattern_blob;
 };
 
 /// Stable identity string of the arch parameters a trace depends on. Two
@@ -82,12 +81,12 @@ std::string plan_tape_key(const std::string& store_key);
 void save_stats(PlanWriter& w, const KernelStats& s);
 void load_stats(PlanReader& r, KernelStats& s);
 
-/// Serializes everything but the tapes: identity, per-class traces, the
-/// pattern blob. This is the payload stored under the base key.
+/// Serializes everything but the tapes: identity and per-class traces.
+/// This is the payload stored under the base key.
 std::string serialize_plan(const LaunchPlan& plan);
 
-/// Parses and structurally validates a payload (vector sizes, index bounds,
-/// lane counts against the embedded config). False with a reason on any
+/// Parses and structurally validates a payload (vector sizes, transaction
+/// lane masks and lane counts against the embedded config). False with a reason on any
 /// inconsistency — the envelope checksum makes this unlikely, but a plan is
 /// never half-trusted. Classes come back with has_tape=false; attach the
 /// sidecar with deserialize_tapes() when the launch will execute tapes.

@@ -18,19 +18,18 @@ namespace kconv::sim {
 ReplayRunner::ReplayRunner(const Arch& arch, const LaunchConfig& cfg,
                            TraceLevel trace, u64 max_rounds,
                            const BlockClassifier& classify,
-                           const ReplayOriginsFn& origins,
-                           PatternCache* pattern, bool analytic)
+                           const ReplayOriginsFn& origins, bool analytic)
     : arch_(arch),
       cfg_(cfg),
       trace_level_(trace),
       max_rounds_(max_rounds),
       classify_(classify),
       origins_fn_(origins),
-      pattern_(pattern),
       analytic_(analytic) {}
 
 void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
-                       L2Cache& gm_l2, KernelStats& stats) {
+                       L2Cache& gm_l2, KernelStats& stats,
+                       PatternCache* pattern) {
   const u64 cls = classify_(block_idx);
   const auto it = classes_.find(cls);
   if (it != classes_.end()) {
@@ -46,7 +45,7 @@ void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
       // The first fast-forward block of a tape class doubles as the tape's
       // relocation proof: replay() checks its access streams against the
       // rebased tape before later blocks skip the coroutines.
-      replay(lanes, block_idx, cs, const_cache, gm_l2, stats);
+      replay(lanes, block_idx, cs, const_cache, gm_l2, stats, pattern);
       if (cs.tape_ready) cs.validated = true;
     }
     ++blocks_replayed_;
@@ -61,7 +60,7 @@ void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
   ClassState cs;
   KernelStats local;
   run_block(lanes, block_idx, trace_level_, max_rounds_, const_cache, gm_l2,
-            local, &cs.trace, pattern_);
+            local, &cs.trace, pattern);
   split_by_class(kKernelCounters, local, cs.trace.invariant,
                  cs.trace.compute, cs.trace.addr_dep);
   stats += local;
@@ -179,7 +178,8 @@ std::string congruence_error(u32 lane, Dim3 block_idx,
 
 void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
                           const ClassState& cs, L2Cache* const_cache,
-                          L2Cache& gm_l2, KernelStats& stats) {
+                          L2Cache& gm_l2, KernelStats& stats,
+                          PatternCache* pattern) {
   const BlockTrace& trace = cs.trace;
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
   KCONV_ASSERT(trace.lane_events.size() == n_lanes);
@@ -207,13 +207,14 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
     lanes.run_segment();
     if (walk) {
       next_tx = walk_segment(lanes, block_idx, trace, next_tx, const_cache,
-                             gm_l2, stats);
+                             gm_l2, stats, pattern);
     }
     if (check_tape) validate_tape_segment(lanes, block_idx, cs, tape_origins);
   }
   if (walk && next_tx < trace.txs.size()) {
-    const u32 t = trace.tx_lanes[trace.txs[next_tx].lane_begin];
-    KCONV_CHECK(false, congruence_error(t, block_idx, trace));
+    const ReplayTx& tx = trace.txs[next_tx];
+    KCONV_CHECK(false, congruence_error(tx.lo + std::countr_zero(tx.mask),
+                                        block_idx, trace));
   }
   if (check_tape) finish_tape_validation(block_idx, cs);
 
@@ -239,7 +240,8 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
                                        const BlockTrace& trace,
                                        std::size_t next_tx,
                                        L2Cache* const_cache, L2Cache& gm_l2,
-                                       KernelStats& stats) {
+                                       KernelStats& stats,
+                                       PatternCache* pattern) {
   // Every global/constant event retires in a transaction of its own
   // segment, so this segment's transactions are the prefix of the
   // remaining ones whose lanes still hold unconsumed events. Regroup this
@@ -252,13 +254,13 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
   GmemCost& gmem = sc.gmem;
   for (; next_tx < trace.txs.size(); ++next_tx) {
     const ReplayTx& tx = trace.txs[next_tx];
-    const u32* tx_lanes = trace.tx_lanes.data() + tx.lane_begin;
     // A congruent block's transaction either has an event waiting in every
     // one of its lanes or in none (it belongs to a later segment).
-    if (cursors[tx_lanes[0]] == lanes.seg_len(tx_lanes[0])) break;
+    const u32 first = tx.lo + std::countr_zero(tx.mask);
+    if (cursors[first] == lanes.seg_len(first)) break;
     group.clear();
-    for (u32 i = 0; i < tx.lane_count; ++i) {
-      const u32 t = tx_lanes[i];
+    for (u32 m = tx.mask; m != 0; m &= m - 1) {
+      const u32 t = tx.lo + std::countr_zero(m);
       KCONV_CHECK(cursors[t] < lanes.seg_len(t) &&
                       lanes.event(t, cursors[t]).op == tx.op,
                   congruence_error(t, block_idx, trace));
@@ -274,10 +276,11 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
         }
       }
     } else {
-      // Rebased addresses, same signatures: the pattern cache primed by
-      // the captured block serves nearly every replayed transaction.
-      if (pattern_ != nullptr) {
-        pattern_->gmem(group, gmem);
+      // Rebased addresses, same signatures: the chunk's pattern cache,
+      // filled by its earlier blocks, serves nearly every replayed
+      // transaction.
+      if (pattern != nullptr) {
+        pattern->gmem(group, gmem);
       } else {
         analyze_gmem(group, arch_.gm_sector_bytes, gmem);
       }

@@ -63,8 +63,6 @@ using ReplayOriginsFn = std::function<void(Dim3, ReplayOrigins&)>;
 /// class and replaying the rest.
 class ReplayRunner {
  public:
-  /// `pattern` (optional) memoizes the chunk's warp access-pattern analysis
-  /// for both captured and replayed blocks (docs/MODEL.md §5c).
   /// `analytic` (docs/MODEL.md §5d) serves every block of a known class
   /// straight from the class trace: invariant + compute + the captured
   /// addr_dep counters, no coroutines, no functional memory. Class
@@ -74,15 +72,18 @@ class ReplayRunner {
   ReplayRunner(const Arch& arch, const LaunchConfig& cfg, TraceLevel trace,
                u64 max_rounds,
                const BlockClassifier& classify, const ReplayOriginsFn& origins,
-               PatternCache* pattern = nullptr, bool analytic = false);
+               bool analytic = false);
 
   /// Executes or replays `block_idx` on `lanes`, the chunk's LaneSet,
   /// accumulating into `stats` exactly what the direct path would have
-  /// (serially, including cache counters).
+  /// (serially, including cache counters). `pattern` (optional) is the
+  /// chunk's warp access-pattern memo (docs/MODEL.md §5c), consulted for
+  /// captured and replayed blocks alike.
   /// Tape-served blocks may be deferred for batched interpretation — call
   /// finish() after the last block to flush them.
   void run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
-           L2Cache& gm_l2, KernelStats& stats);
+           L2Cache& gm_l2, KernelStats& stats,
+           PatternCache* pattern = nullptr);
 
   /// Flushes tape blocks still queued for batched interpretation. Their
   /// outputs and stats land only after this runs.
@@ -146,14 +147,15 @@ class ReplayRunner {
   /// the next runs: the Timing transaction walk and, for an unvalidated
   /// tape, its relocation check.
   void replay(LaneSet& lanes, Dim3 block_idx, const ClassState& cs,
-              L2Cache* const_cache, L2Cache& gm_l2, KernelStats& stats);
+              L2Cache* const_cache, L2Cache& gm_l2, KernelStats& stats,
+              PatternCache* pattern);
   /// Walks the segment's transactions (a prefix of trace.txs from
   /// `next_tx`) through the address-dependent analyzers; returns the index
   /// of the first transaction of a later segment.
   std::size_t walk_segment(LaneSet& lanes, Dim3 block_idx,
                            const BlockTrace& trace, std::size_t next_tx,
                            L2Cache* const_cache, L2Cache& gm_l2,
-                           KernelStats& stats);
+                           KernelStats& stats, PatternCache* pattern);
   /// Analytic serving: charges the class's invariant + compute + addr_dep
   /// deltas without touching memory.
   void serve_analytic(const ClassState& cs, KernelStats& stats);
@@ -182,7 +184,6 @@ class ReplayRunner {
   u64 max_rounds_;
   const BlockClassifier& classify_;
   const ReplayOriginsFn& origins_fn_;
-  PatternCache* pattern_;
 
   bool analytic_ = false;
   std::unordered_map<u64, ClassState> classes_;

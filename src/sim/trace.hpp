@@ -9,7 +9,8 @@
 // BlockTrace; every later block of the class *replays* against it
 // (replay.hpp), re-running only the address-dependent analyzers
 // (coalescing + L2) on that block's own addresses and taking every
-// translation-invariant counter from the trace.
+// translation-invariant counter from the trace. A trace names each
+// recorded transaction's lanes by their warp and a lane mask (ReplayTx).
 #pragma once
 
 #include <cstring>
@@ -59,12 +60,13 @@ inline constexpr u64 trace_hash_access(u64 h, const Access& a) {
 
 /// One retired warp transaction whose cost depends on addresses (global or
 /// constant): replay re-analyzes it against the replayed lanes' own
-/// addresses. `lane_begin/lane_count` index BlockTrace::tx_lanes, listing
-/// the lanes that participated, in the captured retire order.
+/// addresses. A transaction never leaves its warp and retires its lanes in
+/// ascending order, so `lo` (the warp's first lane) and `mask` (bit i set:
+/// lane lo + i took part) name them exactly.
 struct ReplayTx {
   Op op;
-  u32 lane_begin = 0;
-  u32 lane_count = 0;
+  u32 lo = 0;
+  u32 mask = 0;
 };
 
 /// Everything recorded from the first executed block of a class.
@@ -85,7 +87,6 @@ struct BlockTrace {
   KernelStats addr_dep;
   /// Global/constant transactions in retire order (= cache probe order).
   std::vector<ReplayTx> txs;
-  std::vector<u32> tx_lanes;
   /// Per-lane congruence certificate: event-stream hash + retired events.
   std::vector<u64> lane_hash;
   std::vector<u32> lane_events;

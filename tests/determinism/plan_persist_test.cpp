@@ -292,38 +292,72 @@ bool is_tape_sidecar(const fs::path& p) {
   return envelope_key(p).ends_with("|tapes");
 }
 
-TEST(PlanPersist, DamagedStoreFallsBackAndHeals) {
-  sim::PlanCache plans(fresh_dir("damaged"));
-  const auto cold = run_general({.plans = &plans});
-
-  // Flip one byte in the plan blob. The store also holds its tape sidecar,
-  // so pick the plan by the key in its envelope, not by directory order.
-  fs::path blob;
+/// The store's plan blob files for `key`, not counting its tape sidecar.
+std::vector<fs::path> plan_blobs(const sim::PlanCache& plans,
+                                 const std::string& key) {
+  std::vector<fs::path> out;
   for (const auto& e : fs::directory_iterator(plans.dir())) {
-    const std::string key = envelope_key(e.path());
-    if (!key.empty() && !key.ends_with("|tapes")) blob = e.path();
+    if (e.path().extension() == ".kplan" && envelope_key(e.path()) == key) {
+      out.push_back(e.path());
+    }
   }
-  ASSERT_FALSE(blob.empty());
-  {
-    std::FILE* f = std::fopen(blob.string().c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, -4, SEEK_END);
-    int ch = std::fgetc(f);
-    std::fseek(f, -4, SEEK_END);
-    std::fputc(ch ^ 0x20, f);
-    std::fclose(f);
+  return out;
+}
+
+TEST(PlanPersist, DamagedStoreFallsBackAndHeals) {
+  // Each damage on a fresh store: a flipped payload byte, which the
+  // checksum catches, and a blob of the previous format version. The
+  // checksum covers only the payload, so the version field (envelope byte
+  // 8, after the magic) is rewritten in place and nothing else changes.
+  const struct {
+    const char* dir;
+    const char* status;
+  } damages[] = {{"damaged", "corrupt"}, {"stale_version", "stale-version"}};
+  for (const auto& d : damages) {
+    SCOPED_TRACE(d.status);
+    sim::PlanCache plans(fresh_dir(d.dir));
+    const auto cold = run_general({.plans = &plans});
+
+    // The store also holds the tape sidecar, so pick the plan by the key in
+    // its envelope, not by directory order.
+    std::string key;
+    for (const auto& e : fs::directory_iterator(plans.dir())) {
+      const std::string k = envelope_key(e.path());
+      if (!k.empty() && !k.ends_with("|tapes")) key = k;
+    }
+    ASSERT_FALSE(key.empty());
+    const std::vector<fs::path> blobs = plan_blobs(plans, key);
+    ASSERT_EQ(blobs.size(), 1u);
+    {
+      std::FILE* f = std::fopen(blobs[0].string().c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      if (std::string_view(d.status) == "corrupt") {
+        std::fseek(f, -4, SEEK_END);
+        int ch = std::fgetc(f);
+        std::fseek(f, -4, SEEK_END);
+        std::fputc(ch ^ 0x20, f);
+      } else {
+        const u32 old_version = sim::kPlanFormatVersion - 1;
+        std::fseek(f, 8, SEEK_SET);
+        ASSERT_EQ(std::fwrite(&old_version, sizeof(old_version), 1, f), 1u);
+      }
+      std::fclose(f);
+    }
+
+    const auto fallback = run_general({.plans = &plans});
+    EXPECT_FALSE(fallback.launch.plan_cache_hit);
+    EXPECT_EQ(fallback.launch.plan_cache_status, d.status);
+    expect_bytes_equal(fallback.output.flat(), cold.output.flat());
+    expect_invariant_stats(fallback.launch.stats, cold.launch.stats);
+
+    // The fallback capture re-stored a good plan in place of the damaged
+    // one, not beside it.
+    EXPECT_EQ(plan_blobs(plans, key).size(), 1u);
+    const auto healed = run_general({.plans = &plans});
+    EXPECT_TRUE(healed.launch.plan_cache_hit);
+    EXPECT_EQ(healed.launch.plan_cache_status, "hit");
+    expect_bytes_equal(healed.output.flat(), cold.output.flat());
   }
-
-  const auto fallback = run_general({.plans = &plans});
-  EXPECT_FALSE(fallback.launch.plan_cache_hit);
-  EXPECT_EQ(fallback.launch.plan_cache_status, "corrupt");
-  expect_bytes_equal(fallback.output.flat(), cold.output.flat());
-  expect_invariant_stats(fallback.launch.stats, cold.launch.stats);
-
-  // The fallback capture re-stored a good plan.
-  const auto healed = run_general({.plans = &plans});
-  EXPECT_TRUE(healed.launch.plan_cache_hit);
-  expect_bytes_equal(healed.output.flat(), cold.output.flat());
 }
 
 TEST(PlanPersist, DamagedTapeSidecarStillServesWarmByFastForward) {

@@ -4,6 +4,7 @@
 // blocks, on direct execution and on fast-forward replay alike.
 #include "src/sim/block_exec.hpp"
 
+#include <bit>
 #include <cstring>
 #include <optional>
 
@@ -230,7 +231,11 @@ TEST(SegmentReplay, ConstHeavyReplayIsExactAndHoldsOneSegment) {
   // Each lane's whole-block global/constant event count: one slot in the
   // trace per transaction the lane took part in.
   std::vector<std::size_t> block_events(direct.capacity.size(), 0);
-  for (const u32 t : trace.tx_lanes) ++block_events[t];
+  for (const ReplayTx& tx : trace.txs) {
+    for (u32 m = tx.mask; m != 0; m &= m - 1) {
+      ++block_events[tx.lo + std::countr_zero(m)];
+    }
+  }
 
   for (const SegmentRun* r : {&cold, &warm}) {
     const auto diff = stats_mismatches(direct.stats, r->stats,

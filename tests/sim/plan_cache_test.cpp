@@ -6,7 +6,8 @@
 // reported as a distinct miss reason instead of returning questionable
 // bytes; an unusable directory fails loudly at construction. Plus the
 // PlanWriter/PlanReader primitives and the plan_matches staleness
-// classification that plan_io layers on top.
+// classification that plan_io layers on top, and the payload parser's
+// answer to damaged bytes: reject or round-trip, never crash.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -17,7 +18,10 @@
 #include <gtest/gtest.h>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
+#include "src/kernels/special_conv.hpp"
 #include "src/sim/arch.hpp"
+#include "src/sim/device.hpp"
 #include "src/sim/plan_cache.hpp"
 #include "src/sim/plan_io.hpp"
 
@@ -385,24 +389,91 @@ TEST(PlanPayload, CorruptPayloadBytesAreRejectedNotMisparsed) {
   EXPECT_EQ(why, "corrupt-payload");
 }
 
-TEST(PlanPayload, TransactionWithoutLanesIsRejected) {
-  // Replay's segment walk reads each transaction's first lane, so a
-  // structurally valid plan must name at least one.
+TEST(PlanPayload, TransactionMaskMustNameLanesOfTheBlock) {
+  // Replay's segment walk reads the lanes a transaction's mask names, so a
+  // structurally valid plan names at least one lane and none past the
+  // block's last. The block is one full warp and a partial one of 8 lanes.
   LaunchPlan plan;
   plan.cfg.grid = {2, 1, 1};
-  plan.cfg.block = {2, 1, 1};
+  plan.cfg.block = {40, 1, 1};
   PlanClass pc;
-  pc.trace.txs = {{Op::LoadGlobal, 0, 2}, {Op::LoadConst, 2, 0}};
-  pc.trace.tx_lanes = {0, 1};
-  pc.trace.lane_hash = {1, 2};
-  pc.trace.lane_events = {1, 1};
+  pc.trace.txs = {{Op::LoadGlobal, 0, ~0u}, {Op::LoadConst, 32, 0xFF}};
+  pc.trace.lane_hash.assign(40, 1);
+  pc.trace.lane_events.assign(40, 1);
   plan.classes.push_back(pc);
   LaunchPlan out;
   std::string why;
+  EXPECT_TRUE(deserialize_plan(serialize_plan(plan), out, &why)) << why;
+  ASSERT_EQ(out.classes.size(), 1u);
+  EXPECT_EQ(out.classes[0].trace.txs[1].lo, 32u);
+  EXPECT_EQ(out.classes[0].trace.txs[1].mask, 0xFFu);
+
+  plan.classes[0].trace.txs[1].mask = 0;  // names no lane
   EXPECT_FALSE(deserialize_plan(serialize_plan(plan), out, &why));
   EXPECT_EQ(why, "corrupt-payload");
-  plan.classes[0].trace.txs.pop_back();
-  EXPECT_TRUE(deserialize_plan(serialize_plan(plan), out, &why)) << why;
+  plan.classes[0].trace.txs[1].mask = 0x1FF;  // bit 8 is lane 40
+  EXPECT_FALSE(deserialize_plan(serialize_plan(plan), out, &why));
+  EXPECT_EQ(why, "corrupt-payload");
+}
+
+TEST(PlanPayload, CapturedTimingPayloadSurvivesTruncationAndBitFlips) {
+  // A real plan payload, captured by a replaying Timing launch of the
+  // special kernel (3 x 6 blocks of 64 lanes).
+  PlanCache plans(fresh_dir("payload_sweep"));
+  Rng rng(3);
+  tensor::Tensor img = tensor::Tensor::image(1, 24, 24);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(8, 1, 5);
+  flt.fill_random(rng);
+  kernels::SpecialConvConfig cfg;
+  cfg.block_w = 16;
+  cfg.block_h = 4;
+  LaunchOptions opt;
+  opt.replay = true;
+  opt.plan_cache = &plans;
+  Device dev(kepler_k40m());
+  (void)kernels::special_conv(dev, img, flt, cfg, opt);
+
+  std::string payload;
+  for (const auto& e : fs::directory_iterator(plans.dir())) {
+    const std::string blob = read_file(e.path().string());
+    PlanReader r(blob);
+    char magic[8];
+    ASSERT_TRUE(r.raw(magic, sizeof(magic)));
+    ASSERT_EQ(r.get_u32(), kPlanFormatVersion);
+    std::string why;
+    ASSERT_TRUE(plans.load(r.get_str(), payload, &why)) << why;
+  }
+  LaunchPlan plan;
+  std::string why;
+  ASSERT_TRUE(deserialize_plan(payload, plan, &why)) << why;
+  ASSERT_FALSE(plan.classes.empty());
+  ASSERT_EQ(plan.trace_level, static_cast<u8>(TraceLevel::Timing));
+
+  // The class count is fixed up front, so no proper prefix is a plan.
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    LaunchPlan out;
+    ASSERT_FALSE(deserialize_plan(std::string_view(payload).substr(0, n), out,
+                                  &why))
+        << "prefix " << n;
+    ASSERT_EQ(why, "corrupt-payload") << "prefix " << n;
+  }
+  // A flipped bit is rejected, or it parses into a plan that serializes
+  // back to exactly the flipped bytes: nothing is read but not kept.
+  Rng flips(0x5eed);
+  std::string flipped = payload;
+  for (int i = 0; i < 2048; ++i) {
+    const std::size_t byte = flips.below(payload.size());
+    const char bit = static_cast<char>(1u << flips.below(8));
+    flipped[byte] ^= bit;
+    LaunchPlan out;
+    if (deserialize_plan(flipped, out, &why)) {
+      ASSERT_EQ(serialize_plan(out), flipped) << "byte " << byte;
+    } else {
+      ASSERT_EQ(why, "corrupt-payload") << "byte " << byte;
+    }
+    flipped[byte] ^= bit;
+  }
 }
 
 }  // namespace

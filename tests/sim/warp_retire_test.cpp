@@ -249,13 +249,16 @@ void ref_retire(const Arch& arch, RefCaches& caches, Op op,
   }
 }
 
-void ref_record_tx(BlockTrace& trace, Op op, const std::vector<u32>& lanes) {
+/// Records the transaction as (op, warp's first lane, lane mask), building
+/// the mask from the explicit lane list.
+void ref_record_tx(BlockTrace& trace, Op op, u32 lo,
+                   const std::vector<u32>& lanes) {
   if (op != Op::LoadGlobal && op != Op::StoreGlobal && op != Op::LoadConst) {
     return;
   }
-  trace.txs.push_back({op, static_cast<u32>(trace.tx_lanes.size()),
-                       static_cast<u32>(lanes.size())});
-  trace.tx_lanes.insert(trace.tx_lanes.end(), lanes.begin(), lanes.end());
+  u32 mask = 0;
+  for (const u32 t : lanes) mask |= 1u << (t - lo);
+  trace.txs.push_back({op, lo, mask});
 }
 
 /// Executes one block lane by lane, each lane recording into a log of its
@@ -349,7 +352,7 @@ void reference_block(const Arch& arch, const KernelBody& body,
             sub_lanes.push_back(group_lanes[i]);
           }
           ref_retire(arch, caches, op, sub, stats, seg);
-          ref_record_tx(trace, op, sub_lanes);
+          ref_record_tx(trace, op, lo, sub_lanes);
         }
         stats.divergent_retires += kinds - 1;
       }
@@ -391,10 +394,9 @@ void expect_same_trace(const BlockTrace& want, const BlockTrace& got) {
   ASSERT_EQ(want.txs.size(), got.txs.size());
   for (std::size_t i = 0; i < want.txs.size(); ++i) {
     EXPECT_EQ(want.txs[i].op, got.txs[i].op) << "tx " << i;
-    EXPECT_EQ(want.txs[i].lane_begin, got.txs[i].lane_begin) << "tx " << i;
-    EXPECT_EQ(want.txs[i].lane_count, got.txs[i].lane_count) << "tx " << i;
+    EXPECT_EQ(want.txs[i].lo, got.txs[i].lo) << "tx " << i;
+    EXPECT_EQ(want.txs[i].mask, got.txs[i].mask) << "tx " << i;
   }
-  EXPECT_EQ(want.tx_lanes, got.tx_lanes);
   EXPECT_EQ(want.lane_hash, got.lane_hash);
   EXPECT_EQ(want.lane_events, got.lane_events);
 }
