@@ -20,13 +20,21 @@
 //
 // Shapes are deliberately moderate-grid: that is the regime the plan cache
 // targets (representative execution dominates the in-launch replay cost;
-// huge grids amortize their few representatives and see ~1x). Each mode is
-// timed min-of-N to keep small-shape noise out of the committed baseline.
+// huge grids amortize their few representatives and see ~1x).
+//
+// A single wall-clock reading swings by tens of percent on a shared host,
+// so each shape runs one untimed warm-up of every mode, then kRepeats
+// timed rounds of the five modes in dependency order (each plan_cold
+// rewrites the store the following warm modes read), so host drift hits
+// every mode alike. `seconds` is the median, with `seconds_min` and
+// `nrepeat` beside it; `blocks_per_sec` and the speedups derive from the
+// medians.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/kernels/general_conv.hpp"
@@ -37,10 +45,7 @@ using namespace kconv;
 
 namespace {
 
-// Min-of-N: host timing noise on this class of runner is large relative to
-// the warm-path costs being compared, and the minimum converges on the true
-// cost much faster than the mean.
-constexpr int kIters = 5;
+constexpr int kRepeats = 5;
 
 struct Shape {
   const char* name;
@@ -65,51 +70,59 @@ std::string store_dir(const Shape& s) {
 Timed run_shape(const Shape& s, Mode mode) {
   const auto img = bench::make_image(s.c, s.n, s.n);
   const auto flt = bench::make_filters(s.f, s.c, s.k);
+  // Each cold run pays the full cold path: capture + serialize + write.
   if (mode == Mode::PlanCold) std::filesystem::remove_all(store_dir(s));
-
-  Timed best;
-  for (int it = 0; it < kIters; ++it) {
-    if (mode == Mode::PlanCold) {
-      // Each iteration pays the full cold path: capture + serialize + write.
-      std::filesystem::remove_all(store_dir(s));
-    }
-    sim::Device dev(sim::kepler_k40m());
-    sim::LaunchOptions opt;
-    opt.trace = sim::TraceLevel::Functional;
-    opt.num_threads = 1;
-    opt.replay = mode != Mode::Full;
-    opt.analytic = mode == Mode::AnalyticWarm;
-    // A fresh PlanCache every iteration: warm timings include the honest
-    // per-process costs (directory probe, envelope load, prime).
-    std::unique_ptr<sim::PlanCache> plans;
-    const auto t0 = std::chrono::steady_clock::now();
-    if (mode != Mode::Full && mode != Mode::Replay) {
-      plans = std::make_unique<sim::PlanCache>(store_dir(s));
-      opt.plan_cache = plans.get();
-    }
-    Timed t;
-    if (std::strcmp(s.kernel, "general") == 0) {
-      t.run = kernels::general_conv(dev, img, flt,
-                                    kernels::table1_config(s.k), opt);
-    } else {
-      t.run = kernels::special_conv(dev, img, flt, {}, opt);
-    }
-    t.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    t.blocks = t.run.launch.blocks_total;
-    if (it == 0 || t.seconds < best.seconds) best = std::move(t);
+  sim::Device dev(sim::kepler_k40m());
+  sim::LaunchOptions opt;
+  opt.trace = sim::TraceLevel::Functional;
+  opt.num_threads = 1;
+  opt.replay = mode != Mode::Full;
+  opt.analytic = mode == Mode::AnalyticWarm;
+  // A fresh PlanCache every run: warm timings include the honest
+  // per-process costs (directory probe, envelope load, prime).
+  std::unique_ptr<sim::PlanCache> plans;
+  const auto t0 = std::chrono::steady_clock::now();
+  if (mode != Mode::Full && mode != Mode::Replay) {
+    plans = std::make_unique<sim::PlanCache>(store_dir(s));
+    opt.plan_cache = plans.get();
   }
-  return best;
+  Timed t;
+  if (std::strcmp(s.kernel, "general") == 0) {
+    t.run = kernels::general_conv(dev, img, flt,
+                                  kernels::table1_config(s.k), opt);
+  } else {
+    t.run = kernels::special_conv(dev, img, flt, {}, opt);
+  }
+  t.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  t.blocks = t.run.launch.blocks_total;
+  return t;
 }
 
-void emit_mode(const char* name, const Timed& t, bool hit_expected,
+/// One mode's timed runs: the sorted wall times and the last run, whose
+/// outputs and counters the report compares.
+struct Series {
+  std::vector<double> seconds;
+  Timed last;
+
+  void add(Timed t) {
+    seconds.push_back(t.seconds);
+    last = std::move(t);
+  }
+  double median() const { return seconds[seconds.size() / 2]; }
+  double min() const { return seconds.front(); }
+};
+
+void emit_mode(const char* name, const Series& m, bool hit_expected,
                bool first) {
+  const Timed& t = m.last;
   std::printf(
       "%s      {\"mode\": \"%s\", \"seconds\": %.4f, "
-      "\"blocks_per_sec\": %.1f,\n"
+      "\"seconds_min\": %.4f, \"nrepeat\": %d, \"blocks_per_sec\": %.1f,\n"
       "       \"blocks_replayed\": %llu, \"plan_cache_hit\": %s%s}",
-      first ? "" : ",\n", name, t.seconds, t.blocks / t.seconds,
+      first ? "" : ",\n", name, m.median(), m.min(), kRepeats,
+      t.blocks / m.median(),
       static_cast<unsigned long long>(t.run.launch.blocks_replayed),
       t.run.launch.plan_cache_hit ? "true" : "false",
       hit_expected && !t.run.launch.plan_cache_hit ? ", \"ERROR\": \"expected a plan hit\""
@@ -117,12 +130,27 @@ void emit_mode(const char* name, const Timed& t, bool hit_expected,
 }
 
 void report(const Shape& s, bool first) {
-  const Timed full = run_shape(s, Mode::Full);
-  const Timed replay = run_shape(s, Mode::Replay);
-  const Timed cold = run_shape(s, Mode::PlanCold);
-  const Timed warm = run_shape(s, Mode::PlanWarm);
-  const Timed ana = run_shape(s, Mode::AnalyticWarm);
+  // Dependency order: each plan_cold rewrites the store that the warm
+  // modes after it read.
+  constexpr Mode kModes[] = {Mode::Full, Mode::Replay, Mode::PlanCold,
+                             Mode::PlanWarm, Mode::AnalyticWarm};
+  for (const Mode mode : kModes) (void)run_shape(s, mode);
+  Series by_mode[std::size(kModes)];
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (const Mode mode : kModes) {
+      by_mode[static_cast<int>(mode)].add(run_shape(s, mode));
+    }
+  }
   std::filesystem::remove_all(store_dir(s));
+  for (Series& m : by_mode) std::sort(m.seconds.begin(), m.seconds.end());
+  const auto series = [&](Mode m) -> const Series& {
+    return by_mode[static_cast<int>(m)];
+  };
+  const Timed& full = series(Mode::Full).last;
+  const Timed& replay = series(Mode::Replay).last;
+  const Timed& cold = series(Mode::PlanCold).last;
+  const Timed& warm = series(Mode::PlanWarm).last;
+  const Timed& ana = series(Mode::AnalyticWarm).last;
 
   const bool outputs_ok = bench::outputs_identical(full.run, replay.run) &&
                           bench::outputs_identical(full.run, cold.run) &&
@@ -142,17 +170,18 @@ void report(const Shape& s, bool first) {
               static_cast<long long>(s.c), static_cast<long long>(s.n),
               static_cast<long long>(s.f), static_cast<long long>(s.k),
               static_cast<unsigned long long>(full.blocks));
-  emit_mode("full", full, false, true);
-  emit_mode("replay", replay, false, false);
-  emit_mode("plan_cold", cold, false, false);
-  emit_mode("plan_warm", warm, true, false);
-  emit_mode("analytic_warm", ana, true, false);
+  emit_mode("full", series(Mode::Full), false, true);
+  emit_mode("replay", series(Mode::Replay), false, false);
+  emit_mode("plan_cold", series(Mode::PlanCold), false, false);
+  emit_mode("plan_warm", series(Mode::PlanWarm), true, false);
+  emit_mode("analytic_warm", series(Mode::AnalyticWarm), true, false);
   std::printf(
       "\n    ],\n"
       "     \"warm_vs_replay\": %.2f, \"analytic_vs_full\": %.2f,\n"
       "     \"outputs_identical\": %s, \"invariant_stats_equal\": %s,\n"
       "     \"analytic_outputs_skipped\": %s}",
-      replay.seconds / warm.seconds, full.seconds / ana.seconds,
+      series(Mode::Replay).median() / series(Mode::PlanWarm).median(),
+      series(Mode::Full).median() / series(Mode::AnalyticWarm).median(),
       bench::verdict(outputs_ok), bench::verdict(stats_ok),
       bench::verdict(!ana.run.output_valid));
 }
@@ -164,9 +193,9 @@ int main() {
   // replay cost — the launch shapes a warm plan is for (autotune probes,
   // short layers, repeated CLI invocations). The general shapes warm-replay
   // through per-block fast-forward; the c=1 special shape is a small
-  // filter-heavy grid whose in-launch replay pays capture + tape validation
-  // for only a handful of blocks (its warm path also fast-forwards: the
-  // grid sits under the tape-sidecar amortization gate).
+  // filter-heavy grid whose in-launch replay pays capture for only a
+  // handful of blocks (its blocks all fast-forward: the grid sits under
+  // the 16-block cutoff below which no launch makes tapes).
   const Shape shapes[] = {
       {"gen_c32_n56_f64_k3", "general", 32, 56, 64, 3},
       {"gen_c16_n40_f32_k5", "general", 16, 40, 32, 5},
@@ -174,7 +203,7 @@ int main() {
   };
   std::printf("{\"bench\": \"plan_cache\", \"trace\": \"functional\", "
               "\"num_threads\": 1, \"iters\": %d,\n",
-              kIters);
+              kRepeats);
   std::printf(" \"shapes\": [\n");
   bool first = true;
   for (const Shape& s : shapes) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Builds four test suites under Address+UndefinedBehaviorSanitizer and
+# Builds six test suites under Address+UndefinedBehaviorSanitizer and
 # runs them.
 #
 #   - the determinism label: the trace-replay engine, the heaviest pointer
@@ -10,7 +10,12 @@
 #     serving driver's per-request roll-ups;
 #   - kconv_obs_test: the telemetry sink, metrics registry and report;
 #   - kconv_sim_test: the executor, including the chunk-owned LaneSet whose
-#     recycled coroutine frames are poisoned while on the free list.
+#     recycled coroutine frames are poisoned while on the free list, and
+#     the plan payload and tape sidecar parsers fed damaged bytes;
+#   - kconv_common_test: the shared string helpers, the JSON escaper among
+#     them;
+#   - kconv_analysis_test: the hazard and lint reports that escape their
+#     messages into JSON.
 # UBSan rides along for free (the two compose, unlike TSan).
 #
 #   scripts/check_asan.sh [build-dir]            # default: build-asan
@@ -22,8 +27,11 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DKCONV_SANITIZE="${KCONV_SANITIZE:-address,undefined}"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target kconv_determinism_test \
-  kconv_serve_test kconv_obs_test kconv_sim_test
+  kconv_serve_test kconv_obs_test kconv_sim_test kconv_common_test \
+  kconv_analysis_test
 ctest --test-dir "$BUILD_DIR" -L determinism --output-on-failure
 "$BUILD_DIR/tests/kconv_serve_test"
 "$BUILD_DIR/tests/kconv_obs_test"
 "$BUILD_DIR/tests/kconv_sim_test"
+"$BUILD_DIR/tests/kconv_common_test"
+"$BUILD_DIR/tests/kconv_analysis_test"

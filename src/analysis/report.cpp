@@ -58,24 +58,6 @@ std::string format_hazard(const HazardRecord& r) {
               static_cast<unsigned long long>(r.second.op_index));
 }
 
-/// The only non-literal JSON strings are our own messages (plain ASCII),
-/// but escape the JSON-significant characters anyway.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::string json_hazard(const HazardRecord& r, const std::string& pad) {
   std::string o = pad + "{";
   o += strf("\"kind\": \"%s\", \"block\": [%u,%u,%u], ",

@@ -53,13 +53,6 @@ u64 fnv_str(u64 h, const std::string& s) {
   return fnv1a(h, s.data(), s.size());
 }
 
-sim::Dim3 unflatten(const sim::Dim3& grid, u64 flat) {
-  return sim::Dim3{static_cast<u32>(flat % grid.x),
-                   static_cast<u32>((flat / grid.x) % grid.y),
-                   static_cast<u32>(flat / (static_cast<u64>(grid.x) *
-                                            grid.y))};
-}
-
 bool is_smem(sim::Op op) {
   return op == sim::Op::LoadShared || op == sim::Op::StoreShared;
 }
@@ -555,7 +548,7 @@ StaticReport analyze(const sim::Arch& arch, const KernelModel& model,
   u64 first_flat = 0;
   const auto run_one = [&](u64 flat) {
     counters.begin_block();
-    model.emit(unflatten(model.cfg.grid, flat), counters);
+    model.emit(sim::unflatten(model.cfg.grid, flat), counters);
     counters.end_block();
     if (rep.blocks_analyzed == 0) {
       first_flat = flat;
@@ -579,7 +572,7 @@ StaticReport analyze(const sim::Arch& arch, const KernelModel& model,
       model.sites.begin(), model.sites.end(),
       [](const SiteDecl& d) { return is_smem(d.op); });
   if (opt.races && have_smem && model.cfg.shared_bytes > 0) {
-    const sim::Dim3 b0 = unflatten(model.cfg.grid, first_flat);
+    const sim::Dim3 b0 = sim::unflatten(model.cfg.grid, first_flat);
     RaceSink actual(model, arch.warp_size, /*superset=*/false);
     model.emit(b0, actual);
     actual.symmetrize();
@@ -654,26 +647,6 @@ CrossCheck cross_validate(const StaticReport& rep,
   cc.ok = cc.mismatches.empty();
   return cc;
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string format_static(const StaticReport& rep) {
   std::string out = "=== kconv-xray ===\n";

@@ -40,4 +40,20 @@ std::string human_bytes(double bytes) {
   return strf("%.1f %s", bytes, units[u]);
 }
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += strf("\\u%04x", static_cast<unsigned>(c));
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 }  // namespace kconv

@@ -90,26 +90,6 @@ void RunTotals::add_to(Metrics& m) const {
   m.gauge_max("arena_peak_bytes", static_cast<double>(arena_peak_bytes));
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += strf("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 TelemetrySink::TelemetrySink(std::string dir) : dir_(std::move(dir)) {
   KCONV_CHECK(!dir_.empty(), "telemetry output directory path is empty");
   std::error_code ec;

@@ -129,7 +129,7 @@ std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
   auto line = [&](const std::string& body, bool last = false) {
     out += pad + "  " + body + (last ? "\n" : ",\n");
   };
-  line(strf("\"dir\": \"%s\"", t.dir.c_str()));
+  line(strf("\"dir\": \"%s\"", json_escape(t.dir).c_str()));
   line(strf("\"events\": %llu", (unsigned long long)t.events));
   line(strf("\"snapshots\": %llu", (unsigned long long)t.snapshots));
   line(strf("\"metric_groups\": %llu", (unsigned long long)t.metric_groups));
@@ -159,15 +159,10 @@ std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
   out += pad + "  \"health\": [\n";
   const std::vector<HealthVerdict> verdicts = health_verdicts(t);
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    std::string detail;
-    for (char c : verdicts[i].detail) {
-      if (c == '"' || c == '\\') detail += '\\';
-      detail += c;
-    }
     out += pad + strf("    {\"name\": \"%s\", \"verdict\": \"%s\", "
                       "\"detail\": \"%s\"}%s\n",
                       verdicts[i].name.c_str(), verdicts[i].verdict.c_str(),
-                      detail.c_str(),
+                      json_escape(verdicts[i].detail).c_str(),
                       i + 1 < verdicts.size() ? "," : "");
   }
   out += pad + "  ]\n";

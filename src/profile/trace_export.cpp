@@ -28,22 +28,6 @@ double slice_us(const sim::Arch& arch, const PhaseSlice& sl) {
 
 using Emit = std::function<void(std::string)>;
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += strf("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // Emits one block timeline under `pid` with the given process label.
 // Shared by the single-launch export and the unified serving export.
 void emit_block_timeline(const Emit& emit, const sim::Arch& arch,
@@ -51,7 +35,7 @@ void emit_block_timeline(const Emit& emit, const sim::Arch& arch,
                          const std::string& label) {
   emit(strf("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %llu, "
             "\"tid\": 0, \"args\": {\"name\": \"%s\"}}",
-            pid, escape(label).c_str()));
+            pid, json_escape(label).c_str()));
   emit(strf("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %llu, "
             "\"tid\": 0, \"args\": {\"name\": \"phases\"}}",
             pid));
@@ -133,7 +117,7 @@ std::string unified_chrome_trace_json(
     emit(strf("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
               "\"tid\": %llu, \"args\": {\"name\": \"%s\"}}",
               (unsigned long long)lane,
-              escape(spans.front()->lane_name).c_str()));
+              json_escape(spans.front()->lane_name).c_str()));
     // Spans on a lane nest by construction; sort outer-first (earlier
     // begin, then longer) and emit B/E with an explicit stack so every
     // inner end precedes its enclosing end.
@@ -148,7 +132,7 @@ std::string unified_chrome_trace_json(
       while (!stack.empty() && stack.back()->end_us <= ts) {
         emit(strf("{\"name\": \"%s\", \"ph\": \"E\", \"pid\": 0, "
                   "\"tid\": %llu, \"ts\": %.3f}",
-                  escape(stack.back()->name).c_str(),
+                  json_escape(stack.back()->name).c_str(),
                   (unsigned long long)lane, stack.back()->end_us));
         stack.pop_back();
       }
@@ -158,7 +142,7 @@ std::string unified_chrome_trace_json(
       const double end = std::max(sp->end_us, sp->begin_us);
       emit(strf("{\"name\": \"%s\", \"ph\": \"B\", \"pid\": 0, "
                 "\"tid\": %llu, \"ts\": %.3f}",
-                escape(sp->name).c_str(), (unsigned long long)lane,
+                json_escape(sp->name).c_str(), (unsigned long long)lane,
                 sp->begin_us));
       stack.push_back(sp);
       // Keep the stack consistent even for zero-width spans.
@@ -190,7 +174,7 @@ std::string unified_chrome_trace_json(
         emit(strf("{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %llu, "
                   "\"tid\": %d, \"ts\": %.6f, \"dur\": %.6f, "
                   "\"args\": {\"bytes\": %llu}}",
-                  escape(sl->name).c_str(), pid, tid, sl->begin_us,
+                  json_escape(sl->name).c_str(), pid, tid, sl->begin_us,
                   sl->dur_us, (unsigned long long)sl->bytes));
       }
     }

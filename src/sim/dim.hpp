@@ -16,4 +16,11 @@ struct Dim3 {
   friend constexpr bool operator==(const Dim3&, const Dim3&) = default;
 };
 
+/// The block of `grid` at x-fastest linear index `flat`.
+inline constexpr Dim3 unflatten(const Dim3& grid, u64 flat) {
+  return Dim3{static_cast<u32>(flat % grid.x),
+              static_cast<u32>((flat / grid.x) % grid.y),
+              static_cast<u32>(flat / (static_cast<u64>(grid.x) * grid.y))};
+}
+
 }  // namespace kconv::sim

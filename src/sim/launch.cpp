@@ -16,21 +16,6 @@ namespace kconv::sim::detail {
 
 namespace {
 
-/// Grids smaller than this skip the tape sidecar on both the load and the
-/// store side of the plan cache. Tape blobs scale with the instruction
-/// stream (tens of MB for filter-heavy kernels) while their benefit over
-/// fast-forward replay scales with the number of blocks that share the
-/// load; a handful of blocks never pays the I/O back. The threshold is a
-/// host-side amortization heuristic, not a correctness knob — below it warm
-/// replay fast-forwards every block with identical outputs and counters.
-constexpr u64 kTapeSidecarMinBlocks = 16;
-
-Dim3 unflatten(const Dim3& grid, u64 flat) {
-  return Dim3{static_cast<u32>(flat % grid.x),
-              static_cast<u32>((flat / grid.x) % grid.y),
-              static_cast<u32>(flat / (static_cast<u64>(grid.x) * grid.y))};
-}
-
 /// One unit of the launch pipeline (docs/MODEL.md §5a): the launch-index
 /// ranges it runs, the L2 those blocks see, and the chunk's private state.
 /// Private state keeps concurrent chunks lock-free, and because every
@@ -137,19 +122,9 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   // Only a functional, non-analytic launch executes tapes, so only it pays
   // for loading the tape sidecar — the heavyweight part of a stored plan.
   // Analytic launches load the trace payload alone, which is what makes
-  // their warm path nearly free.
-  //
-  // The grid-size gate is an amortization cutoff: interpreting a tape beats
-  // fast-forward per block, but the sidecar can run to tens of megabytes
-  // (it scales with lane count x instruction stream, not with grid size),
-  // and reading it back only pays for itself when enough blocks share the
-  // cost. Below the cutoff warm replay uses per-block fast-forward, which
-  // is bit-identical — the tape is purely a throughput tier. The store key
-  // pins the launch config, so load and store sides of a key always agree
-  // on the gate.
-  const bool want_tapes = !analytic &&
-                          opt.trace == TraceLevel::Functional &&
-                          res.blocks_total >= kTapeSidecarMinBlocks;
+  // their warm path nearly free. A launch too small to make tapes
+  // (replay.hpp) never stored a sidecar, so its load is a plain miss.
+  const bool want_tapes = !analytic && opt.trace == TraceLevel::Functional;
   if (plan_enabled) {
     store_key = plan_store_key(opt.plan_key, arch, cfg, opt.trace);
     std::string blob;
@@ -180,7 +155,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
           std::string_view tape_payload;
           // A missing/damaged sidecar is not a plan miss: the traces are
           // intact, so warm replay still serves every block — through
-          // per-block fast-forward instead of the tape interpreter.
+          // per-block fast-forward until a class makes its tape afresh.
           if (plans->load_view(plan_tape_key(store_key), tape_blob,
                                tape_payload)) {
             (void)deserialize_tapes(tape_payload, plan);
@@ -259,19 +234,12 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     if (replaying) {
       // Per-chunk trace table, like the per-chunk cache replicas: each
       // chunk captures its own class representatives. A warm plan primes
-      // every chunk's table, so no chunk executes a representative.
+      // every chunk's table with the plan's shared traces and tapes, so no
+      // chunk executes a representative.
       c.runner = std::make_unique<ReplayRunner>(
           arch, cfg, opt.trace, opt.max_rounds_per_block, classify, origins,
           analytic);
-      if (plan_hit) {
-        // A lone chunk adopts the plan by move, not copy: a post-capture
-        // store re-exports its classes from live runner state.
-        if (chunks.size() == 1) {
-          c.runner->prime(std::move(plan));
-        } else {
-          c.runner->prime(plan);
-        }
-      }
+      if (plan_hit) c.runner->prime(plan);
     }
     // Timeline capture is capped at the first profile_timeline_blocks of
     // the GLOBAL launch order, so the captured set is chunk-plan-invariant.
@@ -342,9 +310,11 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
                    });
   if (opt.hazard_check) analysis::finalize_hazards(checkers, res.analysis);
   if (plan_enabled && dirty) {
-    // Store-once: classes merge in chunk-index order (the first chunk to
-    // own a class wins) and exactly one store runs after every chunk
-    // finished, so concurrent chunks never race a sidecar write.
+    // Store-once: classes merge in chunk-index order (the first chunk's
+    // trace and the first tape any chunk made win) and exactly one store
+    // runs after every chunk finished, so concurrent chunks never race a
+    // sidecar write. Every primed runner holds the loaded classes, so the
+    // export keeps them even where a sampled launch never visited them.
     LaunchPlan out;
     out.arch = arch_fingerprint(arch);
     out.trace_level = static_cast<u8>(opt.trace);
@@ -354,19 +324,14 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     out.static_signature = opt.plan_static_signature != 0
                                ? opt.plan_static_signature
                                : plan.static_signature;
-    // Keep every loaded class (a sampled warm launch may not even visit
-    // some of them); export_plan appends only ids not already present.
-    out.classes = std::move(plan.classes);
     for (const Chunk& c : chunks) {
       if (c.runner != nullptr) c.runner->export_plan(out);
     }
     plans->store(store_key, serialize_plan(out));
     // An analytic warm launch never loaded the sidecar, so its view of the
     // tapes is incomplete — leave the stored sidecar alone rather than
-    // shrink it to the freshly captured classes. Small grids skip the
-    // sidecar symmetrically with the load gate: no future launch of this
-    // key (same config, same grid) would ever read it.
-    if (!(analytic && plan_hit) && res.blocks_total >= kTapeSidecarMinBlocks) {
+    // shrink it to the freshly captured classes.
+    if (!(analytic && plan_hit)) {
       const std::string tapes = serialize_tapes(out);
       if (!tapes.empty()) plans->store(plan_tape_key(store_key), tapes);
     }

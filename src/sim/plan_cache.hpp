@@ -39,7 +39,9 @@ namespace kconv::sim {
 /// v5: a trace transaction names its lanes by warp (first lane + lane
 ///     mask) instead of a lane-id list, and plans no longer carry the
 ///     pattern-cache tables (a warm launch rebuilds them).
-inline constexpr u32 kPlanFormatVersion = 5;
+/// v6: the tape sidecar drops the per-class validated byte: a tape is made
+///     only at its class's second block, which validates it.
+inline constexpr u32 kPlanFormatVersion = 6;
 
 /// Little-endian byte-buffer writer for plan payloads.
 class PlanWriter {

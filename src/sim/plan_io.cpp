@@ -216,10 +216,10 @@ bool tape_entry_valid(const TapeEntry& e, const LaneTape& lt,
       return e.a < ReplayOrigins::kMaxOrigins &&
              static_cast<u64>(e.b) + e.width <= slots;
     case TapeOp::LoadSm:
-      return dst_end <= slots &&
-             (masked || (e.rel >= 0 && static_cast<u64>(e.rel) +
-                                               4ull * e.width <=
-                                           shared_bytes));
+      // Capture never masks a shared load, and the interpreter reads one
+      // whatever its flags say.
+      return dst_end <= slots && e.rel >= 0 &&
+             static_cast<u64>(e.rel) + 4ull * e.width <= shared_bytes;
     case TapeOp::StoreSm:
       return static_cast<u64>(e.b) + e.width <= slots &&
              (masked || (e.rel >= 0 && static_cast<u64>(e.rel) +
@@ -245,6 +245,22 @@ bool tape_entry_valid(const TapeEntry& e, const LaneTape& lt,
       return true;
   }
   return false;
+}
+
+/// A global/constant access the interpreter dereferences must lie inside
+/// its origin's span, as capture builds the spans: enqueue_tape checks each
+/// block's spans against its buffers, not each entry.
+bool inside_span(const TapeEntry& e, const FuncTape::OriginSpan* spans) {
+  if ((e.op != TapeOp::LoadGm && e.op != TapeOp::LoadConst &&
+       e.op != TapeOp::StoreGm) ||
+      (e.flags & kTapeMasked) != 0) {
+    return true;
+  }
+  const FuncTape::OriginSpan& sp = spans[e.a];
+  return sp.used && e.width >= 1 && e.width <= 32 &&
+         (sp.widths & (1u << (e.width - 1))) != 0 && e.rel >= sp.min_rel &&
+         e.rel + 4ll * e.width <= sp.max_rel_end &&
+         (e.op != TapeOp::StoreGm || sp.has_store);
 }
 
 bool load_tape(PlanReader& r, u64 n_lanes, u32 shared_bytes, FuncTape& tape) {
@@ -278,6 +294,9 @@ bool load_tape(PlanReader& r, u64 n_lanes, u32 shared_bytes, FuncTape& tape) {
   if (!r.ok() || tape.max_slots > LaneTapeBuilder::kMaxSlots) return false;
   for (const LaneTape& lt : tape.lanes) {
     if (lt.n_slots > tape.max_slots) return false;
+    for (const TapeEntry& e : lt.entries) {
+      if (!inside_span(e, tape.spans)) return false;
+    }
   }
   return true;
 }
@@ -334,7 +353,7 @@ std::string serialize_plan(const LaunchPlan& plan) {
   w.put_u64(plan.classes.size());
   for (const PlanClass& pc : plan.classes) {
     w.put_u64(pc.id);
-    save_trace(w, pc.trace);
+    save_trace(w, *pc.trace);
   }
   return w.take();
 }
@@ -369,7 +388,9 @@ bool deserialize_plan(std::string_view payload, LaunchPlan& out,
   out.classes.resize(n_classes);
   for (PlanClass& pc : out.classes) {
     pc.id = r.get_u64();
-    if (!load_trace(r, n_lanes, pc.trace)) return fail("corrupt-payload");
+    auto trace = std::make_shared<BlockTrace>();
+    if (!load_trace(r, n_lanes, *trace)) return fail("corrupt-payload");
+    pc.trace = std::move(trace);
   }
   if (!r.at_end()) return fail("corrupt-payload");
   return true;
@@ -377,15 +398,14 @@ bool deserialize_plan(std::string_view payload, LaunchPlan& out,
 
 std::string serialize_tapes(const LaunchPlan& plan) {
   u64 n = 0;
-  for (const PlanClass& pc : plan.classes) n += pc.has_tape ? 1 : 0;
+  for (const PlanClass& pc : plan.classes) n += pc.tape != nullptr ? 1 : 0;
   if (n == 0) return {};
   PlanWriter w;
   w.put_u64(n);
   for (const PlanClass& pc : plan.classes) {
-    if (!pc.has_tape) continue;
+    if (pc.tape == nullptr) continue;
     w.put_u64(pc.id);
-    w.put_u8(pc.validated ? 1 : 0);
-    save_tape(w, pc.tape);
+    save_tape(w, *pc.tape);
   }
   return w.take();
 }
@@ -393,11 +413,7 @@ std::string serialize_tapes(const LaunchPlan& plan) {
 bool deserialize_tapes(std::string_view payload, LaunchPlan& plan,
                        std::string* why) {
   const auto fail = [&](const char* reason) {
-    for (PlanClass& pc : plan.classes) {
-      pc.tape = FuncTape{};
-      pc.has_tape = false;
-      pc.validated = false;
-    }
+    for (PlanClass& pc : plan.classes) pc.tape = nullptr;
     if (why != nullptr) *why = reason;
     return false;
   };
@@ -407,7 +423,6 @@ bool deserialize_tapes(std::string_view payload, LaunchPlan& plan,
   if (!r.ok() || n > plan.classes.size()) return fail("corrupt-tapes");
   for (u64 i = 0; i < n; ++i) {
     const u64 id = r.get_u64();
-    const bool validated = r.get_u8() != 0;
     PlanClass* pc = nullptr;
     for (PlanClass& cand : plan.classes) {
       if (cand.id == id) {
@@ -417,12 +432,12 @@ bool deserialize_tapes(std::string_view payload, LaunchPlan& plan,
     }
     // A tape for a class the plan does not know is a cross-write between
     // store entries; nothing in this sidecar is trustworthy.
-    if (pc == nullptr || pc->has_tape) return fail("stale-tapes");
-    if (!load_tape(r, n_lanes, plan.cfg.shared_bytes, pc->tape)) {
+    if (pc == nullptr || pc->tape != nullptr) return fail("stale-tapes");
+    auto tape = std::make_shared<FuncTape>();
+    if (!load_tape(r, n_lanes, plan.cfg.shared_bytes, *tape)) {
       return fail("corrupt-tapes");
     }
-    pc->has_tape = true;
-    pc->validated = validated;
+    pc->tape = std::move(tape);
   }
   if (!r.at_end()) return fail("corrupt-tapes");
   if (why != nullptr) *why = "hit";

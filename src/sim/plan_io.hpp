@@ -3,12 +3,14 @@
 // A LaunchPlan is everything a warm launch needs to replay *every* block of
 // a repeated kernel invocation with zero representative execution: the
 // per-class capture traces (stats splits, congruence hashes, transaction
-// schedules as warp lane masks) and the functional dataflow tapes where
-// captured. The chunk-local access-pattern tables (§5c) are never part of
-// it: a warm launch rebuilds them as it goes. The plan also records the
-// identity it was captured under — arch fingerprint, launch config, trace
-// level — and plan_matches() rejects any divergence before a single byte
-// is trusted.
+// schedules as warp lane masks) and the functional dataflow tapes of the
+// classes a launch saw a second block of. Every stored tape passed its
+// validate-then-trust check when it was made, so a warm launch interprets
+// it from the first block. The chunk-local access-pattern tables (§5c) are
+// never part of it: a warm launch rebuilds them as it goes. The plan also
+// records the identity it was captured under — arch fingerprint, launch
+// config, trace level — and plan_matches() rejects any divergence before a
+// single byte is trusted.
 //
 // Addresses are deliberately absent from the payload: traces store only
 // translation-invariant data (shared offsets, event hashes, lane schedules)
@@ -18,6 +20,7 @@
 // declaration at prime time (replay.hpp).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,19 +32,14 @@
 
 namespace kconv::sim {
 
-/// One block-equivalence class: its capture trace and (when the class was
-/// captured on a functional launch of a relocatable kernel) its tape.
+/// One block-equivalence class: its capture trace and (when a functional
+/// launch of a relocatable kernel saw a second block of the class) its
+/// tape, which that block already validated (replay.hpp). Both are
+/// immutable and shared with the replay runners a plan primes.
 struct PlanClass {
   u64 id = 0;
-  BlockTrace trace;
-  FuncTape tape;
-  bool has_tape = false;
-  /// True when the capturing launch fast-forward-validated the tape against
-  /// a second block of the class (replay.hpp): a warm launch adopting a
-  /// validated tape serves every block through the batched interpreter
-  /// without re-running the relocation proof. Unvalidated tapes (single
-  /// block classes) keep the warm-side check.
-  bool validated = false;
+  std::shared_ptr<const BlockTrace> trace;
+  std::shared_ptr<const FuncTape> tape;  // null: the class has none
 };
 
 /// The unit the plan cache stores per (kernel, shape, config, arch) key.
@@ -88,13 +86,12 @@ std::string serialize_plan(const LaunchPlan& plan);
 /// Parses and structurally validates a payload (vector sizes, transaction
 /// lane masks and lane counts against the embedded config). False with a reason on any
 /// inconsistency — the envelope checksum makes this unlikely, but a plan is
-/// never half-trusted. Classes come back with has_tape=false; attach the
+/// never half-trusted. Classes come back without tapes; attach the
 /// sidecar with deserialize_tapes() when the launch will execute tapes.
 bool deserialize_plan(std::string_view payload, LaunchPlan& out,
                       std::string* why = nullptr);
 
-/// Serializes the tape sidecar: the tapes (and validation verdicts) of
-/// every class that has one. Empty string when no class has a tape (timing
+/// Serializes the tape sidecar: the tape of every class that has one. Empty string when no class has a tape (timing
 /// captures, checked launches) — nothing worth a store entry.
 std::string serialize_tapes(const LaunchPlan& plan);
 

@@ -15,6 +15,17 @@
 
 namespace kconv::sim {
 
+namespace {
+
+/// Launches below this many blocks never make tapes. A tape costs a
+/// tagging re-run of the captured block, and its sidecar runs to tens of
+/// megabytes for filter-heavy kernels, while it pays back only through the
+/// blocks that share it. Below the cutoff every replayed block
+/// fast-forwards, with identical outputs and counters.
+constexpr u64 kTapeMinBlocks = 16;
+
+}  // namespace
+
 ReplayRunner::ReplayRunner(const Arch& arch, const LaunchConfig& cfg,
                            TraceLevel trace, u64 max_rounds,
                            const BlockClassifier& classify,
@@ -25,7 +36,12 @@ ReplayRunner::ReplayRunner(const Arch& arch, const LaunchConfig& cfg,
       max_rounds_(max_rounds),
       classify_(classify),
       origins_fn_(origins),
-      analytic_(analytic) {}
+      analytic_(analytic),
+      // The tape only serves functional launches (timing launches need the
+      // per-block transaction walk anyway) of relocatable kernels.
+      tapes_(trace == TraceLevel::Functional && !analytic &&
+             static_cast<bool>(origins) &&
+             cfg.grid.count() >= kTapeMinBlocks) {}
 
 void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
                        L2Cache& gm_l2, KernelStats& stats,
@@ -36,17 +52,21 @@ void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
     ClassState& cs = it->second;
     if (analytic_) {
       serve_analytic(cs, stats);
-      ++blocks_replayed_;
-      return;
-    }
-    if (cs.tape_ready && cs.validated) {
+    } else if (cs.tape != nullptr) {
       enqueue_tape(block_idx, cs, stats);
+    } else if (tapes_ && block_idx != cs.trace->captured_block) {
+      // The class's second block: tag the captured block, then
+      // fast-forward this one against the rebased tape. Passing that
+      // relocation proof is what lets every later block skip the
+      // coroutines (validate-then-trust).
+      auto tape = std::make_shared<const FuncTape>(capture_tape(lanes, cs));
+      replay(lanes, block_idx, cs, tape.get(), const_cache, gm_l2, stats,
+             pattern);
+      cs.tape = std::move(tape);
+      captured_fresh_ = true;
     } else {
-      // The first fast-forward block of a tape class doubles as the tape's
-      // relocation proof: replay() checks its access streams against the
-      // rebased tape before later blocks skip the coroutines.
-      replay(lanes, block_idx, cs, const_cache, gm_l2, stats, pattern);
-      if (cs.tape_ready) cs.validated = true;
+      replay(lanes, block_idx, cs, nullptr, const_cache, gm_l2, stats,
+             pattern);
     }
     ++blocks_replayed_;
     return;
@@ -57,106 +77,64 @@ void ReplayRunner::run(LaneSet& lanes, Dim3 block_idx, L2Cache* const_cache,
   // invariant part serves every replayed block, the compute part the tape
   // path (which has no lanes to recount), the addr_dep part analytic
   // launches.
-  ClassState cs;
+  auto trace = std::make_shared<BlockTrace>();
   KernelStats local;
   run_block(lanes, block_idx, trace_level_, max_rounds_, const_cache, gm_l2,
-            local, &cs.trace, pattern);
-  split_by_class(kKernelCounters, local, cs.trace.invariant,
-                 cs.trace.compute, cs.trace.addr_dep);
+            local, trace.get(), pattern);
+  split_by_class(kKernelCounters, local, trace->invariant, trace->compute,
+                 trace->addr_dep);
   stats += local;
-  // The dataflow tape only serves functional launches (timing launches
-  // need the per-block transaction walk anyway) of relocatable kernels.
-  if (trace_level_ == TraceLevel::Functional && origins_fn_) {
-    capture_tape(lanes, block_idx, cs);
-  }
-  classes_.emplace(cls, std::move(cs));
+  classes_[cls].trace = std::move(trace);
   captured_fresh_ = true;
 }
 
 void ReplayRunner::serve_analytic(const ClassState& cs, KernelStats& stats) {
-  stats += cs.trace.invariant;
-  stats += cs.trace.compute;
-  stats += cs.trace.addr_dep;
+  stats += cs.trace->invariant;
+  stats += cs.trace->compute;
+  stats += cs.trace->addr_dep;
   ++stats.blocks_executed;
 }
 
 void ReplayRunner::prime(const LaunchPlan& plan) {
-  // Copy-and-adopt: the parallel path primes several runners from one
-  // loaded plan, so each gets its own class state.
-  LaunchPlan copy;
-  copy.classes = plan.classes;
-  prime(std::move(copy));
-}
-
-void ReplayRunner::prime(LaunchPlan&& plan) {
   const u64 n_lanes = cfg_.block.count();
-  for (PlanClass& pc : plan.classes) {
-    if (classes_.count(pc.id) != 0) continue;
-    KCONV_CHECK(pc.trace.lane_events.size() == n_lanes &&
-                    pc.trace.lane_hash.size() == n_lanes,
+  for (const PlanClass& pc : plan.classes) {
+    KCONV_CHECK(pc.trace->lane_events.size() == n_lanes &&
+                    pc.trace->lane_hash.size() == n_lanes,
                 "plan class lane count does not match the launch config");
     ClassState cs;
-    cs.trace = std::move(pc.trace);
-    // Adopt the tape only on launch modes that would have captured one
-    // (functional, relocatable kernel, not analytic); otherwise the class
-    // replays through fast-forward exactly like a post-capture class.
+    cs.trace = pc.trace;
     // Origins are re-resolved against this process's buffers — the tape's
     // offsets are anchor-relative, so only the anchors are process-local.
-    if (pc.has_tape && trace_level_ == TraceLevel::Functional &&
-        origins_fn_ && !analytic_) {
-      cs.tape = std::move(pc.tape);
-      origins_fn_(cs.trace.captured_block, cs.origins);
+    // A tape needing more origins than the kernel declares is dropped, and
+    // the class replays through fast-forward until it makes a new one.
+    if (pc.tape != nullptr && tapes_) {
+      origins_fn_(cs.trace->captured_block, cs.origins);
       bool origins_ok = true;
-      for (u32 i = 0; i < ReplayOrigins::kMaxOrigins; ++i) {
-        if (cs.tape.spans[i].used && i >= cs.origins.count) {
-          origins_ok = false;
-        }
+      for (u32 i = cs.origins.count; i < ReplayOrigins::kMaxOrigins; ++i) {
+        origins_ok = origins_ok && !pc.tape->spans[i].used;
       }
-      if (origins_ok) {
-        cs.tape_ready = true;
-        // A tape the capturing launch already fast-forward-validated
-        // against a second block of the class is adopted as validated:
-        // the store key pins kernel/config/arch and the envelope checksum
-        // pins the bytes, so the relocation proof holds here too and every
-        // block goes straight to the batched interpreter. A tape whose
-        // class never got a second block at capture time keeps
-        // validated=false — this launch's first replayed block runs the
-        // event-by-event check before the class trusts it.
-        cs.validated = pc.validated;
-      } else {
-        cs.tape = FuncTape{};
-      }
+      if (origins_ok) cs.tape = pc.tape;
     }
     classes_.emplace(pc.id, std::move(cs));
   }
-  plan.classes.clear();
 }
 
 void ReplayRunner::export_plan(LaunchPlan& plan) const {
-  std::vector<const std::pair<const u64, ClassState>*> fresh;
-  fresh.reserve(classes_.size());
-  for (const auto& entry : classes_) {
-    bool present = false;
-    for (const PlanClass& pc : plan.classes) {
-      if (pc.id == entry.first) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) fresh.push_back(&entry);
-  }
-  std::sort(fresh.begin(), fresh.end(),
+  std::vector<const std::pair<const u64, ClassState>*> mine;
+  mine.reserve(classes_.size());
+  for (const auto& entry : classes_) mine.push_back(&entry);
+  std::sort(mine.begin(), mine.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : fresh) {
-    PlanClass pc;
-    pc.id = entry->first;
-    pc.trace = entry->second.trace;
-    if (entry->second.tape_ready) {
-      pc.has_tape = true;
-      pc.tape = entry->second.tape;
-      pc.validated = entry->second.validated;
+  for (const auto* entry : mine) {
+    const ClassState& cs = entry->second;
+    const auto have =
+        std::find_if(plan.classes.begin(), plan.classes.end(),
+                     [&](const PlanClass& pc) { return pc.id == entry->first; });
+    if (have == plan.classes.end()) {
+      plan.classes.push_back({entry->first, cs.trace, cs.tape});
+    } else if (have->tape == nullptr) {
+      have->tape = cs.tape;
     }
-    plan.classes.push_back(std::move(pc));
   }
 }
 
@@ -177,24 +155,22 @@ std::string congruence_error(u32 lane, Dim3 block_idx,
 }  // namespace
 
 void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
-                          const ClassState& cs, L2Cache* const_cache,
-                          L2Cache& gm_l2, KernelStats& stats,
-                          PatternCache* pattern) {
-  const BlockTrace& trace = cs.trace;
+                          const ClassState& cs, const FuncTape* check,
+                          L2Cache* const_cache, L2Cache& gm_l2,
+                          KernelStats& stats, PatternCache* pattern) {
+  const BlockTrace& trace = *cs.trace;
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
   KCONV_ASSERT(trace.lane_events.size() == n_lanes);
   const bool walk = trace_level_ == TraceLevel::Timing;
-  // An unvalidated tape is checked against this block's accesses as they
-  // stream past (the first fast-forward block of the class is the tape's
-  // relocation proof).
-  const bool check_tape = cs.tape_ready && !cs.validated;
+  // A fresh tape is checked against this block's accesses as they stream
+  // past: the class's second block is the tape's relocation proof.
   ReplayOrigins tape_origins;
-  if (check_tape) tape_origins = resolve_origins(block_idx, cs);
+  if (check != nullptr) tape_origins = resolve_origins(block_idx, cs);
 
   LaneSet::Scratch& sc = lanes.scratch;
   std::vector<u32>& cursors = sc.cursor;
   cursors.assign(n_lanes, 0);
-  if (check_tape) tape_cursors_.assign(n_lanes, 0);
+  if (check != nullptr) tape_cursors_.assign(n_lanes, 0);
   std::size_t next_tx = 0;
 
   // Fast-forward one barrier segment at a time: the lanes' memory ops
@@ -209,14 +185,16 @@ void ReplayRunner::replay(LaneSet& lanes, Dim3 block_idx,
       next_tx = walk_segment(lanes, block_idx, trace, next_tx, const_cache,
                              gm_l2, stats, pattern);
     }
-    if (check_tape) validate_tape_segment(lanes, block_idx, cs, tape_origins);
+    if (check != nullptr) {
+      validate_tape_segment(lanes, block_idx, *check, tape_origins);
+    }
   }
   if (walk && next_tx < trace.txs.size()) {
     const ReplayTx& tx = trace.txs[next_tx];
     KCONV_CHECK(false, congruence_error(tx.lo + std::countr_zero(tx.mask),
                                         block_idx, trace));
   }
-  if (check_tape) finish_tape_validation(block_idx, cs);
+  if (check != nullptr) finish_tape_validation(block_idx, *check);
 
   // Congruence check: the replayed block must have issued the same event
   // stream (ops, widths, shared offsets, sync placement) as the captured
@@ -300,11 +278,12 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
   return next_tx;
 }
 
-void ReplayRunner::capture_tape(LaneSet& lanes, Dim3 block_idx,
-                                ClassState& cs) {
+FuncTape ReplayRunner::capture_tape(LaneSet& lanes, ClassState& cs) {
+  const Dim3 block_idx = cs.trace->captured_block;
   origins_fn_(block_idx, cs.origins);
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
-  cs.tape.lanes.assign(n_lanes, LaneTape{});
+  FuncTape tape;
+  tape.lanes.assign(n_lanes, LaneTape{});
   builders_.resize(n_lanes);
 
   // Tagging re-run of the captured block: same fast-forward scheduling as
@@ -312,22 +291,21 @@ void ReplayRunner::capture_tape(LaneSet& lanes, Dim3 block_idx,
   // return NaN-boxed slots, fma records the dataflow, no functional memory
   // is touched (the capture run already produced the block's outputs).
   for (u32 t = 0; t < n_lanes; ++t) {
-    builders_[t].reset(&cs.tape.lanes[t], &cs.origins);
+    builders_[t].reset(&tape.lanes[t], &cs.origins);
   }
   lanes.start_tape(block_idx, builders_);
   lanes.run_to_end();
 
   // Shrink each lane's register file to its peak liveness — the builder's
   // SSA-style allocation would otherwise make the interpreter DRAM-bound.
-  for (LaneTape& lt : cs.tape.lanes) compact_lane_tape(lt);
+  for (LaneTape& lt : tape.lanes) compact_lane_tape(lt);
 
   // Summarize and pre-validate the tape so the interpreter's hot loop can
   // run unchecked: shared offsets are block-invariant (checked here, once),
   // and global/constant offsets reduce to per-origin spans that run_tape
   // checks against each block's own anchor.
-  cs.tape.max_slots = 0;
-  for (const LaneTape& lt : cs.tape.lanes) {
-    cs.tape.max_slots = std::max(cs.tape.max_slots, lt.n_slots);
+  for (const LaneTape& lt : tape.lanes) {
+    tape.max_slots = std::max(tape.max_slots, lt.n_slots);
     for (const TapeEntry& e : lt.entries) {
       switch (e.op) {
         case TapeOp::LoadSm:
@@ -343,7 +321,7 @@ void ReplayRunner::capture_tape(LaneSet& lanes, Dim3 block_idx,
         case TapeOp::LoadConst:
         case TapeOp::StoreGm: {
           if ((e.flags & kTapeMasked) != 0) break;
-          FuncTape::OriginSpan& sp = cs.tape.spans[e.a];
+          FuncTape::OriginSpan& sp = tape.spans[e.a];
           const i64 rel_end = e.rel + 4ll * e.width;
           if (!sp.used) {
             sp.used = true;
@@ -362,7 +340,7 @@ void ReplayRunner::capture_tape(LaneSet& lanes, Dim3 block_idx,
       }
     }
   }
-  cs.tape_ready = true;
+  return tape;
 }
 
 ReplayOrigins ReplayRunner::resolve_origins(Dim3 block_idx,
@@ -398,10 +376,10 @@ std::optional<Op> tape_access_op(TapeOp op) {
 }  // namespace
 
 void ReplayRunner::validate_tape_segment(const LaneSet& lanes,
-                                         Dim3 block_idx, const ClassState& cs,
+                                         Dim3 block_idx, const FuncTape& tape,
                                          const ReplayOrigins& o) {
   for (u32 t = 0; t < lanes.size(); ++t) {
-    const std::vector<TapeEntry>& entries = cs.tape.lanes[t].entries;
+    const std::vector<TapeEntry>& entries = tape.lanes[t].entries;
     u32& j = tape_cursors_[t];
     for (u32 k = 0; k < lanes.seg_len(t); ++k) {
       const Access& a = lanes.event(t, k);
@@ -430,9 +408,9 @@ void ReplayRunner::validate_tape_segment(const LaneSet& lanes,
 }
 
 void ReplayRunner::finish_tape_validation(Dim3 block_idx,
-                                          const ClassState& cs) {
-  for (u32 t = 0; t < cs.tape.lanes.size(); ++t) {
-    const std::vector<TapeEntry>& entries = cs.tape.lanes[t].entries;
+                                          const FuncTape& tape) {
+  for (u32 t = 0; t < tape.lanes.size(); ++t) {
+    const std::vector<TapeEntry>& entries = tape.lanes[t].entries;
     for (u32 j = tape_cursors_[t]; j < entries.size(); ++j) {
       KCONV_CHECK(
           !tape_access_op(entries[j].op),
@@ -455,7 +433,7 @@ void ReplayRunner::enqueue_tape(Dim3 block_idx, ClassState& cs,
   // a multiple of every access width the origin sees.
   ClassState::PendingBlock pb{};
   for (u32 i = 0; i < o.count; ++i) {
-    const FuncTape::OriginSpan& sp = cs.tape.spans[i];
+    const FuncTape::OriginSpan& sp = cs.tape->spans[i];
     if (!sp.used) continue;
     const ReplayOrigins::Entry& og = o.entries[i];
     const i64 anchor = static_cast<i64>(og.anchor_off);
@@ -490,8 +468,8 @@ void ReplayRunner::flush_tape(ClassState& cs, KernelStats& stats) {
     run_tape_batch<0>(cs, batch);
   }
   for (u32 b = 0; b < batch; ++b) {
-    stats += cs.trace.invariant;
-    stats += cs.trace.compute;
+    stats += cs.trace->invariant;
+    stats += cs.trace->compute;
     ++stats.blocks_executed;
   }
   cs.pending.clear();
@@ -575,7 +553,7 @@ template <u32 NB>
 void ReplayRunner::run_tape_batch(const ClassState& cs, u32 batch) {
   const u32 B = NB == 0 ? batch : NB;
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
-  const u32 max_slots = cs.tape.max_slots;
+  const u32 max_slots = cs.tape->max_slots;
   const std::size_t sm_floats = (cfg_.shared_bytes + 3) / 4;
   regs_.resize(static_cast<std::size_t>(n_lanes) * max_slots * B);
   smem_batch_.assign(sm_floats * B, 0.0f);
@@ -590,7 +568,7 @@ void ReplayRunner::run_tape_batch(const ClassState& cs, u32 batch) {
   while (pending) {
     pending = false;
     for (u32 t = 0; t < n_lanes; ++t) {
-      const LaneTape& tape = cs.tape.lanes[t];
+      const LaneTape& tape = cs.tape->lanes[t];
       const TapeEntry* es = tape.entries.data();
       const u32 n_e = static_cast<u32>(tape.entries.size());
       u32 cur = tape_cursors_[t];

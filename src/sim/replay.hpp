@@ -24,14 +24,16 @@
 //     global/constant accesses, never a whole block's.
 //
 // Kernels that additionally declare replay_origins (trace.hpp) get the
-// coroutine-free tier on functional launches: the captured block is re-run
-// once in tagging mode to record its load-compute-store dataflow, the
-// first replayed block of the class runs in fast-forward and is checked
-// event-by-event against the rebased tape, and every block after that is
-// produced by interpreting the tape directly — a tight vectorized loop
-// over wide multiply-add entries, with global/constant offsets rebased by
-// the per-buffer origin deltas. Stats for tape blocks are the class's
-// invariant + compute deltas (both class-invariant by congruence).
+// coroutine-free tier on functional launches of at least 16 blocks: when
+// a class's second block arrives, the captured block is re-run once in
+// tagging mode to record its load-compute-store dataflow, and the second
+// block runs in fast-forward, checked event-by-event against the rebased
+// tape. Every block after that is produced by interpreting the
+// tape directly — a tight vectorized loop over wide multiply-add entries,
+// with global/constant offsets rebased by the per-buffer origin deltas.
+// Singleton classes never tag, and every tape that exists has passed that
+// check. Stats for tape blocks are the class's invariant + compute deltas
+// (both class-invariant by congruence).
 //
 // Congruence is verified, not assumed: each segment's accesses must fill
 // exactly that segment's recorded transactions, and each lane's
@@ -40,6 +42,7 @@
 // misdeclared replay_class. See docs/MODEL.md §5b.
 #pragma once
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -93,39 +96,32 @@ class ReplayRunner {
 
   /// Seeds the class table from a warm plan (docs/MODEL.md §5d) before any
   /// block runs: primed classes replay from block one with zero
-  /// representative execution. Tapes are adopted only on the launch modes
-  /// that would have captured them, with origin anchors re-resolved against
-  /// the live kernel's replay_origins for the captured block (plans store
-  /// no addresses). A tape the capturing launch validated is trusted
-  /// outright (every block goes to the batched interpreter); an
-  /// unvalidated one is fast-forward-checked by this launch's first
-  /// replayed block of the class before the class trusts it.
+  /// representative execution. Traces and tapes are shared, not copied, so
+  /// every chunk of a launch primes from the one loaded plan. Tapes are
+  /// adopted only on the launch modes that would have made them, with
+  /// origin anchors re-resolved against the live kernel's replay_origins
+  /// for the captured block (plans store no addresses).
   void prime(const LaunchPlan& plan);
 
-  /// Move variant for launch paths whose plan is not reused afterwards
-  /// (the serial runner): adopts traces and tapes without the multi-
-  /// megabyte copies. Leaves `plan.classes` empty so a later export
-  /// re-exports everything from live runner state.
-  void prime(LaunchPlan&& plan);
-
-  /// Appends this runner's captured classes (skipping ids already in
-  /// `plan`) sorted by id, so merged multi-chunk exports are deterministic.
+  /// Adds this runner's classes to `plan`, sorted by id so merged
+  /// multi-chunk exports are deterministic: a class new to `plan` is
+  /// appended, and a class `plan` holds without a tape takes this
+  /// runner's. Exporting chunks in index order therefore keeps the first
+  /// chunk's trace of each class and the first tape any chunk made for it.
   void export_plan(LaunchPlan& plan) const;
 
-  /// True when any class was captured by execution in this run — the
-  /// signal that the store holds less than this runner now knows.
+  /// True when this run captured a class or made a tape — the signal that
+  /// the store holds less than this runner now knows.
   bool captured_fresh() const { return captured_fresh_; }
 
  private:
-  /// Everything a class accumulates: the capture trace, and (on functional
-  /// launches of relocatable kernels) the dataflow tape plus its
-  /// validation status.
+  /// Everything a class accumulates: the capture trace and (on functional
+  /// launches of relocatable kernels) the validated dataflow tape, both
+  /// immutable once made and shared with plans and other chunks.
   struct ClassState {
-    BlockTrace trace;
-    FuncTape tape;
+    std::shared_ptr<const BlockTrace> trace;
+    std::shared_ptr<const FuncTape> tape;
     ReplayOrigins origins;  // anchors declared for the captured block
-    bool tape_ready = false;
-    bool validated = false;
     /// Blocks queued for batched tape interpretation: per-origin base
     /// pointers, already rebased and prologue-validated at enqueue time.
     struct PendingBlock {
@@ -144,11 +140,11 @@ class ReplayRunner {
 
   /// Fast-forwards `block_idx` against its class trace one barrier segment
   /// at a time, consuming each segment's global/constant accesses before
-  /// the next runs: the Timing transaction walk and, for an unvalidated
-  /// tape, its relocation check.
+  /// the next runs: the Timing transaction walk and, when `check` is set,
+  /// the relocation check of that fresh tape.
   void replay(LaneSet& lanes, Dim3 block_idx, const ClassState& cs,
-              L2Cache* const_cache, L2Cache& gm_l2, KernelStats& stats,
-              PatternCache* pattern);
+              const FuncTape* check, L2Cache* const_cache, L2Cache& gm_l2,
+              KernelStats& stats, PatternCache* pattern);
   /// Walks the segment's transactions (a prefix of trace.txs from
   /// `next_tx`) through the address-dependent analyzers; returns the index
   /// of the first transaction of a later segment.
@@ -159,14 +155,15 @@ class ReplayRunner {
   /// Analytic serving: charges the class's invariant + compute + addr_dep
   /// deltas without touching memory.
   void serve_analytic(const ClassState& cs, KernelStats& stats);
-  /// Re-runs the captured block in tagging mode, filling cs.tape.
-  void capture_tape(LaneSet& lanes, Dim3 block_idx, ClassState& cs);
-  /// Checks the segment's recorded accesses against the tape rebased on
+  /// Re-runs the captured block in tagging mode, resolving cs.origins
+  /// for it and returning its tape.
+  FuncTape capture_tape(LaneSet& lanes, ClassState& cs);
+  /// Checks the segment's recorded accesses against `tape` rebased on
   /// `o`, event by event, advancing each lane's tape cursor.
   void validate_tape_segment(const LaneSet& lanes, Dim3 block_idx,
-                             const ClassState& cs, const ReplayOrigins& o);
+                             const FuncTape& tape, const ReplayOrigins& o);
   /// After the last segment: no lane's tape may hold unmatched accesses.
-  void finish_tape_validation(Dim3 block_idx, const ClassState& cs);
+  void finish_tape_validation(Dim3 block_idx, const FuncTape& tape);
   /// Validates this block's origins against the tape's per-origin spans
   /// and queues its rebased base pointers (flushing a full batch).
   void enqueue_tape(Dim3 block_idx, ClassState& cs, KernelStats& stats);
@@ -186,6 +183,10 @@ class ReplayRunner {
   const ReplayOriginsFn& origins_fn_;
 
   bool analytic_ = false;
+  /// Whether this launch makes and interprets tapes: functional, not
+  /// analytic, a relocatable kernel, and a grid large enough to pay back
+  /// the tagging re-run.
+  bool tapes_ = false;
   std::unordered_map<u64, ClassState> classes_;
   u64 blocks_replayed_ = 0;
   bool captured_fresh_ = false;

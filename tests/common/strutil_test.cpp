@@ -30,5 +30,16 @@ TEST(HumanBytes, Units) {
   EXPECT_EQ(human_bytes(2.0 * 1024 * 1024 * 1024), "2.0 GiB");
 }
 
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain text/ok"), "plain text/ok");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("C:\\dir"), "C:\\\\dir");
+  EXPECT_EQ(json_escape("a\tb\nc\rd"), "a\\u0009b\\u000ac\\u000dd");
+  EXPECT_EQ(json_escape(std::string("\0\x1f\x20", 3)),
+            "\\u0000\\u001f ");
+  // Bytes at or above 0x20, UTF-8 included, pass through unchanged.
+  EXPECT_EQ(json_escape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
+}
+
 }  // namespace
 }  // namespace kconv

@@ -329,6 +329,14 @@ TEST(Telemetry, ReportBlockRoundTripsWithHealthVerdicts) {
   EXPECT_EQ(tax->object.at("miss")->number, 2.0);
 }
 
+TEST(Telemetry, ReportBlockEscapesTheDirectory) {
+  ServingTelemetry t;
+  t.dir = "/tmp/tel\"q\\x\ty";
+  const auto doc =
+      testsupport::JsonReader(telemetry_to_json(t, 2)).parse();
+  EXPECT_EQ(doc->object.at("dir")->str, t.dir);
+}
+
 TEST(Telemetry, UnifiedTraceExportsAllTiers) {
   const Network net = serve::make_network("lenet-wide");
   TelemetrySink sink(fresh_dir("trace"));

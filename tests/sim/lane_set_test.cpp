@@ -226,7 +226,7 @@ TEST(SegmentReplay, ConstHeavyReplayIsExactAndHoldsOneSegment) {
   EXPECT_EQ(cold.replayed, 5u);
   EXPECT_EQ(warm.replayed, 6u);
 
-  const BlockTrace& trace = plan.classes[0].trace;
+  const BlockTrace& trace = *plan.classes[0].trace;
   EXPECT_GE(trace.invariant.barriers, 2u * 8u);
   // Each lane's whole-block global/constant event count: one slot in the
   // trace per transaction the lane took part in.

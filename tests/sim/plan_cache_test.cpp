@@ -396,22 +396,22 @@ TEST(PlanPayload, TransactionMaskMustNameLanesOfTheBlock) {
   LaunchPlan plan;
   plan.cfg.grid = {2, 1, 1};
   plan.cfg.block = {40, 1, 1};
-  PlanClass pc;
-  pc.trace.txs = {{Op::LoadGlobal, 0, ~0u}, {Op::LoadConst, 32, 0xFF}};
-  pc.trace.lane_hash.assign(40, 1);
-  pc.trace.lane_events.assign(40, 1);
-  plan.classes.push_back(pc);
+  auto trace = std::make_shared<BlockTrace>();
+  trace->txs = {{Op::LoadGlobal, 0, ~0u}, {Op::LoadConst, 32, 0xFF}};
+  trace->lane_hash.assign(40, 1);
+  trace->lane_events.assign(40, 1);
+  plan.classes.push_back({0, trace, nullptr});
   LaunchPlan out;
   std::string why;
   EXPECT_TRUE(deserialize_plan(serialize_plan(plan), out, &why)) << why;
   ASSERT_EQ(out.classes.size(), 1u);
-  EXPECT_EQ(out.classes[0].trace.txs[1].lo, 32u);
-  EXPECT_EQ(out.classes[0].trace.txs[1].mask, 0xFFu);
+  EXPECT_EQ(out.classes[0].trace->txs[1].lo, 32u);
+  EXPECT_EQ(out.classes[0].trace->txs[1].mask, 0xFFu);
 
-  plan.classes[0].trace.txs[1].mask = 0;  // names no lane
+  trace->txs[1].mask = 0;  // names no lane
   EXPECT_FALSE(deserialize_plan(serialize_plan(plan), out, &why));
   EXPECT_EQ(why, "corrupt-payload");
-  plan.classes[0].trace.txs[1].mask = 0x1FF;  // bit 8 is lane 40
+  trace->txs[1].mask = 0x1FF;  // bit 8 is lane 40
   EXPECT_FALSE(deserialize_plan(serialize_plan(plan), out, &why));
   EXPECT_EQ(why, "corrupt-payload");
 }
@@ -472,6 +472,115 @@ TEST(PlanPayload, CapturedTimingPayloadSurvivesTruncationAndBitFlips) {
     } else {
       ASSERT_EQ(why, "corrupt-payload") << "byte " << byte;
     }
+    flipped[byte] ^= bit;
+  }
+}
+
+/// The interpreter's side of a loaded tape: a global/constant access it
+/// dereferences lies inside its origin's span (enqueue_tape bounds-checks
+/// each block's spans, not its entries), and shared loads, which it runs
+/// masked or not, stay inside the block's shared memory.
+bool interpreter_safe(const FuncTape& tape, u32 shared_bytes) {
+  for (const LaneTape& lt : tape.lanes) {
+    for (const TapeEntry& e : lt.entries) {
+      const bool masked = (e.flags & kTapeMasked) != 0;
+      const i64 end = e.rel + 4ll * e.width;
+      if (e.op == TapeOp::LoadSm &&
+          (e.rel < 0 || end > static_cast<i64>(shared_bytes))) {
+        return false;
+      }
+      if ((e.op == TapeOp::LoadGm || e.op == TapeOp::LoadConst ||
+           e.op == TapeOp::StoreGm) &&
+          !masked) {
+        const FuncTape::OriginSpan& sp = tape.spans[e.a];
+        if (!sp.used || e.rel < sp.min_rel || end > sp.max_rel_end ||
+            e.width == 0 || e.width > 32 ||
+            (sp.widths & (1u << (e.width - 1))) == 0 ||
+            (e.op == TapeOp::StoreGm && !sp.has_store)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+TEST(PlanPayload, CapturedTapeSidecarSurvivesTruncationAndBitFlips) {
+  // A real sidecar, stored by a replaying Functional launch of the special
+  // kernel over 18 blocks whose interior class spans several blocks.
+  PlanCache plans(fresh_dir("sidecar_sweep"));
+  Rng rng(5);
+  tensor::Tensor img = tensor::Tensor::image(1, 20, 36);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(2, 1, 3);
+  flt.fill_random(rng);
+  kernels::SpecialConvConfig cfg;
+  cfg.block_w = 8;
+  cfg.block_h = 3;
+  LaunchOptions opt;
+  opt.trace = TraceLevel::Functional;
+  opt.replay = true;
+  opt.plan_cache = &plans;
+  Device dev(kepler_k40m());
+  const kernels::KernelRun run = kernels::special_conv(dev, img, flt, cfg, opt);
+  ASSERT_GE(run.launch.blocks_total, 16u);
+
+  std::string payload, sidecar;
+  for (const auto& e : fs::directory_iterator(plans.dir())) {
+    const std::string blob = read_file(e.path().string());
+    PlanReader r(blob);
+    char magic[8];
+    ASSERT_TRUE(r.raw(magic, sizeof(magic)));
+    ASSERT_EQ(r.get_u32(), kPlanFormatVersion);
+    const std::string key = r.get_str();
+    std::string why;
+    ASSERT_TRUE(plans.load(key, key.ends_with("|tapes") ? sidecar : payload,
+                           &why))
+        << why;
+  }
+  ASSERT_FALSE(payload.empty());
+  ASSERT_FALSE(sidecar.empty());
+  std::string why;
+  LaunchPlan plan;
+  ASSERT_TRUE(deserialize_plan(payload, plan, &why)) << why;
+  ASSERT_TRUE(deserialize_tapes(sidecar, plan, &why)) << why;
+  ASSERT_NE(serialize_tapes(plan), "");
+
+  // Each input fails as a whole, leaving no tape behind, or loads tapes
+  // that reload from their own serialization and that the interpreter can
+  // run without leaving its buffers.
+  const auto check = [&](std::string_view bytes, const std::string& what) {
+    LaunchPlan p;
+    ASSERT_TRUE(deserialize_plan(payload, p, &why)) << why;
+    if (!deserialize_tapes(bytes, p, &why)) {
+      ASSERT_TRUE(why == "corrupt-tapes" || why == "stale-tapes")
+          << what << ": " << why;
+      for (const PlanClass& pc : p.classes) {
+        ASSERT_EQ(pc.tape, nullptr) << what;
+      }
+      return;
+    }
+    LaunchPlan again;
+    ASSERT_TRUE(deserialize_plan(payload, again, &why)) << why;
+    ASSERT_TRUE(deserialize_tapes(serialize_tapes(p), again, &why))
+        << what << ": " << why;
+    for (const PlanClass& pc : p.classes) {
+      if (pc.tape == nullptr) continue;
+      ASSERT_EQ(pc.tape->lanes.size(), p.cfg.block.count()) << what;
+      ASSERT_TRUE(interpreter_safe(*pc.tape, p.cfg.shared_bytes)) << what;
+    }
+  };
+  for (std::size_t n = 0; n < sidecar.size(); ++n) {
+    check(std::string_view(sidecar).substr(0, n), "prefix " +
+                                                      std::to_string(n));
+  }
+  Rng flips(0x7a9e);
+  std::string flipped = sidecar;
+  for (int i = 0; i < 2048; ++i) {
+    const std::size_t byte = flips.below(sidecar.size());
+    const char bit = static_cast<char>(1u << flips.below(8));
+    flipped[byte] ^= bit;
+    check(flipped, "byte " + std::to_string(byte));
     flipped[byte] ^= bit;
   }
 }

@@ -72,8 +72,31 @@ class JsonReader {
       KCONV_CHECK(pos_ < text_.size(), "unterminated JSON string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      KCONV_CHECK(c != '\\', "escapes not used by the repo's emitters");
-      out += c;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      KCONV_CHECK(pos_ < text_.size(), "unterminated JSON escape");
+      switch (const char e = text_[pos_++]) {
+        case '"':
+        case '\\':
+        case '/': out += e; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          KCONV_CHECK(pos_ + 4 <= text_.size(), "truncated JSON \\u escape");
+          const unsigned long code =
+              std::stoul(text_.substr(pos_, 4), nullptr, 16);
+          KCONV_CHECK(code < 0x80, "non-ASCII \\u escapes are not supported");
+          out += static_cast<char>(code);
+          pos_ += 4;
+          break;
+        }
+        default: KCONV_CHECK(false, "invalid JSON escape");
+      }
     }
   }
 
