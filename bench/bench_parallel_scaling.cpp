@@ -8,11 +8,11 @@
 // row computes the same result — only the wall clock should move.
 //
 // A single wall-clock reading per thread count swings by tens of percent
-// on a shared host, so each section runs one untimed warm-up and then
-// times every thread count kRepeats times, round-robin across the counts
-// so host drift hits every count alike. `seconds` is the median (with
-// `seconds_min` and `nrepeat` beside it); `blocks_per_sec` and `speedup`
-// derive from the medians.
+// on a shared host, so each section runs one untimed warm-up per thread
+// count and then times every count kRepeats times, round-robin across the
+// counts so host drift hits every count alike (bench::time_round_robin).
+// `seconds` is the median (with `seconds_min` and `nrepeat` beside it);
+// `blocks_per_sec` and `speedup` derive from the medians.
 //
 // Emits one pure-JSON document (embedded as the artifact's "report" by
 // scripts/run_benches.sh). On a single-CPU host the thread pool can only
@@ -20,8 +20,6 @@
 // signal: the report carries "host_limited": true and the regression gate
 // (scripts/check_bench_regression.sh) skips speedup-ratio gating — but
 // NOT absolute blocks/sec gating — when it sees that flag.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -42,35 +40,6 @@ std::vector<u32> thread_counts() {
   return counts;
 }
 
-struct Timing {
-  double median = 0.0;
-  double min = 0.0;
-};
-
-/// Times run(threads) for every count in `counts`: one untimed warm-up at
-/// the first count, then kRepeats round-robin passes over all counts.
-template <typename Run>
-std::vector<Timing> time_round_robin(const std::vector<u32>& counts,
-                                     Run&& run) {
-  run(counts.front());
-  std::vector<std::vector<double>> samples(counts.size());
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      run(counts[i]);
-      samples[i].push_back(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-    }
-  }
-  std::vector<Timing> out;
-  for (std::vector<double>& s : samples) {
-    std::sort(s.begin(), s.end());
-    out.push_back({s[s.size() / 2], s.front()});
-  }
-  return out;
-}
-
 void launch_scaling() {
   const tensor::Tensor img = make_image(16, 128, 128);
   const tensor::Tensor flt = make_filters(64, 16, 3);
@@ -78,13 +47,16 @@ void launch_scaling() {
   const std::vector<u32> counts = thread_counts();
 
   u64 blocks = 0;
-  const auto times = time_round_robin(counts, [&](u32 t) {
-    sim::Device dev(sim::kepler_k40m());
-    sim::LaunchOptions opt;
-    opt.num_threads = t;
-    blocks = kernels::general_conv(dev, img, flt, cfg, opt)
-                 .launch.blocks_executed;
-  });
+  const auto times =
+      time_round_robin(counts.size(), kRepeats, [&](std::size_t i) {
+        return wall_seconds([&] {
+          sim::Device dev(sim::kepler_k40m());
+          sim::LaunchOptions opt;
+          opt.num_threads = counts[i];
+          blocks = kernels::general_conv(dev, img, flt, cfg, opt)
+                       .launch.blocks_executed;
+        });
+      });
 
   std::printf(" \"launch_scaling\": [\n");
   for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -104,10 +76,13 @@ void launch_scaling() {
 void autotune_scaling() {
   const std::vector<u32> counts = thread_counts();
   core::GeneralAutotuneResult res;
-  const auto times = time_round_robin(counts, [&](u32 t) {
-    sim::Device dev(sim::kepler_k40m());
-    res = core::autotune_general(dev, 5, 8, 64, 64, {}, 2, t);
-  });
+  const auto times =
+      time_round_robin(counts.size(), kRepeats, [&](std::size_t i) {
+        return wall_seconds([&] {
+          sim::Device dev(sim::kepler_k40m());
+          res = core::autotune_general(dev, 5, 8, 64, 64, {}, 2, counts[i]);
+        });
+      });
 
   std::printf(" \"autotune_scaling\": [\n");
   for (std::size_t i = 0; i < counts.size(); ++i) {

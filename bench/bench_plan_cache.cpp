@@ -29,8 +29,6 @@
 // every mode alike. `seconds` is the median, with `seconds_min` and
 // `nrepeat` beside it; `blocks_per_sec` and the speedups derive from the
 // medians.
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -81,48 +79,31 @@ Timed run_shape(const Shape& s, Mode mode) {
   // A fresh PlanCache every run: warm timings include the honest
   // per-process costs (directory probe, envelope load, prime).
   std::unique_ptr<sim::PlanCache> plans;
-  const auto t0 = std::chrono::steady_clock::now();
-  if (mode != Mode::Full && mode != Mode::Replay) {
-    plans = std::make_unique<sim::PlanCache>(store_dir(s));
-    opt.plan_cache = plans.get();
-  }
   Timed t;
-  if (std::strcmp(s.kernel, "general") == 0) {
-    t.run = kernels::general_conv(dev, img, flt,
-                                  kernels::table1_config(s.k), opt);
-  } else {
-    t.run = kernels::special_conv(dev, img, flt, {}, opt);
-  }
-  t.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  t.seconds = bench::wall_seconds([&] {
+    if (mode != Mode::Full && mode != Mode::Replay) {
+      plans = std::make_unique<sim::PlanCache>(store_dir(s));
+      opt.plan_cache = plans.get();
+    }
+    if (std::strcmp(s.kernel, "general") == 0) {
+      t.run = kernels::general_conv(dev, img, flt,
+                                    kernels::table1_config(s.k), opt);
+    } else {
+      t.run = kernels::special_conv(dev, img, flt, {}, opt);
+    }
+  });
   t.blocks = t.run.launch.blocks_total;
   return t;
 }
 
-/// One mode's timed runs: the sorted wall times and the last run, whose
-/// outputs and counters the report compares.
-struct Series {
-  std::vector<double> seconds;
-  Timed last;
-
-  void add(Timed t) {
-    seconds.push_back(t.seconds);
-    last = std::move(t);
-  }
-  double median() const { return seconds[seconds.size() / 2]; }
-  double min() const { return seconds.front(); }
-};
-
-void emit_mode(const char* name, const Series& m, bool hit_expected,
-               bool first) {
-  const Timed& t = m.last;
+void emit_mode(const char* name, const bench::RunTimes& m, const Timed& t,
+               bool hit_expected, bool first) {
   std::printf(
       "%s      {\"mode\": \"%s\", \"seconds\": %.4f, "
       "\"seconds_min\": %.4f, \"nrepeat\": %d, \"blocks_per_sec\": %.1f,\n"
       "       \"blocks_replayed\": %llu, \"plan_cache_hit\": %s%s}",
-      first ? "" : ",\n", name, m.median(), m.min(), kRepeats,
-      t.blocks / m.median(),
+      first ? "" : ",\n", name, m.median, m.min, kRepeats,
+      t.blocks / m.median,
       static_cast<unsigned long long>(t.run.launch.blocks_replayed),
       t.run.launch.plan_cache_hit ? "true" : "false",
       hit_expected && !t.run.launch.plan_cache_hit ? ", \"ERROR\": \"expected a plan hit\""
@@ -134,23 +115,23 @@ void report(const Shape& s, bool first) {
   // modes after it read.
   constexpr Mode kModes[] = {Mode::Full, Mode::Replay, Mode::PlanCold,
                              Mode::PlanWarm, Mode::AnalyticWarm};
-  for (const Mode mode : kModes) (void)run_shape(s, mode);
-  Series by_mode[std::size(kModes)];
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    for (const Mode mode : kModes) {
-      by_mode[static_cast<int>(mode)].add(run_shape(s, mode));
-    }
-  }
+  // The last run of each mode is the one whose outputs and counters the
+  // report compares.
+  Timed last[std::size(kModes)];
+  const std::vector<bench::RunTimes> times =
+      bench::time_round_robin(std::size(kModes), kRepeats, [&](std::size_t e) {
+        last[e] = run_shape(s, kModes[e]);
+        return last[e].seconds;
+      });
   std::filesystem::remove_all(store_dir(s));
-  for (Series& m : by_mode) std::sort(m.seconds.begin(), m.seconds.end());
-  const auto series = [&](Mode m) -> const Series& {
-    return by_mode[static_cast<int>(m)];
+  const auto median = [&](Mode m) {
+    return times[static_cast<int>(m)].median;
   };
-  const Timed& full = series(Mode::Full).last;
-  const Timed& replay = series(Mode::Replay).last;
-  const Timed& cold = series(Mode::PlanCold).last;
-  const Timed& warm = series(Mode::PlanWarm).last;
-  const Timed& ana = series(Mode::AnalyticWarm).last;
+  const Timed& full = last[static_cast<int>(Mode::Full)];
+  const Timed& replay = last[static_cast<int>(Mode::Replay)];
+  const Timed& cold = last[static_cast<int>(Mode::PlanCold)];
+  const Timed& warm = last[static_cast<int>(Mode::PlanWarm)];
+  const Timed& ana = last[static_cast<int>(Mode::AnalyticWarm)];
 
   const bool outputs_ok = bench::outputs_identical(full.run, replay.run) &&
                           bench::outputs_identical(full.run, cold.run) &&
@@ -170,18 +151,18 @@ void report(const Shape& s, bool first) {
               static_cast<long long>(s.c), static_cast<long long>(s.n),
               static_cast<long long>(s.f), static_cast<long long>(s.k),
               static_cast<unsigned long long>(full.blocks));
-  emit_mode("full", series(Mode::Full), false, true);
-  emit_mode("replay", series(Mode::Replay), false, false);
-  emit_mode("plan_cold", series(Mode::PlanCold), false, false);
-  emit_mode("plan_warm", series(Mode::PlanWarm), true, false);
-  emit_mode("analytic_warm", series(Mode::AnalyticWarm), true, false);
+  emit_mode("full", times[0], full, false, true);
+  emit_mode("replay", times[1], replay, false, false);
+  emit_mode("plan_cold", times[2], cold, false, false);
+  emit_mode("plan_warm", times[3], warm, true, false);
+  emit_mode("analytic_warm", times[4], ana, true, false);
   std::printf(
       "\n    ],\n"
       "     \"warm_vs_replay\": %.2f, \"analytic_vs_full\": %.2f,\n"
       "     \"outputs_identical\": %s, \"invariant_stats_equal\": %s,\n"
       "     \"analytic_outputs_skipped\": %s}",
-      series(Mode::Replay).median() / series(Mode::PlanWarm).median(),
-      series(Mode::Full).median() / series(Mode::AnalyticWarm).median(),
+      median(Mode::Replay) / median(Mode::PlanWarm),
+      median(Mode::Full) / median(Mode::AnalyticWarm),
       bench::verdict(outputs_ok), bench::verdict(stats_ok),
       bench::verdict(!ana.run.output_valid));
 }

@@ -12,8 +12,6 @@
 // runs round-robin across the modes so host drift hits both alike.
 // `*_seconds` is the median (with `*_seconds_min` and `nrepeat` beside
 // it); `*_blocks_per_sec` and `speedup` derive from the medians.
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -47,46 +45,33 @@ Timed run_shape(const Shape& s, bool replay) {
   opt.trace = sim::TraceLevel::Functional;
   opt.replay = replay;
   opt.num_threads = 1;
-  const auto t0 = std::chrono::steady_clock::now();
   Timed t;
-  if (std::strcmp(s.kernel, "general") == 0) {
-    t.run = kernels::general_conv(dev, img, flt,
-                                  kernels::table1_config(s.k), opt);
-  } else {
-    t.run = kernels::special_conv(dev, img, flt, {}, opt);
-  }
-  t.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  t.seconds = bench::wall_seconds([&] {
+    if (std::strcmp(s.kernel, "general") == 0) {
+      t.run = kernels::general_conv(dev, img, flt,
+                                    kernels::table1_config(s.k), opt);
+    } else {
+      t.run = kernels::special_conv(dev, img, flt, {}, opt);
+    }
+  });
   t.blocks = t.run.launch.blocks_total;
   return t;
 }
 
-/// One mode's timed runs: the sorted wall times and the last run, whose
-/// outputs and counters the report compares.
-struct Series {
-  std::vector<double> seconds;
-  Timed last;
-
-  void add(Timed t) {
-    seconds.push_back(t.seconds);
-    last = std::move(t);
-  }
-  double median() const { return seconds[seconds.size() / 2]; }
-  double min() const { return seconds.front(); }
-};
-
 void report(const Shape& s, bool first) {
-  (void)run_shape(s, false);
-  (void)run_shape(s, true);
-  Series off, on;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    off.add(run_shape(s, false));
-    on.add(run_shape(s, true));
-  }
-  std::sort(off.seconds.begin(), off.seconds.end());
-  std::sort(on.seconds.begin(), on.seconds.end());
-  const auto blocks = static_cast<double>(off.last.blocks);
+  // Entry 0 runs direct, entry 1 replays; the last run of each is the one
+  // whose outputs and counters the report compares.
+  Timed last[2];
+  const std::vector<bench::RunTimes> times =
+      bench::time_round_robin(2, kRepeats, [&](std::size_t e) {
+        last[e] = run_shape(s, e == 1);
+        return last[e].seconds;
+      });
+  const Timed& off = last[0];
+  const Timed& on = last[1];
+  const bench::RunTimes& off_t = times[0];
+  const bench::RunTimes& on_t = times[1];
+  const auto blocks = static_cast<double>(off.blocks);
   std::printf(
       "%s    {\"name\": \"%s\", \"kernel\": \"%s\",\n"
       "     \"c\": %lld, \"n\": %lld, \"f\": %lld, \"k\": %lld,\n"
@@ -100,13 +85,13 @@ void report(const Shape& s, bool first) {
       first ? "" : ",\n", s.name, s.kernel, static_cast<long long>(s.c),
       static_cast<long long>(s.n), static_cast<long long>(s.f),
       static_cast<long long>(s.k),
-      static_cast<unsigned long long>(off.last.blocks),
-      static_cast<unsigned long long>(on.last.run.launch.blocks_replayed),
-      kRepeats, off.median(), off.min(), blocks / off.median(), on.median(),
-      on.min(), blocks / on.median(), off.median() / on.median(),
-      bench::verdict(bench::outputs_identical(off.last.run, on.last.run)),
-      bench::verdict(bench::counters_match(off.last.run.launch.stats,
-                                           on.last.run.launch.stats,
+      static_cast<unsigned long long>(off.blocks),
+      static_cast<unsigned long long>(on.run.launch.blocks_replayed),
+      kRepeats, off_t.median, off_t.min, blocks / off_t.median, on_t.median,
+      on_t.min, blocks / on_t.median, off_t.median / on_t.median,
+      bench::verdict(bench::outputs_identical(off.run, on.run)),
+      bench::verdict(bench::counters_match(off.run.launch.stats,
+                                           on.run.launch.stats,
                                            StatsLevel::Schedule)));
 }
 

@@ -18,12 +18,10 @@
 // every mode alike. `*_seconds` is the median (with `*_seconds_min` and
 // `nrepeat` beside it); `*_blocks_per_sec` and `speedup` derive from the
 // medians.
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/kernels/general_conv.hpp"
@@ -78,36 +76,22 @@ Timed run_shape(const Shape& s, const Mode& m, bool pattern_cache) {
                                 kernels::table1_config(s.k), opt);
   }
   sim::Device dev(sim::kepler_k40m());
-  const auto t0 = std::chrono::steady_clock::now();
   Timed t;
-  t.run = kernels::general_conv(dev, img, flt, kernels::table1_config(s.k),
-                                opt);
-  t.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  t.seconds = bench::wall_seconds([&] {
+    t.run = kernels::general_conv(dev, img, flt, kernels::table1_config(s.k),
+                                  opt);
+  });
   t.blocks = t.run.launch.blocks_total;
   return t;
 }
 
-/// One mode's timed runs at one cache setting: the sorted wall times and
-/// the last run, whose outputs and counters the report compares.
-struct Series {
-  std::vector<double> seconds;
-  Timed last;
-
-  void add(Timed t) {
-    seconds.push_back(t.seconds);
-    last = std::move(t);
-  }
-  double median() const { return seconds[seconds.size() / 2]; }
-  double min() const { return seconds.front(); }
-};
-
-void report_mode(const Mode& m, Series& off, Series& on, bool first) {
-  std::sort(off.seconds.begin(), off.seconds.end());
-  std::sort(on.seconds.begin(), on.seconds.end());
-  const sim::KernelStats& stats = on.last.run.launch.stats;
-  const auto blocks = static_cast<double>(off.last.blocks);
+/// One mode's report: the timings with the pattern cache off and on, and
+/// the last run of each, whose outputs and counters the report compares.
+void report_mode(const Mode& m, const bench::RunTimes& off_t,
+                 const bench::RunTimes& on_t, const Timed& off,
+                 const Timed& on, bool first) {
+  const sim::KernelStats& stats = on.run.launch.stats;
+  const auto blocks = static_cast<double>(off.blocks);
   std::printf(
       "%s      {\"mode\": \"%s\", \"num_threads\": %u, \"replay\": %s, "
       "\"plan_warm\": %s,\n"
@@ -122,15 +106,15 @@ void report_mode(const Mode& m, Series& off, Series& on, bool first) {
       "       \"outputs_identical\": %s, \"counters_equal\": %s}",
       first ? "" : ",\n", m.name, m.num_threads, m.replay ? "true" : "false",
       m.plan_warm ? "true" : "false",
-      static_cast<unsigned long long>(off.last.blocks), kRepeats,
-      off.median(), off.min(), blocks / off.median(), on.median(), on.min(),
-      blocks / on.median(), off.median() / on.median(),
+      static_cast<unsigned long long>(off.blocks), kRepeats, off_t.median,
+      off_t.min, blocks / off_t.median, on_t.median, on_t.min,
+      blocks / on_t.median, off_t.median / on_t.median,
       static_cast<unsigned long long>(stats.pattern_lookups),
       static_cast<unsigned long long>(stats.pattern_hits),
       stats.pattern_hit_rate(),
-      bench::verdict(bench::outputs_identical(off.last.run, on.last.run)),
-      bench::verdict(bench::counters_match(off.last.run.launch.stats,
-                                           on.last.run.launch.stats,
+      bench::verdict(bench::outputs_identical(off.run, on.run)),
+      bench::verdict(bench::counters_match(off.run.launch.stats,
+                                           on.run.launch.stats,
                                            StatsLevel::Exact)));
 }
 
@@ -143,25 +127,21 @@ void report_shape(const Shape& s, bool first) {
       {"replay_parallel_plan_warm", 2, true, true},
   };
   constexpr std::size_t kModes = std::size(modes);
-  // [mode][pattern cache off, on]
-  std::array<std::array<Series, 2>, kModes> series;
-  for (const Mode& m : modes) {
-    for (const bool cache : {false, true}) (void)run_shape(s, m, cache);
-  }
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    for (std::size_t i = 0; i < kModes; ++i) {
-      for (const bool cache : {false, true}) {
-        series[i][cache ? 1 : 0].add(run_shape(s, modes[i], cache));
-      }
-    }
-  }
+  // Entry 2 * i + c: mode i with the pattern cache off (c = 0) or on.
+  std::vector<Timed> last(2 * kModes);
+  const std::vector<bench::RunTimes> times =
+      bench::time_round_robin(2 * kModes, kRepeats, [&](std::size_t e) {
+        last[e] = run_shape(s, modes[e / 2], e % 2 == 1);
+        return last[e].seconds;
+      });
   std::printf("%s    {\"name\": \"%s\", \"c\": %lld, \"n\": %lld, "
               "\"f\": %lld, \"k\": %lld,\n     \"modes\": [\n",
               first ? "" : ",\n", s.name, static_cast<long long>(s.c),
               static_cast<long long>(s.n), static_cast<long long>(s.f),
               static_cast<long long>(s.k));
   for (std::size_t i = 0; i < kModes; ++i) {
-    report_mode(modes[i], series[i][0], series[i][1], i == 0);
+    report_mode(modes[i], times[2 * i], times[2 * i + 1], last[2 * i],
+                last[2 * i + 1], i == 0);
   }
   std::printf("\n    ]}");
 }

@@ -7,9 +7,12 @@
 // EXPERIMENTS.md records the comparison.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/common/strutil.hpp"
@@ -39,6 +42,41 @@ inline tensor::Tensor make_filters(i64 f, i64 c, i64 k, u64 seed = 2) {
 inline double effective_gflops(i64 c, i64 f, i64 k, i64 n, double seconds) {
   const i64 o = n - k + 1;
   return core::conv_flops(c, f, k, o, o) / seconds / 1e9;
+}
+
+/// Wall-clock seconds one call of `f` takes.
+template <typename F>
+double wall_seconds(F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// One entry's timed runs: the median and the fastest.
+struct RunTimes {
+  double median = 0.0;
+  double min = 0.0;
+};
+
+/// Round-robin timing: one untimed warm-up run of every entry, then
+/// `repeats` rounds that each run entries 0 .. n - 1 in order, so host
+/// drift hits every entry alike. `run(i)` performs one run of entry i and
+/// returns the seconds it took (the entry decides what its clock covers).
+template <typename Run>
+std::vector<RunTimes> time_round_robin(std::size_t n, int repeats,
+                                       Run&& run) {
+  for (std::size_t i = 0; i < n; ++i) (void)run(i);
+  std::vector<std::vector<double>> samples(n);
+  for (int rep = 0; rep < repeats; ++rep) {
+    for (std::size_t i = 0; i < n; ++i) samples[i].push_back(run(i));
+  }
+  std::vector<RunTimes> out;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    out.push_back({s[s.size() / 2], s.front()});
+  }
+  return out;
 }
 
 inline void header(const std::string& title) {

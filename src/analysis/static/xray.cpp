@@ -7,9 +7,7 @@
 #include "src/common/error.hpp"
 #include "src/common/strutil.hpp"
 #include "src/sim/banks.hpp"
-#include "src/sim/coalescing.hpp"
-#include "src/sim/constmem.hpp"
-#include "src/sim/pattern_cache.hpp"
+#include "src/sim/charge.hpp"
 
 namespace kconv::xray {
 
@@ -53,19 +51,15 @@ u64 fnv_str(u64 h, const std::string& s) {
   return fnv1a(h, s.data(), s.size());
 }
 
-bool is_smem(sim::Op op) {
-  return op == sim::Op::LoadShared || op == sim::Op::StoreShared;
-}
-bool is_gmem(sim::Op op) {
-  return op == sim::Op::LoadGlobal || op == sim::Op::StoreGlobal;
-}
-
-/// Mirrors the executor's retire loop (block_exec.cpp) over the modeled
-/// stream: per instruction, per warp, the lanes' accesses feed the same
-/// analyzers under the same counting rules, so the predicted counters are
-/// bit-equal to an executed launch by construction. Shared and global
-/// groups retire through the executor's own pattern memo (docs/MODEL.md
-/// §5c), whose answers are the analyzers' own, bit for bit.
+/// Charges the modeled stream through the executor's own charge rule
+/// (src/sim/charge.hpp): per instruction, per warp, the lanes' accesses
+/// retire through sim::retire_tx with no caches, segments close through
+/// sim::close_segment and each warp's arithmetic goes through
+/// sim::charge_warp_compute, so the predicted counters are bit-equal to an
+/// executed launch by construction. Shared and global groups are priced by
+/// the executor's pattern memo (docs/MODEL.md §5c), whose answers are the
+/// analyzers' own, bit for bit. The sink itself only adds the per-site
+/// profile from the returned costs.
 class CounterSink final : public ModelSink {
  public:
   CounterSink(const sim::Arch& arch, const KernelModel& model,
@@ -77,11 +71,9 @@ class CounterSink final : public ModelSink {
         site_stats_(site_stats),
         stats_(stats),
         pattern_(arch.smem_banks, arch.smem_bank_bytes, arch.gm_sector_bytes),
-        n_lanes_(static_cast<u32>(model.cfg.block.count())),
-        n_warps_(static_cast<u32>(
-            ceil_div(static_cast<i64>(n_lanes_), arch.warp_size))) {
+        n_lanes_(static_cast<u32>(model.cfg.block.count())) {
     acc_.resize(arch.warp_size);
-    gcost_.sectors.reserve(2 * arch.warp_size);
+    tx_.gmem.sectors.reserve(2 * arch.warp_size);
     lane_alu_.resize(n_lanes_);
   }
 
@@ -90,33 +82,21 @@ class CounterSink final : public ModelSink {
     fma_per_lane_ = 0;
     alu_per_lane_ = 0;
     std::fill(lane_alu_.begin(), lane_alu_.end(), u64{0});
-    seg_gm_load_ = false;
-    seg_sm_store_ = false;
+    seg_ = sim::SegmentFlags{};
   }
 
-  /// Flushes the final (sync-less) segment and the warp-granular arithmetic
-  /// attribution, exactly like run_block's epilogue. Events and FMA ops are
+  /// Closes the final (sync-less) segment and charges the warp-granular
+  /// arithmetic, exactly like run_block's epilogue. Events and FMA ops are
   /// lane-uniform (every lane executes every co_await and every arithmetic
-  /// statement); only the implicit address-ALU charge varies by predicate,
-  /// so the per-warp maxes reduce to per-warp lane_alu_ maxes.
+  /// statement); only the implicit address-ALU charge varies by predicate.
   void end_block() {
-    if (seg_gm_load_) ++stats_.gm_phases;
-    if (seg_gm_load_ && seg_sm_store_) ++stats_.gm_dep_phases;
-    seg_gm_load_ = false;
-    seg_sm_store_ = false;
-    stats_.fma_lane_ops += fma_per_lane_ * n_lanes_;
-    stats_.fma_warp_instrs += fma_per_lane_ * n_warps_;
-    for (u32 w = 0; w < n_warps_; ++w) {
-      const u32 lo = w * arch_.warp_size;
-      const u32 hi = std::min(lo + arch_.warp_size, n_lanes_);
-      u64 max_alu = 0;
-      for (u32 t = lo; t < hi; ++t) {
-        stats_.alu_lane_ops += alu_per_lane_ + lane_alu_[t];
-        max_alu = std::max(max_alu, alu_per_lane_ + lane_alu_[t]);
+    sim::close_segment(seg_, /*at_barrier=*/false, stats_);
+    for (u32 lo = 0; lo < n_lanes_; lo += arch_.warp_size) {
+      sim::WarpCompute w;
+      for (u32 t = lo; t < std::min(lo + arch_.warp_size, n_lanes_); ++t) {
+        w.add_lane(fma_per_lane_, alu_per_lane_ + lane_alu_[t], events_);
       }
-      stats_.alu_warp_instrs += max_alu;
-      stats_.max_warp_instrs = std::max(
-          stats_.max_warp_instrs, events_ + fma_per_lane_ + max_alu);
+      sim::charge_warp_compute(w, stats_);
     }
     ++stats_.blocks_executed;
   }
@@ -128,15 +108,15 @@ class CounterSink final : public ModelSink {
                 strf("xray: site '%s' emitted %zu lanes for a %u-lane block",
                      model_.sites[site].name.c_str(), lanes.size(),
                      n_lanes_));
-    ++events_;
     const sim::Op op = model_.sites[site].op;
+    KCONV_CHECK(op != sim::Op::Sync, "xray: unsupported site op");
+    ++events_;
     // ThreadCtx charges one address-computation ALU op on the taken path of
     // every global/shared load and store (never for constant loads, never
     // for predicated-off lanes) — mirror it here so alu counters stay exact.
     const bool addr_alu = op != sim::Op::LoadConst;
     SiteStats& ss = site_stats_[site];
-    for (u32 w = 0; w < n_warps_; ++w) {
-      const u32 lo = w * arch_.warp_size;
+    for (u32 lo = 0; lo < n_lanes_; lo += arch_.warp_size) {
       const u32 n = std::min(lo + arch_.warp_size, n_lanes_) - lo;
       u64 live = 0;
       for (u32 i = 0; i < n; ++i) {
@@ -147,81 +127,46 @@ class CounterSink final : public ModelSink {
         live += acc_[i].bytes > 0 ? 1 : 0;
         if (addr_alu && l.pred) ++lane_alu_[lo + i];
       }
-      retire(op, std::span<const sim::Access>(acc_.data(), n), live, ss);
+      const std::span<const sim::Access> group(acc_.data(), n);
+      note_site(ss, group, live,
+                sim::retire_tx(arch_, &pattern_, op, group, nullptr, nullptr,
+                               stats_, seg_, tx_));
     }
   }
 
   void sync() override {
     ++events_;
-    ++stats_.barriers;
-    if (seg_gm_load_) ++stats_.gm_phases;
-    if (seg_gm_load_ && seg_sm_store_) ++stats_.gm_dep_phases;
-    seg_gm_load_ = false;
-    seg_sm_store_ = false;
+    sim::close_segment(seg_, /*at_barrier=*/true, stats_);
   }
 
   void fma(u64 lane_ops) override { fma_per_lane_ += lane_ops; }
   void alu(u64 lane_ops) override { alu_per_lane_ += lane_ops; }
 
  private:
-  void retire(sim::Op op, std::span<const sim::Access> group, u64 live,
-              SiteStats& ss) {
-    switch (op) {
-      case sim::Op::LoadShared:
-      case sim::Op::StoreShared: {
-        const sim::SmemCost c = pattern_.smem(group);
-        if (c.lane_bytes == 0) break;  // every lane predicated off
-        ++stats_.smem_instrs;
-        stats_.smem_request_cycles += c.request_cycles;
-        stats_.smem_bytes += c.unique_bytes;
-        stats_.smem_lane_bytes += c.lane_bytes;
-        if (op == sim::Op::StoreShared) {
-          ++stats_.smem_store_instrs;
-          stats_.smem_store_request_cycles += c.request_cycles;
-          seg_sm_store_ = true;
-        }
-        ++ss.instrs;
-        ss.live_lanes += live;
-        ss.lane_bytes += c.lane_bytes;
-        ss.unique_bytes += c.unique_bytes;
-        ss.request_cycles += c.request_cycles;
-        ss.max_conflict_degree =
-            std::max(ss.max_conflict_degree, c.request_cycles);
-        if (dual_banks_) {
-          ss.request_cycles_4b +=
-              sim::analyze_smem(group, arch_.smem_banks, 4).request_cycles;
-          ss.request_cycles_8b +=
-              sim::analyze_smem(group, arch_.smem_banks, 8).request_cycles;
-        }
-        break;
+  /// Adds one retired group's cost to its site's profile.
+  void note_site(SiteStats& ss, std::span<const sim::Access> group, u64 live,
+                 const sim::TxCost& c) {
+    if (!c.issued()) return;  // every lane predicated off
+    ++ss.instrs;
+    ss.live_lanes += live;
+    if (is_smem(c.op)) {
+      ss.lane_bytes += c.smem.lane_bytes;
+      ss.unique_bytes += c.smem.unique_bytes;
+      ss.request_cycles += c.smem.request_cycles;
+      ss.max_conflict_degree =
+          std::max(ss.max_conflict_degree, c.smem.request_cycles);
+      if (dual_banks_) {
+        ss.request_cycles_4b +=
+            sim::analyze_smem(group, arch_.smem_banks, 4).request_cycles;
+        ss.request_cycles_8b +=
+            sim::analyze_smem(group, arch_.smem_banks, 8).request_cycles;
       }
-      case sim::Op::LoadGlobal:
-      case sim::Op::StoreGlobal: {
-        pattern_.gmem(group, gcost_);
-        if (gcost_.lane_bytes == 0) break;
-        ++stats_.gm_instrs;
-        stats_.gm_sectors += gcost_.sectors.size();
-        stats_.gm_bytes_useful += gcost_.lane_bytes;
-        if (op == sim::Op::LoadGlobal) seg_gm_load_ = true;
-        ++ss.instrs;
-        ss.live_lanes += live;
-        ss.lane_bytes += gcost_.lane_bytes;
-        ss.sectors += gcost_.sectors.size();
-        break;
-      }
-      case sim::Op::LoadConst: {
-        const sim::ConstCost c =
-            sim::analyze_const(group, arch_.const_line_bytes);
-        ++stats_.const_instrs;
-        stats_.const_requests += c.requests;
-        ++ss.instrs;
-        ss.live_lanes += live;
-        ss.const_requests += c.requests;
-        for (const sim::Access& a : group) ss.lane_bytes += a.bytes;
-        break;
-      }
-      default:
-        KCONV_CHECK(false, "xray: unsupported site op");
+    } else if (is_gmem(c.op)) {
+      ss.lane_bytes += c.gmem.lane_bytes;
+      ss.sectors += c.gmem.sectors.size();
+    } else {
+      ss.const_requests += c.cnst.requests;
+      for (const sim::Access& a : group) ss.lane_bytes += a.bytes;
     }
   }
 
@@ -232,15 +177,13 @@ class CounterSink final : public ModelSink {
   sim::KernelStats& stats_;
   sim::PatternCache pattern_;
   const u32 n_lanes_;
-  const u32 n_warps_;
   std::vector<sim::Access> acc_;
-  sim::GmemCost gcost_;
+  sim::TxCost tx_;
+  sim::SegmentFlags seg_;
   std::vector<u64> lane_alu_;  // implicit address-ALU charges, per lane
   u64 events_ = 0;
   u64 fma_per_lane_ = 0;
   u64 alu_per_lane_ = 0;
-  bool seg_gm_load_ = false;
-  bool seg_sm_store_ = false;
 };
 
 /// Byte-exact may-overlap analysis over one block's shared memory, one

@@ -6,10 +6,12 @@
 // block index — no Device, no coroutines, no functional memory. The engine
 // walks the emitted instruction stream exactly like the dynamic executor
 // walks retired warp transactions: per instruction, per warp, the lanes'
-// accesses feed the very same analyze_smem / analyze_gmem / analyze_const
-// models, so the predicted counters are bit-equal to an executed launch by
-// construction (the exact-vs-bounded contract is spelled out in
-// `cross_validate` and docs/MODEL.md §10).
+// accesses retire through the executor's own charge rule
+// (src/sim/charge.hpp, with no caches), segments close and arithmetic is
+// attributed through the same rule, so the predicted counters are
+// bit-equal to an executed launch by construction. What cross-validation
+// still checks is what differs: the describer's address program against
+// the kernel's (`cross_validate`, docs/MODEL.md §10).
 //
 // On top of the counter prediction the engine derives, per access site:
 //   * bank-conflict degree under the native, 4-byte and 8-byte bank modes

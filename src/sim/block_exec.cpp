@@ -8,104 +8,43 @@
 #include "src/analysis/hazard.hpp"
 #include "src/common/strutil.hpp"
 #include "src/profile/collector.hpp"
-#include "src/sim/banks.hpp"
-#include "src/sim/coalescing.hpp"
-#include "src/sim/constmem.hpp"
-#include "src/sim/pattern_cache.hpp"
 #include "src/sim/trace.hpp"
 
 namespace kconv::sim {
 
 namespace {
 
-/// Charges one retired warp transaction to the stats. `gmem_scratch` is the
-/// chunk's sector buffer (LaneSet::Scratch): reused across every
-/// transaction so the hot loop performs no allocations once its capacity
-/// is warm.
+/// Retires one warp transaction through the charge rule (charge.hpp) and
+/// attributes its cost to the phase of its first lane: lanes of one warp
+/// transaction share their issue site, hence their phase. `tx` is the
+/// chunk's retire scratch (LaneSet::Scratch), reused across every
+/// transaction so the hot loop performs no allocations once it is warm.
 void retire_group(const Arch& arch, TraceLevel trace, L2Cache* const_cache,
                   L2Cache& gm_l2, Op op, std::span<const Access> accesses,
-                  KernelStats& stats, bool& segment_had_gm_load,
-                  bool& segment_had_sm_store, GmemCost& gmem_scratch,
+                  KernelStats& stats, SegmentFlags& seg, TxCost& tx,
                   PatternCache* pattern, profile::BlockProfiler* prof) {
   if (trace != TraceLevel::Timing) return;
-  // The group retires under the phase of its first lane; lanes of one warp
-  // transaction share their issue site, hence their phase.
-  const profile::Phase ph = accesses[0].phase;
   // Pattern-cache activity is attributed by lookup-counter deltas because
-  // the analyzers below consult the cache internally (and fully
-  // predicated-off groups still perform a lookup before breaking).
-  const u64 plk = (prof != nullptr && pattern != nullptr) ? pattern->lookups()
-                                                          : 0;
-  const u64 pht = (prof != nullptr && pattern != nullptr) ? pattern->hits()
-                                                          : 0;
-  switch (op) {
-    case Op::LoadShared:
-    case Op::StoreShared: {
-      const SmemCost c = pattern != nullptr
-                             ? pattern->smem(accesses)
-                             : analyze_smem(accesses, arch.smem_banks,
-                                            arch.smem_bank_bytes);
-      if (c.lane_bytes == 0) break;  // every lane predicated off
-      ++stats.smem_instrs;
-      stats.smem_request_cycles += c.request_cycles;
-      stats.smem_bytes += c.unique_bytes;
-      stats.smem_lane_bytes += c.lane_bytes;
-      if (op == Op::StoreShared) {
-        ++stats.smem_store_instrs;
-        stats.smem_store_request_cycles += c.request_cycles;
-        segment_had_sm_store = true;
-      }
-      if (prof != nullptr) {
-        prof->smem(ph, c.request_cycles, c.unique_bytes, c.lane_bytes,
-                   op == Op::StoreShared);
-      }
-      break;
+  // the analyzers consult the cache internally (and fully predicated-off
+  // groups still perform a lookup before being skipped).
+  const bool memo = prof != nullptr && pattern != nullptr;
+  const u64 plk = memo ? pattern->lookups() : 0;
+  const u64 pht = memo ? pattern->hits() : 0;
+  const TxCost& c = retire_tx(arch, pattern, op, accesses, &gm_l2,
+                              const_cache, stats, seg, tx);
+  if (prof == nullptr) return;
+  const profile::Phase ph = accesses[0].phase;
+  if (c.issued()) {
+    if (is_smem(op)) {
+      prof->smem(ph, c.smem.request_cycles, c.smem.unique_bytes,
+                 c.smem.lane_bytes, op == Op::StoreShared);
+    } else if (is_gmem(op)) {
+      prof->gmem(ph, c.gmem.sectors.size(), c.misses, c.gmem.lane_bytes);
+    } else {
+      prof->cmem(ph, c.cnst.requests, c.misses);
     }
-    case Op::LoadGlobal:
-    case Op::StoreGlobal: {
-      if (pattern != nullptr) {
-        pattern->gmem(accesses, gmem_scratch);
-      } else {
-        analyze_gmem(accesses, arch.gm_sector_bytes, gmem_scratch);
-      }
-      const GmemCost& c = gmem_scratch;
-      if (c.lane_bytes == 0) break;  // every lane predicated off
-      ++stats.gm_instrs;
-      stats.gm_sectors += c.sectors.size();
-      stats.gm_bytes_useful += c.lane_bytes;
-      u64 dram = 0;
-      for (const u64 sector : c.sectors) {
-        if (!gm_l2.access(sector)) {
-          ++stats.gm_sectors_dram;
-          ++dram;
-        }
-      }
-      if (prof != nullptr) prof->gmem(ph, c.sectors.size(), dram, c.lane_bytes);
-      if (op == Op::LoadGlobal) segment_had_gm_load = true;
-      break;
-    }
-    case Op::LoadConst: {
-      const ConstCost c = analyze_const(accesses, arch.const_line_bytes);
-      ++stats.const_instrs;
-      stats.const_requests += c.requests;
-      u64 misses = 0;
-      if (const_cache != nullptr) {
-        for (u32 i = 0; i < c.lines_touched; ++i) {
-          if (!const_cache->access(c.line_addrs[i])) {
-            ++stats.const_line_misses;
-            ++misses;
-          }
-        }
-      }
-      if (prof != nullptr) prof->cmem(ph, c.requests, misses);
-      break;
-    }
-    case Op::Sync:
-      break;  // handled by the barrier logic
   }
-  if (prof != nullptr && pattern != nullptr) {
-    prof->pattern(ph, pattern->lookups() - plk, pattern->hits() - pht);
-  }
+  if (memo) prof->pattern(ph, pattern->lookups() - plk, pattern->hits() - pht);
 }
 
 /// Notes one retired address-dependent transaction in the capture trace so
@@ -113,9 +52,7 @@ void retire_group(const Arch& arch, TraceLevel trace, L2Cache* const_cache,
 /// (= the L2 / constant-cache probe order): bit i of `mask` is lane lo + i.
 void record_tx(BlockTrace* capture, Op op, u32 lo, u32 mask) {
   if (capture == nullptr) return;
-  if (op != Op::LoadGlobal && op != Op::StoreGlobal && op != Op::LoadConst) {
-    return;
-  }
+  if (!is_gmem(op) && op != Op::LoadConst) return;
   capture->txs.push_back({op, lo, mask});
 }
 
@@ -162,7 +99,7 @@ LaneSet::LaneSet(const Arch& arch, const KernelBody& body,
   rounds_.assign(warps_.size(), 0);
   scratch.group.reserve(warp_size);
   scratch.sub.reserve(warp_size);
-  scratch.gmem.sectors.reserve(2 * warp_size);
+  scratch.tx.gmem.sectors.reserve(2 * warp_size);
 }
 
 template <typename Bind>
@@ -261,21 +198,12 @@ void LaneSet::run_to_end() {
 void LaneSet::charge_compute(KernelStats& stats) const {
   const u32 warp_size = arch_.warp_size;
   for (u32 lo = 0; lo < size(); lo += warp_size) {
-    const u32 hi = std::min(lo + warp_size, size());
-    u64 max_fma = 0, max_alu = 0, max_events = 0;
-    for (u32 t = lo; t < hi; ++t) {
+    WarpCompute w;
+    for (u32 t = lo; t < std::min(lo + warp_size, size()); ++t) {
       const ThreadCtx& ctx = lanes_[t].ctx;
-      stats.fma_lane_ops += ctx.fma_ops();
-      stats.alu_lane_ops += ctx.alu_ops();
-      max_fma = std::max(max_fma, ctx.fma_ops());
-      max_alu = std::max(max_alu, ctx.alu_ops());
-      max_events =
-          std::max(max_events, static_cast<u64>(recorders_[t].events()));
+      w.add_lane(ctx.fma_ops(), ctx.alu_ops(), recorders_[t].events());
     }
-    stats.fma_warp_instrs += max_fma;
-    stats.alu_warp_instrs += max_alu;
-    stats.max_warp_instrs =
-        std::max(stats.max_warp_instrs, max_events + max_fma + max_alu);
+    charge_warp_compute(w, stats);
   }
 }
 
@@ -301,8 +229,7 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
   // barrier; prev_profiles holds the last drained snapshot.
   if (prof != nullptr) sc.prev_profiles.assign(n_lanes, profile::LaneProfile{});
   const u32 n_warps = lanes.warps();
-  bool segment_had_gm_load = false;
-  bool segment_had_sm_store = false;
+  SegmentFlags seg;
   u64 rounds = 0;
   std::vector<Access>& group_acc = sc.group;
   std::vector<Access>& sub_acc = sc.sub;
@@ -359,9 +286,8 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
               checker->on_access(lo + i, r, seg_base[lo + i] + r, row[i]);
             }
           }
-          retire_group(arch, trace, const_cache, gm_l2, op, row, stats,
-                       segment_had_gm_load, segment_had_sm_store, sc.gmem,
-                       pattern, prof);
+          retire_group(arch, trace, const_cache, gm_l2, op, row, stats, seg,
+                       sc.tx, pattern, prof);
           record_tx(capture, op, lo, full_mask(row.size()));
           continue;
         }
@@ -393,8 +319,7 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
         if ((op_mask & (op_mask - 1)) == 0) {
           const Op op = static_cast<Op>(std::countr_zero(op_mask));
           retire_group(arch, trace, const_cache, gm_l2, op, group_acc, stats,
-                       segment_had_gm_load, segment_had_sm_store,
-                       sc.gmem, pattern, prof);
+                       seg, sc.tx, pattern, prof);
           record_tx(capture, op, lo, group_mask);
         } else {
           // Divergent warp: split by operation kind in the canonical
@@ -412,8 +337,7 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
               }
             }
             retire_group(arch, trace, const_cache, gm_l2, op, sub_acc, stats,
-                         segment_had_gm_load, segment_had_sm_store,
-                         sc.gmem, pattern, prof);
+                         seg, sc.tx, pattern, prof);
             record_tx(capture, op, lo, sub_mask);
           }
           stats.divergent_retires +=
@@ -446,18 +370,11 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
     // barrier releases.
     if (checker != nullptr) checker->on_barrier();
     if (!lanes.all_done()) {
-      ++stats.barriers;
+      close_segment(seg, /*at_barrier=*/true, stats);
       if (prof != nullptr) prof->barrier();
-      if (segment_had_gm_load) ++stats.gm_phases;
-      if (segment_had_gm_load && segment_had_sm_store) {
-        ++stats.gm_dep_phases;
-      }
-      segment_had_gm_load = false;
-      segment_had_sm_store = false;
     }
   }
-  if (segment_had_gm_load) ++stats.gm_phases;
-  if (segment_had_gm_load && segment_had_sm_store) ++stats.gm_dep_phases;
+  close_segment(seg, /*at_barrier=*/false, stats);
 
   lanes.charge_compute(stats);
   ++stats.blocks_executed;

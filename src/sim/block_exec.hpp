@@ -6,7 +6,7 @@
 // the logs then retire in lockstep rounds. Row k of a warp holds the k-th
 // event of each of its lanes: when every lane holds one and all share an
 // operation kind, the row retires in place as ONE warp transaction through
-// the space-specific analyzer. Ragged rows (lanes that ended the segment
+// the charge rule (charge.hpp). Ragged rows (lanes that ended the segment
 // early) are gathered from the lanes that hold an event, and mixed kinds
 // (branch divergence) retire as separate subgroups, modeling hardware
 // replay. A barrier releases once every live lane of the block has reached
@@ -23,7 +23,7 @@
 
 #include "src/profile/phase.hpp"
 #include "src/sim/arch.hpp"
-#include "src/sim/coalescing.hpp"
+#include "src/sim/charge.hpp"
 #include "src/sim/config.hpp"
 #include "src/sim/l2cache.hpp"
 #include "src/sim/stats.hpp"
@@ -41,7 +41,6 @@ class BlockProfiler;
 namespace kconv::sim {
 
 struct BlockTrace;
-class PatternCache;
 
 /// Type-erased kernel body: builds one lane's coroutine from its context.
 using KernelBody = std::function<ThreadProgram(ThreadCtx&)>;
@@ -114,9 +113,8 @@ class LaneSet {
   /// Lane t's event-stream hash; run_block folds into it when capturing.
   u64& hash(u32 t) { return lanes_[t].hash; }
 
-  /// Charges the block's arithmetic at warp granularity: a warp
-  /// instruction covers up to warp_size lane-ops, and a warp is as slow as
-  /// its busiest lane (recorder event counts are the retired events).
+  /// Charges the block's arithmetic warp by warp through
+  /// charge_warp_compute (recorder event counts are the retired events).
   void charge_compute(KernelStats& stats) const;
 
   /// Retire scratch reused by every block of the chunk.
@@ -129,7 +127,7 @@ class LaneSet {
     std::vector<u32> seg_base;
     /// Per lane: the lane profile as last drained into the profiler.
     std::vector<profile::LaneProfile> prev_profiles;
-    GmemCost gmem;
+    TxCost tx;
   };
   Scratch scratch;
 

@@ -91,9 +91,9 @@ struct LaunchOptions {
   u64 max_rounds_per_block = 50'000'000;
   /// Cross-launch plan persistence (docs/MODEL.md §5d): when set together
   /// with a non-empty `plan_key` on a replay-capable launch, captured class
-  /// traces (and tapes, and the pattern-cache tables) are loaded from and
-  /// saved to this store, so a repeated launch replays every block with
-  /// zero representative execution. Stale or corrupt stores fall back to
+  /// traces (and, in a sidecar, their tapes) are loaded from and saved to
+  /// this store, so a repeated launch replays every block with zero
+  /// representative execution. Stale or corrupt stores fall back to
   /// capture (LaunchResult::plan_cache_status says why) — never silently
   /// wrong. Ignored, like `replay`, under hazard_check and profile.
   PlanCache* plan_cache = nullptr;

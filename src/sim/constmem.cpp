@@ -4,9 +4,10 @@
 
 namespace kconv::sim {
 
-ConstCost analyze_const(std::span<const Access> lanes, u32 line_bytes) {
+void analyze_const(std::span<const Access> lanes, u32 line_bytes,
+                   ConstCost& cost) {
   KCONV_ASSERT(line_bytes > 0);
-  ConstCost cost;
+  cost.lines_touched = 0;
   // A broadcast (every active lane on one address) is one request on one
   // line; answer it without the per-lane walk below.
   const Access* first = nullptr;
@@ -26,7 +27,7 @@ ConstCost analyze_const(std::span<const Access> lanes, u32 line_bytes) {
       cost.line_addrs[0] = (first->addr / line_bytes) * line_bytes;
     }
     cost.requests = 1;
-    return cost;
+    return;
   }
   u64 addrs[32];
   u32 n_addrs = 0;
@@ -54,7 +55,6 @@ ConstCost analyze_const(std::span<const Access> lanes, u32 line_bytes) {
     }
   }
   cost.requests = n_addrs == 0 ? 1 : n_addrs;
-  return cost;
 }
 
 }  // namespace kconv::sim

@@ -21,6 +21,15 @@ struct ConstCost {
   u64 line_addrs[32] = {};  // the distinct line addresses, lines_touched used
 };
 
-ConstCost analyze_const(std::span<const Access> lanes, u32 line_bytes);
+/// Writes the cost into `out`, touching only the line addresses it uses
+/// (the hot-loop form, like analyze_gmem's).
+void analyze_const(std::span<const Access> lanes, u32 line_bytes,
+                   ConstCost& out);
+
+inline ConstCost analyze_const(std::span<const Access> lanes, u32 line_bytes) {
+  ConstCost cost;
+  analyze_const(lanes, line_bytes, cost);
+  return cost;
+}
 
 }  // namespace kconv::sim

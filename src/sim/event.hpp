@@ -34,6 +34,13 @@ constexpr const char* op_name(Op op) {
   return "?";
 }
 
+constexpr bool is_smem(Op op) {
+  return op == Op::LoadShared || op == Op::StoreShared;
+}
+constexpr bool is_gmem(Op op) {
+  return op == Op::LoadGlobal || op == Op::StoreGlobal;
+}
+
 /// One lane's contribution to a warp transaction.
 ///
 /// `addr` is a byte address: flat device address for global/constant space,

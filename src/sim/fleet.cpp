@@ -158,14 +158,6 @@ void model_transfers(const FleetOptions& fleet, const FleetHints& hints,
   }
 }
 
-DeviceFleet::DeviceFleet(const Arch& arch, u32 devices) {
-  KCONV_CHECK(devices >= 1, "fleet needs at least one device");
-  devices_.reserve(devices);
-  for (u32 d = 0; d < devices; ++d) {
-    devices_.push_back(std::make_unique<Device>(arch));
-  }
-}
-
 namespace {
 
 std::string bound_verdict(double ratio, double transfer_s, double compute_s) {

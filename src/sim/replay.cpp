@@ -10,8 +10,7 @@
 #endif
 
 #include "src/common/strutil.hpp"
-#include "src/sim/coalescing.hpp"
-#include "src/sim/constmem.hpp"
+#include "src/sim/charge.hpp"
 
 namespace kconv::sim {
 
@@ -223,13 +222,15 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
   // Every global/constant event retires in a transaction of its own
   // segment, so this segment's transactions are the prefix of the
   // remaining ones whose lanes still hold unconsumed events. Regroup this
-  // block's own addresses in that retire order and re-run the
-  // address-dependent analyzers: probe order matches direct execution, so
-  // on a serial launch even the cache counters are bit-identical.
+  // block's own addresses in that retire order and charge the
+  // address-dependent half of the charge rule (charge.hpp): probe order
+  // matches direct execution, so on a serial launch even the cache
+  // counters are bit-identical. Rebased addresses keep their signatures,
+  // so the chunk's pattern cache, filled by its earlier blocks, prices
+  // nearly every replayed global transaction.
   LaneSet::Scratch& sc = lanes.scratch;
   std::vector<u32>& cursors = sc.cursor;
   std::vector<Access>& group = sc.group;
-  GmemCost& gmem = sc.gmem;
   for (; next_tx < trace.txs.size(); ++next_tx) {
     const ReplayTx& tx = trace.txs[next_tx];
     // A congruent block's transaction either has an event waiting in every
@@ -244,29 +245,8 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
                   congruence_error(t, block_idx, trace));
       group.push_back(lanes.event(t, cursors[t]++));
     }
-    if (tx.op == Op::LoadConst) {
-      const ConstCost c = analyze_const(group, arch_.const_line_bytes);
-      if (const_cache != nullptr) {
-        for (u32 i = 0; i < c.lines_touched; ++i) {
-          if (!const_cache->access(c.line_addrs[i])) {
-            ++stats.const_line_misses;
-          }
-        }
-      }
-    } else {
-      // Rebased addresses, same signatures: the chunk's pattern cache,
-      // filled by its earlier blocks, serves nearly every replayed
-      // transaction.
-      if (pattern != nullptr) {
-        pattern->gmem(group, gmem);
-      } else {
-        analyze_gmem(group, arch_.gm_sector_bytes, gmem);
-      }
-      stats.gm_sectors += gmem.sectors.size();
-      for (const u64 sector : gmem.sectors) {
-        if (!gm_l2.access(sector)) ++stats.gm_sectors_dram;
-      }
-    }
+    price_tx(arch_, pattern, tx.op, group, sc.tx);
+    charge_addr_dep(sc.tx, &gm_l2, const_cache, stats);
   }
   // The segment's events must all be spoken for before the recorders are
   // cleared for the next one.

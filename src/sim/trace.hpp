@@ -52,7 +52,7 @@ inline constexpr u64 trace_hash_fold(u64 h, u64 v) {
 inline constexpr u64 trace_hash_access(u64 h, const Access& a) {
   h = trace_hash_fold(h, (static_cast<u64>(a.op) << 40) |
                              (static_cast<u64>(a.phase) << 32) | a.bytes);
-  if (a.op == Op::LoadShared || a.op == Op::StoreShared) {
+  if (is_smem(a.op)) {
     h = trace_hash_fold(h, a.addr);
   }
   return h;
@@ -218,7 +218,7 @@ class LaneRecorder {
     if (events_ == max_events_) [[unlikely]] overflow();
     ++events_;
     hash = trace_hash_access(hash, Access{op, addr, bytes, phase});
-    return op == Op::LoadGlobal || op == Op::StoreGlobal || op == Op::LoadConst;
+    return is_gmem(op) || op == Op::LoadConst;
   }
 
   /// Out of line so the hot note() stays small: moves the cursor to the

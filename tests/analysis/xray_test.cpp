@@ -402,6 +402,80 @@ TEST(XrayRaces, MissingSyncIsADefiniteRace) {
   EXPECT_TRUE(good.clean());
 }
 
+/// Loads GM and stores SM in its final segment, which no sync closes, after
+/// a store-only segment: two blocks of two warps, each lane on its own
+/// float of a block-strided buffer.
+class FinalSegmentKernel {
+ public:
+  static constexpr u32 kLanes = 64;
+  sim::BufferView<float> data;
+  u32 sh_off = 0;
+
+  sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
+    const i64 tid = t.thread_idx.x;
+    auto sh = t.shared<float>(sh_off, kLanes);
+    co_await t.st_shared(sh, tid, 0.0f);
+    co_await t.sync();
+    const float v =
+        co_await t.ld_global(data, t.block_idx.x * i64{kLanes} + tid);
+    co_await t.st_shared(sh, tid, t.fma(v, 2.0f, 1.0f));
+  }
+};
+
+/// The kernel's model: the same sites in the same order, with the buffer
+/// where a fresh Device allocates it.
+KernelModel final_segment_model(const sim::LaunchConfig& cfg, u32 sh_off) {
+  constexpr u32 kLanes = FinalSegmentKernel::kLanes;
+  sim::AddressBump gm;
+  const u64 base = gm.alloc(2 * kLanes * sizeof(float));
+  KernelModel m;
+  m.kernel = "final-segment";
+  m.cfg = cfg;
+  m.sites = {
+      {"sm-clear", sim::Op::StoreShared, "", false},
+      {"gm-load", sim::Op::LoadGlobal, "", false},
+      {"sm-store", sim::Op::StoreShared, "", false},
+  };
+  m.emit = [base, sh_off](sim::Dim3 b, ModelSink& sink) {
+    std::vector<LaneAccess> sm(kLanes), gm_lanes(kLanes);
+    for (u32 t = 0; t < kLanes; ++t) {
+      sm[t] = {sh_off + 4ull * t, 4, true, true};
+      gm_lanes[t] = {base + 4ull * (b.x * kLanes + t), 4, true, true};
+    }
+    sink.site(0, sm);
+    sink.sync();
+    sink.site(1, gm_lanes);
+    sink.fma(1);
+    sink.site(2, sm);
+  };
+  return m;
+}
+
+TEST(XrayCounters, FinalSyncLessSegmentCrossValidates) {
+  const sim::Arch arch = sim::kepler_k40m();
+  sim::Device dev(arch);
+  auto arr = dev.alloc<float>(2 * FinalSegmentKernel::kLanes);
+  arr.zero();
+  FinalSegmentKernel k;
+  k.data = arr.view();
+  sim::SharedLayout smem;
+  k.sh_off = smem.alloc<float>(FinalSegmentKernel::kLanes);
+  sim::LaunchConfig cfg;
+  cfg.grid = {2, 1, 1};
+  cfg.block = {FinalSegmentKernel::kLanes, 1, 1};
+  cfg.shared_bytes = smem.size();
+  const sim::LaunchResult res = sim::launch(dev, k, cfg);
+  ASSERT_EQ(res.stats.gm_phases, 2u);
+  ASSERT_EQ(res.stats.gm_dep_phases, 2u);
+
+  const StaticReport rep = analyze(arch, final_segment_model(cfg, k.sh_off));
+  EXPECT_EQ(rep.predicted.gm_phases, 2u);
+  EXPECT_EQ(rep.predicted.gm_dep_phases, 2u);
+  const CrossCheck cc = cross_validate(rep, res.stats, false);
+  EXPECT_TRUE(cc.ok);
+  for (const std::string& m : cc.mismatches) ADD_FAILURE() << m;
+}
+
 /// Mirrors one kconv-check CI invocation through the public API: runs
 /// core::conv2d exactly as kconv_cli would, derives the model through
 /// core::conv2d_xray_model (which must replicate conv2d's algorithm and

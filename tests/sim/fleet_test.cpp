@@ -1,4 +1,4 @@
-// DeviceFleet sharding and transfer-model suite (docs/MODEL.md §9).
+// Fleet sharding and transfer-model suite (docs/MODEL.md §9).
 //
 // The contract under test:
 //   - shard_grid partitions are exact covers: balanced to within one unit
