@@ -67,7 +67,7 @@ ModeOut run_mode(const serve::Network& net, const char* store, bool analytic,
     std::unique_ptr<sim::PlanCache> plans;
     serve::ServeOptions opt;
     opt.fuse = fuse;
-    opt.analytic = analytic;
+    opt.launch.analytic = analytic;
     if (store != nullptr) {
       plans = std::make_unique<sim::PlanCache>(store);
       opt.plan_cache = plans.get();

@@ -372,7 +372,7 @@ int main(int argc, char** argv) {
     sopt.threads = static_cast<u32>(threads);
     sopt.plan_cache = plans.get();
     sopt.fuse = fuse;
-    sopt.analytic = analytic;
+    sopt.launch.analytic = analytic;
     sopt.launch.replay = replay;
     sopt.launch.pattern_cache = pattern_cache;
     sopt.launch.fleet = opt.launch.fleet;

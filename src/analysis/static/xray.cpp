@@ -698,41 +698,9 @@ std::string to_json(const StaticReport& rep, int indent) {
   out += in1 + strf("\"signature\": \"0x%016llx\",\n",
                     static_cast<unsigned long long>(rep.signature));
   out += in1 + strf("\"clean\": %s,\n", rep.clean() ? "true" : "false");
-  const sim::KernelStats& s = rep.predicted;
   out += in1 + "\"predicted\": {\n";
-  out += in2 + strf("\"smem_instrs\": %llu, \"smem_request_cycles\": %llu, "
-                    "\"smem_bytes\": %llu, \"smem_lane_bytes\": %llu,\n",
-                    static_cast<unsigned long long>(s.smem_instrs),
-                    static_cast<unsigned long long>(s.smem_request_cycles),
-                    static_cast<unsigned long long>(s.smem_bytes),
-                    static_cast<unsigned long long>(s.smem_lane_bytes));
-  out += in2 + strf("\"smem_store_instrs\": %llu, "
-                    "\"smem_store_request_cycles\": %llu,\n",
-                    static_cast<unsigned long long>(s.smem_store_instrs),
-                    static_cast<unsigned long long>(
-                        s.smem_store_request_cycles));
-  out += in2 + strf("\"gm_instrs\": %llu, \"gm_sectors\": %llu, "
-                    "\"gm_bytes_useful\": %llu,\n",
-                    static_cast<unsigned long long>(s.gm_instrs),
-                    static_cast<unsigned long long>(s.gm_sectors),
-                    static_cast<unsigned long long>(s.gm_bytes_useful));
-  out += in2 + strf("\"const_instrs\": %llu, \"const_requests\": %llu,\n",
-                    static_cast<unsigned long long>(s.const_instrs),
-                    static_cast<unsigned long long>(s.const_requests));
-  out += in2 + strf("\"barriers\": %llu, \"gm_phases\": %llu, "
-                    "\"gm_dep_phases\": %llu,\n",
-                    static_cast<unsigned long long>(s.barriers),
-                    static_cast<unsigned long long>(s.gm_phases),
-                    static_cast<unsigned long long>(s.gm_dep_phases));
-  out += in2 + strf("\"fma_lane_ops\": %llu, \"fma_warp_instrs\": %llu, "
-                    "\"alu_lane_ops\": %llu, \"alu_warp_instrs\": %llu,\n",
-                    static_cast<unsigned long long>(s.fma_lane_ops),
-                    static_cast<unsigned long long>(s.fma_warp_instrs),
-                    static_cast<unsigned long long>(s.alu_lane_ops),
-                    static_cast<unsigned long long>(s.alu_warp_instrs));
-  out += in2 + strf("\"max_warp_instrs\": %llu, \"blocks_executed\": %llu\n",
-                    static_cast<unsigned long long>(s.max_warp_instrs),
-                    static_cast<unsigned long long>(s.blocks_executed));
+  out += in2 + counters_json(sim::kKernelCounters, rep.predicted, ",\n" + in2);
+  out += "\n";
   out += in1 + "},\n";
   out += in1 + strf("\"gm_bytes_moved\": %.6g,\n", rep.gm_bytes_moved);
   out += in1 + strf("\"min_gm_bytes\": %.6g,\n", rep.min_gm_bytes);

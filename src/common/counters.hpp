@@ -1,8 +1,8 @@
-// Counter tables (docs/MODEL.md §1). KernelStats and PhaseStats are plain
-// bags of u64 counters; each declares its fields once more in a table next
-// to the struct, with every counter's name and replay class. Merging, plan
-// I/O, the replay split and the cross-mode identity check loop over that
-// table instead of naming fields.
+// Counter tables (docs/MODEL.md §1). KernelStats is a plain bag of u64
+// counters that declares its fields once more in a table next to the
+// struct, with every counter's name and replay class. Merging, plan I/O,
+// the replay split, the cross-mode identity check and the JSON writer loop
+// over that table instead of naming fields.
 #pragma once
 
 #include <array>
@@ -110,6 +110,20 @@ std::vector<std::string> counter_mismatches(const CounterTable<S, N>& table,
                          static_cast<unsigned long long>(a.*c.member), b_name,
                          static_cast<unsigned long long>(b.*c.member)));
     }
+  }
+  return out;
+}
+
+/// Every counter of `table` as `"name": value`, in table order, joined by
+/// `sep`: the one JSON spelling of a counter block.
+template <typename S, std::size_t N>
+std::string counters_json(const CounterTable<S, N>& table, const S& s,
+                          const std::string& sep) {
+  std::string out;
+  for (const Counter<S>& c : table) {
+    if (!out.empty()) out += sep;
+    out += strf("\"%s\": %llu", c.name,
+                static_cast<unsigned long long>(s.*c.member));
   }
   return out;
 }

@@ -1,9 +1,10 @@
 // Metrics registry for kconv-prof (docs/MODEL.md §7).
 //
-// A BlockProfiler is the per-block charging surface the executor talks to:
-// retire_group() reports each warp transaction's cost deltas tagged with
-// the phase stamped on the retiring accesses, and the segment loop drains
-// per-lane arithmetic at every barrier. Charges land in a chunk-level
+// A BlockProfiler routes the executor's per-phase charges: retire_group()
+// charges each warp transaction's cost to the phase stamped on the
+// retiring accesses, through the same charge rule as the launch
+// (src/sim/charge.hpp), and the segment loop drains per-lane arithmetic at
+// every barrier. Charges land in a chunk-level
 // PhaseProfile sink (merged index-order into the launch roll-up, so totals
 // are thread-count-invariant) and, for the first few executed blocks, in a
 // BlockTimeline of ordered slices the Perfetto exporter turns into tracks.
@@ -23,7 +24,7 @@ namespace kconv::profile {
 /// phases (load/stage interleave) produce alternating slices.
 struct PhaseSlice {
   Phase phase = Phase::Other;
-  PhaseStats stats;
+  sim::KernelStats stats;
 };
 
 /// Ordered slice list for one executed block. `seq` is the block's index
@@ -62,78 +63,14 @@ struct LaunchProfile {
   RooflineHints hints;
 };
 
-/// Per-block charging interface handed to run_block(). All methods add
-/// into the chunk sink; the timeline (optional) additionally records the
-/// charge on its tail slice.
+/// Per-block charging interface handed to run_block(): charge() applies
+/// one charge to the chunk sink's phase and, when a timeline is attached,
+/// to its tail slice, opening a new slice when the phase changes.
 class BlockProfiler {
  public:
   explicit BlockProfiler(PhaseProfile& sink, BlockTimeline* timeline = nullptr)
       : sink_(&sink), timeline_(timeline) {}
 
-  PhaseProfile& sink() { return *sink_; }
-  BlockTimeline* timeline() { return timeline_; }
-
-  /// Shared-memory transaction retired in phase `ph`. Mirrors KernelStats'
-  /// semantics: smem_instrs/request_cycles count loads AND stores, the
-  /// smem_store_* fields are the store-side split of the same totals.
-  void smem(Phase ph, u64 request_cycles, u64 bytes, u64 lane_bytes,
-            bool is_store) {
-    charge(ph, [&](PhaseStats& s) {
-      ++s.smem_instrs;
-      s.smem_request_cycles += request_cycles;
-      if (is_store) {
-        ++s.smem_store_instrs;
-        s.smem_store_request_cycles += request_cycles;
-        s.smem_store_lane_bytes += lane_bytes;
-      }
-      s.smem_bytes += bytes;
-      s.smem_lane_bytes += lane_bytes;
-    });
-  }
-
-  /// Global-memory transaction retired in phase `ph`.
-  void gmem(Phase ph, u64 sectors, u64 sectors_dram, u64 lane_bytes) {
-    charge(ph, [&](PhaseStats& s) {
-      ++s.gm_instrs;
-      s.gm_sectors += sectors;
-      s.gm_sectors_dram += sectors_dram;
-      s.gm_bytes_useful += lane_bytes;
-    });
-  }
-
-  /// Constant-memory transaction retired in phase `ph`.
-  void cmem(Phase ph, u64 requests, u64 line_misses) {
-    charge(ph, [&](PhaseStats& s) {
-      ++s.const_instrs;
-      s.const_requests += requests;
-      s.const_line_misses += line_misses;
-    });
-  }
-
-  /// Pattern-cache activity observed while retiring in phase `ph`.
-  void pattern(Phase ph, u64 lookups, u64 hits) {
-    if (lookups == 0 && hits == 0) return;
-    charge(ph, [&](PhaseStats& s) {
-      s.pattern_lookups += lookups;
-      s.pattern_hits += hits;
-    });
-  }
-
-  /// Arithmetic drained from lane profiles at a segment boundary.
-  void compute(Phase ph, u64 fma_lane_ops, u64 alu_lane_ops) {
-    if (fma_lane_ops == 0 && alu_lane_ops == 0) return;
-    charge(ph, [&](PhaseStats& s) {
-      s.fma_lane_ops += fma_lane_ops;
-      s.alu_lane_ops += alu_lane_ops;
-    });
-  }
-
-  /// Barrier release (pairs 1:1 with KernelStats::barriers).
-  void barrier() {
-    charge(Phase::Sync, [](PhaseStats& s) { ++s.barriers; });
-  }
-
- private:
   template <class F>
   void charge(Phase ph, F&& f) {
     f(sink_->at(ph));
@@ -144,6 +81,7 @@ class BlockProfiler {
     }
   }
 
+ private:
   PhaseProfile* sink_;
   BlockTimeline* timeline_;
 };

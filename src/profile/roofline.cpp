@@ -23,7 +23,7 @@ const char* roofline_kind_name(RooflineHints::Kind k) {
 // "bank-conflict-bound" (replay factor well above 1) because the paper's
 // whole §4 is about removing the latter.
 void attribute_phase(PhaseAttribution& a) {
-  const PhaseStats& s = a.stats;
+  const sim::KernelStats& s = a.stats;
   const PipeCycles& p = a.pipes;
   const struct {
     double v;
@@ -80,51 +80,19 @@ void attribute_phase(PhaseAttribution& a) {
 }
 
 std::string json_phase(const PhaseAttribution& a, const std::string& pad) {
-  const PhaseStats& s = a.stats;
   std::string out = pad + "{";
   out += strf("\"phase\": \"%s\", ", phase_name(a.phase));
   out += strf("\"cycles\": %.6g, ", a.pipes.total);
   out += strf("\"bound\": \"%s\", ", a.bound.c_str());
   out += strf("\"efficiency\": %.6g,\n", a.efficiency);
-  out += pad + " ";
-  out += strf("\"fma_lane_ops\": %llu, \"alu_lane_ops\": %llu, "
-              "\"smem_instrs\": %llu, \"smem_request_cycles\": %llu, "
-              "\"smem_lane_bytes\": %llu,\n",
-              static_cast<unsigned long long>(s.fma_lane_ops),
-              static_cast<unsigned long long>(s.alu_lane_ops),
-              static_cast<unsigned long long>(s.smem_instrs),
-              static_cast<unsigned long long>(s.smem_request_cycles),
-              static_cast<unsigned long long>(s.smem_lane_bytes));
-  out += pad + " ";
-  out += strf("\"smem_store_instrs\": %llu, "
-              "\"smem_store_request_cycles\": %llu, "
-              "\"smem_store_lane_bytes\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_store_instrs),
-              static_cast<unsigned long long>(s.smem_store_request_cycles),
-              static_cast<unsigned long long>(s.smem_store_lane_bytes));
-  out += pad + " ";
-  out += strf("\"gm_instrs\": %llu, \"gm_sectors\": %llu, "
-              "\"gm_sectors_dram\": %llu, \"gm_bytes_useful\": %llu,\n",
-              static_cast<unsigned long long>(s.gm_instrs),
-              static_cast<unsigned long long>(s.gm_sectors),
-              static_cast<unsigned long long>(s.gm_sectors_dram),
-              static_cast<unsigned long long>(s.gm_bytes_useful));
-  out += pad + " ";
-  out += strf("\"const_instrs\": %llu, \"const_requests\": %llu, "
-              "\"const_line_misses\": %llu, \"barriers\": %llu, "
-              "\"pattern_lookups\": %llu, \"pattern_hits\": %llu}",
-              static_cast<unsigned long long>(s.const_instrs),
-              static_cast<unsigned long long>(s.const_requests),
-              static_cast<unsigned long long>(s.const_line_misses),
-              static_cast<unsigned long long>(s.barriers),
-              static_cast<unsigned long long>(s.pattern_lookups),
-              static_cast<unsigned long long>(s.pattern_hits));
+  out += pad + " " + counters_json(sim::kKernelCounters, a.stats, ", ") + "}";
   return out;
 }
 
 }  // namespace
 
-PipeCycles phase_pipe_cycles(const sim::Arch& arch, const PhaseStats& s) {
+PipeCycles phase_pipe_cycles(const sim::Arch& arch,
+                             const sim::KernelStats& s) {
   PipeCycles p;
   // Warp instructions ~ lane-ops / warp_size (exact for full warps).
   const double fma_wi =
@@ -155,7 +123,7 @@ RooflineReport attribute_roofline(const sim::Arch& arch,
   RooflineReport r;
   r.hints = prof.hints;
   for (u32 i = 0; i < kNumPhases; ++i) {
-    const PhaseStats& s = prof.phases.p[i];
+    const sim::KernelStats& s = prof.phases.p[i];
     if (s.empty()) continue;
     PhaseAttribution a;
     a.phase = static_cast<Phase>(i);
@@ -169,20 +137,19 @@ RooflineReport attribute_roofline(const sim::Arch& arch,
     r.phases.push_back(std::move(a));
   }
 
-  const PhaseStats& ld = prof.phases.at(Phase::GmLoad);
-  const PhaseStats& pf = prof.phases.at(Phase::Prefetch);
+  const sim::KernelStats& ld = prof.phases.at(Phase::GmLoad);
+  const sim::KernelStats& pf = prof.phases.at(Phase::Prefetch);
   r.gm_load_bytes =
       static_cast<double>(ld.gm_bytes_useful + pf.gm_bytes_useful);
   if (r.hints.gm_load_bound_bytes > 0.0)
     r.gm_load_ratio = r.gm_load_bytes / r.hints.gm_load_bound_bytes;
 
-  const PhaseStats& cp = prof.phases.at(Phase::Compute);
+  const sim::KernelStats& cp = prof.phases.at(Phase::Compute);
   if (cp.fma_lane_ops > 0) {
-    // SM *loads* only: the compute phase issues no SM stores in our
-    // kernels, but subtract them anyway so the metric stays a load metric.
-    const u64 load_bytes = cp.smem_lane_bytes - cp.smem_store_lane_bytes;
-    r.smem_load_elems_per_fma = static_cast<double>(load_bytes) / 4.0 /
-                                static_cast<double>(cp.fma_lane_ops);
+    // Every compute-phase SM byte is a load: no kernel stores to SM from
+    // its compute scope (tests/profile/roofline_test.cpp pins it).
+    r.smem_load_elems_per_fma = static_cast<double>(cp.smem_lane_bytes) /
+                                4.0 / static_cast<double>(cp.fma_lane_ops);
   }
   if (r.hints.kind == RooflineHints::Kind::General && r.hints.k > 0 &&
       r.hints.wt > 0) {
@@ -198,7 +165,7 @@ std::string format_profile(const sim::Arch& arch, const LaunchProfile& prof) {
   std::string out;
   out += "--- profile (per phase) ---\n";
   for (const PhaseAttribution& a : r.phases) {
-    const PhaseStats& s = a.stats;
+    const sim::KernelStats& s = a.stats;
     out += strf("%-10s %12.0f cyc  %-19s eff %.2f", phase_name(a.phase),
                 a.pipes.total, a.bound.c_str(), a.efficiency);
     if (s.gm_instrs > 0) {

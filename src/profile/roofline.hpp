@@ -28,14 +28,15 @@ struct PipeCycles {
 };
 
 /// Pipe decomposition of `s` under `arch`'s throughput model. Warp
-/// instruction counts are approximated as lane-ops / warp_size (phases do
-/// not track per-warp maxima; full warps make this exact).
-PipeCycles phase_pipe_cycles(const sim::Arch& arch, const PhaseStats& s);
+/// instruction counts are approximated as lane-ops / warp_size (a phase is
+/// not charged per-warp maxima; full warps make this exact).
+PipeCycles phase_pipe_cycles(const sim::Arch& arch,
+                             const sim::KernelStats& s);
 
 /// One attributed phase of the launch roll-up.
 struct PhaseAttribution {
   Phase phase = Phase::Other;
-  PhaseStats stats;
+  sim::KernelStats stats;
   PipeCycles pipes;
   /// Binding resource: "gm-bound", "sm-bound", "bank-conflict-bound",
   /// "compute-bound", "const-bound", "sync-bound", or "idle".

@@ -42,7 +42,7 @@ void emit_block_timeline(const Emit& emit, const sim::Arch& arch,
   double ts = 0.0;
   for (const PhaseSlice& sl : tl.slices) {
     const double dur = slice_us(arch, sl);
-    const PhaseStats& s = sl.stats;
+    const sim::KernelStats& s = sl.stats;
     emit(strf("{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %llu, "
               "\"tid\": 0, \"ts\": %.6f, \"dur\": %.6f, \"args\": "
               "{\"gm_sectors\": %llu, \"smem_request_cycles\": %llu, "

@@ -84,7 +84,6 @@ std::vector<ServeReply> ServingDriver::drain() {
   gopt.launch = opt_.launch;
   gopt.launch.plan_cache = opt_.plan_cache;
   if (opt_.plan_cache != nullptr) gopt.launch.replay = true;
-  gopt.launch.analytic = opt_.analytic;
 
   obs::TelemetrySink* const sink = opt_.telemetry;
   std::vector<ServeReply> replies(work.size());

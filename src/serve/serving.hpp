@@ -36,9 +36,9 @@ struct ServeOptions {
   sim::PlanCache* plan_cache = nullptr;
   /// Fold conv -> bias+ReLU pairs into the conv write-back.
   bool fuse = true;
-  /// Run warm conv launches analytically (timings only, no output data).
-  bool analytic = false;
-  /// Base launch options for every node (replay, num_threads, profile...).
+  /// Base launch options for every node (replay, num_threads, profile,
+  /// analytic...). `launch.analytic` runs warm conv launches analytically
+  /// (timings only, no output data).
   sim::LaunchOptions launch;
   /// kconv-scope sink (docs/MODEL.md §11). When set, the driver mints one
   /// trace per request (trace = request id + 1; trace 0 is the driver's

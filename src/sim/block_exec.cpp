@@ -15,7 +15,7 @@ namespace kconv::sim {
 namespace {
 
 /// Retires one warp transaction through the charge rule (charge.hpp) and
-/// attributes its cost to the phase of its first lane: lanes of one warp
+/// charges the same cost to the phase of its first lane: lanes of one warp
 /// transaction share their issue site, hence their phase. `tx` is the
 /// chunk's retire scratch (LaneSet::Scratch), reused across every
 /// transaction so the hot loop performs no allocations once it is warm.
@@ -33,18 +33,15 @@ void retire_group(const Arch& arch, TraceLevel trace, L2Cache* const_cache,
   const TxCost& c = retire_tx(arch, pattern, op, accesses, &gm_l2,
                               const_cache, stats, seg, tx);
   if (prof == nullptr) return;
-  const profile::Phase ph = accesses[0].phase;
-  if (c.issued()) {
-    if (is_smem(op)) {
-      prof->smem(ph, c.smem.request_cycles, c.smem.unique_bytes,
-                 c.smem.lane_bytes, op == Op::StoreShared);
-    } else if (is_gmem(op)) {
-      prof->gmem(ph, c.gmem.sectors.size(), c.misses, c.gmem.lane_bytes);
-    } else {
-      prof->cmem(ph, c.cnst.requests, c.misses);
-    }
-  }
-  if (memo) prof->pattern(ph, pattern->lookups() - plk, pattern->hits() - pht);
+  // A group that issued nothing and made no memo lookup opens no slice.
+  if (!c.issued() && (!memo || pattern->lookups() == plk)) return;
+  prof->charge(accesses[0].phase, [&](KernelStats& s) {
+    // Segments are the launch's: a phase counts no gm_phases.
+    SegmentFlags unused;
+    charge_invariant(c, s, unused);
+    charge_addr_dep(c, s);
+    if (memo) charge_pattern(*pattern, plk, pht, s);
+  });
 }
 
 /// Notes one retired address-dependent transaction in the capture trace so
@@ -361,7 +358,11 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
         prev = lp;
       }
       for (u32 i = 0; i < profile::kNumPhases; ++i) {
-        prof->compute(static_cast<profile::Phase>(i), dfma[i], dalu[i]);
+        if (dfma[i] == 0 && dalu[i] == 0) continue;
+        prof->charge(static_cast<profile::Phase>(i), [&](KernelStats& s) {
+          s.fma_lane_ops += dfma[i];
+          s.alu_lane_ops += dalu[i];
+        });
       }
     }
 
@@ -371,7 +372,10 @@ void run_block(LaneSet& lanes, Dim3 block_idx, TraceLevel trace,
     if (checker != nullptr) checker->on_barrier();
     if (!lanes.all_done()) {
       close_segment(seg, /*at_barrier=*/true, stats);
-      if (prof != nullptr) prof->barrier();
+      if (prof != nullptr) {
+        prof->charge(profile::Phase::Sync,
+                     [](KernelStats& s) { ++s.barriers; });
+      }
     }
   }
   close_segment(seg, /*at_barrier=*/false, stats);

@@ -1,14 +1,16 @@
 // The charge rule: how one retired warp transaction becomes KernelStats
 // counters, written once for every caller (docs/MODEL.md §1). price_tx runs
-// the space's analyzer (or the §5c pattern memo) once; charge_invariant
-// charges the translation-invariant counters and marks the segment's GM
-// load / SM store; charge_addr_dep charges GM sectors and probes the caches
-// it is given; retire_tx does all three and returns the cost for the caller
-// to attribute. close_segment and charge_warp_compute are the barrier rule
-// and the per-warp arithmetic attribution. The executor (run_block) and
-// kconv-xray's counter sink (no caches) call retire_tx; replay's segment
-// walk calls only price_tx + charge_addr_dep, since the class trace carries
-// the invariant counters (§5b). Inline so the executor's hot loop keeps it.
+// the space's analyzer (or the §5c pattern memo) once; probe_caches runs
+// the cost through the caches it is given and records the misses;
+// charge_invariant charges the translation-invariant counters and marks the
+// segment's GM load / SM store; charge_addr_dep charges GM sectors and the
+// misses. Charging only reads the cost, so kconv-prof charges a phase (§7)
+// the cost the launch was charged. retire_tx does all four and returns the
+// cost. close_segment, charge_warp_compute and charge_pattern are the
+// barrier rule, the per-warp arithmetic and the §5c memo's activity. The
+// executor and kconv-xray's counter sink (no caches) call retire_tx;
+// replay's segment walk skips charge_invariant, since the class trace
+// carries the invariant counters (§5b). Inline for the executor's hot loop.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +34,7 @@ struct TxCost {
   SmemCost smem;
   GmemCost gmem;  ///< sectors in L2 probe order
   ConstCost cnst;
-  /// Probes charge_addr_dep saw miss: DRAM sectors or constant lines.
+  /// Probes probe_caches saw miss: DRAM sectors or constant lines.
   u64 misses = 0;
 
   /// False for a shared or global group whose every lane is predicated off:
@@ -53,6 +55,7 @@ struct SegmentFlags {
 inline void price_tx(const Arch& arch, PatternCache* pattern, Op op,
                      std::span<const Access> lanes, TxCost& out) {
   out.op = op;
+  out.misses = 0;
   if (is_smem(op)) {
     out.smem = pattern != nullptr ? pattern->smem(lanes)
                                   : analyze_smem(lanes, arch.smem_banks,
@@ -91,21 +94,25 @@ inline void charge_invariant(const TxCost& c, KernelStats& stats,
   }
 }
 
-/// Charges gm_sectors and probes the given caches in the analyzer's order;
-/// misses go to the cache-warmth counters and `c.misses`. A predicated-off
-/// group has no sectors or lines, so it charges and probes nothing.
-inline void charge_addr_dep(TxCost& c, L2Cache* gm_l2, L2Cache* const_cache,
-                            KernelStats& stats) {
-  c.misses = 0;
-  if (is_gmem(c.op)) {
-    stats.gm_sectors += c.gmem.sectors.size();
-    if (gm_l2 == nullptr) return;
+/// Probes the given caches in the analyzer's order and counts the misses
+/// in `c.misses`. A predicated-off group has no sectors or lines, so it
+/// probes nothing; a null cache is not probed and misses nothing.
+inline void probe_caches(TxCost& c, L2Cache* gm_l2, L2Cache* const_cache) {
+  if (is_gmem(c.op) && gm_l2 != nullptr) {
     for (const u64 sector : c.gmem.sectors) c.misses += !gm_l2->access(sector);
-    stats.gm_sectors_dram += c.misses;
   } else if (c.op == Op::LoadConst && const_cache != nullptr) {
     for (u32 i = 0; i < c.cnst.lines_touched; ++i) {
       c.misses += !const_cache->access(c.cnst.line_addrs[i]);
     }
+  }
+}
+
+/// Charges gm_sectors and the probed misses to the cache-warmth counters.
+inline void charge_addr_dep(const TxCost& c, KernelStats& stats) {
+  if (is_gmem(c.op)) {
+    stats.gm_sectors += c.gmem.sectors.size();
+    stats.gm_sectors_dram += c.misses;
+  } else if (c.op == Op::LoadConst) {
     stats.const_line_misses += c.misses;
   }
 }
@@ -116,9 +123,17 @@ inline const TxCost& retire_tx(const Arch& arch, PatternCache* pattern, Op op,
                                KernelStats& stats, SegmentFlags& seg,
                                TxCost& scratch) {
   price_tx(arch, pattern, op, lanes, scratch);
+  probe_caches(scratch, gm_l2, const_cache);
   charge_invariant(scratch, stats, seg);
-  charge_addr_dep(scratch, gm_l2, const_cache, stats);
+  charge_addr_dep(scratch, stats);
   return scratch;
+}
+
+/// The §5c memo's lookups and hits since it read `lookups0` and `hits0`.
+inline void charge_pattern(const PatternCache& pattern, u64 lookups0,
+                           u64 hits0, KernelStats& stats) {
+  stats.pattern_lookups += pattern.lookups() - lookups0;
+  stats.pattern_hits += pattern.hits() - hits0;
 }
 
 /// Closes a segment: a gm_phase when it loaded GM, a gm_dep_phase when it

@@ -39,8 +39,6 @@ struct LaunchOptions {
   /// the kconv kernels are statistically identical). Functional output of
   /// skipped blocks is NOT produced.
   u64 sample_max_blocks = 0;
-  /// Invalidate L2 before the launch (true mimics a cold kernel call).
-  bool reset_l2 = true;
   /// Host worker threads simulating the grid's blocks. 1 (default) is the
   /// exact-legacy serial path: every block runs through the device's single
   /// L2 and one shared constant cache. >1 shards the block list into

@@ -9,6 +9,7 @@
 #include "src/analysis/lint.hpp"
 #include "src/common/strutil.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/sim/charge.hpp"
 #include "src/sim/plan_cache.hpp"
 #include "src/sim/plan_io.hpp"
 
@@ -51,10 +52,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   (void)compute_occupancy(dev.arch(), cfg);
 
   const Arch& arch = dev.arch();
-  if (opt.reset_l2) {
-    dev.l2().invalidate();
-  }
-  dev.l2().reset_counters();
+  dev.l2().invalidate();  // every launch is a cold kernel call
 
   LaunchResult res;
   res.blocks_total = cfg.grid.count();
@@ -173,8 +171,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   // grouped and which L2 each group sees; every plan is a pure function of
   // grid, thread count and shard strategy, so each is exactly reproducible.
   //   serial:   one chunk over the device's single L2, which therefore stays
-  //             warm across blocks (and across launches when reset_l2 is
-  //             off) — the exact-legacy path;
+  //             warm across blocks — the exact-legacy path;
   //   parallel: ceil(count/threads)-sized contiguous chunks, each on a
   //             private L2 shadow (closer to real concurrent SMXs);
   //   fleet:    one chunk per device, running its shard's block ranges
@@ -268,10 +265,7 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
       }
     }
     if (c.runner != nullptr) c.runner->finish(c.stats);
-    if (pattern != nullptr) {
-      c.stats.pattern_lookups += pattern->lookups();
-      c.stats.pattern_hits += pattern->hits();
-    }
+    if (pattern != nullptr) charge_pattern(*pattern, 0, 0, c.stats);
   };
   const u32 workers = static_cast<u32>(std::min<u64>(
       ThreadPool::resolve_threads(opt.num_threads), chunks.size()));

@@ -246,7 +246,8 @@ std::size_t ReplayRunner::walk_segment(LaneSet& lanes, Dim3 block_idx,
       group.push_back(lanes.event(t, cursors[t]++));
     }
     price_tx(arch_, pattern, tx.op, group, sc.tx);
-    charge_addr_dep(sc.tx, &gm_l2, const_cache, stats);
+    probe_caches(sc.tx, &gm_l2, const_cache);
+    charge_addr_dep(sc.tx, stats);
   }
   // The segment's events must all be spoken for before the recorders are
   // cleared for the next one.

@@ -179,14 +179,11 @@ std::string fleet_to_json(const FleetResult& f, int indent) {
 }
 
 std::string to_json(const Arch& arch, const LaunchResult& res) {
-  const KernelStats& s = res.stats;
   const TimingEstimate& t = res.timing;
   std::string out = "{\n";
   out += strf("  \"arch\": \"%s\",\n", arch.name.c_str());
   out += strf("  \"blocks_total\": %llu,\n",
               static_cast<unsigned long long>(res.blocks_total));
-  out += strf("  \"blocks_executed\": %llu,\n",
-              static_cast<unsigned long long>(res.blocks_executed));
   out += strf("  \"sampled\": %s,\n", res.sampled ? "true" : "false");
   out += strf("  \"analytic\": %s,\n", res.analytic ? "true" : "false");
   out += strf("  \"blocks_replayed\": %llu,\n",
@@ -207,34 +204,11 @@ std::string to_json(const Arch& arch, const LaunchResult& res) {
               "\"latency_floor\": %.6g},\n",
               t.pipe_compute, t.pipe_issue, t.pipe_smem, t.pipe_gmem,
               t.pipe_const, t.latency_floor);
-  out += strf("  \"fma_lane_ops\": %llu,\n",
-              static_cast<unsigned long long>(s.fma_lane_ops));
-  out += strf("  \"smem_instrs\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_instrs));
-  out += strf("  \"smem_request_cycles\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_request_cycles));
-  out += strf("  \"smem_lane_bytes\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_lane_bytes));
-  out += strf("  \"smem_store_instrs\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_store_instrs));
-  out += strf("  \"smem_store_request_cycles\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_store_request_cycles));
-  out += strf("  \"gm_sectors\": %llu,\n",
-              static_cast<unsigned long long>(s.gm_sectors));
-  out += strf("  \"gm_sectors_dram\": %llu,\n",
-              static_cast<unsigned long long>(s.gm_sectors_dram));
-  out += strf("  \"const_requests\": %llu,\n",
-              static_cast<unsigned long long>(s.const_requests));
-  out += strf("  \"pattern_lookups\": %llu,\n",
-              static_cast<unsigned long long>(s.pattern_lookups));
-  out += strf("  \"pattern_hits\": %llu,\n",
-              static_cast<unsigned long long>(s.pattern_hits));
   const bool with_analysis = res.analysis.hazard_checked || res.analysis.linted;
   const bool with_profile = res.profile.enabled;
   const bool with_fleet = res.fleet.enabled;
-  out += strf("  \"barriers\": %llu%s\n",
-              static_cast<unsigned long long>(s.barriers),
-              with_analysis || with_profile || with_fleet ? "," : "");
+  out += "  " + counters_json(kKernelCounters, res.stats, ",\n  ") +
+         (with_analysis || with_profile || with_fleet ? ",\n" : "\n");
   if (with_fleet) {
     out += "  \"fleet\": " + fleet_to_json(res.fleet, 2) +
            (with_analysis || with_profile ? ",\n" : "\n");

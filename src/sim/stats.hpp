@@ -88,6 +88,9 @@ struct KernelStats {
   u64 blocks_executed = 0;
 
   KernelStats& operator+=(const KernelStats& o);
+  bool operator==(const KernelStats&) const = default;
+  /// True when no counter was charged (a phase the launch never entered).
+  bool empty() const { return *this == KernelStats{}; }
 
   /// Total floating-point operations (FMA counts as 2).
   double flops() const { return 2.0 * static_cast<double>(fma_lane_ops); }

@@ -650,6 +650,13 @@ TEST(XrayReport, JsonRoundTripMatchesStaticAnalysisSchema) {
     EXPECT_EQ(static_cast<u64>(field(p, key).number), expected) << key;
     EXPECT_GT(expected, 0u) << key << " is 0: the round trip proves nothing";
   }
+  // ... and the block carries every KernelStats counter.
+  for (const auto& c : sim::kKernelCounters) {
+    ASSERT_EQ(field(p, c.name).type, JsonValue::Type::Number) << c.name;
+    EXPECT_EQ(static_cast<u64>(field(p, c.name).number),
+              rep.predicted.*c.member)
+        << c.name;
+  }
 
   // Per-site entries carry name/op/citation and both bank modes.
   const JsonValue& sites = field(d, "sites");

@@ -159,7 +159,7 @@ TEST(TelemetryIdentity, AllModesAndThreadCounts) {
       std::unique_ptr<sim::PlanCache> plans_off, plans_on;
       ServeOptions off;
       off.threads = threads;
-      off.analytic = mode.analytic;
+      off.launch.analytic = mode.analytic;
       if (mode.plans) {
         plans_off =
             std::make_unique<sim::PlanCache>(fresh_dir("plans_off_" + tag));

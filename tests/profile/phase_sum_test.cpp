@@ -150,7 +150,7 @@ TEST(PhaseSum, TimelineSlicesSumToLaunchTotalsWhenAllBlocksRecorded) {
   const auto run = run_special(kModes[0], /*timeline_blocks=*/100);
   ASSERT_EQ(run.launch.profile.timelines.size(),
             run.launch.stats.blocks_executed);
-  PhaseStats sum;
+  sim::KernelStats sum;
   for (const auto& tl : run.launch.profile.timelines)
     for (const PhaseSlice& sl : tl.slices) sum += sl.stats;
   EXPECT_TRUE(test::sums_match(sum, run.launch.stats));

@@ -131,11 +131,40 @@ TEST(Roofline, ImplicitGemmStagingModelIsExact) {
   EXPECT_NE(text.find("roofline (implicit_gemm case):"), std::string::npos);
 }
 
+// smem_load_elems_per_fma divides all of the compute phase's SM lane bytes
+// by its FMAs, which counts only loads because no kernel stores to SM from
+// its compute scope. Pin that for every kernel that gives roofline hints.
+TEST(Roofline, ComputePhaseIssuesNoSmemStores) {
+  Rng rng(3);
+  tensor::Tensor img = tensor::Tensor::image(4, 12, 66);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(64, 4, kK);
+  flt.fill_random(rng);
+  sim::Device dev(sim::kepler_k40m());
+  sim::LaunchOptions opt;
+  opt.profile = true;
+  const kernels::KernelRun runs[] = {
+      profiled_special(dev),
+      kernels::general_conv(dev, img, flt, {}, opt),
+      kernels::implicit_gemm_conv(dev, img, flt, {}, opt),
+  };
+  for (const kernels::KernelRun& run : runs) {
+    const sim::KernelStats& cp = run.launch.profile.phases.at(Phase::Compute);
+    EXPECT_GT(cp.fma_lane_ops, 0u);
+    EXPECT_EQ(cp.smem_store_instrs, 0u);
+    EXPECT_EQ(cp.smem_store_request_cycles, 0u);
+    EXPECT_DOUBLE_EQ(
+        attribute_roofline(dev.arch(), run.launch.profile)
+            .smem_load_elems_per_fma,
+        static_cast<double>(cp.smem_lane_bytes) / 4.0 / cp.fma_lane_ops);
+  }
+}
+
 TEST(Roofline, PipeCyclesTotalIsMaxOfPipes) {
   sim::Device dev(sim::kepler_k40m());
   const auto run = profiled_special(dev);
   for (u32 i = 0; i < kNumPhases; ++i) {
-    const PhaseStats& s = run.launch.profile.phases.p[i];
+    const sim::KernelStats& s = run.launch.profile.phases.p[i];
     if (s.empty()) continue;
     const PipeCycles p = phase_pipe_cycles(dev.arch(), s);
     EXPECT_GE(p.total, p.compute);

@@ -138,7 +138,7 @@ TEST(Serving, ColdWarmAnalyticProgressionAcrossDrivers) {
   EXPECT_EQ(cold[0].sim_seconds, warm[0].sim_seconds);
 
   // Analytic: zero representative execution, timings only.
-  opt.analytic = true;
+  opt.launch.analytic = true;
   const auto fast = serve_n(net, opt, 1);
   ASSERT_EQ(fast.size(), 1u);
   EXPECT_TRUE(fast[0].analytic);
@@ -155,7 +155,7 @@ TEST(Serving, AnalyticRepliesAreDeterministicAcrossThreadCounts) {
   opt.plan_cache = &plans;
   (void)serve_n(net, opt, 1);  // seed the store
 
-  opt.analytic = true;
+  opt.launch.analytic = true;
   opt.threads = 1;
   const auto a = serve_n(net, opt, 3);
   opt.threads = 3;

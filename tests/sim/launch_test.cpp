@@ -113,23 +113,6 @@ TEST(Launch, EmptyGridRejected) {
   EXPECT_THROW(launch(dev, k, cfg), Error);
 }
 
-TEST(Launch, L2ResetControlsColdVersusWarm) {
-  Device dev(kepler_k40m());
-  auto arr = dev.alloc<float>(64);
-  MarkKernel k;
-  k.data = arr.view();
-  LaunchConfig cfg;
-  cfg.grid = {64, 1, 1};
-  cfg.block = {32, 1, 1};
-  launch(dev, k, cfg);  // warms L2 with the marked sectors
-
-  LaunchOptions warm;
-  warm.reset_l2 = false;
-  auto warm_res = launch(dev, k, cfg, warm);
-  auto cold_res = launch(dev, k, cfg);  // reset_l2 = true default
-  EXPECT_LT(warm_res.stats.gm_sectors_dram, cold_res.stats.gm_sectors_dram);
-}
-
 TEST(Launch, DeterministicAcrossRuns) {
   auto run_once = [] {
     Device dev(kepler_k40m());

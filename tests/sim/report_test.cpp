@@ -11,6 +11,7 @@
 
 #include "src/sim/sim.hpp"
 #include "tests/support/json_reader.hpp"
+#include "tests/support/stats_match.hpp"
 
 namespace kconv::sim {
 namespace {
@@ -127,6 +128,15 @@ TEST(Report, JsonRoundTripMatchesKernelStatsSchema) {
     EXPECT_EQ(static_cast<u64>(v.number), expected) << key;
     EXPECT_GT(expected, 0u) << key << " is 0: the round trip proves nothing";
   }
+  // The counter block carries every KernelStats counter, once.
+  for (const auto& c : kKernelCounters) {
+    const JsonValue& v = field(*root, c.name);
+    ASSERT_EQ(v.type, JsonValue::Type::Number) << c.name;
+    EXPECT_EQ(static_cast<u64>(v.number), res.stats.*c.member) << c.name;
+  }
+  const std::string json = to_json(dev.arch(), res);
+  const std::string key = "\"blocks_executed\"";
+  EXPECT_EQ(json.find(key), json.rfind(key));
   EXPECT_GT(field(*root, "seconds").number, 0.0);
   EXPECT_GT(field(*root, "gflops").number, 0.0);
 
@@ -179,7 +189,7 @@ TEST(Report, JsonCarriesProfileBlockWhenProfiled) {
   const JsonValue& phases = field(p, "phases");
   ASSERT_EQ(phases.type, JsonValue::Type::Array);
   ASSERT_FALSE(phases.array.empty());
-  u64 barriers = 0, gm_sectors = 0, fma = 0;
+  KernelStats sum;  // the JSON phases, summed counter by counter
   std::vector<std::string> names;
   for (const auto& ph : phases.array) {
     ASSERT_EQ(ph->type, JsonValue::Type::Object);
@@ -189,24 +199,23 @@ TEST(Report, JsonCarriesProfileBlockWhenProfiled) {
     EXPECT_GE(field(*ph, "efficiency").number, 0.0);
     EXPECT_LE(field(*ph, "efficiency").number, 1.0);
     EXPECT_GE(field(*ph, "cycles").number, 0.0);
-    for (const char* key :
-         {"fma_lane_ops", "alu_lane_ops", "smem_instrs",
-          "smem_request_cycles", "smem_lane_bytes", "smem_store_instrs",
-          "smem_store_request_cycles", "smem_store_lane_bytes", "gm_instrs",
-          "gm_sectors", "gm_sectors_dram", "gm_bytes_useful", "const_instrs",
-          "const_requests", "const_line_misses", "barriers",
-          "pattern_lookups", "pattern_hits"}) {
-      ASSERT_EQ(field(*ph, key).type, JsonValue::Type::Number) << key;
+    const KernelStats* want = nullptr;
+    for (u32 i = 0; i < profile::kNumPhases; ++i) {
+      if (names.back() == profile::phase_name(static_cast<profile::Phase>(i)))
+        want = &res.profile.phases.p[i];
     }
-    barriers += static_cast<u64>(field(*ph, "barriers").number);
-    gm_sectors += static_cast<u64>(field(*ph, "gm_sectors").number);
-    fma += static_cast<u64>(field(*ph, "fma_lane_ops").number);
+    ASSERT_NE(want, nullptr) << names.back();
+    for (const auto& c : kKernelCounters) {
+      const JsonValue& v = field(*ph, c.name);
+      ASSERT_EQ(v.type, JsonValue::Type::Number) << c.name;
+      EXPECT_EQ(static_cast<u64>(v.number), want->*c.member)
+          << names.back() << " " << c.name;
+      sum.*c.member += static_cast<u64>(v.number);
+    }
   }
   // The JSON roll-up sums back to the launch totals, even for this
   // unannotated kernel (everything lands in "other" + "sync").
-  EXPECT_EQ(barriers, res.stats.barriers);
-  EXPECT_EQ(gm_sectors, res.stats.gm_sectors);
-  EXPECT_EQ(fma, res.stats.fma_lane_ops);
+  EXPECT_TRUE(test::sums_match(sum, res.stats));
   EXPECT_NE(std::find(names.begin(), names.end(), "other"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "sync"), names.end());
 

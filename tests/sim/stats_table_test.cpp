@@ -1,7 +1,7 @@
-// Counter tables (docs/MODEL.md §1): each KernelStats / PhaseStats field is
-// declared once with its replay class, and merging, plan I/O, the replay
-// split and the identity predicate derive from that declaration. These
-// tests pin every derived rule field by field.
+// Counter tables (docs/MODEL.md §1): each KernelStats field is declared
+// once with its replay class, and merging, plan I/O, the replay split and
+// the identity predicate derive from that declaration. These tests pin
+// every derived rule field by field.
 #include <array>
 #include <cstring>
 #include <map>
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/profile/phase.hpp"
 #include "src/sim/plan_io.hpp"
 #include "src/sim/stats.hpp"
 
@@ -93,10 +92,6 @@ void check_table(const CounterTable<S, N>& table) {
 
 TEST(StatsTable, KernelStatsRulesFollowTheTable) {
   check_table(sim::kKernelCounters);
-}
-
-TEST(StatsTable, PhaseStatsRulesFollowTheTable) {
-  check_table(profile::kPhaseCounters);
 }
 
 TEST(StatsTable, PredicateUsesCallerLabels) {

@@ -1,6 +1,8 @@
 // gtest adapters for the counter tables (docs/MODEL.md §1).
 #pragma once
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,14 +11,12 @@
 
 #include "src/common/strutil.hpp"
 #include "src/profile/collector.hpp"
-#include "src/profile/phase.hpp"
 #include "src/sim/stats.hpp"
 
 namespace kconv::test {
 
 /// EXPECT_TRUE(stats_match(a, b, level)): stats_mismatches is empty, else
 /// the failure lists one "field: a=X b=Y" line per differing counter.
-/// Works for KernelStats and PhaseStats.
 template <typename S>
 ::testing::AssertionResult stats_match(const S& a, const S& b,
                                        StatsLevel level) {
@@ -25,26 +25,33 @@ template <typename S>
   return ::testing::AssertionFailure() << join(mismatches, "\n");
 }
 
-/// EXPECT_TRUE(sums_match(phases.total(), stats)): every PhaseStats counter
-/// equals its same-named KernelStats counter. Only smem_store_lane_bytes is
-/// profile-only.
-inline ::testing::AssertionResult sums_match(const profile::PhaseStats& sum,
+/// The counters only a launch is charged (docs/MODEL.md §7): per-warp
+/// instruction counts and maxima, barrier segments, divergence replays and
+/// block counts. Every phase keeps them 0.
+inline constexpr std::string_view kLaunchOnlyCounters[] = {
+    "fma_warp_instrs", "alu_warp_instrs", "max_warp_instrs",
+    "gm_phases",       "gm_dep_phases",   "divergent_retires",
+    "blocks_executed"};
+
+/// EXPECT_TRUE(sums_match(phases.total(), stats)): every counter a phase is
+/// charged sums to the launch's value, and every launch-only counter to 0.
+inline ::testing::AssertionResult sums_match(const sim::KernelStats& sum,
                                              const sim::KernelStats& s) {
   std::string bad;
-  std::size_t paired = 0;
-  for (const auto& pc : profile::kPhaseCounters) {
-    for (const auto& kc : sim::kKernelCounters) {
-      if (std::string_view(pc.name) != kc.name) continue;
-      ++paired;
-      if (sum.*pc.member != s.*kc.member) {
-        bad += strf("%s: phases=%llu launch=%llu\n", pc.name,
-                    static_cast<unsigned long long>(sum.*pc.member),
-                    static_cast<unsigned long long>(s.*kc.member));
-      }
+  std::size_t launch_only = 0;
+  for (const auto& c : sim::kKernelCounters) {
+    const bool only = std::ranges::find(kLaunchOnlyCounters, c.name) !=
+                      std::end(kLaunchOnlyCounters);
+    launch_only += only;
+    const u64 want = only ? 0 : s.*c.member;
+    if (sum.*c.member != want) {
+      bad += strf("%s: phases=%llu want=%llu\n", c.name,
+                  static_cast<unsigned long long>(sum.*c.member),
+                  static_cast<unsigned long long>(want));
     }
   }
-  if (paired + 1 != profile::kPhaseCounters.size()) {
-    bad += "PhaseStats and KernelStats counter names no longer pair up\n";
+  if (launch_only != std::size(kLaunchOnlyCounters)) {
+    bad += "a launch-only counter name is not a KernelStats counter\n";
   }
   if (bad.empty()) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << bad;
