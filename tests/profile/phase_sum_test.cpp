@@ -11,7 +11,9 @@
 
 #include "src/kernels/general_conv.hpp"
 #include "src/kernels/special_conv.hpp"
+#include "src/sim/report.hpp"
 #include "src/tensor/tensor.hpp"
+#include "tests/support/json_reader.hpp"
 #include "tests/support/stats_match.hpp"
 
 namespace kconv::profile {
@@ -95,6 +97,43 @@ TEST(PhaseSum, GeneralConvPhaseDeltasSumToLaunchTotals) {
     EXPECT_GT(run.launch.profile.phases.at(Phase::Compute).smem_instrs, 0u);
     EXPECT_EQ(run.launch.profile.phases.at(Phase::Compute).smem_store_instrs,
               0u);
+  }
+}
+
+// The same invariant read back from the launch JSON's profile block, for
+// kernels that annotate their phases: every counter of every phase entry
+// equals the roll-up's value, and the entries sum to the launch totals.
+TEST(PhaseSum, JsonPhaseEntriesSumToLaunchTotals) {
+  using testsupport::field;
+  using testsupport::JsonReader;
+  using testsupport::JsonValue;
+  const sim::Arch arch = sim::kepler_k40m();
+  for (const ModeCase& m : kModes) {
+    SCOPED_TRACE(m.name);
+    for (const auto& run : {run_special(m), run_general(m)}) {
+      const auto root = JsonReader(sim::to_json(arch, run.launch)).parse();
+      const JsonValue& phases = field(field(*root, "profile"), "phases");
+      ASSERT_EQ(phases.type, JsonValue::Type::Array);
+      ASSERT_GE(phases.array.size(), 4u);
+      sim::KernelStats sum;
+      for (const auto& ph : phases.array) {
+        const std::string& name = field(*ph, "phase").str;
+        const sim::KernelStats* want = nullptr;
+        for (u32 p = 0; p < kNumPhases; ++p) {
+          if (name == phase_name(static_cast<Phase>(p)))
+            want = &run.launch.profile.phases.p[p];
+        }
+        ASSERT_NE(want, nullptr) << name;
+        for (const auto& c : sim::kKernelCounters) {
+          const JsonValue& v = field(*ph, c.name);
+          ASSERT_EQ(v.type, JsonValue::Type::Number) << name << " " << c.name;
+          EXPECT_EQ(static_cast<u64>(v.number), want->*c.member)
+              << name << " " << c.name;
+          sum.*c.member += static_cast<u64>(v.number);
+        }
+      }
+      EXPECT_TRUE(test::sums_match(sum, run.launch.stats));
+    }
   }
 }
 

@@ -113,6 +113,23 @@ TEST(Launch, EmptyGridRejected) {
   EXPECT_THROW(launch(dev, k, cfg), Error);
 }
 
+TEST(Launch, EveryLaunchStartsWithColdL2) {
+  Device dev(kepler_k40m());
+  auto arr = dev.alloc<float>(64);
+  MarkKernel k;
+  k.data = arr.view();
+  LaunchConfig cfg;
+  cfg.grid = {64, 1, 1};
+  cfg.block = {32, 1, 1};
+  const auto first = launch(dev, k, cfg);
+  // The first launch left its sectors in the device L2; the second must
+  // not hit them, so it pays the same DRAM traffic.
+  const auto second = launch(dev, k, cfg);
+  EXPECT_GT(first.stats.gm_sectors_dram, 0u);
+  EXPECT_EQ(second.stats.gm_sectors_dram, first.stats.gm_sectors_dram);
+  EXPECT_EQ(second.stats.gm_sectors, first.stats.gm_sectors);
+}
+
 TEST(Launch, DeterministicAcrossRuns) {
   auto run_once = [] {
     Device dev(kepler_k40m());
