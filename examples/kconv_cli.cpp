@@ -32,6 +32,7 @@
 // the xray pre-pass to --autotune: dominated candidates are never
 // simulated.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -145,6 +146,21 @@ void print_usage(std::FILE* to, const char* argv0) {
   std::exit(2);
 }
 
+/// The value of integer flag `flag`: the whole of `arg` must be a decimal
+/// integer, else exit 2 naming the flag ("abc" must not read as 0, nor
+/// "2x" as 2).
+i64 int_flag(const char* flag, const char* arg) {
+  i64 v = 0;
+  const char* end = arg + std::strlen(arg);
+  const auto [p, ec] = std::from_chars(arg, end, v);
+  if (ec != std::errc{} || p != end) {
+    std::fprintf(stderr, "error: %s expects a decimal integer (got '%s')\n",
+                 flag, arg);
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,22 +178,23 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto next_int = [&]() { return int_flag(a.c_str(), next()); };
     if (a == "--help" || a == "-h") {
       print_usage(stdout, argv[0]);
       return 0;
     }
     if (a == "--algo") algo = next();
     else if (a == "--arch") arch_name = next();
-    else if (a == "--c") c = std::atoll(next());
-    else if (a == "--f") f = std::atoll(next());
-    else if (a == "--k") k = std::atoll(next());
-    else if (a == "--n") n = std::atoll(next());
-    else if (a == "--vec") vec = std::atoll(next());
-    else if (a == "--sample") sample = std::atoll(next());
-    else if (a == "--threads") threads = std::atoll(next());
-    else if (a == "--devices") devices = std::atoll(next());
+    else if (a == "--c") c = next_int();
+    else if (a == "--f") f = next_int();
+    else if (a == "--k") k = next_int();
+    else if (a == "--n") n = next_int();
+    else if (a == "--vec") vec = next_int();
+    else if (a == "--sample") sample = next_int();
+    else if (a == "--threads") threads = next_int();
+    else if (a == "--devices") devices = next_int();
     else if (a.rfind("--devices=", 0) == 0)
-      devices = std::atoll(a.c_str() + std::strlen("--devices="));
+      devices = int_flag("--devices", a.c_str() + std::strlen("--devices="));
     else if (a == "--shard") shard = next();
     else if (a.rfind("--shard=", 0) == 0)
       shard = a.substr(std::strlen("--shard="));
@@ -195,7 +212,7 @@ int main(int argc, char** argv) {
     else if (a == "--network") network = next();
     else if (a.rfind("--network=", 0) == 0)
       network = a.substr(std::strlen("--network="));
-    else if (a == "--requests") requests = std::atoll(next());
+    else if (a == "--requests") requests = next_int();
     else if (a == "--no-fuse") fuse = false;
     else if (a == "--telemetry-out") telemetry_out = next();
     else if (a.rfind("--telemetry-out=", 0) == 0)
@@ -209,6 +226,11 @@ int main(int argc, char** argv) {
     else usage(argv[0]);
   }
   if (!trace_out.empty()) profile = true;
+  if (sample < 0) {
+    std::fprintf(stderr, "error: --sample must be at least 0 (got %lld)\n",
+                 static_cast<long long>(sample));
+    return 2;
+  }
 
   sim::Arch arch;
   if (arch_name == "kepler") arch = sim::kepler_k40m();
@@ -385,7 +407,6 @@ int main(int argc, char** argv) {
       const auto replies = driver.drain();
       const auto stats = driver.stats();
       const u64 plan_stores = plans != nullptr ? plans->stores() : 0;
-      const u64 plan_evictions = plans != nullptr ? plans->evictions() : 0;
       double sim_total = 0.0;
       bool all_ok = true;
       for (const auto& rep : replies) {
@@ -439,7 +460,6 @@ int main(int argc, char** argv) {
                .snapshots = sink->snapshots_written(),
                .metric_groups = sink->metrics_copy().groups().size(),
                .plan_stores = plan_stores,
-               .plan_evictions = plan_evictions,
                .stats = stats};
       }
       if (json) {
@@ -459,9 +479,7 @@ int main(int argc, char** argv) {
         // launch count (asserted in CI's serving smoke).
         std::printf(
             "\"plan_cache\": %s, ",
-            obs::taxonomy_to_json(stats.plan_taxonomy, plan_stores,
-                                  plan_evictions)
-                .c_str());
+            obs::taxonomy_to_json(stats.plan_taxonomy, plan_stores).c_str());
         if (devices > 1) {
           std::printf(
               "\"fleet\": {\"devices\": %lld, \"shard\": \"%s\", "
@@ -497,7 +515,7 @@ int main(int argc, char** argv) {
                     stats.fusion_gm_bytes_eliminated);
         std::printf("plan cache: %llu launches (hit=%llu miss=%llu "
                     "stale=%llu corrupt=%llu disabled=%llu unplanned=%llu), "
-                    "stores=%llu evictions=%llu\n",
+                    "stores=%llu\n",
                     static_cast<unsigned long long>(
                         stats.plan_taxonomy.total()),
                     static_cast<unsigned long long>(stats.plan_taxonomy.hit),
@@ -511,8 +529,7 @@ int main(int argc, char** argv) {
                         stats.plan_taxonomy.disabled),
                     static_cast<unsigned long long>(
                         stats.plan_taxonomy.unplanned),
-                    static_cast<unsigned long long>(plan_stores),
-                    static_cast<unsigned long long>(plan_evictions));
+                    static_cast<unsigned long long>(plan_stores));
         if (devices > 1) {
           std::printf("fleet: %lld devices (shard=%s), staged %llu B h2d, "
                       "%llu B d2h, %llu B d2d (%.6f s modeled transfers)\n",
@@ -636,13 +653,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  Rng rng(1);
-  tensor::Tensor img = tensor::Tensor::image(c, n, n);
-  img.fill_random(rng);
-  tensor::Tensor flt = tensor::Tensor::filters(f, c, k);
-  flt.fill_random(rng);
-
   try {
+    Rng rng(1);
+    tensor::Tensor img = tensor::Tensor::image(c, n, n);
+    img.fill_random(rng);
+    tensor::Tensor flt = tensor::Tensor::filters(f, c, k);
+    flt.fill_random(rng);
+
     // Shard axes the kernel does not declare are a usage error (exit 2),
     // like the validate() conflicts above.
     if (const std::string why =

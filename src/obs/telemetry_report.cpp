@@ -17,7 +17,6 @@ ServeStats& ServeStats::operator+=(const ServeStats& o) {
   max_inflight_batches =
       std::max(max_inflight_batches, o.max_inflight_batches);
   latency.merge(o.latency);
-  sim_latency.merge(o.sim_latency);
   return *this;
 }
 
@@ -75,42 +74,17 @@ std::vector<HealthVerdict> health_verdicts(const ServingTelemetry& t) {
     out.push_back(std::move(v));
   }
 
-  {
-    HealthVerdict v;
-    v.name = "plan-churn";
-    const double churn = t.eviction_churn();
-    if (t.plan_stores == 0) {
-      v.verdict = "no-store";
-      v.detail = "no plan-cache stores observed";
-    } else if (churn > 0.5) {
-      v.verdict = "thrashing";
-      v.detail = strf(
-          "%.2f evictions per store: the byte budget cannot hold the "
-          "serving working set, so §5d replay keeps degrading to "
-          "re-capture (eviction only costs a re-capture, but sustained "
-          "churn forfeits the warm path entirely)",
-          churn);
-    } else {
-      v.verdict = "stable";
-      v.detail = strf("%.2f evictions per store: the plan store retains "
-                      "the working set",
-                      churn);
-    }
-    out.push_back(std::move(v));
-  }
-
   return out;
 }
 
-std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores,
-                             u64 evictions) {
+std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores) {
   return strf(
       "{\"launches\": %llu, \"hit\": %llu, \"miss\": %llu, "
       "\"corrupt\": %llu, \"corrupt_payload\": %llu, "
       "\"stale_version\": %llu, \"stale_key\": %llu, \"stale_arch\": %llu, "
       "\"stale_config\": %llu, \"stale_trace_level\": %llu, "
       "\"stale_static_signature\": %llu, \"disabled\": %llu, "
-      "\"unplanned\": %llu, \"stores\": %llu, \"evictions\": %llu}",
+      "\"unplanned\": %llu, \"stores\": %llu}",
       (unsigned long long)t.total(), (unsigned long long)t.hit,
       (unsigned long long)t.miss, (unsigned long long)t.corrupt,
       (unsigned long long)t.corrupt_payload,
@@ -119,7 +93,7 @@ std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores,
       (unsigned long long)t.stale_trace_level,
       (unsigned long long)t.stale_static_signature,
       (unsigned long long)t.disabled, (unsigned long long)t.unplanned,
-      (unsigned long long)stores, (unsigned long long)evictions);
+      (unsigned long long)stores);
 }
 
 std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
@@ -140,10 +114,8 @@ std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
   line(strf("\"analytic\": %llu", (unsigned long long)s.analytic));
   line(strf("\"conv_launches\": %llu", (unsigned long long)s.conv_launches));
   line(strf("\"plan_cache\": %s",
-            taxonomy_to_json(s.plan_taxonomy, t.plan_stores, t.plan_evictions)
-                .c_str()));
+            taxonomy_to_json(s.plan_taxonomy, t.plan_stores).c_str()));
   line(strf("\"warm_path_ratio\": %.6f", t.warm_path_ratio()));
-  line(strf("\"eviction_churn\": %.6f", t.eviction_churn()));
   line(strf("\"fleet_device_chunks\": %llu",
             (unsigned long long)s.fleet_device_chunks));
   line(strf("\"comm_bound_devices\": %llu",
@@ -183,7 +155,7 @@ std::string format_telemetry(const ServingTelemetry& t) {
               (unsigned long long)s.warm, (unsigned long long)s.analytic,
               (unsigned long long)s.conv_launches);
   out += strf("  plan-cache: hit=%llu miss=%llu stale=%llu corrupt=%llu "
-              "disabled=%llu unplanned=%llu stores=%llu evictions=%llu\n",
+              "disabled=%llu unplanned=%llu stores=%llu\n",
               (unsigned long long)s.plan_taxonomy.hit,
               (unsigned long long)s.plan_taxonomy.miss,
               (unsigned long long)s.plan_taxonomy.stale_total(),
@@ -191,8 +163,7 @@ std::string format_telemetry(const ServingTelemetry& t) {
                                    s.plan_taxonomy.corrupt_payload),
               (unsigned long long)s.plan_taxonomy.disabled,
               (unsigned long long)s.plan_taxonomy.unplanned,
-              (unsigned long long)t.plan_stores,
-              (unsigned long long)t.plan_evictions);
+              (unsigned long long)t.plan_stores);
   if (s.latency.count() > 0) {
     out += strf("  latency ms: p50=%.3f p95=%.3f p99=%.3f (n=%llu%s)\n",
                 s.latency.percentile(0.50) * 1e3,

@@ -22,7 +22,6 @@ struct ServeStats : RunTotals {
   u64 max_queue_depth = 0;       ///< high-water queued requests
   u64 max_inflight_batches = 0;  ///< high-water batches per drain
   Histogram latency;             ///< host seconds per request
-  Histogram sim_latency;         ///< simulated seconds per request
 
   using RunTotals::operator+=;
   /// Sums the counts and merges the histograms; high-water marks take the
@@ -39,7 +38,6 @@ struct ServingTelemetry {
   u64 snapshots = 0;
   u64 metric_groups = 0;
   u64 plan_stores = 0;
-  u64 plan_evictions = 0;
   ServeStats stats;
 
   /// Fraction of requests that avoided the cold capture path (replay or
@@ -50,29 +48,21 @@ struct ServingTelemetry {
                : static_cast<double>(stats.processed - stats.cold) /
                      static_cast<double>(stats.processed);
   }
-  /// Evictions per store: sustained churn near 1 means the byte budget
-  /// cannot hold the working set.
-  double eviction_churn() const {
-    return plan_stores == 0 ? 0.0
-                            : static_cast<double>(plan_evictions) /
-                                  static_cast<double>(plan_stores);
-  }
 };
 
 struct HealthVerdict {
-  std::string name;     ///< "warm-path" | "communication" | "plan-churn"
+  std::string name;     ///< "warm-path" | "communication"
   std::string verdict;  ///< short machine-matchable status
   std::string detail;   ///< paper-cited interpretation
 };
 
-/// The three serving health checks with paper-cited interpretations.
+/// The two serving health checks with paper-cited interpretations.
 std::vector<HealthVerdict> health_verdicts(const ServingTelemetry& t);
 
 /// Single-line JSON object for a taxonomy: {"launches":N,"hit":..,...,
-/// "stores":S,"evictions":E}. Shared by the serving `plan_cache` block and
-/// the `telemetry` block so the two can be cross-checked field by field.
-std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores,
-                             u64 evictions);
+/// "stores":S}. Shared by the serving `plan_cache` block and the
+/// `telemetry` block so the two can be cross-checked field by field.
+std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores);
 
 /// The report/JSON `telemetry` block. `indent` is the number of spaces
 /// prefixed to every line so callers can nest it in their own object.

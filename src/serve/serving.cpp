@@ -4,13 +4,18 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/error.hpp"
 #include "src/common/strutil.hpp"
 #include "src/sim/sim.hpp"
 
 namespace kconv::serve {
 
 ServingDriver::ServingDriver(ServeOptions opt)
-    : opt_(std::move(opt)), pool_(opt_.threads) {}
+    : opt_(std::move(opt)), pool_(opt_.threads) {
+  KCONV_CHECK(opt_.launch.plan_cache == nullptr,
+              "ServeOptions::launch.plan_cache is not read: pass the plan "
+              "store as ServeOptions::plan_cache");
+}
 
 u64 ServingDriver::enqueue(const Network& net, tensor::Tensor input) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -157,7 +162,6 @@ std::vector<ServeReply> ServingDriver::drain() {
     }
     delta += totals[i];
     delta.latency.add(replies[i].host_seconds);
-    delta.sim_latency.add(replies[i].sim_seconds);
     if (sink != nullptr) {
       obs::MetricsKey key;
       key.network = work[i].net->name;

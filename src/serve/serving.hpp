@@ -32,7 +32,9 @@ namespace kconv::serve {
 struct ServeOptions {
   /// Worker threads for request-level parallelism (0 = hardware count).
   u32 threads = 1;
-  /// Shared across all requests; nullptr serves every request cold.
+  /// Shared across all requests; nullptr serves every request cold. This
+  /// is the driver's only plan store: a non-null `launch.plan_cache` is
+  /// rejected at construction.
   sim::PlanCache* plan_cache = nullptr;
   /// Fold conv -> bias+ReLU pairs into the conv write-back.
   bool fuse = true;

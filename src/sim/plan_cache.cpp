@@ -1,13 +1,10 @@
 #include "src/sim/plan_cache.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -63,45 +60,6 @@ u64 process_tag() {
 #endif
 }
 
-/// Reads just the envelope header of a blob and returns its embedded key
-/// (empty when the file is not a recognizable plan envelope). The eviction
-/// sweep uses this to pair a plan blob with its `<key>|tapes` sidecar
-/// without slurping multi-megabyte payloads. Any envelope version is
-/// accepted — stale-version files are prime eviction candidates.
-std::string peek_key(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  char head[16];
-  if (std::fread(head, 1, sizeof(head), f) != sizeof(head) ||
-      std::memcmp(head, kPlanMagic, 8) != 0) {
-    std::fclose(f);
-    return {};
-  }
-  u32 len = 0;
-  std::memcpy(&len, head + 12, 4);
-  if (len > (1u << 20)) {  // sane key-length cap; larger = corrupt
-    std::fclose(f);
-    return {};
-  }
-  std::string key(len, '\0');
-  const bool ok = std::fread(key.data(), 1, len, f) == len;
-  std::fclose(f);
-  return ok ? key : std::string{};
-}
-
-constexpr std::string_view kTapeSuffix = "|tapes";
-
-/// The plan key a file belongs to: its own key, with a tape sidecar mapped
-/// to its primary's key so the pair lives and dies together.
-std::string primary_key_of(const std::string& key) {
-  if (key.size() > kTapeSuffix.size() &&
-      key.compare(key.size() - kTapeSuffix.size(), kTapeSuffix.size(),
-                  kTapeSuffix) == 0) {
-    return key.substr(0, key.size() - kTapeSuffix.size());
-  }
-  return key;
-}
-
 }  // namespace
 
 u64 plan_checksum(std::string_view bytes) {
@@ -122,8 +80,7 @@ u64 plan_checksum(std::string_view bytes) {
   return h;
 }
 
-PlanCache::PlanCache(std::string dir, u64 byte_budget)
-    : dir_(std::move(dir)), budget_(byte_budget) {
+PlanCache::PlanCache(std::string dir) : dir_(std::move(dir)) {
   KCONV_CHECK(!dir_.empty(), "plan cache directory path is empty");
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -164,8 +121,7 @@ bool PlanCache::load_view(const std::string& key, std::string& blob,
     if (why != nullptr) *why = reason;
     return false;
   };
-  const std::string path = path_for(key);
-  if (!slurp(path, blob)) return fail("miss");
+  if (!slurp(path_for(key), blob)) return fail("miss");
   PlanReader r(blob);
   char magic[8];
   if (!r.raw(magic, 8) || std::memcmp(magic, kPlanMagic, 8) != 0) {
@@ -187,13 +143,6 @@ bool PlanCache::load_view(const std::string& key, std::string& blob,
   if (plan_checksum(body) != sum) return fail("corrupt");
   payload = body;
   ++hits_;
-  // Under a byte budget, a hit refreshes the blob's recency so the LRU
-  // sweep evicts cold keys first. Touch only when budgeted: the unbounded
-  // default keeps mtimes as pure write stamps.
-  if (byte_budget() > 0) {
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-  }
   if (why != nullptr) *why = "hit";
   return true;
 }
@@ -249,59 +198,6 @@ void PlanCache::store(const std::string& key, std::string_view payload) {
                             path.c_str()));
   }
   ++stores_;
-  if (byte_budget() > 0) evict_to_budget(primary_key_of(key));
-}
-
-void PlanCache::evict_to_budget(const std::string& keep_key) {
-  const u64 budget = byte_budget();
-  // One group per primary key: the plan blob plus its tape sidecar, aged by
-  // the newest member (loading either refreshes the pair). Files that are
-  // not valid envelopes (foreign debris, torn historical writes) form
-  // singleton groups keyed by path — evictable like anything else.
-  struct Group {
-    std::vector<std::string> paths;
-    u64 bytes = 0;
-    fs::file_time_type mtime = fs::file_time_type::min();
-  };
-  std::unordered_map<std::string, Group> groups;
-  u64 total = 0;
-  std::error_code ec;
-  for (const auto& de : fs::directory_iterator(dir_, ec)) {
-    if (de.path().extension() != ".kplan") continue;
-    std::error_code fec;
-    const u64 sz = static_cast<u64>(de.file_size(fec));
-    if (fec) continue;
-    const std::string path = de.path().string();
-    std::string key = peek_key(path);
-    if (key.empty()) key = path;
-    Group& g = groups[primary_key_of(key)];
-    g.paths.push_back(path);
-    g.bytes += sz;
-    const fs::file_time_type mt = de.last_write_time(fec);
-    if (!fec) g.mtime = std::max(g.mtime, mt);
-    total += sz;
-  }
-  if (total <= budget) return;
-  std::vector<std::pair<std::string, const Group*>> order;
-  order.reserve(groups.size());
-  for (const auto& [k, g] : groups) {
-    if (k == keep_key) continue;  // never evict the entry just stored
-    order.emplace_back(k, &g);
-  }
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    if (a.second->mtime != b.second->mtime) {
-      return a.second->mtime < b.second->mtime;
-    }
-    return a.first < b.first;  // deterministic tie-break
-  });
-  for (const auto& [k, g] : order) {
-    if (total <= budget) break;
-    for (const std::string& path : g->paths) {
-      std::error_code rec;
-      if (fs::remove(path, rec) && !rec) ++evictions_;
-    }
-    total -= std::min(total, g->bytes);
-  }
 }
 
 }  // namespace kconv::sim

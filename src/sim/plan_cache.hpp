@@ -14,7 +14,11 @@
 //   * store() writes to a unique temp file and renames it into place, so
 //     concurrent writers (parallel autotune candidates, several processes
 //     sharing one cache dir) leave either the old blob or a complete new
-//     one, never a torn file.
+//     one, never a torn file;
+//   * nothing is ever deleted: store() adds or replaces only its own key's
+//     blob, so the directory grows with the set of keys ever stored (blobs
+//     of keys an older format spelled differently included). Clearing the
+//     directory is how to reclaim space; it only costs re-captures.
 //
 // What the payload *means* (serialized traces and tapes) is
 // plan_io.hpp's business; what a hit is worth is the launch layer's.
@@ -138,22 +142,9 @@ u64 plan_checksum(std::string_view bytes);
 /// constructing early, before any simulation work.
 class PlanCache {
  public:
-  /// `byte_budget` caps the directory's total blob bytes (0 = unbounded):
-  /// when a store pushes the directory past the cap, least-recently-used
-  /// entries are evicted — a plan blob and its `<key>|tapes` sidecar always
-  /// leave together, so a surviving entry is never left half-warm. Eviction
-  /// only costs a re-capture (an evicted key is an ordinary "miss" later);
-  /// the entry just stored is never evicted, even when it alone exceeds the
-  /// cap.
-  explicit PlanCache(std::string dir, u64 byte_budget = 0);
+  explicit PlanCache(std::string dir);
 
   const std::string& dir() const { return dir_; }
-
-  /// Adjusts the byte cap; takes effect at the next store() (0 disables).
-  void set_byte_budget(u64 bytes) {
-    budget_.store(bytes, std::memory_order_relaxed);
-  }
-  u64 byte_budget() const { return budget_.load(std::memory_order_relaxed); }
 
   /// Total bytes currently held by the directory's plan blobs.
   u64 disk_bytes() const;
@@ -182,20 +173,14 @@ class PlanCache {
   u64 loads() const { return loads_.load(std::memory_order_relaxed); }
   u64 hits() const { return hits_.load(std::memory_order_relaxed); }
   u64 stores() const { return stores_.load(std::memory_order_relaxed); }
-  /// Files removed by budget eviction (a blob and its sidecar count as two).
-  u64 evictions() const { return evictions_.load(std::memory_order_relaxed); }
 
  private:
-  void evict_to_budget(const std::string& keep_key);
-
   std::string dir_;
-  std::atomic<u64> budget_{0};
   // One store may serve several host threads (parallel autotune probes,
   // concurrent warm launches) — count with relaxed atomics.
   std::atomic<u64> loads_{0};
   std::atomic<u64> hits_{0};
   std::atomic<u64> stores_{0};
-  std::atomic<u64> evictions_{0};
 };
 
 }  // namespace kconv::sim

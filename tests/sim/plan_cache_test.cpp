@@ -8,7 +8,6 @@
 // PlanWriter/PlanReader primitives and the plan_matches staleness
 // classification that plan_io layers on top, and the payload parser's
 // answer to damaged bytes: reject or round-trip, never crash.
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -210,6 +209,19 @@ TEST(PlanCacheStore, CreatesMissingDirectory) {
   EXPECT_TRUE(cache.load("k", out));
 }
 
+TEST(PlanCacheStore, StoreNeverRemovesOtherKeys) {
+  PlanCache cache(fresh_dir("store_keeps_keys"));
+  const auto payload = [](int i) {
+    return std::string(1 << 12, static_cast<char>('a' + i));
+  };
+  for (int i = 0; i < 8; ++i) cache.store(strf("k%d", i), payload(i));
+  for (int i = 0; i < 8; ++i) {
+    std::string out;
+    EXPECT_TRUE(cache.load(strf("k%d", i), out)) << "k" << i;
+    EXPECT_EQ(out, payload(i)) << "k" << i;
+  }
+}
+
 TEST(PlanMatches, ClassifiesEveryStalenessKind) {
   const Arch arch = kepler_k40m();
   LaunchPlan plan;
@@ -258,126 +270,6 @@ TEST(PlanStoreKey, FoldsEveryLaunchDimension) {
   EXPECT_NE(base, plan_store_key("kern", arch, cfg, TraceLevel::Timing));
   EXPECT_NE(base, plan_store_key("kern", kepler_k40m_4byte_banks(), cfg,
                                  TraceLevel::Functional));
-}
-
-// --- byte budget + LRU eviction ---------------------------------------------
-//
-// Tests pin file mtimes explicitly: the sweep ages entries by mtime, and
-// store()s inside one test can land within the filesystem's timestamp
-// resolution.
-
-void age_blob(PlanCache& cache, const std::string& key,
-              std::chrono::minutes ago) {
-  fs::last_write_time(cache.path_for(key),
-                      fs::file_time_type::clock::now() - ago);
-}
-
-TEST(PlanCacheEvict, UnboundedCacheNeverEvicts) {
-  PlanCache cache(fresh_dir("evict_unbounded"));
-  for (int i = 0; i < 8; ++i) cache.store(strf("k%d", i), std::string(1 << 12, 'p'));
-  EXPECT_EQ(cache.evictions(), 0u);
-  std::string out;
-  EXPECT_TRUE(cache.load("k0", out));
-}
-
-TEST(PlanCacheEvict, OverBudgetStoreEvictsLeastRecentlyUsed) {
-  PlanCache cache(fresh_dir("evict_lru"));
-  const std::string payload(1000, 'p');
-  cache.store("a", payload);
-  cache.store("b", payload);
-  age_blob(cache, "a", std::chrono::minutes(20));
-  age_blob(cache, "b", std::chrono::minutes(10));
-  // Room for exactly two blobs: the third store must push one out.
-  cache.set_byte_budget(cache.disk_bytes() + 16);
-  cache.store("c", payload);
-
-  std::string out, why;
-  EXPECT_FALSE(cache.load("a", out, &why));  // oldest → evicted
-  EXPECT_EQ(why, "miss");
-  EXPECT_TRUE(cache.load("b", out));
-  EXPECT_TRUE(cache.load("c", out));
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_LE(cache.disk_bytes(), cache.byte_budget());
-}
-
-TEST(PlanCacheEvict, JustStoredKeySurvivesEvenWhenAloneOverBudget) {
-  PlanCache cache(fresh_dir("evict_keep"), /*byte_budget=*/64);
-  cache.store("huge", std::string(4096, 'x'));
-  std::string out;
-  EXPECT_TRUE(cache.load("huge", out));  // never evict the newcomer
-}
-
-TEST(PlanCacheEvict, HitRefreshesRecencyUnderBudget) {
-  PlanCache cache(fresh_dir("evict_touch"));
-  const std::string payload(1000, 'p');
-  cache.store("a", payload);
-  cache.store("b", payload);
-  age_blob(cache, "a", std::chrono::minutes(20));
-  age_blob(cache, "b", std::chrono::minutes(10));
-  cache.set_byte_budget(cache.disk_bytes() + 16);
-  std::string out;
-  EXPECT_TRUE(cache.load("a", out));  // budgeted hit touches "a"
-  cache.store("c", payload);          // now "b" is the coldest
-
-  std::string why;
-  EXPECT_TRUE(cache.load("a", out));
-  EXPECT_FALSE(cache.load("b", out, &why));
-  EXPECT_EQ(why, "miss");
-  EXPECT_TRUE(cache.load("c", out));
-}
-
-TEST(PlanCacheEvict, TapeSidecarLeavesWithItsPlan) {
-  PlanCache cache(fresh_dir("evict_pair"));
-  const std::string payload(1000, 'p');
-  cache.store("plan", payload);
-  cache.store("plan|tapes", payload);
-  cache.store("other", payload);
-  age_blob(cache, "plan", std::chrono::minutes(30));
-  age_blob(cache, "plan|tapes", std::chrono::minutes(5));
-  age_blob(cache, "other", std::chrono::minutes(10));
-  // The pair is aged by its NEWEST member (5 min), so "other" (10 min) is
-  // the eviction candidate once the next store overflows the budget (which
-  // holds the current three blobs, plus slack smaller than one blob).
-  cache.set_byte_budget(cache.disk_bytes() + 16);
-  cache.store("filler", payload);
-
-  std::string out, why;
-  EXPECT_TRUE(cache.load("plan", out));
-  EXPECT_TRUE(cache.load("plan|tapes", out));
-  EXPECT_FALSE(cache.load("other", out, &why));
-  EXPECT_EQ(why, "miss");
-
-  // Now make the pair the coldest: both files leave together.
-  age_blob(cache, "plan", std::chrono::minutes(30));
-  age_blob(cache, "plan|tapes", std::chrono::minutes(30));
-  const u64 before = cache.evictions();
-  cache.store("filler2", payload);
-  EXPECT_FALSE(cache.load("plan", out, &why));
-  EXPECT_EQ(why, "miss");
-  EXPECT_FALSE(cache.load("plan|tapes", out, &why));
-  EXPECT_EQ(why, "miss");
-  EXPECT_EQ(cache.evictions(), before + 2);  // blob + sidecar
-}
-
-TEST(PlanCacheEvict, EvictedKeyRehealsOnRestore) {
-  PlanCache cache(fresh_dir("evict_reheal"));
-  const std::string payload(1000, 'p');
-  cache.store("a", payload);
-  cache.store("b", payload);
-  age_blob(cache, "a", std::chrono::minutes(20));
-  age_blob(cache, "b", std::chrono::minutes(10));
-  cache.set_byte_budget(cache.disk_bytes() + 16);
-  cache.store("c", payload);
-  std::string out, why;
-  ASSERT_FALSE(cache.load("a", out, &why));
-
-  // An evicted key is an ordinary miss: re-storing it (the re-capture the
-  // launch layer would do) brings it back bit-exact.
-  cache.store("a", "recaptured payload");
-  EXPECT_TRUE(cache.load("a", out, &why));
-  EXPECT_EQ(out, "recaptured payload");
-  EXPECT_EQ(why, "hit");
-  EXPECT_LE(cache.disk_bytes(), cache.byte_budget());
 }
 
 TEST(PlanPayload, CorruptPayloadBytesAreRejectedNotMisparsed) {
