@@ -137,6 +137,36 @@ TEST(Serving, RejectsALaunchLevelPlanCache) {
   fs::remove_all(dir);
 }
 
+TEST(Serving, ServeOptionsPlanCacheStoresColdAndHitsWarm) {
+  // ServeOptions::plan_cache is the one route to a store: a cold driver
+  // writes one plan per conv launch into it, and a second driver over the
+  // same store hits every launch and writes nothing.
+  const std::string dir = fresh_dir("serve_route");
+  sim::PlanCache plans(dir);
+  const Network net = make_network("lenet");
+  ServeOptions opt;
+  opt.plan_cache = &plans;
+
+  ServingDriver cold(opt);
+  cold.enqueue(net, make_network_input(net, 0));
+  (void)cold.drain();
+  const ServeStats c = cold.stats();
+  ASSERT_GT(c.conv_launches, 0u);
+  EXPECT_EQ(c.cold, 1u);
+  EXPECT_EQ(c.plan_taxonomy.miss, c.conv_launches);
+  EXPECT_EQ(plans.stores(), c.conv_launches);
+  EXPECT_GT(plans.disk_bytes(), 0u);
+
+  ServingDriver warm(opt);
+  warm.enqueue(net, make_network_input(net, 1));
+  (void)warm.drain();
+  const ServeStats w = warm.stats();
+  EXPECT_EQ(w.warm, 1u);
+  EXPECT_EQ(w.plan_taxonomy.hit, w.conv_launches);
+  EXPECT_EQ(plans.stores(), c.conv_launches);
+  fs::remove_all(dir);
+}
+
 TEST(Serving, ColdWarmAnalyticProgressionAcrossDrivers) {
   const std::string dir = fresh_dir("progression");
   sim::PlanCache plans(dir);

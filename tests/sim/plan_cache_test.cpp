@@ -4,13 +4,18 @@
 // under its key; any envelope damage — flipped payload bytes, truncation,
 // a foreign format version, a blob renamed under the wrong key — is
 // reported as a distinct miss reason instead of returning questionable
-// bytes; an unusable directory fails loudly at construction. Plus the
+// bytes; an unusable directory fails loudly at construction; a load never
+// writes the directory and a store never removes another key's blob. Plus the
 // PlanWriter/PlanReader primitives and the plan_matches staleness
 // classification that plan_io layers on top, and the payload parser's
 // answer to damaged bytes: reject or round-trip, never crash.
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "src/common/strutil.hpp"
 
@@ -220,6 +225,89 @@ TEST(PlanCacheStore, StoreNeverRemovesOtherKeys) {
     EXPECT_TRUE(cache.load(strf("k%d", i), out)) << "k" << i;
     EXPECT_EQ(out, payload(i)) << "k" << i;
   }
+}
+
+/// Every directory entry's name, size and mtime, for before/after checks.
+std::map<std::string, std::pair<u64, fs::file_time_type>> snapshot(
+    const std::string& dir) {
+  std::map<std::string, std::pair<u64, fs::file_time_type>> out;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    out[de.path().filename().string()] = {de.file_size(),
+                                          de.last_write_time()};
+  }
+  return out;
+}
+
+TEST(PlanCacheStore, LoadsNeverWriteTheDirectory) {
+  // A store may be shared by several readers; a load is read-only whatever
+  // it finds: a hit, a miss or a rejected blob.
+  const std::string dir = fresh_dir("loads_read_only");
+  PlanCache cache(dir);
+  cache.store("good", "payload");
+  cache.store("bad", "payload to damage");
+  std::string blob = read_file(cache.path_for("bad"));
+  blob.back() ^= 0x01;
+  write_file(cache.path_for("bad"), blob);
+  // Age every blob so a touch on load could not hide in the same tick.
+  const auto old = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  for (const auto& de : fs::directory_iterator(dir)) {
+    fs::last_write_time(de.path(), old);
+  }
+  const auto before = snapshot(dir);
+
+  std::string out, why;
+  EXPECT_TRUE(cache.load("good", out, &why));
+  std::string view_blob;
+  std::string_view view;
+  EXPECT_TRUE(cache.load_view("good", view_blob, view, &why));
+  EXPECT_FALSE(cache.load("bad", out, &why));
+  EXPECT_EQ(why, "corrupt");
+  EXPECT_FALSE(cache.load("absent", out, &why));
+  EXPECT_EQ(why, "miss");
+  EXPECT_EQ(snapshot(dir), before);
+}
+
+TEST(PlanCacheStore, DiskBytesSumsOneBlobPerKey) {
+  const std::string dir = fresh_dir("disk_bytes");
+  PlanCache cache(dir);
+  EXPECT_EQ(cache.disk_bytes(), 0u);
+  cache.store("a", std::string(100, 'a'));
+  cache.store("b", std::string(300, 'b'));
+  cache.store("a", std::string(50, 'A'));  // replaces, never duplicates
+  write_file(dir + "/notes.txt", "not a plan blob");
+
+  u64 blob_bytes = 0;
+  std::size_t blobs = 0;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    const std::string name = de.path().filename().string();
+    // store() renames its temp file into place; none may be left behind.
+    EXPECT_EQ(name.find(".tmp-"), std::string::npos) << name;
+    if (de.path().extension() != ".kplan") continue;
+    ++blobs;
+    blob_bytes += de.file_size();
+  }
+  EXPECT_EQ(blobs, 2u);
+  EXPECT_EQ(cache.disk_bytes(), blob_bytes);
+  EXPECT_EQ(blob_bytes, fs::file_size(cache.path_for("a")) +
+                            fs::file_size(cache.path_for("b")));
+}
+
+TEST(PlanCacheStore, CountersCountEveryLoadAndStore) {
+  PlanCache cache(fresh_dir("counters"));
+  cache.store("k", "first");
+  cache.store("k", "second");  // a replace is a store too
+  cache.store("j", "other");
+  write_file(cache.path_for("junk"), "not an envelope");
+
+  std::string out, blob;
+  std::string_view view;
+  EXPECT_TRUE(cache.load("k", out));
+  EXPECT_TRUE(cache.load_view("j", blob, view));
+  EXPECT_FALSE(cache.load("absent", out));
+  EXPECT_FALSE(cache.load_view("junk", blob, view));
+  EXPECT_EQ(cache.stores(), 3u);
+  EXPECT_EQ(cache.loads(), 4u);  // misses and rejects are loads
+  EXPECT_EQ(cache.hits(), 2u);   // only validated payloads are hits
 }
 
 TEST(PlanMatches, ClassifiesEveryStalenessKind) {
