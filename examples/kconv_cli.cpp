@@ -1,46 +1,26 @@
 // kconv_cli — run any convolution configuration from the command line.
 //
-//   kconv_cli [--algo auto|special|general|implicit-gemm|im2col-gemm|naive]
-//             [--arch kepler|kepler4b|fermi|maxwell]
-//             [--c C] [--f F] [--k K] [--n N] [--vec n] [--same]
-//             [--sample B] [--threads T] [--replay] [--no-pattern-cache]
-//             [--plan-cache DIR] [--analytic] [--autotune] [--static-prune]
-//             [--serve --network NAME [--requests N] [--no-fuse]
-//                      [--telemetry-out DIR]]
-//             [--check] [--profile] [--xray] [--trace-out FILE] [--json]
-//
-// Prints the performance report (or JSON with --json) and verifies against
-// the CPU reference when the launch ran every block. With --check, runs the
-// kconv-check hazard detector and efficiency linter (docs/MODEL.md §6) and
-// exits 3 when the launch is not clean. With --profile, runs kconv-prof
-// phase accounting (docs/MODEL.md §7) and appends the per-phase/roofline
-// breakdown to the report (or the "profile" block to the JSON);
-// --trace-out additionally writes a Chrome trace-event / Perfetto JSON
-// timeline of the first executed blocks. --plan-cache persists launch plans
-// across processes (docs/MODEL.md §5d); --analytic serves counters straight
-// from class traces without materializing outputs; --autotune sweeps the
-// kernel's tiling space for the given shape instead of running one
-// convolution. --serve runs the layer-graph serving driver instead: it
-// queues --requests inference requests against the named network and
-// reports batch/temperature/fusion statistics (docs/MODEL.md §8).
-// --xray runs the kconv-xray symbolic analyzer (docs/MODEL.md §10): alone
-// it derives the kernel's bank-conflict/coalescing/race report without
-// executing a single block (exit 3 when not clean); combined with
-// --check/--profile/--analytic it also runs the launch, cross-validates
-// the static counters against the dynamic ones (exit 3 on any mismatch),
-// and appends the static_analysis block to the report. --static-prune adds
-// the xray pre-pass to --autotune: dominated candidates are never
-// simulated.
+// One binary, four modes: one convolution (the default), the kconv-xray
+// static report (--xray alone), the serving driver (--serve) and the
+// tiling sweep (--autotune). Every flag is declared once, in kFlags below,
+// with the modes that read it; `kconv_cli --help` prints that table. A
+// flag given to a mode that never reads it exits 2 before any file is
+// touched or any block runs.
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
+#include "src/common/strutil.hpp"
 #include "src/core/autotune.hpp"
 #include "src/core/conv_api.hpp"
 #include "src/obs/telemetry_report.hpp"
@@ -55,90 +35,131 @@ using namespace kconv;
 
 namespace {
 
+/// The CLI's modes, one bit each. main() picks exactly one: xray (--xray
+/// without --check, --profile or --analytic), then serve, then autotune,
+/// else convolve.
+enum Mode : unsigned { kConvolve = 1, kXray = 2, kServe = 4, kAutotune = 8 };
+constexpr const char* kModeNames[] = {"convolve", "xray", "serve", "autotune"};
+constexpr unsigned kAllModes = kConvolve | kXray | kServe | kAutotune;
+
+const char* mode_name(unsigned mode) {
+  return kModeNames[std::countr_zero(mode)];
+}
+
+/// Every flag's value; an absent flag keeps its default here.
+struct Args {
+  i64 c = 16, f = 32, k = 3, n = 64, vec = 0, sample = 0, threads = 1;
+  i64 requests = 4, devices = 1;
+  std::string algo = "auto", arch = "kepler", trace_out, plan_cache;
+  std::string network, shard = "batch", telemetry_out;
+  bool same = false, json = false, replay = false, no_pattern_cache = false;
+  bool check = false, profile = false, analytic = false, autotune = false;
+  bool serve = false, no_fuse = false, xray = false, static_prune = false;
+  bool help = false;
+};
+
+/// One command-line flag. A switch (no `arg`) sets its bool; a value flag
+/// takes `--name V` or `--name=V`.
+struct Flag {
+  const char* name;
+  const char* arg;  ///< the value's placeholder in --help; null for a switch
+  std::variant<bool Args::*, i64 Args::*, std::string Args::*> into;
+  unsigned modes;  ///< the modes that read it
+  const char* help;
+};
+
+constexpr unsigned kRun = kConvolve | kXray;
+constexpr unsigned kShape = kConvolve | kXray | kAutotune;
+constexpr unsigned kHost = kConvolve | kServe;
+
+/// The flags, grouped by the modes that read them (--help prints one
+/// heading per group). A '\n' in a help text starts an indented line.
+const Flag kFlags[] = {
+    {"--algo", "NAME", &Args::algo, kRun,
+     "auto (default), special, general, implicit-gemm,\n"
+     "im2col-gemm, naive, winograd or fft"},
+    {"--vec", "N", &Args::vec, kRun, "load vector width (0: the kernel's)"},
+    {"--same", nullptr, &Args::same, kRun, "pad to keep the image size"},
+    {"--xray", nullptr, &Args::xray, kRun,
+     "kconv-xray static report, exit 3 if not clean; with\n"
+     "--check, --profile or --analytic, cross-validate the\n"
+     "launch's counters instead (MODEL.md §10)"},
+    {"--arch", "NAME", &Args::arch, kShape,
+     "kepler (default), kepler4b, fermi or maxwell"},
+    {"--c", "C", &Args::c, kShape, "input channels (default 16)"},
+    {"--f", "F", &Args::f, kShape, "filters (default 32)"},
+    {"--k", "K", &Args::k, kShape, "filter size K x K (default 3)"},
+    {"--n", "N", &Args::n, kShape, "image size N x N (default 64)"},
+    {"--sample", "BLOCKS", &Args::sample, kConvolve,
+     "simulate at most BLOCKS spaced blocks (0: all)"},
+    {"--check", nullptr, &Args::check, kConvolve,
+     "kconv-check races and lints, exit 3 if not clean (§6)"},
+    {"--profile", nullptr, &Args::profile, kConvolve,
+     "kconv-prof phase counters and roofline (MODEL.md §7)"},
+    {"--trace-out", "FILE", &Args::trace_out, kConvolve,
+     "write a Perfetto JSON timeline (implies --profile)"},
+    {"--threads", "T", &Args::threads, kHost,
+     "host threads (0: all cores; default 1: serial)"},
+    {"--replay", nullptr, &Args::replay, kHost,
+     "replay repeated block classes (MODEL.md §5b)"},
+    {"--no-pattern-cache", nullptr, &Args::no_pattern_cache, kHost,
+     "disable the warp access-pattern memo (MODEL.md §5c)"},
+    {"--devices", "N", &Args::devices, kHost,
+     "shard across N simulated devices (MODEL.md §9)"},
+    {"--shard", "S", &Args::shard, kHost,
+     "shard axis: batch (default), channel or spatial"},
+    {"--plan-cache", "DIR", &Args::plan_cache, kHost | kAutotune,
+     "store and reuse plans and rankings in DIR; implies\n"
+     "--replay (MODEL.md §5d)"},
+    {"--analytic", nullptr, &Args::analytic, kHost | kAutotune,
+     "counters from class traces, no lanes run (MODEL.md §5d)"},
+    {"--serve", nullptr, &Args::serve, kServe,
+     "serve --requests requests of --network (MODEL.md §8)"},
+    {"--network", "NAME", &Args::network, kServe,
+     "lenet, lenet-wide or vgg-tiny"},
+    {"--requests", "N", &Args::requests, kServe, "requests (default 4)"},
+    {"--no-fuse", nullptr, &Args::no_fuse, kServe,
+     "no fused conv+bias+ReLU epilogue"},
+    {"--telemetry-out", "DIR", &Args::telemetry_out, kServe,
+     "write kconv-scope events, metrics and a unified\n"
+     "trace.json under DIR (MODEL.md §11)"},
+    {"--autotune", nullptr, &Args::autotune, kAutotune,
+     "sweep the tiling space (special kernel if C is 1)"},
+    {"--static-prune", nullptr, &Args::static_prune, kAutotune,
+     "simulate only the xray-ranked top half (MODEL.md §10)"},
+    {"--json", nullptr, &Args::json, kAllModes, "print JSON"},
+    {"--help", nullptr, &Args::help, kAllModes, "print this help (also -h)"},
+};
+
 void print_usage(std::FILE* to, const char* argv0) {
   std::fprintf(
       to,
-      "usage: %s [--algo auto|special|general|implicit-gemm|im2col-gemm|\n"
-      "                  naive|winograd|fft]\n"
-      "          [--arch kepler|kepler4b|fermi|maxwell]\n"
-      "          [--c C] [--f F] [--k K] [--n N] [--vec n] [--same]\n"
-      "          [--sample BLOCKS] [--threads T] [--replay]\n"
-      "          [--devices N] [--shard batch|channel|spatial]\n"
-      "          [--no-pattern-cache] [--plan-cache DIR] [--analytic]\n"
-      "          [--autotune] [--static-prune] [--check] [--profile]\n"
-      "          [--xray]\n"
-      "          [--serve --network NAME [--requests N] [--no-fuse]\n"
-      "                   [--telemetry-out DIR]]\n"
-      "          [--trace-out FILE] [--json] [--help]\n"
-      "  --threads T   host threads simulating blocks (0 = all cores;\n"
-      "                default 1 = exact-legacy serial semantics)\n"
-      "  --devices N   shard the launch across N simulated devices\n"
-      "                (MODEL.md §9): outputs and invariant counters stay\n"
-      "                identical to N=1; the report gains a fleet block\n"
-      "                with modeled staging/halo traffic and Demmel-Dinh\n"
-      "                bound verdicts\n"
-      "  --shard S     fleet shard strategy: batch (default; flat block\n"
-      "                slabs), channel (filter-group axis), or spatial\n"
-      "                (output-row slabs with halo exchange)\n"
-      "  --replay      trace-replay repeated block classes (MODEL.md \u00a75b);\n"
-      "                ignored under --check and --profile, which execute\n"
-      "                every block\n"
-      "  --no-pattern-cache\n"
-      "                disable warp access-pattern memoization (MODEL.md\n"
-      "                \u00a75c; results are bit-identical either way)\n"
-      "  --plan-cache DIR\n"
-      "                persist launch plans (traces, tapes, autotune\n"
-      "                rankings) under DIR; a repeated launch replays\n"
-      "                every block from the store (MODEL.md \u00a75d)\n"
-      "  --analytic    serve counters straight from class traces: no lane\n"
-      "                coroutines, no output tensors; invariant/compute\n"
-      "                counters exact, gm/const-miss counters approximate;\n"
-      "                exits 2 with --check or --profile\n"
-      "  --autotune    sweep the kernel's tiling parameters for the given\n"
-      "                K/C/F/N instead of running one convolution; with\n"
-      "                --plan-cache a warm call reuses the stored ranking\n"
-      "  --static-prune\n"
-      "                with --autotune: rank candidates with the kconv-xray\n"
-      "                symbolic pass first and simulate only the top half\n"
-      "                (MODEL.md §10; the winner is unchanged)\n"
-      "  --xray        kconv-xray static analysis (MODEL.md §10): derive\n"
-      "                bank conflicts, coalescing, traffic-vs-bound and\n"
-      "                barrier-interval races symbolically, with zero block\n"
-      "                execution; exit 3 when not clean. With --check,\n"
-      "                --profile or --analytic, also runs the launch and\n"
-      "                cross-validates static against dynamic counters\n"
-      "                (exit 3 on any mismatch)\n"
-      "  --serve       run the layer-graph serving driver instead of one\n"
-      "                convolution: queues --requests requests against\n"
-      "                --network (lenet | lenet-wide | vgg-tiny) and reports\n"
-      "                batching, cold/warm/analytic counts, and fusion\n"
-      "                savings (MODEL.md §8); honors --threads,\n"
-      "                --plan-cache, --analytic, and --json\n"
-      "  --network NAME\n"
-      "                network served by --serve (lenet | lenet-wide |\n"
-      "                vgg-tiny)\n"
-      "  --requests N  requests to queue in --serve mode (default 4)\n"
-      "  --no-fuse     disable the fused conv+bias+ReLU epilogue in --serve\n"
-      "                mode (outputs are bit-identical either way)\n"
-      "  --telemetry-out DIR\n"
-      "                kconv-scope (MODEL.md §11), --serve only: write\n"
-      "                request-scoped events.jsonl + metrics.jsonl and a\n"
-      "                unified serving/device/block Perfetto trace.json\n"
-      "                under DIR, and append the telemetry/health summary.\n"
-      "                Purely observational: outputs are byte-identical\n"
-      "                with or without it. Composes with --devices,\n"
-      "                --plan-cache and --analytic\n"
-      "  --check       kconv-check: shared-memory race detection +\n"
-      "                memory-efficiency lints (MODEL.md \u00a76); exit 3\n"
-      "                when the kernel is not clean\n"
-      "  --profile     kconv-prof: per-phase counters and roofline\n"
-      "                bottleneck attribution (MODEL.md \u00a77); purely\n"
-      "                observational, outputs are bit-identical\n"
-      "  --trace-out FILE\n"
-      "                write a Chrome trace-event / Perfetto JSON timeline\n"
-      "                (implies --profile; open in ui.perfetto.dev)\n"
-      "  --help        print this message and exit\n",
+      "usage: %s [FLAG]...\n"
+      "Runs one convolution (mode convolve) unless a mode flag picks\n"
+      "another: --xray without --check, --profile or --analytic (xray),\n"
+      "then --serve (serve), then --autotune (autotune). A flag its mode\n"
+      "does not read exits 2. Value flags take --flag V or --flag=V.\n",
       argv0);
+  unsigned group = 0;
+  for (const Flag& fl : kFlags) {
+    if (fl.modes != group) {
+      group = fl.modes;
+      std::string names;
+      for (unsigned m = kConvolve; m <= kAutotune; m <<= 1) {
+        if ((group & m) != 0)
+          names += std::string(names.empty() ? "" : ", ") + mode_name(m);
+      }
+      std::fprintf(to, "\nread by %s:\n", names.c_str());
+    }
+    const int width = std::fprintf(to, "  %s %s", fl.name,
+                                   fl.arg != nullptr ? fl.arg : "");
+    std::fprintf(to, "%*s", std::max(1, 22 - width), "");
+    for (const char* p = fl.help; *p != '\0'; ++p) {
+      std::fputc(*p, to);
+      if (*p == '\n') std::fprintf(to, "%22s", "");
+    }
+    std::fputc('\n', to);
+  }
 }
 
 [[noreturn]] void usage(const char* argv0) {
@@ -146,153 +167,146 @@ void print_usage(std::FILE* to, const char* argv0) {
   std::exit(2);
 }
 
-/// The value of integer flag `flag`: the whole of `arg` must be a decimal
-/// integer, else exit 2 naming the flag ("abc" must not read as 0, nor
-/// "2x" as 2).
-i64 int_flag(const char* flag, const char* arg) {
-  i64 v = 0;
-  const char* end = arg + std::strlen(arg);
-  const auto [p, ec] = std::from_chars(arg, end, v);
-  if (ec != std::errc{} || p != end) {
-    std::fprintf(stderr, "error: %s expects a decimal integer (got '%s')\n",
-                 flag, arg);
-    std::exit(2);
+/// Reads argv into `args` through kFlags and returns the rows given, in
+/// order. --help prints the table and exits 0 where it appears; an unknown
+/// flag, a missing value or a value given to a switch exits 2, and so does
+/// an integer flag whose value is not wholly a decimal integer ("abc" must
+/// not read as 0, nor "2x" as 2).
+std::vector<const Flag*> parse(int argc, char** argv, Args& args) {
+  std::vector<const Flag*> given;
+  for (int i = 1; i < argc; ++i) {
+    std::string_view a = argv[i];
+    if (a == "-h") a = "--help";
+    const std::size_t eq = a.find('=');
+    const std::string_view name = a.substr(0, eq);
+    const auto row =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const Flag& fl) { return name == fl.name; });
+    if (row == std::end(kFlags)) usage(argv[0]);
+    std::string value;
+    if (eq != std::string_view::npos) {
+      if (row->arg == nullptr) usage(argv[0]);
+      value = a.substr(eq + 1);
+    } else if (row->arg != nullptr) {
+      if (i + 1 >= argc) usage(argv[0]);
+      value = argv[++i];
+    }
+    if (const auto* b = std::get_if<bool Args::*>(&row->into)) {
+      args.**b = true;
+    } else if (const auto* v = std::get_if<i64 Args::*>(&row->into)) {
+      const char* end = value.data() + value.size();
+      const auto [p, ec] = std::from_chars(value.data(), end, args.**v);
+      if (ec != std::errc{} || p != end) {
+        std::fprintf(stderr, "error: %s expects a decimal integer (got '%s')\n",
+                     row->name, value.c_str());
+        std::exit(2);
+      }
+    } else {
+      args.*std::get<std::string Args::*>(row->into) = value;
+    }
+    if (args.help) {
+      print_usage(stdout, argv[0]);
+      std::exit(0);
+    }
+    given.push_back(&*row);
   }
-  return v;
+  return given;
+}
+
+/// One tiling parameter of an autotune winner: its JSON key, its text
+/// label and its value.
+struct TuneParam {
+  const char* key;
+  const char* label;
+  i64 value;
+};
+
+/// Prints a sweep's outcome; `best` lists the winner's tiling parameters
+/// in print order.
+template <typename Config>
+void print_autotune(const char* kernel, const core::AutotuneResult<Config>& r,
+                    std::initializer_list<TuneParam> best, bool json) {
+  std::string params;
+  if (json) {
+    for (const TuneParam& p : best)
+      params += strf("\"%s\": %lld, ", p.key, static_cast<long long>(p.value));
+    std::printf("{\"kernel\": \"%s\", \"evaluated\": %lld, "
+                "\"skipped\": %lld, \"pruned\": %lld, "
+                "\"from_plan_cache\": %s, \"best\": {%s\"gflops\": %.6g}}\n",
+                kernel, static_cast<long long>(r.evaluated),
+                static_cast<long long>(r.skipped),
+                static_cast<long long>(r.pruned),
+                r.from_plan_cache ? "true" : "false", params.c_str(),
+                r.best.gflops);
+    return;
+  }
+  for (const TuneParam& p : best)
+    params += strf("%s=%lld ", p.label, static_cast<long long>(p.value));
+  std::printf("autotune %s: %lld evaluated, %lld skipped, %lld pruned%s\n",
+              kernel, static_cast<long long>(r.evaluated),
+              static_cast<long long>(r.skipped),
+              static_cast<long long>(r.pruned),
+              r.from_plan_cache ? " (ranking served from plan cache)" : "");
+  std::printf("best: %s  %.1f GFlop/s\n", params.c_str(), r.best.gflops);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  i64 c = 16, f = 32, k = 3, n = 64, vec = 0, sample = 0, threads = 1;
-  i64 requests = 4, devices = 1;
-  std::string algo = "auto", arch_name = "kepler", trace_out, plan_cache_dir;
-  std::string network, shard = "batch", telemetry_out;
-  bool same = false, json = false, replay = false, pattern_cache = true;
-  bool check = false, profile = false, analytic = false, autotune = false;
-  bool serve = false, fuse = true, xray = false, static_prune = false;
+  Args args;
+  const std::vector<const Flag*> given = parse(argc, argv, args);
+  if (!args.trace_out.empty()) args.profile = true;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    auto next_int = [&]() { return int_flag(a.c_str(), next()); };
-    if (a == "--help" || a == "-h") {
-      print_usage(stdout, argv[0]);
-      return 0;
+  const Mode mode =
+      args.xray && !args.check && !args.profile && !args.analytic ? kXray
+      : args.serve                                                ? kServe
+      : args.autotune                                             ? kAutotune
+                                                                  : kConvolve;
+  for (const Flag* fl : given) {
+    if ((fl->modes & mode) == 0) {
+      std::fprintf(stderr, "error: %s does not apply to %s\n", fl->name,
+                   mode_name(mode));
+      return 2;
     }
-    if (a == "--algo") algo = next();
-    else if (a == "--arch") arch_name = next();
-    else if (a == "--c") c = next_int();
-    else if (a == "--f") f = next_int();
-    else if (a == "--k") k = next_int();
-    else if (a == "--n") n = next_int();
-    else if (a == "--vec") vec = next_int();
-    else if (a == "--sample") sample = next_int();
-    else if (a == "--threads") threads = next_int();
-    else if (a == "--devices") devices = next_int();
-    else if (a.rfind("--devices=", 0) == 0)
-      devices = int_flag("--devices", a.c_str() + std::strlen("--devices="));
-    else if (a == "--shard") shard = next();
-    else if (a.rfind("--shard=", 0) == 0)
-      shard = a.substr(std::strlen("--shard="));
-    else if (a == "--same") same = true;
-    else if (a == "--replay") replay = true;
-    else if (a == "--no-pattern-cache") pattern_cache = false;
-    else if (a == "--plan-cache") plan_cache_dir = next();
-    else if (a.rfind("--plan-cache=", 0) == 0)
-      plan_cache_dir = a.substr(std::strlen("--plan-cache="));
-    else if (a == "--analytic") analytic = true;
-    else if (a == "--autotune") autotune = true;
-    else if (a == "--static-prune") static_prune = true;
-    else if (a == "--xray") xray = true;
-    else if (a == "--serve") serve = true;
-    else if (a == "--network") network = next();
-    else if (a.rfind("--network=", 0) == 0)
-      network = a.substr(std::strlen("--network="));
-    else if (a == "--requests") requests = next_int();
-    else if (a == "--no-fuse") fuse = false;
-    else if (a == "--telemetry-out") telemetry_out = next();
-    else if (a.rfind("--telemetry-out=", 0) == 0)
-      telemetry_out = a.substr(std::strlen("--telemetry-out="));
-    else if (a == "--check") check = true;
-    else if (a == "--profile") profile = true;
-    else if (a == "--trace-out") trace_out = next();
-    else if (a.rfind("--trace-out=", 0) == 0)
-      trace_out = a.substr(std::strlen("--trace-out="));
-    else if (a == "--json") json = true;
-    else usage(argv[0]);
   }
-  if (!trace_out.empty()) profile = true;
-  if (sample < 0) {
+
+  if (args.sample < 0) {
     std::fprintf(stderr, "error: --sample must be at least 0 (got %lld)\n",
-                 static_cast<long long>(sample));
+                 static_cast<long long>(args.sample));
     return 2;
   }
 
   sim::Arch arch;
-  if (arch_name == "kepler") arch = sim::kepler_k40m();
-  else if (arch_name == "kepler4b") arch = sim::kepler_k40m_4byte_banks();
-  else if (arch_name == "fermi") arch = sim::fermi_m2090();
-  else if (arch_name == "maxwell") arch = sim::maxwell_like();
+  if (args.arch == "kepler") arch = sim::kepler_k40m();
+  else if (args.arch == "kepler4b") arch = sim::kepler_k40m_4byte_banks();
+  else if (args.arch == "fermi") arch = sim::fermi_m2090();
+  else if (args.arch == "maxwell") arch = sim::maxwell_like();
   else usage(argv[0]);
 
+  const std::string& algo = args.algo;
   core::ConvOptions opt;
-  if (algo == "auto") opt.algo = core::Algo::Auto;
-  else if (algo == "special") opt.algo = core::Algo::Special;
-  else if (algo == "general") opt.algo = core::Algo::General;
-  else if (algo == "implicit-gemm") opt.algo = core::Algo::ImplicitGemm;
-  else if (algo == "im2col-gemm") opt.algo = core::Algo::Im2colGemm;
-  else if (algo == "naive") opt.algo = core::Algo::NaiveDirect;
-  else if (algo == "winograd") opt.algo = core::Algo::Winograd;
-  else if (algo == "fft") opt.algo = core::Algo::Fft;
-  else usage(argv[0]);
-  opt.padding = same ? core::Padding::Same : core::Padding::Valid;
-  opt.vec_width = vec;
-  opt.launch.sample_max_blocks = static_cast<u64>(sample);
-  if (threads < 0) usage(argv[0]);
-  opt.launch.num_threads = static_cast<u32>(threads);
-  opt.launch.replay = replay;
-  opt.launch.pattern_cache = pattern_cache;
-  opt.launch.hazard_check = check;
-  opt.launch.lint = check;
-  opt.launch.profile = profile;
-  opt.launch.analytic = analytic;
+  if (!core::parse_algo(algo, opt.algo)) usage(argv[0]);
+  opt.padding = args.same ? core::Padding::Same : core::Padding::Valid;
+  opt.vec_width = args.vec;
+  opt.launch.sample_max_blocks = static_cast<u64>(args.sample);
+  if (args.threads < 0) usage(argv[0]);
+  opt.launch.num_threads = static_cast<u32>(args.threads);
+  opt.launch.replay = args.replay;
+  opt.launch.pattern_cache = !args.no_pattern_cache;
+  opt.launch.hazard_check = args.check;
+  opt.launch.lint = args.check;
+  opt.launch.profile = args.profile;
+  opt.launch.analytic = args.analytic;
 
-  if (!telemetry_out.empty() && !serve) {
-    std::fprintf(stderr,
-                 "error: --telemetry-out only applies to --serve runs "
-                 "(single launches already have --profile/--trace-out)\n");
-    return 2;
-  }
-  if (static_prune && !autotune) {
-    std::fprintf(stderr,
-                 "error: --static-prune only applies to --autotune sweeps\n");
-    return 2;
-  }
-  if (xray && serve) {
-    std::fprintf(stderr,
-                 "error: --xray cannot be combined with --serve (analyze "
-                 "one convolution launch at a time)\n");
-    return 2;
-  }
-  if (xray && autotune) {
-    std::fprintf(stderr,
-                 "error: --xray cannot be combined with --autotune (use "
-                 "--autotune --static-prune for the xray pre-pass)\n");
-    return 2;
-  }
-  if (xray && sample > 0) {
+  if (args.xray && args.sample > 0) {
     std::fprintf(stderr,
                  "error: --xray cannot be combined with --sample (the "
                  "static cross-validation contract covers the full grid)\n");
     return 2;
   }
   // Auto resolves to special (C==1) or general — both have describers.
-  if (xray && !(algo == "auto" || algo == "special" || algo == "general" ||
-                algo == "implicit-gemm")) {
+  if (args.xray && !(algo == "auto" || algo == "special" ||
+                     algo == "general" || algo == "implicit-gemm")) {
     std::fprintf(stderr,
                  "error: --xray supports the special, general and "
                  "implicit-gemm kernels (got --algo %s)\n",
@@ -301,20 +315,20 @@ int main(int argc, char** argv) {
   }
 
   sim::ShardStrategy shard_strategy = sim::ShardStrategy::Batch;
-  if (!sim::parse_shard(shard, shard_strategy)) {
+  if (!sim::parse_shard(args.shard, shard_strategy)) {
     std::fprintf(stderr,
                  "error: unknown --shard value '%s' (expected batch, "
                  "channel, or spatial)\n",
-                 shard.c_str());
+                 args.shard.c_str());
     return 2;
   }
-  if (devices < 1) {
+  if (args.devices < 1) {
     std::fprintf(stderr,
                  "error: --devices must be at least 1 (got %lld)\n",
-                 static_cast<long long>(devices));
+                 static_cast<long long>(args.devices));
     return 2;
   }
-  opt.launch.fleet.devices = static_cast<u32>(devices);
+  opt.launch.fleet.devices = static_cast<u32>(args.devices);
   opt.launch.fleet.strategy = shard_strategy;
   // --analytic x --check, --analytic x --profile, --devices x --analytic
   // and --devices x --sample.
@@ -326,9 +340,9 @@ int main(int argc, char** argv) {
   // Fail fast on an unusable plan-cache directory — before the simulation
   // spends time, mirroring the --trace-out probe below.
   std::unique_ptr<sim::PlanCache> plans;
-  if (!plan_cache_dir.empty()) {
+  if (!args.plan_cache.empty()) {
     try {
-      plans = std::make_unique<sim::PlanCache>(plan_cache_dir);
+      plans = std::make_unique<sim::PlanCache>(args.plan_cache);
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
@@ -336,11 +350,14 @@ int main(int argc, char** argv) {
     opt.launch.plan_cache = plans.get();
   }
 
+  const i64 c = args.c, f = args.f, k = args.k, n = args.n;
+  const bool json = args.json;
+
   // kconv-xray static-only mode (docs/MODEL.md §10): derive the report
   // symbolically — no Device is constructed and zero blocks execute. The
-  // run modes (--check/--profile/--analytic) fall through and
+  // run modes (--check/--profile/--analytic) run in convolve mode and
   // cross-validate instead.
-  if (xray && !check && !profile && !analytic) {
+  if (mode == kXray) {
     try {
       const xray::StaticReport rep =
           xray::analyze(arch, core::conv2d_xray_model(arch, c, f, k, n, n,
@@ -358,8 +375,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (serve) {
-    if (network.empty() || requests <= 0) {
+  if (mode == kServe) {
+    const i64 requests = args.requests, devices = args.devices;
+    if (args.network.empty() || requests <= 0) {
       std::fprintf(stderr,
                    "error: --serve requires --network NAME and a positive "
                    "--requests count\n");
@@ -368,7 +386,7 @@ int main(int argc, char** argv) {
     serve::Network net;
     std::string why;
     try {
-      net = serve::make_network(network);
+      net = serve::make_network(args.network);
       // Refuse shard axes a conv layer's kernel does not declare before
       // any request runs, like the validate() conflicts above.
       why = serve::shard_error(arch, net.graph, opt.launch.fleet);
@@ -382,21 +400,21 @@ int main(int argc, char** argv) {
     // Fail fast on an unusable telemetry directory, mirroring the
     // plan-cache probe above (exit 2 before any request runs).
     std::unique_ptr<obs::TelemetrySink> sink;
-    if (!telemetry_out.empty()) {
+    if (!args.telemetry_out.empty()) {
       try {
-        sink = std::make_unique<obs::TelemetrySink>(telemetry_out);
+        sink = std::make_unique<obs::TelemetrySink>(args.telemetry_out);
       } catch (const Error& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
       }
     }
     serve::ServeOptions sopt;
-    sopt.threads = static_cast<u32>(threads);
+    sopt.threads = static_cast<u32>(args.threads);
     sopt.plan_cache = plans.get();
-    sopt.fuse = fuse;
-    sopt.launch.analytic = analytic;
-    sopt.launch.replay = replay;
-    sopt.launch.pattern_cache = pattern_cache;
+    sopt.fuse = !args.no_fuse;
+    sopt.launch.analytic = args.analytic;
+    sopt.launch.replay = args.replay;
+    sopt.launch.pattern_cache = !args.no_pattern_cache;
     sopt.launch.fleet = opt.launch.fleet;
     sopt.telemetry = sink.get();
     try {
@@ -429,7 +447,7 @@ int main(int argc, char** argv) {
       if (sink != nullptr) {
         std::vector<profile::LabeledTimeline> blocks;
         serve::GraphRunOptions probe;
-        probe.fuse = fuse;
+        probe.fuse = sopt.fuse;
         probe.launch.profile = true;
         probe.launch.profile_timeline_blocks = 4;
         probe.launch.fleet = opt.launch.fleet;
@@ -558,8 +576,42 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (mode == kAutotune) {
+    try {
+      sim::Device dev(arch);
+      if (c == 1) {
+        const auto r = core::autotune_special(dev, k, f, n, {}, 4, 0,
+                                              plans.get(), args.analytic,
+                                              args.static_prune);
+        const auto& b = r.best.config;
+        print_autotune("special", r,
+                       {{"block_w", "W", b.block_w},
+                        {"block_h", "H", b.block_h}},
+                       json);
+      } else {
+        const auto r = core::autotune_general(dev, k, c, f, n, {}, 2, 0,
+                                              plans.get(), args.analytic,
+                                              args.static_prune);
+        const auto& b = r.best.config;
+        print_autotune("general", r,
+                       {{"block_w", "W", b.block_w},
+                        {"block_h", "H", b.block_h},
+                        {"ftb", "FTB", b.ftb},
+                        {"wt", "WT", b.wt},
+                        {"ft", "FT", b.ft},
+                        {"csh", "CSH", b.csh}},
+                       json);
+      }
+    } catch (const Error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+    return 0;
+  }
+
   // Fail fast on an unwritable trace destination — before the simulation
   // spends time, and with a diagnostic instead of a lost trace.
+  const std::string& trace_out = args.trace_out;
   if (!trace_out.empty()) {
     std::FILE* probe = std::fopen(trace_out.c_str(), "w");
     if (probe == nullptr) {
@@ -570,87 +622,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::fclose(probe);
-  }
-
-  if (autotune) {
-    try {
-      sim::Device dev(arch);
-      if (c == 1) {
-        const auto r = core::autotune_special(dev, k, f, n, {}, 4, 0,
-                                              plans.get(), analytic,
-                                              static_prune);
-        if (json) {
-          std::printf("{\"kernel\": \"special\", \"evaluated\": %lld, "
-                      "\"skipped\": %lld, \"pruned\": %lld, "
-                      "\"from_plan_cache\": %s, "
-                      "\"best\": {\"block_w\": %lld, \"block_h\": %lld, "
-                      "\"gflops\": %.6g}}\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? "true" : "false",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      r.best.gflops);
-        } else {
-          std::printf("autotune special: %lld evaluated, %lld skipped, "
-                      "%lld pruned%s\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? " (ranking served from plan cache)"
-                                        : "");
-          std::printf("best: W=%lld H=%lld   %.1f GFlop/s\n",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      r.best.gflops);
-        }
-      } else {
-        const auto r = core::autotune_general(dev, k, c, f, n, {}, 2, 0,
-                                              plans.get(), analytic,
-                                              static_prune);
-        if (json) {
-          std::printf("{\"kernel\": \"general\", \"evaluated\": %lld, "
-                      "\"skipped\": %lld, \"pruned\": %lld, "
-                      "\"from_plan_cache\": %s, "
-                      "\"best\": {\"block_w\": %lld, \"block_h\": %lld, "
-                      "\"ftb\": %lld, \"wt\": %lld, \"ft\": %lld, "
-                      "\"csh\": %lld, \"gflops\": %.6g}}\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? "true" : "false",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      static_cast<long long>(r.best.config.ftb),
-                      static_cast<long long>(r.best.config.wt),
-                      static_cast<long long>(r.best.config.ft),
-                      static_cast<long long>(r.best.config.csh),
-                      r.best.gflops);
-        } else {
-          std::printf("autotune general: %lld evaluated, %lld skipped, "
-                      "%lld pruned%s\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? " (ranking served from plan cache)"
-                                        : "");
-          std::printf("best: W=%lld H=%lld FTB=%lld WT=%lld FT=%lld "
-                      "CSH=%lld   %.1f GFlop/s\n",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      static_cast<long long>(r.best.config.ftb),
-                      static_cast<long long>(r.best.config.wt),
-                      static_cast<long long>(r.best.config.ft),
-                      static_cast<long long>(r.best.config.csh),
-                      r.best.gflops);
-        }
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    return 0;
   }
 
   try {
@@ -676,15 +647,15 @@ int main(int argc, char** argv) {
     // launch relaxes only the address-dependent gm_sectors).
     xray::StaticReport xrep;
     xray::CrossCheck xcheck;
-    if (xray) {
+    if (args.xray) {
       xrep = xray::analyze(arch, core::conv2d_xray_model(arch, c, f, k, n, n,
                                                          opt));
-      xcheck = xray::cross_validate(xrep, res.launch.stats, analytic);
+      xcheck = xray::cross_validate(xrep, res.launch.stats, args.analytic);
     }
 
     if (json) {
       std::string out = sim::to_json(dev.arch(), res.launch);
-      if (xray) {
+      if (args.xray) {
         out.erase(out.rfind('}'));
         while (!out.empty() && (out.back() == '\n' || out.back() == ' '))
           out.pop_back();
@@ -692,12 +663,8 @@ int main(int argc, char** argv) {
         out += ",\n  \"static_cross_check\": {\"ok\": ";
         out += xcheck.ok ? "true" : "false";
         out += ", \"mismatches\": [";
-        for (std::size_t m = 0; m < xcheck.mismatches.size(); ++m) {
-          if (m > 0) out += ", ";
-          out += "\"";
-          out += xcheck.mismatches[m];
-          out += "\"";
-        }
+        if (!xcheck.mismatches.empty())
+          out += "\"" + join(xcheck.mismatches, "\", \"") + "\"";
         out += "]}\n}";
       }
       std::printf("%s\n", out.c_str());
@@ -705,7 +672,7 @@ int main(int argc, char** argv) {
       std::printf("algorithm: %s   effective: %.1f GFlop/s\n",
                   core::algo_name(res.algo_used), res.effective_gflops);
       std::printf("%s", sim::format_report(dev.arch(), res.launch).c_str());
-      if (xray) {
+      if (args.xray) {
         std::printf("%s", xray::format_static(xrep).c_str());
         if (xcheck.ok) {
           std::printf("static counters match the launch: yes\n");
@@ -716,7 +683,7 @@ int main(int argc, char** argv) {
         }
       }
       if (res.output_valid) {
-        const i64 pad = same ? (k - 1) / 2 : 0;
+        const i64 pad = args.same ? (k - 1) / 2 : 0;
         const bool ok = tensor::allclose(
             res.output, tensor::conv2d_reference(img, flt, pad), 2e-4, 2e-4);
         std::printf("matches CPU reference: %s\n", ok ? "yes" : "NO");
@@ -741,8 +708,8 @@ int main(int argc, char** argv) {
                         res.launch.profile.timelines.size()));
       }
     }
-    if (check && !res.launch.analysis.clean()) return 3;
-    if (xray && !xcheck.ok) return 3;
+    if (args.check && !res.launch.analysis.clean()) return 3;
+    if (args.xray && !xcheck.ok) return 3;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -214,7 +214,6 @@ AutotuneResult<Config> tune(const sim::Arch& arch, const std::string& key,
   // counters exact, so scores are the same either way (§5b).
   opt.analytic = analytic;
   opt.plan_cache = analytic ? plans : nullptr;
-  opt.replay = opt.plan_cache != nullptr;
 
   // One pool for the pre-pass and the sweep. Every per-candidate step
   // runs with grain 1 and writes only its own slot, so no synchronization

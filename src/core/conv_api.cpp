@@ -1,6 +1,5 @@
 #include "src/core/conv_api.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "src/kernels/general_conv.hpp"
@@ -26,6 +25,18 @@ const char* algo_name(Algo a) {
     case Algo::Fft: return "fft";
   }
   return "?";
+}
+
+bool parse_algo(const std::string& name, Algo& out) {
+  for (const Algo a : {Algo::Auto, Algo::Special, Algo::General,
+                       Algo::ImplicitGemm, Algo::Im2colGemm, Algo::NaiveDirect,
+                       Algo::Winograd, Algo::Fft}) {
+    if (name == algo_name(a)) {
+      out = a;
+      return true;
+    }
+  }
+  return false;
 }
 
 double conv_flops(i64 c, i64 f, i64 k, i64 ho, i64 wo) {
@@ -171,14 +182,13 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
       fopt.devices > 1 && fopt.strategy == sim::ShardStrategy::Batch;
   ConvOptions per = opt;
   if (image_shard) per.launch.fleet = sim::FleetOptions{};
-  std::vector<double> dev_busy;
-  std::vector<sim::TransferLedger> dev_led;
-  std::vector<u64> dev_images;
-  if (image_shard) {
-    dev_busy.assign(fopt.devices, 0.0);
-    dev_led.assign(fopt.devices, sim::TransferLedger{});
-    dev_images.assign(fopt.devices, 0);
-  }
+  // One shard per device: its images as blocks, its staging ledger, its
+  // launches' summed counters and compute seconds.
+  std::vector<sim::FleetShard> shards(image_shard ? fopt.devices : 0);
+  for (u32 d = 0; d < shards.size(); ++d) shards[d].device = d;
+  std::vector<sim::KernelStats> dev_stats(shards.size());
+  std::vector<double> dev_busy(shards.size(), 0.0);
+  const u64 fs = sizeof(float);
 
   // Slice each image out of the batch and run it; filters are identical
   // across the batch, which in a real deployment keeps them resident (the
@@ -194,18 +204,18 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
     ConvResult r = conv2d(dev, one, filters, per);
     if (image_shard) {
       const u32 d = static_cast<u32>(img % fopt.devices);
-      sim::TransferLedger& led = dev_led[d];
-      const u64 fs = sizeof(float);
-      if (dev_images[d] == 0) {
-        led.h2d_bytes += fs * static_cast<u64>(filters.n() * filters.c() *
-                                               filters.h() * filters.w());
-        led.h2d_ops += 1;
+      sim::FleetShard& sh = shards[d];
+      if (sh.blocks == 0) {
+        sh.ledger.h2d_bytes += fs * static_cast<u64>(filters.size());
+        sh.ledger.h2d_ops += 1;
       }
-      led.h2d_bytes +=
+      sh.ledger.h2d_bytes +=
           fs * static_cast<u64>(input.c() * input.h() * input.w());
-      led.h2d_ops += 1;
+      sh.ledger.h2d_ops += 1;
+      sh.runs.push_back({static_cast<u64>(img), static_cast<u64>(img) + 1});
+      sh.blocks += 1;
+      dev_stats[d] += r.launch.stats;
       dev_busy[d] += r.total_seconds;
-      dev_images[d] += 1;
     }
     if (img == 0) {
       total = std::move(r);
@@ -245,39 +255,26 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
                                               : input.w(),
                                           k, 0);
   if (image_shard) {
-    sim::FleetResult& f = total.launch.fleet;
-    f.enabled = true;
-    f.devices = fopt.devices;
-    f.strategy = fopt.strategy;
-    f.interconnect = fopt.interconnect.name;
-    f.p2p = fopt.interconnect.p2p;
-    const u64 fs = sizeof(float);
-    double makespan = 0.0;
-    for (u32 d = 0; d < fopt.devices; ++d) {
-      sim::TransferLedger& led = dev_led[d];
-      led.d2h_bytes +=
-          fs * static_cast<u64>(filters.n() * ho * wo) * dev_images[d];
-      led.d2h_ops += dev_images[d];
-      const double transfer = led.seconds(fopt.interconnect);
-      sim::FleetDeviceReport rep;
-      rep.device = d;
-      rep.blocks = dev_images[d];  // image-granular sharding: images, not blocks
-      rep.ledger = led;
-      rep.transfer_seconds = transfer;
-      rep.compute_seconds = dev_busy[d];
-      f.device_reports.push_back(rep);
-      f.h2d_bytes += led.h2d_bytes;
-      f.d2h_bytes += led.d2h_bytes;
-      f.transfer_seconds += transfer;
-      f.compute_seconds = std::max(f.compute_seconds, dev_busy[d]);
-      makespan = std::max(makespan, dev_busy[d] + transfer);
+    const u64 out_plane = fs * static_cast<u64>(filters.n() * ho * wo);
+    for (sim::FleetShard& sh : shards) {
+      sh.ledger.d2h_bytes += out_plane * sh.blocks;
+      sh.ledger.d2h_ops += sh.blocks;
     }
-    f.seconds = makespan;
-    total.total_seconds = makespan;
+    sim::FleetHints hints;
+    hints.provided = true;
+    hints.input_bytes = fs * static_cast<u64>(input.size());
+    hints.filter_bytes = fs * static_cast<u64>(filters.size());
+    hints.output_bytes = out_plane * static_cast<u64>(input.n());
+    total.launch.fleet =
+        sim::analyze_fleet(dev.arch(), fopt, hints, static_cast<u64>(input.n()),
+                           shards, dev_stats, dev_busy);
+    total.total_seconds = total.launch.fleet.seconds;
   }
   total.effective_gflops =
-      input.n() * conv_flops(input.c(), filters.n(), k, ho, wo) /
-      total.total_seconds / 1e9;
+      total.total_seconds > 0
+          ? input.n() * conv_flops(input.c(), filters.n(), k, ho, wo) /
+                total.total_seconds / 1e9
+          : 0.0;
   return total;
 }
 

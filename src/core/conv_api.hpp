@@ -30,6 +30,9 @@ enum class Algo : u8 {
 };
 
 const char* algo_name(Algo a);
+/// The Algo whose algo_name is `name`; false (and `out` untouched) for
+/// any other string.
+bool parse_algo(const std::string& name, Algo& out);
 
 enum class Padding : u8 {
   Valid,  ///< output (Hi-K+1) x (Wi-K+1)

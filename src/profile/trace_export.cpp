@@ -139,14 +139,11 @@ std::string unified_chrome_trace_json(
     };
     for (const ServingTraceSpan* sp : spans) {
       close_until(sp->begin_us);
-      const double end = std::max(sp->end_us, sp->begin_us);
       emit(strf("{\"name\": \"%s\", \"ph\": \"B\", \"pid\": 0, "
                 "\"tid\": %llu, \"ts\": %.3f}",
                 json_escape(sp->name).c_str(), (unsigned long long)lane,
                 sp->begin_us));
       stack.push_back(sp);
-      // Keep the stack consistent even for zero-width spans.
-      (void)end;
     }
     close_until(1e300);
   }

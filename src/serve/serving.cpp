@@ -88,7 +88,6 @@ std::vector<ServeReply> ServingDriver::drain() {
   gopt.fuse = opt_.fuse;
   gopt.launch = opt_.launch;
   gopt.launch.plan_cache = opt_.plan_cache;
-  if (opt_.plan_cache != nullptr) gopt.launch.replay = true;
 
   obs::TelemetrySink* const sink = opt_.telemetry;
   std::vector<ServeReply> replies(work.size());

@@ -91,8 +91,9 @@ struct LaunchOptions {
   /// with a non-empty `plan_key` on a replay-capable launch, captured class
   /// traces (and, in a sidecar, their tapes) are loaded from and saved to
   /// this store, so a repeated launch replays every block with zero
-  /// representative execution. Stale or corrupt stores fall back to
-  /// capture (LaunchResult::plan_cache_status says why) — never silently
+  /// representative execution. An attached store implies `replay`: only a
+  /// replaying launch reads or writes it. Stale or corrupt stores fall back
+  /// to capture (LaunchResult::plan_cache_status says why) — never silently
   /// wrong. Ignored, like `replay`, under hazard_check and profile.
   PlanCache* plan_cache = nullptr;
   /// Caller-provided kernel+shape identity for the plan store. The launch

@@ -63,8 +63,10 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   const u32 threads = static_cast<u32>(std::min<u64>(
       ThreadPool::resolve_threads(opt.num_threads), set.count));
 
-  // Replay engages only when both the caller opted in AND the kernel
-  // declared a classifier; otherwise every block is unique (legacy path).
+  // Replay engages only when both the caller opted in (replay, analytic or
+  // an attached plan store, which is only read or written by replay) AND
+  // the kernel declared a classifier; otherwise every block is unique
+  // (legacy path).
   // A diagnostic launch (hazard check or phase profile) executes every
   // block: both report exactly what full execution reports, so replaying
   // under them would only trade host time on a diagnostic run. Analytic
@@ -75,8 +77,9 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
   KCONV_CHECK(!analytic || static_cast<bool>(classify),
               "analytic launch requires a kernel with a replay_class hook");
   const bool diagnostic = opt.hazard_check || opt.profile;
-  const bool replaying = (opt.replay || analytic) && !diagnostic &&
-                         static_cast<bool>(classify);
+  const bool replaying =
+      (opt.replay || analytic || opt.plan_cache != nullptr) && !diagnostic &&
+      static_cast<bool>(classify);
   res.analytic = analytic;
 
   // Multi-device sharding (docs/MODEL.md §9); validate() already rejected

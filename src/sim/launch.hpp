@@ -111,7 +111,8 @@ struct LaunchResult {
   /// "stale-arch", "stale-config", "stale-trace-level",
   /// "stale-static-signature" (the stored plan's kconv-xray signature
   /// disagrees with the launching kernel's, docs/MODEL.md §10), or
-  /// "disabled" (non-replay launch, empty key, hazard_check or profile).
+  /// "disabled" (kernel without a replay_class hook, empty key,
+  /// hazard_check or profile).
   /// Empty when no plan_cache was configured.
   std::string plan_cache_status;
   /// kconv-check results (docs/MODEL.md §6). Populated only when

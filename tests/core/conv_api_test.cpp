@@ -77,6 +77,20 @@ INSTANTIATE_TEST_SUITE_P(Algos, AllAlgosAgree,
                            return s;
                          });
 
+TEST(ConvApi, ParseAlgoInvertsAlgoName) {
+  for (const Algo a : {Algo::Auto, Algo::Special, Algo::General,
+                       Algo::ImplicitGemm, Algo::Im2colGemm, Algo::NaiveDirect,
+                       Algo::Winograd, Algo::Fft}) {
+    Algo got = a == Algo::Auto ? Algo::Fft : Algo::Auto;
+    EXPECT_TRUE(parse_algo(algo_name(a), got)) << algo_name(a);
+    EXPECT_EQ(got, a) << algo_name(a);
+  }
+  Algo untouched = Algo::General;
+  EXPECT_FALSE(parse_algo("gemm", untouched));
+  EXPECT_FALSE(parse_algo("", untouched));
+  EXPECT_EQ(untouched, Algo::General);
+}
+
 TEST(ConvApi, SamePaddingPreservesExtent) {
   sim::Device dev(sim::kepler_k40m());
   const auto img = image(1, 17, 23, 7);

@@ -1,5 +1,8 @@
 #include "src/core/conv_api.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.hpp"
@@ -68,6 +71,78 @@ TEST(ConvBatched, SamePaddingWorksPerImage) {
   EXPECT_EQ(res.output.w(), 13);
   EXPECT_TRUE(tensor::allclose(res.output,
                                tensor::conv2d_reference(batch, flt, 1)));
+}
+
+TEST(ConvBatched, FunctionalTraceReportsZeroGflops) {
+  // A Functional trace carries no timing: the batch reports 0 GFlop/s, as
+  // conv2d does for one image, not a division by zero seconds.
+  Rng rng(59);
+  tensor::Tensor batch(2, 4, 12, 12);
+  batch.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(8, 4, 3);
+  flt.fill_random(rng);
+  sim::Device dev(sim::kepler_k40m());
+  ConvOptions opt;
+  opt.launch.trace = sim::TraceLevel::Functional;
+  const auto res = conv2d_batched(dev, batch, flt, opt);
+  ASSERT_TRUE(res.output_valid);
+  EXPECT_EQ(res.total_seconds, 0.0);
+  EXPECT_EQ(res.effective_gflops, 0.0);
+}
+
+TEST(ConvBatched, ImageShardedFleetIsAnalyzed) {
+  // Three images round-robin over two devices: device 0 runs images 0 and
+  // 2, device 1 runs image 1. The fleet block carries the analyzer's
+  // ratios and verdicts, and the batch time is still the busiest device's
+  // summed compute plus its staging.
+  Rng rng(60);
+  tensor::Tensor batch(3, 4, 14, 14);
+  batch.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(8, 4, 3);
+  flt.fill_random(rng);
+  ConvOptions opt;
+  opt.launch.fleet.devices = 2;
+  sim::Device dev(sim::kepler_k40m());
+  const auto res = conv2d_batched(dev, batch, flt, opt);
+
+  std::vector<double> image_seconds;
+  for (i64 img = 0; img < batch.n(); ++img) {
+    tensor::Tensor one(1, batch.c(), batch.h(), batch.w());
+    for (i64 c = 0; c < batch.c(); ++c)
+      for (i64 y = 0; y < batch.h(); ++y)
+        for (i64 x = 0; x < batch.w(); ++x)
+          one.at(0, c, y, x) = batch.at(img, c, y, x);
+    sim::Device single(sim::kepler_k40m());
+    image_seconds.push_back(conv2d(single, one, flt).total_seconds);
+  }
+
+  const sim::FleetResult& f = res.launch.fleet;
+  ASSERT_TRUE(f.enabled);
+  ASSERT_EQ(f.device_reports.size(), 2u);
+  EXPECT_EQ(f.device_reports[0].blocks, 2u);
+  EXPECT_EQ(f.device_reports[1].blocks, 1u);
+  EXPECT_EQ(f.device_reports[0].compute_seconds,
+            image_seconds[0] + image_seconds[2]);
+  EXPECT_EQ(f.device_reports[1].compute_seconds, image_seconds[1]);
+  double makespan = 0.0;
+  for (const sim::FleetDeviceReport& d : f.device_reports) {
+    EXPECT_GT(d.comm_ratio, 0.0);
+    makespan = std::max(makespan, d.transfer_seconds + d.compute_seconds);
+  }
+  EXPECT_EQ(res.total_seconds, makespan);
+  EXPECT_EQ(f.seconds, makespan);
+  EXPECT_GT(f.interdevice_ratio, 0.0);
+  EXPECT_GT(f.interlevel_ratio, 0.0);
+  EXPECT_FALSE(f.interdevice_verdict.empty());
+  EXPECT_FALSE(f.interlevel_verdict.empty());
+
+  // More devices than images: the idle device is still reported as itself.
+  opt.launch.fleet.devices = 4;
+  const sim::FleetResult wide =
+      conv2d_batched(dev, batch, flt, opt).launch.fleet;
+  ASSERT_EQ(wide.device_reports.size(), 4u);
+  for (u32 d = 0; d < 4; ++d) EXPECT_EQ(wide.device_reports[d].device, d);
+  EXPECT_EQ(wide.device_reports[3].blocks, 0u);
 }
 
 }  // namespace

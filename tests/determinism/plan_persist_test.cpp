@@ -144,6 +144,21 @@ TEST(PlanPersist, WarmLaunchIsByteIdenticalSerial) {
   expect_invariant_stats(warm.launch.stats, cold.launch.stats);
 }
 
+TEST(PlanPersist, AttachedStoreImpliesReplay) {
+  sim::PlanCache plans(fresh_dir("implied_replay"));
+  const auto direct = run_general({.plans = nullptr, .replay = false});
+  const auto cold = run_general({.plans = &plans, .replay = false});
+  const auto warm = run_general({.plans = &plans, .replay = false});
+
+  EXPECT_EQ(cold.launch.plan_cache_status, "miss");
+  EXPECT_GE(plans.stores(), 1u);
+  EXPECT_EQ(warm.launch.plan_cache_status, "hit");
+  EXPECT_EQ(warm.launch.blocks_replayed, warm.launch.blocks_total);
+  ASSERT_TRUE(direct.output_valid && warm.output_valid);
+  expect_bytes_equal(warm.output.flat(), direct.output.flat());
+  expect_invariant_stats(warm.launch.stats, direct.launch.stats);
+}
+
 TEST(PlanPersist, WarmLaunchIsByteIdenticalSpecialKernel) {
   sim::PlanCache plans(fresh_dir("special"));
   const auto cold = run_special({.plans = &plans});
