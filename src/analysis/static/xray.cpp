@@ -87,7 +87,7 @@ class CounterSink final : public ModelSink {
 
   /// Closes the final (sync-less) segment and charges the warp-granular
   /// arithmetic, exactly like run_block's epilogue. Events and FMA ops are
-  /// lane-uniform (every lane executes every co_await and every arithmetic
+  /// lane-uniform (every lane executes every memory op, barrier and arithmetic
   /// statement); only the implicit address-ALU charge varies by predicate.
   void end_block() {
     sim::close_segment(seg_, /*at_barrier=*/false, stats_);

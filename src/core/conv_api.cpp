@@ -231,7 +231,13 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
       continue;
     }
     total.total_seconds += r.total_seconds;
-    total.launch = r.launch;
+    // The batch's counters and block counts sum over its images; the rest
+    // of `launch` is the last image's.
+    r.launch.stats += total.launch.stats;
+    r.launch.blocks_total += total.launch.blocks_total;
+    r.launch.blocks_executed += total.launch.blocks_executed;
+    r.launch.blocks_replayed += total.launch.blocks_replayed;
+    total.launch = std::move(r.launch);
     if (total.output_valid && r.output_valid) {
       for (i64 c = 0; c < r.output.c(); ++c)
         for (i64 y = 0; y < r.output.h(); ++y)

@@ -73,10 +73,14 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
                   const ConvOptions& opt = {});
 
 /// Batched convolution: input (N, C, Hi, Wi) -> output (N, F, Ho, Wo).
-/// Images are independent, so the batch runs as N back-to-back launches
-/// (timing sums; the launch/stats fields describe the LAST image). The
-/// paper evaluates batch-1 direct convolution; this is the convenience
-/// wrapper a CNN framework would call.
+/// Images are independent, so the batch runs as N back-to-back launches.
+/// Per batch: `total_seconds`, `effective_gflops`, and `launch.stats`,
+/// `launch.blocks_total`, `launch.blocks_executed` and
+/// `launch.blocks_replayed`, each summed over the images (max_warp_instrs
+/// is their max), plus `launch.fleet` under batch sharding. Every other
+/// `launch` field (timing, plan-store status, analysis, profile) describes
+/// the LAST image. The paper evaluates batch-1 direct convolution; this is
+/// the convenience wrapper a CNN framework would call.
 ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
                           const tensor::Tensor& filters,
                           const ConvOptions& opt = {});

@@ -106,21 +106,21 @@ class SpecialKernelT : public SpecialPlan {
       VecN v{}, v2{};
       {
         sim::ProfilePhase phase(t, profile::Phase::GmLoad);
-        v = co_await t.template ld_global_if<VecN>(
+        v = t.template ld_global_if<VecN>(
             main_ok, in.buf, main_ok ? in.idx(0, ir, col0) : 0);
       }
       {
         sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-        co_await t.st_shared_if(main_ok, sh, r * sh_stride + tid * N, v);
+        t.st_shared_if(main_ok, sh, r * sh_stride + tid * N, v);
       }
       {
         sim::ProfilePhase phase(t, profile::Phase::GmLoad);
-        v2 = co_await t.template ld_global_if<VecN>(
+        v2 = t.template ld_global_if<VecN>(
             tail_ok, in.buf, tail_ok ? in.idx(0, ir, tail_col) : 0);
       }
       {
         sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-        co_await t.st_shared_if(tail_ok, sh, r * sh_stride + W + tid * N, v2);
+        t.st_shared_if(tail_ok, sh, r * sh_stride + W + tid * N, v2);
       }
     }
     co_await t.sync();
@@ -130,7 +130,7 @@ class SpecialKernelT : public SpecialPlan {
       sim::ProfilePhase phase(t, profile::Phase::SmemStage);
       for (i64 r = 0; r + 1 < K; ++r) {
         for (i64 i = 0; i < rows_wcols; i += N) {
-          VecN v = co_await t.template ld_shared<VecN>(
+          VecN v = t.template ld_shared<VecN>(
               sh, r * sh_stride + tid * N + i);
           for (int j = 0; j < N; ++j) win[r][i + j] = static_cast<float>(v[j]);
         }
@@ -146,7 +146,7 @@ class SpecialKernelT : public SpecialPlan {
       {
         sim::ProfilePhase phase(t, profile::Phase::SmemStage);
         for (i64 i = 0; i < rows_wcols; i += N) {
-          VecN v = co_await t.template ld_shared<VecN>(
+          VecN v = t.template ld_shared<VecN>(
               sh, slot * sh_stride + tid * N + i);
           for (int j = 0; j < N; ++j)
             win[K - 1][i + j] = static_cast<float>(v[j]);
@@ -165,7 +165,7 @@ class SpecialKernelT : public SpecialPlan {
           for (i64 dy = 0; dy < K; ++dy) {
             for (i64 dx = 0; dx < K; ++dx) {
               const float wv =
-                  co_await t.ld_const(filt, (f * K + dy) * K + dx);
+                  t.ld_const(filt, (f * K + dy) * K + dx);
               Vec<float, N> xs;
               for (int j = 0; j < N; ++j) xs[j] = win[dy][dx + j];
               acc = t.fma(xs, wv, acc);
@@ -176,14 +176,14 @@ class SpecialKernelT : public SpecialPlan {
           // `fused` is launch-uniform and f is warp-uniform, so the bias
           // read stays a single constant-memory broadcast per filter.
           sim::ProfilePhase phase(t, profile::Phase::Writeback);
-          const float bv = co_await t.ld_const(bias, f);
+          const float bv = t.ld_const(bias, f);
           acc = t.bias_relu(acc, bv);
         }
         VecN sv;
         for (int j = 0; j < N; ++j) sv[j] = T(acc[j]);
         {
           sim::ProfilePhase phase(t, profile::Phase::Writeback);
-          co_await t.st_global_if(write_ok, out.buf,
+          t.st_global_if(write_ok, out.buf,
                                   write_ok ? out.idx(f, orow, col0) : 0, sv);
         }
       }
@@ -197,9 +197,9 @@ class SpecialKernelT : public SpecialPlan {
       VecN pf_main{}, pf_tail{};
       {
         sim::ProfilePhase phase(t, profile::Phase::Prefetch);
-        pf_main = co_await t.template ld_global_if<VecN>(
+        pf_main = t.template ld_global_if<VecN>(
             pf && main_ok, in.buf, pf && main_ok ? in.idx(0, ir, col0) : 0);
-        pf_tail = co_await t.template ld_global_if<VecN>(
+        pf_tail = t.template ld_global_if<VecN>(
             pf && tail_ok, in.buf,
             pf && tail_ok ? in.idx(0, ir, tail_col) : 0);
       }
@@ -208,9 +208,9 @@ class SpecialKernelT : public SpecialPlan {
       // Line 10: publish the prefetched row to its SM slot.
       {
         sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-        co_await t.st_shared_if(pf && main_ok, sh,
+        t.st_shared_if(pf && main_ok, sh,
                                 (rr % K) * sh_stride + tid * N, pf_main);
-        co_await t.st_shared_if(pf && tail_ok, sh,
+        t.st_shared_if(pf && tail_ok, sh,
                                 (rr % K) * sh_stride + W + tid * N, pf_tail);
       }
       co_await t.sync();  // line 11

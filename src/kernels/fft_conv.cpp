@@ -45,11 +45,12 @@ class PadImageKernel {
     const bool live = x < Q;
     const bool inside = live && r < in.h && x < in.w;
     const float v =
-        co_await t.ld_global_if(inside, in.buf, inside ? in.idx(c, r, x) : 0);
+        t.ld_global_if(inside, in.buf, inside ? in.idx(c, r, x) : 0);
     vec2f z;
     z[0] = v;
     z[1] = 0.0f;
-    co_await t.st_global_if(live, planes, live ? cidx(c, P, Q, r, x) : 0, z);
+    t.st_global_if(live, planes, live ? cidx(c, P, Q, r, x) : 0, z);
+    co_return;
   }
 };
 
@@ -69,14 +70,15 @@ class PadFilterKernel {
     const bool live = x < Q;
     const bool inside = live && r < K && x < K;
     t.alu(2);
-    const float v = co_await t.ld_global_if(
+    const float v = t.ld_global_if(
         inside, filt,
         inside ? fc * K * K + (K - 1 - r) * K + (K - 1 - x) : 0);
     vec2f z;
     z[0] = v;
     z[1] = 0.0f;
-    co_await t.st_global_if(live, planes, live ? cidx(fc, P, Q, r, x) : 0,
+    t.st_global_if(live, planes, live ? cidx(fc, P, Q, r, x) : 0,
                             z);
+    co_return;
   }
 };
 
@@ -103,14 +105,14 @@ class FftRowsKernel {
     for (i64 it = 0; it < load_iters; ++it) {
       const i64 i = tid + it * threads;
       const bool ok = i < L;
-      vec2f z = co_await t.template ld_global_if<vec2f>(
+      vec2f z = t.template ld_global_if<vec2f>(
           ok, planes, ok ? (row * L + i) * 2 : 0);
       const i64 rev =
           ok ? static_cast<i64>(
                    bit_reverse(static_cast<u32>(i), log2_l))
              : 0;
       t.alu(2);
-      co_await t.st_shared_if(ok, sh, rev * 2, z);
+      t.st_shared_if(ok, sh, rev * 2, z);
     }
     co_await t.sync();
 
@@ -124,12 +126,12 @@ class FftRowsKernel {
         const i64 base = ok ? (b / (len / 2)) * len : 0;
         t.alu(4);
 
-        vec2f w = co_await t.template ld_const<vec2f>(twiddles,
+        vec2f w = t.template ld_const<vec2f>(twiddles,
                                                       (len / 2 + j) * 2);
         if (inverse) w[1] = -w[1];
-        vec2f u = co_await t.template ld_shared<vec2f>(
+        vec2f u = t.template ld_shared<vec2f>(
             sh, ok ? (base + j) * 2 : 0);
-        vec2f v = co_await t.template ld_shared<vec2f>(
+        vec2f v = t.template ld_shared<vec2f>(
             sh, ok ? (base + j + len / 2) * 2 : 0);
         // vw = v * w (complex), then u +/- vw.
         float vw_re = t.fma(v[0], w[0], -v[1] * w[1]);
@@ -141,8 +143,8 @@ class FftRowsKernel {
         lo[0] = u[0] - vw_re;
         lo[1] = u[1] - vw_im;
         t.alu(4);
-        co_await t.st_shared_if(ok, sh, ok ? (base + j) * 2 : 0, hi);
-        co_await t.st_shared_if(ok, sh,
+        t.st_shared_if(ok, sh, ok ? (base + j) * 2 : 0, hi);
+        t.st_shared_if(ok, sh,
                                 ok ? (base + j + len / 2) * 2 : 0, lo);
       }
       co_await t.sync();
@@ -152,8 +154,8 @@ class FftRowsKernel {
     for (i64 it = 0; it < load_iters; ++it) {
       const i64 i = tid + it * threads;
       const bool ok = i < L;
-      vec2f z = co_await t.template ld_shared<vec2f>(sh, ok ? i * 2 : 0);
-      co_await t.st_global_if(ok, planes, ok ? (row * L + i) * 2 : 0, z);
+      vec2f z = t.template ld_shared<vec2f>(sh, ok ? i * 2 : 0);
+      t.st_global_if(ok, planes, ok ? (row * L + i) * 2 : 0, z);
     }
   }
 };
@@ -182,17 +184,17 @@ class TransposeKernel {
     const i64 sr = tile_y * kTile + ty;
     const i64 sc = tile_x * kTile + tx;
     const bool in_ok = sr < rows && sc < cols;
-    vec2f z = co_await t.template ld_global_if<vec2f>(
+    vec2f z = t.template ld_global_if<vec2f>(
         in_ok, src, in_ok ? cidx(b, rows, cols, sr, sc) : 0);
-    co_await t.st_shared_if(in_ok, sh, (ty * (kTile + 1) + tx) * 2, z);
+    t.st_shared_if(in_ok, sh, (ty * (kTile + 1) + tx) * 2, z);
     co_await t.sync();
 
     const i64 dr = tile_x * kTile + ty;  // transposed coordinates
     const i64 dc = tile_y * kTile + tx;
     const bool out_ok = dr < cols && dc < rows;
-    vec2f w = co_await t.template ld_shared<vec2f>(
+    vec2f w = t.template ld_shared<vec2f>(
         sh, out_ok ? (tx * (kTile + 1) + ty) * 2 : 0);
-    co_await t.st_global_if(out_ok, dst,
+    t.st_global_if(out_ok, dst,
                             out_ok ? cidx(b, cols, rows, dr, dc) : 0, w);
   }
 };
@@ -213,9 +215,9 @@ class MacKernel {
     const bool live = p < plane;
     float acc_re = 0.0f, acc_im = 0.0f;
     for (i64 c = 0; c < C; ++c) {
-      vec2f xv = co_await t.template ld_global_if<vec2f>(
+      vec2f xv = t.template ld_global_if<vec2f>(
           live, x, live ? (c * plane + p) * 2 : 0);
-      vec2f gv = co_await t.template ld_global_if<vec2f>(
+      vec2f gv = t.template ld_global_if<vec2f>(
           live, g, live ? ((f * C + c) * plane + p) * 2 : 0);
       acc_re = t.fma(xv[0], gv[0], acc_re);
       acc_re = t.fma(-xv[1], gv[1], acc_re);
@@ -225,7 +227,8 @@ class MacKernel {
     vec2f out;
     out[0] = acc_re;
     out[1] = acc_im;
-    co_await t.st_global_if(live, y, live ? (f * plane + p) * 2 : 0, out);
+    t.st_global_if(live, y, live ? (f * plane + p) * 2 : 0, out);
+    co_return;
   }
 };
 
@@ -243,11 +246,12 @@ class ExtractKernel {
     const i64 yy = t.block_idx.y % out.h;
     const i64 f = t.block_idx.y / out.h;
     const bool live = x < out.w;
-    vec2f z = co_await t.template ld_global_if<vec2f>(
+    vec2f z = t.template ld_global_if<vec2f>(
         live, acc, live ? cidx(f, P, Q, yy + K - 1, x + K - 1) : 0);
     t.alu(1);
-    co_await t.st_global_if(live, out.buf, live ? out.idx(f, yy, x) : 0,
+    t.st_global_if(live, out.buf, live ? out.idx(f, yy, x) : 0,
                             z[0] * scale);
+    co_return;
   }
 };
 

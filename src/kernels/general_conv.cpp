@@ -58,11 +58,85 @@ class GeneralKernel : public GeneralPlan {
     if (fused) o.add(bias, fblk * FTB);
   }
 
+  /// One lane's GM->SM staging of both operands over the plan's decodes.
+  /// `stage(c)` loads channels [c, c + CSH) and stores them to SM: the
+  /// initial fill (Alg. 2 lines 4-5) and, without prefetch, the reload
+  /// (ablation A1). `fetch(c)` only loads them into registers (lines 8-9)
+  /// and `publish()` stores those registers (lines 17-18). The loops run
+  /// the plan's padded trip counts: every lane runs the same number of
+  /// iterations (inactive ones are predicated off) so warps never drift.
+  /// kconv-prof scopes re-label accesses only; issue order is untouched.
+  struct Stager {
+    using VecN = Vec<float, N>;
+    const GeneralKernel& k;
+    sim::ThreadCtx& t;
+    i64 tid, fblk, sx, sy;
+    sim::SharedView<float> sh_img, sh_flt;
+    VecN pf_img[kMaxImgUnits] = {};
+    float pf_flt[kMaxFltScalars] = {};
+
+    ImgUnit img(i64 it) const {
+      return k.img_unit(tid + it * k.nthreads, sx, sy);
+    }
+    FltElem flt(i64 it) const {
+      return k.flt_elem(tid + it * k.nthreads, fblk);
+    }
+    VecN load(const ImgUnit& u, i64 cbase) {
+      return t.template ld_global_if<VecN>(
+          u.ok, k.in.buf, u.ok ? k.in.idx(cbase + u.ci, u.iy, u.ix) : 0);
+    }
+    float load(const FltElem& e, i64 cbase) {
+      return t.ld_global_if(e.ok, k.filt, e.gm + cbase * k.K * k.K);
+    }
+
+    void stage(i64 cbase) {
+      for (i64 it = 0; it < k.img_iters; ++it) {
+        const ImgUnit u = img(it);
+        VecN v{};
+        {
+          sim::ProfilePhase phase(t, profile::Phase::GmLoad);
+          v = load(u, cbase);
+        }
+        sim::ProfilePhase phase(t, profile::Phase::SmemStage);
+        t.st_shared_if(u.ok, sh_img, u.sm, v);
+      }
+      for (i64 it = 0; it < k.flt_iters; ++it) {
+        const FltElem e = flt(it);
+        float v = 0.0f;
+        {
+          sim::ProfilePhase phase(t, profile::Phase::GmLoad);
+          v = load(e, cbase);
+        }
+        sim::ProfilePhase phase(t, profile::Phase::SmemStage);
+        t.st_shared_if(e.ok, sh_flt, e.sm, v);
+      }
+    }
+    void fetch(i64 cbase) {
+      sim::ProfilePhase phase(t, profile::Phase::Prefetch);
+      for (i64 it = 0; it < k.img_iters; ++it) {
+        pf_img[it] = load(img(it), cbase);
+      }
+      for (i64 it = 0; it < k.flt_iters; ++it) {
+        pf_flt[it] = load(flt(it), cbase);
+      }
+    }
+    void publish() {
+      sim::ProfilePhase phase(t, profile::Phase::SmemStage);
+      for (i64 it = 0; it < k.img_iters; ++it) {
+        const ImgUnit u = img(it);
+        t.st_shared_if(u.ok, sh_img, u.sm, pf_img[it]);
+      }
+      for (i64 it = 0; it < k.flt_iters; ++it) {
+        const FltElem e = flt(it);
+        t.st_shared_if(e.ok, sh_flt, e.sm, pf_flt[it]);
+      }
+    }
+  };
+
   sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
     using VecN = Vec<float, N>;
     const i64 tx = t.thread_idx.x;
     const i64 ty = t.thread_idx.y;
-    const i64 tid = tx + TX * ty;
     const i64 fblk = t.block_idx.x;            // filter group
     const i64 sx = t.block_idx.y % nbx;        // spatial block column
     const i64 sy = t.block_idx.y / nbx;        // spatial block row
@@ -70,10 +144,7 @@ class GeneralKernel : public GeneralPlan {
 
     auto sh_img = t.shared<float>(img_off, CSH * rows_halo * stride_img);
     auto sh_flt = t.shared<float>(flt_off, CSH * KK * stride_flt);
-
-    // The staging loops run the plan's padded trip counts: every lane runs
-    // the same number of iterations (inactive iterations are predicated
-    // off) so warps never drift.
+    Stager st{*this, t, tx + TX * ty, fblk, sx, sy, sh_img, sh_flt};
 
     // This thread's outputs: WT contiguous pixels of one tile row.
     const i64 orow_local = (ty * WT) / W;
@@ -83,53 +154,10 @@ class GeneralKernel : public GeneralPlan {
     float acc[kGeneralMaxFT][kGeneralMaxWT] = {};
     float rimg[kGeneralMaxWT + kGeneralMaxK - 1 + 4] = {};
     float rflt[kGeneralMaxFT] = {};
-    VecN pf_img[kMaxImgUnits] = {};
-    bool pf_img_ok[kMaxImgUnits] = {};
-    float pf_flt[kMaxFltScalars] = {};
 
     // Lines 4-5: stage channels [0, CSH) straight into shared memory. This
     // initial fill is the one unavoidable load->store dependent phase.
-    // kconv-prof scopes re-label accesses only; issue order is untouched.
-    for (i64 it = 0; it < img_iters; ++it) {
-      const i64 u = tid + it * nthreads;
-      const i64 ci = (u / (rows_halo * units_per_row)) % CSH;
-      const i64 rem = u % (rows_halo * units_per_row);
-      const i64 ry = rem / units_per_row;
-      const i64 cu = rem % units_per_row;
-      const i64 iy = sy * H + ry;
-      const i64 ix = sx * W + cu * N;
-      const bool ok = u < total_img_units && iy < Hi && ix < Wi;
-      VecN v{};
-      {
-        sim::ProfilePhase phase(t, profile::Phase::GmLoad);
-        v = co_await t.template ld_global_if<VecN>(
-            ok, in.buf, ok ? in.idx(ci, iy, ix) : 0);
-      }
-      {
-        sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-        co_await t.st_shared_if(
-            ok, sh_img, (ci * rows_halo + ry) * stride_img + cu * N, v);
-      }
-    }
-    for (i64 it = 0; it < flt_iters; ++it) {
-      const i64 e = tid + it * nthreads;
-      const bool ok = e < total_flt;
-      const i64 f = ok ? e / (CSH * KK) : 0;
-      const i64 rem = ok ? e % (CSH * KK) : 0;
-      const i64 ci = rem / KK;
-      const i64 kk = rem % KK;
-      float v = 0.0f;
-      {
-        sim::ProfilePhase phase(t, profile::Phase::GmLoad);
-        v = co_await t.ld_global_if(
-            ok, filt, ((fblk * FTB + f) * C + ci) * KK + kk);
-      }
-      {
-        sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-        co_await t.st_shared_if(ok, sh_flt, (ci * KK + kk) * stride_flt + f,
-                                v);
-      }
-    }
+    st.stage(0);
     co_await t.sync();  // line 6
 
     // Line 7: accumulate over all channels, CSH at a time.
@@ -147,14 +175,13 @@ class GeneralKernel : public GeneralPlan {
             const i64 row_base =
                 (i * rows_halo + orow_local + j) * stride_img + ocol_local;
             for (i64 u = 0; u * N < WT + K - 1; ++u) {
-              VecN v = co_await t.template ld_shared<VecN>(sh_img,
-                                                           row_base + u * N);
+              VecN v = t.template ld_shared<VecN>(sh_img, row_base + u * N);
               for (int jj = 0; jj < N; ++jj) rimg[u * N + jj] = v[jj];
             }
             for (i64 kx = 0; kx < K; ++kx) {
               const i64 flt_base = (i * KK + j * K + kx) * stride_flt;
               for (i64 u = 0; u < FT / N; ++u) {
-                VecN v = co_await t.template ld_shared<VecN>(
+                VecN v = t.template ld_shared<VecN>(
                     sh_flt, flt_base + (tx + u * TX) * N);
                 for (int jj = 0; jj < N; ++jj) rflt[u * N + jj] = v[jj];
               }
@@ -168,32 +195,7 @@ class GeneralKernel : public GeneralPlan {
       // simulator's pipe-max timing captures that overlap regardless of
       // issue order, so they run after the (uniform) compute to keep warp
       // lanes aligned — same modeled cost, no spurious divergence.
-      if (prefetch && has_next) {
-        sim::ProfilePhase phase(t, profile::Phase::Prefetch);
-        for (i64 it = 0; it < img_iters; ++it) {
-          const i64 u = tid + it * nthreads;
-          const i64 ci = (u / (rows_halo * units_per_row)) % CSH;
-          const i64 rem = u % (rows_halo * units_per_row);
-          const i64 ry = rem / units_per_row;
-          const i64 cu = rem % units_per_row;
-          const i64 iy = sy * H + ry;
-          const i64 ix = sx * W + cu * N;
-          pf_img_ok[it] = u < total_img_units && iy < Hi && ix < Wi;
-          pf_img[it] = co_await t.template ld_global_if<VecN>(
-              pf_img_ok[it], in.buf,
-              pf_img_ok[it] ? in.idx(c0 + CSH + ci, iy, ix) : 0);
-        }
-        for (i64 it = 0; it < flt_iters; ++it) {
-          const i64 e = tid + it * nthreads;
-          const bool ok = e < total_flt;
-          const i64 f = ok ? e / (CSH * KK) : 0;
-          const i64 rem = ok ? e % (CSH * KK) : 0;
-          const i64 ci = rem / KK;
-          const i64 kk = rem % KK;
-          pf_flt[it] = co_await t.ld_global_if(
-              ok, filt, ((fblk * FTB + f) * C + c0 + CSH + ci) * KK + kk);
-        }
-      }
+      if (prefetch && has_next) st.fetch(c0 + CSH);
 
       co_await t.sync();  // line 16
 
@@ -201,70 +203,9 @@ class GeneralKernel : public GeneralPlan {
       // prefetching, straight from GM otherwise — ablation A1).
       if (has_next) {
         if (prefetch) {
-          sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-          for (i64 it = 0; it < img_iters; ++it) {
-            const i64 u = tid + it * nthreads;
-            const i64 ci = (u / (rows_halo * units_per_row)) % CSH;
-            const i64 rem = u % (rows_halo * units_per_row);
-            const i64 ry = rem / units_per_row;
-            const i64 cu = rem % units_per_row;
-            co_await t.st_shared_if(
-                pf_img_ok[it], sh_img,
-                (ci * rows_halo + ry) * stride_img + cu * N, pf_img[it]);
-          }
-          for (i64 it = 0; it < flt_iters; ++it) {
-            const i64 e = tid + it * nthreads;
-            const bool ok = e < total_flt;
-            const i64 f = ok ? e / (CSH * KK) : 0;
-            const i64 rem = ok ? e % (CSH * KK) : 0;
-            const i64 ci = rem / KK;
-            const i64 kk = rem % KK;
-            co_await t.st_shared_if(
-                ok, sh_flt, (ci * KK + kk) * stride_flt + f, pf_flt[it]);
-          }
+          st.publish();
         } else {
-          for (i64 it = 0; it < img_iters; ++it) {
-            const i64 u = tid + it * nthreads;
-            const i64 ci = (u / (rows_halo * units_per_row)) % CSH;
-            const i64 rem = u % (rows_halo * units_per_row);
-            const i64 ry = rem / units_per_row;
-            const i64 cu = rem % units_per_row;
-            const i64 iy = sy * H + ry;
-            const i64 ix = sx * W + cu * N;
-            const bool ok = u < total_img_units && iy < Hi && ix < Wi;
-            VecN v{};
-            {
-              sim::ProfilePhase phase(t, profile::Phase::GmLoad);
-              v = co_await t.template ld_global_if<VecN>(
-                  ok, in.buf, ok ? in.idx(c0 + CSH + ci, iy, ix) : 0);
-            }
-            {
-              sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-              co_await t.st_shared_if(
-                  ok, sh_img, (ci * rows_halo + ry) * stride_img + cu * N,
-                  v);
-            }
-          }
-          for (i64 it = 0; it < flt_iters; ++it) {
-            const i64 e = tid + it * nthreads;
-            const bool ok = e < total_flt;
-            const i64 f = ok ? e / (CSH * KK) : 0;
-            const i64 rem = ok ? e % (CSH * KK) : 0;
-            const i64 ci = rem / KK;
-            const i64 kk = rem % KK;
-            float v = 0.0f;
-            {
-              sim::ProfilePhase phase(t, profile::Phase::GmLoad);
-              v = co_await t.ld_global_if(
-                  ok, filt,
-                  ((fblk * FTB + f) * C + c0 + CSH + ci) * KK + kk);
-            }
-            {
-              sim::ProfilePhase phase(t, profile::Phase::SmemStage);
-              co_await t.st_shared_if(
-                  ok, sh_flt, (ci * KK + kk) * stride_flt + f, v);
-            }
-          }
+          st.stage(c0 + CSH);
         }
       }
       co_await t.sync();  // line 19
@@ -280,15 +221,14 @@ class GeneralKernel : public GeneralPlan {
       // gf < (fblk+1)*FTB <= F always, so the fused bias load needs no
       // predicate; `fused` is launch-uniform, so lanes never diverge here.
       float bv = 0.0f;
-      if (fused) bv = co_await t.ld_global(bias, gf);
+      if (fused) bv = t.ld_global(bias, gf);
       for (i64 wu = 0; wu * N < WT; ++wu) {
         const i64 ocol = sx * W + ocol_local + wu * N;
         const bool ok = orow < Ho && ocol < Wo;
         VecN v;
         for (int jj = 0; jj < N; ++jj) v[jj] = acc[s][wu * N + jj];
         if (fused) v = t.bias_relu(v, bv);
-        co_await t.st_global_if(ok, out.buf,
-                                ok ? out.idx(gf, orow, ocol) : 0, v);
+        t.st_global_if(ok, out.buf, ok ? out.idx(gf, orow, ocol) : 0, v);
       }
     }
   }
@@ -525,75 +465,48 @@ xray::KernelModel general_model(const GeneralPlan& p) {
       }
     };
 
-    // Lines 4-5 / 8-9 / 17-18: the cooperative image staging loop, emitted
-    // for channel base `cbase` with either or both of its GM-load and
-    // SM-store halves (prefetch splits them across a barrier).
+    // Lines 4-5 / 8-9 / 17-18: the cooperative staging loops over the
+    // kernel's own decodes, emitted for channel base `cbase` with either or
+    // both of their GM-load and SM-store halves (prefetch splits them across
+    // a barrier). The filter loop's in-range predicate is block-invariant.
     const auto img_stage = [&](i64 cbase, u32 gm_site, u32 sm_site) {
       for (i64 it = 0; it < p.img_iters; ++it) {
-        const auto idx = [&](i64 tx, i64 ty, i64& ci, i64& ry, i64& cu,
-                             bool& ok, bool& any) {
-          const i64 u = (tx + p.TX * ty) + it * p.nthreads;
-          ci = (u / (p.rows_halo * p.units_per_row)) % p.CSH;
-          const i64 rem = u % (p.rows_halo * p.units_per_row);
-          ry = rem / p.units_per_row;
-          cu = rem % p.units_per_row;
-          any = u < p.total_img_units;
-          ok = any && sy * p.H + ry < p.Hi && sx * p.W + cu * p.n < p.Wi;
+        const auto unit = [&](i64 tx, i64 ty) {
+          return p.img_unit((tx + p.TX * ty) + it * p.nthreads, sx, sy);
         };
         if (gm_site != kNone) {
           each([&](i64 tx, i64 ty) -> xray::LaneAccess {
-            i64 ci, ry, cu;
-            bool ok, any;
-            idx(tx, ty, ci, ry, cu, ok, any);
-            return {ok ? p.in_addr(cbase + ci, sy * p.H + ry,
-                                   sx * p.W + cu * p.n)
-                       : 0,
-                    vb, ok, any};
+            const GeneralPlan::ImgUnit u = unit(tx, ty);
+            return {u.ok ? p.in_addr(cbase + u.ci, u.iy, u.ix) : 0, vb, u.ok,
+                    u.any};
           });
           sink.site(gm_site, lanes);
         }
         if (sm_site != kNone) {
           each([&](i64 tx, i64 ty) -> xray::LaneAccess {
-            i64 ci, ry, cu;
-            bool ok, any;
-            idx(tx, ty, ci, ry, cu, ok, any);
-            return {sm_img((ci * p.rows_halo + ry) * p.stride_img + cu * p.n),
-                    vb, ok, any};
+            const GeneralPlan::ImgUnit u = unit(tx, ty);
+            return {sm_img(u.sm), vb, u.ok, u.any};
           });
           sink.site(sm_site, lanes);
         }
       }
     };
-    // The filter staging loop; the in-range predicate is block-invariant.
     const auto flt_stage = [&](i64 cbase, u32 gm_site, u32 sm_site) {
       for (i64 it = 0; it < p.flt_iters; ++it) {
-        const auto idx = [&](i64 tx, i64 ty, i64& ff, i64& ci, i64& kk,
-                             bool& ok) {
-          const i64 e = (tx + p.TX * ty) + it * p.nthreads;
-          ok = e < p.total_flt;
-          ff = ok ? e / (p.CSH * KK) : 0;
-          const i64 rem = ok ? e % (p.CSH * KK) : 0;
-          ci = rem / KK;
-          kk = rem % KK;
+        const auto elem = [&](i64 tx, i64 ty) {
+          return p.flt_elem((tx + p.TX * ty) + it * p.nthreads, fblk);
         };
         if (gm_site != kNone) {
           each([&](i64 tx, i64 ty) -> xray::LaneAccess {
-            i64 ff, ci, kk;
-            bool ok;
-            idx(tx, ty, ff, ci, kk, ok);
-            return {ok ? p.filt_addr(((fblk * p.FTB + ff) * p.C + cbase + ci) *
-                                   KK + kk)
-                       : 0,
-                    sb, ok, ok};
+            const GeneralPlan::FltElem e = elem(tx, ty);
+            return {e.ok ? p.filt_addr(e.gm + cbase * KK) : 0, sb, e.ok, e.ok};
           });
           sink.site(gm_site, lanes);
         }
         if (sm_site != kNone) {
           each([&](i64 tx, i64 ty) -> xray::LaneAccess {
-            i64 ff, ci, kk;
-            bool ok;
-            idx(tx, ty, ff, ci, kk, ok);
-            return {sm_flt((ci * KK + kk) * p.stride_flt + ff), sb, ok, ok};
+            const GeneralPlan::FltElem e = elem(tx, ty);
+            return {sm_flt(e.sm), sb, e.ok, e.ok};
           });
           sink.site(sm_site, lanes);
         }

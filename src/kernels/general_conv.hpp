@@ -74,6 +74,47 @@ struct GeneralPlan : ConvPlan {
   i64 img_iters = 0, flt_iters = 0;
   i64 stride_img = 0, stride_flt = 0;  ///< SM row strides (floats)
   u32 img_off = 0, flt_off = 0;
+
+  /// Image staging unit `u` (Alg. 2 lines 4/8/17) of the spatial tile
+  /// (sx, sy): n pixels of halo row `ry` of staged channel `ci`.
+  struct ImgUnit {
+    i64 ci = 0;          ///< channel within the staged CSH
+    i64 iy = 0, ix = 0;  ///< input pixel of the unit's first element
+    i64 sm = 0;          ///< SM index (floats) of the unit
+    bool any = false;    ///< the unit exists in every tile
+    bool ok = false;     ///< ... and lies inside the image in this one
+  };
+  ImgUnit img_unit(i64 u, i64 sx, i64 sy) const {
+    ImgUnit r;
+    r.ci = (u / (rows_halo * units_per_row)) % CSH;
+    const i64 rem = u % (rows_halo * units_per_row);
+    const i64 ry = rem / units_per_row;
+    const i64 cu = rem % units_per_row;
+    r.iy = sy * H + ry;
+    r.ix = sx * W + cu * n;
+    r.sm = (r.ci * rows_halo + ry) * stride_img + cu * n;
+    r.any = u < total_img_units;
+    r.ok = r.any && r.iy < Hi && r.ix < Wi;
+    return r;
+  }
+
+  /// Filter staging element `e` of filter group `fblk`: one scalar, stored
+  /// transposed in SM as (channel, tap) rows of FTB filters (Fig. 6).
+  struct FltElem {
+    i64 gm = 0;       ///< filter index at channel base 0; add cbase*K*K
+    i64 sm = 0;       ///< SM index (floats)
+    bool ok = false;  ///< the element exists (block-invariant)
+  };
+  FltElem flt_elem(i64 e, i64 fblk) const {
+    const i64 kk2 = K * K;
+    FltElem r;
+    r.ok = e < total_flt;
+    const i64 f = r.ok ? e / (CSH * kk2) : 0;
+    const i64 rem = r.ok ? e % (CSH * kk2) : 0;
+    r.gm = ((fblk * FTB + f) * C + rem / kk2) * kk2 + rem % kk2;
+    r.sm = rem * stride_flt + f;
+    return r;
+  }
 };
 
 /// Plans a (K, C, F, Hi, Wi) problem; `fused` mirrors a non-empty

@@ -27,8 +27,8 @@ class Im2colKernel {
     const i64 c = kb / KK, dy = (kb % KK) / K, dx = kb % K;
     const i64 y = p / Wo, x = p % Wo;
     t.alu(4);
-    const float v = co_await t.ld_global(in.buf, in.idx(c, y + dy, x + dx));
-    co_await t.st_global(col, kb * Np + p, v);
+    const float v = t.ld_global(in.buf, in.idx(c, y + dy, x + dx));
+    t.st_global(col, kb * Np + p, v);
   }
 };
 
@@ -51,9 +51,10 @@ class Im2colTKernel {
     const i64 c = kb / KK, dy = (kb % KK) / K, dx = kb % K;
     const i64 y = live ? p / Wo : 0, x = live ? p % Wo : 0;
     t.alu(4);
-    const float v = co_await t.ld_global_if(
+    const float v = t.ld_global_if(
         live, in.buf, live ? in.idx(c, y + dy, x + dx) : 0);
-    co_await t.st_global_if(live, cols_t, live ? p * Kdim + kb : 0, v);
+    t.st_global_if(live, cols_t, live ? p * Kdim + kb : 0, v);
+    co_return;
   }
 };
 

@@ -7,9 +7,10 @@
 // at run-time, and thus no additional memory is needed" — cuDNN [8]).
 //
 // This is a competent Kepler kernel: matched float2 SM fragments,
-// conflict-free padded staging, register double-buffering. What it cannot
-// avoid — and what the paper's kernels eliminate — is re-reading every
-// input pixel up to K*K times from global memory (softened by L2) and
+// conflict-free padded staging, register double-buffering. It runs gemm()'s
+// tiled body (detail/tiled_gemm.hpp) with B and C re-addressed. What it
+// cannot avoid — and what the paper's kernels eliminate — is re-reading
+// every input pixel up to K*K times from global memory (softened by L2) and
 // spending index arithmetic on the im2col address decode.
 //
 // `plan_implicit_gemm` derives the tiling, SM panel layout, LaunchConfig,
@@ -21,6 +22,7 @@
 
 #include "src/analysis/static/xray.hpp"
 #include "src/common/types.hpp"
+#include "src/kernels/gemm_kernels.hpp"
 #include "src/kernels/kernel_run.hpp"
 #include "src/sim/launch.hpp"
 
@@ -44,16 +46,21 @@ struct ImplicitGemmConfig {
 ImplicitGemmConfig implicit_gemm_auto_config(i64 f, i64 c, i64 k);
 
 /// The tiled GEMM's launch plan (see ConvPlan): filters in GM after the
-/// image and output planes. M = F, N' = Np = Ho*Wo, GEMM depth Kdim = C*K*K.
-struct ImplicitGemmPlan : ConvPlan {
-  i64 BM = 0, BN = 0, BK = 0, TM = 0, TN = 0;  ///< tile and micro-tile
-  bool prefetch = true;
-  i64 TXg = 0, TYg = 0, nthreads = 0;  ///< block = TXg x TYg threads
-  i64 Kdim = 0, Np = 0, steps = 0;     ///< steps = ceil(Kdim / BK)
-  /// Panel staging splits and their padded per-thread trip counts.
-  i64 a_elems = 0, b_elems = 0, a_iters = 0, b_iters = 0;
-  i64 stride_a = 0, stride_b = 0;  ///< SM panel strides (A padded)
-  u32 a_off = 0, b_off = 0;
+/// image and output planes. The GEMM is M = F filters by Ncols = Ho*Wo
+/// output pixels, of depth Kdim = C*K*K.
+struct ImplicitGemmPlan : ConvPlan, GemmTiling {
+  /// The input pixel that implicit-B element (row, col) reads: GEMM depth
+  /// `row` is the tap (c, dy, dx) and column `col` the output pixel
+  /// (oy, ox), so the pixel is (c, oy + dy, ox + dx). This im2col decode
+  /// is what the explicit pipeline pays memory for; here it costs index
+  /// arithmetic instead.
+  struct Pixel {
+    i64 c = 0, y = 0, x = 0;
+  };
+  Pixel im2col(i64 row, i64 col) const {
+    const i64 kk2 = K * K;
+    return {row / kk2, col / Wo + (row % kk2) / K, col % Wo + row % K};
+  }
 };
 
 /// Plans a (K, C, F, Hi, Wi) problem.

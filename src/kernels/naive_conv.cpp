@@ -29,14 +29,14 @@ class NaiveKernel {
       for (i64 dy = 0; dy < K; ++dy) {
         for (i64 dx = 0; dx < K; ++dx) {
           const float px =
-              co_await t.ld_global(in.buf, in.idx(c, y + dy, x + dx));
+              t.ld_global(in.buf, in.idx(c, y + dy, x + dx));
           const float wv =
-              co_await t.ld_global(filt, ((f * C + c) * K + dy) * K + dx);
+              t.ld_global(filt, ((f * C + c) * K + dy) * K + dx);
           acc = t.fma(px, wv, acc);
         }
       }
     }
-    co_await t.st_global(out.buf, out.idx(f, y, x), acc);
+    t.st_global(out.buf, out.idx(f, y, x), acc);
   }
 };
 

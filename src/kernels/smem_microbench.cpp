@@ -24,8 +24,8 @@ class SmemSweepKernel {
       const i64 unit =
           (tid * stride_units + p) % (elems_half / N);
       Vec<T, N> v =
-          co_await t.template ld_shared<Vec<T, N>>(src, unit * N);
-      co_await t.st_shared(dst, unit * N, v);
+          t.template ld_shared<Vec<T, N>>(src, unit * N);
+      t.st_shared(dst, unit * N, v);
     }
     co_await t.sync();
   }

@@ -34,7 +34,7 @@ class InputTransformKernel {
       const i64 y = ty * 2 + i / 4;
       const i64 x = tx * 2 + i % 4;
       const bool ok = live && y < in.h && x < in.w;
-      d[i] = co_await t.ld_global_if(ok, in.buf, ok ? in.idx(c, y, x) : 0);
+      d[i] = t.ld_global_if(ok, in.buf, ok ? in.idx(c, y, x) : 0);
     }
 
     // B^T d B: 32 adds (the matrices are 0/±1) — charged as ALU work.
@@ -43,8 +43,9 @@ class InputTransformKernel {
     t.alu(32);
 
     for (int tap = 0; tap < 16; ++tap) {
-      co_await t.st_global_if(live, v, (tap * C + c) * T + tile, vv[tap]);
+      t.st_global_if(live, v, (tap * C + c) * T + tile, vv[tap]);
     }
+    co_return;
   }
 };
 
@@ -66,7 +67,7 @@ class OutputTransformKernel {
 
     float mm[16];
     for (int tap = 0; tap < 16; ++tap) {
-      mm[tap] = co_await t.ld_global_if(live, m,
+      mm[tap] = t.ld_global_if(live, m,
                                         live ? (tap * F + f) * T + tile : 0);
     }
     float y[4];
@@ -77,9 +78,10 @@ class OutputTransformKernel {
       const i64 oy = ty * 2 + i / 2;
       const i64 ox = tx * 2 + i % 2;
       const bool ok = live && oy < out.h && ox < out.w;
-      co_await t.st_global_if(ok, out.buf, ok ? out.idx(f, oy, ox) : 0,
+      t.st_global_if(ok, out.buf, ok ? out.idx(f, oy, ox) : 0,
                               y[i]);
     }
+    co_return;
   }
 };
 

@@ -8,10 +8,10 @@
 //
 // All requests share one PlanCache: the first (cold) request through a
 // network captures and persists each conv's launch plan; every later (warm)
-// request replays it, and with `analytic` set, warm conv launches take the
-// §5d pure-analytic fast path — timing/traffic derived from the stored tape
-// with zero representative block execution (such requests return timings but
-// no activation data).
+// request replays it, and with `launch.analytic` set, warm conv launches
+// take the §5d pure-analytic fast path — timing/traffic derived from the
+// stored plan's class traces with zero representative block execution (such
+// requests return timings but no activation data).
 //
 // Host-parallelism caveat: request batches scale with worker threads, but on
 // a single-CPU host (the CI runner) `threads > 1` only overlaps scheduling,

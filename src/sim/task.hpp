@@ -6,7 +6,13 @@
 // recorder (or tape), so one resume runs the lane to its next barrier or to
 // completion. sync() is the only suspension point; the BlockExecutor then
 // regroups the recorded streams into warp transactions in lockstep round
-// order (block_exec.cpp).
+// order (block_exec.cpp). Memory effects thus apply in lane-resume order
+// within a barrier segment: the contract of warp-synchronous CUDA code that
+// separates conflicting accesses with __syncthreads, as every kconv kernel
+// does. With no conflicting cross-lane accesses between barriers, running
+// each lane to its barrier in one resume leaves memory bit-identical to
+// lockstep execution (MODEL.md §5b). A body with no barrier still needs a
+// `co_return;` to be a coroutine.
 #pragma once
 
 #include <coroutine>
@@ -184,30 +190,6 @@ class ThreadProgram {
 };
 
 namespace detail {
-
-/// Awaitable for a load: the functional read (or tape note) already
-/// happened when the awaitable was built, so it never suspends and carries
-/// only the value. Memory effects thus apply in lane-resume order within a
-/// barrier segment — the same contract as warp-synchronous CUDA code that
-/// separates conflicting accesses with __syncthreads (all kconv kernels do).
-/// With no conflicting cross-lane accesses between barriers, running each
-/// lane to its barrier in one resume leaves memory state bit-identical to
-/// lockstep execution (MODEL.md §5b).
-template <typename V>
-struct LoadAwait {
-  V value;
-
-  static constexpr bool await_ready() noexcept { return true; }
-  void await_suspend(ThreadProgram::Handle) const noexcept {}
-  V await_resume() const noexcept { return value; }
-};
-
-/// Awaitable for a store (write already applied); never suspends.
-struct VoidAwait {
-  static constexpr bool await_ready() noexcept { return true; }
-  void await_suspend(ThreadProgram::Handle) const noexcept {}
-  void await_resume() const noexcept {}
-};
 
 /// Awaitable for a barrier: always suspends, publishing the barrier as the
 /// lane's pending event.

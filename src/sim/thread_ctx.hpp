@@ -3,17 +3,18 @@
 // A kernel body receives `ThreadCtx& t` (its blockIdx/threadIdx plus the
 // operations a CUDA thread would have):
 //
-//   float v  = co_await t.ld_global(img, i);          // scalar load
-//   vec2f u  = co_await t.ld_shared<vec2f>(sh, j);    // matched 8B unit load
-//   co_await t.st_global(out, i, t.fma(u[0], w, a));  // FMA is free-running
-//   co_await t.sync();                                // __syncthreads()
+//   float v = t.ld_global(img, i);           // scalar load
+//   vec2f u = t.ld_shared<vec2f>(sh, j);     // matched 8B unit load
+//   t.st_global(out, i, t.fma(u[0], w, a));  // FMA is free-running
+//   co_await t.sync();                       // __syncthreads()
 //
 // Every ThreadCtx runs bound to a LaneRecorder (execution and replay) or a
-// LaneTapeBuilder (tagging): loads and stores apply their functional effect
-// and note one event there without suspending — a cursor write into the
-// lane's column of its warp's event log — so a lane runs from barrier to
-// barrier in one resume; only sync() suspends. The executor retires the
-// log's rows as warp transactions afterwards (block_exec.cpp).
+// LaneTapeBuilder (tagging): loads and stores are plain calls that apply
+// their functional effect and note one event there — a cursor write into
+// the lane's column of its warp's event log — so a lane runs from barrier
+// to barrier in one resume. Only sync() suspends and is awaited, so staging
+// loops may live in plain helper functions. The executor retires the log's
+// rows as warp transactions afterwards (block_exec.cpp).
 // Arithmetic only bumps per-lane counters. Vector units (Vec<T,N>) are how a
 // kernel matches its computation data width W_CD to the shared-memory bank
 // width W_SMB, per the paper's Eq. (1).
@@ -147,75 +148,71 @@ class ThreadCtx {
   // --- Global memory ---------------------------------------------------------
 
   template <typename V, typename T>
-  detail::LoadAwait<V> ld_global(const BufferView<T>& view, i64 idx) {
+  V ld_global(const BufferView<T>& view, i64 idx) {
     charge_alu(1);  // address computation a real kernel spends an IADD on
     const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
-      return {tape_load<V>(view.buffer(), addr, true)};
+      return tape_load<V>(view.buffer(), addr, true);
     }
     const V v = view.template read<V>(idx);
     record(Op::LoadGlobal, addr, sizeof(V));
-    return {v};
+    return v;
   }
   template <typename T>
-  detail::LoadAwait<T> ld_global(const BufferView<T>& view, i64 idx) {
+  T ld_global(const BufferView<T>& view, i64 idx) {
     return ld_global<T, T>(view, idx);
   }
 
   /// Predicated load: like `pred ? value : V{}` on hardware — the lane
   /// still occupies its slot in the warp instruction (keeping the warp in
   /// lockstep) but an inactive lane touches no memory and costs nothing.
-  /// Use at divergence sites (boundary handling) instead of `if (...)
-  /// co_await`, which would let lanes drift out of phase.
+  /// Use at divergence sites (boundary handling) instead of a load under
+  /// `if (...)`, which would let lanes drift out of phase.
   template <typename V, typename T>
-  detail::LoadAwait<V> ld_global_if(bool pred, const BufferView<T>& view,
-                                    i64 idx) {
+  V ld_global_if(bool pred, const BufferView<T>& view, i64 idx) {
     if (!pred) {
       if (tape_ != nullptr) [[unlikely]] {
-        return {tape_load<V>(nullptr, 0, false)};
+        return tape_load<V>(nullptr, 0, false);
       }
       record(Op::LoadGlobal, 0, 0);
-      return {V{}};
+      return V{};
     }
     return ld_global<V, T>(view, idx);
   }
   template <typename T>
-  detail::LoadAwait<T> ld_global_if(bool pred, const BufferView<T>& view,
-                                    i64 idx) {
+  T ld_global_if(bool pred, const BufferView<T>& view, i64 idx) {
     return ld_global_if<T, T>(pred, view, idx);
   }
 
   template <typename T, typename V>
-  detail::VoidAwait st_global(const BufferView<T>& view, i64 idx,
-                              const V& value) {
+  void st_global(const BufferView<T>& view, i64 idx, const V& value) {
     charge_alu(1);
     const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       tape_store(value, [&](const float* e, u32 n) {
         tape_->note_store_gm(view.buffer(), addr, e, n, true);
       });
-      return {};
+      return;
     }
     view.template write<V>(idx, value);
     record(Op::StoreGlobal, addr, sizeof(V));
-    return {};
   }
 
   /// Predicated store (see ld_global_if).
   template <typename T, typename V>
-  detail::VoidAwait st_global_if(bool pred, const BufferView<T>& view,
-                                 i64 idx, const V& value) {
+  void st_global_if(bool pred, const BufferView<T>& view, i64 idx,
+                    const V& value) {
     if (!pred) {
       if (tape_ != nullptr) [[unlikely]] {
         tape_store(value, [&](const float* e, u32 n) {
           tape_->note_store_gm(nullptr, 0, e, n, false);
         });
-        return {};
+        return;
       }
       record(Op::StoreGlobal, 0, 0);
-      return {};
+      return;
     }
-    return st_global(view, idx, value);
+    st_global(view, idx, value);
   }
 
   // --- Shared memory ----------------------------------------------------------
@@ -227,78 +224,76 @@ class ThreadCtx {
   }
 
   template <typename V, typename T>
-  detail::LoadAwait<V> ld_shared(const SharedView<T>& view, i64 idx) {
+  V ld_shared(const SharedView<T>& view, i64 idx) {
     charge_alu(1);
     const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       if constexpr (kTapeFloatElems<V>) {
         constexpr u32 n = sizeof(V) / sizeof(float);
-        return {tape_tagged<V>(tape_->note_load_sm(addr, n))};
+        return tape_tagged<V>(tape_->note_load_sm(addr, n));
       } else {
         tape_->unsupported("non-float shared load");
       }
     }
     const V v = view.template read<V>(idx);
     record(Op::LoadShared, addr, sizeof(V));
-    return {v};
+    return v;
   }
   template <typename T>
-  detail::LoadAwait<T> ld_shared(const SharedView<T>& view, i64 idx) {
+  T ld_shared(const SharedView<T>& view, i64 idx) {
     return ld_shared<T, T>(view, idx);
   }
 
   template <typename T, typename V>
-  detail::VoidAwait st_shared(const SharedView<T>& view, i64 idx,
-                              const V& value) {
+  void st_shared(const SharedView<T>& view, i64 idx, const V& value) {
     charge_alu(1);
     const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       tape_store(value, [&](const float* e, u32 n) {
         tape_->note_store_sm(addr, e, n, true);
       });
-      return {};
+      return;
     }
     view.template write<V>(idx, value);
     record(Op::StoreShared, addr, sizeof(V));
-    return {};
   }
 
   /// Predicated shared store (see ld_global_if).
   template <typename T, typename V>
-  detail::VoidAwait st_shared_if(bool pred, const SharedView<T>& view,
-                                 i64 idx, const V& value) {
+  void st_shared_if(bool pred, const SharedView<T>& view, i64 idx,
+                    const V& value) {
     if (!pred) {
       if (tape_ != nullptr) [[unlikely]] {
         tape_store(value, [&](const float* e, u32 n) {
           tape_->note_store_sm(0, e, n, false);
         });
-        return {};
+        return;
       }
       record(Op::StoreShared, 0, 0);
-      return {};
+      return;
     }
-    return st_shared(view, idx, value);
+    st_shared(view, idx, value);
   }
 
   // --- Constant memory ---------------------------------------------------------
 
   template <typename V, typename T>
-  detail::LoadAwait<V> ld_const(const ConstView<T>& view, i64 idx) {
+  V ld_const(const ConstView<T>& view, i64 idx) {
     const u64 addr = view.addr_of(idx);
     if (tape_ != nullptr) [[unlikely]] {
       if constexpr (kTapeFloatElems<V>) {
         constexpr u32 n = sizeof(V) / sizeof(float);
-        return {tape_tagged<V>(tape_->note_load_const(view.buffer(), addr, n))};
+        return tape_tagged<V>(tape_->note_load_const(view.buffer(), addr, n));
       } else {
         tape_->unsupported("non-float constant load");
       }
     }
     const V v = view.template read<V>(idx);
     record(Op::LoadConst, addr, sizeof(V));
-    return {v};
+    return v;
   }
   template <typename T>
-  detail::LoadAwait<T> ld_const(const ConstView<T>& view, i64 idx) {
+  T ld_const(const ConstView<T>& view, i64 idx) {
     return ld_const<T, T>(view, idx);
   }
 

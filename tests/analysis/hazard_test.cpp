@@ -37,10 +37,10 @@ class CrossWarpRwKernel {
     const i64 tid = t.thread_idx.x;
     const i64 n = t.block_dim.x;
     auto sh = t.shared<float>(sh_off, n);
-    co_await t.st_shared(sh, tid, float(tid));
+    t.st_shared(sh, tid, float(tid));
     if (with_sync) co_await t.sync();
-    const float v = co_await t.ld_shared(sh, (tid + 32) % n);
-    co_await t.st_global(data, tid, v);
+    const float v = t.ld_shared(sh, (tid + 32) % n);
+    t.st_global(data, tid, v);
   }
 };
 
@@ -102,7 +102,7 @@ class CrossWarpWawKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     const i64 tid = t.thread_idx.x;
     auto sh = t.shared<float>(sh_off, 32);
-    co_await t.st_shared(sh, tid % 32, float(tid));
+    t.st_shared(sh, tid % 32, float(tid));
     co_await t.sync();
   }
 };
@@ -134,9 +134,10 @@ class CrossWarpWarKernel {
     const i64 tid = t.thread_idx.x;
     const i64 n = t.block_dim.x;
     auto sh = t.shared<float>(sh_off, n);
-    const float v = co_await t.ld_shared(sh, (tid + 32) % n);
-    co_await t.st_shared(sh, tid, v + 1.0f);
-    co_await t.st_global(data, tid, v);
+    const float v = t.ld_shared(sh, (tid + 32) % n);
+    t.st_shared(sh, tid, v + 1.0f);
+    t.st_global(data, tid, v);
+    co_return;
   }
 };
 
@@ -168,7 +169,7 @@ class IntraWarpKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     const i64 tid = t.thread_idx.x;
     auto sh = t.shared<float>(sh_off, 16);
-    co_await t.st_shared(sh, tid / 2, float(tid));
+    t.st_shared(sh, tid / 2, float(tid));
     co_await t.sync();
   }
 };
@@ -199,9 +200,9 @@ class SameWarpSequentialKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     const i64 tid = t.thread_idx.x;
     auto sh = t.shared<float>(sh_off, 32);
-    co_await t.st_shared(sh, tid, float(tid));
-    const float v = co_await t.ld_shared(sh, tid);
-    co_await t.st_shared(sh, tid, v + 1.0f);
+    t.st_shared(sh, tid, float(tid));
+    const float v = t.ld_shared(sh, tid);
+    t.st_shared(sh, tid, v + 1.0f);
     co_await t.sync();
   }
 };
@@ -233,7 +234,8 @@ class GmWriteKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     const i64 tid = t.thread_idx.x;
     const i64 base = disjoint ? i64{t.block_idx.x} * 32 : i64{0};
-    co_await t.st_global(data, base + tid, float(tid));
+    t.st_global(data, base + tid, float(tid));
+    co_return;
   }
 };
 

@@ -67,12 +67,12 @@ class MissingSyncSpecialKernel {
     // Algorithm 1, line 1: stage the first K input rows in shared memory.
     for (i64 r = 0; r < K; ++r) {
       const i64 ir = row0 + r;
-      VecN v = co_await t.template ld_global_if<VecN>(
+      VecN v = t.template ld_global_if<VecN>(
           main_ok, in.buf, main_ok ? in.idx(0, ir, col0) : 0);
-      co_await t.st_shared_if(main_ok, sh, r * sh_stride + tid * N, v);
-      VecN v2 = co_await t.template ld_global_if<VecN>(
+      t.st_shared_if(main_ok, sh, r * sh_stride + tid * N, v);
+      VecN v2 = t.template ld_global_if<VecN>(
           tail_ok, in.buf, tail_ok ? in.idx(0, ir, tail_col) : 0);
-      co_await t.st_shared_if(tail_ok, sh, r * sh_stride + W + tid * N, v2);
+      t.st_shared_if(tail_ok, sh, r * sh_stride + W + tid * N, v2);
     }
     // DEFECT: Algorithm 1's line-2 barrier belongs here. Without it the
     // window fill below reads its right-halo pixels (written by the next
@@ -80,7 +80,7 @@ class MissingSyncSpecialKernel {
 
     for (i64 r = 0; r + 1 < K; ++r) {
       for (i64 i = 0; i < wcols; i += N) {
-        VecN v = co_await t.template ld_shared<VecN>(
+        VecN v = t.template ld_shared<VecN>(
             sh, r * sh_stride + tid * N + i);
         for (int j = 0; j < N; ++j) win[r][i + j] = v[j];
       }
@@ -91,7 +91,7 @@ class MissingSyncSpecialKernel {
 
       const i64 slot = (rr + K - 1) % K;
       for (i64 i = 0; i < wcols; i += N) {
-        VecN v = co_await t.template ld_shared<VecN>(
+        VecN v = t.template ld_shared<VecN>(
             sh, slot * sh_stride + tid * N + i);
         for (int j = 0; j < N; ++j) win[K - 1][i + j] = v[j];
       }
@@ -101,27 +101,27 @@ class MissingSyncSpecialKernel {
         Vec<float, N> acc{};
         for (i64 dy = 0; dy < K; ++dy) {
           for (i64 dx = 0; dx < K; ++dx) {
-            const float wv = co_await t.ld_const(filt, (f * K + dy) * K + dx);
+            const float wv = t.ld_const(filt, (f * K + dy) * K + dx);
             Vec<float, N> xs;
             for (int j = 0; j < N; ++j) xs[j] = win[dy][dx + j];
             acc = t.fma(xs, wv, acc);
           }
         }
-        co_await t.st_global_if(write_ok, out.buf,
+        t.st_global_if(write_ok, out.buf,
                                 write_ok ? out.idx(f, orow, col0) : 0, acc);
       }
 
       const bool pf = rr + 1 < rows;
       const i64 ir = row0 + rr + K;
-      VecN pf_main = co_await t.template ld_global_if<VecN>(
+      VecN pf_main = t.template ld_global_if<VecN>(
           pf && main_ok, in.buf, pf && main_ok ? in.idx(0, ir, col0) : 0);
-      VecN pf_tail = co_await t.template ld_global_if<VecN>(
+      VecN pf_tail = t.template ld_global_if<VecN>(
           pf && tail_ok, in.buf, pf && tail_ok ? in.idx(0, ir, tail_col) : 0);
       co_await t.sync();
 
-      co_await t.st_shared_if(pf && main_ok, sh,
+      t.st_shared_if(pf && main_ok, sh,
                               (rr % K) * sh_stride + tid * N, pf_main);
-      co_await t.st_shared_if(pf && tail_ok, sh,
+      t.st_shared_if(pf && tail_ok, sh,
                               (rr % K) * sh_stride + W + tid * N, pf_tail);
       co_await t.sync();
 

@@ -414,11 +414,11 @@ class FinalSegmentKernel {
   sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
     const i64 tid = t.thread_idx.x;
     auto sh = t.shared<float>(sh_off, kLanes);
-    co_await t.st_shared(sh, tid, 0.0f);
+    t.st_shared(sh, tid, 0.0f);
     co_await t.sync();
     const float v =
-        co_await t.ld_global(data, t.block_idx.x * i64{kLanes} + tid);
-    co_await t.st_shared(sh, tid, t.fma(v, 2.0f, 1.0f));
+        t.ld_global(data, t.block_idx.x * i64{kLanes} + tid);
+    t.st_shared(sh, tid, t.fma(v, 2.0f, 1.0f));
   }
 };
 
@@ -519,7 +519,9 @@ void check_cli_shape(core::Algo algo, i64 c, i64 f, i64 k, i64 n,
       cross_validate(analyze(arch, model), res.launch.stats, false);
   EXPECT_TRUE(cc.ok);
   for (const std::string& m : cc.mismatches) ADD_FAILURE() << m;
-  if (signature) EXPECT_EQ(static_signature(arch, model), *signature);
+  if (signature) {
+    EXPECT_EQ(static_signature(arch, model), *signature);
+  }
 }
 
 TEST(XrayCliShapes, SpecialCiShapesCrossValidate) {

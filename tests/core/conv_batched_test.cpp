@@ -56,6 +56,38 @@ TEST(ConvBatched, TimeScalesWithBatch) {
   EXPECT_NEAR(t4 / t1, 4.0, 0.2);
 }
 
+TEST(ConvBatched, CountersSumOverTheBatch) {
+  // Four copies of one image: the batch's block counts and every counter
+  // compared across schedules are 4x one image's (max_warp_instrs, a max,
+  // stays equal), with replay on so blocks_replayed is not trivially 0.
+  Rng rng(61);
+  tensor::Tensor one(1, 4, 40, 40);
+  one.fill_random(rng);
+  tensor::Tensor four(4, 4, 40, 40);
+  for (i64 img = 0; img < 4; ++img)
+    for (i64 c = 0; c < 4; ++c)
+      for (i64 y = 0; y < 40; ++y)
+        for (i64 x = 0; x < 40; ++x)
+          four.at(img, c, y, x) = one.at(0, c, y, x);
+  tensor::Tensor flt = tensor::Tensor::filters(8, 4, 3);
+  flt.fill_random(rng);
+  ConvOptions opt;
+  opt.launch.replay = true;
+  sim::Device dev(sim::kepler_k40m());
+  const sim::LaunchResult l1 = conv2d_batched(dev, one, flt, opt).launch;
+  const sim::LaunchResult l4 = conv2d_batched(dev, four, flt, opt).launch;
+
+  ASSERT_GT(l1.blocks_replayed, 0u);
+  EXPECT_EQ(l4.blocks_total, 4 * l1.blocks_total);
+  EXPECT_EQ(l4.blocks_executed, 4 * l1.blocks_executed);
+  EXPECT_EQ(l4.blocks_replayed, 4 * l1.blocks_replayed);
+  for (const auto& c : sim::kKernelCounters) {
+    if (!compared_at(c.cls, StatsLevel::Schedule)) continue;
+    const u64 want = c.max ? l1.stats.*c.member : 4 * (l1.stats.*c.member);
+    EXPECT_EQ(l4.stats.*c.member, want) << c.name;
+  }
+}
+
 TEST(ConvBatched, SamePaddingWorksPerImage) {
   Rng rng(58);
   tensor::Tensor batch(2, 1, 11, 13);

@@ -184,11 +184,12 @@ class PerBlockStoreKernel {
     // differ, so fast-forwarding block 1 against block 0's trace must
     // fail the congruence check.
     if (t.thread_idx.x == 0) {
-      co_await t.st_global(data, t.block_idx.x, 1.0f);
+      t.st_global(data, t.block_idx.x, 1.0f);
       if (t.block_idx.x > 0) {
-        co_await t.st_global(data, t.block_idx.x, 2.0f);
+        t.st_global(data, t.block_idx.x, 2.0f);
       }
     }
+    co_return;
   }
 };
 
@@ -225,9 +226,9 @@ class ExtraLoadKernel {
       const bool odd =
           seg == odd_seg && t.block_idx.x > 0 && t.thread_idx.x == 0;
       float v = 0.0f;
-      if (!(odd && skip)) v = co_await t.ld_global(data, i);
-      if (odd && !skip) v += co_await t.ld_global(data, i);
-      co_await t.st_global(data, i, v + 1.0f);
+      if (!(odd && skip)) v = t.ld_global(data, i);
+      if (odd && !skip) v += t.ld_global(data, i);
+      t.st_global(data, i, v + 1.0f);
       if (seg < 2) co_await t.sync();
     }
   }
@@ -276,8 +277,9 @@ class NoHookKernel {
   sim::BufferView<float> data;
   sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
     if (t.thread_idx.x == 0) {
-      co_await t.st_global(data, t.block_idx.x, 1.0f);
+      t.st_global(data, t.block_idx.x, 1.0f);
     }
+    co_return;
   }
 };
 

@@ -162,13 +162,14 @@ class WidePoolKernel {
     float best = -3.4e38f;
     for (int i = 0; i < 4; ++i) {
       const i64 yy = y * 2 + i / 2, xx = x * 2 + i % 2;
-      const float v = co_await t.ld_global_if(
+      const float v = t.ld_global_if(
           live, in.buf, live ? in.idx(c, yy, xx) : 0);
       best = std::max(best, v);
       t.alu(1);
     }
-    co_await t.st_global_if(live, out.buf, live ? out.idx(c, y, x) : 0,
+    t.st_global_if(live, out.buf, live ? out.idx(c, y, x) : 0,
                             best);
+    co_return;
   }
 };
 
@@ -184,12 +185,13 @@ class WideBiasReluKernel {
     const i64 y = t.block_idx.y % in.h;
     const i64 c = t.block_idx.y / in.h;
     const bool live = x < in.w;
-    const float b = co_await t.ld_global(bias, c);
+    const float b = t.ld_global(bias, c);
     const float v =
-        co_await t.ld_global_if(live, in.buf, live ? in.idx(c, y, x) : 0);
+        t.ld_global_if(live, in.buf, live ? in.idx(c, y, x) : 0);
     t.alu(2);
-    co_await t.st_global_if(live, out.buf, live ? out.idx(c, y, x) : 0,
+    t.st_global_if(live, out.buf, live ? out.idx(c, y, x) : 0,
                             std::max(0.0f, v + b));
+    co_return;
   }
 };
 

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <vector>
 
+#include "src/kernels/gemm_kernels.hpp"
 #include "src/kernels/general_conv.hpp"
 #include "src/kernels/special_conv.hpp"
 #include "src/sim/report.hpp"
@@ -58,6 +59,34 @@ kernels::KernelRun run_general(const ModeCase& m) {
   opt.replay = m.replay;
   opt.profile = true;
   return kernels::general_conv(dev, img, flt, {}, opt);
+}
+
+/// The gemm() presets, profiled: the explicit GEMM runs the implicit
+/// kernel's tiled body, so it carries the same phase scopes.
+std::vector<sim::LaunchResult> run_gemm_presets(const ModeCase& m) {
+  Rng rng(13);
+  tensor::Matrix a(70, 40), b(40, 101), dense_a(10, 48), dense_b(48, 1);
+  for (tensor::Matrix* x : {&a, &b, &dense_a, &dense_b}) {
+    for (float& v : x->data) v = rng.uniform(-1.0f, 1.0f);
+  }
+  kernels::GemmConfig no_prefetch = kernels::gemm_magma_mod();
+  no_prefetch.prefetch = false;
+  sim::LaunchOptions opt;
+  opt.num_threads = m.threads;
+  opt.replay = m.replay;
+  opt.profile = true;
+  std::vector<sim::LaunchResult> out;
+  for (const kernels::GemmConfig& cfg :
+       {kernels::gemm_cublas_like(), kernels::gemm_magma_fermi(),
+        kernels::gemm_magma_mod(), no_prefetch}) {
+    sim::Device dev(sim::kepler_k40m());
+    out.push_back(kernels::gemm(dev, a, b, cfg, opt).launch);
+  }
+  sim::Device dev(sim::kepler_k40m());
+  out.push_back(
+      kernels::gemm(dev, dense_a, dense_b, kernels::gemm_fitted(10, 1), opt)
+          .launch);
+  return out;
 }
 
 TEST(PhaseSum, SpecialConvPhaseDeltasSumToLaunchTotals) {
@@ -110,8 +139,14 @@ TEST(PhaseSum, JsonPhaseEntriesSumToLaunchTotals) {
   const sim::Arch arch = sim::kepler_k40m();
   for (const ModeCase& m : kModes) {
     SCOPED_TRACE(m.name);
-    for (const auto& run : {run_special(m), run_general(m)}) {
-      const auto root = JsonReader(sim::to_json(arch, run.launch)).parse();
+    std::vector<sim::LaunchResult> launches = run_gemm_presets(m);
+    const std::size_t gemms = launches.size();
+    launches.push_back(run_special(m).launch);
+    launches.push_back(run_general(m).launch);
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+      SCOPED_TRACE(i);
+      const sim::LaunchResult& launch = launches[i];
+      const auto root = JsonReader(sim::to_json(arch, launch)).parse();
       const JsonValue& phases = field(field(*root, "profile"), "phases");
       ASSERT_EQ(phases.type, JsonValue::Type::Array);
       ASSERT_GE(phases.array.size(), 4u);
@@ -121,7 +156,7 @@ TEST(PhaseSum, JsonPhaseEntriesSumToLaunchTotals) {
         const sim::KernelStats* want = nullptr;
         for (u32 p = 0; p < kNumPhases; ++p) {
           if (name == phase_name(static_cast<Phase>(p)))
-            want = &run.launch.profile.phases.p[p];
+            want = &launch.profile.phases.p[p];
         }
         ASSERT_NE(want, nullptr) << name;
         for (const auto& c : sim::kKernelCounters) {
@@ -132,7 +167,17 @@ TEST(PhaseSum, JsonPhaseEntriesSumToLaunchTotals) {
           sum.*c.member += static_cast<u64>(v.number);
         }
       }
-      EXPECT_TRUE(test::sums_match(sum, run.launch.stats));
+      EXPECT_TRUE(test::sums_match(sum, launch.stats));
+      if (i < gemms) {
+        // Every GEMM access lands in a named phase, none in `other`.
+        const sim::KernelStats& other = launch.profile.phases.at(Phase::Other);
+        EXPECT_GT(launch.stats.gm_instrs, 0u);
+        EXPECT_EQ(other.gm_instrs, 0u);
+        EXPECT_EQ(other.gm_bytes_useful, 0u);
+        EXPECT_EQ(other.smem_instrs, 0u);
+        EXPECT_EQ(other.smem_store_instrs, 0u);
+        EXPECT_TRUE(other.empty());
+      }
     }
   }
 }

@@ -133,11 +133,11 @@ class FinalSegmentKernel {
     const i64 tid = t.thread_idx.x;
     auto sh = t.shared<float>(sh_off, t.block_dim.x);
     if (leading_sync) {
-      co_await t.st_shared(sh, tid, 0.0f);
+      t.st_shared(sh, tid, 0.0f);
       co_await t.sync();
     }
-    const float v = co_await t.ld_global(data, tid);
-    co_await t.st_shared(sh, tid, v);
+    const float v = t.ld_global(data, tid);
+    t.st_shared(sh, tid, v);
   }
 };
 

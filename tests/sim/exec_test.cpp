@@ -20,11 +20,11 @@ class ReverseKernel {
     const i64 n = t.block_dim.x;
     const i64 tid = t.thread_idx.x;
     auto sh = t.shared<float>(sh_off, n);
-    const float v = co_await t.ld_global(data, tid);
-    co_await t.st_shared(sh, tid, v);
+    const float v = t.ld_global(data, tid);
+    t.st_shared(sh, tid, v);
     co_await t.sync();
-    const float r = co_await t.ld_shared(sh, n - 1 - tid);
-    co_await t.st_global(data, tid, r);
+    const float r = t.ld_shared(sh, n - 1 - tid);
+    t.st_global(data, tid, r);
   }
 };
 
@@ -63,10 +63,10 @@ class DivergentKernel {
     auto sh = t.shared<float>(sh_off, 64);
     const i64 tid = t.thread_idx.x;
     if (tid % 2 == 0) {
-      const float v = co_await t.ld_global(data, tid);
-      co_await t.st_global(data, tid, v + 1.0f);
+      const float v = t.ld_global(data, tid);
+      t.st_global(data, tid, v + 1.0f);
     } else {
-      co_await t.st_shared(sh, tid, 1.0f);
+      t.st_shared(sh, tid, 1.0f);
     }
     co_await t.sync();
   }
@@ -101,10 +101,10 @@ class EarlyExitKernel {
     const i64 tid = t.thread_idx.x;
     if (tid >= 32) co_return;  // the whole second warp exits immediately
     auto sh = t.shared<float>(sh_off, 32);
-    co_await t.st_shared(sh, tid, float(tid));
+    t.st_shared(sh, tid, float(tid));
     co_await t.sync();  // must release even though warp 1 is done
-    const float v = co_await t.ld_shared(sh, (tid + 1) % 32);
-    co_await t.st_global(data, tid, v);
+    const float v = t.ld_shared(sh, (tid + 1) % 32);
+    t.st_global(data, tid, v);
   }
 };
 
@@ -131,10 +131,11 @@ class RunawayKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     float acc = 0.0f;
     for (;;) {
-      acc += co_await t.ld_global(data, 0);
+      acc += t.ld_global(data, 0);
       if (acc < 0.0f) break;  // never (data holds positives)
     }
-    co_await t.st_global(data, 0, acc);
+    t.st_global(data, 0, acc);
+    co_return;
   }
 };
 
@@ -159,7 +160,8 @@ class FaultingKernel {
 
   ThreadProgram operator()(ThreadCtx& t) const {
     const i64 tid = t.thread_idx.x;
-    co_await t.st_global(data, tid, 1.0f);  // lane 33 writes past the end
+    t.st_global(data, tid, 1.0f);  // lane 33 writes past the end
+    co_return;
   }
 };
 
@@ -184,10 +186,11 @@ class IdKernel {
     const i64 gidx =
         (t.block_idx.y * t.grid_dim.x + t.block_idx.x) * t.block_dim.count() +
         flat;
-    co_await t.st_global(
+    t.st_global(
         data, gidx,
         float(t.thread_idx.x + 100 * t.thread_idx.y + 10000 * t.block_idx.x +
               1000000 * t.block_idx.y));
+    co_return;
   }
 };
 
@@ -221,7 +224,8 @@ class FmaKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     float acc = 0.0f;
     for (int i = 0; i < 10; ++i) acc = t.fma(acc, 2.0f, 1.0f);
-    co_await t.st_global(data, t.thread_idx.x, acc);
+    t.st_global(data, t.thread_idx.x, acc);
+    co_return;
   }
 };
 

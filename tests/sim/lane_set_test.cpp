@@ -39,17 +39,17 @@ class ResidueKernel {
     const i64 tid = t.thread_idx.x;
     const i64 b = base + t.block_idx.x;
     auto sh = t.shared<float>(sh_off, 2 * n);
-    float seen = co_await t.ld_shared(sh, tid);
-    if (edge(b)) seen += co_await t.ld_shared(sh, n + tid);
+    float seen = t.ld_shared(sh, tid);
+    if (edge(b)) seen += t.ld_shared(sh, n + tid);
     co_await t.sync();
     const float mark = edge(b) ? -static_cast<float>(b + 1)
                                : static_cast<float>(b + 1);
-    co_await t.st_shared(sh, tid, mark);
-    if (edge(b)) co_await t.st_shared(sh, n + tid, mark);
+    t.st_shared(sh, tid, mark);
+    if (edge(b)) t.st_shared(sh, n + tid, mark);
     co_await t.sync();
-    const float next = co_await t.ld_shared(sh, (tid + 1) % n);
-    co_await t.st_global(out, 2 * n * b + tid, seen);
-    co_await t.st_global(out, 2 * n * b + n + tid, next);
+    const float next = t.ld_shared(sh, (tid + 1) % n);
+    t.st_global(out, 2 * n * b + tid, seen);
+    t.st_global(out, 2 * n * b + n + tid, next);
   }
 };
 

@@ -17,11 +17,12 @@ class MarkKernel {
       const i64 flat =
           (t.block_idx.z * t.grid_dim.y + t.block_idx.y) * t.grid_dim.x +
           t.block_idx.x;
-      co_await t.st_global(data, flat, 1.0f);
+      t.st_global(data, flat, 1.0f);
     }
     float acc = 0.0f;
     for (int i = 0; i < 8; ++i) acc = t.fma(acc, 1.0f, 1.0f);
     (void)acc;
+    co_return;
   }
 };
 

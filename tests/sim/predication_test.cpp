@@ -18,10 +18,11 @@ class PredStoreKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     const i64 tid = t.thread_idx.x;
     const bool active = tid % 2 == 0;
-    co_await t.st_global_if(active, data, active ? tid : 0, 7.0f);
+    t.st_global_if(active, data, active ? tid : 0, 7.0f);
     // A second, uniform store: must retire as ONE group per warp (no
     // divergence) because the predicated op kept lanes aligned.
-    co_await t.st_global(data, 64 + tid, 1.0f);
+    t.st_global(data, 64 + tid, 1.0f);
+    co_return;
   }
 };
 
@@ -58,8 +59,9 @@ class PredLoadKernel {
     const bool active = tid < 4;
     // Inactive lanes pass a wildly out-of-range index — legal, unused.
     const float v =
-        co_await t.ld_global_if(active, small, active ? tid : 999999);
-    co_await t.st_global(out, tid, v + 1.0f);
+        t.ld_global_if(active, small, active ? tid : 999999);
+    t.st_global(out, tid, v + 1.0f);
+    co_return;
   }
 };
 
@@ -89,9 +91,10 @@ class AllOffKernel {
 
   ThreadProgram operator()(ThreadCtx& t) const {
     auto sh = t.shared<float>(sh_off, 32);
-    co_await t.st_shared_if(false, sh, 0, 1.0f);
-    const float v = co_await t.ld_global_if(false, data, 0);
-    co_await t.st_global_if(false, data, 0, v);
+    t.st_shared_if(false, sh, 0, 1.0f);
+    const float v = t.ld_global_if(false, data, 0);
+    t.st_global_if(false, data, 0, v);
+    co_return;
   }
 };
 
@@ -121,10 +124,10 @@ class HalfSharedKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     auto sh = t.shared<float>(sh_off, 64);
     const i64 tid = t.thread_idx.x;
-    co_await t.st_shared_if(tid < 16, sh, tid, 2.0f);
+    t.st_shared_if(tid < 16, sh, tid, 2.0f);
     co_await t.sync();
-    const float v = co_await t.ld_shared(sh, tid % 16);
-    co_await t.st_global(data, tid, v);
+    const float v = t.ld_shared(sh, tid % 16);
+    t.st_global(data, tid, v);
   }
 };
 

@@ -41,8 +41,9 @@ class SliceKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     const i64 i = static_cast<i64>(t.block_idx.x) * t.block_dim.x +
                   t.thread_idx.x;
-    const float x = co_await t.ld_global(in, i);
-    co_await t.st_global(out, i, t.fma(x, 2.0f, 1.0f));
+    const float x = t.ld_global(in, i);
+    t.st_global(out, i, t.fma(x, 2.0f, 1.0f));
+    co_return;
   }
 };
 

@@ -30,12 +30,12 @@ class AllSpacesKernel {
   ThreadProgram operator()(ThreadCtx& t) const {
     auto sh = t.shared<float>(sh_off, 64);
     const i64 g_idx = t.block_idx.x * 64 + t.thread_idx.x;
-    const float c = co_await t.ld_const(cm, 0);
-    const float g = co_await t.ld_global(gm, g_idx);
-    co_await t.st_shared(sh, t.thread_idx.x, t.fma(g, c, 1.0f));
+    const float c = t.ld_const(cm, 0);
+    const float g = t.ld_global(gm, g_idx);
+    t.st_shared(sh, t.thread_idx.x, t.fma(g, c, 1.0f));
     co_await t.sync();
-    const float v = co_await t.ld_shared(sh, t.thread_idx.x);
-    co_await t.st_global(gm, g_idx, v);
+    const float v = t.ld_shared(sh, t.thread_idx.x);
+    t.st_global(gm, g_idx, v);
   }
 };
 

@@ -153,21 +153,21 @@ struct ContractKernel {
     float v = 0.0f;
     {
       ProfilePhase phase(t, profile::Phase::GmLoad);
-      v = co_await t.ld_global(gm, 1);
+      v = t.ld_global(gm, 1);
     }
     {
       ProfilePhase phase(t, profile::Phase::SmemStage);
-      co_await t.st_shared(sh, 2, v);
-      co_await t.st_shared_if(false, sh, 3, v);
+      t.st_shared(sh, 2, v);
+      t.st_shared_if(false, sh, 3, v);
     }
     co_await t.sync();
-    const auto u = co_await t.template ld_shared<Vec<float, 2>>(sh, 2);
-    const float c = co_await t.ld_const(cm, 3);
+    const auto u = t.template ld_shared<Vec<float, 2>>(sh, 2);
+    const float c = t.ld_const(cm, 3);
     co_await t.sync();
     {
       ProfilePhase phase(t, profile::Phase::Writeback);
-      co_await t.st_global(gm, 0, u[0] + u[1] + c);
-      (void)co_await t.ld_global_if(false, gm, 5);
+      t.st_global(gm, 0, u[0] + u[1] + c);
+      (void)t.ld_global_if(false, gm, 5);
     }
   }
 };

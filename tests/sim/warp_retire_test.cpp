@@ -135,19 +135,19 @@ class SynthKernel {
         switch (e.op) {
           case Op::LoadGlobal:
             if (e.wide) {
-              const auto v = co_await t.template ld_global_if<Vec<float, 2>>(
+              const auto v = t.template ld_global_if<Vec<float, 2>>(
                   e.pred, gm, e.idx);
               acc += v[0];
             } else {
-              acc += co_await t.ld_global_if(e.pred, gm, e.idx);
+              acc += t.ld_global_if(e.pred, gm, e.idx);
             }
             break;
           case Op::StoreGlobal:
             if (e.wide) {
-              co_await t.st_global_if(e.pred, gm, e.idx,
+              t.st_global_if(e.pred, gm, e.idx,
                                       Vec<float, 2>{acc, acc});
             } else {
-              co_await t.st_global_if(e.pred, gm, e.idx, acc);
+              t.st_global_if(e.pred, gm, e.idx, acc);
             }
             break;
           case Op::LoadShared:
@@ -158,22 +158,22 @@ class SynthKernel {
             }
             if (e.wide) {
               const auto v =
-                  co_await t.template ld_shared<Vec<float, 2>>(sh, e.idx);
+                  t.template ld_shared<Vec<float, 2>>(sh, e.idx);
               acc += v[1];
             } else {
-              acc += co_await t.ld_shared(sh, e.idx);
+              acc += t.ld_shared(sh, e.idx);
             }
             break;
           case Op::StoreShared:
             if (e.wide) {
-              co_await t.st_shared_if(e.pred, sh, e.idx,
+              t.st_shared_if(e.pred, sh, e.idx,
                                       Vec<float, 2>{acc, acc});
             } else {
-              co_await t.st_shared_if(e.pred, sh, e.idx, acc);
+              t.st_shared_if(e.pred, sh, e.idx, acc);
             }
             break;
           case Op::LoadConst:
-            acc += co_await t.ld_const(cm, e.idx);
+            acc += t.ld_const(cm, e.idx);
             break;
           case Op::Sync:
             break;
@@ -551,7 +551,8 @@ TEST(EventCap, RunBlockStopsARunawayLaneAtTheCap) {
     BufferView<float> gm;
     u32 n;
     ThreadProgram operator()(ThreadCtx& t) const {
-      for (u32 i = 0; i < n; ++i) (void)co_await t.ld_global(gm, t.flat_tid());
+      for (u32 i = 0; i < n; ++i) (void)t.ld_global(gm, t.flat_tid());
+      co_return;
     }
   } k{gm.view(), cap + 1};
   LaunchConfig cfg;
@@ -606,7 +607,8 @@ TEST(EventCap, UnboundLaneFailsItsFirstMemoryOp) {
   struct OneLoad {
     BufferView<float> gm;
     ThreadProgram operator()(ThreadCtx& t) const {
-      (void)co_await t.ld_global(gm, 0);
+      (void)t.ld_global(gm, 0);
+      co_return;
     }
   } k{gm.view()};
   ThreadCtx t;
