@@ -33,9 +33,14 @@ int main() {
     sim::Device d2(sim::kepler_k40m());
     const auto fft = kernels::fft_conv(d2, img, flt, opt);
     const double gf_fft =
-        bench::effective_gflops(32, 64, k, 64, fft.seconds());
+        bench::effective_gflops(32, 64, k, 64, fft.launch.timing.seconds);
+    // Filter transforms amortized over a large batch: every other stage.
+    double amortized = 0.0;
+    for (const sim::LaunchStage& s : fft.stages) {
+      if (s.name != "filter_fft") amortized += s.launch.timing.seconds;
+    }
     const double gf_amort =
-        bench::effective_gflops(32, 64, k, 64, fft.seconds_amortized());
+        bench::effective_gflops(32, 64, k, 64, amortized);
 
     std::printf("  %-4lld %9.1f GF %9.1f GF %11.1f GF %11.2fx %13s\n",
                 static_cast<long long>(k), gf_direct, gf_fft, gf_amort,
@@ -50,11 +55,23 @@ int main() {
     const auto flt = bench::make_filters(64, 32, 7);
     sim::Device dev(sim::kepler_k40m());
     const auto fft = kernels::fft_conv(dev, img, flt, opt);
+    const auto ms = [&](const char* stage) {
+      return fft.stage(stage).launch.timing.seconds * 1e3;
+    };
+    const auto dram = [&](const char* stage) {
+      return human_bytes(fft.stage(stage).launch.dram_bytes());
+    };
+    u32 launches = 0;
+    for (const sim::LaunchStage& s : fft.stages) launches += s.launches;
     std::printf("    pad %.3f ms, image FFT %.3f ms, filter FFT %.3f ms "
-                "(amortizable), MAC %.3f ms, inverse %.3f ms (%d launches)\n",
-                fft.pad_seconds * 1e3, fft.image_fft_seconds * 1e3,
-                fft.filter_fft_seconds * 1e3, fft.mac_seconds * 1e3,
-                fft.inverse_seconds * 1e3, fft.launches);
+                "(amortizable), MAC %.3f ms, inverse %.3f ms (%u launches)\n",
+                ms("pad"), ms("image_fft"), ms("filter_fft"), ms("mac"),
+                ms("inverse"), launches);
+    std::printf("    DRAM: pad %s, image FFT %s, filter FFT %s, MAC %s, "
+                "inverse %s\n",
+                dram("pad").c_str(), dram("image_fft").c_str(),
+                dram("filter_fft").c_str(), dram("mac").c_str(),
+                dram("inverse").c_str());
   }
   bench::footnote(
       "Paper §1: FFT reduces arithmetic but pays filter padding to image "

@@ -13,8 +13,9 @@ using namespace kconv;
 
 int main() {
   bench::header("Extension E2 — Winograd F(2x2,3x3) vs direct (ours)");
-  std::printf("  %-16s %10s %12s %12s %14s\n", "(N, C, F)", "direct",
-              "winograd", "wino/direct", "workspace");
+  std::printf("  %-16s %10s %12s %12s %14s   %s\n", "(N, C, F)", "direct",
+              "winograd", "wino/direct", "workspace",
+              "DRAM input_tf / gemm / output_tf");
   sim::LaunchOptions opt;
   opt.sample_max_blocks = 2;
   struct Point { i64 n, c, f; };
@@ -33,15 +34,21 @@ int main() {
     const auto wino = kernels::winograd_conv(d2, img, flt,
                                              kernels::GemmConfig{.bm = 0},
                                              opt);
-    const double gf_wino =
-        bench::effective_gflops(p.c, p.f, 3, p.n, wino.seconds());
+    const double gf_wino = bench::effective_gflops(
+        p.c, p.f, 3, p.n, wino.launch.timing.seconds);
+    const auto dram = [&](const char* stage) {
+      return human_bytes(wino.stage(stage).launch.dram_bytes());
+    };
 
-    std::printf("  (%3lld,%3lld,%3lld) %8.1f GF %9.1f GF %11.2fx %13s\n",
+    std::printf("  (%3lld,%3lld,%3lld) %8.1f GF %9.1f GF %11.2fx %13s   "
+                "%s / %s / %s\n",
                 static_cast<long long>(p.n), static_cast<long long>(p.c),
                 static_cast<long long>(p.f), gf_direct, gf_wino,
                 gf_wino / gf_direct,
                 human_bytes(static_cast<double>(wino.workspace_bytes))
-                    .c_str());
+                    .c_str(),
+                dram("input_tf").c_str(), dram("gemm").c_str(),
+                dram("output_tf").c_str());
   }
   bench::footnote(
       "Paper §1: Winograd reduces 3x3 arithmetic 2.25x at the cost of "

@@ -654,7 +654,7 @@ int main(int argc, char** argv) {
     }
 
     if (json) {
-      std::string out = sim::to_json(dev.arch(), res.launch);
+      std::string out = sim::to_json(dev.arch(), res.launch, res.stages);
       if (args.xray) {
         out.erase(out.rfind('}'));
         while (!out.empty() && (out.back() == '\n' || out.back() == ' '))
@@ -671,7 +671,8 @@ int main(int argc, char** argv) {
     } else {
       std::printf("algorithm: %s   effective: %.1f GFlop/s\n",
                   core::algo_name(res.algo_used), res.effective_gflops);
-      std::printf("%s", sim::format_report(dev.arch(), res.launch).c_str());
+      std::printf("%s",
+                  sim::format_report(arch, res.launch, res.stages).c_str());
       if (args.xray) {
         std::printf("%s", xray::format_static(xrep).c_str());
         if (xcheck.ok) {

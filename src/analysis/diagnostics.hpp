@@ -120,6 +120,19 @@ struct AnalysisReport {
   std::vector<HazardRecord> hazards;
   std::vector<LintFinding> lints;
 
+  /// Merges another launch's results: flags OR, totals add, and its
+  /// records and findings follow this launch's.
+  AnalysisReport& operator+=(const AnalysisReport& o) {
+    hazard_checked = hazard_checked || o.hazard_checked;
+    linted = linted || o.linted;
+    blocks_checked += o.blocks_checked;
+    races_total += o.races_total;
+    gm_overlaps_total += o.gm_overlaps_total;
+    hazards.insert(hazards.end(), o.hazards.begin(), o.hazards.end());
+    lints.insert(lints.end(), o.lints.begin(), o.lints.end());
+    return *this;
+  }
+
   /// A launch passes kconv-check when it has no hazards and no lint at
   /// Warning or above (Info findings are advisory).
   bool clean() const {

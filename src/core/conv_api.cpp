@@ -1,5 +1,6 @@
 #include "src/core/conv_api.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/kernels/general_conv.hpp"
@@ -157,11 +158,7 @@ std::string shard_error(const sim::Arch& arch, const Resolved& r, i64 c,
 /// Zero-pads an (F, C, K, K) bank to `f_padded` filters.
 tensor::Tensor pad_filter_bank(const tensor::Tensor& filters, i64 f_padded) {
   tensor::Tensor out(f_padded, filters.c(), filters.h(), filters.w());
-  for (i64 fidx = 0; fidx < filters.n(); ++fidx)
-    for (i64 c = 0; c < filters.c(); ++c)
-      for (i64 y = 0; y < filters.h(); ++y)
-        for (i64 x = 0; x < filters.w(); ++x)
-          out.at(fidx, c, y, x) = filters.at(fidx, c, y, x);
+  std::ranges::copy(filters.flat(), out.flat().begin());
   return out;
 }
 
@@ -190,6 +187,15 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
   std::vector<double> dev_busy(shards.size(), 0.0);
   const u64 fs = sizeof(float);
 
+  const i64 k = filters.h();
+  const bool same = opt.padding == Padding::Same;
+  const i64 ho = same ? input.h() : tensor::conv_out_extent(input.h(), k, 0);
+  const i64 wo = same ? input.w() : tensor::conv_out_extent(input.w(), k, 0);
+  tensor::Tensor out(input.n(), filters.n(), ho, wo);
+  const i64 in_elems = input.size() / input.n();
+  const i64 out_elems = out.size() / input.n();
+  bool valid = true;
+
   // Slice each image out of the batch and run it; filters are identical
   // across the batch, which in a real deployment keeps them resident (the
   // simulator re-uploads per launch — the timing model charges GM filter
@@ -197,10 +203,8 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
   ConvResult total;
   for (i64 img = 0; img < input.n(); ++img) {
     tensor::Tensor one(1, input.c(), input.h(), input.w());
-    for (i64 c = 0; c < input.c(); ++c)
-      for (i64 y = 0; y < input.h(); ++y)
-        for (i64 x = 0; x < input.w(); ++x)
-          one.at(0, c, y, x) = input.at(img, c, y, x);
+    std::copy_n(input.flat().begin() + img * in_elems, in_elems,
+                one.flat().begin());
     ConvResult r = conv2d(dev, one, filters, per);
     if (image_shard) {
       const u32 d = static_cast<u32>(img % fopt.devices);
@@ -209,57 +213,32 @@ ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
         sh.ledger.h2d_bytes += fs * static_cast<u64>(filters.size());
         sh.ledger.h2d_ops += 1;
       }
-      sh.ledger.h2d_bytes +=
-          fs * static_cast<u64>(input.c() * input.h() * input.w());
+      sh.ledger.h2d_bytes += fs * static_cast<u64>(in_elems);
       sh.ledger.h2d_ops += 1;
       sh.runs.push_back({static_cast<u64>(img), static_cast<u64>(img) + 1});
       sh.blocks += 1;
       dev_stats[d] += r.launch.stats;
       dev_busy[d] += r.total_seconds;
     }
+    valid = valid && r.output_valid;
+    if (valid) {
+      std::ranges::copy(r.output.flat(),
+                        out.flat().begin() + img * out_elems);
+    }
     if (img == 0) {
       total = std::move(r);
-      if (total.output_valid) {
-        tensor::Tensor batched(input.n(), total.output.c(), total.output.h(),
-                               total.output.w());
-        for (i64 c = 0; c < total.output.c(); ++c)
-          for (i64 y = 0; y < total.output.h(); ++y)
-            for (i64 x = 0; x < total.output.w(); ++x)
-              batched.at(0, c, y, x) = total.output.at(0, c, y, x);
-        total.output = std::move(batched);
-      }
       continue;
     }
+    // Later images fold into the first one's launch and stages.
     total.total_seconds += r.total_seconds;
-    // The batch's counters and block counts sum over its images; the rest
-    // of `launch` is the last image's.
-    r.launch.stats += total.launch.stats;
-    r.launch.blocks_total += total.launch.blocks_total;
-    r.launch.blocks_executed += total.launch.blocks_executed;
-    r.launch.blocks_replayed += total.launch.blocks_replayed;
-    total.launch = std::move(r.launch);
-    if (total.output_valid && r.output_valid) {
-      for (i64 c = 0; c < r.output.c(); ++c)
-        for (i64 y = 0; y < r.output.h(); ++y)
-          for (i64 x = 0; x < r.output.w(); ++x)
-            total.output.at(img, c, y, x) = r.output.at(0, c, y, x);
-    } else {
-      total.output_valid = false;
+    sim::fold_launch(total.launch, r.launch);
+    for (std::size_t s = 0; s < total.stages.size(); ++s) {
+      total.stages[s].add(std::move(r.stages[s].launch),
+                          r.stages[s].launches);
     }
   }
-  const i64 k = filters.h();
-  const i64 ho = total.output_valid ? total.output.h()
-                                    : tensor::conv_out_extent(
-                                          opt.padding == Padding::Same
-                                              ? input.h() + k - 1
-                                              : input.h(),
-                                          k, 0);
-  const i64 wo = total.output_valid ? total.output.w()
-                                    : tensor::conv_out_extent(
-                                          opt.padding == Padding::Same
-                                              ? input.w() + k - 1
-                                              : input.w(),
-                                          k, 0);
+  total.output_valid = valid;
+  total.output = valid ? std::move(out) : tensor::Tensor{};
   if (image_shard) {
     const u64 out_plane = fs * static_cast<u64>(filters.n() * ho * wo);
     for (sim::FleetShard& sh : shards) {
@@ -311,12 +290,13 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
 
   ConvResult res;
   res.algo_used = r.algo;
-  // A single-kernel algorithm's result: its output, launch and time.
+  // The runner's result: its output, launches and time.
   const auto take = [&res](kernels::KernelRun run) {
     res.output = std::move(run.output);
     res.output_valid = run.output_valid;
     res.total_seconds = run.launch.timing.seconds;
     res.launch = std::move(run.launch);
+    res.stages = std::move(run.stages);
   };
   switch (r.algo) {
     case Algo::Special:
@@ -340,13 +320,11 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
         run = kernels::general_conv(dev, *in, padded_bank, r.general,
                                     opt.launch, bias);
         if (run.output_valid) {
-          // Drop the zero-filter planes.
+          // Drop the zero-filter planes, the last ones.
           tensor::Tensor trimmed(1, filters.n(), run.output.h(),
                                  run.output.w());
-          for (i64 fidx = 0; fidx < filters.n(); ++fidx)
-            for (i64 y = 0; y < run.output.h(); ++y)
-              for (i64 x = 0; x < run.output.w(); ++x)
-                trimmed.at(0, fidx, y, x) = run.output.at(0, fidx, y, x);
+          std::copy_n(run.output.flat().begin(), trimmed.size(),
+                      trimmed.flat().begin());
           run.output = std::move(trimmed);
         }
       } else {
@@ -360,36 +338,20 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
       take(kernels::implicit_gemm_conv(dev, *in, filters, r.implicit,
                                        opt.launch));
       break;
-    case Algo::Im2colGemm: {
-      auto run = kernels::im2col_gemm_conv(dev, *in, filters,
-                                           kernels::gemm_cublas_like(),
-                                           opt.launch);
-      res.output = std::move(run.output);
-      res.output_valid = run.output_valid;
-      res.launch = run.gemm_launch;
-      res.total_seconds = run.seconds();
+    case Algo::Im2colGemm:
+      take(kernels::im2col_gemm_conv(dev, *in, filters,
+                                     kernels::gemm_cublas_like(), opt.launch));
       break;
-    }
     case Algo::NaiveDirect:
       take(kernels::naive_conv(dev, *in, filters, {}, opt.launch));
       break;
-    case Algo::Winograd: {
-      auto run = kernels::winograd_conv(dev, *in, filters,
-                                        kernels::GemmConfig{.bm = 0},
-                                        opt.launch);
-      res.output = std::move(run.output);
-      res.output_valid = run.output_valid;
-      res.launch = run.output_tf_launch;
-      res.total_seconds = run.seconds();
+    case Algo::Winograd:
+      take(kernels::winograd_conv(dev, *in, filters,
+                                  kernels::GemmConfig{.bm = 0}, opt.launch));
       break;
-    }
-    case Algo::Fft: {
-      auto run = kernels::fft_conv(dev, *in, filters, opt.launch);
-      res.output = std::move(run.output);
-      res.output_valid = run.output_valid;
-      res.total_seconds = run.seconds();
+    case Algo::Fft:
+      take(kernels::fft_conv(dev, *in, filters, opt.launch));
       break;
-    }
     case Algo::Auto:
       KCONV_ASSERT(false);
   }

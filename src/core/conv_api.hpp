@@ -11,6 +11,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/analysis/static/xray.hpp"
 #include "src/kernels/kernel_run.hpp"
@@ -58,9 +59,14 @@ struct ConvResult {
   tensor::Tensor output;
   bool output_valid = false;
   Algo algo_used = Algo::Auto;
-  /// Timing/traffic of the main kernel (for Im2colGemm: the GEMM stage;
-  /// total_seconds covers all stages).
+  /// Timing and traffic of every launch the algorithm made. With one stage
+  /// this is that stage's launch, whole. With more (im2col-gemm, winograd,
+  /// fft) it holds sums only: counters, blocks, seconds and
+  /// seconds-weighted rates (sim::fold_launch); pipes, bound, occupancy
+  /// and plan-store status live per stage in `stages`.
   sim::LaunchResult launch;
+  /// The launches as named stages in issue order (kernels::KernelRun).
+  std::vector<sim::LaunchStage> stages;
   double total_seconds = 0.0;
   /// Effective performance: useful convolution flops / total time.
   double effective_gflops = 0.0;
@@ -73,14 +79,12 @@ ConvResult conv2d(sim::Device& dev, const tensor::Tensor& input,
                   const ConvOptions& opt = {});
 
 /// Batched convolution: input (N, C, Hi, Wi) -> output (N, F, Ho, Wo).
-/// Images are independent, so the batch runs as N back-to-back launches.
-/// Per batch: `total_seconds`, `effective_gflops`, and `launch.stats`,
-/// `launch.blocks_total`, `launch.blocks_executed` and
-/// `launch.blocks_replayed`, each summed over the images (max_warp_instrs
-/// is their max), plus `launch.fleet` under batch sharding. Every other
-/// `launch` field (timing, plan-store status, analysis, profile) describes
-/// the LAST image. The paper evaluates batch-1 direct convolution; this is
-/// the convenience wrapper a CNN framework would call.
+/// Images are independent, so the batch runs as N back-to-back conv2d
+/// calls. `launch` is the fold of the images' launches (sim::fold_launch)
+/// and each entry of `stages` the fold of that stage over the images;
+/// under batch sharding `launch.fleet` is the batch's fleet report. The
+/// paper evaluates batch-1 direct convolution; this is the convenience
+/// wrapper a CNN framework would call.
 ConvResult conv2d_batched(sim::Device& dev, const tensor::Tensor& input,
                           const tensor::Tensor& filters,
                           const ConvOptions& opt = {});

@@ -326,34 +326,29 @@ sim::LaunchResult run_transpose(sim::Device& dev,
 
 /// Forward (or inverse) 2D FFT over `batch` planes of (P x Q), leaving the
 /// data TRANSPOSED as (Q x P) — pointwise stages don't care, and it saves
-/// two transposes per direction. Returns aggregate seconds.
-double run_fft2d_to_transposed(sim::Device& dev,
-                               sim::BufferView<float> planes,
-                               sim::BufferView<float> scratch, i64 batch,
-                               i64 p, i64 q, bool inverse,
-                               const sim::ConstView<float>& tw_q,
-                               const sim::ConstView<float>& tw_p,
-                               const sim::LaunchOptions& opt, int* launches) {
-  double secs = 0.0;
+/// two transposes per direction. Adds its three launches to `stage`.
+void run_fft2d_to_transposed(sim::Device& dev, KernelRun& run,
+                             const char* stage, sim::BufferView<float> planes,
+                             sim::BufferView<float> scratch, i64 batch, i64 p,
+                             i64 q, bool inverse,
+                             const sim::ConstView<float>& tw_q,
+                             const sim::ConstView<float>& tw_p,
+                             const sim::LaunchOptions& opt) {
   // Rows of length Q, batch * P of them.
-  secs += run_fft_rows(dev, planes, batch * p, q, inverse, tw_q, opt)
-              .timing.seconds;
+  run.add(stage, run_fft_rows(dev, planes, batch * p, q, inverse, tw_q, opt));
   // Transpose each plane (P x Q) -> (Q x P) into scratch, then copy-free:
   // continue operating on scratch.
-  secs += run_transpose(dev, planes, scratch, batch, p, q, opt)
-              .timing.seconds;
+  run.add(stage, run_transpose(dev, planes, scratch, batch, p, q, opt));
   // Rows of length P on the transposed planes.
-  secs += run_fft_rows(dev, scratch, batch * q, p, inverse, tw_p, opt)
-              .timing.seconds;
-  *launches += 3;
-  return secs;
+  run.add(stage,
+          run_fft_rows(dev, scratch, batch * q, p, inverse, tw_p, opt));
 }
 
 }  // namespace
 
-FftConvRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
-                    const tensor::Tensor& filters,
-                    const sim::LaunchOptions& opt) {
+KernelRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
+                   const tensor::Tensor& filters,
+                   const sim::LaunchOptions& opt) {
   KCONV_CHECK(input.n() == 1, "fft conv operates on a single image");
   KCONV_CHECK(filters.c() == input.c(), "channel mismatch");
   KCONV_CHECK(filters.h() == filters.w(), "non-square filters unsupported");
@@ -364,7 +359,7 @@ FftConvRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
   const i64 Q = tensor::next_pow2(std::max(input.w(), K));
   const i64 plane = P * Q;
 
-  FftConvRun run;
+  KernelRun run;
   run.workspace_bytes =
       static_cast<u64>(2 * (C + F * C + F) * plane) * sizeof(float) * 2;
 
@@ -400,8 +395,7 @@ FftConvRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
     lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Q, 128)),
                         static_cast<u32>(C * P), 1};
     lc.regs_per_thread = 12;
-    run.pad_seconds += sim::launch(dev, k, lc, opt).timing.seconds;
-    ++run.launches;
+    run.add("pad", sim::launch(dev, k, lc, opt));
   }
   const auto flat = flatten_filters(filters);
   auto d_filt = dev.alloc<float>(std::span<const float>(flat));
@@ -418,17 +412,14 @@ FftConvRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
     lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Q, 128)),
                         static_cast<u32>(F * C * P), 1};
     lc.regs_per_thread = 12;
-    run.pad_seconds += sim::launch(dev, k, lc, opt).timing.seconds;
-    ++run.launches;
+    run.add("pad", sim::launch(dev, k, lc, opt));
   }
 
   // --- Stage 2: forward transforms (results land transposed in *_b) --------
-  run.image_fft_seconds += run_fft2d_to_transposed(
-      dev, x_a.view(), x_b.view(), C, P, Q, false, tw_q, tw_p, opt,
-      &run.launches);
-  run.filter_fft_seconds += run_fft2d_to_transposed(
-      dev, g_a.view(), g_b.view(), F * C, P, Q, false, tw_q, tw_p, opt,
-      &run.launches);
+  run_fft2d_to_transposed(dev, run, "image_fft", x_a.view(), x_b.view(), C,
+                          P, Q, false, tw_q, tw_p, opt);
+  run_fft2d_to_transposed(dev, run, "filter_fft", g_a.view(), g_b.view(),
+                          F * C, P, Q, false, tw_q, tw_p, opt);
 
   // --- Stage 3: pointwise MAC over channels (transposed layout) ------------
   {
@@ -443,14 +434,12 @@ FftConvRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
     lc.grid = sim::Dim3{static_cast<u32>(ceil_div(plane, 128)),
                         static_cast<u32>(F), 1};
     lc.regs_per_thread = 20;
-    run.mac_seconds += sim::launch(dev, k, lc, opt).timing.seconds;
-    ++run.launches;
+    run.add("mac", sim::launch(dev, k, lc, opt));
   }
 
   // --- Stage 4: inverse transform (from transposed (Q x P) back) -----------
-  run.inverse_seconds += run_fft2d_to_transposed(
-      dev, y_a.view(), y_b.view(), F, Q, P, true, tw_p, tw_q, opt,
-      &run.launches);
+  run_fft2d_to_transposed(dev, run, "inverse", y_a.view(), y_b.view(), F, Q,
+                          P, true, tw_p, tw_q, opt);
 
   DevicePlanes d_out(dev, F, Ho, Wo);
   {
@@ -466,11 +455,10 @@ FftConvRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
     lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Wo, 128)),
                         static_cast<u32>(F * Ho), 1};
     lc.regs_per_thread = 12;
-    run.inverse_seconds += sim::launch(dev, k, lc, opt).timing.seconds;
-    ++run.launches;
+    run.add("inverse", sim::launch(dev, k, lc, opt));
   }
 
-  if (opt.sample_max_blocks == 0) {
+  if (run.seal()) {
     run.output = d_out.download();
     run.output_valid = true;
   }

@@ -20,39 +20,17 @@
 
 namespace kconv::kernels {
 
-struct FftConvRun {
-  tensor::Tensor output;
-  bool output_valid = false;
-  /// Complex workspace: image + filter + accumulator planes.
-  u64 workspace_bytes = 0;
-  /// Aggregate model time per stage.
-  double pad_seconds = 0.0;
-  double image_fft_seconds = 0.0;
-  /// Filter transforms: reusable across a batch — "in order to reuse the
-  /// Fourier transform of the filters, the batch size should be big
-  /// enough" (paper §1). seconds_amortized() models that steady state.
-  double filter_fft_seconds = 0.0;
-  double mac_seconds = 0.0;
-  double inverse_seconds = 0.0;   // inverse FFT + extract
-  /// Total launches issued (the pipeline-depth cost of the FFT route).
-  int launches = 0;
-
-  double seconds() const {
-    return pad_seconds + image_fft_seconds + filter_fft_seconds +
-           mac_seconds + inverse_seconds;
-  }
-
-  /// Per-image time once filter transforms are amortized over a large batch.
-  double seconds_amortized() const {
-    return pad_seconds + image_fft_seconds + mac_seconds + inverse_seconds;
-  }
-};
-
 /// input (1, C, Hi, Wi), filters (F, C, K, K) -> valid output (1, F, ...).
 /// Works for any square K (cross-correlation semantics, like every other
-/// kernel in this library).
-FftConvRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
-                    const tensor::Tensor& filters,
-                    const sim::LaunchOptions& opt = {});
+/// kernel in this library). Thirteen launches (the pipeline-depth cost of
+/// the FFT route) in stages `pad` (2), `image_fft` (3), `filter_fft` (3),
+/// `mac` (1) and `inverse` (4: inverse FFT + extract). The filter
+/// transforms are reusable across a batch — "in order to reuse the Fourier
+/// transform of the filters, the batch size should be big enough" (paper
+/// §1) — so the run's seconds less `filter_fft`'s model that steady state.
+/// workspace_bytes is the complex image, filter and accumulator planes.
+KernelRun fft_conv(sim::Device& dev, const tensor::Tensor& input,
+                   const tensor::Tensor& filters,
+                   const sim::LaunchOptions& opt = {});
 
 }  // namespace kconv::kernels

@@ -97,10 +97,10 @@ Im2colTRun im2col_transposed(sim::Device& dev, const tensor::Tensor& input,
   return run;
 }
 
-Im2colGemmRun im2col_gemm_conv(sim::Device& dev, const tensor::Tensor& input,
-                               const tensor::Tensor& filters,
-                               const GemmConfig& gemm_cfg,
-                               const sim::LaunchOptions& opt) {
+KernelRun im2col_gemm_conv(sim::Device& dev, const tensor::Tensor& input,
+                           const tensor::Tensor& filters,
+                           const GemmConfig& gemm_cfg,
+                           const sim::LaunchOptions& opt) {
   KCONV_CHECK(input.n() == 1, "im2col conv operates on a single image");
   KCONV_CHECK(filters.c() == input.c(), "channel mismatch");
   KCONV_CHECK(filters.h() == filters.w(), "non-square filters unsupported");
@@ -130,27 +130,22 @@ Im2colGemmRun im2col_gemm_conv(sim::Device& dev, const tensor::Tensor& input,
                        static_cast<u32>(Kdim), 1};
   ilc.regs_per_thread = 16;
 
-  Im2colGemmRun run;
+  KernelRun run;
   run.workspace_bytes = static_cast<u64>(Kdim * Np) * sizeof(float);
-  run.im2col_launch = sim::launch(dev, ik, ilc, opt);
+  run.add("im2col", sim::launch(dev, ik, ilc, opt));
 
   // GEMM: (F x Kdim) * (Kdim x Np). The filter matrix rides along as a
   // host matrix; the patch matrix already lives on the device, so we hand
-  // the gemm runner host copies only when running functionally.
+  // the gemm runner a host copy of it. A sampled im2col leaves it partly
+  // unwritten: the contents don't matter for the timing model, only the
+  // operand's shape does.
   tensor::Matrix fm = tensor::filters_as_matrix(filters);
-  tensor::Matrix col_host(0, 0);
-  if (!run.im2col_launch.sampled) {
-    col_host = tensor::Matrix(Kdim, Np);
-    col_host.data = d_col.download();
-  } else {
-    // Benchmark mode: contents don't matter for the timing model, but the
-    // GEMM still needs a correctly-shaped operand.
-    col_host = tensor::Matrix(Kdim, Np);
-  }
+  tensor::Matrix col_host(Kdim, Np);
+  if (run.stages.back().launch.complete()) col_host.data = d_col.download();
 
   GemmRun g = gemm(dev, fm, col_host, gemm_cfg, opt);
-  run.gemm_launch = g.launch;
-  if (g.output_valid && !run.im2col_launch.sampled) {
+  run.add("gemm", std::move(g.launch));
+  if (run.seal()) {
     run.output = tensor::Tensor(1, F, Ho, Wo);
     tensor::col2im_output(g.c, 0, run.output);
     run.output_valid = true;

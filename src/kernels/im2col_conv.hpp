@@ -13,29 +13,12 @@
 
 namespace kconv::kernels {
 
-struct Im2colGemmRun {
-  sim::LaunchResult im2col_launch;
-  sim::LaunchResult gemm_launch;
-  tensor::Tensor output;
-  bool output_valid = false;
-  /// Bytes of the materialized patch matrix.
-  u64 workspace_bytes = 0;
-
-  double seconds() const {
-    return im2col_launch.timing.seconds + gemm_launch.timing.seconds;
-  }
-  double gflops() const {
-    // Count only the convolution's useful flops, over the combined time.
-    return gemm_launch.timing.gflops * gemm_launch.timing.seconds /
-           std::max(seconds(), 1e-30);
-  }
-};
-
-/// input (1, C, Hi, Wi), filters (F, C, K, K) -> valid output.
-Im2colGemmRun im2col_gemm_conv(sim::Device& dev, const tensor::Tensor& input,
-                               const tensor::Tensor& filters,
-                               const GemmConfig& gemm_cfg = gemm_cublas_like(),
-                               const sim::LaunchOptions& opt = {});
+/// input (1, C, Hi, Wi), filters (F, C, K, K) -> valid output. Stages
+/// `im2col` and `gemm`; workspace_bytes is the patch matrix.
+KernelRun im2col_gemm_conv(sim::Device& dev, const tensor::Tensor& input,
+                           const tensor::Tensor& filters,
+                           const GemmConfig& gemm_cfg = gemm_cublas_like(),
+                           const sim::LaunchOptions& opt = {});
 
 /// Materializes the TRANSPOSED patch matrix im2col(input)^T of shape
 /// (Ho*Wo) x (C*K*K) on the device. Building block for the weight-gradient

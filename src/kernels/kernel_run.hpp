@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/analysis/static/xray.hpp"
 #include "src/common/strutil.hpp"
@@ -26,13 +27,49 @@
 
 namespace kconv::kernels {
 
-/// Outcome of running a convolution/GEMM kernel on the simulator.
+/// Outcome of running a convolution on the simulator: every launch it
+/// made, grouped into named stages in issue order (FFT: `pad`,
+/// `image_fft`, `filter_fft`, `mac`, `inverse`; a direct kernel: one stage
+/// of one launch).
 struct KernelRun {
+  /// The whole run. With one stage this is that stage's launch, whole.
+  /// With more it holds sums only (sim::fold_launch): counters, blocks,
+  /// seconds and seconds-weighted rates; per-launch detail (pipes, bound,
+  /// occupancy, plan-store status) lives in `stages`.
   sim::LaunchResult launch;
-  /// Functional output. Only populated when the launch executed every block
-  /// (sampled benchmark runs skip the download; check output_valid).
+  std::vector<sim::LaunchStage> stages;
+  /// Functional output. Only populated when every block of every launch
+  /// ran (sampled benchmark runs skip the download; check output_valid).
   tensor::Tensor output;
   bool output_valid = false;
+  /// Device memory beyond image, filters and output: im2col's patch
+  /// matrix, Winograd's transformed planes, FFT's complex planes.
+  u64 workspace_bytes = 0;
+
+  /// Adds launch `r` to the stage `name`: the last stage when it has that
+  /// name, else a new one.
+  void add(const std::string& name, sim::LaunchResult r) {
+    if (stages.empty() || stages.back().name != name) {
+      stages.emplace_back().name = name;
+    }
+    stages.back().add(std::move(r));
+  }
+
+  /// Sets `launch` from `stages` and returns whether the output may be
+  /// downloaded: no launch of any stage was sampled or analytic.
+  bool seal() {
+    sim::LaunchStage total;
+    for (const sim::LaunchStage& s : stages) total.add(s.launch, s.launches);
+    launch = std::move(total.launch);
+    return launch.complete();
+  }
+
+  /// The stage named `name`; throws when the run has none.
+  const sim::LaunchStage& stage(const std::string& name) const {
+    const auto it = std::ranges::find(stages, name, &sim::LaunchStage::name);
+    KCONV_CHECK(it != stages.end(), "no stage named " + name);
+    return *it;
+  }
 };
 
 /// What every conv kernel derives from (arch, problem, config) before it
@@ -123,7 +160,8 @@ struct ConvPlan {
 /// signature is memoized: the model's block-0 walk runs once per key per
 /// process. Then: the plan's fleet hints for multi-device launches, the
 /// launch, its roofline hints when profiling, and the output download
-/// when every block ran.
+/// when every block ran. The run's one stage is named by the key's first
+/// field ("general_conv").
 template <typename Kernel, typename T>
 KernelRun launch_plan(sim::Device& dev, const Kernel& kernel,
                       sim::LaunchOptions lopt, const DevicePlanesT<T>& out,
@@ -136,10 +174,11 @@ KernelRun launch_plan(sim::Device& dev, const Kernel& kernel,
         xray::memoized_signature(dev.arch(), plan.key, make_model);
   }
   if (lopt.fleet.devices > 1) lopt.fleet_hints = plan.fleet;
+  sim::LaunchResult r = sim::launch(dev, kernel, plan.lc, lopt);
+  if (lopt.profile) r.profile.hints = plan.hints;
   KernelRun run;
-  run.launch = sim::launch(dev, kernel, plan.lc, lopt);
-  if (lopt.profile) run.launch.profile.hints = plan.hints;
-  if (!run.launch.sampled && !run.launch.analytic) {
+  run.add(plan.key.substr(0, plan.key.find('|')), std::move(r));
+  if (run.seal()) {
     run.output = out.download();
     run.output_valid = true;
   }

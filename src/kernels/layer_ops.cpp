@@ -116,8 +116,8 @@ KernelRun max_pool_2x2(sim::Device& dev, const tensor::Tensor& input,
   lc.regs_per_thread = 16;
 
   KernelRun run;
-  run.launch = sim::launch(dev, k, lc, opt);
-  if (!run.launch.sampled) {
+  run.add("max_pool_2x2", sim::launch(dev, k, lc, opt));
+  if (run.seal()) {
     run.output = d_out.download();
     if (NB > 1) run.output = unfold_batch(run.output, NB, input.c());
     run.output_valid = true;
@@ -165,8 +165,8 @@ KernelRun bias_relu(sim::Device& dev, const tensor::Tensor& input,
   lc.regs_per_thread = 12;
 
   KernelRun run;
-  run.launch = sim::launch(dev, k, lc, opt);
-  if (!run.launch.sampled) {
+  run.add("bias_relu", sim::launch(dev, k, lc, opt));
+  if (run.seal()) {
     run.output = d_out.download();
     if (NB > 1) run.output = unfold_batch(run.output, NB, input.c());
     run.output_valid = true;

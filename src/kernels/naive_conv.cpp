@@ -79,8 +79,8 @@ KernelRun naive_conv(sim::Device& dev, const tensor::Tensor& input,
   lc.regs_per_thread = 24;
 
   KernelRun run;
-  run.launch = sim::launch(dev, k, lc, opt);
-  if (!run.launch.sampled) {
+  run.add("naive_conv", sim::launch(dev, k, lc, opt));
+  if (run.seal()) {
     run.output = d_out.download();
     run.output_valid = true;
   }

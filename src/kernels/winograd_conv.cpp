@@ -98,10 +98,10 @@ GemmConfig winograd_gemm_config(i64 f) {
   return cfg;
 }
 
-WinogradConvRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
-                              const tensor::Tensor& filters,
-                              const GemmConfig& gemm_cfg_in,
-                              const sim::LaunchOptions& opt) {
+KernelRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
+                        const tensor::Tensor& filters,
+                        const GemmConfig& gemm_cfg_in,
+                        const sim::LaunchOptions& opt) {
   const GemmConfig gemm_cfg =
       gemm_cfg_in.bm == 0 ? winograd_gemm_config(filters.n()) : gemm_cfg_in;
   KCONV_CHECK(input.n() == 1, "winograd conv operates on a single image");
@@ -114,7 +114,7 @@ WinogradConvRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
   const i64 ty_count = ceil_div(Ho, 2), tx_count = ceil_div(Wo, 2);
   const i64 T = ty_count * tx_count;
 
-  WinogradConvRun run;
+  KernelRun run;
   run.workspace_bytes =
       static_cast<u64>(16 * C * T + 16 * F * T) * sizeof(float);
 
@@ -135,8 +135,8 @@ WinogradConvRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
   ilc.grid = sim::Dim3{static_cast<u32>(ceil_div(T, 128)),
                        static_cast<u32>(C), 1};
   ilc.regs_per_thread = 40;  // d + v tiles live in registers
-  run.input_tf_launch = sim::launch(dev, itk, ilc, opt);
-  const bool functional = !run.input_tf_launch.sampled;
+  run.add("input_tf", sim::launch(dev, itk, ilc, opt));
+  const bool functional = run.stages.back().launch.complete();
 
   // --- Stage 2: 16 per-tap GEMMs  M[tap] = U[tap] x V[tap] -----------------
   // Filter transform on the host (tiny: F*C*16 values, uploaded once on a
@@ -157,36 +157,25 @@ WinogradConvRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
   std::vector<float> v_host;
   if (functional) v_host = d_v.download();
 
-  std::vector<tensor::Matrix> m_taps;
-  m_taps.reserve(16);
+  // M[tap] lands tap-major in m_host (zeros where a GEMM was sampled).
+  std::vector<float> m_host(static_cast<std::size_t>(16 * F * T));
   for (int tap = 0; tap < 16; ++tap) {
     tensor::Matrix u_m(F, C);
-    std::copy(u_host.begin() + static_cast<std::ptrdiff_t>(tap) * F * C,
-              u_host.begin() + static_cast<std::ptrdiff_t>(tap + 1) * F * C,
-              u_m.data.begin());
+    std::copy_n(u_host.begin() + tap * F * C, F * C, u_m.data.begin());
     tensor::Matrix v_m(C, T);
     if (functional) {
-      std::copy(v_host.begin() + static_cast<std::ptrdiff_t>(tap) * C * T,
-                v_host.begin() + static_cast<std::ptrdiff_t>(tap + 1) * C * T,
-                v_m.data.begin());
+      std::copy_n(v_host.begin() + tap * C * T, C * T, v_m.data.begin());
     }
     GemmRun g = gemm(dev, u_m, v_m, gemm_cfg, opt);
-    run.gemm_seconds += g.launch.timing.seconds;
-    run.gemm_flops += g.launch.stats.fma_lane_ops * 2;
-    m_taps.push_back(g.output_valid ? std::move(g.c) : tensor::Matrix(F, T));
+    run.add("gemm", std::move(g.launch));
+    if (g.output_valid) {
+      std::ranges::copy(g.c.data, m_host.begin() + tap * F * T);
+    }
   }
 
   // --- Stage 3: output transform -------------------------------------------
   auto d_m = dev.alloc<float>(16 * F * T);
-  if (functional) {
-    std::vector<float> m_host(static_cast<std::size_t>(16 * F * T));
-    for (int tap = 0; tap < 16; ++tap) {
-      std::copy(m_taps[static_cast<std::size_t>(tap)].data.begin(),
-                m_taps[static_cast<std::size_t>(tap)].data.end(),
-                m_host.begin() + static_cast<std::ptrdiff_t>(tap) * F * T);
-    }
-    d_m.upload(m_host);
-  }
+  if (functional) d_m.upload(m_host);
   DevicePlanes d_out(dev, F, Ho, Wo);
 
   OutputTransformKernel otk;
@@ -201,9 +190,9 @@ WinogradConvRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
   olc.grid = sim::Dim3{static_cast<u32>(ceil_div(T, 128)),
                        static_cast<u32>(F), 1};
   olc.regs_per_thread = 40;
-  run.output_tf_launch = sim::launch(dev, otk, olc, opt);
+  run.add("output_tf", sim::launch(dev, otk, olc, opt));
 
-  if (functional && !run.output_tf_launch.sampled) {
+  if (run.seal()) {
     run.output = d_out.download();
     run.output_valid = true;
   }

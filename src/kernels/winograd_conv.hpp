@@ -19,24 +19,6 @@
 
 namespace kconv::kernels {
 
-struct WinogradConvRun {
-  sim::LaunchResult input_tf_launch;
-  sim::LaunchResult output_tf_launch;
-  /// Aggregate over the 16 per-tap GEMM launches.
-  double gemm_seconds = 0.0;
-  u64 gemm_flops = 0;  // executed lane-flops in the GEMM stage
-  tensor::Tensor output;
-  bool output_valid = false;
-  /// Transformed-domain workspace: V + M buffers (the memory cost the
-  /// paper's related-work section calls out).
-  u64 workspace_bytes = 0;
-
-  double seconds() const {
-    return input_tf_launch.timing.seconds + gemm_seconds +
-           output_tf_launch.timing.seconds;
-  }
-};
-
 /// GEMM tiling adapted to Winograd's tap matrices: M = F is often small,
 /// so the default 96x96 tile would drown in padding; this shrinks the
 /// M-tile to fit.
@@ -44,10 +26,13 @@ GemmConfig winograd_gemm_config(i64 f);
 
 /// input (1, C, Hi, Wi), 3x3 filters (F, C, 3, 3) -> valid output.
 /// Throws kconv::Error unless K == 3. `gemm_cfg.bm == 0` (the default)
-/// selects winograd_gemm_config(F) automatically.
-WinogradConvRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
-                              const tensor::Tensor& filters,
-                              const GemmConfig& gemm_cfg = GemmConfig{.bm = 0},
-                              const sim::LaunchOptions& opt = {});
+/// selects winograd_gemm_config(F) automatically. Stages `input_tf`,
+/// `gemm` (16 launches) and `output_tf`; workspace_bytes is the
+/// transformed-domain V + M buffers, the memory cost the paper's
+/// related-work section calls out.
+KernelRun winograd_conv(sim::Device& dev, const tensor::Tensor& input,
+                        const tensor::Tensor& filters,
+                        const GemmConfig& gemm_cfg = GemmConfig{.bm = 0},
+                        const sim::LaunchOptions& opt = {});
 
 }  // namespace kconv::kernels

@@ -380,3 +380,40 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
 }
 
 }  // namespace kconv::sim::detail
+
+namespace kconv::sim {
+
+void fold_launch(LaunchResult& sum, const LaunchResult& next) {
+  const TimingEstimate &a = sum.timing, &b = next.timing;
+  LaunchResult f;  // per-launch properties stay empty
+  f.timing.seconds = a.seconds + b.seconds;
+  const auto mean = [&](double TimingEstimate::*rate) {
+    const double s = f.timing.seconds;
+    return s > 0 ? (a.*rate * a.seconds + b.*rate * b.seconds) / s : 0.0;
+  };
+  f.timing.gflops = mean(&TimingEstimate::gflops);
+  f.timing.dram_gbps = mean(&TimingEstimate::dram_gbps);
+  f.timing.sm_efficiency = mean(&TimingEstimate::sm_efficiency);
+  f.timing.total_cycles = a.total_cycles + b.total_cycles;
+  f.timing.waves = a.waves + b.waves;
+  f.stats = sum.stats;
+  f.stats += next.stats;
+  f.blocks_total = sum.blocks_total + next.blocks_total;
+  f.blocks_executed = sum.blocks_executed + next.blocks_executed;
+  f.blocks_replayed = sum.blocks_replayed + next.blocks_replayed;
+  f.sampled = sum.sampled || next.sampled;
+  f.analytic = sum.analytic || next.analytic;
+  f.analysis = std::move(sum.analysis);
+  f.analysis += next.analysis;
+  f.profile.enabled = sum.profile.enabled || next.profile.enabled;
+  f.profile.phases = sum.profile.phases;
+  f.profile.phases += next.profile.phases;
+  f.profile.timelines = std::move(sum.profile.timelines);
+  for (profile::BlockTimeline tl : next.profile.timelines) {
+    tl.seq += sum.blocks_total;  // block order runs on across launches
+    f.profile.timelines.push_back(std::move(tl));
+  }
+  sum = std::move(f);
+}
+
+}  // namespace kconv::sim

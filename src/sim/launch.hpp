@@ -19,6 +19,7 @@
 
 #include <concepts>
 #include <string>
+#include <utility>
 
 #include "src/analysis/diagnostics.hpp"
 #include "src/profile/collector.hpp"
@@ -130,6 +131,44 @@ struct LaunchResult {
   /// the Demmel–Dinh communication-bound attribution (docs/MODEL.md §9).
   /// fleet.enabled is false on single-device launches.
   FleetResult fleet;
+
+  /// Every block ran functionally (neither sampled nor analytic), so the
+  /// launch's output buffers hold the full result.
+  bool complete() const { return !sampled && !analytic; }
+
+  /// DRAM bytes the full grid moves as the timing model charges them. It
+  /// is rate x seconds, so it holds for sampled launches and folds.
+  double dram_bytes() const { return timing.dram_gbps * timing.seconds * 1e9; }
+};
+
+/// Folds `next` into `sum`, the result of launches issued before it (a
+/// pipeline stage, a pipeline, a batch of images). Counters add through
+/// KernelStats::operator+=, as do block counts, cycles, waves and seconds;
+/// GFlop/s, DRAM GB/s and SM efficiency become seconds-weighted means, so
+/// rate x seconds stays the work done. `sampled` and `analytic` are OR-ed,
+/// kconv-check results and kconv-prof phase counters merge, and profile
+/// timelines follow on with block sequence numbers offset past `sum`'s
+/// blocks. Per-launch properties are cleared: pipes, bound, occupancy,
+/// plan-store status, fleet and roofline hints.
+void fold_launch(LaunchResult& sum, const LaunchResult& next);
+
+/// One named step of a multi-launch algorithm (FFT's `pad`, Winograd's
+/// 16-launch `gemm`): how many launches it made and their fold.
+struct LaunchStage {
+  std::string name;
+  u32 launches = 0;
+  LaunchResult launch;
+
+  /// Adds `n` launches summarized by `r`. The first add keeps `r` whole;
+  /// later ones fold it in (fold_launch), in issue order.
+  void add(LaunchResult r, u32 n = 1) {
+    if (launches == 0) {
+      launch = std::move(r);
+    } else {
+      fold_launch(launch, r);
+    }
+    launches += n;
+  }
 };
 
 namespace detail {

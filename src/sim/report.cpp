@@ -18,7 +18,8 @@ const char* limiter_name(OccupancyLimiter l) {
 }
 }  // namespace
 
-std::string format_report(const Arch& arch, const LaunchResult& res) {
+std::string format_report(const Arch& arch, const LaunchResult& res,
+                          std::span<const LaunchStage> stages) {
   const KernelStats& s = res.stats;
   const TimingEstimate& t = res.timing;
   std::string out;
@@ -39,14 +40,26 @@ std::string format_report(const Arch& arch, const LaunchResult& res) {
               t.total_cycles, t.waves);
   out += strf("perf: %.1f GFlop/s  (%.1f%% of %.0f GFlop/s peak), bound: %s\n",
               t.gflops, 100.0 * t.sm_efficiency, arch.peak_sp_gflops(),
-              t.bound.c_str());
-  out += strf("occupancy: %u blocks/SM, %u warps/SM (%.0f%%), limited by %s\n",
-              t.occupancy.blocks_per_sm, t.occupancy.warps_per_sm,
-              100.0 * t.occupancy.fraction, limiter_name(t.occupancy.limiter));
-  out += strf("pipes (SM-cycles/wave): compute %.0f, issue %.0f, smem %.0f, "
-              "gmem %.0f, const %.0f, latency floor %.0f\n",
-              t.pipe_compute, t.pipe_issue, t.pipe_smem, t.pipe_gmem,
-              t.pipe_const, t.latency_floor);
+              stages.size() > 1 ? "per stage" : t.bound.c_str());
+  if (stages.size() > 1) {
+    // A fold has no occupancy or pipes of its own: list its stages.
+    for (const LaunchStage& st : stages) {
+      out += strf("stage %-10s %2u launch(es) %8.3f ms %8llu blocks, DRAM %s\n",
+                  st.name.c_str(), st.launches, st.launch.timing.seconds * 1e3,
+                  static_cast<unsigned long long>(st.launch.blocks_total),
+                  human_bytes(st.launch.dram_bytes()).c_str());
+    }
+  } else {
+    const Occupancy& o = t.occupancy;
+    out += strf("occupancy: %u blocks/SM, %u warps/SM (%.0f%%), limited by "
+                "%s\n",
+                o.blocks_per_sm, o.warps_per_sm, 100.0 * o.fraction,
+                limiter_name(o.limiter));
+    out += strf("pipes (SM-cycles/wave): compute %.0f, issue %.0f, smem %.0f, "
+                "gmem %.0f, const %.0f, latency floor %.0f\n",
+                t.pipe_compute, t.pipe_issue, t.pipe_smem, t.pipe_gmem,
+                t.pipe_const, t.latency_floor);
+  }
   if (s.smem_instrs > 0) {
     out += strf("smem: %llu instrs, %llu request cycles (replay factor "
                 "%.2f), %s moved\n",
@@ -178,7 +191,8 @@ std::string fleet_to_json(const FleetResult& f, int indent) {
   return out;
 }
 
-std::string to_json(const Arch& arch, const LaunchResult& res) {
+std::string to_json(const Arch& arch, const LaunchResult& res,
+                    std::span<const LaunchStage> stages) {
   const TimingEstimate& t = res.timing;
   std::string out = "{\n";
   out += strf("  \"arch\": \"%s\",\n", arch.name.c_str());
@@ -204,24 +218,32 @@ std::string to_json(const Arch& arch, const LaunchResult& res) {
               "\"latency_floor\": %.6g},\n",
               t.pipe_compute, t.pipe_issue, t.pipe_smem, t.pipe_gmem,
               t.pipe_const, t.latency_floor);
-  const bool with_analysis = res.analysis.hazard_checked || res.analysis.linted;
-  const bool with_profile = res.profile.enabled;
-  const bool with_fleet = res.fleet.enabled;
-  out += "  " + counters_json(kKernelCounters, res.stats, ",\n  ") +
-         (with_analysis || with_profile || with_fleet ? ",\n" : "\n");
-  if (with_fleet) {
-    out += "  \"fleet\": " + fleet_to_json(res.fleet, 2) +
-           (with_analysis || with_profile ? ",\n" : "\n");
+  out += "  " + counters_json(kKernelCounters, res.stats, ",\n  ");
+  if (stages.size() > 1) {
+    out += ",\n  \"stages\": [";
+    for (const LaunchStage& st : stages) {
+      const LaunchResult& l = st.launch;
+      out += strf("%s\n    {\"name\": \"%s\", \"launches\": %u, "
+                  "\"blocks_total\": %llu, \"seconds\": %.9g, "
+                  "\"gflops\": %.6g, ",
+                  &st == stages.data() ? "" : ",", st.name.c_str(),
+                  st.launches, static_cast<unsigned long long>(l.blocks_total),
+                  l.timing.seconds, l.timing.gflops) +
+             counters_json(kKernelCounters, l.stats, ", ") + "}";
+    }
+    out += "\n  ]";
   }
-  if (with_analysis) {
-    out += "  \"analysis\": " + analysis::to_json(res.analysis, 2) +
-           (with_profile ? ",\n" : "\n");
+  if (res.fleet.enabled) {
+    out += ",\n  \"fleet\": " + fleet_to_json(res.fleet, 2);
   }
-  if (with_profile) {
-    out += "  \"profile\": " + profile::profile_to_json(arch, res.profile, 2) +
-           "\n";
+  if (res.analysis.hazard_checked || res.analysis.linted) {
+    out += ",\n  \"analysis\": " + analysis::to_json(res.analysis, 2);
   }
-  out += "}";
+  if (res.profile.enabled) {
+    out += ",\n  \"profile\": " +
+           profile::profile_to_json(arch, res.profile, 2);
+  }
+  out += "\n}";
   return out;
 }
 

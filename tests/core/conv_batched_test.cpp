@@ -75,7 +75,8 @@ TEST(ConvBatched, CountersSumOverTheBatch) {
   opt.launch.replay = true;
   sim::Device dev(sim::kepler_k40m());
   const sim::LaunchResult l1 = conv2d_batched(dev, one, flt, opt).launch;
-  const sim::LaunchResult l4 = conv2d_batched(dev, four, flt, opt).launch;
+  const ConvResult r4 = conv2d_batched(dev, four, flt, opt);
+  const sim::LaunchResult& l4 = r4.launch;
 
   ASSERT_GT(l1.blocks_replayed, 0u);
   EXPECT_EQ(l4.blocks_total, 4 * l1.blocks_total);
@@ -86,6 +87,9 @@ TEST(ConvBatched, CountersSumOverTheBatch) {
     const u64 want = c.max ? l1.stats.*c.member : 4 * (l1.stats.*c.member);
     EXPECT_EQ(l4.stats.*c.member, want) << c.name;
   }
+  // The batch's modeled time is its images' sum, not the last image's.
+  EXPECT_EQ(l4.timing.seconds, r4.total_seconds);
+  EXPECT_GT(l4.timing.seconds, 3 * l1.timing.seconds);
 }
 
 TEST(ConvBatched, SamePaddingWorksPerImage) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <utility>
+
 #include "src/common/rng.hpp"
 #include "src/sim/sim.hpp"
 #include "src/tensor/compare.hpp"
@@ -143,12 +147,43 @@ TEST(FftDevice, PipelineDepthIsThirteenLaunches) {
   flt.fill_random(rng);
   sim::Device dev(sim::kepler_k40m());
   const auto run = fft_conv(dev, img, flt);
-  EXPECT_EQ(run.launches, 13);
-  EXPECT_GT(run.pad_seconds, 0.0);
-  EXPECT_GT(run.image_fft_seconds, 0.0);
-  EXPECT_GE(run.filter_fft_seconds, run.image_fft_seconds);
-  EXPECT_GT(run.mac_seconds, 0.0);
-  EXPECT_GT(run.inverse_seconds, 0.0);
+  const std::pair<const char*, u32> want[] = {
+      {"pad", 2}, {"image_fft", 3}, {"filter_fft", 3}, {"mac", 1},
+      {"inverse", 4}};
+  ASSERT_EQ(run.stages.size(), std::size(want));
+  u32 launches = 0;
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(run.stages[i].name, want[i].first);
+    EXPECT_EQ(run.stages[i].launches, want[i].second) << want[i].first;
+    EXPECT_GT(run.stages[i].launch.timing.seconds, 0.0) << want[i].first;
+    launches += run.stages[i].launches;
+  }
+  EXPECT_EQ(launches, 13u);
+  EXPECT_GE(run.stage("filter_fft").launch.timing.seconds,
+            run.stage("image_fft").launch.timing.seconds);
+}
+
+TEST(FftDevice, SampleLargerThanEveryGridKeepsTheOutput) {
+  // A sample bound no stage's grid reaches runs every block of every
+  // launch, so the output is the unsampled run's, bit for bit.
+  Rng rng(17);
+  tensor::Tensor img = tensor::Tensor::image(2, 12, 12);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(3, 2, 3);
+  flt.fill_random(rng);
+  sim::Device d1(sim::kepler_k40m());
+  const auto full = fft_conv(d1, img, flt);
+  sim::LaunchOptions opt;
+  opt.sample_max_blocks = u64{1} << 20;
+  sim::Device d2(sim::kepler_k40m());
+  const auto run = fft_conv(d2, img, flt, opt);
+  for (const sim::LaunchStage& s : run.stages) {
+    EXPECT_LT(s.launch.blocks_total, opt.sample_max_blocks) << s.name;
+    EXPECT_FALSE(s.launch.sampled) << s.name;
+  }
+  ASSERT_TRUE(full.output_valid);
+  ASSERT_TRUE(run.output_valid);
+  EXPECT_TRUE(std::ranges::equal(run.output.flat(), full.output.flat()));
 }
 
 TEST(FftDevice, ChannelMismatchThrows) {

@@ -4,8 +4,8 @@
 // Each case runs serially on a fresh K40m with default launch options and
 // records, per launch, every kKernelCounters value, blocks_total and the
 // modeled seconds (exact, as a hex float), plus an FNV-1a hash of the
-// output bytes. The multi-launch pipelines record what their run structs
-// expose (Winograd's GEMM stage and the FFT stages as summed seconds).
+// output bytes. The multi-launch pipelines record every stage, each the
+// fold of its launches (Winograd's 16 GEMMs, FFT's five stages).
 //
 // The describers of the conv kernels call the kernels' own staging
 // decodes, so xray cross-validation cannot see a drift both share. This
@@ -238,33 +238,40 @@ void record_baselines(Recorder& rec) {
   const auto flt = random_tensor(5, 3, 3, 3, 61);
   {
     sim::Device dev = k40m();
-    const Im2colGemmRun run = im2col_gemm_conv(dev, img, flt);
+    const KernelRun run = im2col_gemm_conv(dev, img, flt);
     ASSERT_TRUE(run.output_valid);
-    rec.launch("im2col.im2col", run.im2col_launch);
-    rec.launch("im2col.gemm", run.gemm_launch);
+    for (const sim::LaunchStage& s : run.stages) {
+      rec.launch("im2col." + s.name, s.launch);
+    }
     rec.output("im2col", run.output.flat());
   }
   {
     sim::Device dev = k40m();
-    const WinogradConvRun run = winograd_conv(dev, img, flt);
+    const KernelRun run = winograd_conv(dev, img, flt);
     ASSERT_TRUE(run.output_valid);
-    rec.launch("winograd.input_tf", run.input_tf_launch);
-    rec.seconds("winograd.gemm_seconds", run.gemm_seconds);
+    rec.launch("winograd.input_tf", run.stage("input_tf").launch);
+    const sim::LaunchResult& gemm = run.stage("gemm").launch;
+    rec.seconds("winograd.gemm_seconds", gemm.timing.seconds);
     rec.value("winograd.gemm_flops",
-              strf("%llu", static_cast<unsigned long long>(run.gemm_flops)));
-    rec.launch("winograd.output_tf", run.output_tf_launch);
+              strf("%llu", static_cast<unsigned long long>(
+                               gemm.stats.fma_lane_ops * 2)));
+    rec.launch("winograd.gemm", gemm);
+    rec.launch("winograd.output_tf", run.stage("output_tf").launch);
     rec.output("winograd", run.output.flat());
   }
   {
     sim::Device dev = k40m();
-    const FftConvRun run = fft_conv(dev, img, flt);
+    const KernelRun run = fft_conv(dev, img, flt);
     ASSERT_TRUE(run.output_valid);
-    rec.seconds("fft.pad_seconds", run.pad_seconds);
-    rec.seconds("fft.image_fft_seconds", run.image_fft_seconds);
-    rec.seconds("fft.filter_fft_seconds", run.filter_fft_seconds);
-    rec.seconds("fft.mac_seconds", run.mac_seconds);
-    rec.seconds("fft.inverse_seconds", run.inverse_seconds);
-    rec.value("fft.launches", strf("%d", run.launches));
+    u32 launches = 0;
+    for (const sim::LaunchStage& s : run.stages) {
+      rec.seconds("fft." + s.name + "_seconds", s.launch.timing.seconds);
+      launches += s.launches;
+    }
+    rec.value("fft.launches", strf("%u", launches));
+    for (const sim::LaunchStage& s : run.stages) {
+      rec.launch("fft." + s.name, s.launch);
+    }
     rec.output("fft", run.output.flat());
   }
   {

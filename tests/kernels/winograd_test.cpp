@@ -131,8 +131,9 @@ TEST(WinogradDevice, ArithmeticReductionNearTheory) {
   const double direct_flops = 2.0 * 8 * 16 * 9 * 32 * 32;
   // GEMM flops include tile padding (T rounded up by the GEMM tiling), so
   // allow headroom above the exact 1/2.25 ratio.
-  EXPECT_LT(static_cast<double>(run.gemm_flops), direct_flops);
-  EXPECT_GT(static_cast<double>(run.gemm_flops), direct_flops / 2.25 * 0.9);
+  const double gemm_flops = run.stage("gemm").launch.stats.flops();
+  EXPECT_LT(gemm_flops, direct_flops);
+  EXPECT_GT(gemm_flops, direct_flops / 2.25 * 0.9);
 }
 
 }  // namespace
